@@ -29,6 +29,7 @@ from .berlekamp import (
     decode_bounded,
     decode_double_error,
     decode_exhaustive,
+    decode_key_equation,
     decode_single_error,
     systematic_encode,
 )
@@ -52,6 +53,7 @@ from .oracles import (
     enumerate_induced_code,
     induced_min_distance,
     nearest_prefix_decode,
+    scan_errors_erasures,
 )
 from .simulate import FaultModel, SimReport, compute_clean, inject
 from .single import (
@@ -89,6 +91,7 @@ __all__ = [
     "decode_bounded",
     "decode_double_error",
     "decode_exhaustive",
+    "decode_key_equation",
     "decode_single_error",
     "digit_split",
     "enumerate_induced_code",
@@ -107,6 +110,7 @@ __all__ = [
     "nearest_prefix_decode",
     "output_alphabet",
     "redundancy_lower_bound",
+    "scan_errors_erasures",
     "signed_value",
     "sphere_volume_l1",
     "syndrome_matrix",

@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-# Exhaustive square-root search is used up to this modulus; Tonelli-Shanks above.
-SQRT_EXHAUSTIVE_LIMIT = 10_000
+from .gfpoly import poly_divmod, poly_eval, poly_mul
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -264,11 +263,6 @@ def gfp_sqrt(a: int, field: PrimeField) -> int | None:
         return 0
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    if p <= SQRT_EXHAUSTIVE_LIMIT:
-        for x in range(1, p):
-            if x * x % p == a:
-                return x
-        raise AssertionError("residue with no root")  # unreachable
     return _tonelli_shanks(a, p)
 
 
@@ -326,17 +320,6 @@ class ExtField:
         self.zero = (0,) * h
         self.one = (1,) + (0,) * (h - 1)
 
-    @staticmethod
-    def _poly_mod(poly: list[int], mod: tuple[int, ...], p: int) -> list[int]:
-        deg = len(mod) - 1
-        poly = [v % p for v in poly]
-        for i in range(len(poly) - 1, deg - 1, -1):
-            coeff = poly[i]
-            if coeff:
-                for j in range(deg + 1):
-                    poly[i - deg + j] = (poly[i - deg + j] - coeff * mod[j]) % p
-        return poly[:deg] + [0] * max(0, deg - len(poly))
-
     @classmethod
     def _is_irreducible(cls, mod: tuple[int, ...], p: int) -> bool:
         # Degree <= 3 suffices for our use: irreducible iff no roots in GF(p)
@@ -344,9 +327,7 @@ class ExtField:
         deg = len(mod) - 1
         if deg > 3:
             raise ValueError("irreducibility check supports degree <= 3")
-        return all(
-            sum(c * pow(x, i, p) for i, c in enumerate(mod)) % p != 0 for x in range(p)
-        )
+        return all(poly_eval(mod, x, p) for x in range(p))
 
     @classmethod
     def _find_irreducible(cls, p: int, h: int) -> tuple[int, ...]:
@@ -380,12 +361,8 @@ class ExtField:
         return tuple(c * x % self.p for x in a)
 
     def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        prod = [0] * (2 * self.h - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        return tuple(self._poly_mod(prod, self.modulus_poly, self.p))
+        _, rem = poly_divmod(poly_mul(a, b, self.p), self.modulus_poly, self.p)
+        return tuple(rem + [0] * (self.h - len(rem)))
 
     def power(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
         result = self.one

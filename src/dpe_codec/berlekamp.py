@@ -6,14 +6,20 @@ pairwise non-negating locators beta the minimum Lee distance is at least
 2*tau + 1.  Decoders return *signed integer* error vectors (each entry is
 the Lee-lifted error value) or None for an uncorrectable syndrome.
 
-Closed-form decoding is provided for tau = 1 and tau = 2 (the tau = 2 case
-solves a quadratic built from the two syndrome components); any tau is
-served by the exhaustive decoder, which is also the ground-truth oracle for
-cross-checking and the only decoder available over extension fields.
+Base-field codes are decoded algebraically at any budget: closed forms
+serve tau = 1 and tau = 2 (the tau = 2 case solves a quadratic built from
+the two syndrome components), and the key-equation decoder serves every
+budget (Roth & Siegel, "Lee-metric BCH codes and their application to
+constrained and partial-response channels", IEEE Trans. IT, 1994).  The
+exhaustive decoder enumerates the L1 sphere; it is the ground-truth oracle
+for cross-checking and the only decoder over extension fields.  Only tests
+and the oracles call it, so its enumeration guard (raisable through
+DPE_CODEC_GUARD_OVERRIDE) never refuses a production read.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from .basemath import (
@@ -26,6 +32,7 @@ from .basemath import (
     sphere_volume_l1,
 )
 from .core import guard_limit
+from .gfpoly import poly_roots, poly_trim, solve_key_equation
 
 # Exhaustive decoding refuses to enumerate spheres larger than this.
 ORACLE_VOLUME_GUARD = 10_000_000
@@ -77,6 +84,8 @@ class BerlekampCode:
                 tuple(pow(b, 2 * v + 1, p) for b in self.beta) for v in range(tau)
             ]
             self._index = {b: j for j, b in enumerate(self.beta)}
+            # every point an error can put in the locator: +beta_j, -beta_j
+            self._signed_points = tuple(x for b in self.beta for x in (b, p - b))
             self._encoder_rows: list[list[int]] | None = None
         else:
             if ext.p != p:
@@ -110,9 +119,7 @@ class BerlekampCode:
             raise ValueError(f"vector length {len(y)} != code length {self.n}")
         p = self.field.p
         if self.ext is None:
-            return tuple(
-                sum(v * col[j] for j, v in enumerate(y)) % p for col in self.power_cols
-            )
+            return tuple(sum(map(operator.mul, y, col)) % p for col in self.power_cols)
         ext = self.ext
         out = []
         for col in self.power_cols:
@@ -266,15 +273,84 @@ def decode_exhaustive(
     return match
 
 
+def decode_key_equation(
+    code: BerlekampCode, syn: Sequence[int], budget: int | None = None
+) -> list[int] | None:
+    """The unique error of L1 weight <= budget with syndrome `syn`, or None.
+
+    The error puts beta_j into a locator polynomial Lambda e_j times when
+    e_j > 0, and -beta_j |e_j| times when e_j < 0, so the odd syndromes are
+    the odd power sums of Lambda's points and fix
+    Lambda(x) / Lambda(-x) = exp(-2 * sum_{k odd} S_k x^k / k) mod x^(2*budget).
+    Splitting Lambda = A(x^2) + x B(x^2) turns this into the Pade problem
+    B = A * H mod z^budget, solved by Euclid.  The points are then found
+    by a root scan with deflation, and the error is checked against every
+    syndrome component.  A point shared by two negating locators (codes
+    built without validation) leaves the error undetermined: None.
+    """
+    if code.ext is not None:
+        raise ValueError("key-equation decoding needs a base-field code")
+    t = code.tau if budget is None else budget
+    if not 1 <= t <= code.tau:
+        raise ValueError(f"budget must be in [1, {code.tau}], got {t}")
+    p = code.field.p
+    syn = [s % p for s in syn]
+    if not any(syn):
+        return [0] * code.n
+    # Psi = Lambda(x) / Lambda(-x) through x^(2t-1): Psi' = f' Psi gives
+    # m psi_m = -2 * sum_{k odd <= m} S_k psi_(m-k).
+    psi = [1]
+    for m in range(1, 2 * t):
+        acc = sum(syn[k // 2] * psi[m - k] for k in range(1, m + 1, 2))
+        psi.append(-2 * acc * pow(m, -1, p) % p)
+    # The odd part of Lambda(x) = Psi(x) Lambda(-x) reads B (1 + Psi_even)
+    # = A Psi_odd, so H = Psi_odd / (1 + Psi_even), whose constant term is 2.
+    odd, even = psi[1::2], psi[0::2]
+    even[0] = 2
+    half = pow(2, -1, p)
+    h: list[int] = []
+    for i in range(t):
+        acc = odd[i] - sum(even[j] * h[i - j] for j in range(1, i + 1))
+        h.append(acc * half % p)
+    a, b = solve_key_equation([0] * t + [1], h, (t + 1) // 2, p)
+    if not a or a[0] == 0:
+        return None
+    # Lambda up to a constant factor; its points are the roots of the
+    # reversed polynomial.
+    lam = [0] * (2 * max(len(a), len(b)))
+    lam[0 : 2 * len(a) : 2] = a
+    lam[1 : 2 * len(b) : 2] = b
+    poly_trim(lam)
+    roots = poly_roots(lam[::-1], code._signed_points, p)
+    if roots is None:
+        return None
+    hits: dict[int, int] = {}
+    for x, mult in roots.items():
+        j, negated = code._index.get(x), code._index.get(p - x)
+        if (j is None) == (negated is None):
+            return None  # not a point, or one that two negating locators share
+        if j is None:
+            j, mult = negated, -mult
+        hits[j] = mult
+    for v, col in enumerate(code.power_cols):
+        if sum(e * col[j] for j, e in hits.items()) % p != syn[v]:
+            return None
+    error = [0] * code.n
+    for j, e in hits.items():
+        error[j] = e
+    return error
+
+
 def decode_bounded(code: BerlekampCode, syn: Sequence, budget: int | None = None) -> list[int] | None:
-    """Dispatch to the closed-form decoder when one exists, else enumerate."""
+    """Dispatch to the closed forms for budgets 1 and 2, else to the
+    key-equation decoder."""
     budget = code.tau if budget is None else budget
     if code.ext is None and budget == code.tau:
         if code.tau == 1:
             return decode_single_error(code, syn)
         if code.tau == 2:
             return decode_double_error(code, syn)
-    return decode_exhaustive(code, syn, budget)
+    return decode_key_equation(code, syn, budget)
 
 
 def systematic_encode(code: BerlekampCode, message: Sequence[int]) -> list[int]:

@@ -108,6 +108,9 @@ class ReadVector:
     @classmethod
     def with_erasures(cls, values: Sequence[int], erased_at: Iterable[int]) -> "ReadVector":
         erased_at = set(erased_at)
+        for j in erased_at:
+            if not (isinstance(j, int) and 0 <= j < len(values)):
+                raise ValueError(f"erasure index {j!r} is outside [0, {len(values)})")
         vals = tuple(0 if j in erased_at else v for j, v in enumerate(values))
         flags = tuple(j in erased_at for j in range(len(values)))
         return cls(vals, flags)
@@ -124,6 +127,9 @@ class ReadVector:
         return [j for j, f in enumerate(self.erased) if f]
 
     def check_alphabet(self, bound: int) -> None:
+        entries = self.entries
+        if entries and not any(self.erased) and 0 <= min(entries) and max(entries) < bound:
+            return
         for j, (v, gone) in enumerate(zip(self.entries, self.erased)):
             if not gone and not 0 <= v < bound:
                 raise ValueError(f"entry {j} = {v} is outside the read alphabet [0, {bound})")

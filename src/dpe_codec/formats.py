@@ -63,7 +63,10 @@ def read_vector(path: str | Path) -> tuple[ReadVector, int]:
     values = data["data"]
     if len(values) != data["cols"]:
         raise ValueError(f"{path}: data length {len(values)} != cols = {data['cols']}")
-    erased = set(data.get("erasures", []))
+    listed = data.get("erasures", [])
+    if not isinstance(listed, list) or not all(isinstance(j, int) for j in listed):
+        raise ValueError(f"{path}: erasures must be a list of column indices")
+    erased = set(listed)
     erased.update(j for j, v in enumerate(values) if v is None)
     filled = [0 if j in erased else v for j, v in enumerate(values)]
     return ReadVector.with_erasures(filled, erased), data["q"]

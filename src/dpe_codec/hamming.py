@@ -9,14 +9,19 @@ Erasures (unreadable columns) erase the single packed symbol they feed and
 are passed to the inner decoder as known-location unknowns.
 
 The inner code here is a Reed-Solomon code in parity-check form (checks at
-consecutive powers of distinct nonzero points, an MDS construction) with a
-small-scale errors-and-erasures syndrome decoder; any linear code given by
-an explicit check matrix can stand in, decoded by codeword enumeration.
+consecutive powers of distinct nonzero points, an MDS construction),
+decoded for errors and erasures by Euclid's algorithm on the key equation
+with Forney's error values (Roth, Introduction to Coding Theory, ch. 6).
+Any linear code given by an explicit check matrix can stand in, decoded by
+codeword enumeration under a guard (raisable through
+DPE_CODEC_GUARD_OVERRIDE); the support-scan decoder in ``oracles`` is the
+reference the Reed-Solomon decoder is checked against.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Sequence
 
 from .basemath import PrimeField, base_q_digits, ceil_log, gfp_solve, is_prime, signed_value
@@ -29,6 +34,7 @@ from .core import (
     guard_limit,
     output_alphabet,
 )
+from .gfpoly import poly_eval, poly_mul, poly_roots, solve_key_equation
 
 # Codeword-enumeration decoding refuses more than this many codewords.
 ENUMERATION_GUARD = 1_000_000
@@ -57,34 +63,24 @@ class ReedSolomonCode:
         self._powers = [
             tuple(pow(g, v + 1, p) for g in self.gamma) for v in range(self.d - 1)
         ]
-        self._encoder: list[list[int]] | None = None
+        self._position = {g: j for j, g in enumerate(self.gamma)}
 
     def syndromes(self, values: Sequence[int]) -> list[int]:
         p = self.field.p
-        return [sum(v * row[j] for j, v in enumerate(values)) % p for row in self._powers]
+        return [sum(map(operator.mul, values, row)) % p for row in self._powers]
 
     def encode(self, message: Sequence[int]) -> list[int]:
-        """Systematic: message passes through, redundancy fills the tail."""
+        """Systematic: message passes through, redundancy fills the tail.
+
+        The redundancy is recovered as d - 1 erasures of the zero-filled
+        tail."""
         if len(message) != self.k:
             raise ValueError(f"message length {len(message)} != {self.k}")
         p = self.field.p
-        r = self.d - 1
-        if self._encoder is None:
-            # redundancy = -(tail submatrix)^-1 * (message submatrix) * msg
-            tail = [[self._powers[v][self.k + t] for t in range(r)] for v in range(r)]
-            columns = []
-            for j in range(self.k):
-                rhs = [(-self._powers[v][j]) % p for v in range(r)]
-                col = gfp_solve(tail, rhs, p)
-                if col is None:
-                    raise AssertionError("MDS tail submatrix cannot be singular")
-                columns.append(col)
-            self._encoder = [[columns[j][t] for j in range(self.k)] for t in range(r)]
-        msg = [v % p for v in message]
-        redundancy = [
-            sum(self._encoder[t][j] * msg[j] for j in range(self.k)) % p for t in range(r)
-        ]
-        return msg + redundancy
+        word = [v % p for v in message] + [0] * (self.d - 1)
+        tail = range(self.k, self.length)
+        error = self._locate(self.syndromes(word), tail, 0)
+        return word[: self.k] + [-error[j] % p for j in tail]
 
     def decode_errors_erasures(
         self, values: Sequence[int], erased: Sequence[int], radius: int
@@ -93,44 +89,58 @@ class ReedSolomonCode:
         as errors against the zero-filled input) or None.
 
         Corrects up to `radius` errors alongside the given erasures whenever
-        2*radius + len(erased) < d; syndrome-driven with an exhaustive scan
-        over error supports (every square locator submatrix of an MDS check
-        matrix is invertible, so each support is solved directly).
+        2*radius + len(erased) < d, and returns None when the closest
+        codeword needs more than `radius` errors.
         """
         p = self.field.p
         erased = sorted(set(erased))
-        rho = len(erased)
-        if rho >= self.d:
+        if len(erased) >= self.d:
             return None
-        t_max = min(radius, (self.d - 1 - rho) // 2)
-        filled = [0 if j in erased else values[j] % p for j in range(self.length)]
-        syn = self.syndromes(filled)
-        free = [j for j in range(self.length) if j not in erased]
-        for t in range(t_max + 1):
-            for support in itertools.combinations(free, t):
-                positions = sorted(erased + list(support))
-                width = len(positions)
-                if width == 0:
-                    if any(syn):
-                        continue
-                    return [0] * self.length
-                matrix = [[self._powers[v][j] for j in positions] for v in range(width)]
-                sol = gfp_solve(matrix, syn[:width], p)
-                if sol is None:
-                    raise AssertionError("MDS locator submatrix cannot be singular")
-                if any(
-                    sum(sol[i] * self._powers[v][j] for i, j in enumerate(positions)) % p
-                    != syn[v]
-                    for v in range(width, self.d - 1)
-                ):
-                    continue
-                if any(sol[positions.index(j)] == 0 for j in support):
-                    continue  # a zero "error" there means a smaller support
-                error = [0] * self.length
-                for value, j in zip(sol, positions):
-                    error[j] = value
-                return error
-        return None
+        gone = set(erased)
+        filled = [0 if j in gone else v % p for j, v in enumerate(values)]
+        return self._locate(self.syndromes(filled), erased, radius)
+
+    def _locate(self, syn: list[int], erased: Sequence[int], radius: int) -> list[int] | None:
+        """Errors and erasures from the syndromes S_v = sum_j e_j gamma_j^(v+1).
+
+        With locators X_j = gamma_j and values e_j * gamma_j, Euclid on the
+        erasure-modified syndrome Gamma * S mod x^(d-1) gives the error
+        locator Lambda and the evaluator Omega.  Lambda's roots are scanned
+        over the points, and each error value is e_j = -Omega(1/X_j) /
+        Psi'(1/X_j) for the full locator Psi = Lambda * Gamma.
+        """
+        p = self.field.p
+        if not any(syn):
+            return [0] * self.length
+        erasure_locator = [1]
+        for j in erased:
+            erasure_locator = poly_mul(erasure_locator, [1, -self.gamma[j] % p], p)
+        modified = poly_mul(erasure_locator, syn, p)[: self.d - 1]
+        stop = (self.d + len(erased)) // 2  # deg Omega < (d - 1 + rho) / 2
+        lam, omega = solve_key_equation([0] * (self.d - 1) + [1], modified, stop, p)
+        if not lam or lam[0] == 0 or len(lam) - 1 > radius:
+            return None
+        # Both come from Euclid up to one common factor, which cancels in
+        # the values.  The locators are the roots of the reversed Lambda.
+        roots = poly_roots(lam[::-1], self.gamma, p)
+        if roots is None:
+            return None
+        positions = [self._position.get(x) for x in roots]
+        if None in positions or set(positions) & set(erased) or any(m > 1 for m in roots.values()):
+            return None
+        psi = poly_mul(lam, erasure_locator, p)
+        slope = [i * c % p for i, c in enumerate(psi)][1:]
+        support = list(erased) + positions
+        error = [0] * self.length
+        for j in support:
+            x = pow(self.gamma[j], -1, p)
+            error[j] = -poly_eval(omega, x, p) * pow(poly_eval(slope, x, p), -1, p) % p
+        if not all(error[j] for j in positions):
+            return None
+        for v, row in enumerate(self._powers):
+            if sum(error[j] * row[j] for j in support) % p != syn[v]:
+                return None
+        return error
 
 
 class LinearInnerCode:
@@ -323,6 +333,9 @@ class HammingScheme:
         err = self.inner.decode_errors_erasures(symbols, erased_symbols, self.tau)
         if err is None:
             return DECODE_FAILURE
+        if not any(err):
+            # erased entries hold 0, which is then their value
+            return decoded(y.entries[: self.k])
         prefix = []
         for j in range(self.k):
             if y.erased[j]:

@@ -1,6 +1,7 @@
 """Brute-force ground truth: enumerate every product vector a scheme can
-emit, audit the minimum distance over distinct data prefixes, and decode by
-nearest-codeword search.  These are the reference answers the production
+emit, audit the minimum distance over distinct data prefixes, decode by
+nearest-codeword search, and decode Reed-Solomon errors and erasures by a
+scan over error supports.  These are the reference answers the production
 decoders are checked against; guards keep them at desk scale and they never
 sample.
 """
@@ -8,14 +9,16 @@ sample.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Iterable, Sequence
 
-from .basemath import hamming_dist, l1_dist
+from .basemath import gfp_solve, hamming_dist, l1_dist
 from .core import DECODE_FAILURE, DecodeOutcome, QMatrix, decoded, guard_limit
 
 # Hard feasibility constants (raisable via DPE_CODEC_GUARD_OVERRIDE).
 ENUMERATION_GUARD = 1_000_000
 DISTANCE_PAIR_GUARD = 20_000_000
+SUPPORT_SCAN_GUARD = 1_000_000
 
 METRICS = {"l1": l1_dist, "hamming": hamming_dist}
 
@@ -103,3 +106,56 @@ def puncture(codewords: Iterable[tuple[int, ...]], positions: Sequence[int]):
     return [
         tuple(v for j, v in enumerate(c) if j not in drop) for c in codewords
     ]
+
+
+def scan_errors_erasures(code, values: Sequence[int], erased: Sequence[int], radius: int):
+    """Reference errors-and-erasures decoder for a ReedSolomonCode: the
+    same contract as its decode_errors_erasures, by a scan over error
+    supports.
+
+    Every square locator submatrix of an MDS check matrix is invertible, so
+    each candidate support (the erasures plus up to `radius` free
+    positions, smallest first) is solved directly and kept when it meets
+    every syndrome with nonzero values on the free positions.
+    """
+    p = code.field.p
+    erased = sorted(set(erased))
+    rho = len(erased)
+    if rho >= code.d:
+        return None
+    t_max = min(radius, (code.d - 1 - rho) // 2)
+    free = [j for j in range(code.length) if j not in erased]
+    count = sum(math.comb(len(free), t) for t in range(t_max + 1))
+    limit = guard_limit(SUPPORT_SCAN_GUARD)
+    if count > limit:
+        raise ValueError(
+            f"scanning {count} error supports exceeds the guard ({limit}); "
+            "set DPE_CODEC_GUARD_OVERRIDE to raise it"
+        )
+    powers = code._powers
+    filled = [0 if j in erased else values[j] % p for j in range(code.length)]
+    syn = code.syndromes(filled)
+    for t in range(t_max + 1):
+        for support in itertools.combinations(free, t):
+            positions = sorted(erased + list(support))
+            width = len(positions)
+            if width == 0:
+                if any(syn):
+                    continue
+                return [0] * code.length
+            matrix = [[powers[v][j] for j in positions] for v in range(width)]
+            sol = gfp_solve(matrix, syn[:width], p)
+            if sol is None:
+                raise AssertionError("MDS locator submatrix cannot be singular")
+            if any(
+                sum(sol[i] * powers[v][j] for i, j in enumerate(positions)) % p != syn[v]
+                for v in range(width, code.d - 1)
+            ):
+                continue
+            if any(sol[positions.index(j)] == 0 for j in support):
+                continue  # a zero "error" there means a smaller support
+            error = [0] * code.length
+            for value, j in zip(sol, positions):
+                error[j] = value
+            return error
+    return None

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from dpe_codec.basemath import (
     ExtField,
     PrimeField,
     iter_l1_errors,
+    l1_norm,
     lee_weight,
 )
 from dpe_codec.berlekamp import (
@@ -12,6 +15,7 @@ from dpe_codec.berlekamp import (
     decode_bounded,
     decode_double_error,
     decode_exhaustive,
+    decode_key_equation,
     decode_single_error,
     systematic_encode,
 )
@@ -243,8 +247,64 @@ class TestDispatch:
         e[7] = -1
         assert decode_bounded(code31_tau2, code31_tau2.syndrome(e)) == e
 
-    def test_bounded_tau3_uses_enumeration(self):
+    def test_bounded_tau3_uses_key_equation(self):
         code = BerlekampCode(PrimeField(23), tuple(range(1, 9)), tau=3)
         for e in ([0, 1, 0, -1, 0, 0, 1, 0], [0, 0, 3, 0, 0, 0, 0, 0]):
             syn = code.syndrome(e)
             assert decode_bounded(code, syn) == e
+
+
+class TestKeyEquationDecoder:
+    @pytest.mark.parametrize(
+        "p,beta,tau",
+        [(31, range(1, 16), 1), (31, range(1, 16), 2), (31, range(1, 16), 3),
+         (31, ALPHA15, 3), (23, range(1, 12), 3), (13, range(1, 7), 3), (17, range(1, 9), 4)],
+    )
+    def test_inverts_every_in_budget_error(self, p, beta, tau):
+        code = BerlekampCode(PrimeField(p), tuple(beta), tau=tau)
+        for e in iter_l1_errors(code.n, tau, include_zero=True):
+            assert decode_key_equation(code, code.syndrome(e)) == e
+
+    @pytest.mark.parametrize("p,n,tau", [(23, 11, 3), (13, 6, 3), (17, 8, 4), (31, 15, 2)])
+    def test_random_syndromes_match_oracle(self, p, n, tau):
+        # most random syndromes lie beyond the budget: None, or the oracle's error
+        code = BerlekampCode(PrimeField(p), tuple(range(1, n + 1)), tau=tau)
+        rng = random.Random(p * n + tau)
+        for _ in range(60):
+            syn = tuple(rng.randrange(p) for _ in range(tau))
+            assert decode_key_equation(code, syn) == decode_exhaustive(code, syn)
+
+    def test_smaller_budget(self):
+        code = BerlekampCode(PrimeField(23), tuple(range(1, 12)), tau=3)
+        for e in iter_l1_errors(11, 2, include_zero=True):
+            assert decode_key_equation(code, code.syndrome(e), budget=2) == e
+        rng = random.Random(4)
+        for _ in range(60):
+            syn = tuple(rng.randrange(23) for _ in range(3))
+            got = decode_key_equation(code, syn, budget=2)
+            assert got == decode_exhaustive(code, syn, budget=2)
+
+    def test_negating_locators(self):
+        # 5 + 8 = 13: where the syndrome no longer fixes the error, the
+        # decoder gives up; any error it does return meets the syndrome
+        # within the budget, and equals the oracle's unique one
+        code = BerlekampCode(PrimeField(13), (1, 2, 3, 4, 5, 8), tau=3, validate=False)
+        for e in iter_l1_errors(6, 3):
+            syn = code.syndrome(e)
+            got = decode_key_equation(code, syn)
+            try:
+                unique = decode_exhaustive(code, syn)
+            except SyndromeAmbiguityError:
+                assert got is None or (code.syndrome(got) == syn and l1_norm(got) <= 3)
+                continue
+            assert got == unique
+        # +1 at locator 5 and -1 at locator 8 put the same point in Lambda
+        assert decode_key_equation(code, code.syndrome([0, 0, 0, 0, 1, 0])) is None
+
+    def test_rejects_extension_field_and_large_budget(self, code31_tau2):
+        ext = ExtField(3, 2)
+        code = BerlekampCode(PrimeField(3), [(1, 0), (0, 1)], tau=1, ext=ext)
+        with pytest.raises(ValueError, match="base-field"):
+            decode_key_equation(code, code.zero_syndrome())
+        with pytest.raises(ValueError, match="budget"):
+            decode_key_equation(code31_tau2, (1, 1), budget=3)

@@ -134,6 +134,26 @@ class TestPipeline:
         assert rc == 1
 
 
+    @pytest.mark.parametrize(
+        "erasures,message",
+        [([99], "erasure index 99 is outside [0, 15)"),
+         (5, "erasures must be a list"), ([[1]], "erasures must be a list"),
+         (["a"], "erasures must be a list")],
+    )
+    def test_malformed_erasures(self, tmp_path, capsys, erasures, message):
+        _, sidecar = _encode_example(tmp_path, SEC_ARGS)
+        y_path = tmp_path / "y.json"
+        y_path.write_text(json.dumps(
+            {"q": 4, "rows": 1, "cols": 15, "erasures": erasures,
+             "data": [1, 1, 1, 2, 0, 3, 1, 1, 2, 2, 1, 1, 2, 1, 2]}))
+        capsys.readouterr()
+        rc = main(["decode", "--in", str(y_path), "--sidecar", str(sidecar)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
 class TestRoundTripAllSchemes:
     @pytest.mark.parametrize(
         "scheme_args,k,ell,q",

@@ -11,6 +11,7 @@ from dpe_codec.hamming import (
     ReedSolomonCode,
     smallest_inner_prime,
 )
+from dpe_codec.oracles import scan_errors_erasures
 
 
 def _product(u, matrix):
@@ -80,6 +81,38 @@ class TestReedSolomon:
         # codeword within radius 2; never silently the sent one
         if err is not None:
             assert [(v - e) % 11 for v, e in zip(y, err)] != cw
+
+
+    @pytest.mark.parametrize(
+        "p,length,k", [(7, 6, 1), (7, 5, 2), (11, 8, 4), (11, 8, 3), (13, 12, 5), (17, 10, 2)]
+    )
+    def test_matches_support_scan_oracle(self, p, length, k):
+        # codewords with errors, and random words (mostly beyond the radius),
+        # under random erasures and radii
+        rs = ReedSolomonCode(PrimeField(p), length=length, k=k)
+        rng = random.Random(p * length + k)
+        for trial in range(150):
+            erased = rng.sample(range(length), rng.randrange(rs.d))
+            radius = rng.randrange(rs.d)
+            if trial % 2:
+                y = [rng.randrange(p) for _ in range(length)]
+            else:
+                y = rs.encode([rng.randrange(p) for _ in range(k)])
+                free = [j for j in range(length) if j not in erased]
+                count = min(len(free), rng.randrange((rs.d - 1 - len(erased)) // 2 + 2))
+                for pos in rng.sample(free, count):
+                    y[pos] = (y[pos] + rng.randrange(1, p)) % p
+            expect = scan_errors_erasures(rs, y, erased, radius)
+            assert rs.decode_errors_erasures(y, erased, radius) == expect
+
+    def test_full_erasure_budget(self):
+        rs = ReedSolomonCode(PrimeField(11), length=8, k=3)
+        cw = rs.encode([4, 0, 9])
+        erased = [0, 2, 4, 6, 7]  # d - 1 erasures, no room for errors
+        y = [0 if j in erased else v for j, v in enumerate(cw)]
+        err = rs.decode_errors_erasures(y, erased, 2)
+        assert [(v - e) % 11 for v, e in zip(y, err)] == cw
+        assert rs.decode_errors_erasures(y, erased + [1], 2) is None
 
 
 class TestLinearInnerCode:

@@ -177,6 +177,28 @@ class TestRecursiveScheme:
         with pytest.raises(ValueError):
             RecursiveScheme(q=2, ell=2, tau=3, p=7)
 
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_tau3_suffix_ambiguous(self, q):
+        # p = 17 makes the suffix weights 1 and 16 negate each other, and
+        # every head column is data: errors off that pair decode exactly,
+        # and no error raises
+        with pytest.raises(ValueError, match="allow_suffix_ambiguity"):
+            RecursiveScheme(q=q, ell=2, tau=3, p=17)
+        scheme = RecursiveScheme(q=q, ell=2, tau=3, p=17, allow_suffix_ambiguity=True)
+        pair = {scheme.loc.alpha.index(1), scheme.loc.alpha.index(16)}
+        rng = random.Random(q)
+        matrix = QMatrix.from_lists(q, [[rng.randrange(q) for _ in range(8)] for _ in range(2)])
+        c = _product([q - 1, 1], scheme.encode(matrix))
+        clean = tuple(c[: scheme.n])
+        width = scheme.n + scheme.ntilde  # head and planes; the tail is a median vote
+        for e in iter_l1_errors(width, 3):
+            y = [v + d for v, d in zip(c, e + [0] * (len(c) - width))]
+            if not all(0 <= v < scheme.q_out for v in y):
+                continue
+            outcome = scheme.decode(ReadVector.exact(y))
+            if not any(e[j] for j in pair):
+                assert outcome.prefix == clean, e
+
 
 class TestLargeAlphabetScheme:
     def test_parameters(self):
@@ -224,7 +246,7 @@ class TestLargeAlphabetScheme:
                     continue
                 assert scheme.decode(ReadVector.exact(y)).prefix == clean, e
 
-    def test_tau3_uses_enumeration(self):
+    def test_tau3_uses_key_equation(self):
         scheme = LargeAlphabetScheme(q=16, n=6, tau=3, ell=2)
         assert scheme.p == 13
         rng = random.Random(10)

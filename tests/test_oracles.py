@@ -11,6 +11,7 @@ from dpe_codec.oracles import (
     induced_min_distance,
     nearest_prefix_decode,
     puncture,
+    scan_errors_erasures,
 )
 from dpe_codec.single import ParityDetectScheme, SecDedScheme, SingleErrorScheme
 
@@ -36,6 +37,14 @@ class TestEnumeration:
         scheme = SingleErrorScheme(q=2, n=15, ell=3)
         with pytest.raises(ValueError, match="guard"):
             enumerate_induced_code(scheme.encode, 3, scheme.k, 2)
+
+    def test_support_scan_guard(self):
+        from dpe_codec.basemath import PrimeField
+        from dpe_codec.hamming import ReedSolomonCode
+
+        rs = ReedSolomonCode(PrimeField(257), length=60, k=20)
+        with pytest.raises(ValueError, match="guard"):
+            scan_errors_erasures(rs, [0] * 60, [], 20)
 
     def test_guard_override_env(self, monkeypatch):
         from dpe_codec.core import guard_limit
