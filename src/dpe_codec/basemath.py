@@ -130,10 +130,6 @@ def mixed_radix_digits(x: int, weights: Sequence[int], q: int) -> list[int]:
     return digits
 
 
-def mixed_radix_value(digits: Sequence[int], weights: Sequence[int]) -> int:
-    return sum(d * w for d, w in zip(digits, weights, strict=True))
-
-
 def l1_norm(e: Iterable[int]) -> int:
     """Manhattan weight: sum of absolute values."""
     return sum(abs(v) for v in e)
@@ -143,10 +139,6 @@ def l1_dist(x: Sequence[int], y: Sequence[int]) -> int:
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     return sum(abs(a - b) for a, b in zip(x, y))
-
-
-def hamming_weight(e: Iterable[int]) -> int:
-    return sum(1 for v in e if v != 0)
 
 
 def hamming_dist(x: Sequence[int], y: Sequence[int]) -> int:
@@ -285,15 +277,6 @@ def signed_value(z: int, field: PrimeField) -> int:
     if not 0 <= z < p:
         raise ValueError(f"{z} is not in [0, {p})")
     return z if z <= (p - 1) // 2 else z - p
-
-
-def lee_abs(z: int, field: PrimeField) -> int:
-    """Lee absolute value: min(z, p - z)."""
-    return abs(signed_value(z % field.p, field))
-
-
-def lee_weight(vec: Iterable[int], field: PrimeField) -> int:
-    return sum(lee_abs(v, field) for v in vec)
 
 
 class ExtField:

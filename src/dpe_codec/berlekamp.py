@@ -20,7 +20,7 @@ DPE_CODEC_GUARD_OVERRIDE) never refuses a production read.
 from __future__ import annotations
 
 import operator
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .basemath import (
     ExtField,
@@ -135,6 +135,24 @@ class BerlekampCode:
         return (self.ext.zero,) * self.tau
 
 
+def _unit_error(code: BerlekampCode, x: int) -> tuple[int, int] | None:
+    """(position, +-1) of the locator x or -x, if either is one."""
+    j = code.locator_index(x)
+    if j is not None:
+        return j, 1
+    j = code.locator_index(code.field.p - x)
+    if j is not None:
+        return j, -1
+    return None
+
+
+def _error_vector(n: int, hits: Iterable[tuple[int, int]]) -> list[int]:
+    error = [0] * n
+    for j, e in hits:
+        error[j] = e
+    return error
+
+
 def decode_single_error(code: BerlekampCode, syn: Sequence[int] | int) -> list[int] | None:
     """Invert the syndrome of at most one +-1 error (tau = 1 codes)."""
     if code.tau != 1 or code.ext is not None:
@@ -143,17 +161,8 @@ def decode_single_error(code: BerlekampCode, syn: Sequence[int] | int) -> list[i
     s %= code.field.p
     if s == 0:
         return [0] * code.n
-    j = code.locator_index(s)
-    if j is not None:
-        e = [0] * code.n
-        e[j] = 1
-        return e
-    j = code.locator_index(code.field.p - s)
-    if j is not None:
-        e = [0] * code.n
-        e[j] = -1
-        return e
-    return None
+    hit = _unit_error(code, s)
+    return None if hit is None else _error_vector(code.n, (hit,))
 
 
 def decode_double_error(code: BerlekampCode, syn: Sequence[int]) -> list[int] | None:
@@ -176,44 +185,24 @@ def decode_double_error(code: BerlekampCode, syn: Sequence[int]) -> list[int] | 
         return None
 
     if s2 == pow(s1, 3, p):
-        j = code.locator_index(s1)
-        if j is not None:
-            e = [0] * code.n
-            e[j] = 1
-            return e
-        j = code.locator_index(p - s1)
-        if j is not None:
-            e = [0] * code.n
-            e[j] = -1
-            return e
+        hit = _unit_error(code, s1)
+        if hit is not None:
+            return _error_vector(code.n, (hit,))
 
     half = gfp_inv(2, field)
     g = s1 * half % p
     j = code.locator_index(g)
     if j is not None and s2 == 2 * pow(g, 3, p) % p:
-        e = [0] * code.n
-        e[j] = 2
-        return e
+        return _error_vector(code.n, ((j, 2),))
     j = code.locator_index(p - g)
     if j is not None and s2 == (-2) * pow(p - g, 3, p) % p:
-        e = [0] * code.n
-        e[j] = -2
-        return e
+        return _error_vector(code.n, ((j, -2),))
 
     # Two distinct positions: x^2 - s1*x + (s1^2 - s2/s1)/3 has roots
     # e_i*beta_i and e_j*beta_j.
     c0 = (s1 * s1 - s2 * gfp_inv(s1, field)) % p * gfp_inv(3, field) % p
     roots = gfp_quadratic_roots(-s1, c0, field)
     if not roots:
-        return None
-
-    def locate(root: int) -> tuple[int, int] | None:
-        idx = code.locator_index(root)
-        if idx is not None:
-            return idx, 1
-        idx = code.locator_index(p - root)
-        if idx is not None:
-            return idx, -1
         return None
 
     if len(roots) == 1:
@@ -224,22 +213,13 @@ def decode_double_error(code: BerlekampCode, syn: Sequence[int]) -> list[int] | 
         j = code.locator_index(p - r)
         if i is None or j is None or i == j:
             return None
-        e = [0] * code.n
-        e[i] = 1
-        e[j] = -1
-        return e
+        return _error_vector(code.n, ((i, 1), (j, -1)))
 
     r1, r2 = sorted(roots)
-    hit1, hit2 = locate(r1), locate(r2)
-    if hit1 is None or hit2 is None:
+    hit1, hit2 = _unit_error(code, r1), _unit_error(code, r2)
+    if hit1 is None or hit2 is None or hit1[0] == hit2[0]:
         return None
-    (i, ei), (j, ej) = hit1, hit2
-    if i == j:
-        return None
-    e = [0] * code.n
-    e[i] = ei
-    e[j] = ej
-    return e
+    return _error_vector(code.n, (hit1, hit2))
 
 
 def decode_exhaustive(
@@ -335,10 +315,7 @@ def decode_key_equation(
     for v, col in enumerate(code.power_cols):
         if sum(e * col[j] for j, e in hits.items()) % p != syn[v]:
             return None
-    error = [0] * code.n
-    for j, e in hits.items():
-        error[j] = e
-    return error
+    return _error_vector(code.n, hits.items())
 
 
 def decode_bounded(code: BerlekampCode, syn: Sequence, budget: int | None = None) -> list[int] | None:

@@ -72,9 +72,13 @@ def build_scheme(args, k_hint: int | None = None):
         return TripleDetectScheme(args.q, args.p, args.ell, _variant(args), allow_suffix_ambiguity=flag)
     if name == "recursive":
         _require(args, "q", "p", "ell", "tau")
+        if flag:
+            raise UsageError(
+                "recursive puts every locator on a data column, where no collision "
+                "is safe; --allow-suffix-ambiguity does not apply"
+            )
         trimmed = args.variant == "trimmed"
-        return RecursiveScheme(args.q, args.ell, args.tau, args.p, trimmed=trimmed,
-                               allow_suffix_ambiguity=flag)
+        return RecursiveScheme(args.q, args.ell, args.tau, args.p, trimmed=trimmed)
     if name == "large-alphabet":
         _require(args, "q", "n", "ell", "tau")
         return LargeAlphabetScheme(args.q, args.n, args.tau, args.ell)

@@ -57,17 +57,24 @@ class QMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.q}")
+        q = self.q
+        if type(q) is not int:
+            raise ValueError(f"alphabet size must be an integer, got {q!r}")
+        if q < 2:
+            raise ValueError(f"alphabet size must be >= 2, got {q}")
         if not self.rows:
             raise ValueError("matrix needs at least one row")
         width = len(self.rows[0])
         for i, row in enumerate(self.rows):
             if len(row) != width:
                 raise ValueError(f"row {i} has length {len(row)}, expected {width}")
+            if set(map(type, row)) <= {int} and (not row or 0 <= min(row) and max(row) < q):
+                continue
             for j, v in enumerate(row):
-                if not 0 <= v < self.q:
-                    raise ValueError(f"entry ({i},{j}) = {v} is outside [0, {self.q})")
+                if type(v) is not int:
+                    raise ValueError(f"entry ({i},{j}) = {v!r} is not an integer")
+                if not 0 <= v < q:
+                    raise ValueError(f"entry ({i},{j}) = {v} is outside [0, {q})")
 
     @classmethod
     def from_lists(cls, q: int, rows: Sequence[Sequence[int]]) -> "QMatrix":
@@ -126,6 +133,16 @@ class ReadVector:
     def erased_positions(self) -> list[int]:
         return [j for j, f in enumerate(self.erased) if f]
 
+    def admit(self, n: int, bound: int, erasures: bool = False) -> None:
+        """The prologue of every decoder: refuse erasures (unless the
+        decoder takes them), a length other than n, and an entry outside
+        the read alphabet [0, bound)."""
+        if not erasures and self.has_erasures:
+            raise ValueError("erasures are outside this decoder's contract")
+        if self.n != n:
+            raise ValueError(f"read vector length {self.n} != {n}")
+        self.check_alphabet(bound)
+
     def check_alphabet(self, bound: int) -> None:
         entries = self.entries
         if entries and not any(self.erased) and 0 <= min(entries) and max(entries) < bound:
@@ -135,7 +152,30 @@ class ReadVector:
                 raise ValueError(f"entry {j} = {v} is outside the read alphabet [0, {bound})")
 
 
-def parity_extend_rows(matrix: QMatrix) -> QMatrix:
-    """Append one column per row making the row's entry sum even."""
-    rows = tuple(row + ((sum(row) % 2),) for row in matrix.rows)
-    return QMatrix(matrix.q, rows)
+def check_input(matrix: QMatrix, q: int, k: int) -> None:
+    """Refuse a matrix to encode unless it has alphabet q and k columns."""
+    if matrix.q != q or matrix.ncols != k:
+        raise ValueError("matrix does not match the scheme parameters")
+
+
+def parity_extend(row: tuple[int, ...]) -> tuple[int, ...]:
+    """Append one entry making the row's entry sum even."""
+    return row + (sum(row) % 2,)
+
+
+def corrected(
+    values: Sequence[int], k: int, errors: Iterable[tuple[int, int]], bound: int
+) -> DecodeOutcome:
+    """The k-prefix of `values` minus the `(position, value)` error pairs,
+    or DECODE_FAILURE when a corrected entry leaves [0, bound).
+
+    Pairs at positions >= k and zero values change nothing.  The entries
+    no pair touches are taken as in range already (`ReadVector.admit`).
+    """
+    prefix = list(values[:k])
+    for j, e in errors:
+        if e and j < k:
+            prefix[j] -= e
+            if not 0 <= prefix[j] < bound:
+                return DECODE_FAILURE
+    return decoded(prefix)

@@ -18,9 +18,15 @@ The triple-detecting variants either add one more overall parity column
 (mandatory for q = 2) or run both checksums modulo 2p over odd locators,
 where the parities of s1 and s2 replace the parity column (Table-driven
 dispatch; see decode).
+
+Each decoder is that dispatch table and nothing else: the read is admitted
+by `ReadVector.admit`, a lone error is corrected by `single.correct_unit`
+and a pair by `correct_pair`, both through `core.corrected`.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .basemath import PrimeField, ceil_log, is_prime
 from .berlekamp import BerlekampCode, decode_double_error
@@ -29,15 +35,20 @@ from .core import (
     DecodeOutcome,
     QMatrix,
     ReadVector,
+    check_input,
+    corrected,
     decoded,
     output_alphabet,
+    parity_extend,
 )
 from .locators import Locators, build_locators_basic, build_locators_ded
-from .single import encode_row, locate_unit_error, redundancy_digits
-
-VARIANT_PARITY = "parity"
-VARIANT_ODD_Q = "odd_q"
-VARIANT_EVEN_Q = "even_q"
+from .single import (
+    VARIANT_PARITY,
+    correct_unit,
+    detect_variant,
+    encode_row,
+    redundancy_digits,
+)
 
 
 def _suggest_prime(q: int, p: int) -> int:
@@ -74,6 +85,28 @@ def _pair_code(loc: Locators, p: int) -> tuple[BerlekampCode, list[int]]:
     return code, positions
 
 
+def cubes_digits(row: tuple[int, ...], loc: Locators) -> tuple[int, ...]:
+    """Digits of a row's cubed-locator checksum, modulo the locators'."""
+    cubes = sum(v * loc.alpha[j] ** 3 for j, v in enumerate(row)) % loc.modulus
+    return tuple(redundancy_digits(cubes, loc))
+
+
+def correct_pair(
+    values: Sequence[int],
+    k: int,
+    syn: tuple[int, int],
+    code: BerlekampCode,
+    positions: list[int],
+    bound: int,
+) -> DecodeOutcome:
+    """Correct the Lee-weight-2 error whose mod-p syndromes are `syn`; the
+    pair code's coordinate i is read column positions[i]."""
+    sub = decode_double_error(code, syn)
+    if sub is None:
+        return DECODE_FAILURE
+    return corrected(values, k, zip(positions, sub), bound)
+
+
 class DoubleErrorScheme:
     """Correct any two L1 errors (induced distance >= 5)."""
 
@@ -93,14 +126,11 @@ class DoubleErrorScheme:
         self.ber, self.ber_positions = _pair_code(self.loc, p)
 
     def encode(self, aprime: QMatrix) -> QMatrix:
-        if aprime.q != self.q or aprime.ncols != self.k:
-            raise ValueError("matrix does not match the scheme parameters")
+        check_input(aprime, self.q, self.k)
         rows = []
         for row in aprime.rows:
             inner = encode_row(row, self.loc)
-            cubes = sum(v * self.loc.alpha[j] ** 3 for j, v in enumerate(inner)) % self.p
-            digits = redundancy_digits(cubes, self.loc)
-            rows.append(inner + tuple(digits) + (sum(digits) % 2,))
+            rows.append(inner + parity_extend(cubes_digits(inner, self.loc)))
         return QMatrix(self.q, tuple(rows))
 
     def syndromes(self, y: ReadVector) -> tuple[int, int, int]:
@@ -114,42 +144,15 @@ class DoubleErrorScheme:
         s2_hat = sum(v[self.n1 + j] for j in range(self.m + 1)) % 2
         return s1, s2, s2_hat
 
-    def _correct_pair(self, y: ReadVector, s1: int, s2: int) -> DecodeOutcome:
-        sub = decode_double_error(self.ber, (s1, s2))
-        if sub is None:
-            return DECODE_FAILURE
-        y1 = list(y.entries[: self.n1])
-        for idx, pos in enumerate(self.ber_positions):
-            y1[pos] -= sub[idx]
-        prefix = y1[: self.k]
-        if not all(0 <= v < self.q_out for v in prefix):
-            return DECODE_FAILURE
-        return decoded(prefix)
-
-    def _correct_single(self, y: ReadVector, s1: int) -> DecodeOutcome:
-        hit = locate_unit_error(s1, self.loc)
-        if hit is None:
-            return DECODE_FAILURE
-        j, e = hit
-        prefix = list(y.entries[: self.k])
-        if j < self.k:
-            prefix[j] -= e
-            if not 0 <= prefix[j] < self.q_out:
-                return DECODE_FAILURE
-        return decoded(prefix)
-
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        if y.has_erasures:
-            raise ValueError("erasures are outside this decoder's contract")
-        if y.n != self.n:
-            raise ValueError(f"read vector length {y.n} != {self.n}")
-        y.check_alphabet(self.q_out)
+        y.admit(self.n, self.q_out)
         s1, s2, s2_hat = self.syndromes(y)
         if s1 == 0:
             return decoded(y.entries[: self.k])  # the n1-prefix is clean
         if s2_hat == 0:
-            return self._correct_pair(y, s1, s2)
-        return self._correct_single(y, s1)
+            syn = (s1, s2)
+            return correct_pair(y.entries, self.k, syn, self.ber, self.ber_positions, self.q_out)
+        return correct_unit(y.entries, self.k, s1, self.loc, self.q_out)
 
 
 class TripleDetectScheme:
@@ -163,13 +166,7 @@ class TripleDetectScheme:
         variant: str | None = None,
         allow_suffix_ambiguity: bool = False,
     ):
-        if variant is None:
-            variant = VARIANT_PARITY if q == 2 else (VARIANT_ODD_Q if q % 2 else VARIANT_EVEN_Q)
-        if variant == VARIANT_ODD_Q and (q < 3 or q % 2 == 0):
-            raise ValueError("odd-locator variant needs odd q >= 3")
-        if variant == VARIANT_EVEN_Q and (q < 4 or q % 2 == 1):
-            raise ValueError("mixed-radix variant needs even q >= 4")
-        self.variant = variant
+        self.variant = variant = detect_variant(q, variant)
         self.q = q
         self.p = p
         self.ell = ell
@@ -201,17 +198,14 @@ class TripleDetectScheme:
     # -- encoding ---------------------------------------------------------
 
     def encode(self, aprime: QMatrix) -> QMatrix:
-        if aprime.q != self.q or aprime.ncols != self.k:
-            raise ValueError("matrix does not match the scheme parameters")
+        check_input(aprime, self.q, self.k)
         if self.variant == VARIANT_PARITY:
             inner = self.base.encode(aprime)
-            return QMatrix(self.q, tuple(row + (sum(row) % 2,) for row in inner.rows))
-        modulus = 2 * self.p
+            return QMatrix(self.q, tuple(parity_extend(row) for row in inner.rows))
         rows = []
         for row in aprime.rows:
             inner = encode_row(row, self.loc)
-            cubes = sum(v * self.loc.alpha[j] ** 3 for j, v in enumerate(inner)) % modulus
-            rows.append(inner + tuple(redundancy_digits(cubes, self.loc)))
+            rows.append(inner + cubes_digits(inner, self.loc))
         return QMatrix(self.q, tuple(rows))
 
     # -- decoding ---------------------------------------------------------
@@ -233,30 +227,6 @@ class TripleDetectScheme:
         ) % modulus
         return s1, s2
 
-    def _correct_single(self, y: ReadVector, s1: int) -> DecodeOutcome:
-        hit = locate_unit_error(s1, self.loc)
-        if hit is None:
-            return DECODE_FAILURE
-        j, e = hit
-        prefix = list(y.entries[: self.k])
-        if j < self.k:
-            prefix[j] -= e
-            if not 0 <= prefix[j] < self.q_out:
-                return DECODE_FAILURE
-        return decoded(prefix)
-
-    def _correct_pair(self, y: ReadVector, s1p: int, s2p: int) -> DecodeOutcome:
-        sub = decode_double_error(self.ber, (s1p, s2p))
-        if sub is None:
-            return DECODE_FAILURE
-        y1 = list(y.entries[: self.n1])
-        for idx, pos in enumerate(self.ber_positions):
-            y1[pos] -= sub[idx]
-        prefix = y1[: self.k]
-        if not all(0 <= v < self.q_out for v in prefix):
-            return DECODE_FAILURE
-        return decoded(prefix)
-
     def _decode_parity(self, y: ReadVector) -> DecodeOutcome:
         s1, s2, s2_hat, total_parity = self.syndromes(y)
         prefix = decoded(y.entries[: self.k])
@@ -270,13 +240,14 @@ class TripleDetectScheme:
         if s2_hat == 1:
             if total_parity == 1:
                 return DECODE_FAILURE  # three errors split 2+1 or 1+1+1
-            return self._correct_single(y, s1)
+            return correct_unit(y.entries, self.k, s1, self.loc, self.q_out)
         if total_parity == 0:
-            return self._correct_pair(y, s1, s2)
+            syn = (s1, s2)
+            return correct_pair(y.entries, self.k, syn, self.ber, self.ber_positions, self.q_out)
         # Odd count, clean-looking digit block: only a lone error whose two
         # checksums agree may be corrected; anything else is a triple.
-        if s2 == pow(s1, 3, self.p) and locate_unit_error(s1, self.loc) is not None:
-            return self._correct_single(y, s1)
+        if s2 == pow(s1, 3, self.p):
+            return correct_unit(y.entries, self.k, s1, self.loc, self.q_out)
         return DECODE_FAILURE
 
     def _decode_mod2p(self, y: ReadVector) -> DecodeOutcome:
@@ -285,21 +256,18 @@ class TripleDetectScheme:
             return decoded(y.entries[: self.k])
         odd1, odd2 = s1 % 2 == 1, s2 % 2 == 1
         if not odd1 and not odd2:
-            return self._correct_pair(y, s1 % self.p, s2 % self.p)
+            syn = (s1 % self.p, s2 % self.p)
+            return correct_pair(y.entries, self.k, syn, self.ber, self.ber_positions, self.q_out)
         if odd1 and not odd2:
-            return self._correct_single(y, s1)
+            return correct_unit(y.entries, self.k, s1, self.loc, self.q_out)
         if not odd1 and odd2:
             return DECODE_FAILURE
         if (s2 - s1**3) % self.p == 0:
-            return self._correct_single(y, s1)
+            return correct_unit(y.entries, self.k, s1, self.loc, self.q_out)
         return DECODE_FAILURE
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        if y.has_erasures:
-            raise ValueError("erasures are outside this decoder's contract")
-        if y.n != self.n:
-            raise ValueError(f"read vector length {y.n} != {self.n}")
-        y.check_alphabet(self.q_out)
+        y.admit(self.n, self.q_out)
         if self.variant == VARIANT_PARITY:
             return self._decode_parity(y)
         return self._decode_mod2p(y)
@@ -321,8 +289,7 @@ class ShortenedScheme:
         self.n = base.n - drop
 
     def encode(self, aprime: QMatrix) -> QMatrix:
-        if aprime.q != self.q or aprime.ncols != self.k:
-            raise ValueError("matrix does not match the scheme parameters")
+        check_input(aprime, self.q, self.k)
         padded = QMatrix(self.q, tuple((0,) * self.drop + row for row in aprime.rows))
         full = self.base.encode(padded)
         return QMatrix(self.q, tuple(row[self.drop :] for row in full.rows))

@@ -33,8 +33,26 @@ def write_matrix(path: str | Path, matrix: QMatrix) -> None:
     )
 
 
-def read_matrix(path: str | Path) -> QMatrix:
+def _read_table(path: str | Path, sizes: tuple[str, ...], entry_types: tuple[type, ...]) -> dict:
+    """The object in a matrix or vector file: its size fields must be ints
+    and `data` a list of `entry_types` (bool is not an int here)."""
     data = read_json(path)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    for key in sizes:
+        if type(data.get(key)) is not int:
+            raise ValueError(f"{path}: {key} must be an integer, got {data.get(key)!r}")
+    flat = data.get("data")
+    if not isinstance(flat, list):
+        raise ValueError(f"{path}: data must be a list")
+    for j, v in enumerate(flat):
+        if type(v) not in entry_types:
+            raise ValueError(f"{path}: data entry {j} = {v!r} is not an integer")
+    return data
+
+
+def read_matrix(path: str | Path) -> QMatrix:
+    data = _read_table(path, ("rows", "cols"), (int,))
     rows, cols = data["rows"], data["cols"]
     flat = data["data"]
     if len(flat) != rows * cols:
@@ -59,7 +77,7 @@ def write_vector(path: str | Path, vector: ReadVector, bound: int) -> None:
 
 
 def read_vector(path: str | Path) -> tuple[ReadVector, int]:
-    data = read_json(path)
+    data = _read_table(path, ("q", "cols"), (int, type(None)))
     values = data["data"]
     if len(values) != data["cols"]:
         raise ValueError(f"{path}: data length {len(values)} != cols = {data['cols']}")

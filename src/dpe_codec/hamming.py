@@ -30,6 +30,7 @@ from .core import (
     DecodeOutcome,
     QMatrix,
     ReadVector,
+    check_input,
     decoded,
     guard_limit,
     output_alphabet,
@@ -310,8 +311,7 @@ class HammingScheme:
     # -- encode / decode -----------------------------------------------------
 
     def encode(self, aprime: QMatrix) -> QMatrix:
-        if aprime.q != self.q or aprime.ncols != self.k:
-            raise ValueError("matrix does not match the scheme parameters")
+        check_input(aprime, self.q, self.k)
         block = self.ntilde - self.k
         rows = []
         for row in aprime.rows:
@@ -322,9 +322,7 @@ class HammingScheme:
         return QMatrix(self.q, tuple(rows))
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        if y.n != self.n:
-            raise ValueError(f"read vector length {y.n} != {self.n}")
-        y.check_alphabet(self.q_out)
+        y.admit(self.n, self.q_out, erasures=True)
         symbols, erased_symbols = self.pack(y.entries, y.erased)
         if len(erased_symbols) > self.rho_max:
             raise ValueError(

@@ -24,6 +24,8 @@ from .core import (
     DecodeOutcome,
     QMatrix,
     ReadVector,
+    check_input,
+    corrected,
     decoded,
     output_alphabet,
 )
@@ -56,18 +58,11 @@ class RecursiveScheme:
     Protects a full l x n matrix (every column is information).  With
     `trimmed`, input rows must already have a zero linear checksum (the
     single-error encoding), whose known-zero checksum column is then not
-    transmitted.
+    transmitted.  Every locator sits on a data column, so no locator
+    collision is tolerated.
     """
 
-    def __init__(
-        self,
-        q: int,
-        ell: int,
-        tau: int,
-        p: int,
-        trimmed: bool = False,
-        allow_suffix_ambiguity: bool = False,
-    ):
+    def __init__(self, q: int, ell: int, tau: int, p: int, trimmed: bool = False):
         if tau < 1:
             raise ValueError(f"error budget must be >= 1, got {tau}")
         if not is_prime(p) or p <= 2 * tau:
@@ -78,12 +73,10 @@ class RecursiveScheme:
         self.p = p
         self.trimmed = trimmed
         self.n = (p - 1) // 2
-        self.loc = build_locators_basic(q, self.n, allow_suffix_ambiguity)
+        self.loc = build_locators_basic(q, self.n)
         assert self.loc.modulus == p
         self.m = self.loc.m
-        self.checker = BerlekampCode(
-            PrimeField(p), self.loc.alpha, tau, validate=not allow_suffix_ambiguity
-        )
+        self.checker = BerlekampCode(PrimeField(p), self.loc.alpha, tau)
         self.plane_cols = tau - 1 if trimmed else tau
         self.ntilde = self.plane_cols * self.m
         self.rep = 2 * tau + 1
@@ -115,8 +108,7 @@ class RecursiveScheme:
         return [column[j] for j in range(self.m) for column in digits]
 
     def encode(self, matrix: QMatrix) -> QMatrix:
-        if matrix.q != self.q or matrix.ncols != self.n:
-            raise ValueError("matrix does not match the scheme parameters")
+        check_input(matrix, self.q, self.n)
         rows = []
         for row in matrix.rows:
             syn = self.checker.syndrome(row)
@@ -135,13 +127,9 @@ class RecursiveScheme:
         return QMatrix(self.q, tuple(rows))
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        if y.has_erasures:
-            raise ValueError("erasures are outside this decoder's contract")
-        if y.n != self.total_length:
-            raise ValueError(f"read vector length {y.n} != {self.total_length}")
-        y.check_alphabet(self.q_out)
-        head = list(y.entries[: self.n])
-        block = list(y.entries[self.n : self.n + self.ntilde])
+        y.admit(self.total_length, self.q_out)
+        head = y.entries[: self.n]
+        block = y.entries[self.n : self.n + self.ntilde]
 
         if self.ntilde > 0:
             # Level 3: median over the repeated copies recovers the digits
@@ -165,9 +153,10 @@ class RecursiveScheme:
             block_err = decode_bounded(self.tail_checker, err_syn)
             if block_err is None:
                 return DECODE_FAILURE
-            block = [v - e for v, e in zip(block, block_err)]
-            if not all(0 <= v < self.q_out for v in block):
-                return DECODE_FAILURE
+            fixed = corrected(block, self.ntilde, enumerate(block_err), self.q_out)
+            if fixed.failed:
+                return fixed
+            block = fixed.prefix
 
         # Level 1: rebuild the head's checksum from the corrected planes.
         start = self.tau - self.plane_cols
@@ -185,10 +174,7 @@ class RecursiveScheme:
         head_err = decode_bounded(self.checker, err_syn)
         if head_err is None:
             return DECODE_FAILURE
-        result = [v - e for v, e in zip(head, head_err)]
-        if not all(0 <= v < self.q_out for v in result):
-            return DECODE_FAILURE
-        return decoded(result)
+        return corrected(head, self.n, enumerate(head_err), self.q_out)
 
 
 class LargeAlphabetScheme:
@@ -223,8 +209,7 @@ class LargeAlphabetScheme:
         return self.tau
 
     def encode(self, aprime: QMatrix) -> QMatrix:
-        if aprime.q != self.q or aprime.ncols != self.k:
-            raise ValueError("matrix does not match the scheme parameters")
+        check_input(aprime, self.q, self.k)
         rows = []
         for row in aprime.rows:
             codeword = systematic_encode(self.code, [v % self.p for v in row])
@@ -232,18 +217,11 @@ class LargeAlphabetScheme:
         return QMatrix(self.q, tuple(rows))
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        if y.has_erasures:
-            raise ValueError("erasures are outside this decoder's contract")
-        if y.n != self.n:
-            raise ValueError(f"read vector length {y.n} != {self.n}")
-        y.check_alphabet(self.q_out)
+        y.admit(self.n, self.q_out)
         syn = self.code.syndrome(y.entries)
         if not any(syn):
             return decoded(y.entries[: self.k])  # in range: the alphabet check bounds it
         err = decode_bounded(self.code, syn)
         if err is None:
             return DECODE_FAILURE
-        prefix = [v - e for v, e in zip(y.entries[: self.k], err[: self.k])]
-        if not all(0 <= v < self.q_out for v in prefix):
-            return DECODE_FAILURE
-        return decoded(prefix)
+        return corrected(y.entries, self.k, enumerate(err), self.q_out)

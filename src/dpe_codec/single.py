@@ -8,7 +8,12 @@ one +-1 error then has syndrome +-alpha_j, identifying position and sign.
 Three variants buy double-error detection: an extra parity column (any q,
 and the only choice for q = 2), or odd locators modulo 4n+2 where the
 syndrome's parity counts the errors (odd q directly; even q > 2 after
-swapping digit weights for the odd mixed-radix sequence).
+swapping digit weights for the odd mixed-radix sequence).  `detect_variant`
+picks and checks the variant here and for the double-error schemes.
+
+Each decoder admits its read (`ReadVector.admit`), computes the syndrome
+and dispatches on it; a located +-1 error is applied by `correct_unit`,
+which the double-error schemes share, over `core.corrected`.
 """
 
 from __future__ import annotations
@@ -21,8 +26,11 @@ from .core import (
     DecodeOutcome,
     QMatrix,
     ReadVector,
+    check_input,
+    corrected,
     decoded,
     output_alphabet,
+    parity_extend,
 )
 from .locators import (
     SUFFIX_FSEQ,
@@ -73,22 +81,26 @@ def locate_unit_error(s: int, loc: Locators) -> tuple[int, int] | None:
     return None
 
 
-def _corrected_prefix(
-    values: Sequence[int], k: int, hit: tuple[int, int] | None, q_out: int
+def correct_unit(
+    values: Sequence[int], k: int, s: int, loc: Locators, bound: int
 ) -> DecodeOutcome:
-    prefix = list(values[:k])
-    if hit is not None:
-        j, e = hit
-        if j < k:
-            prefix[j] -= e
-            if not 0 <= prefix[j] < q_out:
-                return DECODE_FAILURE
-    return decoded(prefix)
+    """Correct the lone +-1 error that syndrome s locates, or fail."""
+    hit = locate_unit_error(s, loc)
+    if hit is None:
+        return DECODE_FAILURE
+    return corrected(values, k, (hit,), bound)
 
 
-def _reject_erasures(y: ReadVector) -> None:
-    if y.has_erasures:
-        raise ValueError("erasures are outside this decoder's contract")
+def detect_variant(q: int, variant: str | None) -> str:
+    """The detect variant: the given one, checked against q, or by default
+    parity for q = 2, odd locators for odd q and mixed radix for even q."""
+    if variant is None:
+        return VARIANT_PARITY if q == 2 else (VARIANT_ODD_Q if q % 2 else VARIANT_EVEN_Q)
+    if variant == VARIANT_ODD_Q and (q < 3 or q % 2 == 0):
+        raise ValueError("odd-locator variant needs odd q >= 3")
+    if variant == VARIANT_EVEN_Q and (q < 4 or q % 2 == 1):
+        raise ValueError("mixed-radix variant needs even q >= 4")
+    return variant
 
 
 class ParityDetectScheme:
@@ -104,16 +116,11 @@ class ParityDetectScheme:
         self.q_out = output_alphabet(q, ell)
 
     def encode(self, aprime: QMatrix) -> QMatrix:
-        if aprime.q != self.q or aprime.ncols != self.k:
-            raise ValueError("matrix does not match the scheme parameters")
-        rows = tuple(row + (sum(row) % 2,) for row in aprime.rows)
-        return QMatrix(self.q, rows)
+        check_input(aprime, self.q, self.k)
+        return QMatrix(self.q, tuple(parity_extend(row) for row in aprime.rows))
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        _reject_erasures(y)
-        if y.n != self.n:
-            raise ValueError(f"read vector length {y.n} != {self.n}")
-        y.check_alphabet(self.q_out)
+        y.admit(self.n, self.q_out)
         if sum(y.entries) % 2:
             return DECODE_FAILURE
         return decoded(y.entries[: self.k])
@@ -133,25 +140,18 @@ class SingleErrorScheme:
         self.q_out = output_alphabet(q, ell)
 
     def encode(self, aprime: QMatrix) -> QMatrix:
-        if aprime.q != self.q or aprime.ncols != self.k:
-            raise ValueError("matrix does not match the scheme parameters")
+        check_input(aprime, self.q, self.k)
         return QMatrix(self.q, tuple(encode_row(row, self.loc) for row in aprime.rows))
 
     def syndrome(self, y: ReadVector) -> int:
         return checksum(y.entries, self.loc)
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        _reject_erasures(y)
-        if y.n != self.n:
-            raise ValueError(f"read vector length {y.n} != {self.n}")
-        y.check_alphabet(self.q_out)
+        y.admit(self.n, self.q_out)
         s = self.syndrome(y)
         if s == 0:
             return decoded(y.entries[: self.k])
-        hit = locate_unit_error(s, self.loc)
-        if hit is None:
-            return DECODE_FAILURE
-        return _corrected_prefix(y.entries, self.k, hit, self.q_out)
+        return correct_unit(y.entries, self.k, s, self.loc, self.q_out)
 
 
 class SecDedScheme:
@@ -165,13 +165,7 @@ class SecDedScheme:
         variant: str | None = None,
         allow_suffix_ambiguity: bool = False,
     ):
-        if variant is None:
-            variant = VARIANT_PARITY if q == 2 else (VARIANT_ODD_Q if q % 2 else VARIANT_EVEN_Q)
-        if variant == VARIANT_ODD_Q and (q < 3 or q % 2 == 0):
-            raise ValueError("odd-locator variant needs odd q >= 3")
-        if variant == VARIANT_EVEN_Q and (q < 4 or q % 2 == 1):
-            raise ValueError("mixed-radix variant needs even q >= 4")
-        self.variant = variant
+        self.variant = variant = detect_variant(q, variant)
         self.q = q
         self.n = n
         self.ell = ell
@@ -186,44 +180,29 @@ class SecDedScheme:
         self.modulus = self.loc.modulus
 
     def encode(self, aprime: QMatrix) -> QMatrix:
-        if aprime.q != self.q or aprime.ncols != self.k:
-            raise ValueError("matrix does not match the scheme parameters")
-        rows = []
-        for row in aprime.rows:
-            inner = encode_row(row, self.loc)
-            if self.variant == VARIANT_PARITY:
-                inner = inner + (sum(inner) % 2,)
-            rows.append(inner)
-        return QMatrix(self.q, tuple(rows))
+        check_input(aprime, self.q, self.k)
+        rows = tuple(encode_row(row, self.loc) for row in aprime.rows)
+        if self.variant == VARIANT_PARITY:
+            rows = tuple(parity_extend(row) for row in rows)
+        return QMatrix(self.q, rows)
 
     def syndrome(self, y: ReadVector) -> int:
         return checksum(y.entries, self.loc)
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        _reject_erasures(y)
-        if y.n != self.n:
-            raise ValueError(f"read vector length {y.n} != {self.n}")
-        y.check_alphabet(self.q_out)
+        y.admit(self.n, self.q_out)
         s = self.syndrome(y)
         if self.variant == VARIANT_PARITY:
             # Row sums are even, so total parity counts the errors mod 2.
             odd_count = sum(y.entries) % 2 == 1
-            if odd_count:
-                if s == 0:
-                    return decoded(y.entries[: self.k])  # the error hit the parity column
-                hit = locate_unit_error(s, self.loc)
-                if hit is None:
-                    return DECODE_FAILURE
-                return _corrected_prefix(y.entries, self.k, hit, self.q_out)
             if s == 0:
-                return decoded(y.entries[: self.k])
+                return decoded(y.entries[: self.k])  # clean, or the parity column hit
+            if odd_count:
+                return correct_unit(y.entries, self.k, s, self.loc, self.q_out)
             return DECODE_FAILURE  # an even, nonzero pattern: two errors
         # Odd locators modulo 4n+2: the syndrome parity counts the errors.
         if s == 0:
             return decoded(y.entries[: self.k])
         if s % 2 == 1:
-            hit = locate_unit_error(s, self.loc)
-            if hit is None:
-                return DECODE_FAILURE
-            return _corrected_prefix(y.entries, self.k, hit, self.q_out)
+            return correct_unit(y.entries, self.k, s, self.loc, self.q_out)
         return DECODE_FAILURE

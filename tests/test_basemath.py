@@ -19,14 +19,21 @@ from dpe_codec.basemath import (
     jacobsthal_weight,
     jacobsthal_weights,
     l1_norm,
-    lee_abs,
     mixed_radix_digits,
-    mixed_radix_value,
     next_prime,
     signed_value,
     sphere_volume_l1,
     _tonelli_shanks,
 )
+
+
+def mixed_radix_value(digits, weights):
+    return sum(d * w for d, w in zip(digits, weights, strict=True))
+
+
+def lee_abs(z, field):
+    """Lee absolute value: min(z, p - z)."""
+    return abs(signed_value(z % field.p, field))
 
 
 class TestDigits:

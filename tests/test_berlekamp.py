@@ -7,7 +7,7 @@ from dpe_codec.basemath import (
     PrimeField,
     iter_l1_errors,
     l1_norm,
-    lee_weight,
+    signed_value,
 )
 from dpe_codec.berlekamp import (
     BerlekampCode,
@@ -21,6 +21,10 @@ from dpe_codec.berlekamp import (
 )
 
 ALPHA15 = (3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 1, 2, 4, 8, 16)
+
+
+def lee_weight(vec, field):
+    return sum(abs(signed_value(v % field.p, field)) for v in vec)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -154,6 +155,98 @@ class TestPipeline:
         assert message in captured.err
 
 
+class TestMalformedFiles:
+    """A malformed matrix or read file gives exit 1 and a message, never a
+    traceback or an output file."""
+
+    GOOD = [1, 0, 1, 1, 0, 1, 0, 0, 1, 0]
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"q": 2, "rows": 1, "cols": 10, "data": [1.0] + GOOD[1:]},
+             "data entry 0 = 1.0 is not an integer"),
+            ({"q": 2, "rows": 1, "cols": 10, "data": [True] + GOOD[1:]},
+             "data entry 0 = True is not an integer"),
+            ({"q": 2, "rows": 1, "cols": 10, "data": ["1"] + GOOD[1:]},
+             "data entry 0 = '1' is not an integer"),
+            ({"q": 2.0, "rows": 1, "cols": 10, "data": GOOD},
+             "alphabet size must be an integer"),
+            ({"q": 2, "rows": "1", "cols": 10, "data": GOOD}, "rows must be an integer"),
+            ({"q": 2, "rows": 1, "cols": 10, "data": 5}, "data must be a list"),
+            ([GOOD], "expected a JSON object, got list"),
+        ],
+    )
+    def test_matrix(self, tmp_path, capsys, payload, message):
+        src = tmp_path / "aprime.json"
+        src.write_text(json.dumps(payload))
+        out = tmp_path / "enc.json"
+        args = ["--scheme", "sec", "--q", "2", "--n", "14", "--ell", "1"]
+        assert main(["encode", *args, "--in", str(src), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"q": 4, "cols": 15, "data": ["1"] + [0] * 14},
+             "data entry 0 = '1' is not an integer"),
+            ({"q": 4, "cols": 15, "data": [0] * 14 + [1.5]},
+             "data entry 14 = 1.5 is not an integer"),
+            ({"q": 4, "cols": 15, "data": [False] + [0] * 14},
+             "data entry 0 = False is not an integer"),
+            ({"q": "4", "cols": 15, "data": [0] * 15}, "q must be an integer"),
+            ([0] * 15, "expected a JSON object, got list"),
+            ("y", "expected a JSON object, got str"),
+        ],
+    )
+    def test_read_vector(self, tmp_path, capsys, payload, message):
+        _, sidecar = _encode_example(tmp_path, SEC_ARGS)
+        y_path = tmp_path / "y.json"
+        y_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["decode", "--in", str(y_path), "--sidecar", str(sidecar)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
+# sha256 of the encoded matrix and of the sidecar that `encode` writes in
+# each round trip below, pinning the CLI output byte for byte
+ROUND_TRIP_SHA256 = {
+    "sec": (
+        "615ac60c5ddd2aeda154701346937dc8e3dff6864ed7ef3f6a3150902407a530",
+        "fafde50e5a70d34dbe7ea519fb63e6552b8aeb392a6b0da75b74fdcc1f5647ce",
+    ),
+    "sec-ded": (
+        "8727171ff498b33b61a3343865076c85b86c5febd8659e1a2210eadda6672e8c",
+        "2d22fbf52cd8ac8406815ad856b9753e78cfb260a06b2416f332ae63668de119",
+    ),
+    "dec": (
+        "4c0d80c4420f9ce2d2fb071839a852975225f020d6ca94cdba237c56be3fcf16",
+        "4bc884ccd2efa7aa0f468d576d7a75dfb63d7e87a5e476fc198acf3165e28353",
+    ),
+    "dec-ted": (
+        "6f5338d4f7f9bd23ac274ab9e80f4f7f3f86986396c46f444549e1226288782b",
+        "5a53a40ae5610a8fe378ddbaed348be2c9b4fa559e67a35fe47189d83a528ef3",
+    ),
+    "recursive": (
+        "f76b2bb91e6bca95ee102c77697dc60f5e28f60c68ede00410f420698f96bf04",
+        "03d074e60537c012e9a2b62cdffe953e6c6bf4f6a003e41b5d9afe95ada4c5ba",
+    ),
+    "large-alphabet": (
+        "9df040bf1313748e5529459f9b34c52017c2b42f66c1f3f7ca83cdde3b4dc238",
+        "1a29def55b5db8016c15407681700d1249c3a137dd672876628005abd939b6a2",
+    ),
+    "hamming": (
+        "717e2397ceee4ae071f2146d445edf7b47ed907ea11af6d119c5424a8ded54c1",
+        "f517214aad46bbe3e455d4db274521c15dda74e6e52d2ea99bb1ccb644ef8b12",
+    ),
+}
+
+
 class TestRoundTripAllSchemes:
     @pytest.mark.parametrize(
         "scheme_args,k,ell,q",
@@ -177,6 +270,10 @@ class TestRoundTripAllSchemes:
         write_matrix(src, a)
         enc = tmp_path / "enc.json"
         assert main(["encode", *scheme_args, "--in", str(src), "--out", str(enc)]) == 0
+        encoded_sha256, sidecar_sha256 = ROUND_TRIP_SHA256[scheme_args[1]]
+        assert hashlib.sha256(enc.read_bytes()).hexdigest() == encoded_sha256
+        sidecar = (tmp_path / "enc.scheme.json").read_bytes()
+        assert hashlib.sha256(sidecar).hexdigest() == sidecar_sha256
         u = ",".join(str(rng.randrange(q)) for _ in range(ell))
         c_path = tmp_path / "c.json"
         assert main(["compute", "--in", str(enc), "--u", u, "--out", str(c_path)]) == 0

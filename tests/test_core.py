@@ -1,6 +1,6 @@
 import pytest
 
-from dpe_codec.core import ReadVector
+from dpe_codec.core import DECODE_FAILURE, QMatrix, ReadVector, corrected, decoded
 
 
 class TestReadVector:
@@ -28,3 +28,59 @@ class TestReadVector:
     def test_alphabet_names_first_bad_entry(self, entries, erased, bad):
         with pytest.raises(ValueError, match=f"^{bad} is outside the read alphabet \\[0, 4\\)$"):
             ReadVector(entries, erased).check_alphabet(4)
+
+
+class TestAdmit:
+    def test_accepts(self):
+        ReadVector.exact([0, 3, 1]).admit(3, 4)
+        ReadVector((0, 9, 1), (False, True, False)).admit(3, 4, erasures=True)
+
+    @pytest.mark.parametrize(
+        "read,n,erasures,message",
+        [
+            # erasures are refused before the length is looked at
+            (ReadVector((0, 1), (True, False)), 3, False,
+             "erasures are outside this decoder's contract"),
+            (ReadVector.exact([0, 1]), 3, False, "read vector length 2 != 3"),
+            (ReadVector((0, 1), (True, False)), 3, True, "read vector length 2 != 3"),
+            (ReadVector.exact([0, 1, 4]), 3, False,
+             "entry 2 = 4 is outside the read alphabet [0, 4)"),
+        ],
+    )
+    def test_messages(self, read, n, erasures, message):
+        with pytest.raises(ValueError) as info:
+            read.admit(n, 4, erasures=erasures)
+        assert str(info.value) == message
+
+
+class TestCorrected:
+    def test_subtracts_pairs_from_prefix(self):
+        assert corrected([3, 1, 2, 0], 3, [(0, 1), (2, -1)], 4) == decoded([2, 1, 3])
+
+    @pytest.mark.parametrize("error", [(1, 2), (2, -2)])
+    def test_range_escape_fails(self, error):
+        assert corrected([3, 1, 2, 0], 3, [(0, 1), error], 4) == DECODE_FAILURE
+
+    def test_position_past_prefix_ignored(self):
+        # a corrected redundancy entry would leave the range, but is not data
+        assert corrected([3, 1, 2, 0], 3, [(3, 1)], 4) == decoded([3, 1, 2])
+
+    def test_zero_values_ignored(self):
+        # an untouched entry is not re-checked: admit has bounded it
+        assert corrected([5, 1, 2], 3, [(0, 0), (1, 1)], 4) == decoded([5, 0, 2])
+
+
+class TestQMatrixTypes:
+    @pytest.mark.parametrize("q", [4.0, True, "4"])
+    def test_alphabet_must_be_int(self, q):
+        with pytest.raises(ValueError, match="alphabet size must be an integer"):
+            QMatrix(q, ((0, 1),))
+
+    @pytest.mark.parametrize("bad", [1.0, True, False, None, "1"])
+    def test_entries_must_be_int(self, bad):
+        with pytest.raises(ValueError, match=r"^entry \(1,2\) = .* is not an integer$"):
+            QMatrix(4, ((0, 1, 2), (3, 0, bad)))
+
+    def test_range_message(self):
+        with pytest.raises(ValueError, match=r"^entry \(0,1\) = 4 is outside \[0, 4\)$"):
+            QMatrix(4, ((0, 4, 2), (3, 0, 1)))

@@ -4,6 +4,7 @@ import pytest
 
 from dpe_codec.basemath import PrimeField, iter_l1_errors
 from dpe_codec.berlekamp import BerlekampCode
+from dpe_codec.cli import main
 from dpe_codec.core import QMatrix, ReadVector
 from dpe_codec.locators import build_locators_basic
 from dpe_codec.multi import (
@@ -178,26 +179,18 @@ class TestRecursiveScheme:
             RecursiveScheme(q=2, ell=2, tau=3, p=7)
 
     @pytest.mark.parametrize("q", [2, 4])
-    def test_tau3_suffix_ambiguous(self, q):
+    def test_tau3_suffix_ambiguous(self, q, capsys):
         # p = 17 makes the suffix weights 1 and 16 negate each other, and
-        # every head column is data: errors off that pair decode exactly,
-        # and no error raises
+        # every head column is data: the instance is refused, by the
+        # library and by the CLI even when the opt-in is given
         with pytest.raises(ValueError, match="allow_suffix_ambiguity"):
             RecursiveScheme(q=q, ell=2, tau=3, p=17)
-        scheme = RecursiveScheme(q=q, ell=2, tau=3, p=17, allow_suffix_ambiguity=True)
-        pair = {scheme.loc.alpha.index(1), scheme.loc.alpha.index(16)}
-        rng = random.Random(q)
-        matrix = QMatrix.from_lists(q, [[rng.randrange(q) for _ in range(8)] for _ in range(2)])
-        c = _product([q - 1, 1], scheme.encode(matrix))
-        clean = tuple(c[: scheme.n])
-        width = scheme.n + scheme.ntilde  # head and planes; the tail is a median vote
-        for e in iter_l1_errors(width, 3):
-            y = [v + d for v, d in zip(c, e + [0] * (len(c) - width))]
-            if not all(0 <= v < scheme.q_out for v in y):
-                continue
-            outcome = scheme.decode(ReadVector.exact(y))
-            if not any(e[j] for j in pair):
-                assert outcome.prefix == clean, e
+        args = ["params", "--scheme", "recursive", "--q", str(q), "--p", "17",
+                "--tau", "3", "--ell", "2", "--allow-suffix-ambiguity"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--allow-suffix-ambiguity does not apply" in captured.err
 
 
 class TestLargeAlphabetScheme:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dpe_codec.core import DECODE_FAILURE, QMatrix, ReadVector, parity_extend_rows
+from dpe_codec.core import DECODE_FAILURE, QMatrix, ReadVector, parity_extend
 from dpe_codec.locators import build_locators_basic
 from dpe_codec.single import (
     ParityDetectScheme,
@@ -168,7 +168,7 @@ class TestParityDetect:
             [0, 1, 0, 1],
             [1, 1, 0, 0],
         ]
-        assert parity_extend_rows(a).rows == encoded.rows
+        assert tuple(parity_extend(row) for row in a.rows) == encoded.rows
 
     def test_detects_single_error(self):
         scheme = ParityDetectScheme(q=2, k=3, ell=3)
