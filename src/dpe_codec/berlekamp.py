@@ -22,6 +22,8 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .basemath import (
     ExtField,
     PrimeField,
@@ -31,7 +33,7 @@ from .basemath import (
     iter_l1_errors,
     sphere_volume_l1,
 )
-from .core import guard_limit
+from .core import CheckMatrix, guard_limit, kernel_fits
 from .gfpoly import poly_roots, poly_trim, solve_key_equation
 
 # Exhaustive decoding refuses to enumerate spheres larger than this.
@@ -87,6 +89,12 @@ class BerlekampCode:
             # every point an error can put in the locator: +beta_j, -beta_j
             self._signed_points = tuple(x for b in self.beta for x in (b, p - b))
             self._encoder_rows: list[list[int]] | None = None
+            # The checks as one int64 matrix (`syndrome`).  A scheme hands
+            # this code an int64 array only where its own kernel_fits holds,
+            # which implies this one (its read alphabet has size >= 2).
+            self.kernel = (
+                CheckMatrix(self.power_cols, (p,) * tau) if kernel_fits(self.n, 2, p) else None
+            )
         else:
             if ext.p != p:
                 raise ValueError("extension field characteristic must match")
@@ -114,10 +122,16 @@ class BerlekampCode:
         return self._index.get(value % self.field.p)
 
     def syndrome(self, y: Sequence[int]) -> tuple:
-        """Components (s_1, s_2, ..) of y against the odd-power checks."""
+        """Components (s_1, s_2, ..) of y against the odd-power checks.
+
+        An int64 array y (a read whose scheme takes the int64 kernel, which
+        bounds its entries) is multiplied by `kernel`, the checks as one
+        matrix; such a code is at least KERNEL_MIN_LENGTH long."""
         if len(y) != self.n:
             raise ValueError(f"vector length {len(y)} != code length {self.n}")
         p = self.field.p
+        if isinstance(y, np.ndarray):
+            return tuple(self.kernel(y))
         if self.ext is None:
             return tuple(sum(map(operator.mul, y, col)) % p for col in self.power_cols)
         ext = self.ext

@@ -141,7 +141,32 @@ def scheme_sidecar(scheme, name: str) -> dict:
     return data
 
 
+# sidecar fields that hold an integer when present
+_SIDECAR_INTS = ("q", "ell", "n", "k", "p", "tau", "theta", "sigma", "rho")
+
+
+def _check_sidecar(data) -> None:
+    """Refuse a sidecar whose shape, scheme name or integer fields are not
+    those `scheme_sidecar` writes."""
+    if not isinstance(data, dict):
+        raise UsageError(f"sidecar: expected a JSON object, got {type(data).__name__}")
+    if data.get("scheme") not in SCHEME_NAMES:
+        raise UsageError(f"sidecar: unknown scheme {data.get('scheme')!r}")
+    for key in ("q", "ell", "k"):
+        if key not in data:
+            raise UsageError(f"sidecar: missing field {key!r}")
+    for key in _SIDECAR_INTS:
+        value = data.get(key)
+        if value is not None and type(value) is not int:
+            raise UsageError(f"sidecar: {key} must be an integer, got {value!r}")
+    if not isinstance(data.get("variant", ""), str):
+        raise UsageError(f"sidecar: variant must be a string, got {data['variant']!r}")
+    if not isinstance(data.get("locators", {}), dict):
+        raise UsageError("sidecar: locators must be a JSON object")
+
+
 def scheme_from_sidecar(data: dict):
+    _check_sidecar(data)
     name = data["scheme"]
     loc_json = data.get("locators")
     flag = bool(loc_json and loc_json.get("allow_suffix_ambiguity"))
@@ -165,7 +190,11 @@ def scheme_from_sidecar(data: dict):
     scheme = build_scheme(ns, k_hint=data.get("k") if name == "hamming" else None)
     if scheme.k != data["k"]:
         raise UsageError(f"sidecar dimension {data['k']} != rebuilt dimension {scheme.k}")
-    if loc_json is not None and scheme.loc != Locators.from_json(loc_json):
+    try:
+        loc = None if loc_json is None else Locators.from_json(loc_json)
+    except TypeError as err:
+        raise UsageError(f"sidecar locators are malformed: {err}") from None
+    if loc is not None and scheme.loc != loc:
         raise UsageError("sidecar locators do not match the rebuilt scheme")
     return scheme
 

@@ -1,15 +1,67 @@
 """Shared value types for the coding schemes: matrices over a digit
-alphabet, read vectors with erasure flags, and decode outcomes."""
+alphabet, read vectors with erasure flags, and decode outcomes; and the
+read kernel, which checks a read and computes its syndromes in int64.
+
+Every syndrome is a fixed integer check matrix times the read, reduced by
+a modulus.  A scheme whose check-matrix product is long enough, and cannot
+leave int64 (`kernel_fits`), holds its check rows as one `CheckMatrix`; its
+decoder then checks the read as an int64 array (`ReadVector.int64`) with
+one reduction and computes the syndromes with one product.  Every other
+scheme runs the same steps on Python ints.  Prefixes, locate steps and
+corrections always use the Python ints of `ReadVector.entries`.
+"""
 
 from __future__ import annotations
 
+import operator
+import struct
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
+
+# Shortest check-matrix product that takes the int64 kernel.  Below it
+# numpy's fixed cost per call outweighs what the kernel saves (measured
+# crossover: see CHANGES.md and the README).
+KERNEL_MIN_LENGTH = 96
+
+INT64_BOUND = 2**63
 
 
 def output_alphabet(q: int, ell: int) -> int:
     """Size Q of the output alphabet: an ell-row product entry is < Q."""
     return ell * (q - 1) ** 2 + 1
+
+
+def kernel_fits(n: int, bound: int, modulus: int) -> bool:
+    """Whether a product of n read entries in [0, bound) with check entries
+    in [0, modulus) takes the int64 kernel: n reaches KERNEL_MIN_LENGTH,
+    and no such dot product can leave int64."""
+    return n >= KERNEL_MIN_LENGTH and n * (bound - 1) * (modulus - 1) < INT64_BOUND
+
+
+class CheckMatrix:
+    """Check rows, each reduced by its modulus, held as one n x r int64
+    matrix.  Its syndromes of an int64 array are exact when `kernel_fits`
+    holds for the array's alphabet and the largest modulus."""
+
+    def __init__(self, rows: Iterable[Sequence[int]], moduli: Sequence[int]):
+        self.moduli = np.array(moduli, np.int64)
+        self.matrix = np.array(
+            [[x % m for x in row] for row, m in zip(rows, moduli)], np.int64
+        ).T
+
+    def __call__(self, values: np.ndarray) -> list[int]:
+        """The syndrome of each row, as Python ints."""
+        return ((values @ self.matrix) % self.moduli).tolist()
+
+
+@cache
+def _int64_packer(n: int):
+    """Packs n integers as int64 bytes (one packer per read length); raises
+    struct.error for an entry that is not an integer or lies outside int64."""
+    return struct.Struct(f"{n}q").pack
 
 
 def guard_limit(default: int) -> int:
@@ -105,6 +157,7 @@ class ReadVector:
     def __post_init__(self) -> None:
         if not self.erased:
             object.__setattr__(self, "erased", (False,) * len(self.entries))
+            object.__setattr__(self, "has_erasures", False)  # known: no scan needed
         if len(self.erased) != len(self.entries):
             raise ValueError("erasure flags must match entry count")
 
@@ -115,6 +168,8 @@ class ReadVector:
     @classmethod
     def with_erasures(cls, values: Sequence[int], erased_at: Iterable[int]) -> "ReadVector":
         erased_at = set(erased_at)
+        if not erased_at:
+            return cls(tuple(values))
         for j in erased_at:
             if not (isinstance(j, int) and 0 <= j < len(values)):
                 raise ValueError(f"erasure index {j!r} is outside [0, {len(values)})")
@@ -126,29 +181,61 @@ class ReadVector:
     def n(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def has_erasures(self) -> bool:
         return any(self.erased)
+
+    @cached_property
+    def int64(self) -> np.ndarray:
+        """The entries as a read-only int64 array; raises struct.error for
+        an entry that is not an integer or lies outside int64."""
+        return np.frombuffer(_int64_packer(len(self.entries))(*self.entries), np.int64)
 
     def erased_positions(self) -> list[int]:
         return [j for j, f in enumerate(self.erased) if f]
 
-    def admit(self, n: int, bound: int, erasures: bool = False) -> None:
+    def admit(self, n: int, bound: int, erasures: bool = False, vector: bool = False) -> None:
         """The prologue of every decoder: refuse erasures (unless the
-        decoder takes them), a length other than n, and an entry outside
-        the read alphabet [0, bound)."""
+        decoder takes them), a length other than n, and an entry that is
+        not an integer or lies outside the read alphabet [0, bound).  With
+        `vector` (the scheme's `kernel_fits`), a read without erasures is
+        checked as `int64`, which the decoder then multiplies."""
         if not erasures and self.has_erasures:
             raise ValueError("erasures are outside this decoder's contract")
         if self.n != n:
             raise ValueError(f"read vector length {self.n} != {n}")
-        self.check_alphabet(bound)
+        self.check_alphabet(bound, vector)
 
-    def check_alphabet(self, bound: int) -> None:
+    def check_alphabet(self, bound: int, vector: bool = False) -> None:
+        """Refuse the first entry that is not an integer or lies outside
+        [0, bound); erased entries are placeholders and are not read.
+
+        The fast pass packs the entries into int64, which refuses floats,
+        strings and None.  With `vector` and no erasures the packed array
+        is kept as `int64` and range-checked by one reduction (a negative
+        entry wraps above any bound as uint64); otherwise min and max
+        bound the tuple.  A read that fails the fast pass (or has
+        erasures) is checked entry by entry, for the message."""
         entries = self.entries
-        if entries and not any(self.erased) and 0 <= min(entries) and max(entries) < bound:
-            return
-        for j, (v, gone) in enumerate(zip(self.entries, self.erased)):
-            if not gone and not 0 <= v < bound:
+        if not self.has_erasures:
+            try:
+                if vector and entries:
+                    if self.int64.view(np.uint64).max() < bound:
+                        return
+                else:
+                    _int64_packer(len(entries))(*entries)
+                    if not entries or 0 <= min(entries) and max(entries) < bound:
+                        return
+            except struct.error:
+                pass
+        for j, (v, gone) in enumerate(zip(entries, self.erased)):
+            if gone:
+                continue
+            try:
+                operator.index(v)
+            except TypeError:
+                raise ValueError(f"entry {j} = {v!r} is not an integer") from None
+            if not 0 <= v < bound:
                 raise ValueError(f"entry {j} = {v} is outside the read alphabet [0, {bound})")
 
 

@@ -21,7 +21,9 @@ dispatch; see decode).
 
 Each decoder is that dispatch table and nothing else: the read is admitted
 by `ReadVector.admit`, a lone error is corrected by `single.correct_unit`
-and a pair by `correct_pair`, both through `core.corrected`.
+and a pair by `correct_pair`, both through `core.corrected`.  Where
+`core.kernel_fits` holds, the checksums are one product of the read's int64
+array with the scheme's check rows (`core.CheckMatrix`).
 """
 
 from __future__ import annotations
@@ -32,12 +34,14 @@ from .basemath import PrimeField, ceil_log, is_prime
 from .berlekamp import BerlekampCode, decode_double_error
 from .core import (
     DECODE_FAILURE,
+    CheckMatrix,
     DecodeOutcome,
     QMatrix,
     ReadVector,
     check_input,
     corrected,
     decoded,
+    kernel_fits,
     output_alphabet,
     parity_extend,
 )
@@ -91,6 +95,17 @@ def cubes_digits(row: tuple[int, ...], loc: Locators) -> tuple[int, ...]:
     return tuple(redundancy_digits(cubes, loc))
 
 
+def checksum_rows(loc: Locators, n1: int, weights: Sequence[int], n: int) -> list[list[int]]:
+    """The linear and cubed checksum rows over a read of length n: locators
+    on the n1-prefix, and the cubed row's digit weights negated after it."""
+    alpha = loc.alpha[:n1]
+    pad = [0] * (n - n1 - len(weights))
+    return [
+        list(alpha) + [0] * (n - n1),
+        [a**3 for a in alpha] + [-w for w in weights] + pad,
+    ]
+
+
 def correct_pair(
     values: Sequence[int],
     k: int,
@@ -124,6 +139,12 @@ class DoubleErrorScheme:
         self.n = self.n2 + 1
         self.q_out = output_alphabet(q, ell)
         self.ber, self.ber_positions = _pair_code(self.loc, p)
+        self.vector = kernel_fits(self.n, self.q_out, p)
+        if self.vector:
+            digits = [self.q**j for j in range(self.m)]
+            parity = [0] * self.n1 + [1] * (self.m + 1)
+            rows = checksum_rows(self.loc, self.n1, digits, self.n) + [parity]
+            self.kernel = CheckMatrix(rows, (p, p, 2))
 
     def encode(self, aprime: QMatrix) -> QMatrix:
         check_input(aprime, self.q, self.k)
@@ -134,6 +155,10 @@ class DoubleErrorScheme:
         return QMatrix(self.q, tuple(rows))
 
     def syndromes(self, y: ReadVector) -> tuple[int, int, int]:
+        """(s1, s2, digit-block parity) of the read's first n entries: one
+        product of its int64 array with `kernel` where `vector` holds."""
+        if self.vector:
+            return tuple(self.kernel(y.int64[: self.n]))
         v = y.entries
         alpha = self.loc.alpha
         s1 = sum(v[j] * alpha[j] for j in range(self.n1)) % self.p
@@ -145,7 +170,7 @@ class DoubleErrorScheme:
         return s1, s2, s2_hat
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        y.admit(self.n, self.q_out)
+        y.admit(self.n, self.q_out, vector=self.vector)
         s1, s2, s2_hat = self.syndromes(y)
         if s1 == 0:
             return decoded(y.entries[: self.k])  # the n1-prefix is clean
@@ -180,6 +205,7 @@ class TripleDetectScheme:
             self.n = self.base.n + 1
             self.ber = self.base.ber
             self.ber_positions = self.base.ber_positions
+            self.vector = self.base.vector
         else:
             _check_prime(q, p)
             self.n1 = (p - 1) // 2
@@ -194,6 +220,10 @@ class TripleDetectScheme:
                 )
             self.n = self.n1 + self.m
             self.ber, self.ber_positions = _pair_code(self.loc, p)
+            self.vector = kernel_fits(self.n, self.q_out, 2 * p)
+            if self.vector:
+                rows = checksum_rows(self.loc, self.n1, self.loc.suffix_weights(), self.n)
+                self.kernel = CheckMatrix(rows, (2 * p, 2 * p))
 
     # -- encoding ---------------------------------------------------------
 
@@ -211,11 +241,16 @@ class TripleDetectScheme:
     # -- decoding ---------------------------------------------------------
 
     def syndromes(self, y: ReadVector) -> tuple[int, int] | tuple[int, int, int, int]:
+        """(s1, s2, digit-block parity, total parity) in the parity variant,
+        else (s1, s2) modulo 2p: one product of the read's int64 array with
+        `kernel` (the base scheme's, in the parity variant) where `vector`
+        holds."""
         if self.variant == VARIANT_PARITY:
-            base_part = ReadVector.exact(y.entries[: self.base.n])
-            s1, s2, s2_hat = self.base.syndromes(base_part)
-            total_parity = sum(y.entries) % 2
-            return s1, s2, s2_hat, total_parity
+            s1, s2, s2_hat = self.base.syndromes(y)  # reads the first base.n entries
+            total = int(y.int64.sum()) if self.vector else sum(y.entries)
+            return s1, s2, s2_hat, total % 2
+        if self.vector:
+            return tuple(self.kernel(y.int64))
         v = y.entries
         alpha = self.loc.alpha
         modulus = 2 * self.p
@@ -267,7 +302,7 @@ class TripleDetectScheme:
         return DECODE_FAILURE
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        y.admit(self.n, self.q_out)
+        y.admit(self.n, self.q_out, vector=self.vector)
         if self.variant == VARIANT_PARITY:
             return self._decode_parity(y)
         return self._decode_mod2p(y)

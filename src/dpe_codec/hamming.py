@@ -16,6 +16,12 @@ Any linear code given by an explicit check matrix can stand in, decoded by
 codeword enumeration under a guard (raisable through
 DPE_CODEC_GUARD_OVERRIDE); the support-scan decoder in ``oracles`` is the
 reference the Reed-Solomon decoder is checked against.
+
+Where `core.kernel_fits` holds for the read, and the Reed-Solomon code is
+long enough for its own kernel, a read without erasures is packed and its
+syndromes computed on the read's int64 array (the digit weights and the
+code's check matrix); reads with erasures and the correction stay on
+Python ints.
 """
 
 from __future__ import annotations
@@ -24,15 +30,19 @@ import itertools
 import operator
 from typing import Sequence
 
+import numpy as np
+
 from .basemath import PrimeField, base_q_digits, ceil_log, gfp_solve, is_prime, signed_value
 from .core import (
     DECODE_FAILURE,
+    CheckMatrix,
     DecodeOutcome,
     QMatrix,
     ReadVector,
     check_input,
     decoded,
     guard_limit,
+    kernel_fits,
     output_alphabet,
 )
 from .gfpoly import poly_eval, poly_mul, poly_roots, solve_key_equation
@@ -65,8 +75,16 @@ class ReedSolomonCode:
             tuple(pow(g, v + 1, p) for g in self.gamma) for v in range(self.d - 1)
         ]
         self._position = {g: j for j, g in enumerate(self.gamma)}
+        # the checks as one int64 matrix, for symbol arrays (entries < p)
+        self.kernel = (
+            CheckMatrix(self._powers, (p,) * (self.d - 1)) if kernel_fits(length, p, p) else None
+        )
 
     def syndromes(self, values: Sequence[int]) -> list[int]:
+        """S_v = sum_j values_j gamma_j^(v+1) mod p; one product with
+        `kernel` for an int64 array of symbols in [0, p)."""
+        if isinstance(values, np.ndarray):
+            return self.kernel(values)
         p = self.field.p
         return [sum(map(operator.mul, values, row)) % p for row in self._powers]
 
@@ -91,14 +109,20 @@ class ReedSolomonCode:
 
         Corrects up to `radius` errors alongside the given erasures whenever
         2*radius + len(erased) < d, and returns None when the closest
-        codeword needs more than `radius` errors.
+        codeword needs more than `radius` errors.  `values` may be an int64
+        array (a code with a `kernel`); the error vector is Python ints.
         """
         p = self.field.p
         erased = sorted(set(erased))
         if len(erased) >= self.d:
             return None
-        gone = set(erased)
-        filled = [0 if j in gone else v % p for j, v in enumerate(values)]
+        if isinstance(values, np.ndarray):
+            filled = values % p
+            if erased:
+                filled[erased] = 0
+        else:
+            gone = set(erased)
+            filled = [0 if j in gone else v % p for j, v in enumerate(values)]
         return self._locate(self.syndromes(filled), erased, radius)
 
     def _locate(self, syn: list[int], erased: Sequence[int], radius: int) -> list[int] | None:
@@ -276,6 +300,10 @@ class HammingScheme:
             raise ValueError("inner code does not match the scheme parameters")
         if sigma == 0 and rho_max == 0:
             assert self.n - self.k <= self.redundancy_bound()
+        self.vector = (
+            kernel_fits(self.n, self.q_out, p) and getattr(self.inner, "kernel", None) is not None
+        )
+        self._digit_weights = np.array([q**j % p for j in range(self.m)], np.int64)
 
     def redundancy_bound(self) -> int:
         """Upper bound on n - k when the inner code is from the BCH family."""
@@ -287,16 +315,24 @@ class HammingScheme:
 
     def pack(self, values: Sequence[int], erased: Sequence[bool] | None = None):
         """Map n output columns to ntilde field symbols (the row-level
-        homomorphism); returns (symbols, erased symbol indices)."""
+        homomorphism); returns (symbols, erased symbol indices).
+
+        An int64 array (a read of a scheme whose `vector` holds) packs into
+        an int64 array of symbols: the redundancy columns, as an m x block
+        matrix of digit planes, times the digit weights."""
         if len(values) != self.n:
             raise ValueError(f"need {self.n} values, got {len(values)}")
         p = self.p
         block = self.ntilde - self.k
-        symbols = [values[v] % p for v in range(self.k)]
-        for v in range(block):
-            symbols.append(
-                sum(values[self.k + v + j * block] * self.q**j for j in range(self.m)) % p
-            )
+        if isinstance(values, np.ndarray):
+            planes = values[self.k :].reshape(self.m, block)
+            symbols = np.concatenate((values[: self.k] % p, self._digit_weights @ planes % p))
+        else:
+            symbols = [values[v] % p for v in range(self.k)]
+            for v in range(block):
+                symbols.append(
+                    sum(values[self.k + v + j * block] * self.q**j for j in range(self.m)) % p
+                )
         erased_symbols: set[int] = set()
         if erased is not None:
             for col, gone in enumerate(erased):
@@ -322,8 +358,11 @@ class HammingScheme:
         return QMatrix(self.q, tuple(rows))
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        y.admit(self.n, self.q_out, erasures=True)
-        symbols, erased_symbols = self.pack(y.entries, y.erased)
+        y.admit(self.n, self.q_out, erasures=True, vector=self.vector)
+        if self.vector and not y.has_erasures:
+            symbols, erased_symbols = self.pack(y.int64)
+        else:
+            symbols, erased_symbols = self.pack(y.entries, y.erased)
         if len(erased_symbols) > self.rho_max:
             raise ValueError(
                 f"{len(erased_symbols)} erased symbols exceed the budget {self.rho_max}"

@@ -13,6 +13,11 @@ repetition, decoded by coordinate-wise median.
 Large-alphabet scheme: when some prime p with 2*tau < p <= q exists, each
 row reduced mod p is systematically extended to a zero-checksum word, and
 the decoder works directly on the read vector reduced mod p.
+
+Where `core.kernel_fits` holds for the checked part of the read (the head,
+or the whole read), its checksum is one product of the read's int64 array
+with the code's `kernel`; the repetition tail, the planes and every
+correction stay on Python ints.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .core import (
     check_input,
     corrected,
     decoded,
+    kernel_fits,
     output_alphabet,
 )
 from .locators import build_locators_basic
@@ -92,6 +98,7 @@ class RecursiveScheme:
             self.tail_checker = None
         self.k = self.n  # every input column is information
         self.q_out = output_alphabet(q, ell)
+        self.vector = kernel_fits(self.n, self.q_out, p)
 
     @property
     def redundancy(self) -> int:
@@ -127,7 +134,7 @@ class RecursiveScheme:
         return QMatrix(self.q, tuple(rows))
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        y.admit(self.total_length, self.q_out)
+        y.admit(self.total_length, self.q_out, vector=self.vector)
         head = y.entries[: self.n]
         block = y.entries[self.n : self.n + self.ntilde]
 
@@ -169,7 +176,7 @@ class RecursiveScheme:
                 )
                 % self.p
             )
-        head_syn = self.checker.syndrome(head)
+        head_syn = self.checker.syndrome(y.int64[: self.n] if self.vector else head)
         err_syn = tuple((a - b) % self.p for a, b in zip(head_syn, syn1))
         head_err = decode_bounded(self.checker, err_syn)
         if head_err is None:
@@ -203,6 +210,7 @@ class LargeAlphabetScheme:
         self.k = n - tau
         self.code = BerlekampCode(PrimeField(p), tuple(range(1, n + 1)), tau)
         self.q_out = output_alphabet(q, ell)
+        self.vector = kernel_fits(n, self.q_out, p)
 
     @property
     def redundancy(self) -> int:
@@ -217,8 +225,8 @@ class LargeAlphabetScheme:
         return QMatrix(self.q, tuple(rows))
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        y.admit(self.n, self.q_out)
-        syn = self.code.syndrome(y.entries)
+        y.admit(self.n, self.q_out, vector=self.vector)
+        syn = self.code.syndrome(y.int64 if self.vector else y.entries)
         if not any(syn):
             return decoded(y.entries[: self.k])  # in range: the alphabet check bounds it
         err = decode_bounded(self.code, syn)

@@ -13,7 +13,9 @@ picks and checks the variant here and for the double-error schemes.
 
 Each decoder admits its read (`ReadVector.admit`), computes the syndrome
 and dispatches on it; a located +-1 error is applied by `correct_unit`,
-which the double-error schemes share, over `core.corrected`.
+which the double-error schemes share, over `core.corrected`.  Where
+`core.kernel_fits` holds, the syndrome is one product of the read's int64
+array with the locator column (`core.CheckMatrix`).
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ from typing import Sequence
 from .basemath import base_q_digits, ceil_log, mixed_radix_digits
 from .core import (
     DECODE_FAILURE,
+    CheckMatrix,
     DecodeOutcome,
     QMatrix,
     ReadVector,
     check_input,
     corrected,
     decoded,
+    kernel_fits,
     output_alphabet,
     parity_extend,
 )
@@ -63,10 +67,15 @@ def encode_row(row: Sequence[int], loc: Locators) -> tuple[int, ...]:
     return tuple(row) + tuple(redundancy_digits(residue, loc))
 
 
-def checksum(values: Sequence[int], loc: Locators) -> int:
-    """Locator-weighted sum of the first n entries, reduced by the modulus."""
+def checksum(values: Sequence[int], loc: Locators, kernel: CheckMatrix | None = None) -> int:
+    """Locator-weighted sum of the first n entries, reduced by the modulus.
+
+    With `kernel` (the locator column as a `CheckMatrix`), `values` is a
+    read's int64 array and the sum is one product."""
     if len(values) < loc.n:
         raise ValueError(f"need {loc.n} entries, got {len(values)}")
+    if kernel is not None:
+        return kernel(values[: loc.n])[0]
     return sum(v * loc.alpha[j] for j, v in enumerate(values[: loc.n])) % loc.modulus
 
 
@@ -96,6 +105,11 @@ def detect_variant(q: int, variant: str | None) -> str:
     parity for q = 2, odd locators for odd q and mixed radix for even q."""
     if variant is None:
         return VARIANT_PARITY if q == 2 else (VARIANT_ODD_Q if q % 2 else VARIANT_EVEN_Q)
+    if variant not in (VARIANT_PARITY, VARIANT_ODD_Q, VARIANT_EVEN_Q):
+        raise ValueError(
+            f"unknown detect variant {variant!r}; expected "
+            f"{VARIANT_PARITY}, {VARIANT_ODD_Q} or {VARIANT_EVEN_Q}"
+        )
     if variant == VARIANT_ODD_Q and (q < 3 or q % 2 == 0):
         raise ValueError("odd-locator variant needs odd q >= 3")
     if variant == VARIANT_EVEN_Q and (q < 4 or q % 2 == 1):
@@ -138,16 +152,20 @@ class SingleErrorScheme:
         self.k = self.loc.k
         self.modulus = self.loc.modulus
         self.q_out = output_alphabet(q, ell)
+        self.vector = kernel_fits(n, self.q_out, self.modulus)
+        self.kernel = CheckMatrix([self.loc.alpha], [self.modulus]) if self.vector else None
 
     def encode(self, aprime: QMatrix) -> QMatrix:
         check_input(aprime, self.q, self.k)
         return QMatrix(self.q, tuple(encode_row(row, self.loc) for row in aprime.rows))
 
     def syndrome(self, y: ReadVector) -> int:
+        if self.vector:
+            return checksum(y.int64, self.loc, self.kernel)
         return checksum(y.entries, self.loc)
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        y.admit(self.n, self.q_out)
+        y.admit(self.n, self.q_out, vector=self.vector)
         s = self.syndrome(y)
         if s == 0:
             return decoded(y.entries[: self.k])
@@ -178,6 +196,8 @@ class SecDedScheme:
             self.m = self.loc.m
         self.k = self.n - self.m
         self.modulus = self.loc.modulus
+        self.vector = kernel_fits(n, self.q_out, self.modulus)
+        self.kernel = CheckMatrix([self.loc.alpha], [self.modulus]) if self.vector else None
 
     def encode(self, aprime: QMatrix) -> QMatrix:
         check_input(aprime, self.q, self.k)
@@ -187,14 +207,16 @@ class SecDedScheme:
         return QMatrix(self.q, rows)
 
     def syndrome(self, y: ReadVector) -> int:
+        if self.vector:
+            return checksum(y.int64, self.loc, self.kernel)
         return checksum(y.entries, self.loc)
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        y.admit(self.n, self.q_out)
+        y.admit(self.n, self.q_out, vector=self.vector)
         s = self.syndrome(y)
         if self.variant == VARIANT_PARITY:
             # Row sums are even, so total parity counts the errors mod 2.
-            odd_count = sum(y.entries) % 2 == 1
+            odd_count = (int(y.int64.sum()) if self.vector else sum(y.entries)) % 2 == 1
             if s == 0:
                 return decoded(y.entries[: self.k])  # clean, or the parity column hit
             if odd_count:

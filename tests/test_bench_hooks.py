@@ -1,7 +1,9 @@
 """The traced benchmark wraps functions and methods of the package by name
 (``bench/tracing.py``).  A rename or a move that loses one of those names
 would break the traced run, so this test installs the tracer, runs one
-encode and one faulty read per scheme, and checks every hook."""
+encode and one faulty read per scheme, and checks every hook, once with
+instances on Python ints and once with instances above the int64 read
+kernel's length constant."""
 
 import importlib.util
 from pathlib import Path
@@ -20,6 +22,15 @@ SCHEMES = {
     "recursive": lambda: api.RecursiveScheme(2, 2, 2, 31),
     "hamming": lambda: api.HammingScheme(2, 2, 4, 1),
     "large-alphabet": lambda: api.LargeAlphabetScheme(8, 3, 1, 2),
+}
+KERNEL_SCHEMES = {
+    "sec": lambda: api.SingleErrorScheme(2, 100, 2),
+    "sec-ded": lambda: api.SecDedScheme(3, 100, 2),
+    "dec": lambda: api.DoubleErrorScheme(2, 211, 2),
+    "dec-ted": lambda: api.TripleDetectScheme(3, 211, 2),
+    "recursive": lambda: api.RecursiveScheme(2, 2, 2, 211),
+    "hamming": lambda: api.HammingScheme(2, 2, 100, 1),
+    "large-alphabet": lambda: api.LargeAlphabetScheme(257, 100, 1, 2),
 }
 
 # spans that one faulty read per scheme must reach; decode_exhaustive and
@@ -47,13 +58,15 @@ def test_scheme_table_matches(tracing):
         assert type(SCHEMES[scheme]()).__name__ == cls
 
 
-def test_every_hook_is_found_and_reached(tracing):
+def _trace_faulty_reads(tracing, schemes, vector):
+    """Trace one encode and one faulty read per scheme and check the hooks."""
     tracer = tracing.Tracer()
     undo = tracer.install()  # raises if a wrapped name is missing
     try:
         outcomes = {}
-        for scheme, build in SCHEMES.items():
+        for scheme, build in schemes.items():
             s = build()
+            assert s.vector == vector, scheme
             rows = [[(i + 3 * j) % s.q for j in range(s.k)] for i in range(s.ell)]
             encoded = s.encode(api.QMatrix.from_lists(s.q, rows))
             clean = api.compute_clean([1] * s.ell, encoded)
@@ -76,3 +89,11 @@ def test_every_hook_is_found_and_reached(tracing):
     # uninstall restored every original
     for owner, attr, original in undo:
         assert getattr(owner, attr) is original
+
+
+def test_every_hook_is_found_and_reached(tracing):
+    _trace_faulty_reads(tracing, SCHEMES, vector=False)
+
+
+def test_kernel_path_reaches_every_hook(tracing):
+    _trace_faulty_reads(tracing, KERNEL_SCHEMES, vector=True)

@@ -62,6 +62,22 @@ class TestParams:
         data = json.loads(capsys.readouterr().out)
         assert data["k"] == 1 and data["p"] == 7
 
+    @pytest.mark.parametrize("scheme", ["sec-ded", "dec-ted"])
+    def test_unknown_detect_variant(self, capsys, scheme):
+        size = ["--n", "8"] if scheme == "sec-ded" else ["--p", "13"]
+        rc = main(["params", "--scheme", scheme, "--q", "3", *size, "--ell", "2",
+                   "--variant", "trimmed"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown detect variant 'trimmed'" in captured.err
+
+    def test_trimmed_recursive(self, capsys):
+        rc = main(["params", "--scheme", "recursive", "--q", "2", "--p", "31", "--ell", "2",
+                   "--tau", "2", "--variant", "trimmed"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["trimmed"] is True
+
 
 class TestEncode:
     def test_golden(self, tmp_path):
@@ -206,6 +222,30 @@ class TestMalformedFiles:
         _, sidecar = _encode_example(tmp_path, SEC_ARGS)
         y_path = tmp_path / "y.json"
         y_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["decode", "--in", str(y_path), "--sidecar", str(sidecar)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda d: [d], "sidecar: expected a JSON object, got list"),
+            (lambda d: {**d, "q": "2"}, "sidecar: q must be an integer, got '2'"),
+            (lambda d: {**d, "k": 10.0}, "sidecar: k must be an integer, got 10.0"),
+            (lambda d: {**d, "scheme": "nope"}, "sidecar: unknown scheme 'nope'"),
+            (lambda d: {k: v for k, v in d.items() if k != "ell"}, "sidecar: missing field 'ell'"),
+            (lambda d: {**d, "locators": [1]}, "sidecar: locators must be a JSON object"),
+            (lambda d: {**d, "locators": {**d["locators"], "alpha": 5}},
+             "sidecar locators are malformed"),
+        ],
+    )
+    def test_sidecar(self, tmp_path, capsys, change, message):
+        out, sidecar = _encode_example(tmp_path, SEC_ARGS)
+        sidecar.write_text(json.dumps(change(read_json(sidecar))))
+        y_path = tmp_path / "y.json"
+        y_path.write_text(json.dumps({"q": 4, "cols": 15, "data": [0] * 15}))
         capsys.readouterr()
         assert main(["decode", "--in", str(y_path), "--sidecar", str(sidecar)]) == 1
         captured = capsys.readouterr()

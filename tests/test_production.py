@@ -1,19 +1,26 @@
 """Differential tests at production sizes: a random product with random
 faults inside the design budget must decode to the clean product's exact
-data prefix.  These sizes are far beyond what the enumeration oracles
-reach; the reference is the clean product itself."""
+data prefix, of Python ints.  These sizes are far beyond what the
+enumeration oracles reach; the reference is the clean product itself.
+The closed-form instances, LARGE and HAMMING_KERNEL take the int64 read
+kernel; PAST_BOUND lies past its int64 bound and runs on Python ints."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpe_codec import (
+    DoubleErrorScheme,
     HammingScheme,
     LargeAlphabetScheme,
     QMatrix,
     ReadVector,
     RecursiveScheme,
+    SecDedScheme,
+    SingleErrorScheme,
+    TripleDetectScheme,
     compute_clean,
 )
 
@@ -41,14 +48,41 @@ RECURSIVE = RecursiveScheme(2, ELL, 3, 131)
 RECURSIVE_ENCODED = _programmed(RECURSIVE, 2)
 HAMMING = HammingScheme(q=2, ell=ELL, k=64, tau=2, sigma=1, rho_max=2)
 HAMMING_ENCODED = _programmed(HAMMING, 3)
+HAMMING_KERNEL = HammingScheme(q=2, ell=ELL, k=128, tau=2, sigma=1, rho_max=2)
+HAMMING_KERNEL_ENCODED = _programmed(HAMMING_KERNEL, 5)
 
 
-def _l1_case(scheme, width):
+# the closed-form schemes at the read-stream benchmark's sizes, each with
+# its error budget
+CLOSED_FORM = {
+    "sec": (SingleErrorScheme(2, 1023, ELL), 1),
+    "sec-ded": (SecDedScheme(3, 1023, ELL), 1),
+    "sec-ded-parity": (SecDedScheme(2, 1023, ELL), 1),
+    "dec": (DoubleErrorScheme(2, 1031, ELL), 2),
+    "dec-ted": (TripleDetectScheme(4, 1031, ELL), 2),
+    "dec-ted-parity": (TripleDetectScheme(2, 1031, ELL), 2),
+}
+CLOSED_FORM_ENCODED = {
+    name: _programmed(scheme, seed)
+    for seed, (name, (scheme, _)) in enumerate(sorted(CLOSED_FORM.items()), 10)
+}
+# n * (Q - 1) * (p - 1) far above 2^63: decoded on Python ints
+PAST_BOUND = LargeAlphabetScheme(2**21, 10, 2, ELL)
+PAST_BOUND_ENCODED = _programmed(PAST_BOUND, 4)
+
+
+def _l1_case(scheme, width, tau=None):
     drift = st.tuples(st.integers(0, width - 1), st.sampled_from((1, -1)))
     return st.tuples(
         st.lists(st.integers(0, scheme.q - 1), min_size=ELL, max_size=ELL),
-        st.lists(drift, max_size=scheme.tau),
+        st.lists(drift, max_size=scheme.tau if tau is None else tau),
     )
+
+
+def _assert_exact(scheme, y, clean):
+    prefix = scheme.decode(ReadVector.exact(y)).prefix
+    assert prefix == tuple(clean[: scheme.k])
+    assert all(type(v) is int for v in prefix)
 
 
 @SETTINGS
@@ -57,7 +91,7 @@ def test_large_alphabet_tau3(case):
     u, drifts = case
     clean = compute_clean(u, LARGE_ENCODED)
     y = _unit_drifts(list(clean), drifts, LARGE.q_out)
-    assert LARGE.decode(ReadVector.exact(y)).prefix == tuple(clean[: LARGE.k])
+    _assert_exact(LARGE, y, clean)
 
 
 @SETTINGS
@@ -66,28 +100,70 @@ def test_recursive_tau3(case):
     u, drifts = case
     clean = compute_clean(u, RECURSIVE_ENCODED)
     y = _unit_drifts(list(clean), drifts, RECURSIVE.q_out)
-    assert RECURSIVE.decode(ReadVector.exact(y)).prefix == tuple(clean[: RECURSIVE.k])
+    _assert_exact(RECURSIVE, y, clean)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM))
+def test_closed_form_schemes(name):
+    scheme, tau = CLOSED_FORM[name]
+    assert scheme.vector
+
+    @SETTINGS
+    @given(_l1_case(scheme, scheme.n, tau))
+    def exact(case):
+        u, drifts = case
+        clean = compute_clean(u, CLOSED_FORM_ENCODED[name])
+        _assert_exact(scheme, _unit_drifts(list(clean), drifts, scheme.q_out), clean)
+
+    exact()
 
 
 @SETTINGS
-@given(
-    st.lists(st.integers(0, 1), min_size=ELL, max_size=ELL),
-    st.lists(
-        st.tuples(st.integers(0, HAMMING.n - 1), st.integers(-HAMMING.theta, HAMMING.theta)),
-        max_size=HAMMING.tau,
-    ),
-    st.lists(
-        st.tuples(st.integers(0, HAMMING.ntilde - 1), st.integers(0, HAMMING.m - 1)),
-        max_size=HAMMING.rho_max,
-    ),
-)
-def test_hamming_errors_and_erasures(u, flips, erasures):
-    clean = compute_clean(u, HAMMING_ENCODED)
+@given(_l1_case(PAST_BOUND, PAST_BOUND.n))
+def test_large_alphabet_past_int64_bound(case):
+    assert not PAST_BOUND.vector
+    u, drifts = case
+    clean = compute_clean(u, PAST_BOUND_ENCODED)
+    y = _unit_drifts(list(clean), drifts, PAST_BOUND.q_out)
+    _assert_exact(PAST_BOUND, y, clean)
+
+
+def _hamming_case(scheme):
+    return (
+        st.lists(st.integers(0, 1), min_size=ELL, max_size=ELL),
+        st.lists(
+            st.tuples(st.integers(0, scheme.n - 1), st.integers(-scheme.theta, scheme.theta)),
+            max_size=scheme.tau,
+        ),
+        st.lists(
+            st.tuples(st.integers(0, scheme.ntilde - 1), st.integers(0, scheme.m - 1)),
+            max_size=scheme.rho_max,
+        ),
+    )
+
+
+def _check_hamming(scheme, encoded, u, flips, erasures):
+    clean = compute_clean(u, encoded)
     y = list(clean)
     for pos, delta in flips:  # magnitude <= theta, clamped into the alphabet
-        y[pos] = min(max(y[pos] + delta, 0), HAMMING.q_out - 1)
-    block = HAMMING.ntilde - HAMMING.k
+        y[pos] = min(max(y[pos] + delta, 0), scheme.q_out - 1)
+    block = scheme.ntilde - scheme.k
     # each erasure takes out one packed symbol through one of its columns
-    erased = [s if s < HAMMING.k else s + block * digit for s, digit in erasures]
-    read = ReadVector.with_erasures(y, erased)
-    assert HAMMING.decode(read).prefix == tuple(clean[: HAMMING.k])
+    erased = [s if s < scheme.k else s + block * digit for s, digit in erasures]
+    prefix = scheme.decode(ReadVector.with_erasures(y, erased)).prefix
+    assert prefix == tuple(clean[: scheme.k])
+    assert all(type(v) is int for v in prefix)
+
+
+@SETTINGS
+@given(*_hamming_case(HAMMING))
+def test_hamming_errors_and_erasures(u, flips, erasures):
+    _check_hamming(HAMMING, HAMMING_ENCODED, u, flips, erasures)
+
+
+@SETTINGS
+@given(*_hamming_case(HAMMING_KERNEL))
+def test_hamming_kernel_errors_and_erasures(u, flips, erasures):
+    # reads without erasures take the kernel; reads with them, Python ints
+    assert HAMMING_KERNEL.vector
+    _check_hamming(HAMMING_KERNEL, HAMMING_KERNEL_ENCODED, u, flips, erasures)
