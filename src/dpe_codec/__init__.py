@@ -41,7 +41,7 @@ from .core import (
     output_alphabet,
 )
 from .double import DoubleErrorScheme, ShortenedScheme, TripleDetectScheme
-from .hamming import HammingScheme, LinearInnerCode, ReedSolomonCode
+from .hamming import HammingScheme, ReedSolomonCode
 from .locators import (
     Locators,
     build_locators_basic,
@@ -50,6 +50,7 @@ from .locators import (
 )
 from .multi import LargeAlphabetScheme, RecursiveScheme, digit_split, syndrome_matrix
 from .oracles import (
+    LinearInnerCode,
     enumerate_induced_code,
     induced_min_distance,
     nearest_prefix_decode,

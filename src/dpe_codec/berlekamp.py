@@ -15,14 +15,16 @@ exhaustive decoder enumerates the L1 sphere; it is the ground-truth oracle
 for cross-checking and the only decoder over extension fields.  Only tests
 and the oracles call it, so its enumeration guard (raisable through
 DPE_CODEC_GUARD_OVERRIDE) never refuses a production read.
+
+A base-field code holds its checks as one `core.CheckMatrix`
+(`BerlekampCode.check`), built for the alphabet of the vectors it checks.
+A scheme passes its read alphabet, so that matrix also decides whether the
+scheme's reads take the int64 kernel; `syndrome` multiplies either form.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .basemath import (
     ExtField,
@@ -33,7 +35,7 @@ from .basemath import (
     iter_l1_errors,
     sphere_volume_l1,
 )
-from .core import CheckMatrix, guard_limit, kernel_fits
+from .core import CheckMatrix, guard_limit
 from .gfpoly import poly_roots, poly_trim, solve_key_equation
 
 # Exhaustive decoding refuses to enumerate spheres larger than this.
@@ -48,7 +50,9 @@ class SyndromeAmbiguityError(RuntimeError):
 class BerlekampCode:
     """Check-matrix data for one code instance.
 
-    For the base-field case (ext is None) locators are ints in [1, p).
+    For the base-field case (ext is None) locators are ints in [1, p), and
+    `check` holds the checks for vectors with entries in [0, bound) (by
+    default field elements, bound p); a scheme passes its read alphabet.
     Over an extension field, locators are coefficient tuples and only
     syndrome computation and exhaustive decoding are supported.
     """
@@ -60,6 +64,7 @@ class BerlekampCode:
         tau: int,
         ext: ExtField | None = None,
         validate: bool = True,
+        bound: int | None = None,
     ):
         if tau < 1:
             raise ValueError(f"error budget must be >= 1, got {tau}")
@@ -89,12 +94,7 @@ class BerlekampCode:
             # every point an error can put in the locator: +beta_j, -beta_j
             self._signed_points = tuple(x for b in self.beta for x in (b, p - b))
             self._encoder_rows: list[list[int]] | None = None
-            # The checks as one int64 matrix (`syndrome`).  A scheme hands
-            # this code an int64 array only where its own kernel_fits holds,
-            # which implies this one (its read alphabet has size >= 2).
-            self.kernel = (
-                CheckMatrix(self.power_cols, (p,) * tau) if kernel_fits(self.n, 2, p) else None
-            )
+            self.check = CheckMatrix(self.power_cols, (p,) * tau, p if bound is None else bound)
         else:
             if ext.p != p:
                 raise ValueError("extension field characteristic must match")
@@ -122,18 +122,13 @@ class BerlekampCode:
         return self._index.get(value % self.field.p)
 
     def syndrome(self, y: Sequence[int]) -> tuple:
-        """Components (s_1, s_2, ..) of y against the odd-power checks.
-
-        An int64 array y (a read whose scheme takes the int64 kernel, which
-        bounds its entries) is multiplied by `kernel`, the checks as one
-        matrix; such a code is at least KERNEL_MIN_LENGTH long."""
+        """Components (s_1, s_2, ..) of y against the odd-power checks; over
+        the base field, y may be an int64 array where `check.vector` holds."""
         if len(y) != self.n:
             raise ValueError(f"vector length {len(y)} != code length {self.n}")
-        p = self.field.p
-        if isinstance(y, np.ndarray):
-            return tuple(self.kernel(y))
         if self.ext is None:
-            return tuple(sum(map(operator.mul, y, col)) % p for col in self.power_cols)
+            return tuple(self.check(y))
+        p = self.field.p
         ext = self.ext
         out = []
         for col in self.power_cols:

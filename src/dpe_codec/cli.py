@@ -58,6 +58,8 @@ def build_scheme(args, k_hint: int | None = None):
     """Construct a scheme object from CLI-level parameters."""
     name = args.scheme
     flag = bool(getattr(args, "allow_suffix_ambiguity", False))
+    if args.variant is not None and name not in ("sec-ded", "dec-ted", "recursive"):
+        raise UsageError(f"--variant does not apply to {name}")
     if name == "sec":
         _require(args, "q", "n", "ell")
         return SingleErrorScheme(args.q, args.n, args.ell, allow_suffix_ambiguity=flag)
@@ -77,8 +79,9 @@ def build_scheme(args, k_hint: int | None = None):
                 "recursive puts every locator on a data column, where no collision "
                 "is safe; --allow-suffix-ambiguity does not apply"
             )
-        trimmed = args.variant == "trimmed"
-        return RecursiveScheme(args.q, args.ell, args.tau, args.p, trimmed=trimmed)
+        if args.variant not in (None, "trimmed"):
+            raise UsageError(f"unknown recursive variant {args.variant!r}; expected trimmed")
+        return RecursiveScheme(args.q, args.ell, args.tau, args.p, trimmed=args.variant is not None)
     if name == "large-alphabet":
         _require(args, "q", "n", "ell", "tau")
         return LargeAlphabetScheme(args.q, args.n, args.tau, args.ell)

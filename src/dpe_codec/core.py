@@ -1,14 +1,16 @@
 """Shared value types for the coding schemes: matrices over a digit
 alphabet, read vectors with erasure flags, and decode outcomes; and the
-read kernel, which checks a read and computes its syndromes in int64.
+check matrix, which computes a read's syndromes in int64 or on Python ints.
 
 Every syndrome is a fixed integer check matrix times the read, reduced by
-a modulus.  A scheme whose check-matrix product is long enough, and cannot
-leave int64 (`kernel_fits`), holds its check rows as one `CheckMatrix`; its
-decoder then checks the read as an int64 array (`ReadVector.int64`) with
-one reduction and computes the syndromes with one product.  Every other
-scheme runs the same steps on Python ints.  Prefixes, locate steps and
-corrections always use the Python ints of `ReadVector.entries`.
+a modulus.  Each scheme holds its check rows as one `CheckMatrix`, which
+decides once (`kernel_fits`) whether reads over the scheme's alphabet take
+the int64 kernel.  `ReadVector.admit` then hands back the values to
+multiply: the read as an int64 array (`ReadVector.int64`, range-checked by
+one reduction) on that path, the tuple of Python ints otherwise.  The
+check matrix multiplies either form, so no decoder branches on the path.
+Prefixes, locate steps and corrections always use the Python ints of
+`ReadVector.entries`.
 """
 
 from __future__ import annotations
@@ -42,19 +44,29 @@ def kernel_fits(n: int, bound: int, modulus: int) -> bool:
 
 
 class CheckMatrix:
-    """Check rows, each reduced by its modulus, held as one n x r int64
-    matrix.  Its syndromes of an int64 array are exact when `kernel_fits`
-    holds for the array's alphabet and the largest modulus."""
+    """Check rows, each reduced by its modulus, for reads with entries in
+    [0, bound).
 
-    def __init__(self, rows: Iterable[Sequence[int]], moduli: Sequence[int]):
-        self.moduli = np.array(moduli, np.int64)
-        self.matrix = np.array(
-            [[x % m for x in row] for row, m in zip(rows, moduli)], np.int64
-        ).T
+    `vector` is the kernel decision (`kernel_fits` for the row length, the
+    bound and the largest modulus); only then is the int64 matrix built.
+    A call gives the syndrome of each row as Python ints, for an int64
+    array (one product) or for a sequence of ints."""
 
-    def __call__(self, values: np.ndarray) -> list[int]:
-        """The syndrome of each row, as Python ints."""
-        return ((values @ self.matrix) % self.moduli).tolist()
+    def __init__(self, rows: Iterable[Sequence[int]], moduli: Sequence[int], bound: int):
+        self.moduli = tuple(moduli)
+        self.rows = tuple(tuple(x % m for x in row) for row, m in zip(rows, self.moduli))
+        self.n = len(self.rows[0])
+        self.vector = kernel_fits(self.n, bound, max(self.moduli))
+        if self.vector:
+            self._matrix = np.array(self.rows, np.int64).T
+            self._moduli = np.array(self.moduli, np.int64)
+
+    def __call__(self, values: Sequence[int]) -> list[int]:
+        if len(values) != self.n:
+            raise ValueError(f"need {self.n} entries, got {len(values)}")
+        if isinstance(values, np.ndarray):
+            return ((values @ self._matrix) % self._moduli).tolist()
+        return [sum(map(operator.mul, values, row)) % m for row, m in zip(self.rows, self.moduli)]
 
 
 @cache
@@ -194,38 +206,41 @@ class ReadVector:
     def erased_positions(self) -> list[int]:
         return [j for j, f in enumerate(self.erased) if f]
 
-    def admit(self, n: int, bound: int, erasures: bool = False, vector: bool = False) -> None:
+    def admit(
+        self, n: int, bound: int, erasures: bool = False, vector: bool = False
+    ) -> Sequence[int]:
         """The prologue of every decoder: refuse erasures (unless the
         decoder takes them), a length other than n, and an entry that is
-        not an integer or lies outside the read alphabet [0, bound).  With
-        `vector` (the scheme's `kernel_fits`), a read without erasures is
-        checked as `int64`, which the decoder then multiplies."""
+        not an integer or lies outside the read alphabet [0, bound).
+        Returns the values the decoder multiplies (`check_alphabet`); pass
+        `vector` from the scheme's `CheckMatrix`."""
         if not erasures and self.has_erasures:
             raise ValueError("erasures are outside this decoder's contract")
         if self.n != n:
             raise ValueError(f"read vector length {self.n} != {n}")
-        self.check_alphabet(bound, vector)
+        return self.check_alphabet(bound, vector)
 
-    def check_alphabet(self, bound: int, vector: bool = False) -> None:
+    def check_alphabet(self, bound: int, vector: bool = False) -> Sequence[int]:
         """Refuse the first entry that is not an integer or lies outside
         [0, bound); erased entries are placeholders and are not read.
+        Returns `int64` where `vector` holds and the read has no erasures,
+        and `entries` otherwise.
 
         The fast pass packs the entries into int64, which refuses floats,
-        strings and None.  With `vector` and no erasures the packed array
-        is kept as `int64` and range-checked by one reduction (a negative
-        entry wraps above any bound as uint64); otherwise min and max
-        bound the tuple.  A read that fails the fast pass (or has
+        strings and None.  On the int64 path one reduction checks the range
+        (a negative entry wraps to 2^63 or more as uint64); otherwise min
+        and max bound the tuple.  A read that fails the fast pass (or has
         erasures) is checked entry by entry, for the message."""
         entries = self.entries
         if not self.has_erasures:
             try:
                 if vector and entries:
-                    if self.int64.view(np.uint64).max() < bound:
-                        return
+                    if self.int64.view(np.uint64).max() < min(bound, INT64_BOUND):
+                        return self.int64
                 else:
                     _int64_packer(len(entries))(*entries)
                     if not entries or 0 <= min(entries) and max(entries) < bound:
-                        return
+                        return entries
             except struct.error:
                 pass
         for j, (v, gone) in enumerate(zip(entries, self.erased)):
@@ -237,6 +252,7 @@ class ReadVector:
                 raise ValueError(f"entry {j} = {v!r} is not an integer") from None
             if not 0 <= v < bound:
                 raise ValueError(f"entry {j} = {v} is outside the read alphabet [0, {bound})")
+        return entries
 
 
 def check_input(matrix: QMatrix, q: int, k: int) -> None:

@@ -19,11 +19,11 @@ The triple-detecting variants either add one more overall parity column
 where the parities of s1 and s2 replace the parity column (Table-driven
 dispatch; see decode).
 
-Each decoder is that dispatch table and nothing else: the read is admitted
-by `ReadVector.admit`, a lone error is corrected by `single.correct_unit`
-and a pair by `correct_pair`, both through `core.corrected`.  Where
-`core.kernel_fits` holds, the checksums are one product of the read's int64
-array with the scheme's check rows (`core.CheckMatrix`).
+Each decoder is that dispatch table and nothing else: `syndromes` admits
+the read (`ReadVector.admit`) and multiplies it by the scheme's check rows
+(one `core.CheckMatrix`: both checksums, and the parity rows mod 2), a
+lone error is corrected by `single.correct_unit` and a pair by
+`correct_pair`, both through `core.corrected`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .core import (
     check_input,
     corrected,
     decoded,
-    kernel_fits,
     output_alphabet,
     parity_extend,
 )
@@ -139,12 +138,11 @@ class DoubleErrorScheme:
         self.n = self.n2 + 1
         self.q_out = output_alphabet(q, ell)
         self.ber, self.ber_positions = _pair_code(self.loc, p)
-        self.vector = kernel_fits(self.n, self.q_out, p)
-        if self.vector:
-            digits = [self.q**j for j in range(self.m)]
-            parity = [0] * self.n1 + [1] * (self.m + 1)
-            rows = checksum_rows(self.loc, self.n1, digits, self.n) + [parity]
-            self.kernel = CheckMatrix(rows, (p, p, 2))
+        digits = [self.q**j for j in range(self.m)]
+        parity = [0] * self.n1 + [1] * (self.m + 1)
+        rows = checksum_rows(self.loc, self.n1, digits, self.n) + [parity]
+        self.check = CheckMatrix(rows, (p, p, 2), self.q_out)
+        self.vector = self.check.vector
 
     def encode(self, aprime: QMatrix) -> QMatrix:
         check_input(aprime, self.q, self.k)
@@ -155,22 +153,10 @@ class DoubleErrorScheme:
         return QMatrix(self.q, tuple(rows))
 
     def syndromes(self, y: ReadVector) -> tuple[int, int, int]:
-        """(s1, s2, digit-block parity) of the read's first n entries: one
-        product of its int64 array with `kernel` where `vector` holds."""
-        if self.vector:
-            return tuple(self.kernel(y.int64[: self.n]))
-        v = y.entries
-        alpha = self.loc.alpha
-        s1 = sum(v[j] * alpha[j] for j in range(self.n1)) % self.p
-        s2 = (
-            sum(v[j] * alpha[j] ** 3 for j in range(self.n1))
-            - sum(v[self.n1 + j] * self.q**j for j in range(self.m))
-        ) % self.p
-        s2_hat = sum(v[self.n1 + j] for j in range(self.m + 1)) % 2
-        return s1, s2, s2_hat
+        """Admit the read; its (s1, s2, digit-block parity)."""
+        return tuple(self.check(y.admit(self.n, self.q_out, vector=self.vector)))
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        y.admit(self.n, self.q_out, vector=self.vector)
         s1, s2, s2_hat = self.syndromes(y)
         if s1 == 0:
             return decoded(y.entries[: self.k])  # the n1-prefix is clean
@@ -205,7 +191,11 @@ class TripleDetectScheme:
             self.n = self.base.n + 1
             self.ber = self.base.ber
             self.ber_positions = self.base.ber_positions
-            self.vector = self.base.vector
+            # the base scheme's rows widened by the parity column, and the
+            # total parity as an all-ones row
+            base = self.base.check
+            rows = [row + (0,) for row in base.rows] + [(1,) * self.n]
+            self.check = CheckMatrix(rows, base.moduli + (2,), self.q_out)
         else:
             _check_prime(q, p)
             self.n1 = (p - 1) // 2
@@ -220,10 +210,9 @@ class TripleDetectScheme:
                 )
             self.n = self.n1 + self.m
             self.ber, self.ber_positions = _pair_code(self.loc, p)
-            self.vector = kernel_fits(self.n, self.q_out, 2 * p)
-            if self.vector:
-                rows = checksum_rows(self.loc, self.n1, self.loc.suffix_weights(), self.n)
-                self.kernel = CheckMatrix(rows, (2 * p, 2 * p))
+            rows = checksum_rows(self.loc, self.n1, self.loc.suffix_weights(), self.n)
+            self.check = CheckMatrix(rows, (2 * p, 2 * p), self.q_out)
+        self.vector = self.check.vector
 
     # -- encoding ---------------------------------------------------------
 
@@ -241,26 +230,9 @@ class TripleDetectScheme:
     # -- decoding ---------------------------------------------------------
 
     def syndromes(self, y: ReadVector) -> tuple[int, int] | tuple[int, int, int, int]:
-        """(s1, s2, digit-block parity, total parity) in the parity variant,
-        else (s1, s2) modulo 2p: one product of the read's int64 array with
-        `kernel` (the base scheme's, in the parity variant) where `vector`
-        holds."""
-        if self.variant == VARIANT_PARITY:
-            s1, s2, s2_hat = self.base.syndromes(y)  # reads the first base.n entries
-            total = int(y.int64.sum()) if self.vector else sum(y.entries)
-            return s1, s2, s2_hat, total % 2
-        if self.vector:
-            return tuple(self.kernel(y.int64))
-        v = y.entries
-        alpha = self.loc.alpha
-        modulus = 2 * self.p
-        weights = self.loc.suffix_weights()
-        s1 = sum(v[j] * alpha[j] for j in range(self.n1)) % modulus
-        s2 = (
-            sum(v[j] * alpha[j] ** 3 for j in range(self.n1))
-            - sum(v[self.n1 + j] * weights[j] for j in range(self.m))
-        ) % modulus
-        return s1, s2
+        """Admit the read; its (s1, s2, digit-block parity, total parity) in
+        the parity variant, else (s1, s2) modulo 2p."""
+        return tuple(self.check(y.admit(self.n, self.q_out, vector=self.vector)))
 
     def _decode_parity(self, y: ReadVector) -> DecodeOutcome:
         s1, s2, s2_hat, total_parity = self.syndromes(y)
@@ -302,7 +274,6 @@ class TripleDetectScheme:
         return DECODE_FAILURE
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        y.admit(self.n, self.q_out, vector=self.vector)
         if self.variant == VARIANT_PARITY:
             return self._decode_parity(y)
         return self._decode_mod2p(y)

@@ -82,7 +82,7 @@ def read_vector(path: str | Path) -> tuple[ReadVector, int]:
     if len(values) != data["cols"]:
         raise ValueError(f"{path}: data length {len(values)} != cols = {data['cols']}")
     listed = data.get("erasures", [])
-    if not isinstance(listed, list) or not all(isinstance(j, int) for j in listed):
+    if not isinstance(listed, list) or not all(type(j) is int for j in listed):
         raise ValueError(f"{path}: erasures must be a list of column indices")
     erased = set(listed)
     erased.update(j for j, v in enumerate(values) if v is None)

@@ -12,26 +12,26 @@ The inner code here is a Reed-Solomon code in parity-check form (checks at
 consecutive powers of distinct nonzero points, an MDS construction),
 decoded for errors and erasures by Euclid's algorithm on the key equation
 with Forney's error values (Roth, Introduction to Coding Theory, ch. 6).
-Any linear code given by an explicit check matrix can stand in, decoded by
-codeword enumeration under a guard (raisable through
-DPE_CODEC_GUARD_OVERRIDE); the support-scan decoder in ``oracles`` is the
-reference the Reed-Solomon decoder is checked against.
+Any linear code with a `check` matrix and `decode_errors_erasures` can
+stand in, such as ``oracles.LinearInnerCode``, which decodes by codeword
+enumeration; the support-scan decoder in ``oracles`` is the reference the
+Reed-Solomon decoder is checked against.
 
-Where `core.kernel_fits` holds for the read, and the Reed-Solomon code is
-long enough for its own kernel, a read without erasures is packed and its
-syndromes computed on the read's int64 array (the digit weights and the
-code's check matrix); reads with erasures and the correction stay on
-Python ints.
+The scheme's check matrix is the inner code's (`core.CheckMatrix`, over
+symbols in [0, p)), and it decides the int64 kernel.  On that path a read
+without erasures is packed from its int64 array (every entry reduced mod p
+first, then the digit planes as one reshape times the digit weights), so
+the product stays exact for any read alphabet; reads with erasures and the
+correction stay on Python ints.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
 from typing import Sequence
 
 import numpy as np
 
+# gfp_solve stays bound here: bench/tracing.py traces it under this module.
 from .basemath import PrimeField, base_q_digits, ceil_log, gfp_solve, is_prime, signed_value
 from .core import (
     DECODE_FAILURE,
@@ -41,14 +41,9 @@ from .core import (
     ReadVector,
     check_input,
     decoded,
-    guard_limit,
-    kernel_fits,
     output_alphabet,
 )
 from .gfpoly import poly_eval, poly_mul, poly_roots, solve_key_equation
-
-# Codeword-enumeration decoding refuses more than this many codewords.
-ENUMERATION_GUARD = 1_000_000
 
 
 class ReedSolomonCode:
@@ -75,18 +70,12 @@ class ReedSolomonCode:
             tuple(pow(g, v + 1, p) for g in self.gamma) for v in range(self.d - 1)
         ]
         self._position = {g: j for j, g in enumerate(self.gamma)}
-        # the checks as one int64 matrix, for symbol arrays (entries < p)
-        self.kernel = (
-            CheckMatrix(self._powers, (p,) * (self.d - 1)) if kernel_fits(length, p, p) else None
-        )
+        self.check = CheckMatrix(self._powers, (p,) * (self.d - 1), p)
 
     def syndromes(self, values: Sequence[int]) -> list[int]:
-        """S_v = sum_j values_j gamma_j^(v+1) mod p; one product with
-        `kernel` for an int64 array of symbols in [0, p)."""
-        if isinstance(values, np.ndarray):
-            return self.kernel(values)
-        p = self.field.p
-        return [sum(map(operator.mul, values, row)) % p for row in self._powers]
+        """S_v = sum_j values_j gamma_j^(v+1) mod p; `values` may be an
+        int64 array of symbols in [0, p) where `check.vector` holds."""
+        return self.check(values)
 
     def encode(self, message: Sequence[int]) -> list[int]:
         """Systematic: message passes through, redundancy fills the tail.
@@ -110,20 +99,20 @@ class ReedSolomonCode:
         Corrects up to `radius` errors alongside the given erasures whenever
         2*radius + len(erased) < d, and returns None when the closest
         codeword needs more than `radius` errors.  `values` may be an int64
-        array (a code with a `kernel`); the error vector is Python ints.
+        array of symbols in [0, p), as for `syndromes`; the error vector is
+        Python ints.
         """
         p = self.field.p
         erased = sorted(set(erased))
         if len(erased) >= self.d:
             return None
-        if isinstance(values, np.ndarray):
-            filled = values % p
-            if erased:
-                filled[erased] = 0
-        else:
-            gone = set(erased)
-            filled = [0 if j in gone else v % p for j, v in enumerate(values)]
-        return self._locate(self.syndromes(filled), erased, radius)
+        syn = self.syndromes(values)
+        if erased:  # count the erased symbols as 0
+            syn = [
+                (s - sum(int(values[j]) * row[j] for j in erased)) % p
+                for s, row in zip(syn, self._powers)
+            ]
+        return self._locate(syn, erased, radius)
 
     def _locate(self, syn: list[int], erased: Sequence[int], radius: int) -> list[int] | None:
         """Errors and erasures from the syndromes S_v = sum_j e_j gamma_j^(v+1).
@@ -166,68 +155,6 @@ class ReedSolomonCode:
             if sum(error[j] * row[j] for j in support) % p != syn[v]:
                 return None
         return error
-
-
-class LinearInnerCode:
-    """Any linear code from an explicit parity-check matrix over GF(p),
-    systematic on its tail, decoded by enumerating all codewords."""
-
-    def __init__(self, field: PrimeField, check_matrix: Sequence[Sequence[int]], distance: int):
-        self.field = field
-        self.check = [list(map(lambda v: v % field.p, row)) for row in check_matrix]
-        self.length = len(self.check[0])
-        self.k = self.length - len(self.check)
-        self.d = distance
-        if self.k < 1:
-            raise ValueError("check matrix leaves no message symbols")
-        p = field.p
-        r = len(self.check)
-        tail = [[self.check[v][self.k + t] for t in range(r)] for v in range(r)]
-        self._encoder_cols = []
-        for j in range(self.k):
-            rhs = [(-self.check[v][j]) % p for v in range(r)]
-            col = gfp_solve(tail, rhs, p)
-            if col is None:
-                raise ValueError("check matrix tail is singular; reorder columns")
-            self._encoder_cols.append(col)
-
-    def encode(self, message: Sequence[int]) -> list[int]:
-        if len(message) != self.k:
-            raise ValueError(f"message length {len(message)} != {self.k}")
-        p = self.field.p
-        msg = [v % p for v in message]
-        r = len(self.check)
-        redundancy = [
-            sum(self._encoder_cols[j][t] * msg[j] for j in range(self.k)) % p
-            for t in range(r)
-        ]
-        return msg + redundancy
-
-    def decode_errors_erasures(
-        self, values: Sequence[int], erased: Sequence[int], radius: int
-    ) -> list[int] | None:
-        p = self.field.p
-        erased = sorted(set(erased))
-        rho = len(erased)
-        if rho >= self.d:
-            return None
-        t_max = min(radius, (self.d - 1 - rho) // 2)
-        count = p**self.k
-        limit = guard_limit(ENUMERATION_GUARD)
-        if count > limit:
-            raise ValueError(
-                f"enumerating {count} codewords exceeds the guard ({limit}); "
-                "set DPE_CODEC_GUARD_OVERRIDE to raise it"
-            )
-        filled = [0 if j in erased else values[j] % p for j in range(self.length)]
-        for msg in itertools.product(range(p), repeat=self.k):
-            cw = self.encode(list(msg))
-            dist = sum(
-                1 for j in range(self.length) if j not in erased and filled[j] != cw[j]
-            )
-            if dist <= t_max:
-                return [(filled[j] - cw[j]) % p for j in range(self.length)]
-        return None
 
 
 def smallest_inner_prime(theta: int, length: int) -> int:
@@ -300,9 +227,7 @@ class HammingScheme:
             raise ValueError("inner code does not match the scheme parameters")
         if sigma == 0 and rho_max == 0:
             assert self.n - self.k <= self.redundancy_bound()
-        self.vector = (
-            kernel_fits(self.n, self.q_out, p) and getattr(self.inner, "kernel", None) is not None
-        )
+        self.vector = self.inner.check.vector
         self._digit_weights = np.array([q**j % p for j in range(self.m)], np.int64)
 
     def redundancy_bound(self) -> int:
@@ -319,14 +244,15 @@ class HammingScheme:
 
         An int64 array (a read of a scheme whose `vector` holds) packs into
         an int64 array of symbols: the redundancy columns, as an m x block
-        matrix of digit planes, times the digit weights."""
+        matrix of digit planes reduced mod p, times the digit weights."""
         if len(values) != self.n:
             raise ValueError(f"need {self.n} values, got {len(values)}")
         p = self.p
         block = self.ntilde - self.k
         if isinstance(values, np.ndarray):
-            planes = values[self.k :].reshape(self.m, block)
-            symbols = np.concatenate((values[: self.k] % p, self._digit_weights @ planes % p))
+            reduced = values % p
+            planes = reduced[self.k :].reshape(self.m, block)
+            symbols = np.concatenate((reduced[: self.k], self._digit_weights @ planes % p))
         else:
             symbols = [values[v] % p for v in range(self.k)]
             for v in range(block):
@@ -358,11 +284,8 @@ class HammingScheme:
         return QMatrix(self.q, tuple(rows))
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        y.admit(self.n, self.q_out, erasures=True, vector=self.vector)
-        if self.vector and not y.has_erasures:
-            symbols, erased_symbols = self.pack(y.int64)
-        else:
-            symbols, erased_symbols = self.pack(y.entries, y.erased)
+        values = y.admit(self.n, self.q_out, erasures=True, vector=self.vector)
+        symbols, erased_symbols = self.pack(values, y.erased if y.has_erasures else None)
         if len(erased_symbols) > self.rho_max:
             raise ValueError(
                 f"{len(erased_symbols)} erased symbols exceed the budget {self.rho_max}"

@@ -14,10 +14,10 @@ Large-alphabet scheme: when some prime p with 2*tau < p <= q exists, each
 row reduced mod p is systematically extended to a zero-checksum word, and
 the decoder works directly on the read vector reduced mod p.
 
-Where `core.kernel_fits` holds for the checked part of the read (the head,
-or the whole read), its checksum is one product of the read's int64 array
-with the code's `kernel`; the repetition tail, the planes and every
-correction stay on Python ints.
+The checksum of the checked part of the read (the head, or the whole
+read) is one product with the code's `core.CheckMatrix`, built for the read
+alphabet, on the values `ReadVector.admit` returns; the repetition tail,
+the planes and every correction stay on Python ints.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .core import (
     check_input,
     corrected,
     decoded,
-    kernel_fits,
     output_alphabet,
 )
 from .locators import build_locators_basic
@@ -82,7 +81,8 @@ class RecursiveScheme:
         self.loc = build_locators_basic(q, self.n)
         assert self.loc.modulus == p
         self.m = self.loc.m
-        self.checker = BerlekampCode(PrimeField(p), self.loc.alpha, tau)
+        self.q_out = output_alphabet(q, ell)
+        self.checker = BerlekampCode(PrimeField(p), self.loc.alpha, tau, bound=self.q_out)
         self.plane_cols = tau - 1 if trimmed else tau
         self.ntilde = self.plane_cols * self.m
         self.rep = 2 * tau + 1
@@ -97,8 +97,7 @@ class RecursiveScheme:
             self.mtilde = 0
             self.tail_checker = None
         self.k = self.n  # every input column is information
-        self.q_out = output_alphabet(q, ell)
-        self.vector = kernel_fits(self.n, self.q_out, p)
+        self.vector = self.checker.check.vector
 
     @property
     def redundancy(self) -> int:
@@ -134,7 +133,7 @@ class RecursiveScheme:
         return QMatrix(self.q, tuple(rows))
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        y.admit(self.total_length, self.q_out, vector=self.vector)
+        values = y.admit(self.total_length, self.q_out, vector=self.vector)
         head = y.entries[: self.n]
         block = y.entries[self.n : self.n + self.ntilde]
 
@@ -176,11 +175,13 @@ class RecursiveScheme:
                 )
                 % self.p
             )
-        head_syn = self.checker.syndrome(y.int64[: self.n] if self.vector else head)
+        head_syn = self.checker.syndrome(values[: self.n])
         err_syn = tuple((a - b) % self.p for a, b in zip(head_syn, syn1))
         head_err = decode_bounded(self.checker, err_syn)
         if head_err is None:
             return DECODE_FAILURE
+        if not any(err_syn):
+            return decoded(head)  # a zero syndrome decodes to no error
         return corrected(head, self.n, enumerate(head_err), self.q_out)
 
 
@@ -208,9 +209,9 @@ class LargeAlphabetScheme:
         self.tau = tau
         self.ell = ell
         self.k = n - tau
-        self.code = BerlekampCode(PrimeField(p), tuple(range(1, n + 1)), tau)
         self.q_out = output_alphabet(q, ell)
-        self.vector = kernel_fits(n, self.q_out, p)
+        self.code = BerlekampCode(PrimeField(p), tuple(range(1, n + 1)), tau, bound=self.q_out)
+        self.vector = self.code.check.vector
 
     @property
     def redundancy(self) -> int:
@@ -225,8 +226,7 @@ class LargeAlphabetScheme:
         return QMatrix(self.q, tuple(rows))
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        y.admit(self.n, self.q_out, vector=self.vector)
-        syn = self.code.syndrome(y.int64 if self.vector else y.entries)
+        syn = self.code.syndrome(y.admit(self.n, self.q_out, vector=self.vector))
         if not any(syn):
             return decoded(y.entries[: self.k])  # in range: the alphabet check bounds it
         err = decode_bounded(self.code, syn)

@@ -1,9 +1,10 @@
 """Brute-force ground truth: enumerate every product vector a scheme can
 emit, audit the minimum distance over distinct data prefixes, decode by
-nearest-codeword search, and decode Reed-Solomon errors and erasures by a
-scan over error supports.  These are the reference answers the production
-decoders are checked against; guards keep them at desk scale and they never
-sample.
+nearest-codeword search, decode Reed-Solomon errors and erasures by a
+scan over error supports, and decode any linear inner code by enumerating
+its codewords (`LinearInnerCode`).  These are the reference answers the
+production decoders are checked against; guards keep them at desk scale
+and they never sample.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import itertools
 import math
 from typing import Callable, Iterable, Sequence
 
-from .basemath import gfp_solve, hamming_dist, l1_dist
-from .core import DECODE_FAILURE, DecodeOutcome, QMatrix, decoded, guard_limit
+from .basemath import PrimeField, gfp_solve, hamming_dist, l1_dist
+from .core import DECODE_FAILURE, CheckMatrix, DecodeOutcome, QMatrix, decoded, guard_limit
 
 # Hard feasibility constants (raisable via DPE_CODEC_GUARD_OVERRIDE).
 ENUMERATION_GUARD = 1_000_000
@@ -159,3 +160,69 @@ def scan_errors_erasures(code, values: Sequence[int], erased: Sequence[int], rad
                 error[j] = value
             return error
     return None
+
+
+class LinearInnerCode:
+    """Any linear code from an explicit parity-check matrix over GF(p),
+    systematic on its tail, decoded by enumerating all codewords; it can
+    stand in for the Reed-Solomon inner code of a HammingScheme."""
+
+    def __init__(self, field: PrimeField, check_matrix: Sequence[Sequence[int]], distance: int):
+        p = field.p
+        self.field = field
+        r = len(check_matrix)
+        self.check = CheckMatrix(check_matrix, (p,) * r, p)
+        rows = self.check.rows
+        self.length = len(rows[0])
+        self.k = self.length - r
+        self.d = distance
+        if self.k < 1:
+            raise ValueError("check matrix leaves no message symbols")
+        tail = [[rows[v][self.k + t] for t in range(r)] for v in range(r)]
+        self._encoder_cols = []
+        for j in range(self.k):
+            rhs = [(-rows[v][j]) % p for v in range(r)]
+            col = gfp_solve(tail, rhs, p)
+            if col is None:
+                raise ValueError("check matrix tail is singular; reorder columns")
+            self._encoder_cols.append(col)
+
+    def encode(self, message: Sequence[int]) -> list[int]:
+        if len(message) != self.k:
+            raise ValueError(f"message length {len(message)} != {self.k}")
+        p = self.field.p
+        msg = [v % p for v in message]
+        redundancy = [
+            sum(self._encoder_cols[j][t] * msg[j] for j in range(self.k)) % p
+            for t in range(self.length - self.k)
+        ]
+        return msg + redundancy
+
+    def decode_errors_erasures(
+        self, values: Sequence[int], erased: Sequence[int], radius: int
+    ) -> list[int] | None:
+        """The contract of ReedSolomonCode.decode_errors_erasures, by
+        enumeration (`values` may be an int64 array where `check.vector`
+        holds; the error vector is Python ints)."""
+        p = self.field.p
+        erased = sorted(set(erased))
+        rho = len(erased)
+        if rho >= self.d:
+            return None
+        t_max = min(radius, (self.d - 1 - rho) // 2)
+        count = p**self.k
+        limit = guard_limit(ENUMERATION_GUARD)
+        if count > limit:
+            raise ValueError(
+                f"enumerating {count} codewords exceeds the guard ({limit}); "
+                "set DPE_CODEC_GUARD_OVERRIDE to raise it"
+            )
+        filled = [0 if j in erased else int(values[j]) % p for j in range(self.length)]
+        for msg in itertools.product(range(p), repeat=self.k):
+            cw = self.encode(list(msg))
+            dist = sum(
+                1 for j in range(self.length) if j not in erased and filled[j] != cw[j]
+            )
+            if dist <= t_max:
+                return [(filled[j] - cw[j]) % p for j in range(self.length)]
+        return None

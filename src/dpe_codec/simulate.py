@@ -37,6 +37,13 @@ def compute_clean(u: Sequence[int], matrix: QMatrix) -> list[int]:
     return c
 
 
+def _require_int(what: str, value) -> int:
+    """`value` itself, if it is an int (a bool is not)."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FaultModel:
     kind: str
@@ -67,11 +74,20 @@ class FaultModel:
 
     @classmethod
     def manual(cls, deltas: Sequence[Sequence[int]] = (), erase: Sequence[int] = ()) -> "FaultModel":
-        return cls(
-            KIND_MANUAL,
-            deltas=tuple((int(p), int(d)) for p, d in deltas),
-            erase=tuple(int(p) for p in erase),
-        )
+        """Hand-placed faults: (position, delta) pairs and erased positions,
+        each an int."""
+        if not isinstance(deltas, (list, tuple)) or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in deltas
+        ):
+            raise ValueError(f"deltas must be a list of [position, delta] pairs, got {deltas!r}")
+        if not isinstance(erase, (list, tuple)):
+            raise ValueError(f"erase must be a list of positions, got {erase!r}")
+        for pos, delta in deltas:
+            _require_int("fault position", pos)
+            _require_int("fault delta", delta)
+        for pos in erase:
+            _require_int("erasure position", pos)
+        return cls(KIND_MANUAL, deltas=tuple(map(tuple, deltas)), erase=tuple(erase))
 
     def to_json(self) -> dict:
         data: dict = {"kind": self.kind}
@@ -91,14 +107,25 @@ class FaultModel:
 
     @classmethod
     def from_json(cls, data: dict) -> "FaultModel":
+        """The model of a fault spec: a JSON object whose counts, seed,
+        positions and deltas are ints."""
+        if not isinstance(data, dict):
+            raise ValueError(f"fault spec must be a JSON object, got {type(data).__name__}")
+
+        def number(key: str, default: int | None = None) -> int:
+            if key in data:
+                return _require_int(f"fault spec: {key}", data[key])
+            if default is None:
+                raise ValueError(f"fault spec: missing field {key!r}")
+            return default
+
         kind = data.get("kind")
-        seed = int(data.get("seed", 0))
         if kind == KIND_DRIFT:
-            return cls.l1_drift(int(data["t"]), seed)
+            return cls.l1_drift(number("t"), number("seed", 0))
         if kind == KIND_FLIP:
-            return cls.symbol_flip(int(data["count"]), int(data["magnitude"]), seed)
+            return cls.symbol_flip(number("count"), number("magnitude"), number("seed", 0))
         if kind == KIND_SHORT:
-            return cls.short_column(int(data["count"]), seed)
+            return cls.short_column(number("count"), number("seed", 0))
         if kind == KIND_MANUAL:
             return cls.manual(data.get("deltas", ()), data.get("erase", ()))
         raise ValueError(f"unknown fault kind {kind!r}")

@@ -13,9 +13,10 @@ picks and checks the variant here and for the double-error schemes.
 
 Each decoder admits its read (`ReadVector.admit`), computes the syndrome
 and dispatches on it; a located +-1 error is applied by `correct_unit`,
-which the double-error schemes share, over `core.corrected`.  Where
-`core.kernel_fits` holds, the syndrome is one product of the read's int64
-array with the locator column (`core.CheckMatrix`).
+which the double-error schemes share, over `core.corrected`.  The syndrome
+is the product of the admitted read with the scheme's `core.CheckMatrix`:
+the locator row, and in the parity variant of sec-ded an all-ones row mod
+2 whose value counts the errors mod 2.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .core import (
     check_input,
     corrected,
     decoded,
-    kernel_fits,
     output_alphabet,
     parity_extend,
 )
@@ -67,16 +67,10 @@ def encode_row(row: Sequence[int], loc: Locators) -> tuple[int, ...]:
     return tuple(row) + tuple(redundancy_digits(residue, loc))
 
 
-def checksum(values: Sequence[int], loc: Locators, kernel: CheckMatrix | None = None) -> int:
-    """Locator-weighted sum of the first n entries, reduced by the modulus.
-
-    With `kernel` (the locator column as a `CheckMatrix`), `values` is a
-    read's int64 array and the sum is one product."""
-    if len(values) < loc.n:
-        raise ValueError(f"need {loc.n} entries, got {len(values)}")
-    if kernel is not None:
-        return kernel(values[: loc.n])[0]
-    return sum(v * loc.alpha[j] for j, v in enumerate(values[: loc.n])) % loc.modulus
+def checksum(values: Sequence[int], check: CheckMatrix) -> list[int]:
+    """The syndromes of a single-error scheme's read: its check rows times
+    the values `ReadVector.admit` returned for it."""
+    return check(values)
 
 
 def locate_unit_error(s: int, loc: Locators) -> tuple[int, int] | None:
@@ -152,20 +146,19 @@ class SingleErrorScheme:
         self.k = self.loc.k
         self.modulus = self.loc.modulus
         self.q_out = output_alphabet(q, ell)
-        self.vector = kernel_fits(n, self.q_out, self.modulus)
-        self.kernel = CheckMatrix([self.loc.alpha], [self.modulus]) if self.vector else None
+        self.check = CheckMatrix([self.loc.alpha], [self.modulus], self.q_out)
+        self.vector = self.check.vector
 
     def encode(self, aprime: QMatrix) -> QMatrix:
         check_input(aprime, self.q, self.k)
         return QMatrix(self.q, tuple(encode_row(row, self.loc) for row in aprime.rows))
 
     def syndrome(self, y: ReadVector) -> int:
-        if self.vector:
-            return checksum(y.int64, self.loc, self.kernel)
-        return checksum(y.entries, self.loc)
+        """Admit the read; its locator checksum."""
+        (s,) = checksum(y.admit(self.n, self.q_out, vector=self.vector), self.check)
+        return s
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        y.admit(self.n, self.q_out, vector=self.vector)
         s = self.syndrome(y)
         if s == 0:
             return decoded(y.entries[: self.k])
@@ -196,8 +189,12 @@ class SecDedScheme:
             self.m = self.loc.m
         self.k = self.n - self.m
         self.modulus = self.loc.modulus
-        self.vector = kernel_fits(n, self.q_out, self.modulus)
-        self.kernel = CheckMatrix([self.loc.alpha], [self.modulus]) if self.vector else None
+        if variant == VARIANT_PARITY:
+            rows, moduli = [self.loc.alpha + (0,), (1,) * n], [self.modulus, 2]
+        else:
+            rows, moduli = [self.loc.alpha], [self.modulus]
+        self.check = CheckMatrix(rows, moduli, self.q_out)
+        self.vector = self.check.vector
 
     def encode(self, aprime: QMatrix) -> QMatrix:
         check_input(aprime, self.q, self.k)
@@ -206,25 +203,17 @@ class SecDedScheme:
             rows = tuple(parity_extend(row) for row in rows)
         return QMatrix(self.q, rows)
 
-    def syndrome(self, y: ReadVector) -> int:
-        if self.vector:
-            return checksum(y.int64, self.loc, self.kernel)
-        return checksum(y.entries, self.loc)
-
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        y.admit(self.n, self.q_out, vector=self.vector)
-        s = self.syndrome(y)
+        syn = checksum(y.admit(self.n, self.q_out, vector=self.vector), self.check)
+        s = syn[0]
+        if s == 0:
+            return decoded(y.entries[: self.k])  # clean, or (parity) the parity column hit
         if self.variant == VARIANT_PARITY:
-            # Row sums are even, so total parity counts the errors mod 2.
-            odd_count = (int(y.int64.sum()) if self.vector else sum(y.entries)) % 2 == 1
-            if s == 0:
-                return decoded(y.entries[: self.k])  # clean, or the parity column hit
-            if odd_count:
+            # Row sums are even, so the all-ones row counts the errors mod 2.
+            if syn[1]:
                 return correct_unit(y.entries, self.k, s, self.loc, self.q_out)
             return DECODE_FAILURE  # an even, nonzero pattern: two errors
         # Odd locators modulo 4n+2: the syndrome parity counts the errors.
-        if s == 0:
-            return decoded(y.entries[: self.k])
         if s % 2 == 1:
             return correct_unit(y.entries, self.k, s, self.loc, self.q_out)
         return DECODE_FAILURE

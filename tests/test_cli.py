@@ -78,6 +78,29 @@ class TestParams:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["trimmed"] is True
 
+    def test_unknown_recursive_variant(self, capsys):
+        rc = main(["params", "--scheme", "recursive", "--q", "2", "--p", "31", "--ell", "2",
+                   "--tau", "2", "--variant", "parity"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown recursive variant 'parity'" in captured.err
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--scheme", "sec", "--q", "2", "--n", "15", "--ell", "2"],
+         ["--scheme", "dec", "--q", "2", "--p", "31", "--ell", "2"],
+         ["--scheme", "large-alphabet", "--q", "8", "--n", "3", "--ell", "2", "--tau", "1"],
+         ["--scheme", "hamming", "--q", "2", "--ell", "2", "--tau", "2", "--theta", "2",
+          "--rho", "1", "--n", "16"]],
+        ids=["sec", "dec", "large-alphabet", "hamming"],
+    )
+    def test_variant_refused_where_it_does_not_apply(self, capsys, args):
+        assert main(["params", *args, "--variant", "even-q"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--variant does not apply to {args[1]}" in captured.err
+
 
 class TestEncode:
     def test_golden(self, tmp_path):
@@ -216,6 +239,8 @@ class TestMalformedFiles:
             ({"q": "4", "cols": 15, "data": [0] * 15}, "q must be an integer"),
             ([0] * 15, "expected a JSON object, got list"),
             ("y", "expected a JSON object, got str"),
+            ({"q": 4, "cols": 15, "data": [0] * 15, "erasures": [True]},
+             "erasures must be a list of column indices"),
         ],
     )
     def test_read_vector(self, tmp_path, capsys, payload, message):
@@ -251,6 +276,37 @@ class TestMalformedFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ([1], "fault spec must be a JSON object, got list"),
+            ({"kind": "manual", "deltas": 5},
+             "deltas must be a list of [position, delta] pairs, got 5"),
+            ({"kind": "l1_drift", "t": None}, "fault spec: t must be an integer, got None"),
+            ({"kind": "l1_drift", "t": 2.9, "seed": 7}, "fault spec: t must be an integer, got 2.9"),
+            ({"kind": "l1_drift", "t": 2, "seed": "7"},
+             "fault spec: seed must be an integer, got '7'"),
+            ({"kind": "symbol_flip", "count": True, "magnitude": 1},
+             "fault spec: count must be an integer, got True"),
+            ({"kind": "l1_drift"}, "fault spec: missing field 't'"),
+            ({"kind": "manual", "deltas": [[1.5, -1]]}, "fault position must be an integer, got 1.5"),
+            ({"kind": "manual", "deltas": [[1, 0.5]]}, "fault delta must be an integer, got 0.5"),
+            ({"kind": "manual", "erase": ["3"]}, "erasure position must be an integer, got '3'"),
+        ],
+    )
+    def test_fault_spec(self, tmp_path, capsys, spec, message):
+        c_path = tmp_path / "c.json"
+        c_path.write_text(json.dumps({"q": 4, "cols": 15, "data": [1] * 15}))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        y_path = tmp_path / "y.json"
+        rc = main(["inject", "--in", str(c_path), "--faults", str(spec_path), "--out", str(y_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not y_path.exists()
 
 
 # sha256 of the encoded matrix and of the sidecar that `encode` writes in

@@ -5,13 +5,8 @@ import pytest
 
 from dpe_codec.basemath import PrimeField, hamming_dist
 from dpe_codec.core import QMatrix, ReadVector
-from dpe_codec.hamming import (
-    HammingScheme,
-    LinearInnerCode,
-    ReedSolomonCode,
-    smallest_inner_prime,
-)
-from dpe_codec.oracles import scan_errors_erasures
+from dpe_codec.hamming import HammingScheme, ReedSolomonCode, smallest_inner_prime
+from dpe_codec.oracles import LinearInnerCode, scan_errors_erasures
 
 
 def _product(u, matrix):

@@ -60,6 +60,28 @@ class TestPathChoice:
         # n * (Q - 1) * (p - 1) is about 1.5e22: Python ints at any n
         assert not api.LargeAlphabetScheme(2**21, 200, 2, 8).vector
 
+    def test_hamming_decides_on_its_symbols(self, monkeypatch):
+        # the read alphabet Q is about 2^65, but the packed symbols lie in
+        # [0, 103): int64 reads below 2^63, Python ints above, same prefixes
+        build = lambda: api.HammingScheme(2**32, 2, 100, 1, theta=1)
+        vector, python = build(), _python(build, monkeypatch)
+        assert vector.vector and vector.q_out > 2**64
+        rng = random.Random(5)
+        for top in (2**30, 2**32):
+            rows = [[rng.randrange(top) for _ in range(vector.k)] for _ in range(2)]
+            encoded = vector.encode(api.QMatrix.from_lists(vector.q, rows))
+            clean = api.compute_clean([rng.randrange(top) for _ in range(2)], encoded)
+            for j in (0, 50, vector.n - 1):
+                y = list(clean)
+                y[j] += 1
+                for scheme in (vector, python):
+                    assert scheme.decode(ReadVector.exact(y)).prefix == tuple(clean[: vector.k])
+            y = list(clean)
+            y[7] = -1
+            for scheme in (vector, python):
+                with pytest.raises(ValueError, match="entry 7 = -1 is outside the read alphabet"):
+                    scheme.decode(ReadVector.exact(y))
+
 
 class TestCheckMatrix:
     def test_exact_at_the_int64_bound(self):
@@ -67,16 +89,26 @@ class TestCheckMatrix:
         top = (INT64_BOUND - 1) // (n * 8)  # the largest check entry allowed
         assert kernel_fits(n, 9, top + 1)
         rows = [[top] * n, [top - j for j in range(n)]]
-        kernel = CheckMatrix(rows, (top + 1, top + 1))
+        check = CheckMatrix(rows, (top + 1, top + 1), 9)
+        assert check.vector
         values = [8] * n
         expect = [sum(v * r for v, r in zip(values, row)) % (top + 1) for row in rows]
-        assert kernel(np.array(values, np.int64)) == expect
-        assert all(type(s) is int for s in kernel(np.array(values, np.int64)))
+        assert check(np.array(values, np.int64)) == expect == check(values)
+        assert all(type(s) is int for s in check(np.array(values, np.int64)))
 
-    def test_rows_reduced_by_their_moduli(self):
-        kernel = CheckMatrix([[-1, 5, 7], [3, 3, 3]], (5, 2))
-        assert kernel.matrix.T.tolist() == [[4, 0, 2], [1, 1, 1]]
-        assert kernel(np.array([1, 2, 3], np.int64)) == [(4 + 6) % 5, 0]
+    def test_rows_reduced_by_their_moduli(self, monkeypatch):
+        monkeypatch.setattr(core, "KERNEL_MIN_LENGTH", 3)
+        check = CheckMatrix([[-1, 5, 7], [3, 3, 3]], (5, 2), 9)
+        assert check.vector
+        assert check.rows == ((4, 0, 2), (1, 1, 1))
+        expect = [(4 + 6) % 5, 0]
+        assert check(np.array([1, 2, 3], np.int64)) == expect == check((1, 2, 3))
+
+    def test_decides_from_its_own_rows(self):
+        assert not CheckMatrix([[1] * (KERNEL_MIN_LENGTH - 1)], (7,), 9).vector
+        assert CheckMatrix([[1] * KERNEL_MIN_LENGTH], (7,), 9).vector
+        # the largest modulus and the read bound enter the int64 bound
+        assert not CheckMatrix([[1] * KERNEL_MIN_LENGTH] * 2, (2, 2**60), 9).vector
 
 
 class TestEntryTypes:
@@ -142,6 +174,33 @@ def _python(build, monkeypatch):
 SEEDS = st.integers(0, 2**32)
 
 
+def _odd_powers(y, beta, tau, p):
+    """The odd-power checksums written out entry by entry."""
+    return tuple(sum(v * pow(b, 2 * i + 1, p) for v, b in zip(y, beta)) % p for i in range(tau))
+
+
+def _double_reference(scheme, v):
+    """The double schemes' syndromes written out entry by entry: the linear
+    and cubed checksums of the n1-prefix, the cubed one less the digit
+    block, then the parities."""
+    triple = isinstance(scheme, api.TripleDetectScheme)
+    if triple and scheme.variant == "parity":
+        return _double_reference(scheme.base, v[: scheme.base.n]) + (sum(v) % 2,)
+    alpha, n1, m = scheme.loc.alpha, scheme.n1, scheme.m
+    if triple:  # odd locators modulo 2p
+        modulus, weights = 2 * scheme.p, scheme.loc.suffix_weights()
+    else:
+        modulus, weights = scheme.p, [scheme.q**j for j in range(m)]
+    s1 = sum(v[j] * alpha[j] for j in range(n1)) % modulus
+    s2 = (
+        sum(v[j] * alpha[j] ** 3 for j in range(n1))
+        - sum(v[n1 + j] * weights[j] for j in range(m))
+    ) % modulus
+    if triple:
+        return s1, s2
+    return s1, s2, sum(v[n1 + j] for j in range(m + 1)) % 2
+
+
 class TestSyndromesAgree:
     @SETTINGS
     @given(SEEDS)
@@ -149,7 +208,11 @@ class TestSyndromesAgree:
         for scheme in (SEC, SEC_DED, SEC_DED_PARITY):
             assert scheme.vector
             y = _entries(seed, scheme.n, scheme.q_out)
-            assert checksum(_array(y), scheme.loc, scheme.kernel) == checksum(y, scheme.loc)
+            loc = scheme.loc
+            expect = [sum(v * a for v, a in zip(y, loc.alpha)) % loc.modulus]
+            if scheme is SEC_DED_PARITY:
+                expect.append(sum(y) % 2)
+            assert checksum(_array(y), scheme.check) == checksum(y, scheme.check) == expect
 
     @pytest.mark.parametrize(
         "build",
@@ -165,7 +228,8 @@ class TestSyndromesAgree:
         @given(SEEDS)
         def agree(seed):
             y = _entries(seed, vector.n, vector.q_out)
-            assert vector.syndromes(ReadVector.exact(y)) == python.syndromes(ReadVector.exact(y))
+            syn = vector.syndromes(ReadVector.exact(y))
+            assert syn == python.syndromes(ReadVector.exact(y)) == _double_reference(vector, y)
 
         agree()
 
@@ -176,7 +240,7 @@ class TestSyndromesAgree:
                             (RECURSIVE.checker, RECURSIVE.q_out)):
             y = _entries(seed, code.n, bound)
             syn = code.syndrome(_array(y))
-            assert syn == code.syndrome(y)
+            assert syn == code.syndrome(y) == _odd_powers(y, code.beta, code.tau, code.field.p)
             assert all(type(s) is int for s in syn)
 
     @SETTINGS
@@ -191,7 +255,10 @@ class TestSyndromesAgree:
     @given(SEEDS, st.lists(st.integers(0, HAMMING.ntilde - 1), max_size=HAMMING.inner.d - 1))
     def test_reed_solomon(self, seed, erased):
         rs = HAMMING.inner
-        symbols = _entries(seed, rs.length, rs.field.p)
-        assert rs.syndromes(_array(symbols)) == rs.syndromes(list(symbols))
+        p = rs.field.p
+        symbols = _entries(seed, rs.length, p)
+        expect = [sum(v * pow(g, i + 1, p) for v, g in zip(symbols, rs.gamma)) % p
+                  for i in range(rs.d - 1)]
+        assert rs.syndromes(_array(symbols)) == rs.syndromes(list(symbols)) == expect
         assert (rs.decode_errors_erasures(_array(symbols), erased, HAMMING.tau)
                 == rs.decode_errors_erasures(list(symbols), erased, HAMMING.tau))
