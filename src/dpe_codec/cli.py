@@ -10,20 +10,24 @@ import argparse
 import itertools
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
-from .basemath import hamming_dist, iter_l1_errors
-from .core import QMatrix, ReadVector, output_alphabet
+from .basemath import iter_l1_errors
+from .core import ReadVector, guard_limit, output_alphabet
 from .double import DoubleErrorScheme, TripleDetectScheme
 from .formats import read_json, read_matrix, read_vector, write_json, write_matrix, write_vector
 from .hamming import HammingScheme
 from .locators import Locators
 from .multi import LargeAlphabetScheme, RecursiveScheme
-from .oracles import enumerate_induced_code, induced_min_distance, nearest_prefix_decode
+from .oracles import (
+    ENUMERATION_GUARD,
+    enumerate_induced_code,
+    induced_min_distance,
+    nearest_prefix_decode,
+)
 from .simulate import FaultModel, compute_clean, inject
 from .single import SecDedScheme, SingleErrorScheme
-
-SCHEME_NAMES = ("sec", "sec-ded", "dec", "dec-ted", "recursive", "large-alphabet", "hamming")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,105 +46,119 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _require(args, *names):
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
+@dataclass(frozen=True)
+class SchemeSpec:
+    """One scheme as the CLI builds, records and audits it.
+
+    Fields are named as in the sidecar.  `args` lists the constructor's
+    positional parameters, `needs` those a build cannot do without, and
+    `params` the sidecar fields written after the common ones; the
+    sidecar's `n` is the scheme's attribute `length`.  The scheme corrects
+    `correct` L1 errors (None: its own `tau`) and detects `extra_detect`
+    more.
+    """
+
+    cls: type
+    args: tuple[str, ...]
+    needs: tuple[str, ...]
+    params: tuple[str, ...]
+    correct: int | None = None
+    extra_detect: int = 0
+    length: str = "n"
+
+
+_FLAG = "allow_suffix_ambiguity"
+SCHEMES = {
+    "sec": SchemeSpec(SingleErrorScheme, ("q", "n", "ell", _FLAG), ("q", "n", "ell"),
+                      ("locators",), correct=1),
+    "sec-ded": SchemeSpec(SecDedScheme, ("q", "n", "ell", "variant", _FLAG), ("q", "n", "ell"),
+                          ("locators", "variant"), correct=1, extra_detect=1),
+    "dec": SchemeSpec(DoubleErrorScheme, ("q", "p", "ell", _FLAG), ("q", "p", "ell"),
+                      ("locators", "p"), correct=2),
+    "dec-ted": SchemeSpec(TripleDetectScheme, ("q", "p", "ell", "variant", _FLAG),
+                          ("q", "p", "ell"), ("locators", "variant", "p"),
+                          correct=2, extra_detect=1),
+    "recursive": SchemeSpec(RecursiveScheme, ("q", "ell", "tau", "p", "trimmed"),
+                            ("q", "p", "ell", "tau"), ("locators", "p", "tau", "trimmed"),
+                            length="total_length"),
+    "large-alphabet": SchemeSpec(LargeAlphabetScheme, ("q", "n", "tau", "ell"),
+                                 ("q", "n", "ell", "tau"), ("p", "tau")),
+    "hamming": SchemeSpec(HammingScheme, ("q", "ell", "k", "tau", "theta", "sigma", "rho", "p"),
+                          ("q", "ell", "tau"), ("p", "tau", "theta", "sigma", "rho", "inner")),
+}
+SCHEME_NAMES = tuple(SCHEMES)
+
+# sidecar fields that a scheme does not hold under their own name
+_SIDECAR_VALUES = {
+    "locators": lambda s: s.loc.to_json(),
+    "rho": lambda s: s.rho_max,
+    "inner": lambda s: {"length": s.ntilde, "k": s.inner.k, "distance": s.inner.d},
+}
+
+
+def build(name: str, fields: dict):
+    """The scheme `name` from `fields`, keyed by sidecar field; an absent
+    field passes None.  The flags and a sidecar both build through here."""
+    spec = SCHEMES[name]
+    missing = [key for key in spec.needs if fields.get(key) is None]
     if missing:
-        raise UsageError(f"missing required option(s): {', '.join('--' + n for n in missing)}")
+        raise UsageError(f"missing required option(s): {', '.join('--' + key for key in missing)}")
+    if fields.get(_FLAG) and _FLAG not in spec.args:
+        raise UsageError(
+            f"{name} tolerates no locator collision; --allow-suffix-ambiguity does not apply"
+        )
+    if "k" in spec.args and fields.get("k") is None:
+        fields = {**fields, "k": _dimension(name, fields)}
+    return spec.cls(*(fields.get(key) for key in spec.args))
 
 
-def _variant(args) -> str | None:
-    if args.variant is None:
-        return None
-    return args.variant.replace("-", "_")
+def _dimension(name: str, fields: dict) -> int:
+    """Solve the dimension k of a scheme built from it, from its total
+    length n."""
+    n = fields.get("n")
+    if n is None:
+        raise UsageError(f"{name} needs --n (or an input matrix fixing the dimension)")
+    for k in range(1, n):
+        try:
+            scheme = build(name, {**fields, "k": k})
+        except ValueError:
+            continue
+        if scheme.n == n:
+            return k
+    raise UsageError(f"no dimension fits total length {n} for these parameters")
 
 
 def build_scheme(args, k_hint: int | None = None):
-    """Construct a scheme object from CLI-level parameters."""
-    name = args.scheme
-    flag = bool(getattr(args, "allow_suffix_ambiguity", False))
-    if args.variant is not None and name not in ("sec-ded", "dec-ted", "recursive"):
-        raise UsageError(f"--variant does not apply to {name}")
-    if name == "sec":
-        _require(args, "q", "n", "ell")
-        return SingleErrorScheme(args.q, args.n, args.ell, allow_suffix_ambiguity=flag)
-    if name == "sec-ded":
-        _require(args, "q", "n", "ell")
-        return SecDedScheme(args.q, args.n, args.ell, _variant(args), allow_suffix_ambiguity=flag)
-    if name == "dec":
-        _require(args, "q", "p", "ell")
-        return DoubleErrorScheme(args.q, args.p, args.ell, allow_suffix_ambiguity=flag)
-    if name == "dec-ted":
-        _require(args, "q", "p", "ell")
-        return TripleDetectScheme(args.q, args.p, args.ell, _variant(args), allow_suffix_ambiguity=flag)
-    if name == "recursive":
-        _require(args, "q", "p", "ell", "tau")
-        if flag:
-            raise UsageError(
-                "recursive puts every locator on a data column, where no collision "
-                "is safe; --allow-suffix-ambiguity does not apply"
-            )
-        if args.variant not in (None, "trimmed"):
+    """Construct a scheme from the CLI flags; `k_hint` (an input matrix's
+    column count) fixes the dimension of a scheme built from it."""
+    spec = SCHEMES[args.scheme]
+    fields = {**vars(args), "k": k_hint, "variant": None, "sigma": 0, "trimmed": False}
+    if args.variant is not None:
+        if "variant" in spec.args:
+            fields["variant"] = args.variant.replace("-", "_")
+        elif "trimmed" not in spec.args:
+            raise UsageError(f"--variant does not apply to {args.scheme}")
+        elif args.variant != "trimmed":
             raise UsageError(f"unknown recursive variant {args.variant!r}; expected trimmed")
-        return RecursiveScheme(args.q, args.ell, args.tau, args.p, trimmed=args.variant is not None)
-    if name == "large-alphabet":
-        _require(args, "q", "n", "ell", "tau")
-        return LargeAlphabetScheme(args.q, args.n, args.tau, args.ell)
-    if name == "hamming":
-        _require(args, "q", "ell", "tau")
-        k = k_hint
-        if k is None and args.n is not None:
-            k = _hamming_dimension(args)
-        if k is None:
-            raise UsageError("hamming needs --n (or an input matrix fixing the dimension)")
-        return HammingScheme(
-            args.q, args.ell, k, args.tau, theta=args.theta,
-            sigma=getattr(args, "sigma", 0) or 0, rho_max=args.rho, p=args.p,
-        )
-    raise UsageError(f"unknown scheme {name!r}")
-
-
-def _hamming_dimension(args) -> int:
-    """Solve k from the total length: n = k + m*(2*tau + rho)."""
-    for k in range(1, args.n):
-        try:
-            scheme = HammingScheme(
-                args.q, args.ell, k, args.tau, theta=args.theta, rho_max=args.rho, p=args.p
-            )
-        except ValueError:
-            continue
-        if scheme.n == args.n:
-            return k
-    raise UsageError(f"no dimension fits total length {args.n} for these parameters")
+        else:
+            fields["trimmed"] = True
+    return build(args.scheme, fields)
 
 
 def scheme_sidecar(scheme, name: str) -> dict:
+    """The sidecar `encode` writes: the fields common to every scheme,
+    then the scheme's own parameters."""
+    spec = SCHEMES[name]
     data = {
         "scheme": name,
         "q": scheme.q,
         "ell": scheme.ell,
-        "n": scheme.n if not isinstance(scheme, RecursiveScheme) else scheme.total_length,
+        "n": getattr(scheme, spec.length),
         "k": scheme.k,
         "q_out": scheme.q_out,
     }
-    if isinstance(scheme, (SingleErrorScheme, SecDedScheme, DoubleErrorScheme, TripleDetectScheme, RecursiveScheme)):
-        data["locators"] = scheme.loc.to_json()
-    if isinstance(scheme, (SecDedScheme, TripleDetectScheme)):
-        data["variant"] = scheme.variant
-    if isinstance(scheme, (DoubleErrorScheme, TripleDetectScheme)):
-        data["p"] = scheme.p
-    if isinstance(scheme, RecursiveScheme):
-        data.update(p=scheme.p, tau=scheme.tau, trimmed=scheme.trimmed)
-    if isinstance(scheme, LargeAlphabetScheme):
-        data.update(p=scheme.p, tau=scheme.tau)
-    if isinstance(scheme, HammingScheme):
-        data.update(
-            p=scheme.p,
-            tau=scheme.tau,
-            theta=scheme.theta,
-            sigma=scheme.sigma,
-            rho=scheme.rho_max,
-            inner={"length": scheme.ntilde, "k": scheme.inner.k, "distance": scheme.inner.d},
-        )
+    for key in spec.params:
+        data[key] = _SIDECAR_VALUES[key](scheme) if key in _SIDECAR_VALUES else getattr(scheme, key)
     return data
 
 
@@ -149,56 +167,48 @@ _SIDECAR_INTS = ("q", "ell", "n", "k", "p", "tau", "theta", "sigma", "rho")
 
 
 def _check_sidecar(data) -> None:
-    """Refuse a sidecar whose shape, scheme name or integer fields are not
+    """Refuse a sidecar whose shape, scheme name or field types are not
     those `scheme_sidecar` writes."""
     if not isinstance(data, dict):
         raise UsageError(f"sidecar: expected a JSON object, got {type(data).__name__}")
     if data.get("scheme") not in SCHEME_NAMES:
         raise UsageError(f"sidecar: unknown scheme {data.get('scheme')!r}")
-    for key in ("q", "ell", "k"):
+    for key in ("q", "ell", "n", "k", "q_out", *SCHEMES[data["scheme"]].params):
         if key not in data:
             raise UsageError(f"sidecar: missing field {key!r}")
     for key in _SIDECAR_INTS:
-        value = data.get(key)
-        if value is not None and type(value) is not int:
-            raise UsageError(f"sidecar: {key} must be an integer, got {value!r}")
+        if key in data and type(data[key]) is not int:
+            raise UsageError(f"sidecar: {key} must be an integer, got {data[key]!r}")
     if not isinstance(data.get("variant", ""), str):
         raise UsageError(f"sidecar: variant must be a string, got {data['variant']!r}")
-    if not isinstance(data.get("locators", {}), dict):
-        raise UsageError("sidecar: locators must be a JSON object")
+    if not isinstance(data.get("trimmed", False), bool):
+        raise UsageError(f"sidecar: trimmed must be true or false, got {data['trimmed']!r}")
+    if "locators" in data:
+        if not isinstance(data["locators"], dict):
+            raise UsageError("sidecar: locators must be a JSON object")
+        try:
+            Locators.from_json(data["locators"])
+        except ValueError as err:
+            raise UsageError(f"sidecar locators are malformed: {err}") from None
 
 
 def scheme_from_sidecar(data: dict):
+    """The scheme a sidecar records.  The sidecar must be exactly the one
+    the rebuilt scheme writes, field for field and type for type."""
     _check_sidecar(data)
     name = data["scheme"]
-    loc_json = data.get("locators")
-    flag = bool(loc_json and loc_json.get("allow_suffix_ambiguity"))
-    ns = argparse.Namespace(
-        scheme=name,
-        q=data["q"],
-        ell=data["ell"],
-        n=data.get("n"),
-        p=data.get("p"),
-        tau=data.get("tau"),
-        theta=data.get("theta"),
-        sigma=data.get("sigma", 0),
-        rho=data.get("rho", 0),
-        variant=(
-            "trimmed"
-            if data.get("trimmed")
-            else (data.get("variant").replace("_", "-") if data.get("variant") else None)
-        ),
-        allow_suffix_ambiguity=flag,
-    )
-    scheme = build_scheme(ns, k_hint=data.get("k") if name == "hamming" else None)
-    if scheme.k != data["k"]:
-        raise UsageError(f"sidecar dimension {data['k']} != rebuilt dimension {scheme.k}")
-    try:
-        loc = None if loc_json is None else Locators.from_json(loc_json)
-    except TypeError as err:
-        raise UsageError(f"sidecar locators are malformed: {err}") from None
-    if loc is not None and scheme.loc != loc:
-        raise UsageError("sidecar locators do not match the rebuilt scheme")
+    scheme = build(name, {**data, _FLAG: data.get("locators", {}).get(_FLAG, False)})
+    rebuilt = scheme_sidecar(scheme, name)
+    for key in sorted(data.keys() | rebuilt.keys()):
+        given, written = (
+            json.dumps(side[key], sort_keys=True) if key in side else "absent"
+            for side in (data, rebuilt)
+        )
+        if given != written:
+            raise UsageError(
+                f"sidecar field {key!r} does not round-trip: {given} here, "
+                f"{written} from the rebuilt scheme"
+            )
     return scheme
 
 
@@ -285,88 +295,68 @@ def cmd_decode(args) -> int:
 # --------------------------------------------------------------------------
 # audit
 
-_EXPECTED_DISTANCE = {
-    "sec": 3,
-    "sec-ded": 4,
-    "dec": 5,
-    "dec-ted": 6,
-}
+
+def _check(name: str, ok: bool | None, **detail) -> dict:
+    """One audit check; `ok` None marks it skipped."""
+    return {"name": name, "status": "skipped" if ok is None else "pass" if ok else "fail",
+            "detail": detail}
 
 
 def _audit_checks(scheme, name: str) -> list[dict]:
-    checks: list[dict] = []
+    spec = SCHEMES[name]
+    correct = spec.correct or scheme.tau
+    detect = correct + spec.extra_detect
+    needed = correct + detect + 1
     if name == "hamming":
         inner = scheme.inner
-        checks.append(
-            {
-                "name": "inner-code distance by construction",
-                "status": "pass" if inner.d >= 2 * scheme.tau + 1 else "fail",
-                "detail": {"distance": inner.d, "needed": 2 * scheme.tau + 1},
-            }
-        )
+        checks = [_check("inner-code distance by construction", inner.d >= needed,
+                         distance=inner.d, needed=needed)]
         try:
+            total, limit = scheme.p**inner.k, guard_limit(ENUMERATION_GUARD)
+            if total > limit:
+                raise ValueError(
+                    f"enumerating {total} inner codewords exceeds the guard ({limit}); "
+                    "set DPE_CODEC_GUARD_OVERRIDE to raise it"
+                )
             words = [
                 tuple(inner.encode(list(msg)))
                 for msg in itertools.product(range(scheme.p), repeat=inner.k)
             ]
-            measured = min(
-                hamming_dist(a, b) for i, a in enumerate(words) for b in words[i + 1 :]
-            )
-            checks.append(
-                {
-                    "name": "inner-code distance by enumeration",
-                    "status": "pass" if measured >= 2 * scheme.tau + 1 else "fail",
-                    "detail": {"measured": measured},
-                }
-            )
+            measured = induced_min_distance(words, inner.k, metric="hamming")
+            checks.append(_check("inner-code distance by enumeration", measured >= needed,
+                                 measured=measured))
         except (ValueError, MemoryError) as err:
-            checks.append(
-                {"name": "inner-code distance by enumeration", "status": "skipped",
-                 "detail": {"reason": str(err)}}
-            )
+            checks.append(_check("inner-code distance by enumeration", None, reason=str(err)))
         return checks
 
-    tau = getattr(scheme, "tau", {"sec": 1, "sec-ded": 1, "dec": 2, "dec-ted": 2}.get(name, 1))
-    sigma = {"sec-ded": 1, "dec-ted": 1}.get(name, 0)
     try:
         words = enumerate_induced_code(scheme.encode, scheme.ell, scheme.k, scheme.q)
     except ValueError as err:
-        return [{"name": "induced-code enumeration", "status": "skipped",
-                 "detail": {"reason": str(err)}}]
-    checks.append(
-        {"name": "induced-code enumeration", "status": "pass",
-         "detail": {"codewords": len(words)}}
-    )
-
-    expected = _EXPECTED_DISTANCE.get(name, 2 * tau + 1)
-    measured = induced_min_distance(words, k=scheme.k)
-    if measured is None:
-        checks.append(
-            {"name": "induced minimum distance", "status": "skipped",
-             "detail": {"reason": "fewer than two distinct prefixes"}}
-        )
+        return [_check("induced-code enumeration", None, reason=str(err))]
+    checks = [_check("induced-code enumeration", True, codewords=len(words))]
+    try:
+        measured = induced_min_distance(words, k=scheme.k)
+        if measured is None:
+            raise ValueError("fewer than two distinct prefixes")
+    except ValueError as err:
+        checks.append(_check("induced minimum distance", None, reason=str(err)))
         return checks
-    checks.append(
-        {
-            "name": "induced minimum distance",
-            "status": "pass" if measured >= expected else "fail",
-            "detail": {"measured": measured, "expected_at_least": expected},
-        }
-    )
+    checks.append(_check("induced minimum distance", measured >= needed,
+                         measured=measured, expected_at_least=needed))
 
     n = len(words[0])
     corrected = flagged = wrong = 0
     for c in words:
-        for e in iter_l1_errors(n, tau + sigma, include_zero=True):
+        for e in iter_l1_errors(n, detect, include_zero=True):
             y = [v + w for v, w in zip(c, e)]
             if not all(0 <= v < scheme.q_out for v in y):
                 continue
             weight = sum(abs(w) for w in e)
             outcome = scheme.decode(ReadVector.exact(y))
-            oracle = nearest_prefix_decode(y, words, k=scheme.k, tau=tau)
+            oracle = nearest_prefix_decode(y, words, k=scheme.k, tau=correct)
             target = oracle.prefix if not oracle.failed else c[: scheme.k]
             if outcome.failed:
-                if weight <= tau:
+                if weight <= correct:
                     wrong += 1  # must have corrected
                 else:
                     flagged += 1
@@ -374,14 +364,9 @@ def _audit_checks(scheme, name: str) -> list[dict]:
                 corrected += 1
             else:
                 wrong += 1
-    checks.append(
-        {
-            "name": "exhaustive decode sweep",
-            "status": "pass" if wrong == 0 else "fail",
-            "detail": {"corrected": corrected, "flagged": flagged, "miscorrections": wrong,
-                       "correct_budget": tau, "detect_budget": tau + sigma},
-        }
-    )
+    checks.append(_check("exhaustive decode sweep", wrong == 0, corrected=corrected,
+                         flagged=flagged, miscorrections=wrong, correct_budget=correct,
+                         detect_budget=detect))
     return checks
 
 

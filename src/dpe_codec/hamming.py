@@ -27,6 +27,7 @@ correction stay on Python ints.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +41,7 @@ from .core import (
     QMatrix,
     ReadVector,
     check_input,
-    decoded,
+    corrected,
     output_alphabet,
 )
 from .gfpoly import poly_eval, poly_mul, poly_roots, solve_key_equation
@@ -293,17 +294,10 @@ class HammingScheme:
         err = self.inner.decode_errors_erasures(symbols, erased_symbols, self.tau)
         if err is None:
             return DECODE_FAILURE
-        if not any(err):
-            # erased entries hold 0, which is then their value
-            return decoded(y.entries[: self.k])
-        prefix = []
-        for j in range(self.k):
-            if y.erased[j]:
-                # the symbol was solved outright: c mod p, unique since p >= Q
-                value = (-err[j]) % self.p
-            else:
-                value = y.entries[j] - signed_value(err[j], self.field)
-            if not 0 <= value < self.q_out:
-                return DECODE_FAILURE
-            prefix.append(value)
-        return decoded(prefix)
+        # An erased entry holds 0 and its symbol was solved outright: its
+        # error is minus its value c mod p, which is c since p >= Q.
+        errors = (
+            (j, -(-err[j] % self.p) if y.erased[j] else signed_value(err[j], self.field))
+            for j in compress(range(self.k), err)
+        )
+        return corrected(y.entries, self.k, errors, self.q_out)

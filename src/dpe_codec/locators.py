@@ -80,14 +80,36 @@ class Locators:
 
     @classmethod
     def from_json(cls, data: dict) -> "Locators":
+        """The locators `to_json` wrote.  A missing field, or one of another
+        JSON type (a bool is not an integer), raises ValueError naming it."""
+        if not isinstance(data, dict):
+            raise ValueError(f"locators must be a JSON object, got {type(data).__name__}")
+
+        def checked(key: str, valid, kind: str):
+            if key not in data:
+                raise ValueError(f"locators: missing field {key!r}")
+            if not valid(data[key]):
+                raise ValueError(f"locators: {key} must be {kind}, got {data[key]!r}")
+            return data[key]
+
+        def is_int(value) -> bool:
+            return type(value) is int
+
+        flag = data.get("allow_suffix_ambiguity", False)
+        if type(flag) is not bool:
+            raise ValueError(
+                f"locators: allow_suffix_ambiguity must be true or false, got {flag!r}"
+            )
         return cls(
-            q=data["q"],
-            n=data["n"],
-            m=data["m"],
-            modulus=data["modulus"],
-            suffix_kind=data["suffix_kind"],
-            alpha=tuple(data["alpha"]),
-            allow_suffix_ambiguity=bool(data.get("allow_suffix_ambiguity", False)),
+            q=checked("q", is_int, "an integer"),
+            n=checked("n", is_int, "an integer"),
+            m=checked("m", is_int, "an integer"),
+            modulus=checked("modulus", is_int, "an integer"),
+            suffix_kind=checked("suffix_kind", lambda v: isinstance(v, str), "a string"),
+            alpha=tuple(checked(
+                "alpha", lambda v: isinstance(v, list) and all(map(is_int, v)), "a list of integers"
+            )),
+            allow_suffix_ambiguity=flag,
         )
 
 

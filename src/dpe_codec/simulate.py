@@ -20,6 +20,11 @@ KIND_FLIP = "symbol_flip"
 KIND_SHORT = "short_column"
 KIND_MANUAL = "manual"
 
+# Largest drift budget t: `inject` runs and logs t unit steps one by one, so
+# t must stay small enough to finish at once, yet far above any design
+# budget a campaign drifts past (t = tau + 2).
+MAX_DRIFT_STEPS = 10_000
+
 
 def compute_clean(u: Sequence[int], matrix: QMatrix) -> list[int]:
     """Exact integer product of an input vector with the programmed matrix."""
@@ -58,6 +63,8 @@ class FaultModel:
     def l1_drift(cls, budget: int, seed: int = 0) -> "FaultModel":
         if budget < 0:
             raise ValueError("budget must be >= 0")
+        if budget > MAX_DRIFT_STEPS:
+            raise ValueError(f"drift budget {budget} exceeds the limit of {MAX_DRIFT_STEPS} steps")
         return cls(KIND_DRIFT, seed=seed, budget=budget)
 
     @classmethod

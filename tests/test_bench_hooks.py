@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import dpe_codec as api
+from dpe_codec import cli
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -54,8 +55,10 @@ def tracing():
 
 def test_scheme_table_matches(tracing):
     assert set(tracing.SCHEME_CLASSES) == set(SCHEMES)
+    assert set(cli.SCHEME_NAMES) == set(tracing.SCHEME_CLASSES)
     for scheme, cls in tracing.SCHEME_CLASSES.items():
         assert type(SCHEMES[scheme]()).__name__ == cls
+        assert cli.SCHEMES[scheme].cls.__name__ == cls
 
 
 def _trace_faulty_reads(tracing, schemes, vector):

@@ -101,6 +101,19 @@ class TestParams:
         assert captured.out == ""
         assert f"--variant does not apply to {args[1]}" in captured.err
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--scheme", "large-alphabet", "--q", "8", "--n", "3", "--ell", "2", "--tau", "1"],
+         ["--scheme", "hamming", "--q", "2", "--ell", "2", "--tau", "2", "--theta", "2",
+          "--rho", "1", "--n", "16"]],
+        ids=["large-alphabet", "hamming"],
+    )
+    def test_ambiguity_refused_where_it_does_not_apply(self, capsys, args):
+        assert main(["params", *args, "--allow-suffix-ambiguity"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--allow-suffix-ambiguity does not apply" in captured.err
+
 
 class TestEncode:
     def test_golden(self, tmp_path):
@@ -264,6 +277,13 @@ class TestMalformedFiles:
             (lambda d: {**d, "locators": [1]}, "sidecar: locators must be a JSON object"),
             (lambda d: {**d, "locators": {**d["locators"], "alpha": 5}},
              "sidecar locators are malformed"),
+            (lambda d: {**d, "q_out": 77},
+             "sidecar field 'q_out' does not round-trip: 77 here, 4 from the rebuilt scheme"),
+            (lambda d: {**d, "inner": 5},
+             "sidecar field 'inner' does not round-trip: 5 here, absent from the rebuilt scheme"),
+            (lambda d: {**d, "locators": {**d["locators"], "allow_suffix_ambiguity": "no"}},
+             "sidecar locators are malformed: locators: allow_suffix_ambiguity must be "
+             "true or false, got 'no'"),
         ],
     )
     def test_sidecar(self, tmp_path, capsys, change, message):
@@ -293,6 +313,8 @@ class TestMalformedFiles:
             ({"kind": "manual", "deltas": [[1.5, -1]]}, "fault position must be an integer, got 1.5"),
             ({"kind": "manual", "deltas": [[1, 0.5]]}, "fault delta must be an integer, got 0.5"),
             ({"kind": "manual", "erase": ["3"]}, "erasure position must be an integer, got '3'"),
+            ({"kind": "l1_drift", "t": 1000000000, "seed": 0},
+             "drift budget 1000000000 exceeds the limit of 10000 steps"),
         ],
     )
     def test_fault_spec(self, tmp_path, capsys, spec, message):
@@ -383,6 +405,42 @@ class TestRoundTripAllSchemes:
         c, _ = read_vector(c_path)
         assert prefix == list(c.entries[:k])
 
+    @pytest.mark.parametrize(
+        "scheme_args",
+        [["--scheme", "sec", "--q", "2", "--n", "15", "--ell", "3"],
+         ["--scheme", "sec-ded", "--q", "3", "--n", "8", "--ell", "2"],
+         ["--scheme", "dec", "--q", "2", "--p", "31", "--ell", "2"],
+         ["--scheme", "dec-ted", "--q", "3", "--p", "13", "--ell", "2"],
+         ["--scheme", "recursive", "--q", "2", "--p", "31", "--tau", "1", "--ell", "2"],
+         ["--scheme", "large-alphabet", "--q", "8", "--n", "3", "--tau", "1", "--ell", "2"],
+         ["--scheme", "hamming", "--q", "2", "--ell", "2", "--tau", "2", "--theta", "2",
+          "--rho", "1", "--n", "16"]],
+        ids=lambda args: args[1],
+    )
+    def test_sidecar_must_round_trip(self, tmp_path, capsys, scheme_args):
+        """Any integer field of an encoded sidecar moved by one, the decode
+        is refused: the sidecar is no longer the one its scheme writes."""
+        assert main(["params", *scheme_args]) == 0
+        params = json.loads(capsys.readouterr().out)
+        k, ell, q = params["k"], params["ell"], params["q"]
+        src = tmp_path / "a.json"
+        write_matrix(src, QMatrix.from_lists(q, [[1] * k for _ in range(ell)]))
+        enc = tmp_path / "enc.json"
+        assert main(["encode", *scheme_args, "--in", str(src), "--out", str(enc)]) == 0
+        c_path = tmp_path / "c.json"
+        assert main(["compute", "--in", str(enc), "--u", ",".join("1" * ell), "--out",
+                     str(c_path)]) == 0
+        sidecar = read_json(tmp_path / "enc.scheme.json")
+        tampered = tmp_path / "tampered.json"
+        fields = [key for key, value in sidecar.items() if type(value) is int]
+        assert {"q", "ell", "n", "k", "q_out"} <= set(fields)
+        for key in fields:
+            tampered.write_text(json.dumps({**sidecar, key: sidecar[key] + 1}))
+            capsys.readouterr()
+            assert main(["decode", "--in", str(c_path), "--sidecar", str(tampered)]) == 1, key
+            captured = capsys.readouterr()
+            assert captured.out == "" and "error: " in captured.err, key
+
 
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path):
@@ -460,3 +518,23 @@ class TestAudit:
         report = json.loads(capsys.readouterr().out)
         names = {c["name"]: c for c in report["checks"]}
         assert names["inner-code distance by enumeration"]["detail"]["measured"] == 6
+
+    def test_hamming_inner_enumeration_guarded(self, capsys):
+        # k = 12 over GF(17): 17**12 inner codewords, past the enumeration guard
+        rc = main(["audit", "--scheme", "hamming", "--q", "2", "--ell", "2", "--tau", "1",
+                   "--n", "22"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["params"]["k"] == 12 and report["params"]["p"] == 17
+        names = {c["name"]: c for c in report["checks"]}
+        assert names["inner-code distance by enumeration"]["status"] == "skipped"
+
+    def test_distance_pair_guard_skip_not_fatal(self, capsys):
+        # 5,950 distinct products: their pairs pass the distance guard
+        rc = main(["audit", "--scheme", "sec", "--q", "2", "--n", "12", "--ell", "2"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        names = {c["name"]: c for c in report["checks"]}
+        assert names["induced-code enumeration"]["detail"]["codewords"] == 5950
+        assert names["induced minimum distance"]["status"] == "skipped"
+        assert "pairs exceed the guard" in names["induced minimum distance"]["detail"]["reason"]

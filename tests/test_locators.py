@@ -164,3 +164,31 @@ def test_json_roundtrip():
     data = loc.to_json()
     assert data["alpha"] == list(EXAMPLE4_ALPHA)
     assert Locators.from_json(data) == loc
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"allow_suffix_ambiguity": "no"}, "allow_suffix_ambiguity must be true or false"),
+        ({"allow_suffix_ambiguity": 1}, "allow_suffix_ambiguity must be true or false"),
+        ({"q": True}, "q must be an integer"),
+        ({"n": 13.0}, "n must be an integer"),
+        ({"m": "4"}, "m must be an integer"),
+        ({"modulus": None}, "modulus must be an integer"),
+        ({"alpha": 5}, "alpha must be a list of integers"),
+        ({"alpha": [1.0] + list(EXAMPLE4_ALPHA[1:])}, "alpha must be a list of integers"),
+        ({"suffix_kind": 3}, "suffix_kind must be a string"),
+    ],
+)
+def test_json_refuses_bad_fields(change, message):
+    data = {**build_locators_ded(8, 13).to_json(), **change}
+    with pytest.raises(ValueError, match=message):
+        Locators.from_json(data)
+
+
+@pytest.mark.parametrize("key", ["q", "n", "m", "modulus", "suffix_kind", "alpha"])
+def test_json_refuses_missing_field(key):
+    data = build_locators_ded(8, 13).to_json()
+    del data[key]
+    with pytest.raises(ValueError, match=f"missing field '{key}'"):
+        Locators.from_json(data)
