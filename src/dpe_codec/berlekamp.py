@@ -18,8 +18,10 @@ DPE_CODEC_GUARD_OVERRIDE) never refuses a production read.
 
 A base-field code holds its checks as one `core.CheckMatrix`
 (`BerlekampCode.check`), built for the alphabet of the vectors it checks.
-A scheme passes its read alphabet, so that matrix also decides whether the
-scheme's reads take the int64 kernel; `syndrome` multiplies either form.
+A scheme passes its read alphabet; the large-alphabet scheme's reads take
+the int64 kernel where that matrix decides so, and the recursive scheme
+folds its codes' checks into one matrix of its own.  `syndrome`
+multiplies either form.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .basemath import iter_l1_errors
+from .basemath import iter_l1_errors, sphere_volume_l1
 from .core import ReadVector, guard_limit, output_alphabet
 from .double import DoubleErrorScheme, TripleDetectScheme
 from .formats import read_json, read_matrix, read_vector, write_json, write_matrix, write_vector
@@ -22,6 +22,7 @@ from .locators import Locators
 from .multi import LargeAlphabetScheme, RecursiveScheme
 from .oracles import (
     ENUMERATION_GUARD,
+    SWEEP_GUARD,
     enumerate_induced_code,
     induced_min_distance,
     nearest_prefix_decode,
@@ -108,23 +109,24 @@ def build(name: str, fields: dict):
             f"{name} tolerates no locator collision; --allow-suffix-ambiguity does not apply"
         )
     if "k" in spec.args and fields.get("k") is None:
-        fields = {**fields, "k": _dimension(name, fields)}
+        return _build_at_length(name, fields)
     return spec.cls(*(fields.get(key) for key in spec.args))
 
 
-def _dimension(name: str, fields: dict) -> int:
-    """Solve the dimension k of a scheme built from it, from its total
-    length n."""
+def _build_at_length(name: str, fields: dict):
+    """The Hamming scheme of total length --n: built once, at the only k
+    whose length is n (`HammingScheme.dimension`); the constructor accepts
+    or refuses that k."""
     n = fields.get("n")
     if n is None:
         raise UsageError(f"{name} needs --n (or an input matrix fixing the dimension)")
-    for k in range(1, n):
-        try:
-            scheme = build(name, {**fields, "k": k})
-        except ValueError:
-            continue
-        if scheme.n == n:
-            return k
+    try:
+        k = HammingScheme.dimension(n, *(fields.get(key) for key in
+                                         ("q", "ell", "tau", "theta", "sigma", "rho", "p")))
+        if k is not None:
+            return build(name, {**fields, "k": k})
+    except ValueError:
+        pass
     raise UsageError(f"no dimension fits total length {n} for these parameters")
 
 
@@ -345,6 +347,12 @@ def _audit_checks(scheme, name: str) -> list[dict]:
                          measured=measured, expected_at_least=needed))
 
     n = len(words[0])
+    reads, limit = len(words) * sphere_volume_l1(n, detect), guard_limit(SWEEP_GUARD)
+    if reads * len(words) > limit:
+        checks.append(_check("exhaustive decode sweep", None, reason=(
+            f"{reads} reads, each scanning {len(words)} codewords, exceed the guard "
+            f"({limit}); set DPE_CODEC_GUARD_OVERRIDE to raise it")))
+        return checks
     corrected = flagged = wrong = 0
     for c in words:
         for e in iter_l1_errors(n, detect, include_zero=True):

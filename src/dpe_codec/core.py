@@ -68,6 +68,16 @@ class CheckMatrix:
             return ((values @ self._matrix) % self._moduli).tolist()
         return [sum(map(operator.mul, values, row)) % m for row, m in zip(self.rows, self.moduli)]
 
+    def less(self, syn: Sequence[int], errors: Iterable[tuple[int, int]]) -> list[int]:
+        """The syndromes of a read less the `(position, value)` errors,
+        from the read's syndromes `syn`; zero values change nothing."""
+        syn = list(syn)
+        for j, e in errors:
+            if e:
+                for r, (row, m) in enumerate(zip(self.rows, self.moduli)):
+                    syn[r] = (syn[r] - row[j] * e) % m
+        return syn
+
 
 @cache
 def _int64_packer(n: int):

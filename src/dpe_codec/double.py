@@ -28,6 +28,7 @@ lone error is corrected by `single.correct_unit` and a pair by
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Sequence
 
 from .basemath import PrimeField, ceil_log, is_prime
@@ -118,7 +119,7 @@ def correct_pair(
     sub = decode_double_error(code, syn)
     if sub is None:
         return DECODE_FAILURE
-    return corrected(values, k, zip(positions, sub), bound)
+    return corrected(values, k, zip(compress(positions, sub), filter(None, sub)), bound)
 
 
 class DoubleErrorScheme:

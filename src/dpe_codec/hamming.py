@@ -103,16 +103,12 @@ class ReedSolomonCode:
         array of symbols in [0, p), as for `syndromes`; the error vector is
         Python ints.
         """
-        p = self.field.p
         erased = sorted(set(erased))
         if len(erased) >= self.d:
             return None
         syn = self.syndromes(values)
         if erased:  # count the erased symbols as 0
-            syn = [
-                (s - sum(int(values[j]) * row[j] for j in erased)) % p
-                for s, row in zip(syn, self._powers)
-            ]
+            syn = self.check.less(syn, ((j, int(values[j])) for j in erased))
         return self._locate(syn, erased, radius)
 
     def _locate(self, syn: list[int], erased: Sequence[int], radius: int) -> list[int] | None:
@@ -161,11 +157,10 @@ class ReedSolomonCode:
 def smallest_inner_prime(theta: int, length: int) -> int:
     """Smallest prime exceeding 2*theta that offers `length` distinct
     nonzero evaluation points."""
-    p = 2 * theta + 1
-    while True:
-        if is_prime(p) and p - 1 >= length:
-            return p
+    p = max(2 * theta + 1, length + 1)
+    while not is_prime(p):
         p += 1
+    return p
 
 
 class HammingScheme:
@@ -184,23 +179,13 @@ class HammingScheme:
         p: int | None = None,
         inner=None,
     ):
-        if tau < 1:
-            raise ValueError(f"error budget must be >= 1, got {tau}")
-        if min(sigma, rho_max) < 0:
-            raise ValueError("sigma and rho_max must be >= 0")
+        self.q_out, self.theta, self.d = self._budget(q, ell, tau, theta, sigma, rho_max)
         self.q = q
         self.ell = ell
         self.k = k
         self.tau = tau
         self.sigma = sigma
         self.rho_max = rho_max
-        self.q_out = output_alphabet(q, ell)
-        self.theta = self.q_out - 1 if theta is None else theta
-        if not 1 <= self.theta <= self.q_out - 1:
-            raise ValueError(
-                f"theta must be in [1, {self.q_out - 1}], got {self.theta}"
-            )
-        self.d = 2 * tau + sigma + rho_max + 1
         self.ntilde = k + self.d - 1
         if p is None:
             p = smallest_inner_prime(self.theta, self.ntilde)
@@ -222,7 +207,7 @@ class HammingScheme:
         self.p = p
         self.field = PrimeField(p)
         self.m = ceil_log(q, p)
-        self.n = k + self.m * (self.ntilde - k)
+        self.n = self._length(q, k, self.d, p)
         self.inner = inner if inner is not None else ReedSolomonCode(self.field, self.ntilde, k)
         if self.inner.length != self.ntilde or self.inner.k != k or self.inner.d < self.d:
             raise ValueError("inner code does not match the scheme parameters")
@@ -230,6 +215,47 @@ class HammingScheme:
             assert self.n - self.k <= self.redundancy_bound()
         self.vector = self.inner.check.vector
         self._digit_weights = np.array([q**j % p for j in range(self.m)], np.int64)
+
+    @staticmethod
+    def _budget(q, ell, tau, theta, sigma, rho_max) -> tuple[int, int, int]:
+        """Output alphabet Q, theta (by default Q - 1) and inner distance
+        d = 2*tau + sigma + rho_max + 1, checked; none of them depends on k."""
+        if tau < 1:
+            raise ValueError(f"error budget must be >= 1, got {tau}")
+        if min(sigma, rho_max) < 0:
+            raise ValueError("sigma and rho_max must be >= 0")
+        q_out = output_alphabet(q, ell)
+        theta = q_out - 1 if theta is None else theta
+        if not 1 <= theta <= q_out - 1:
+            raise ValueError(f"theta must be in [1, {q_out - 1}], got {theta}")
+        return q_out, theta, 2 * tau + sigma + rho_max + 1
+
+    @staticmethod
+    def _length(q: int, k: int, d: int, p: int) -> int:
+        """Total length: the k data columns and m = ceil(log_q p) digit
+        planes of the d - 1 inner check symbols."""
+        return k + ceil_log(q, p) * (d - 1)
+
+    @classmethod
+    def dimension(cls, n, q, ell, tau, theta=None, sigma=0, rho_max=0, p=None) -> int | None:
+        """The one k in [1, n) at which these arguments give total length
+        n, or None.  The inner prime (p, else the smallest one for theta and
+        the inner length k + d - 1) never falls as k grows, so the length
+        strictly increases with k and bisection finds that k.  Whether a
+        scheme builds there is for the constructor to say."""
+        _, theta, d = cls._budget(q, ell, tau, theta, sigma, rho_max)
+
+        def length(k: int) -> int:
+            return cls._length(q, k, d, smallest_inner_prime(theta, k + d - 1) if p is None else p)
+
+        lo, hi = 1, n - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if length(mid) < n:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo if lo < n and length(lo) == n else None
 
     def redundancy_bound(self) -> int:
         """Upper bound on n - k when the inner code is from the BCH family."""

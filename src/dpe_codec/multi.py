@@ -14,18 +14,28 @@ Large-alphabet scheme: when some prime p with 2*tau < p <= q exists, each
 row reduced mod p is systematically extended to a zero-checksum word, and
 the decoder works directly on the read vector reduced mod p.
 
-The checksum of the checked part of the read (the head, or the whole
-read) is one product with the code's `core.CheckMatrix`, built for the read
-alphabet, on the values `ReadVector.admit` returns; the repetition tail,
-the planes and every correction stay on Python ints.
+Every level but the median vote is a linear check, so each scheme's
+syndromes are one product with its `core.CheckMatrix`, built for the read
+alphabet, on the values `ReadVector.admit` returns.  The large-alphabet
+matrix is its code's checks over the whole read.  The recursive matrix
+spans the whole widened read too, in 2*tau rows: mod p, the head's checks
+less the checksum its digit planes record; mod p~, the planes' checks less
+the checksum the first tail copy records.  A clean read is that product
+and a zero test.  Otherwise the decoder corrects the syndromes sparsely
+on Python ints (`CheckMatrix.less`): the median in place of copy 0 where
+the copies disagree, then the planes' decoded error, before it decodes the
+head.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 from .basemath import PrimeField, base_q_digits, ceil_log, is_prime, next_prime
 from .berlekamp import BerlekampCode, decode_bounded, systematic_encode
 from .core import (
     DECODE_FAILURE,
+    CheckMatrix,
     DecodeOutcome,
     QMatrix,
     ReadVector,
@@ -97,7 +107,8 @@ class RecursiveScheme:
             self.mtilde = 0
             self.tail_checker = None
         self.k = self.n  # every input column is information
-        self.vector = self.checker.check.vector
+        self.check = CheckMatrix(*self._check_rows(), self.q_out)
+        self.vector = self.check.vector
 
     @property
     def redundancy(self) -> int:
@@ -106,6 +117,32 @@ class RecursiveScheme:
     @property
     def total_length(self) -> int:
         return self.n + self.redundancy
+
+    def _check_rows(self) -> tuple[list[list[int]], list[int]]:
+        """The 2*tau check rows over the whole widened read.  Level 1, mod p:
+        the head's odd-power checks, less the checksum that the digit planes
+        record.  Level 2, mod p~: the block's checks, less the checksum that
+        the first tail copy records; the other copies weigh nothing."""
+        n, tau, q = self.n, self.tau, self.q
+        zeros = [0] * self.total_length
+        start = tau - self.plane_cols
+        rows = []
+        for v in range(tau):
+            row = list(self.checker.power_cols[v]) + zeros[n:]
+            if v >= start:
+                for j in range(self.m):
+                    row[n + j * self.plane_cols + v - start] = -(q**j)
+            rows.append(row)
+        moduli = [self.p] * tau
+        if self.ntilde > 0:
+            tail = n + self.ntilde
+            for v in range(tau):
+                row = zeros[:n] + list(self.tail_checker.power_cols[v]) + zeros[tail:]
+                for j in range(self.mtilde):
+                    row[tail + j * tau + v] = -(q**j)
+                rows.append(row)
+            moduli += [self.ptilde] * tau
+        return rows, moduli
 
     def _plane_block(self, syndrome: tuple) -> list[int]:
         """Digit planes of one row's checksum, laid out plane-major."""
@@ -134,55 +171,37 @@ class RecursiveScheme:
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
         values = y.admit(self.total_length, self.q_out, vector=self.vector)
-        head = y.entries[: self.n]
-        block = y.entries[self.n : self.n + self.ntilde]
-
+        syn = self.check(values)
+        entries, n, tau = y.entries, self.n, self.tau
         if self.ntilde > 0:
-            # Level 3: median over the repeated copies recovers the digits
-            # of the block's checksum exactly (at most tau copies disturbed).
-            tail_width = self.tau * self.mtilde
-            tail = y.entries[self.n + self.ntilde :]
-            medians = [
-                _median([tail[r * tail_width + t] for r in range(self.rep)])
-                for t in range(tail_width)
-            ]
-            syn2 = tuple(
-                sum(
-                    self.q**j * medians[j * self.tau + v] for j in range(self.mtilde)
-                )
-                % self.ptilde
-                for v in range(self.tau)
-            )
-            # Level 2: cancel it against the read block's checksum.
-            block_syn = self.tail_checker.syndrome(block)
-            err_syn = tuple((a - b) % self.ptilde for a, b in zip(block_syn, syn2))
-            block_err = decode_bounded(self.tail_checker, err_syn)
-            if block_err is None:
-                return DECODE_FAILURE
-            fixed = corrected(block, self.ntilde, enumerate(block_err), self.q_out)
-            if fixed.failed:
-                return fixed
-            block = fixed.prefix
-
-        # Level 1: rebuild the head's checksum from the corrected planes.
-        start = self.tau - self.plane_cols
-        syn1 = [0] * self.tau
-        for v in range(start, self.tau):
-            syn1[v] = (
-                sum(
-                    self.q**j * block[j * self.plane_cols + (v - start)]
-                    for j in range(self.m)
-                )
-                % self.p
-            )
-        head_syn = self.checker.syndrome(values[: self.n])
-        err_syn = tuple((a - b) % self.p for a, b in zip(head_syn, syn1))
-        head_err = decode_bounded(self.checker, err_syn)
-        if head_err is None:
+            # Level 3: the median over the repeated copies recovers the
+            # digits of the block's checksum exactly (at most tau copies
+            # disturbed).  The product weighed copy 0: where the copies
+            # differ, put the median in its place.
+            start = n + self.ntilde
+            width = tau * self.mtilde
+            tail = entries[start:]
+            copy0 = tail[:width]
+            if tail != copy0 * self.rep:
+                syn = self.check.less(syn, (
+                    (start + t, copy0[t] - _median(tail[t::width])) for t in range(width)))
+            # Level 2: the block's syndrome against that checksum.
+            if any(syn[tau:]):
+                err = decode_bounded(self.tail_checker, syn[tau:])
+                if err is None:
+                    return DECODE_FAILURE
+                hits = list(compress(enumerate(err), err))
+                fixed = corrected(entries[n:start], self.ntilde, hits, self.q_out)
+                if fixed.failed:
+                    return fixed
+                syn = self.check.less(syn, ((n + j, e) for j, e in hits))
+        # Level 1: the head's syndrome against the checksum in the planes.
+        if not any(syn[:tau]):
+            return decoded(entries[:n])
+        err = decode_bounded(self.checker, syn[:tau])
+        if err is None:
             return DECODE_FAILURE
-        if not any(err_syn):
-            return decoded(head)  # a zero syndrome decodes to no error
-        return corrected(head, self.n, enumerate(head_err), self.q_out)
+        return corrected(entries, n, compress(enumerate(err), err), self.q_out)
 
 
 class LargeAlphabetScheme:
@@ -232,4 +251,4 @@ class LargeAlphabetScheme:
         err = decode_bounded(self.code, syn)
         if err is None:
             return DECODE_FAILURE
-        return corrected(y.entries, self.k, enumerate(err), self.q_out)
+        return corrected(y.entries, self.k, compress(enumerate(err), err), self.q_out)

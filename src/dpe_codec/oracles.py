@@ -20,6 +20,8 @@ from .core import DECODE_FAILURE, CheckMatrix, DecodeOutcome, QMatrix, decoded, 
 ENUMERATION_GUARD = 1_000_000
 DISTANCE_PAIR_GUARD = 20_000_000
 SUPPORT_SCAN_GUARD = 1_000_000
+# reads decoded in an audit's sweep times the codewords each one scans
+SWEEP_GUARD = 5_000_000
 
 METRICS = {"l1": l1_dist, "hamming": hamming_dist}
 

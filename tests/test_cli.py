@@ -1,8 +1,10 @@
 import hashlib
 import json
+import time
 
 import pytest
 
+from dpe_codec import cli
 from dpe_codec.cli import main
 from dpe_codec.core import QMatrix
 from dpe_codec.formats import read_json, read_matrix, read_vector, write_matrix
@@ -113,6 +115,65 @@ class TestParams:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--allow-suffix-ambiguity does not apply" in captured.err
+
+
+# Hamming flag sets (sidecar fields) whose dimension is solved from the
+# length: p chosen or not, a theta below Q - 1, an erasure budget and extra
+# detection; with p = 11 only the shortest inner codes fit, and with an
+# erasure budget, theta = 1 and Q = 11 only the k whose inner prime reaches
+# Q build (k = 1..3 do not)
+HAMMING_FIELDS = [
+    {"q": 2, "ell": 2, "tau": 1},
+    {"q": 2, "ell": 2, "tau": 2, "theta": 1},
+    {"q": 3, "ell": 2, "tau": 1, "p": 11},
+    {"q": 2, "ell": 2, "tau": 2, "theta": 2, "rho": 1},
+    {"q": 4, "ell": 3, "tau": 1, "sigma": 2},
+    {"q": 2, "ell": 3, "tau": 1, "rho": 1, "sigma": 1, "p": 23},
+    {"q": 2, "ell": 10, "tau": 1, "theta": 1, "rho": 1},
+]
+
+
+class TestHammingDimension:
+    @pytest.mark.parametrize("fields", HAMMING_FIELDS, ids=range(len(HAMMING_FIELDS)))
+    def test_matches_the_linear_search(self, fields):
+        # every k in [1, 80) built once: the smallest k whose scheme has
+        # length n is what a search over every k would return
+        fields = {"sigma": 0, "rho": 0, **fields}
+        first: dict[int, int] = {}
+        for k in range(1, 80):
+            try:
+                first.setdefault(cli.build("hamming", {**fields, "k": k}).n, k)
+            except ValueError:
+                continue
+        for n in range(1, 81):
+            expect = first.get(n) if first.get(n, n) < n else None
+            if expect is None:
+                with pytest.raises(cli.UsageError, match=f"no dimension fits total length {n} "):
+                    cli.build("hamming", {**fields, "n": n})
+            else:
+                assert cli.build("hamming", {**fields, "n": n}).k == expect, n
+
+    def test_long_code(self, capsys):
+        start = time.perf_counter()
+        assert main(["params", "--scheme", "hamming", "--q", "2", "--ell", "2", "--tau", "1",
+                     "--n", "3000"]) == 0
+        assert time.perf_counter() - start < 2
+        data = json.loads(capsys.readouterr().out)
+        assert (data["n"], data["k"], data["p"]) == (3000, 2976, 2999)
+
+    def test_small_k_refused(self, capsys):
+        # k = 1..3 have inner primes 5, 7, 7 < Q = 11, which the erasure
+        # budget refuses; k = 4 has p = 11 and n = 4 + 4 * 3 = 16
+        assert main(["params", "--scheme", "hamming", "--q", "2", "--ell", "10", "--tau", "1",
+                     "--theta", "1", "--rho", "1", "--n", "16"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["n"], data["k"], data["p"]) == (16, 4, 11)
+
+    def test_no_scheme_builds(self, capsys):
+        # theta = 2 needs p > 4: no k builds over p = 3
+        assert main(["params", "--scheme", "hamming", "--q", "2", "--ell", "2", "--tau", "1",
+                     "--p", "3", "--n", "10"]) == 1
+        assert "no dimension fits total length 10 for these parameters" in capsys.readouterr().err
 
 
 class TestEncode:
@@ -495,6 +556,21 @@ class TestAudit:
         names = {c["name"]: c for c in report["checks"]}
         assert names["induced minimum distance"]["detail"]["measured"] >= 3
         assert names["exhaustive decode sweep"]["detail"]["miscorrections"] == 0
+        assert names["exhaustive decode sweep"]["status"] == "pass"
+
+    def test_sweep_guard_skip_not_fatal(self, capsys):
+        # 1,685 codewords pass the distance guard, but decoding their L1
+        # spheres against all of them does not pass the sweep guard
+        rc = main(["audit", "--scheme", "sec", "--q", "2", "--n", "11", "--ell", "2"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        names = {c["name"]: c for c in report["checks"]}
+        assert names["induced-code enumeration"]["detail"]["codewords"] == 1685
+        assert names["induced minimum distance"]["status"] == "pass"
+        sweep = names["exhaustive decode sweep"]
+        assert sweep["status"] == "skipped"
+        assert "38755 reads, each scanning 1685 codewords" in sweep["detail"]["reason"]
+        assert report["all_pass"]
 
     def test_dec_tiny(self, capsys):
         rc = main(["audit", "--scheme", "dec", "--q", "2", "--p", "11", "--ell", "2"])
@@ -502,6 +578,7 @@ class TestAudit:
         report = json.loads(capsys.readouterr().out)
         names = {c["name"]: c for c in report["checks"]}
         assert names["induced minimum distance"]["detail"]["measured"] >= 5
+        assert names["exhaustive decode sweep"]["status"] == "pass"
 
     def test_guard_skip_not_fatal(self, capsys):
         rc = main(["audit", "--scheme", "sec", "--q", "2", "--n", "15", "--ell", "3"])
