@@ -10,19 +10,24 @@ are passed to the inner decoder as known-location unknowns.
 
 The inner code here is a Reed-Solomon code in parity-check form (checks at
 consecutive powers of distinct nonzero points, an MDS construction),
-decoded for errors and erasures by Euclid's algorithm on the key equation
-with Forney's error values (Roth, Introduction to Coding Theory, ch. 6).
-Any linear code with a `check` matrix and `decode_errors_erasures` can
-stand in, such as ``oracles.LinearInnerCode``, which decodes by codeword
-enumeration; the support-scan decoder in ``oracles`` is the reference the
-Reed-Solomon decoder is checked against.
+decoded for errors and erasures from its syndromes by Euclid's algorithm
+on the key equation with Forney's error values (Roth, Introduction to
+Coding Theory, ch. 6).  Any linear code with a `check` matrix and
+`decode_syndromes` can stand in, such as ``oracles.LinearInnerCode``,
+which decodes by codeword enumeration; the support-scan decoder in
+``oracles`` is the reference the Reed-Solomon decoder is checked against.
 
-The scheme's check matrix is the inner code's (`core.CheckMatrix`, over
-symbols in [0, p)), and it decides the int64 kernel.  On that path a read
-without erasures is packed from its int64 array (every entry reduced mod p
-first, then the digit planes as one reshape times the digit weights), so
-the product stays exact for any read alphabet; reads with erasures and the
-correction stay on Python ints.
+The packing map is linear mod p, so the inner checks of the packed symbols
+are one fixed matrix times the read: the scheme's `core.CheckMatrix`, the
+inner check rows folded over the n read columns (a digit column weighs
+its symbol's inner column by q^j mod p).  It is built for entries in
+[0, p), which decides the int64 kernel on the symbols: an int64 read is
+reduced mod p before the product, so the product stays exact for any read
+alphabet, and a read past int64 stays on Python ints.  Every read, with or
+without erasures, is that one product and a zero test; a nonzero syndrome
+goes to the inner code's `decode_syndromes`.  Erased entries are never
+read: the decoder sets them to 0 for the product and the correction.
+`pack` stays as the reference the fold is tested against.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .core import (
     ReadVector,
     check_input,
     corrected,
+    decoded,
     output_alphabet,
 )
 from .gfpoly import poly_eval, poly_mul, poly_roots, solve_key_equation
@@ -88,31 +94,31 @@ class ReedSolomonCode:
         p = self.field.p
         word = [v % p for v in message] + [0] * (self.d - 1)
         tail = range(self.k, self.length)
-        error = self._locate(self.syndromes(word), tail, 0)
+        error = self.decode_syndromes(self.syndromes(word), tail, 0)
         return word[: self.k] + [-error[j] % p for j in tail]
 
     def decode_errors_erasures(
         self, values: Sequence[int], erased: Sequence[int], radius: int
     ) -> list[int] | None:
         """Return the full error vector (values mod p, erased entries counted
-        as errors against the zero-filled input) or None.
-
-        Corrects up to `radius` errors alongside the given erasures whenever
-        2*radius + len(erased) < d, and returns None when the closest
-        codeword needs more than `radius` errors.  `values` may be an int64
+        as errors against the zero-filled input) or None: `decode_syndromes`
+        on the syndromes of the zero-filled input.  `values` may be an int64
         array of symbols in [0, p), as for `syndromes`; the error vector is
         Python ints.
         """
-        erased = sorted(set(erased))
-        if len(erased) >= self.d:
-            return None
-        syn = self.syndromes(values)
-        if erased:  # count the erased symbols as 0
-            syn = self.check.less(syn, ((j, int(values[j])) for j in erased))
-        return self._locate(syn, erased, radius)
+        syn = self.syndromes(values)  # count the erased symbols as 0
+        syn = self.check.less(syn, ((j, int(values[j])) for j in set(erased)))
+        return self.decode_syndromes(syn, erased, radius)
 
-    def _locate(self, syn: list[int], erased: Sequence[int], radius: int) -> list[int] | None:
-        """Errors and erasures from the syndromes S_v = sum_j e_j gamma_j^(v+1).
+    def decode_syndromes(
+        self, syn: Sequence[int], erased: Sequence[int], radius: int
+    ) -> list[int] | None:
+        """The full error vector of a word whose erased symbols hold 0, from
+        its syndromes S_v = sum_j e_j gamma_j^(v+1), or None.
+
+        Corrects up to `radius` errors alongside the given erasures whenever
+        2*radius + len(erased) < d, and returns None when the closest
+        codeword needs more than `radius` errors.
 
         With locators X_j = gamma_j and values e_j * gamma_j, Euclid on the
         erasure-modified syndrome Gamma * S mod x^(d-1) gives the error
@@ -120,6 +126,9 @@ class ReedSolomonCode:
         over the points, and each error value is e_j = -Omega(1/X_j) /
         Psi'(1/X_j) for the full locator Psi = Lambda * Gamma.
         """
+        erased = sorted(set(erased))
+        if len(erased) >= self.d:
+            return None
         p = self.field.p
         if not any(syn):
             return [0] * self.length
@@ -213,8 +222,9 @@ class HammingScheme:
             raise ValueError("inner code does not match the scheme parameters")
         if sigma == 0 and rho_max == 0:
             assert self.n - self.k <= self.redundancy_bound()
-        self.vector = self.inner.check.vector
-        self._digit_weights = np.array([q**j % p for j in range(self.m)], np.int64)
+        self._digit_weights = [q**j % p for j in range(self.m)]
+        self.check = CheckMatrix(self._check_rows(), self.inner.check.moduli, p)
+        self.vector = self.check.vector
 
     @staticmethod
     def _budget(q, ell, tau, theta, sigma, rho_max) -> tuple[int, int, int]:
@@ -265,13 +275,36 @@ class HammingScheme:
 
     # -- the packing map ----------------------------------------------------
 
+    def _check_rows(self) -> list[tuple[int, ...]]:
+        """The inner checks folded through the packing map, one row over the
+        n read columns per inner check row: data column j keeps inner column
+        j, and digit column k + b + j*block weighs inner column k + b by
+        q^j mod p."""
+        k, block = self.k, self.ntilde - self.k
+        return [
+            row[:k] + tuple(w * row[k + b] for w in self._digit_weights for b in range(block))
+            for row in self.inner.check.rows
+        ]
+
+    def _erased_symbols(self, erased: Sequence[bool]) -> set[int]:
+        """The packed symbols that the flagged columns feed: a data column
+        its own symbol, a digit column the check symbol of its plane
+        position."""
+        block = self.ntilde - self.k
+        return {
+            col if col < self.k else self.k + (col - self.k) % block
+            for col in compress(range(self.n), erased)
+        }
+
     def pack(self, values: Sequence[int], erased: Sequence[bool] | None = None):
         """Map n output columns to ntilde field symbols (the row-level
         homomorphism); returns (symbols, erased symbol indices).
 
-        An int64 array (a read of a scheme whose `vector` holds) packs into
-        an int64 array of symbols: the redundancy columns, as an m x block
-        matrix of digit planes reduced mod p, times the digit weights."""
+        An int64 array packs into an int64 array of symbols: the redundancy
+        columns, as an m x block matrix of digit planes reduced mod p, times
+        the digit weights.  The decoder does not pack; the map is the
+        reference that `check`, the inner checks folded through it, is
+        tested against."""
         if len(values) != self.n:
             raise ValueError(f"need {self.n} values, got {len(values)}")
         p = self.p
@@ -279,23 +312,15 @@ class HammingScheme:
         if isinstance(values, np.ndarray):
             reduced = values % p
             planes = reduced[self.k :].reshape(self.m, block)
-            symbols = np.concatenate((reduced[: self.k], self._digit_weights @ planes % p))
+            weights = np.array(self._digit_weights, np.int64)
+            symbols = np.concatenate((reduced[: self.k], weights @ planes % p))
         else:
             symbols = [values[v] % p for v in range(self.k)]
             for v in range(block):
                 symbols.append(
                     sum(values[self.k + v + j * block] * self.q**j for j in range(self.m)) % p
                 )
-        erased_symbols: set[int] = set()
-        if erased is not None:
-            for col, gone in enumerate(erased):
-                if not gone:
-                    continue
-                if col < self.k:
-                    erased_symbols.add(col)
-                else:
-                    erased_symbols.add(self.k + (col - self.k) % block)
-        return symbols, erased_symbols
+        return symbols, self._erased_symbols(erased) if erased is not None else set()
 
     # -- encode / decode -----------------------------------------------------
 
@@ -312,12 +337,18 @@ class HammingScheme:
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
         values = y.admit(self.n, self.q_out, erasures=True, vector=self.vector)
-        symbols, erased_symbols = self.pack(values, y.erased if y.has_erasures else None)
-        if len(erased_symbols) > self.rho_max:
-            raise ValueError(
-                f"{len(erased_symbols)} erased symbols exceed the budget {self.rho_max}"
-            )
-        err = self.inner.decode_errors_erasures(symbols, erased_symbols, self.tau)
+        entries, erased = y.entries, ()
+        if y.has_erasures:  # erased entries are placeholders: count them as 0
+            erased = self._erased_symbols(y.erased)
+            if len(erased) > self.rho_max:
+                raise ValueError(f"{len(erased)} erased symbols exceed the budget {self.rho_max}")
+            values = entries = [0 if gone else v for v, gone in zip(entries, y.erased)]
+        elif isinstance(values, np.ndarray):
+            values = values % self.p  # the symbols' range keeps the product in int64
+        syn = self.check(values)
+        if not any(syn):
+            return decoded(entries[: self.k])
+        err = self.inner.decode_syndromes(syn, erased, self.tau)
         if err is None:
             return DECODE_FAILURE
         # An erased entry holds 0 and its symbol was solved outright: its
@@ -326,4 +357,4 @@ class HammingScheme:
             (j, -(-err[j] % self.p) if y.erased[j] else signed_value(err[j], self.field))
             for j in compress(range(self.k), err)
         )
-        return corrected(y.entries, self.k, errors, self.q_out)
+        return corrected(entries, self.k, errors, self.q_out)

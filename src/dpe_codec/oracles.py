@@ -180,11 +180,11 @@ class LinearInnerCode:
         self.d = distance
         if self.k < 1:
             raise ValueError("check matrix leaves no message symbols")
-        tail = [[rows[v][self.k + t] for t in range(r)] for v in range(r)]
+        self._tail = [[rows[v][self.k + t] for t in range(r)] for v in range(r)]
         self._encoder_cols = []
         for j in range(self.k):
             rhs = [(-rows[v][j]) % p for v in range(r)]
-            col = gfp_solve(tail, rhs, p)
+            col = gfp_solve(self._tail, rhs, p)
             if col is None:
                 raise ValueError("check matrix tail is singular; reorder columns")
             self._encoder_cols.append(col)
@@ -203,11 +203,23 @@ class LinearInnerCode:
     def decode_errors_erasures(
         self, values: Sequence[int], erased: Sequence[int], radius: int
     ) -> list[int] | None:
-        """The contract of ReedSolomonCode.decode_errors_erasures, by
-        enumeration (`values` may be an int64 array where `check.vector`
-        holds; the error vector is Python ints)."""
+        """The contract of ReedSolomonCode.decode_errors_erasures:
+        `decode_syndromes` on the syndromes of the zero-filled input
+        (`values` may be an int64 array where `check.vector` holds; the
+        error vector is Python ints)."""
+        syn = self.check(values)  # count the erased symbols as 0
+        syn = self.check.less(syn, ((j, int(values[j])) for j in set(erased)))
+        return self.decode_syndromes(syn, erased, radius)
+
+    def decode_syndromes(
+        self, syn: Sequence[int], erased: Sequence[int], radius: int
+    ) -> list[int] | None:
+        """The contract of ReedSolomonCode.decode_syndromes, by enumeration:
+        a word w with these syndromes (zero message, the tail solved), then
+        the first codeword c within the radius of w on the symbols that are
+        not erased; the error vector is w - c."""
         p = self.field.p
-        erased = sorted(set(erased))
+        erased = set(erased)
         rho = len(erased)
         if rho >= self.d:
             return None
@@ -219,12 +231,10 @@ class LinearInnerCode:
                 f"enumerating {count} codewords exceeds the guard ({limit}); "
                 "set DPE_CODEC_GUARD_OVERRIDE to raise it"
             )
-        filled = [0 if j in erased else int(values[j]) % p for j in range(self.length)]
+        word = [0] * self.k + gfp_solve(self._tail, list(syn), p)
+        kept = [j for j in range(self.length) if j not in erased]
         for msg in itertools.product(range(p), repeat=self.k):
             cw = self.encode(list(msg))
-            dist = sum(
-                1 for j in range(self.length) if j not in erased and filled[j] != cw[j]
-            )
-            if dist <= t_max:
-                return [(filled[j] - cw[j]) % p for j in range(self.length)]
+            if sum(1 for j in kept if word[j] != cw[j]) <= t_max:
+                return [(w - c) % p for w, c in zip(word, cw)]
         return None

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dpe_codec import core
 from dpe_codec.basemath import PrimeField, hamming_dist
 from dpe_codec.core import QMatrix, ReadVector
 from dpe_codec.hamming import HammingScheme, ReedSolomonCode, smallest_inner_prime
@@ -132,6 +133,42 @@ class TestLinearInnerCode:
         err = generic.decode_errors_erasures(y, [1], 2)
         assert err is not None
         assert [(v - e) % 7 for v, e in zip(y, err)] == cw
+
+
+class TestDecodeSyndromes:
+    @pytest.mark.parametrize("p,length,k", [(7, 6, 1), (7, 5, 2), (11, 8, 3), (11, 7, 2)])
+    def test_three_decoders_agree(self, p, length, k):
+        # the syndromes are those of the zero-filled word; the erased symbols
+        # of the read hold nonzero values, which no decoder may read
+        rs = ReedSolomonCode(PrimeField(p), length=length, k=k)
+        generic = LinearInnerCode(PrimeField(p), rs.check.rows, distance=rs.d)
+        rng = random.Random(p * length + k)
+        for trial in range(120):
+            erased = rng.sample(range(length), rng.randrange(rs.d))
+            radius = rng.randrange(rs.d)
+            if trial % 3 == 0:
+                y = [rng.randrange(p) for _ in range(length)]
+            else:
+                y = rs.encode([rng.randrange(p) for _ in range(k)])
+                free = [j for j in range(length) if j not in erased]
+                count = min(len(free), rng.randrange((rs.d - 1 - len(erased)) // 2 + 2))
+                for pos in rng.sample(free, count):
+                    y[pos] = (y[pos] + rng.randrange(1, p)) % p
+            for j in erased:
+                y[j] = rng.randrange(1, p)
+            syn = rs.syndromes([0 if j in erased else v for j, v in enumerate(y)])
+            expect = scan_errors_erasures(rs, y, erased, radius)
+            assert rs.decode_syndromes(syn, erased, radius) == expect
+            assert generic.decode_syndromes(syn, erased, radius) == expect
+            assert rs.decode_errors_erasures(y, erased, radius) == expect
+            assert generic.decode_errors_erasures(y, erased, radius) == expect
+
+    def test_too_many_erasures(self):
+        rs = ReedSolomonCode(PrimeField(7), length=6, k=2)  # d = 5
+        generic = LinearInnerCode(PrimeField(7), rs.check.rows, distance=rs.d)
+        for code in (rs, generic):
+            assert code.decode_syndromes([1, 0, 0, 0], [0, 1, 2, 3, 4], 0) is None
+            assert code.decode_syndromes([0] * 4, [0, 1, 2, 3], 0) == [0] * 6
 
 
 class TestSchemeConstruction:
@@ -311,3 +348,38 @@ class TestDecode:
                             continue
                         outcome = scheme.decode(ReadVector.exact(y))
                         assert outcome.failed or outcome.prefix == prefix
+
+    @pytest.mark.parametrize("kernel", [False, True], ids=["python", "kernel"])
+    @pytest.mark.parametrize("placeholder", [0, 1, 5, -3, None, 2.5])
+    @pytest.mark.parametrize("column", [0, 4, 15])
+    def test_erased_placeholder_is_not_read(self, monkeypatch, kernel, placeholder, column):
+        # an erased entry may hold anything, its true value included: the
+        # decoder counts it as 0 and solves its symbol
+        monkeypatch.setattr(core, "KERNEL_MIN_LENGTH", 1 if kernel else 10**9)
+        scheme = HammingScheme(2, 2, 4, 1, rho_max=1)
+        monkeypatch.undo()
+        assert scheme.vector == kernel and scheme.n == 16
+        c = _product([1, 1], scheme.encode(QMatrix.from_lists(2, [[1, 0, 1, 1], [0, 1, 1, 0]])))
+        assert c[:4] == [1, 1, 2, 1]
+        entries = list(c)
+        entries[column] = placeholder
+        flags = tuple(j == column for j in range(scheme.n))
+        assert scheme.decode(ReadVector(tuple(entries), flags)).prefix == (1, 1, 2, 1)
+        # and with one error besides: 2*tau + 1 erasure < d = 4
+        entries[1] = 2
+        assert scheme.decode(ReadVector(tuple(entries), flags)).prefix == (1, 1, 2, 1)
+
+    @pytest.mark.parametrize("kernel", [False, True], ids=["python", "kernel"])
+    def test_erased_data_entry_above_half_p(self, monkeypatch, kernel):
+        # p = Q = 11: an erased data entry of 6..10 is its symbol itself,
+        # which a signed lift would take for a negative error
+        monkeypatch.setattr(core, "KERNEL_MIN_LENGTH", 1 if kernel else 10**9)
+        scheme = HammingScheme(2, 10, 4, 1, theta=1, rho_max=1)
+        monkeypatch.undo()
+        assert scheme.vector == kernel and scheme.p == scheme.q_out == 11
+        rng = random.Random(11)
+        for _ in range(20):
+            a = QMatrix.from_lists(2, [[rng.randrange(2) for _ in range(4)] for _ in range(10)])
+            c = _product([1] * 10, scheme.encode(a))
+            for j in range(4):
+                assert scheme.decode(ReadVector.with_erasures(c, [j])).prefix == tuple(c[:4])

@@ -150,6 +150,7 @@ SEC_DED_PARITY = api.SecDedScheme(2, 1023, 8)
 LARGE_ALPHABET = api.LargeAlphabetScheme(1031, 250, 3, 8)
 RECURSIVE = api.RecursiveScheme(2, 8, 2, 1031)
 HAMMING = api.HammingScheme(2, 8, 256, 2)
+HAMMING_WIDE = api.HammingScheme(2**32, 2, 100, 1, theta=1)
 
 
 def _entries(seed, n, bound):
@@ -251,6 +252,38 @@ class TestSyndromesAgree:
         assert isinstance(symbols, np.ndarray)
         assert (symbols.tolist(), erased) == HAMMING.pack(y)
 
+    @pytest.mark.parametrize("table", [SMALL, LARGE], ids=["python", "kernel"])
+    def test_hamming_fold(self, table):
+        # the folded check matrix on a read equals the inner checks on its
+        # packed symbols; an int64 read is reduced mod p first
+        scheme = table["hamming"]()
+        assert scheme.check.n == scheme.n and len(scheme.check.rows) == scheme.d - 1
+
+        @SETTINGS
+        @given(SEEDS)
+        def fold(seed):
+            y = _entries(seed, scheme.n, scheme.q_out)
+            expect = scheme.inner.syndromes(scheme.pack(y)[0])
+            assert scheme.check(y) == expect
+            if scheme.vector:
+                assert scheme.check(_array(y) % scheme.p) == expect
+
+        fold()
+
+    @SETTINGS
+    @given(SEEDS)
+    def test_hamming_fold_past_int64(self, seed):
+        # Q is about 2^65: Python ints on the whole alphabet, the int64
+        # product on reads below 2^63 reduced mod p
+        scheme = HAMMING_WIDE
+        assert scheme.vector and scheme.q_out > 2**64
+        for bound in (scheme.q_out, INT64_BOUND):
+            y = _entries(seed, scheme.n, bound)
+            expect = scheme.inner.syndromes(scheme.pack(y)[0])
+            assert scheme.check(y) == expect
+            if bound == INT64_BOUND:
+                assert scheme.check(_array(y) % scheme.p) == expect
+
     @SETTINGS
     @given(SEEDS, st.lists(st.integers(0, HAMMING.ntilde - 1), max_size=HAMMING.inner.d - 1))
     def test_reed_solomon(self, seed, erased):
@@ -262,3 +295,26 @@ class TestSyndromesAgree:
         assert rs.syndromes(_array(symbols)) == rs.syndromes(list(symbols)) == expect
         assert (rs.decode_errors_erasures(_array(symbols), erased, HAMMING.tau)
                 == rs.decode_errors_erasures(list(symbols), erased, HAMMING.tau))
+
+
+@pytest.mark.parametrize("k", [4, 100], ids=["python", "kernel"])
+def test_hamming_decodes_without_the_packing_map(k, monkeypatch):
+    # every Hamming read is one product with the folded check matrix; the
+    # packing map and the packed-symbol decoder stay only as references
+    scheme = api.HammingScheme(2, 2, k, 1, rho_max=1)
+    assert scheme.vector == (k == 100)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the decoder packed the read")
+
+    monkeypatch.setattr(api.HammingScheme, "pack", refuse)
+    monkeypatch.setattr(api.ReedSolomonCode, "decode_errors_erasures", refuse)
+    rng = random.Random(k)
+    rows = [[rng.randrange(2) for _ in range(k)] for _ in range(2)]
+    clean = api.compute_clean([1, 1], scheme.encode(api.QMatrix.from_lists(2, rows)))
+    prefix = tuple(clean[:k])
+    dirty = list(clean)
+    dirty[k // 2] = (dirty[k // 2] + 1) % scheme.q_out
+    for y in (ReadVector.exact(clean), ReadVector.exact(dirty),
+              ReadVector.with_erasures(clean, [1]), ReadVector.with_erasures(dirty, [scheme.n - 1])):
+        assert scheme.decode(y).prefix == prefix
