@@ -10,7 +10,10 @@ Base-field codes are decoded algebraically at any budget: closed forms
 serve tau = 1 and tau = 2 (the tau = 2 case solves a quadratic built from
 the two syndrome components), and the key-equation decoder serves every
 budget (Roth & Siegel, "Lee-metric BCH codes and their application to
-constrained and partial-response channels", IEEE Trans. IT, 1994).  The
+constrained and partial-response channels", IEEE Trans. IT, 1994).  Its
+locate step scans each pair of points +-beta once, from inverses each
+code keeps, and reads the last point off the sum of the others, so a
+single error (a linear locator) needs no scan.  The
 exhaustive decoder enumerates the L1 sphere; it is the ground-truth oracle
 for cross-checking and the only decoder over extension fields.  Only tests
 and the oracles call it, so its enumeration guard (raisable through
@@ -26,6 +29,8 @@ multiplies either form.
 
 from __future__ import annotations
 
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 from .basemath import (
@@ -38,7 +43,7 @@ from .basemath import (
     sphere_volume_l1,
 )
 from .core import CheckMatrix, guard_limit
-from .gfpoly import poly_roots, poly_trim, solve_key_equation
+from .gfpoly import inverses, poly_roots, poly_trim, solve_key_equation
 
 # Exhaustive decoding refuses to enumerate spheres larger than this.
 ORACLE_VOLUME_GUARD = 10_000_000
@@ -93,8 +98,9 @@ class BerlekampCode:
                 tuple(pow(b, 2 * v + 1, p) for b in self.beta) for v in range(tau)
             ]
             self._index = {b: j for j, b in enumerate(self.beta)}
-            # every point an error can put in the locator: +beta_j, -beta_j
-            self._signed_points = tuple(x for b in self.beta for x in (b, p - b))
+            # Newton's recursion in the key-equation decoder multiplies by
+            # -2/m for m = 1 .. 2tau-1.
+            self._newton = [-2 * v % p for v in inverses(range(1, 2 * tau), p)]
             self._encoder_rows: list[list[int]] | None = None
             self.check = CheckMatrix(self.power_cols, (p,) * tau, p if bound is None else bound)
         else:
@@ -111,6 +117,16 @@ class BerlekampCode:
             self.power_cols = [
                 tuple(ext.power(b, 2 * v + 1) for b in self.beta) for v in range(tau)
             ]
+
+    @cached_property
+    def _scan(self) -> tuple[tuple[int, int, int], ...]:
+        """The key-equation decoder's scan table: each pair of points +-b
+        an error can put in the locator once (the smaller of two negating
+        locators stands for both), with 1/b^2 and 1/b.  Built on the first
+        scan, so codes that only the closed forms decode never build it."""
+        p = self.field.p
+        pairs = [b for b in self._index if b and not (p - b < b and p - b in self._index)]
+        return tuple((b, w * w % p, w) for b, w in zip(pairs, inverses(pairs, p)))
 
     @property
     def redundancy(self) -> int:
@@ -264,6 +280,34 @@ def decode_exhaustive(
     return match
 
 
+def _scan_points(code: BerlekampCode, a: list[int], b: list[int], count: int) -> list[int] | None:
+    """The first `count` points of Lambda = A(x^2) + x B(x^2) over the
+    code's pairs +-beta (all of them, if fewer), or None where both signs
+    of a pair are points: no error puts both in Lambda."""
+    p = code.field.p
+    a, b = a[::-1], b[::-1]  # Horner's order
+    points = []
+    for beta, u, w in code._scan:
+        x = y = 0
+        for c in a:
+            x = x * u + c
+        for c in b:
+            y = y * u + c
+        x %= p
+        y = y * w % p
+        if x == y:  # Lambda(-1/beta) = 0
+            if not x:
+                return None
+            points.append(p - beta)
+        elif x + y == p:  # Lambda(1/beta) = 0
+            points.append(beta)
+        else:
+            continue
+        if len(points) == count:
+            break
+    return points
+
+
 def decode_key_equation(
     code: BerlekampCode, syn: Sequence[int], budget: int | None = None
 ) -> list[int] | None:
@@ -274,16 +318,26 @@ def decode_key_equation(
     the odd power sums of Lambda's points and fix
     Lambda(x) / Lambda(-x) = exp(-2 * sum_{k odd} S_k x^k / k) mod x^(2*budget).
     Splitting Lambda = A(x^2) + x B(x^2) turns this into the Pade problem
-    B = A * H mod z^budget, solved by Euclid.  The points are then found
-    by a root scan with deflation, and the error is checked against every
-    syndrome component.  A point shared by two negating locators (codes
-    built without validation) leaves the error undetermined: None.
+    B = A * H mod z^budget, solved by Euclid.
+
+    The points are the reciprocals of Lambda's roots, and they sum to
+    -B(0)/A(0) with multiplicity.  The scan takes each pair +-beta once:
+    with u = 1/beta^2 and w = 1/beta from the code's table,
+    Lambda(+-1/beta) = A(u) +- w B(u), so two short Horner evaluations test
+    both signs.  It stops at deg Lambda - 1 points, and the last is read off
+    from the sum; a linear Lambda's one point is read off with no scan.
+    Only when the scan falls short are multiplicities found by deflating
+    at the points it found.  The error is checked against every syndrome
+    component.  A point shared by two negating locators (codes built
+    without validation) leaves the error undetermined: None.
     """
     if code.ext is not None:
         raise ValueError("key-equation decoding needs a base-field code")
     t = code.tau if budget is None else budget
     if not 1 <= t <= code.tau:
         raise ValueError(f"budget must be in [1, {code.tau}], got {t}")
+    if len(syn) != code.tau:
+        raise ValueError(f"need {code.tau} syndrome components, got {len(syn)}")
     p = code.field.p
     syn = [s % p for s in syn]
     if not any(syn):
@@ -291,30 +345,39 @@ def decode_key_equation(
     # Psi = Lambda(x) / Lambda(-x) through x^(2t-1): Psi' = f' Psi gives
     # m psi_m = -2 * sum_{k odd <= m} S_k psi_(m-k).
     psi = [1]
-    for m in range(1, 2 * t):
-        acc = sum(syn[k // 2] * psi[m - k] for k in range(1, m + 1, 2))
-        psi.append(-2 * acc * pow(m, -1, p) % p)
+    for m, factor in enumerate(code._newton[: 2 * t - 1], 1):
+        psi.append(sum(map(mul, syn, psi[m - 1 :: -2])) * factor % p)
     # The odd part of Lambda(x) = Psi(x) Lambda(-x) reads B (1 + Psi_even)
     # = A Psi_odd, so H = Psi_odd / (1 + Psi_even), whose constant term is 2.
     odd, even = psi[1::2], psi[0::2]
     even[0] = 2
-    half = pow(2, -1, p)
+    half = (p + 1) // 2
     h: list[int] = []
     for i in range(t):
-        acc = odd[i] - sum(even[j] * h[i - j] for j in range(1, i + 1))
-        h.append(acc * half % p)
+        h.append((odd[i] - sum(map(mul, even[1:], h[::-1]))) * half % p)
     a, b = solve_key_equation([0] * t + [1], h, (t + 1) // 2, p)
     if not a or a[0] == 0:
         return None
-    # Lambda up to a constant factor; its points are the roots of the
-    # reversed polynomial.
-    lam = [0] * (2 * max(len(a), len(b)))
-    lam[0 : 2 * len(a) : 2] = a
-    lam[1 : 2 * len(b) : 2] = b
-    poly_trim(lam)
-    roots = poly_roots(lam[::-1], code._signed_points, p)
-    if roots is None:
+    degree = max(2 * len(a) - 2, 2 * len(b) - 1)
+    if degree == 0:
+        return None  # no point, but a nonzero syndrome
+    points = _scan_points(code, a, b, degree - 1) if degree > 1 else []
+    if points is None:
         return None
+    if len(points) == degree - 1:
+        # The points sum to -b0/a0 with multiplicity: read the last one off.
+        roots = dict.fromkeys(points, 1)
+        last = (-(b[0] if b else 0) * pow(a[0], -1, p) - sum(points)) % p
+        roots[last] = roots.get(last, 0) + 1
+    else:
+        # Lambda up to a constant factor; the points are the roots of the
+        # reversed polynomial.
+        lam = [0] * (2 * max(len(a), len(b)))
+        lam[0 : 2 * len(a) : 2] = a
+        lam[1 : 2 * len(b) : 2] = b
+        roots = poly_roots(poly_trim(lam)[::-1], points, p)
+        if roots is None:
+            return None
     hits: dict[int, int] = {}
     for x, mult in roots.items():
         j, negated = code._index.get(x), code._index.get(p - x)
@@ -324,15 +387,17 @@ def decode_key_equation(
             j, mult = negated, -mult
         hits[j] = mult
     for v, col in enumerate(code.power_cols):
-        if sum(e * col[j] for j, e in hits.items()) % p != syn[v]:
+        if sum([e * col[j] for j, e in hits.items()]) % p != syn[v]:
             return None
     return _error_vector(code.n, hits.items())
 
 
 def decode_bounded(code: BerlekampCode, syn: Sequence, budget: int | None = None) -> list[int] | None:
     """Dispatch to the closed forms for budgets 1 and 2, else to the
-    key-equation decoder."""
+    key-equation decoder; a syndrome needs one component per check."""
     budget = code.tau if budget is None else budget
+    if len(syn) != code.tau:
+        raise ValueError(f"need {code.tau} syndrome components, got {len(syn)}")
     if code.ext is None and budget == code.tau:
         if code.tau == 1:
             return decode_single_error(code, syn)

@@ -265,6 +265,20 @@ class ReadVector:
         return entries
 
 
+def check_locate_input(check: CheckMatrix, syn: Sequence[int], erased: Iterable[int]) -> list[int]:
+    """The boundary of an inner code's locate step: refuse a syndrome
+    without one entry per row of its `check`, and an erased index that is
+    not an int in [0, check.n).  Returns the erased indices, sorted and
+    distinct."""
+    if len(syn) != len(check.rows):
+        raise ValueError(f"need {len(check.rows)} syndromes, got {len(syn)}")
+    erased = set(erased)
+    for j in erased:
+        if not (isinstance(j, int) and 0 <= j < check.n):
+            raise ValueError(f"erasure index {j!r} is outside [0, {check.n})")
+    return sorted(erased)
+
+
 def check_input(matrix: QMatrix, q: int, k: int) -> None:
     """Refuse a matrix to encode unless it has alphabet q and k columns."""
     if matrix.q != q or matrix.ncols != k:

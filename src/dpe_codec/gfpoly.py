@@ -5,6 +5,13 @@ that its last coefficient is nonzero; the zero polynomial is the empty
 list, of degree -1.  The Lee-metric decoder in ``berlekamp``, the
 Reed-Solomon decoder in ``hamming`` and the extension-field arithmetic in
 ``basemath`` share these helpers.
+
+The two decoders' locate steps run on small polynomials (degree at most
+the error budget) read by read, so they stay in pure Python: Euclid on
+the key equation divides in place, and each decoder scans its points by
+Horner's rule at the inverses it keeps per code (`inverses`: one `pow`
+per code), reading the last point off the sum of the others;
+`poly_roots` is left for a Lee scan that falls short of the degree.
 """
 
 from __future__ import annotations
@@ -64,28 +71,54 @@ def solve_key_equation(
     Any (t', r') with r' == t' * h mod modulus, deg r' < stop and
     deg t' <= deg modulus - stop is then a polynomial multiple of (t, r)
     (Roth, Introduction to Coding Theory, ch. 6).
+
+    Each step divides the older remainder by the newer one in place and,
+    term by term of the quotient, subtracts the same multiple of the newer
+    t from the older t, so no quotient or product is built.
     """
-    r0, r1 = modulus, poly_trim(list(h))
+    r0, r1 = list(modulus), poly_trim([v % p for v in h])
     t0, t1 = [], [1]
     while len(r1) > stop:  # deg r1 >= stop
-        quot, rem = poly_divmod(r0, r1, p)
-        step = poly_mul(quot, t1, p)
-        width = max(len(t0), len(step))
-        t_next = [
-            ((t0[i] if i < len(t0) else 0) - (step[i] if i < len(step) else 0)) % p
-            for i in range(width)
-        ]
-        r0, r1, t0, t1 = r1, rem, t1, poly_trim(t_next)
+        deg = len(r1) - 1
+        lead = pow(r1[-1], -1, p)
+        shift = len(r0) - len(r1)
+        t0 += [0] * (shift + len(t1) - len(t0))
+        for i in range(shift, -1, -1):  # Python ints: reduce once per step
+            coef = r0[i + deg] * lead % p
+            if coef:
+                for j in range(deg):  # r0[i + deg] cancels: it is dropped below
+                    r0[i + j] -= coef * r1[j]
+                for j, y in enumerate(t1):
+                    t0[i + j] -= coef * y
+        r0, r1 = r1, poly_trim([v % p for v in r0[:deg]])
+        t0, t1 = t1, poly_trim([v % p for v in t0])
     return t1, r1
+
+
+def inverses(xs: Iterable[int], p: int) -> list[int]:
+    """The inverses mod p of nonzero xs, by one `pow` and running
+    products (Montgomery's trick)."""
+    xs = list(xs)
+    prefix = [1]
+    for x in xs:
+        prefix.append(prefix[-1] * x % p)
+    inv = pow(prefix[-1], -1, p)
+    out = [0] * len(xs)
+    for i in range(len(xs) - 1, -1, -1):
+        out[i] = inv * prefix[i] % p
+        inv = inv * xs[i] % p
+    return out
 
 
 def poly_roots(a: list[int], candidates: Iterable[int], p: int) -> dict[int, int] | None:
     """Roots of the nonzero polynomial a with their multiplicities.
 
-    Scans `candidates` and divides out each root found.  Once a single
-    linear factor is left, its root is read off without scanning, so the
-    caller must check that root belongs to its candidate set.  Returns None
-    when the roots found do not account for the whole degree of a.
+    Scans `candidates` and divides out each root found, so it suits a short
+    candidate list: the Lee decoder passes only the points its scan found
+    to be roots, when they fall short of the degree.  Once a single linear
+    factor is left, its root is read off without scanning, so the caller
+    must check that root belongs to its candidate set.  Returns None when
+    the roots found do not account for the whole degree of a.
     """
     roots: dict[int, int] = {}
     for x in candidates:

@@ -12,7 +12,10 @@ The inner code here is a Reed-Solomon code in parity-check form (checks at
 consecutive powers of distinct nonzero points, an MDS construction),
 decoded for errors and erasures from its syndromes by Euclid's algorithm
 on the key equation with Forney's error values (Roth, Introduction to
-Coding Theory, ch. 6).  Any linear code with a `check` matrix and
+Coding Theory, ch. 6).  Its locate step reads a linear locator's one
+point off (one error: nearly every faulty read) and otherwise scans the
+points' inverses, kept per code, until one point is left to read off the
+sum of the points.  Any linear code with a `check` matrix and
 `decode_syndromes` can stand in, such as ``oracles.LinearInnerCode``,
 which decodes by codeword enumeration; the support-scan decoder in
 ``oracles`` is the reference the Reed-Solomon decoder is checked against.
@@ -46,11 +49,12 @@ from .core import (
     QMatrix,
     ReadVector,
     check_input,
+    check_locate_input,
     corrected,
     decoded,
     output_alphabet,
 )
-from .gfpoly import poly_eval, poly_mul, poly_roots, solve_key_equation
+from .gfpoly import inverses, poly_eval, poly_mul, solve_key_equation
 
 
 class ReedSolomonCode:
@@ -78,6 +82,8 @@ class ReedSolomonCode:
         ]
         self._position = {g: j for j, g in enumerate(self.gamma)}
         self.check = CheckMatrix(self._powers, (p,) * (self.d - 1), p)
+        # 1/gamma_j: the scan's points and Forney's
+        self._inverse_points = inverses(self.gamma, p)
 
     def syndromes(self, values: Sequence[int]) -> list[int]:
         """S_v = sum_j values_j gamma_j^(v+1) mod p; `values` may be an
@@ -104,11 +110,29 @@ class ReedSolomonCode:
         as errors against the zero-filled input) or None: `decode_syndromes`
         on the syndromes of the zero-filled input.  `values` may be an int64
         array of symbols in [0, p), as for `syndromes`; the error vector is
-        Python ints.
+        Python ints.  An erased index outside [0, length) is refused before
+        any value is read.
         """
         syn = self.syndromes(values)  # count the erased symbols as 0
-        syn = self.check.less(syn, ((j, int(values[j])) for j in set(erased)))
+        erased = check_locate_input(self.check, syn, erased)
+        syn = self.check.less(syn, ((j, int(values[j])) for j in erased))
         return self.decode_syndromes(syn, erased, radius)
+
+    def _scan_locators(self, lam: list[int], count: int) -> list[int]:
+        """The first `count` positions j with Lambda(1/gamma_j) = 0 (all of
+        them, if fewer), by Horner's rule at each inverse point."""
+        p = self.field.p
+        lam = lam[::-1]
+        positions = []
+        for j, x in enumerate(self._inverse_points):
+            value = 0
+            for c in lam:
+                value = value * x + c
+            if not value % p:
+                positions.append(j)
+                if len(positions) == count:
+                    break
+        return positions
 
     def decode_syndromes(
         self, syn: Sequence[int], erased: Sequence[int], radius: int
@@ -118,47 +142,62 @@ class ReedSolomonCode:
 
         Corrects up to `radius` errors alongside the given erasures whenever
         2*radius + len(erased) < d, and returns None when the closest
-        codeword needs more than `radius` errors.
+        codeword needs more than `radius` errors.  Refuses (ValueError) a
+        syndrome without d - 1 entries and an erased index outside
+        [0, length).
 
         With locators X_j = gamma_j and values e_j * gamma_j, Euclid on the
         erasure-modified syndrome Gamma * S mod x^(d-1) gives the error
-        locator Lambda and the evaluator Omega.  Lambda's roots are scanned
-        over the points, and each error value is e_j = -Omega(1/X_j) /
-        Psi'(1/X_j) for the full locator Psi = Lambda * Gamma.
+        locator Lambda and the evaluator Omega (with no erasures, Gamma = 1
+        and S itself).  The scan evaluates Lambda at each 1/X_j from the
+        code's table of inverses until deg Lambda - 1 roots are found; the
+        locators sum to -Lambda_1/Lambda_0, which gives the last (a linear
+        Lambda's one, with no scan).  Each error value is
+        e_j = -Omega(1/X_j) / Psi'(1/X_j) for the full locator
+        Psi = Lambda * Gamma, with 1/X_j from the same table.
         """
-        erased = sorted(set(erased))
+        erased = check_locate_input(self.check, syn, erased)
         if len(erased) >= self.d:
             return None
         p = self.field.p
         if not any(syn):
             return [0] * self.length
-        erasure_locator = [1]
-        for j in erased:
-            erasure_locator = poly_mul(erasure_locator, [1, -self.gamma[j] % p], p)
-        modified = poly_mul(erasure_locator, syn, p)[: self.d - 1]
+        modified, erasure_locator = syn, None
+        if erased:
+            erasure_locator = [1]
+            for j in erased:
+                erasure_locator = poly_mul(erasure_locator, [1, -self.gamma[j] % p], p)
+            modified = poly_mul(erasure_locator, syn, p)[: self.d - 1]
         stop = (self.d + len(erased)) // 2  # deg Omega < (d - 1 + rho) / 2
         lam, omega = solve_key_equation([0] * (self.d - 1) + [1], modified, stop, p)
-        if not lam or lam[0] == 0 or len(lam) - 1 > radius:
+        degree = len(lam) - 1
+        if not lam or lam[0] == 0 or degree > radius:
             return None
         # Both come from Euclid up to one common factor, which cancels in
-        # the values.  The locators are the roots of the reversed Lambda.
-        roots = poly_roots(lam[::-1], self.gamma, p)
-        if roots is None:
+        # the values.  The locators are the reciprocals of Lambda's roots,
+        # and they sum to -lam[1]/lam[0]: the scan stops one short of
+        # deg Lambda and the last is read off (a linear Lambda's, unscanned).
+        positions = self._scan_locators(lam, degree - 1) if degree > 1 else []
+        if degree:
+            if len(positions) < degree - 1:
+                return None
+            last = -lam[1] * pow(lam[0], -1, p) - sum(self.gamma[j] for j in positions)
+            positions.append(self._position.get(last % p))
+            if positions[-1] in positions[:-1]:
+                return None  # a repeated root
+        if None in positions or not set(erased).isdisjoint(positions):
             return None
-        positions = [self._position.get(x) for x in roots]
-        if None in positions or set(positions) & set(erased) or any(m > 1 for m in roots.values()):
-            return None
-        psi = poly_mul(lam, erasure_locator, p)
+        psi = lam if erasure_locator is None else poly_mul(lam, erasure_locator, p)
         slope = [i * c % p for i, c in enumerate(psi)][1:]
-        support = list(erased) + positions
+        support = erased + positions
         error = [0] * self.length
         for j in support:
-            x = pow(self.gamma[j], -1, p)
+            x = self._inverse_points[j]
             error[j] = -poly_eval(omega, x, p) * pow(poly_eval(slope, x, p), -1, p) % p
         if not all(error[j] for j in positions):
             return None
         for v, row in enumerate(self._powers):
-            if sum(error[j] * row[j] for j in support) % p != syn[v]:
+            if sum([error[j] * row[j] for j in support]) % p != syn[v]:
                 return None
         return error
 

@@ -14,7 +14,15 @@ import math
 from typing import Callable, Iterable, Sequence
 
 from .basemath import PrimeField, gfp_solve, hamming_dist, l1_dist
-from .core import DECODE_FAILURE, CheckMatrix, DecodeOutcome, QMatrix, decoded, guard_limit
+from .core import (
+    DECODE_FAILURE,
+    CheckMatrix,
+    DecodeOutcome,
+    QMatrix,
+    check_locate_input,
+    decoded,
+    guard_limit,
+)
 
 # Hard feasibility constants (raisable via DPE_CODEC_GUARD_OVERRIDE).
 ENUMERATION_GUARD = 1_000_000
@@ -208,7 +216,8 @@ class LinearInnerCode:
         (`values` may be an int64 array where `check.vector` holds; the
         error vector is Python ints)."""
         syn = self.check(values)  # count the erased symbols as 0
-        syn = self.check.less(syn, ((j, int(values[j])) for j in set(erased)))
+        erased = check_locate_input(self.check, syn, erased)
+        syn = self.check.less(syn, ((j, int(values[j])) for j in erased))
         return self.decode_syndromes(syn, erased, radius)
 
     def decode_syndromes(
@@ -219,7 +228,7 @@ class LinearInnerCode:
         the first codeword c within the radius of w on the symbols that are
         not erased; the error vector is w - c."""
         p = self.field.p
-        erased = set(erased)
+        erased = set(check_locate_input(self.check, syn, erased))
         rho = len(erased)
         if rho >= self.d:
             return None

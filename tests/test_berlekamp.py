@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -312,3 +314,59 @@ class TestKeyEquationDecoder:
             decode_key_equation(code, code.zero_syndrome())
         with pytest.raises(ValueError, match="budget"):
             decode_key_equation(code31_tau2, (1, 1), budget=3)
+
+
+def _l1_table(code):
+    """Every error of L1 weight <= tau, with its weight, by its syndrome."""
+    table = defaultdict(list)
+    for e in iter_l1_errors(code.n, code.tau, include_zero=True):
+        table[code.syndrome(e)].append((l1_norm(e), e))
+    return table
+
+
+class TestEverySyndrome:
+    """decode_key_equation on every syndrome in GF(p)^tau at every budget,
+    against a table of every error within the budget: a unique error is
+    returned, no error gives None, and a syndrome that several errors share
+    (only where two locators negate) gives None or one of them."""
+
+    @pytest.mark.parametrize(
+        "p,beta,validate",
+        [(13, range(1, 7), True), (13, (1, 2, 3, 4, 5, 8), False),
+         (23, range(1, 12), True), (31, range(1, 16), True)],
+    )
+    def test_matches_the_l1_table(self, p, beta, validate):
+        code = BerlekampCode(PrimeField(p), tuple(beta), tau=3, validate=validate)
+        table = _l1_table(code)
+        for syn in itertools.product(range(p), repeat=3):
+            entries = table.get(syn, ())
+            for budget in (1, 2, 3):
+                errors = [e for weight, e in entries if weight <= budget]
+                got = decode_key_equation(code, syn, budget)
+                if len(errors) == 1:
+                    assert got == errors[0], (syn, budget)
+                elif not errors:
+                    assert got is None, (syn, budget)
+                else:
+                    assert validate is False and (got is None or got in errors), (syn, budget)
+
+
+class TestLocateBoundary:
+    @pytest.mark.parametrize("decode", [decode_key_equation, decode_bounded])
+    def test_refuses_a_short_syndrome(self, decode):
+        code = BerlekampCode(PrimeField(23), tuple(range(1, 12)), tau=3)
+        with pytest.raises(ValueError, match="need 3 syndrome components, got 1"):
+            decode(code, (1,))
+
+    @pytest.mark.parametrize("decode", [decode_key_equation, decode_bounded])
+    def test_refuses_a_long_syndrome(self, decode):
+        # not to be decoded from its first three components
+        code = BerlekampCode(PrimeField(23), tuple(range(1, 12)), tau=3)
+        with pytest.raises(ValueError, match="need 3 syndrome components, got 4"):
+            decode(code, (1, 2, 3, 4))
+
+    def test_closed_form_budgets_refuse_too(self, code31_tau1, code31_tau2):
+        with pytest.raises(ValueError, match="need 2 syndrome components, got 1"):
+            decode_bounded(code31_tau2, (1,))
+        with pytest.raises(ValueError, match="need 1 syndrome components, got 2"):
+            decode_bounded(code31_tau1, (1, 2))

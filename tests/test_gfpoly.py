@@ -1,6 +1,7 @@
 import random
 
 from dpe_codec.gfpoly import (
+    inverses,
     poly_divmod,
     poly_eval,
     poly_mul,
@@ -47,3 +48,40 @@ def test_key_equation_congruence_and_stop():
         t, r = solve_key_equation(modulus, h, 3, P)
         assert len(r) - 1 < 3
         assert poly_divmod(poly_mul(t, h, P), modulus, P)[1] == r
+
+
+def _euclid_by_division(modulus, h, stop, p):
+    """Extended Euclid spelled out with poly_divmod and poly_mul."""
+    r0, r1 = modulus, poly_trim(list(h))
+    t0, t1 = [], [1]
+    while len(r1) > stop:
+        quot, rem = poly_divmod(r0, r1, p)
+        step = poly_mul(quot, t1, p)
+        width = max(len(t0), len(step))
+        t_next = [
+            ((t0[i] if i < len(t0) else 0) - (step[i] if i < len(step) else 0)) % p
+            for i in range(width)
+        ]
+        r0, r1, t0, t1 = r1, rem, t1, poly_trim(t_next)
+    return t1, r1
+
+
+def test_key_equation_in_place_matches_division():
+    # every shape the decoders use: x^m against h of degree < m, any stop,
+    # and h with zero top coefficients
+    rng = random.Random(3)
+    for _ in range(400):
+        m = rng.randrange(1, 9)
+        modulus = [0] * m + [1]
+        h = [rng.randrange(P) for _ in range(m)]
+        if rng.random() < 0.3:
+            cut = rng.randrange(m)
+            h[cut:] = [0] * (m - cut)
+        stop = rng.randrange(0, m + 1)
+        assert solve_key_equation(modulus, h, stop, P) == _euclid_by_division(modulus, h, stop, P)
+
+
+def test_inverses():
+    assert inverses(range(1, P), P) == [pow(x, -1, P) for x in range(1, P)]
+    assert inverses([5, 5, 12], P) == [8, 8, 12]
+    assert inverses([], P) == []

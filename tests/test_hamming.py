@@ -171,6 +171,80 @@ class TestDecodeSyndromes:
             assert code.decode_syndromes([0] * 4, [0, 1, 2, 3], 0) == [0] * 6
 
 
+class TestEverySyndrome:
+    @pytest.mark.parametrize("p,length,k", [(5, 4, 1), (7, 4, 2)])
+    def test_matches_enumeration(self, p, length, k):
+        # every syndrome, with every erasure set below d, at every radius
+        # that can matter (past (d-1)//2 a radius allows nothing more)
+        rs = ReedSolomonCode(PrimeField(p), length=length, k=k)
+        generic = LinearInnerCode(PrimeField(p), rs.check.rows, distance=rs.d)
+        erasure_sets = [
+            erased for rho in range(rs.d) for erased in itertools.combinations(range(length), rho)
+        ]
+        for syn in itertools.product(range(p), repeat=rs.d - 1):
+            for erased in erasure_sets:
+                for radius in range((rs.d - 1) // 2 + 1):
+                    expect = generic.decode_syndromes(syn, erased, radius)
+                    assert rs.decode_syndromes(syn, erased, radius) == expect, (syn, erased, radius)
+
+    @pytest.mark.parametrize("erased", [(), (4,), (0, 3)])
+    def test_matches_the_error_table(self, erased):
+        # d = 5, where a locator of degree 2 is scanned for one root and the
+        # other read off: every syndrome against a table of every error
+        # within the radius the erasures leave (unique, the code being MDS)
+        p, length = 7, 6
+        rs = ReedSolomonCode(PrimeField(p), length=length, k=2)
+        t_max = (rs.d - 1 - len(erased)) // 2
+        free = [j for j in range(length) if j not in erased]
+        table = {}
+        for held in itertools.product(range(p), repeat=len(erased)):
+            for t in range(t_max + 1):
+                for support in itertools.combinations(free, t):
+                    for values in itertools.product(range(1, p), repeat=t):
+                        e = [0] * length
+                        for j, v in zip(erased + support, held + values):
+                            e[j] = v
+                        table[tuple(rs.syndromes(e))] = (t, e)
+        for syn in itertools.product(range(p), repeat=rs.d - 1):
+            weight, e = table.get(syn, (None, None))
+            for radius in range(t_max + 1):
+                expect = e if weight is not None and weight <= radius else None
+                assert rs.decode_syndromes(syn, erased, radius) == expect, (syn, radius)
+
+
+class TestLocateBoundary:
+    """Both inner codes refuse a syndrome of the wrong length and an erased
+    index outside the code, in decode_syndromes and decode_errors_erasures."""
+
+    RS = ReedSolomonCode(PrimeField(7), length=6, k=2)  # d = 5: 4 syndromes
+
+    def _codes(self):
+        return self.RS, LinearInnerCode(PrimeField(7), self.RS.check.rows, distance=self.RS.d)
+
+    @pytest.mark.parametrize("syn", [[1, 0, 0], [1, 0, 0, 0, 0]])
+    def test_refuses_a_syndrome_of_the_wrong_length(self, syn):
+        for code in self._codes():
+            with pytest.raises(ValueError, match=f"need 4 syndromes, got {len(syn)}"):
+                code.decode_syndromes(syn, [], 2)
+
+    @pytest.mark.parametrize(
+        "erased,bad",
+        [
+            ([6], "6"),  # one past the end
+            ([-1], "-1"),  # a Python index would alias symbol 5
+            ([5, -1], "-1"),  # ... and erase symbol 5 twice
+            ([2.0], "2.0"),
+        ],
+    )
+    def test_refuses_an_erased_index_outside_the_code(self, erased, bad):
+        y = self.RS.encode([1, 2])
+        for code in self._codes():
+            with pytest.raises(ValueError, match=rf"erasure index {bad} is outside \[0, 6\)"):
+                code.decode_syndromes([1, 2, 3, 4], erased, 0)
+            with pytest.raises(ValueError, match=rf"erasure index {bad} is outside \[0, 6\)"):
+                code.decode_errors_erasures(y, erased, 0)
+
+
 class TestSchemeConstruction:
     def test_prime_selection_rejects_small(self):
         with pytest.raises(ValueError, match="next usable prime is 7"):

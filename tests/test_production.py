@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpe_codec import berlekamp
 from dpe_codec import (
     DoubleErrorScheme,
     HammingScheme,
@@ -18,6 +19,7 @@ from dpe_codec import (
     QMatrix,
     ReadVector,
     RecursiveScheme,
+    ReedSolomonCode,
     SecDedScheme,
     SingleErrorScheme,
     TripleDetectScheme,
@@ -34,11 +36,11 @@ def _programmed(scheme, seed):
     return scheme.encode(QMatrix.from_lists(scheme.q, rows))
 
 
-def _unit_drifts(y, drifts, bound):
-    """Apply +-1 drifts in turn, each turned around where it would leave
+def _apply_drifts(y, drifts, bound):
+    """Apply signed drifts in turn, each turned around where it would leave
     [0, bound)."""
-    for pos, sign in drifts:
-        y[pos] += sign if 0 <= y[pos] + sign < bound else -sign
+    for pos, drift in drifts:
+        y[pos] += drift if 0 <= y[pos] + drift < bound else -drift
     return y
 
 
@@ -79,6 +81,19 @@ def _l1_case(scheme, width, tau=None):
     )
 
 
+def _magnitude_case(scheme, width):
+    """One column drifts by 2 .. tau, and unit drifts of either sign fill
+    the rest of the budget: a locator with a repeated point."""
+    return st.integers(2, scheme.tau).flatmap(lambda mag: st.tuples(
+        st.lists(st.integers(0, scheme.q - 1), min_size=ELL, max_size=ELL),
+        st.tuples(st.integers(0, width - 1), st.sampled_from((mag, -mag))),
+        st.lists(
+            st.tuples(st.integers(0, width - 1), st.sampled_from((1, -1))),
+            max_size=scheme.tau - mag,
+        ),
+    ))
+
+
 def _assert_exact(scheme, y, clean):
     prefix = scheme.decode(ReadVector.exact(y)).prefix
     assert prefix == tuple(clean[: scheme.k])
@@ -90,7 +105,7 @@ def _assert_exact(scheme, y, clean):
 def test_large_alphabet_tau3(case):
     u, drifts = case
     clean = compute_clean(u, LARGE_ENCODED)
-    y = _unit_drifts(list(clean), drifts, LARGE.q_out)
+    y = _apply_drifts(list(clean), drifts, LARGE.q_out)
     _assert_exact(LARGE, y, clean)
 
 
@@ -99,8 +114,56 @@ def test_large_alphabet_tau3(case):
 def test_recursive_tau3(case):
     u, drifts = case
     clean = compute_clean(u, RECURSIVE_ENCODED)
-    y = _unit_drifts(list(clean), drifts, RECURSIVE.q_out)
+    y = _apply_drifts(list(clean), drifts, RECURSIVE.q_out)
     _assert_exact(RECURSIVE, y, clean)
+
+
+@SETTINGS
+@given(_magnitude_case(LARGE, LARGE.n))
+def test_large_alphabet_tau3_magnitudes(case):
+    u, big, drifts = case
+    clean = compute_clean(u, LARGE_ENCODED)
+    y = _apply_drifts(list(clean), [big] + drifts, LARGE.q_out)
+    _assert_exact(LARGE, y, clean)
+
+
+@SETTINGS
+@given(_magnitude_case(RECURSIVE, RECURSIVE.total_length))
+def test_recursive_tau3_magnitudes(case):
+    # Q = 9 here: a drift of 3 that would leave [0, 9) fits turned around
+    u, big, drifts = case
+    clean = compute_clean(u, RECURSIVE_ENCODED)
+    y = _apply_drifts(list(clean), [big] + drifts, RECURSIVE.q_out)
+    _assert_exact(RECURSIVE, y, clean)
+
+
+def test_single_errors_decode_without_a_scan(monkeypatch):
+    """A read with one error has a linear locator, which is read off: with
+    the scans and the deflation patched to raise, one-error reads of
+    large-alphabet 1031/250/3 and hamming k=256 tau=2 still decode.  The
+    read-stream benchmark's faulty reads are of this kind, so a scan there
+    would run on each of them."""
+
+    def refuse(*args):
+        raise AssertionError("the locate step scanned a linear locator")
+
+    monkeypatch.setattr(berlekamp, "_scan_points", refuse)
+    monkeypatch.setattr(berlekamp, "poly_roots", refuse)
+    monkeypatch.setattr(ReedSolomonCode, "_scan_locators", refuse)
+    large = LargeAlphabetScheme(1031, 250, 3, ELL)
+    hamming = HammingScheme(2, ELL, 256, 2)
+    rng = random.Random(6)
+    for scheme, theta in ((large, 1), (hamming, hamming.theta)):
+        encoded = _programmed(scheme, 7)
+        for _ in range(25):
+            clean = compute_clean([rng.randrange(scheme.q) for _ in range(ELL)], encoded)
+            y = list(clean)
+            pos = rng.randrange(scheme.n)
+            drift = rng.choice((1, -1)) * rng.randint(1, theta)
+            y[pos] = min(max(y[pos] + drift, 0), scheme.q_out - 1)
+            if y[pos] == clean[pos]:
+                y[pos] -= drift // abs(drift)
+            _assert_exact(scheme, y, clean)
 
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORM))
@@ -113,7 +176,7 @@ def test_closed_form_schemes(name):
     def exact(case):
         u, drifts = case
         clean = compute_clean(u, CLOSED_FORM_ENCODED[name])
-        _assert_exact(scheme, _unit_drifts(list(clean), drifts, scheme.q_out), clean)
+        _assert_exact(scheme, _apply_drifts(list(clean), drifts, scheme.q_out), clean)
 
     exact()
 
@@ -124,7 +187,7 @@ def test_large_alphabet_past_int64_bound(case):
     assert not PAST_BOUND.vector
     u, drifts = case
     clean = compute_clean(u, PAST_BOUND_ENCODED)
-    y = _unit_drifts(list(clean), drifts, PAST_BOUND.q_out)
+    y = _apply_drifts(list(clean), drifts, PAST_BOUND.q_out)
     _assert_exact(PAST_BOUND, y, clean)
 
 
