@@ -7,7 +7,6 @@ crossbar fault simulator and brute-force verification oracles.
 """
 
 from .basemath import (
-    ExtField,
     PrimeField,
     base_q_digits,
     base_q_value,
@@ -28,7 +27,6 @@ from .berlekamp import (
     BerlekampCode,
     decode_bounded,
     decode_double_error,
-    decode_exhaustive,
     decode_key_equation,
     decode_single_error,
     systematic_encode,
@@ -50,7 +48,9 @@ from .locators import (
 )
 from .multi import LargeAlphabetScheme, RecursiveScheme, digit_split, syndrome_matrix
 from .oracles import (
+    ExtField,
     LinearInnerCode,
+    decode_exhaustive,
     enumerate_induced_code,
     induced_min_distance,
     nearest_prefix_decode,

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .gfpoly import poly_divmod, poly_eval, poly_mul
-
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -277,88 +275,3 @@ def signed_value(z: int, field: PrimeField) -> int:
     if not 0 <= z < p:
         raise ValueError(f"{z} is not in [0, {p})")
     return z if z <= (p - 1) // 2 else z - p
-
-
-class ExtField:
-    """GF(p^h) as polynomials over GF(p) modulo a monic irreducible of degree h.
-
-    Elements are tuples of h coefficients, lowest degree first.  Only the
-    operations needed for syndrome evaluation and exhaustive decoding are
-    provided; h == 1 instances are rejected (use PrimeField directly).
-    """
-
-    def __init__(self, p: int, h: int, modulus_poly: Sequence[int] | None = None):
-        if h < 2:
-            raise ValueError("extension degree must be >= 2")
-        self.base = PrimeField(p)
-        self.p = p
-        self.h = h
-        if modulus_poly is None:
-            modulus_poly = self._find_irreducible(p, h)
-        if len(modulus_poly) != h + 1 or modulus_poly[-1] != 1:
-            raise ValueError("modulus polynomial must be monic of degree h")
-        if not self._is_irreducible(tuple(modulus_poly), p):
-            raise ValueError("modulus polynomial is reducible")
-        self.modulus_poly = tuple(v % p for v in modulus_poly)
-        self.zero = (0,) * h
-        self.one = (1,) + (0,) * (h - 1)
-
-    @classmethod
-    def _is_irreducible(cls, mod: tuple[int, ...], p: int) -> bool:
-        # Degree <= 3 suffices for our use: irreducible iff no roots in GF(p)
-        # (plus squarefree-by-roots argument does not extend past 3, so guard).
-        deg = len(mod) - 1
-        if deg > 3:
-            raise ValueError("irreducibility check supports degree <= 3")
-        return all(poly_eval(mod, x, p) for x in range(p))
-
-    @classmethod
-    def _find_irreducible(cls, p: int, h: int) -> tuple[int, ...]:
-        if h > 3:
-            raise ValueError("automatic modulus search supports degree <= 3")
-        import itertools
-
-        for tail in itertools.product(range(p), repeat=h):
-            cand = tuple(tail) + (1,)
-            if cls._is_irreducible(cand, p):
-                return cand
-        raise AssertionError("no irreducible polynomial found")  # unreachable
-
-    def element(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        if len(coeffs) > self.h:
-            raise ValueError("too many coefficients")
-        vals = [v % self.p for v in coeffs] + [0] * (self.h - len(coeffs))
-        return tuple(vals)
-
-    def from_int(self, n: int) -> tuple[int, ...]:
-        """Embed a base-field integer as a constant polynomial."""
-        return (n % self.p,) + (0,) * (self.h - 1)
-
-    def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((-x) % self.p for x in a)
-
-    def scale(self, c: int, a: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(c * x % self.p for x in a)
-
-    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        _, rem = poly_divmod(poly_mul(a, b, self.p), self.modulus_poly, self.p)
-        return tuple(rem + [0] * (self.h - len(rem)))
-
-    def power(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def all_elements(self):
-        import itertools
-
-        for coeffs in itertools.product(range(self.p), repeat=self.h):
-            yield tuple(coeffs)

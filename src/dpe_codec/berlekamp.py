@@ -6,20 +6,17 @@ pairwise non-negating locators beta the minimum Lee distance is at least
 2*tau + 1.  Decoders return *signed integer* error vectors (each entry is
 the Lee-lifted error value) or None for an uncorrectable syndrome.
 
-Base-field codes are decoded algebraically at any budget: closed forms
+The codes are decoded algebraically at any budget: closed forms
 serve tau = 1 and tau = 2 (the tau = 2 case solves a quadratic built from
 the two syndrome components), and the key-equation decoder serves every
 budget (Roth & Siegel, "Lee-metric BCH codes and their application to
 constrained and partial-response channels", IEEE Trans. IT, 1994).  Its
 locate step scans each pair of points +-beta once, from inverses each
 code keeps, and reads the last point off the sum of the others, so a
-single error (a linear locator) needs no scan.  The
-exhaustive decoder enumerates the L1 sphere; it is the ground-truth oracle
-for cross-checking and the only decoder over extension fields.  Only tests
-and the oracles call it, so its enumeration guard (raisable through
-DPE_CODEC_GUARD_OVERRIDE) never refuses a production read.
+single error (a linear locator) needs no scan.  The exhaustive decoder,
+the ground truth these are checked against, lives in `oracles`.
 
-A base-field code holds its checks as one `core.CheckMatrix`
+A code holds its checks as one `core.CheckMatrix`
 (`BerlekampCode.check`), built for the alphabet of the vectors it checks.
 A scheme passes its read alphabet; the large-alphabet scheme's reads take
 the int64 kernel where that matrix decides so, and the recursive scheme
@@ -33,43 +30,26 @@ from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
-from .basemath import (
-    ExtField,
-    PrimeField,
-    gfp_inv,
-    gfp_quadratic_roots,
-    gfp_solve,
-    iter_l1_errors,
-    sphere_volume_l1,
-)
-from .core import CheckMatrix, guard_limit
+from .basemath import PrimeField, gfp_inv, gfp_quadratic_roots, gfp_solve
+from .core import CheckMatrix
 from .gfpoly import inverses, poly_roots, poly_trim, solve_key_equation
-
-# Exhaustive decoding refuses to enumerate spheres larger than this.
-ORACLE_VOLUME_GUARD = 10_000_000
-
-
-class SyndromeAmbiguityError(RuntimeError):
-    """Two distinct in-budget errors share a syndrome (contradicts the
-    designed minimum distance); raised by the exhaustive decoder."""
+# decode_exhaustive stays bound here: bench/tracing.py traces it under this module.
+from .oracles import decode_exhaustive
 
 
 class BerlekampCode:
     """Check-matrix data for one code instance.
 
-    For the base-field case (ext is None) locators are ints in [1, p), and
-    `check` holds the checks for vectors with entries in [0, bound) (by
-    default field elements, bound p); a scheme passes its read alphabet.
-    Over an extension field, locators are coefficient tuples and only
-    syndrome computation and exhaustive decoding are supported.
+    Locators are ints in [1, p), and `check` holds the checks for vectors
+    with entries in [0, bound) (by default field elements, bound p); a
+    scheme passes its read alphabet.
     """
 
     def __init__(
         self,
         field: PrimeField,
-        beta: Sequence,
+        beta: Sequence[int],
         tau: int,
-        ext: ExtField | None = None,
         validate: bool = True,
         bound: int | None = None,
     ):
@@ -79,44 +59,30 @@ class BerlekampCode:
             raise ValueError(f"need 2*tau < p, got tau={tau}, p={field.p}")
         self.field = field
         self.tau = tau
-        self.ext = ext
         self.n = len(beta)
         if self.n < 1:
             raise ValueError("code length must be >= 1")
+        if not all(type(b) is int for b in beta):
+            raise ValueError("locators must be integers")
         p = field.p
-        if ext is None:
-            self.beta = tuple(b % p for b in beta)
-            if validate:
-                if len(set(self.beta)) != self.n or 0 in self.beta:
-                    raise ValueError("locators must be nonzero and distinct")
-                values = set(self.beta)
-                for b in self.beta:
-                    if (p - b) % p in values:
-                        raise ValueError(f"locators {b} and {p - b} negate each other")
-            # power_cols[v][j] = beta_j ** (2v+1) mod p
-            self.power_cols = [
-                tuple(pow(b, 2 * v + 1, p) for b in self.beta) for v in range(tau)
-            ]
-            self._index = {b: j for j, b in enumerate(self.beta)}
-            # Newton's recursion in the key-equation decoder multiplies by
-            # -2/m for m = 1 .. 2tau-1.
-            self._newton = [-2 * v % p for v in inverses(range(1, 2 * tau), p)]
-            self._encoder_rows: list[list[int]] | None = None
-            self.check = CheckMatrix(self.power_cols, (p,) * tau, p if bound is None else bound)
-        else:
-            if ext.p != p:
-                raise ValueError("extension field characteristic must match")
-            self.beta = tuple(ext.element(b) for b in beta)
-            if validate:
-                if len(set(self.beta)) != self.n or ext.zero in self.beta:
-                    raise ValueError("locators must be nonzero and distinct")
-                values = set(self.beta)
-                for b in self.beta:
-                    if ext.neg(b) in values:
-                        raise ValueError("two locators negate each other")
-            self.power_cols = [
-                tuple(ext.power(b, 2 * v + 1) for b in self.beta) for v in range(tau)
-            ]
+        self.beta = tuple(b % p for b in beta)
+        if validate:
+            if len(set(self.beta)) != self.n or 0 in self.beta:
+                raise ValueError("locators must be nonzero and distinct")
+            values = set(self.beta)
+            for b in self.beta:
+                if (p - b) % p in values:
+                    raise ValueError(f"locators {b} and {p - b} negate each other")
+        # power_cols[v][j] = beta_j ** (2v+1) mod p
+        self.power_cols = [
+            tuple(pow(b, 2 * v + 1, p) for b in self.beta) for v in range(tau)
+        ]
+        self._index = {b: j for j, b in enumerate(self.beta)}
+        # Newton's recursion in the key-equation decoder multiplies by
+        # -2/m for m = 1 .. 2tau-1.
+        self._newton = [-2 * v % p for v in inverses(range(1, 2 * tau), p)]
+        self._encoder_rows: list[list[int]] | None = None
+        self.check = CheckMatrix(self.power_cols, (p,) * tau, p if bound is None else bound)
 
     @cached_property
     def _scan(self) -> tuple[tuple[int, int, int], ...]:
@@ -130,7 +96,7 @@ class BerlekampCode:
 
     @property
     def redundancy(self) -> int:
-        return self.tau  # base-field case: check matrix has full rank tau
+        return self.tau  # the check matrix has full rank tau
 
     @property
     def dimension(self) -> int:
@@ -140,26 +106,14 @@ class BerlekampCode:
         return self._index.get(value % self.field.p)
 
     def syndrome(self, y: Sequence[int]) -> tuple:
-        """Components (s_1, s_2, ..) of y against the odd-power checks; over
-        the base field, y may be an int64 array where `check.vector` holds."""
+        """Components (s_1, s_2, ..) of y against the odd-power checks; y
+        may be an int64 array where `check.vector` holds."""
         if len(y) != self.n:
             raise ValueError(f"vector length {len(y)} != code length {self.n}")
-        if self.ext is None:
-            return tuple(self.check(y))
-        p = self.field.p
-        ext = self.ext
-        out = []
-        for col in self.power_cols:
-            acc = ext.zero
-            for j, v in enumerate(y):
-                acc = ext.add(acc, ext.scale(v % p, col[j]))
-            out.append(acc)
-        return tuple(out)
+        return tuple(self.check(y))
 
     def zero_syndrome(self) -> tuple:
-        if self.ext is None:
-            return (0,) * self.tau
-        return (self.ext.zero,) * self.tau
+        return (0,) * self.tau
 
 
 def _unit_error(code: BerlekampCode, x: int) -> tuple[int, int] | None:
@@ -180,12 +134,17 @@ def _error_vector(n: int, hits: Iterable[tuple[int, int]]) -> list[int]:
     return error
 
 
-def decode_single_error(code: BerlekampCode, syn: Sequence[int] | int) -> list[int] | None:
+def _check_components(code: BerlekampCode, syn: Sequence[int]) -> None:
+    if len(syn) != code.tau:
+        raise ValueError(f"need {code.tau} syndrome components, got {len(syn)}")
+
+
+def decode_single_error(code: BerlekampCode, syn: Sequence[int]) -> list[int] | None:
     """Invert the syndrome of at most one +-1 error (tau = 1 codes)."""
-    if code.tau != 1 or code.ext is not None:
+    if code.tau != 1:
         raise ValueError("single-error decoding needs a base-field tau=1 code")
-    s = syn[0] if not isinstance(syn, int) else syn
-    s %= code.field.p
+    _check_components(code, syn)
+    s = syn[0] % code.field.p
     if s == 0:
         return [0] * code.n
     hit = _unit_error(code, s)
@@ -200,8 +159,9 @@ def decode_double_error(code: BerlekampCode, syn: Sequence[int]) -> list[int] | 
     whose roots are the signed locator contributions.  The weight classes
     have disjoint syndrome sets, so the order does not matter.
     """
-    if code.tau != 2 or code.ext is not None:
+    if code.tau != 2:
         raise ValueError("double-error decoding needs a base-field tau=2 code")
+    _check_components(code, syn)
     p = code.field.p
     field = code.field
     s1, s2 = syn[0] % p, syn[1] % p
@@ -247,37 +207,6 @@ def decode_double_error(code: BerlekampCode, syn: Sequence[int]) -> list[int] | 
     if hit1 is None or hit2 is None or hit1[0] == hit2[0]:
         return None
     return _error_vector(code.n, (hit1, hit2))
-
-
-def decode_exhaustive(
-    code: BerlekampCode, syn: Sequence, budget: int | None = None
-) -> list[int] | None:
-    """Ground-truth decoder: enumerate every error with L1 weight <= budget
-    and return the unique one matching the syndrome.
-
-    Raises SyndromeAmbiguityError if two in-budget errors match, which
-    would contradict the code's designed minimum distance.
-    """
-    budget = code.tau if budget is None else budget
-    volume = sphere_volume_l1(code.n, budget)
-    limit = guard_limit(ORACLE_VOLUME_GUARD)
-    if volume > limit:
-        raise ValueError(
-            f"enumeration of {volume} error patterns exceeds the guard ({limit}); "
-            "set DPE_CODEC_GUARD_OVERRIDE to raise it"
-        )
-    target = tuple(syn)
-    if target == code.zero_syndrome():
-        return [0] * code.n
-    match: list[int] | None = None
-    for e in iter_l1_errors(code.n, budget):
-        if code.syndrome(e) == target:
-            if match is not None:
-                raise SyndromeAmbiguityError(
-                    f"errors {match} and {e} share syndrome {target}"
-                )
-            match = list(e)
-    return match
 
 
 def _scan_points(code: BerlekampCode, a: list[int], b: list[int], count: int) -> list[int] | None:
@@ -331,13 +260,10 @@ def decode_key_equation(
     component.  A point shared by two negating locators (codes built
     without validation) leaves the error undetermined: None.
     """
-    if code.ext is not None:
-        raise ValueError("key-equation decoding needs a base-field code")
+    _check_components(code, syn)
     t = code.tau if budget is None else budget
     if not 1 <= t <= code.tau:
         raise ValueError(f"budget must be in [1, {code.tau}], got {t}")
-    if len(syn) != code.tau:
-        raise ValueError(f"need {code.tau} syndrome components, got {len(syn)}")
     p = code.field.p
     syn = [s % p for s in syn]
     if not any(syn):
@@ -392,13 +318,12 @@ def decode_key_equation(
     return _error_vector(code.n, hits.items())
 
 
-def decode_bounded(code: BerlekampCode, syn: Sequence, budget: int | None = None) -> list[int] | None:
+def decode_bounded(code: BerlekampCode, syn: Sequence[int], budget: int | None = None) -> list[int] | None:
     """Dispatch to the closed forms for budgets 1 and 2, else to the
-    key-equation decoder; a syndrome needs one component per check."""
+    key-equation decoder; each refuses a syndrome without one component
+    per check."""
     budget = code.tau if budget is None else budget
-    if len(syn) != code.tau:
-        raise ValueError(f"need {code.tau} syndrome components, got {len(syn)}")
-    if code.ext is None and budget == code.tau:
+    if budget == code.tau:
         if code.tau == 1:
             return decode_single_error(code, syn)
         if code.tau == 2:
@@ -412,8 +337,6 @@ def systematic_encode(code: BerlekampCode, message: Sequence[int]) -> list[int]:
     The tau redundancy symbols occupy the last positions; the linear system
     they satisfy is solvable whenever the locators meet the code conditions.
     """
-    if code.ext is not None:
-        raise ValueError("systematic encoding is supported over the base field only")
     k = code.dimension
     if len(message) != k:
         raise ValueError(f"message length {len(message)} != dimension {k}")

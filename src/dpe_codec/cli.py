@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage or input error, 2 decode failure ("e").
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -21,10 +20,10 @@ from .hamming import HammingScheme
 from .locators import Locators
 from .multi import LargeAlphabetScheme, RecursiveScheme
 from .oracles import (
-    ENUMERATION_GUARD,
     SWEEP_GUARD,
     enumerate_induced_code,
     induced_min_distance,
+    linear_codewords,
     nearest_prefix_decode,
 )
 from .simulate import FaultModel, compute_clean, inject
@@ -314,16 +313,7 @@ def _audit_checks(scheme, name: str) -> list[dict]:
         checks = [_check("inner-code distance by construction", inner.d >= needed,
                          distance=inner.d, needed=needed)]
         try:
-            total, limit = scheme.p**inner.k, guard_limit(ENUMERATION_GUARD)
-            if total > limit:
-                raise ValueError(
-                    f"enumerating {total} inner codewords exceeds the guard ({limit}); "
-                    "set DPE_CODEC_GUARD_OVERRIDE to raise it"
-                )
-            words = [
-                tuple(inner.encode(list(msg)))
-                for msg in itertools.product(range(scheme.p), repeat=inner.k)
-            ]
+            words = [tuple(w) for w in linear_codewords(inner, "inner codewords")]
             measured = induced_min_distance(words, inner.k, metric="hamming")
             checks.append(_check("inner-code distance by enumeration", measured >= needed,
                                  measured=measured))

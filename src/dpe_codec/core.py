@@ -193,7 +193,7 @@ class ReadVector:
         if not erased_at:
             return cls(tuple(values))
         for j in erased_at:
-            if not (isinstance(j, int) and 0 <= j < len(values)):
+            if not (type(j) is int and 0 <= j < len(values)):
                 raise ValueError(f"erasure index {j!r} is outside [0, {len(values)})")
         vals = tuple(0 if j in erased_at else v for j, v in enumerate(values))
         flags = tuple(j in erased_at for j in range(len(values)))
@@ -274,7 +274,7 @@ def check_locate_input(check: CheckMatrix, syn: Sequence[int], erased: Iterable[
         raise ValueError(f"need {len(check.rows)} syndromes, got {len(syn)}")
     erased = set(erased)
     for j in erased:
-        if not (isinstance(j, int) and 0 <= j < check.n):
+        if not (type(j) is int and 0 <= j < check.n):
             raise ValueError(f"erasure index {j!r} is outside [0, {check.n})")
     return sorted(erased)
 

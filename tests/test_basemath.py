@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpe_codec.basemath import (
-    ExtField,
     PrimeField,
     base_q_digits,
     base_q_value,
@@ -25,6 +24,7 @@ from dpe_codec.basemath import (
     sphere_volume_l1,
     _tonelli_shanks,
 )
+from dpe_codec.oracles import ExtField
 
 
 def mixed_radix_value(digits, weights):

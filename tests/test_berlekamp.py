@@ -5,7 +5,6 @@ from collections import defaultdict
 import pytest
 
 from dpe_codec.basemath import (
-    ExtField,
     PrimeField,
     iter_l1_errors,
     l1_norm,
@@ -13,7 +12,6 @@ from dpe_codec.basemath import (
 )
 from dpe_codec.berlekamp import (
     BerlekampCode,
-    SyndromeAmbiguityError,
     decode_bounded,
     decode_double_error,
     decode_exhaustive,
@@ -21,6 +19,7 @@ from dpe_codec.berlekamp import (
     decode_single_error,
     systematic_encode,
 )
+from dpe_codec.oracles import ExtField, ExtLeeCode, SyndromeAmbiguityError
 
 ALPHA15 = (3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 1, 2, 4, 8, 16)
 
@@ -50,6 +49,9 @@ class TestConstruction:
             BerlekampCode(f, (2, 9), tau=1)  # 2 + 9 = 11
         with pytest.raises(ValueError):
             BerlekampCode(f, (1, 2, 3), tau=6)  # 2*tau >= p
+        for beta in ((2, True), (1, 2.0)):  # a bool would be taken as 1
+            with pytest.raises(ValueError, match="locators must be integers"):
+                BerlekampCode(f, beta, tau=1)
 
     def test_relaxed_validation_allows_negating_pair(self):
         code = BerlekampCode(PrimeField(11), (2, 9, 1), tau=1, validate=False)
@@ -219,7 +221,7 @@ class TestExtensionField:
         ext = ExtField(3, 2)
         # distinct nonzero non-negating locators over GF(9)
         beta = [(1, 0), (0, 1), (1, 1), (2, 1)]
-        code = BerlekampCode(PrimeField(3), beta, tau=1, ext=ext)
+        code = ExtLeeCode(ext, beta, tau=1)
         for e in iter_l1_errors(4, 1):
             syn = code.syndrome(e)
             assert decode_exhaustive(code, syn) == e
@@ -229,7 +231,7 @@ class TestExtensionField:
 
         ext = ExtField(3, 2)
         beta = [(1, 0), (0, 1), (1, 1), (2, 1)]
-        code = BerlekampCode(PrimeField(3), beta, tau=1, ext=ext)
+        code = ExtLeeCode(ext, beta, tau=1)
         field = PrimeField(3)
         best = None
         for vec in itertools.product(range(3), repeat=4):
@@ -239,10 +241,8 @@ class TestExtensionField:
         assert best is not None and best >= 3
 
     def test_encode_rejected(self):
-        ext = ExtField(3, 2)
-        code = BerlekampCode(PrimeField(3), [(1, 0), (0, 1)], tau=1, ext=ext)
-        with pytest.raises(ValueError):
-            systematic_encode(code, [1])
+        with pytest.raises(ValueError, match="locators must be integers"):
+            BerlekampCode(PrimeField(3), [(1, 0), (0, 1)], tau=1)
 
 
 class TestDispatch:
@@ -308,10 +308,8 @@ class TestKeyEquationDecoder:
         assert decode_key_equation(code, code.syndrome([0, 0, 0, 0, 1, 0])) is None
 
     def test_rejects_extension_field_and_large_budget(self, code31_tau2):
-        ext = ExtField(3, 2)
-        code = BerlekampCode(PrimeField(3), [(1, 0), (0, 1)], tau=1, ext=ext)
-        with pytest.raises(ValueError, match="base-field"):
-            decode_key_equation(code, code.zero_syndrome())
+        with pytest.raises(ValueError, match="locators must be integers"):
+            BerlekampCode(PrimeField(3), [(1, 0), (0, 1)], tau=1)
         with pytest.raises(ValueError, match="budget"):
             decode_key_equation(code31_tau2, (1, 1), budget=3)
 
@@ -370,3 +368,12 @@ class TestLocateBoundary:
             decode_bounded(code31_tau2, (1,))
         with pytest.raises(ValueError, match="need 1 syndrome components, got 2"):
             decode_bounded(code31_tau1, (1, 2))
+
+    def test_closed_forms_refuse_a_syndrome_of_the_wrong_length(self, code31_tau1, code31_tau2):
+        # each once decoded its leading components (or raised IndexError)
+        with pytest.raises(ValueError, match="need 2 syndrome components, got 1"):
+            decode_double_error(code31_tau2, (1,))
+        with pytest.raises(ValueError, match="need 1 syndrome components, got 2"):
+            decode_single_error(code31_tau1, (1, 5))
+        with pytest.raises(ValueError, match="need 2 syndrome components, got 3"):
+            decode_double_error(code31_tau2, (1, 1, 7))

@@ -9,7 +9,7 @@ class TestReadVector:
         assert rv.entries == (4, 0, 6)
         assert rv.erased_positions() == [1]
 
-    @pytest.mark.parametrize("index", [3, -1, 99, "1"])
+    @pytest.mark.parametrize("index", [3, -1, 99, "1", True])
     def test_erasure_index_out_of_range(self, index):
         with pytest.raises(ValueError, match="erasure index"):
             ReadVector.with_erasures([4, 5, 6], [index])

@@ -234,6 +234,7 @@ class TestLocateBoundary:
             ([-1], "-1"),  # a Python index would alias symbol 5
             ([5, -1], "-1"),  # ... and erase symbol 5 twice
             ([2.0], "2.0"),
+            ([True], "True"),
         ],
     )
     def test_refuses_an_erased_index_outside_the_code(self, erased, bad):
