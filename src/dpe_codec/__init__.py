@@ -29,6 +29,10 @@ from .berlekamp import (
     decode_double_error,
     decode_key_equation,
     decode_single_error,
+    locate_bounded,
+    locate_double_error,
+    locate_key_equation,
+    locate_single_error,
     systematic_encode,
 )
 from .core import (
@@ -107,6 +111,10 @@ __all__ = [
     "jacobsthal_weights",
     "l1_dist",
     "l1_norm",
+    "locate_bounded",
+    "locate_double_error",
+    "locate_key_equation",
+    "locate_single_error",
     "mixed_radix_digits",
     "nearest_prefix_decode",
     "output_alphabet",

@@ -3,8 +3,12 @@
 A code instance is the right kernel of the tau x n check matrix whose rows
 are beta_j, beta_j^3, ..., beta_j^(2*tau-1); with nonzero, distinct,
 pairwise non-negating locators beta the minimum Lee distance is at least
-2*tau + 1.  Decoders return *signed integer* error vectors (each entry is
-the Lee-lifted error value) or None for an uncorrectable syndrome.
+2*tau + 1.  Each decoder's core, a `locate_*` function, returns the error
+it found as sparse hits (`core.Hits`): `(position, signed value)` pairs
+with each value the nonzero Lee-lifted error, each position once, () for
+a zero syndrome, or None for an uncorrectable one.  The `decode_*`
+functions are one-line wrappers that write the hits out as a length-n
+error vector; no scheme's read goes through them.
 
 The codes are decoded algebraically at any budget: closed forms
 serve tau = 1 and tau = 2 (the tau = 2 case solves a quadratic built from
@@ -28,10 +32,10 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .basemath import PrimeField, gfp_inv, gfp_quadratic_roots, gfp_solve
-from .core import CheckMatrix
+from .core import CheckMatrix, Hits, error_vector
 from .gfpoly import inverses, poly_roots, poly_trim, solve_key_equation
 # decode_exhaustive stays bound here: bench/tracing.py traces it under this module.
 from .oracles import decode_exhaustive
@@ -127,32 +131,30 @@ def _unit_error(code: BerlekampCode, x: int) -> tuple[int, int] | None:
     return None
 
 
-def _error_vector(n: int, hits: Iterable[tuple[int, int]]) -> list[int]:
-    error = [0] * n
-    for j, e in hits:
-        error[j] = e
-    return error
-
-
 def _check_components(code: BerlekampCode, syn: Sequence[int]) -> None:
     if len(syn) != code.tau:
         raise ValueError(f"need {code.tau} syndrome components, got {len(syn)}")
 
 
-def decode_single_error(code: BerlekampCode, syn: Sequence[int]) -> list[int] | None:
-    """Invert the syndrome of at most one +-1 error (tau = 1 codes)."""
+def locate_single_error(code: BerlekampCode, syn: Sequence[int]) -> Hits | None:
+    """The hit of at most one +-1 error (tau = 1 codes)."""
     if code.tau != 1:
         raise ValueError("single-error decoding needs a base-field tau=1 code")
     _check_components(code, syn)
     s = syn[0] % code.field.p
     if s == 0:
-        return [0] * code.n
+        return ()
     hit = _unit_error(code, s)
-    return None if hit is None else _error_vector(code.n, (hit,))
+    return None if hit is None else (hit,)
 
 
-def decode_double_error(code: BerlekampCode, syn: Sequence[int]) -> list[int] | None:
-    """Invert the syndrome of an error of Lee weight <= 2 (tau = 2 codes).
+def decode_single_error(code: BerlekampCode, syn: Sequence[int]) -> list[int] | None:
+    """`locate_single_error` as a length-n error vector."""
+    return error_vector(code.n, locate_single_error(code, syn))
+
+
+def locate_double_error(code: BerlekampCode, syn: Sequence[int]) -> Hits | None:
+    """The hits of an error of Lee weight <= 2 (tau = 2 codes).
 
     Hypotheses tried in turn: no error; one +-1 error (s2 == s1^3); a +-2
     error at one position; +-1 errors at two positions via the quadratic
@@ -166,7 +168,7 @@ def decode_double_error(code: BerlekampCode, syn: Sequence[int]) -> list[int] | 
     field = code.field
     s1, s2 = syn[0] % p, syn[1] % p
     if s1 == 0 and s2 == 0:
-        return [0] * code.n
+        return ()
     if s1 == 0:
         # A weight <= 2 error always leaves a nonzero first component.
         return None
@@ -174,16 +176,16 @@ def decode_double_error(code: BerlekampCode, syn: Sequence[int]) -> list[int] | 
     if s2 == pow(s1, 3, p):
         hit = _unit_error(code, s1)
         if hit is not None:
-            return _error_vector(code.n, (hit,))
+            return (hit,)
 
     half = gfp_inv(2, field)
     g = s1 * half % p
     j = code.locator_index(g)
     if j is not None and s2 == 2 * pow(g, 3, p) % p:
-        return _error_vector(code.n, ((j, 2),))
+        return ((j, 2),)
     j = code.locator_index(p - g)
     if j is not None and s2 == (-2) * pow(p - g, 3, p) % p:
-        return _error_vector(code.n, ((j, -2),))
+        return ((j, -2),)
 
     # Two distinct positions: x^2 - s1*x + (s1^2 - s2/s1)/3 has roots
     # e_i*beta_i and e_j*beta_j.
@@ -200,13 +202,18 @@ def decode_double_error(code: BerlekampCode, syn: Sequence[int]) -> list[int] | 
         j = code.locator_index(p - r)
         if i is None or j is None or i == j:
             return None
-        return _error_vector(code.n, ((i, 1), (j, -1)))
+        return ((i, 1), (j, -1))
 
     r1, r2 = sorted(roots)
     hit1, hit2 = _unit_error(code, r1), _unit_error(code, r2)
     if hit1 is None or hit2 is None or hit1[0] == hit2[0]:
         return None
-    return _error_vector(code.n, (hit1, hit2))
+    return hit1, hit2
+
+
+def decode_double_error(code: BerlekampCode, syn: Sequence[int]) -> list[int] | None:
+    """`locate_double_error` as a length-n error vector."""
+    return error_vector(code.n, locate_double_error(code, syn))
 
 
 def _scan_points(code: BerlekampCode, a: list[int], b: list[int], count: int) -> list[int] | None:
@@ -237,10 +244,11 @@ def _scan_points(code: BerlekampCode, a: list[int], b: list[int], count: int) ->
     return points
 
 
-def decode_key_equation(
+def locate_key_equation(
     code: BerlekampCode, syn: Sequence[int], budget: int | None = None
-) -> list[int] | None:
-    """The unique error of L1 weight <= budget with syndrome `syn`, or None.
+) -> Hits | None:
+    """The hits of the unique error of L1 weight <= budget with syndrome
+    `syn`, or None.
 
     The error puts beta_j into a locator polynomial Lambda e_j times when
     e_j > 0, and -beta_j |e_j| times when e_j < 0, so the odd syndromes are
@@ -267,7 +275,7 @@ def decode_key_equation(
     p = code.field.p
     syn = [s % p for s in syn]
     if not any(syn):
-        return [0] * code.n
+        return ()
     # Psi = Lambda(x) / Lambda(-x) through x^(2t-1): Psi' = f' Psi gives
     # m psi_m = -2 * sum_{k odd <= m} S_k psi_(m-k).
     psi = [1]
@@ -315,20 +323,32 @@ def decode_key_equation(
     for v, col in enumerate(code.power_cols):
         if sum([e * col[j] for j, e in hits.items()]) % p != syn[v]:
             return None
-    return _error_vector(code.n, hits.items())
+    return tuple(hits.items())
 
 
-def decode_bounded(code: BerlekampCode, syn: Sequence[int], budget: int | None = None) -> list[int] | None:
+def decode_key_equation(
+    code: BerlekampCode, syn: Sequence[int], budget: int | None = None
+) -> list[int] | None:
+    """`locate_key_equation` as a length-n error vector."""
+    return error_vector(code.n, locate_key_equation(code, syn, budget))
+
+
+def locate_bounded(code: BerlekampCode, syn: Sequence[int], budget: int | None = None) -> Hits | None:
     """Dispatch to the closed forms for budgets 1 and 2, else to the
     key-equation decoder; each refuses a syndrome without one component
     per check."""
     budget = code.tau if budget is None else budget
     if budget == code.tau:
         if code.tau == 1:
-            return decode_single_error(code, syn)
+            return locate_single_error(code, syn)
         if code.tau == 2:
-            return decode_double_error(code, syn)
-    return decode_key_equation(code, syn, budget)
+            return locate_double_error(code, syn)
+    return locate_key_equation(code, syn, budget)
+
+
+def decode_bounded(code: BerlekampCode, syn: Sequence[int], budget: int | None = None) -> list[int] | None:
+    """`locate_bounded` as a length-n error vector."""
+    return error_vector(code.n, locate_bounded(code, syn, budget))
 
 
 def systematic_encode(code: BerlekampCode, message: Sequence[int]) -> list[int]:

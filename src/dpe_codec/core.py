@@ -30,6 +30,10 @@ KERNEL_MIN_LENGTH = 96
 
 INT64_BOUND = 2**63
 
+# What a locate step finds: one `(position, value)` pair per error, each
+# position once and each value nonzero; () for a zero syndrome.
+Hits = Sequence[tuple[int, int]]
+
 
 def output_alphabet(q: int, ell: int) -> int:
     """Size Q of the output alphabet: an ell-row product entry is < Q."""
@@ -175,6 +179,7 @@ class ReadVector:
 
     entries: tuple[int, ...]
     erased: tuple[bool, ...] = field(default=())
+    _int64: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.erased:
@@ -207,11 +212,15 @@ class ReadVector:
     def has_erasures(self) -> bool:
         return any(self.erased)
 
-    @cached_property
+    @property
     def int64(self) -> np.ndarray:
-        """The entries as a read-only int64 array; raises struct.error for
-        an entry that is not an integer or lies outside int64."""
-        return np.frombuffer(_int64_packer(len(self.entries))(*self.entries), np.int64)
+        """The entries as a read-only int64 array, packed on first use and
+        kept; raises struct.error for an entry that is not an integer or
+        lies outside int64."""
+        if self._int64 is None:
+            array = np.frombuffer(_int64_packer(len(self.entries))(*self.entries), np.int64)
+            object.__setattr__(self, "_int64", array)
+        return self._int64
 
     def erased_positions(self) -> list[int]:
         return [j for j, f in enumerate(self.erased) if f]
@@ -245,8 +254,9 @@ class ReadVector:
         if not self.has_erasures:
             try:
                 if vector and entries:
-                    if self.int64.view(np.uint64).max() < min(bound, INT64_BOUND):
-                        return self.int64
+                    array = self.int64
+                    if array.view(np.uint64).max() < min(bound, INT64_BOUND):
+                        return array
                 else:
                     _int64_packer(len(entries))(*entries)
                     if not entries or 0 <= min(entries) and max(entries) < bound:
@@ -288,6 +298,17 @@ def check_input(matrix: QMatrix, q: int, k: int) -> None:
 def parity_extend(row: tuple[int, ...]) -> tuple[int, ...]:
     """Append one entry making the row's entry sum even."""
     return row + (sum(row) % 2,)
+
+
+def error_vector(n: int, hits: Hits | None) -> list[int] | None:
+    """The length-n error vector that holds each hit's value at its
+    position and 0 elsewhere; None for None."""
+    if hits is None:
+        return None
+    error = [0] * n
+    for j, e in hits:
+        error[j] = e
+    return error
 
 
 def corrected(

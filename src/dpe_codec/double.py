@@ -23,16 +23,18 @@ Each decoder is that dispatch table and nothing else: `syndromes` admits
 the read (`ReadVector.admit`) and multiplies it by the scheme's check rows
 (one `core.CheckMatrix`: both checksums, and the parity rows mod 2), a
 lone error is corrected by `single.correct_unit` and a pair by
-`correct_pair`, both through `core.corrected`.
+`correct_pair`, both through `core.corrected`.  `correct_pair` takes the
+pair code's sparse hits (`berlekamp.locate_double_error`: at most two
+`(position, signed value)` pairs) and maps them to read columns; no read
+builds a length-n error vector.
 """
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Sequence
 
 from .basemath import PrimeField, ceil_log, is_prime
-from .berlekamp import BerlekampCode, decode_double_error
+from .berlekamp import BerlekampCode, locate_double_error
 from .core import (
     DECODE_FAILURE,
     CheckMatrix,
@@ -116,10 +118,10 @@ def correct_pair(
 ) -> DecodeOutcome:
     """Correct the Lee-weight-2 error whose mod-p syndromes are `syn`; the
     pair code's coordinate i is read column positions[i]."""
-    sub = decode_double_error(code, syn)
-    if sub is None:
+    hits = locate_double_error(code, syn)
+    if hits is None:
         return DECODE_FAILURE
-    return corrected(values, k, zip(compress(positions, sub), filter(None, sub)), bound)
+    return corrected(values, k, ((positions[i], e) for i, e in hits), bound)
 
 
 class DoubleErrorScheme:

@@ -15,20 +15,26 @@ on the key equation with Forney's error values (Roth, Introduction to
 Coding Theory, ch. 6).  Its locate step reads a linear locator's one
 point off (one error: nearly every faulty read) and otherwise scans the
 points' inverses, kept per code, until one point is left to read off the
-sum of the points.  Any linear code with a `check` matrix and
-`decode_syndromes` can stand in, such as ``oracles.LinearInnerCode``,
-which decodes by codeword enumeration; the support-scan decoder in
-``oracles`` is the reference the Reed-Solomon decoder is checked against.
+sum of the points.  It returns the errors as sparse hits (`core.Hits`:
+`(position, value mod p)` pairs, each value nonzero, an erased symbol's
+among them); `decode_syndromes` is a one-line wrapper that writes them
+out as the full error vector.  Any linear code over GF(p) with a `check`
+matrix and `locate_syndromes` can stand in, such as
+``oracles.LinearInnerCode``, which decodes by codeword enumeration; the
+support-scan decoder in ``oracles`` is the reference the Reed-Solomon
+decoder is checked against.
 
 The packing map is linear mod p, so the inner checks of the packed symbols
 are one fixed matrix times the read: the scheme's `core.CheckMatrix`, the
 inner check rows folded over the n read columns (a digit column weighs
 its symbol's inner column by q^j mod p).  It is built for entries in
-[0, p), which decides the int64 kernel on the symbols: an int64 read is
-reduced mod p before the product, so the product stays exact for any read
-alphabet, and a read past int64 stays on Python ints.  Every read, with or
+[0, p), which decides the int64 kernel on the symbols: an admitted int64
+read lies in [0, Q), inside [0, p) when Q <= p, and is reduced mod p
+before the product when Q > p, so the product stays exact for any read
+alphabet; a read past int64 stays on Python ints.  Every read, with or
 without erasures, is that one product and a zero test; a nonzero syndrome
-goes to the inner code's `decode_syndromes`.  Erased entries are never
+goes to the inner code's `locate_syndromes`, whose hits at data
+positions, lifted to signed values, correct the prefix.  Erased entries are never
 read: the decoder sets them to 0 for the product and the correction.
 `pack` stays as the reference the fold is tested against.
 """
@@ -46,12 +52,14 @@ from .core import (
     DECODE_FAILURE,
     CheckMatrix,
     DecodeOutcome,
+    Hits,
     QMatrix,
     ReadVector,
     check_input,
     check_locate_input,
     corrected,
     decoded,
+    error_vector,
     output_alphabet,
 )
 from .gfpoly import inverses, poly_eval, poly_mul, solve_key_equation
@@ -100,8 +108,8 @@ class ReedSolomonCode:
         p = self.field.p
         word = [v % p for v in message] + [0] * (self.d - 1)
         tail = range(self.k, self.length)
-        error = self.decode_syndromes(self.syndromes(word), tail, 0)
-        return word[: self.k] + [-error[j] % p for j in tail]
+        error = dict(self.locate_syndromes(self.syndromes(word), tail, 0))
+        return word[: self.k] + [-error.get(j, 0) % p for j in tail]
 
     def decode_errors_erasures(
         self, values: Sequence[int], erased: Sequence[int], radius: int
@@ -134,11 +142,12 @@ class ReedSolomonCode:
                     break
         return positions
 
-    def decode_syndromes(
+    def locate_syndromes(
         self, syn: Sequence[int], erased: Sequence[int], radius: int
-    ) -> list[int] | None:
-        """The full error vector of a word whose erased symbols hold 0, from
-        its syndromes S_v = sum_j e_j gamma_j^(v+1), or None.
+    ) -> Hits | None:
+        """The hits of a word whose erased symbols hold 0, from its
+        syndromes S_v = sum_j e_j gamma_j^(v+1), or None: its nonzero
+        error symbols mod p, an erased symbol's among them.
 
         Corrects up to `radius` errors alongside the given erasures whenever
         2*radius + len(erased) < d, and returns None when the closest
@@ -161,7 +170,7 @@ class ReedSolomonCode:
             return None
         p = self.field.p
         if not any(syn):
-            return [0] * self.length
+            return ()
         modified, erasure_locator = syn, None
         if erased:
             erasure_locator = [1]
@@ -190,16 +199,23 @@ class ReedSolomonCode:
         psi = lam if erasure_locator is None else poly_mul(lam, erasure_locator, p)
         slope = [i * c % p for i, c in enumerate(psi)][1:]
         support = erased + positions
-        error = [0] * self.length
+        values = []
         for j in support:
             x = self._inverse_points[j]
-            error[j] = -poly_eval(omega, x, p) * pow(poly_eval(slope, x, p), -1, p) % p
-        if not all(error[j] for j in positions):
+            values.append(-poly_eval(omega, x, p) * pow(poly_eval(slope, x, p), -1, p) % p)
+        if not all(values[len(erased) :]):
             return None
+        hits = tuple((j, e) for j, e in zip(support, values) if e)
         for v, row in enumerate(self._powers):
-            if sum([error[j] * row[j] for j in support]) % p != syn[v]:
+            if sum([e * row[j] for j, e in hits]) % p != syn[v]:
                 return None
-        return error
+        return hits
+
+    def decode_syndromes(
+        self, syn: Sequence[int], erased: Sequence[int], radius: int
+    ) -> list[int] | None:
+        """`locate_syndromes` as the full error vector, values mod p."""
+        return error_vector(self.length, self.locate_syndromes(syn, erased, radius))
 
 
 def smallest_inner_prime(theta: int, length: int) -> int:
@@ -257,6 +273,11 @@ class HammingScheme:
         self.m = ceil_log(q, p)
         self.n = self._length(q, k, self.d, p)
         self.inner = inner if inner is not None else ReedSolomonCode(self.field, self.ntilde, k)
+        if self.inner.field.p != p:
+            raise ValueError(
+                f"inner code is over GF({self.inner.field.p}), but the scheme's "
+                f"symbols are mod p = {p}"
+            )
         if self.inner.length != self.ntilde or self.inner.k != k or self.inner.d < self.d:
             raise ValueError("inner code does not match the scheme parameters")
         if sigma == 0 and rho_max == 0:
@@ -264,6 +285,9 @@ class HammingScheme:
         self._digit_weights = [q**j % p for j in range(self.m)]
         self.check = CheckMatrix(self._check_rows(), self.inner.check.moduli, p)
         self.vector = self.check.vector
+        # An admitted int64 read already lies in [0, Q); only Q > p needs
+        # the reduction that keeps the product in int64.
+        self._reduce = self.vector and self.q_out > p
 
     @staticmethod
     def _budget(q, ell, tau, theta, sigma, rho_max) -> tuple[int, int, int]:
@@ -382,18 +406,19 @@ class HammingScheme:
             if len(erased) > self.rho_max:
                 raise ValueError(f"{len(erased)} erased symbols exceed the budget {self.rho_max}")
             values = entries = [0 if gone else v for v, gone in zip(entries, y.erased)]
-        elif isinstance(values, np.ndarray):
+        elif self._reduce and isinstance(values, np.ndarray):
             values = values % self.p  # the symbols' range keeps the product in int64
         syn = self.check(values)
         if not any(syn):
             return decoded(entries[: self.k])
-        err = self.inner.decode_syndromes(syn, erased, self.tau)
-        if err is None:
+        hits = self.inner.locate_syndromes(syn, erased, self.tau)
+        if hits is None:
             return DECODE_FAILURE
         # An erased entry holds 0 and its symbol was solved outright: its
         # error is minus its value c mod p, which is c since p >= Q.
         errors = (
-            (j, -(-err[j] % self.p) if y.erased[j] else signed_value(err[j], self.field))
-            for j in compress(range(self.k), err)
+            (j, -(-e % self.p) if y.erased[j] else signed_value(e, self.field))
+            for j, e in hits
+            if j < self.k
         )
         return corrected(entries, self.k, errors, self.q_out)

@@ -24,15 +24,15 @@ the checksum the first tail copy records.  A clean read is that product
 and a zero test.  Otherwise the decoder corrects the syndromes sparsely
 on Python ints (`CheckMatrix.less`): the median in place of copy 0 where
 the copies disagree, then the planes' decoded error, before it decodes the
-head.
+head.  Each level locates with `berlekamp.locate_bounded`, whose sparse
+`(position, signed value)` hits go straight to `CheckMatrix.less` and
+`core.corrected`; no read builds a length-n error vector.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-
 from .basemath import PrimeField, base_q_digits, ceil_log, is_prime, next_prime
-from .berlekamp import BerlekampCode, decode_bounded, systematic_encode
+from .berlekamp import BerlekampCode, locate_bounded, systematic_encode
 from .core import (
     DECODE_FAILURE,
     CheckMatrix,
@@ -187,10 +187,9 @@ class RecursiveScheme:
                     (start + t, copy0[t] - _median(tail[t::width])) for t in range(width)))
             # Level 2: the block's syndrome against that checksum.
             if any(syn[tau:]):
-                err = decode_bounded(self.tail_checker, syn[tau:])
-                if err is None:
+                hits = locate_bounded(self.tail_checker, syn[tau:])
+                if hits is None:
                     return DECODE_FAILURE
-                hits = list(compress(enumerate(err), err))
                 fixed = corrected(entries[n:start], self.ntilde, hits, self.q_out)
                 if fixed.failed:
                     return fixed
@@ -198,10 +197,10 @@ class RecursiveScheme:
         # Level 1: the head's syndrome against the checksum in the planes.
         if not any(syn[:tau]):
             return decoded(entries[:n])
-        err = decode_bounded(self.checker, syn[:tau])
-        if err is None:
+        hits = locate_bounded(self.checker, syn[:tau])
+        if hits is None:
             return DECODE_FAILURE
-        return corrected(entries, n, compress(enumerate(err), err), self.q_out)
+        return corrected(entries, n, hits, self.q_out)
 
 
 class LargeAlphabetScheme:
@@ -248,7 +247,7 @@ class LargeAlphabetScheme:
         syn = self.code.syndrome(y.admit(self.n, self.q_out, vector=self.vector))
         if not any(syn):
             return decoded(y.entries[: self.k])  # in range: the alphabet check bounds it
-        err = decode_bounded(self.code, syn)
-        if err is None:
+        hits = locate_bounded(self.code, syn)
+        if hits is None:
             return DECODE_FAILURE
-        return corrected(y.entries, self.k, compress(enumerate(err), err), self.q_out)
+        return corrected(y.entries, self.k, hits, self.q_out)

@@ -29,9 +29,11 @@ from .core import (
     DECODE_FAILURE,
     CheckMatrix,
     DecodeOutcome,
+    Hits,
     QMatrix,
     check_locate_input,
     decoded,
+    error_vector,
     guard_limit,
 )
 from .gfpoly import poly_divmod, poly_eval, poly_mul
@@ -244,13 +246,13 @@ class LinearInnerCode:
         syn = self.check.less(syn, ((j, int(values[j])) for j in erased))
         return self.decode_syndromes(syn, erased, radius)
 
-    def decode_syndromes(
+    def locate_syndromes(
         self, syn: Sequence[int], erased: Sequence[int], radius: int
-    ) -> list[int] | None:
-        """The contract of ReedSolomonCode.decode_syndromes, by enumeration:
+    ) -> Hits | None:
+        """The contract of ReedSolomonCode.locate_syndromes, by enumeration:
         a word w with these syndromes (zero message, the tail solved), then
         the first codeword c within the radius of w on the symbols that are
-        not erased; the error vector is w - c."""
+        not erased; the hits are the nonzero entries of w - c."""
         p = self.field.p
         erased = set(check_locate_input(self.check, syn, erased))
         rho = len(erased)
@@ -261,8 +263,15 @@ class LinearInnerCode:
         kept = [j for j in range(self.length) if j not in erased]
         for cw in linear_codewords(self):
             if sum(1 for j in kept if word[j] != cw[j]) <= t_max:
-                return [(w - c) % p for w, c in zip(word, cw)]
+                error = [(w - c) % p for w, c in zip(word, cw)]
+                return tuple((j, e) for j, e in enumerate(error) if e)
         return None
+
+    def decode_syndromes(
+        self, syn: Sequence[int], erased: Sequence[int], radius: int
+    ) -> list[int] | None:
+        """`locate_syndromes` as the full error vector, values mod p."""
+        return error_vector(self.length, self.locate_syndromes(syn, erased, radius))
 
 
 class ExtField:

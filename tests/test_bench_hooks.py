@@ -34,12 +34,12 @@ KERNEL_SCHEMES = {
     "large-alphabet": lambda: api.LargeAlphabetScheme(257, 100, 1, 2),
 }
 
-# spans that one faulty read per scheme must reach; decode_exhaustive,
-# gfp_solve, hamming.pack and hamming.rs_decode are wrapped, but production
-# decoders no longer call them
+# spans that one faulty read per scheme must reach; decode_double_error,
+# decode_exhaustive, gfp_solve, hamming.pack and hamming.rs_decode are
+# wrapped, but production decoders no longer call them
 REACHED = {
     "locators.build", "single.checksum", "single.locate_unit_error", "single.encode_row",
-    "berlekamp.decode_double_error", "berlekamp.systematic_encode", "berlekamp.syndrome",
+    "berlekamp.systematic_encode", "berlekamp.syndrome",
     "simulate.compute_clean", "simulate.inject", "core.check_alphabet",
     "core.qmatrix_validate", "double.syndromes", "hamming.rs_syndromes",
 } | {f"{scheme}.decode" for scheme in SCHEMES}

@@ -271,6 +271,12 @@ class TestSchemeConstruction:
         with pytest.raises(ValueError):
             HammingScheme(q=2, ell=2, k=1, tau=0)
 
+    def test_inner_code_over_another_field_rejected(self):
+        # p = 7 here: an inner symbol mod 11 would not fit its 3 base-2 digits
+        inner = ReedSolomonCode(PrimeField(11), length=6, k=1)
+        with pytest.raises(ValueError, match=r"inner code is over GF\(11\), .* p = 7$"):
+            HammingScheme(q=2, ell=2, k=1, tau=2, theta=2, rho_max=1, inner=inner)
+
 
 class TestPackingMap:
     def test_zero(self):
