@@ -1,14 +1,18 @@
 """Shared value types for the coding schemes: matrices over a digit
 alphabet, read vectors with erasure flags, and decode outcomes; and the
-check matrix, which computes a read's syndromes in int64 or on Python ints.
+check matrix, which computes a read's syndromes in numpy or on Python ints.
 
 Every syndrome is a fixed integer check matrix times the read, reduced by
 a modulus.  Each scheme holds its check rows as one `CheckMatrix`, which
 decides once (`kernel_fits`) whether reads over the scheme's alphabet take
-the int64 kernel.  `ReadVector.admit` then hands back the values to
-multiply: the read as an int64 array (`ReadVector.int64`, range-checked by
-one reduction) on that path, the tuple of Python ints otherwise.  The
-check matrix multiplies either form, so no decoder branches on the path.
+the numpy kernel: the product must be large enough (rows times read
+length) and exact in int64.  `ReadVector.admit` then hands back the values
+to multiply.  On that path the packing's width follows the read alphabet:
+a read whose bound is at most 256 is packed one byte per entry (a uint8
+array), a wider one into int64 (`ReadVector.int64`); either packing
+refuses entries that are not integers, and one reduction checks the range.
+Otherwise it hands back the tuple of Python ints.  The check matrix
+multiplies any of these forms, so no decoder branches on the path.
 Prefixes, locate steps and corrections always use the Python ints of
 `ReadVector.entries`.
 """
@@ -18,15 +22,19 @@ from __future__ import annotations
 import operator
 import struct
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-# Shortest check-matrix product that takes the int64 kernel.  Below it
-# numpy's fixed cost per call outweighs what the kernel saves (measured
-# crossover: see CHANGES.md and the README).
+# Smallest check-matrix product, rows times read length, that takes the
+# numpy kernel.  Below it numpy's fixed cost per call outweighs the
+# multiplications it saves (measured crossover: see CHANGES.md and the
+# README).
 KERNEL_MIN_LENGTH = 96
+
+# Largest read alphabet packed one byte per entry.
+BYTE_BOUND = 256
 
 INT64_BOUND = 2**63
 
@@ -40,11 +48,11 @@ def output_alphabet(q: int, ell: int) -> int:
     return ell * (q - 1) ** 2 + 1
 
 
-def kernel_fits(n: int, bound: int, modulus: int) -> bool:
-    """Whether a product of n read entries in [0, bound) with check entries
-    in [0, modulus) takes the int64 kernel: n reaches KERNEL_MIN_LENGTH,
-    and no such dot product can leave int64."""
-    return n >= KERNEL_MIN_LENGTH and n * (bound - 1) * (modulus - 1) < INT64_BOUND
+def kernel_fits(n: int, bound: int, modulus: int, rows: int = 1) -> bool:
+    """Whether `rows` check rows of n entries in [0, modulus), times a read
+    of n entries in [0, bound), take the numpy kernel: the product's size
+    rows * n reaches KERNEL_MIN_LENGTH, and no dot product can leave int64."""
+    return rows * n >= KERNEL_MIN_LENGTH and n * (bound - 1) * (modulus - 1) < INT64_BOUND
 
 
 class CheckMatrix:
@@ -52,15 +60,16 @@ class CheckMatrix:
     [0, bound).
 
     `vector` is the kernel decision (`kernel_fits` for the row length, the
-    bound and the largest modulus); only then is the int64 matrix built.
-    A call gives the syndrome of each row as Python ints, for an int64
-    array (one product) or for a sequence of ints."""
+    bound, the largest modulus and the row count); only then is the int64
+    matrix built.  A call gives the syndrome of each row as Python ints,
+    for a uint8 or int64 array (one product; numpy promotes a uint8 read
+    to int64) or for a sequence of ints."""
 
     def __init__(self, rows: Iterable[Sequence[int]], moduli: Sequence[int], bound: int):
         self.moduli = tuple(moduli)
         self.rows = tuple(tuple(x % m for x in row) for row, m in zip(rows, self.moduli))
         self.n = len(self.rows[0])
-        self.vector = kernel_fits(self.n, bound, max(self.moduli))
+        self.vector = kernel_fits(self.n, bound, max(self.moduli), len(self.rows))
         if self.vector:
             self._matrix = np.array(self.rows, np.int64).T
             self._moduli = np.array(self.moduli, np.int64)
@@ -88,6 +97,20 @@ def _int64_packer(n: int):
     """Packs n integers as int64 bytes (one packer per read length); raises
     struct.error for an entry that is not an integer or lies outside int64."""
     return struct.Struct(f"{n}q").pack
+
+
+@cache
+def _byte_alphabet(bound: int) -> bytes:
+    """The bytes [0, bound): deleting them from a packed read leaves the
+    entries outside the alphabet."""
+    return bytes(range(bound))
+
+
+@cache
+def _no_erasures(n: int) -> tuple[bool, ...]:
+    """The flags of an n-entry read without erasures, shared by every such
+    read."""
+    return (False,) * n
 
 
 def guard_limit(default: int) -> int:
@@ -179,14 +202,17 @@ class ReadVector:
 
     entries: tuple[int, ...]
     erased: tuple[bool, ...] = field(default=())
+    has_erasures: bool = field(init=False, repr=False, compare=False)
     _int64: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.erased:
-            object.__setattr__(self, "erased", (False,) * len(self.entries))
+            object.__setattr__(self, "erased", _no_erasures(len(self.entries)))
             object.__setattr__(self, "has_erasures", False)  # known: no scan needed
+            return
         if len(self.erased) != len(self.entries):
             raise ValueError("erasure flags must match entry count")
+        object.__setattr__(self, "has_erasures", any(self.erased))
 
     @classmethod
     def exact(cls, values: Sequence[int]) -> "ReadVector":
@@ -207,10 +233,6 @@ class ReadVector:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    @cached_property
-    def has_erasures(self) -> bool:
-        return any(self.erased)
 
     @property
     def int64(self) -> np.ndarray:
@@ -242,18 +264,29 @@ class ReadVector:
     def check_alphabet(self, bound: int, vector: bool = False) -> Sequence[int]:
         """Refuse the first entry that is not an integer or lies outside
         [0, bound); erased entries are placeholders and are not read.
-        Returns `int64` where `vector` holds and the read has no erasures,
-        and `entries` otherwise.
+        Where `vector` holds and the read has no erasures, returns the
+        entries as a read-only numpy array: uint8 for a bound of at most
+        BYTE_BOUND, `int64` otherwise.  Returns `entries` in every other
+        case.
 
-        The fast pass packs the entries into int64, which refuses floats,
-        strings and None.  On the int64 path one reduction checks the range
-        (a negative entry wraps to 2^63 or more as uint64); otherwise min
-        and max bound the tuple.  A read that fails the fast pass (or has
-        erasures) is checked entry by entry, for the message."""
+        The fast pass packs the entries, and the packing refuses floats,
+        strings and None.  A bound of at most BYTE_BOUND packs them into a
+        bytearray, which also refuses negative ints and ints of 256 or more;
+        deleting the bytes [0, bound) must then leave nothing.  A wider
+        bound packs them into int64.  On the kernel path one reduction
+        checks the range (a negative entry wraps to 2^63 or more as uint64);
+        otherwise min and max bound the tuple.  A read that fails the fast
+        pass (or has erasures) is checked entry by entry, for the message."""
         entries = self.entries
         if not self.has_erasures:
             try:
-                if vector and entries:
+                if bound <= BYTE_BOUND:
+                    packed = bytearray(entries)
+                    if not packed.translate(None, _byte_alphabet(bound)):
+                        if vector and packed:
+                            return np.frombuffer(bytes(packed), np.uint8)
+                        return entries
+                elif vector and entries:
                     array = self.int64
                     if array.view(np.uint64).max() < min(bound, INT64_BOUND):
                         return array
@@ -261,7 +294,7 @@ class ReadVector:
                     _int64_packer(len(entries))(*entries)
                     if not entries or 0 <= min(entries) and max(entries) < bound:
                         return entries
-            except struct.error:
+            except (TypeError, ValueError, struct.error):
                 pass
         for j, (v, gone) in enumerate(zip(entries, self.erased)):
             if gone:
@@ -320,10 +353,11 @@ def corrected(
     Pairs at positions >= k and zero values change nothing.  The entries
     no pair touches are taken as in range already (`ReadVector.admit`).
     """
-    prefix = list(values[:k])
+    prefix = list(values)  # the one copy; the entries past k are dropped below
     for j, e in errors:
         if e and j < k:
             prefix[j] -= e
             if not 0 <= prefix[j] < bound:
                 return DECODE_FAILURE
-    return decoded(prefix)
+    del prefix[k:]
+    return DecodeOutcome(tuple(prefix))

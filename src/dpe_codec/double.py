@@ -304,9 +304,9 @@ class ShortenedScheme:
         return QMatrix(self.q, tuple(row[self.drop :] for row in full.rows))
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        full = ReadVector(
-            (0,) * self.drop + y.entries, (False,) * self.drop + y.erased
-        )
+        # A read without erasures keeps the shared all-False flags.
+        erased = (False,) * self.drop + y.erased if y.has_erasures else ()
+        full = ReadVector((0,) * self.drop + y.entries, erased)
         outcome = self.base.decode(full)
         if outcome.failed:
             return outcome

@@ -28,10 +28,11 @@ The packing map is linear mod p, so the inner checks of the packed symbols
 are one fixed matrix times the read: the scheme's `core.CheckMatrix`, the
 inner check rows folded over the n read columns (a digit column weighs
 its symbol's inner column by q^j mod p).  It is built for entries in
-[0, p), which decides the int64 kernel on the symbols: an admitted int64
-read lies in [0, Q), inside [0, p) when Q <= p, and is reduced mod p
-before the product when Q > p, so the product stays exact for any read
-alphabet; a read past int64 stays on Python ints.  Every read, with or
+[0, p), which decides the numpy kernel on the symbols: an admitted array
+read (uint8 for Q <= 256, int64 above) lies in [0, Q), inside [0, p) when
+Q <= p, and is reduced mod p before the product when Q > p, so the
+product stays exact for any read alphabet; a read past int64 stays on
+Python ints.  Every read, with or
 without erasures, is that one product and a zero test; a nonzero syndrome
 goes to the inner code's `locate_syndromes`, whose hits at data
 positions, lifted to signed values, correct the prefix.  Erased entries are never
@@ -285,8 +286,9 @@ class HammingScheme:
         self._digit_weights = [q**j % p for j in range(self.m)]
         self.check = CheckMatrix(self._check_rows(), self.inner.check.moduli, p)
         self.vector = self.check.vector
-        # An admitted int64 read already lies in [0, Q); only Q > p needs
-        # the reduction that keeps the product in int64.
+        # An admitted array read already lies in [0, Q); only Q > p needs
+        # the reduction that keeps the product in int64.  A uint8 read
+        # stays exact under it, since p < Q <= 256 fits a byte.
         self._reduce = self.vector and self.q_out > p
 
     @staticmethod

@@ -2,8 +2,8 @@
 (``bench/tracing.py``).  A rename or a move that loses one of those names
 would break the traced run, so this test installs the tracer, runs one
 encode and one faulty read per scheme, and checks every hook, once with
-instances on Python ints and once with instances above the int64 read
-kernel's length constant."""
+instances on Python ints and once with instances above the read kernel's
+cut."""
 
 import importlib.util
 from pathlib import Path
@@ -20,7 +20,7 @@ SCHEMES = {
     "sec-ded": lambda: api.SecDedScheme(3, 8, 2),
     "dec": lambda: api.DoubleErrorScheme(2, 31, 2),
     "dec-ted": lambda: api.TripleDetectScheme(3, 13, 2),
-    "recursive": lambda: api.RecursiveScheme(2, 2, 2, 31),
+    "recursive": lambda: api.RecursiveScheme(2, 2, 1, 13),
     "hamming": lambda: api.HammingScheme(2, 2, 4, 1),
     "large-alphabet": lambda: api.LargeAlphabetScheme(8, 3, 1, 2),
 }

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dpe_codec as api
 from dpe_codec.core import DECODE_FAILURE, QMatrix, ReadVector, corrected, decoded
 
 
@@ -28,6 +31,53 @@ class TestReadVector:
     def test_alphabet_names_first_bad_entry(self, entries, erased, bad):
         with pytest.raises(ValueError, match=f"^{bad} is outside the read alphabet \\[0, 4\\)$"):
             ReadVector(entries, erased).check_alphabet(4)
+
+
+class TestFlags:
+    def test_reads_without_erasures_share_one_flags_tuple(self):
+        a, b = ReadVector.exact([0, 3, 1]), ReadVector((4, 5, 6))
+        assert a.erased is b.erased == (False, False, False)
+        assert ReadVector.exact([]).erased == ()
+
+    def test_shared_flags_are_not_part_of_the_value(self):
+        shared, explicit = ReadVector((0, 3, 1)), ReadVector((0, 3, 1), (False,) * 3)
+        assert shared.erased is not explicit.erased
+        assert shared == explicit and hash(shared) == hash(explicit)
+        assert repr(shared) == repr(explicit) == (
+            "ReadVector(entries=(0, 3, 1), erased=(False, False, False))")
+
+    @pytest.mark.parametrize(
+        "read,expect",
+        [(ReadVector((0, 3, 1)), False), (ReadVector((0, 3, 1), (False,) * 3), False),
+         (ReadVector((0, 3, 1), (False, True, False)), True),
+         (ReadVector.with_erasures([4, 5, 6], [2]), True),
+         (ReadVector.with_erasures([4, 5, 6], []), False)],
+    )
+    def test_has_erasures_is_set_once(self, read, expect):
+        # a plain attribute set at construction, not a cached property
+        assert vars(read)["has_erasures"] is expect
+        assert not isinstance(vars(ReadVector).get("has_erasures"), property)
+
+    def test_has_erasures_is_not_part_of_the_value(self):
+        read = ReadVector((0, 3, 1), (False, True, False))
+        assert "has_erasures" not in repr(read)
+        assert read == ReadVector((0, 3, 1), (False, True, False))
+
+    def test_flags_must_match_the_entries(self):
+        with pytest.raises(ValueError, match="erasure flags must match entry count"):
+            ReadVector((0, 3, 1), (False, True))
+
+    def test_shortened_scheme_keeps_the_shared_flags(self, monkeypatch):
+        scheme = api.ShortenedScheme(api.SingleErrorScheme(2, 24, 2), 5)
+        seen = []
+        decode = scheme.base.decode
+        monkeypatch.setattr(scheme.base, "decode", lambda y: seen.append(y) or decode(y))
+        rows = [[1, 0] * (scheme.k // 2) + [1] * (scheme.k % 2), [1] * scheme.k]
+        clean = api.compute_clean([1, 1], scheme.encode(QMatrix.from_lists(2, rows)))
+        assert scheme.decode(ReadVector.exact(clean)).prefix == tuple(clean[: scheme.k])
+        (full,) = seen
+        assert full.erased is ReadVector.exact([0] * scheme.base.n).erased
+        assert full.entries == (0,) * 5 + tuple(clean)
 
 
 class TestInt64:
@@ -82,6 +132,33 @@ class TestCorrected:
     def test_zero_values_ignored(self):
         # an untouched entry is not re-checked: admit has bounded it
         assert corrected([5, 1, 2], 3, [(0, 0), (1, 1)], 4) == decoded([5, 0, 2])
+
+    def test_prefix_is_a_tuple_and_the_values_are_not_changed(self):
+        for values in ([3, 1, 2, 0], (3, 1, 2, 0)):
+            outcome = corrected(values, 3, [(0, 1), (3, 1)], 4)
+            assert type(outcome.prefix) is tuple and outcome.prefix == (2, 1, 2)
+            assert list(values) == [3, 1, 2, 0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(0, 8), min_size=1, max_size=20),
+        st.data(),
+    )
+    def test_matches_a_fresh_list_of_the_prefix(self, values, data):
+        # the reference: copy the k-prefix, subtract pair by pair, and fail
+        # as soon as an entry leaves [0, 9)
+        k = data.draw(st.integers(0, len(values)))
+        errors = data.draw(st.lists(
+            st.tuples(st.integers(0, len(values) - 1), st.integers(-9, 9)), max_size=4))
+        prefix, expect = list(values[:k]), None
+        for j, e in errors:
+            if e and j < k:
+                prefix[j] -= e
+                if not 0 <= prefix[j] < 9:
+                    expect = DECODE_FAILURE
+                    break
+        expect = expect or decoded(prefix)
+        assert corrected(tuple(values), k, errors, 9) == expect
 
 
 class TestQMatrixTypes:

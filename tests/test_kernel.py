@@ -16,14 +16,14 @@ from dpe_codec.single import checksum
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
-# one instance per decoder below the length constant (Python path) and one
-# above it (int64 kernel)
+# one instance per decoder below the kernel cut (product size rows * n;
+# Python path) and one above it (numpy kernel)
 SMALL = {
     "sec": lambda: api.SingleErrorScheme(2, 15, 2),
     "sec-ded": lambda: api.SecDedScheme(3, 8, 2),
     "dec": lambda: api.DoubleErrorScheme(2, 31, 2),
     "dec-ted": lambda: api.TripleDetectScheme(3, 13, 2),
-    "recursive": lambda: api.RecursiveScheme(2, 2, 2, 31),
+    "recursive": lambda: api.RecursiveScheme(2, 2, 1, 13),
     "hamming": lambda: api.HammingScheme(2, 2, 4, 1),
     "large-alphabet": lambda: api.LargeAlphabetScheme(8, 3, 1, 2),
 }
@@ -55,6 +55,24 @@ class TestPathChoice:
         m = (INT64_BOUND - 1) // (n * 8) + 1
         assert kernel_fits(n, 9, m)
         assert not kernel_fits(n, 9, m + 1)
+
+    def test_cut_by_product_size(self):
+        # the cut counts rows * n multiplications; the int64 bound stays per row
+        rows = 6
+        n = -(-KERNEL_MIN_LENGTH // rows)  # the shortest row that reaches the cut
+        assert kernel_fits(n, 9, 1031, rows) and not kernel_fits(n - 1, 9, 1031, rows)
+        m = (INT64_BOUND - 1) // (n * 8) + 1
+        assert kernel_fits(n, 9, m, rows) and not kernel_fits(n, 9, m + 1, rows)
+
+    def test_multi_error_hamming_and_large_alphabet(self):
+        # multi-error hamming: 6 rows of 68 entries take the kernel; the
+        # large-alphabet instance, 3 rows of 24, stays on Python ints
+        hamming = api.HammingScheme(2, 8, 32, 3)
+        assert hamming.n < KERNEL_MIN_LENGTH <= len(hamming.check.rows) * hamming.n
+        assert hamming.vector
+        large = api.LargeAlphabetScheme(257, 24, 3, 8)
+        assert len(large.code.check.rows) * large.n < KERNEL_MIN_LENGTH
+        assert not large.vector
 
     def test_past_the_bound_large_alphabet(self):
         # n * (Q - 1) * (p - 1) is about 1.5e22: Python ints at any n
@@ -109,6 +127,20 @@ class TestCheckMatrix:
         assert CheckMatrix([[1] * KERNEL_MIN_LENGTH], (7,), 9).vector
         # the largest modulus and the read bound enter the int64 bound
         assert not CheckMatrix([[1] * KERNEL_MIN_LENGTH] * 2, (2, 2**60), 9).vector
+        # and the row count the product's size
+        half = -(-KERNEL_MIN_LENGTH // 2)
+        assert CheckMatrix([[1] * half] * 2, (7, 7), 9).vector
+        assert not CheckMatrix([[1] * (half - 1)] * 2, (7, 7), 9).vector
+
+    @pytest.mark.parametrize("bound", [2, 9, 256])
+    def test_multiplies_a_byte_read(self, bound):
+        n = KERNEL_MIN_LENGTH
+        rows = [[(7 * j + r) % 1031 for j in range(n)] for r in range(3)]
+        check = CheckMatrix(rows, (1031, 1031, 2), bound)
+        values = _entries(bound, n, bound)
+        read = ReadVector.exact(values).admit(n, bound, vector=check.vector)
+        assert read.dtype == np.uint8
+        assert check(read) == check(_array(values)) == check(values)
 
 
 class TestEntryTypes:
@@ -141,6 +173,113 @@ class TestEntryTypes:
                 f"entry 1 = {bad} is outside the read alphabet [0, {scheme.q_out})")
         else:
             assert str(info.value) == f"entry 1 = {bad!r} is not an integer"
+
+
+class TestBytePacking:
+    """A read whose alphabet fits a byte is packed one byte per entry; the
+    packing's refusals fall to the per-entry loop, so every message is the
+    one the int64 packing gave."""
+
+    @pytest.mark.parametrize("bound", [2, 9, 73, 256])
+    def test_byte_read_for_a_small_alphabet(self, bound):
+        entries = _entries(bound, 100, bound)
+        array = ReadVector.exact(entries).admit(100, bound, vector=True)
+        assert array.dtype == np.uint8 and not array.flags.writeable
+        assert array.tolist() == list(entries)
+
+    def test_int64_read_past_a_byte(self):
+        read = ReadVector.exact(_entries(257, 100, 257))
+        array = read.admit(100, 257, vector=True)
+        assert array.dtype == np.int64 and array is read.int64
+
+    def test_python_path_returns_the_entries(self):
+        for bound in (9, 257):
+            read = ReadVector.exact(_entries(bound, 100, bound))
+            assert read.admit(100, bound) is read.entries
+
+    @pytest.mark.parametrize("vector", [False, True])
+    @pytest.mark.parametrize("byte_bound", [core.BYTE_BOUND, 0], ids=["bytes", "int64"])
+    @pytest.mark.parametrize(
+        "bad,message",
+        [(1.5, "entry 2 = 1.5 is not an integer"), ("a", "entry 2 = 'a' is not an integer"),
+         (None, "entry 2 = None is not an integer"),
+         (-1, "entry 2 = -1 is outside the read alphabet [0, 9)"),
+         (256, "entry 2 = 256 is outside the read alphabet [0, 9)"),
+         (9, "entry 2 = 9 is outside the read alphabet [0, 9)"),
+         (2**70, f"entry 2 = {2**70} is outside the read alphabet [0, 9)")],
+    )
+    def test_same_refusals_on_both_packings(self, monkeypatch, vector, byte_bound, bad, message):
+        # byte_bound 0 sends a bound of 9 through the int64 packing
+        monkeypatch.setattr(core, "BYTE_BOUND", byte_bound)
+        with pytest.raises(ValueError) as info:
+            ReadVector.exact([0, 1, bad, 1]).check_alphabet(9, vector)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_bool_and_numpy_ints_accepted(self, monkeypatch, vector):
+        entries = (True, np.int64(3), np.uint8(8), 0)
+        read = ReadVector(entries)
+        byte = read.check_alphabet(9, vector)
+        monkeypatch.setattr(core, "BYTE_BOUND", 0)
+        wide = ReadVector(entries).check_alphabet(9, vector)
+        if vector:
+            assert byte.tolist() == wide.tolist() == [1, 3, 8, 0]
+        else:
+            assert byte is read.entries and list(wide) == list(entries)
+
+    def test_erasures_keep_the_per_entry_check(self):
+        read = ReadVector((0, None, 1, -1), (False, True, False, True))
+        assert read.check_alphabet(9, True) is read.entries
+
+
+# every scheme whose read alphabet fits a byte, above the kernel cut; the
+# last Hamming instance has Q = 253 > p = 103, so its byte read is reduced
+# mod p before the product
+BYTE_SCHEMES = {
+    "sec": (lambda: api.SingleErrorScheme(2, 100, 8), 1),
+    "sec-ded": (lambda: api.SecDedScheme(3, 100, 8), 1),
+    "sec-ded-parity": (lambda: api.SecDedScheme(2, 100, 8), 1),
+    "dec": (lambda: api.DoubleErrorScheme(2, 61, 8), 2),
+    "dec-ted": (lambda: api.TripleDetectScheme(4, 131, 8), 2),
+    "recursive": (lambda: api.RecursiveScheme(2, 8, 2, 31), 2),
+    "hamming": (lambda: api.HammingScheme(2, 8, 32, 3), 3),
+    "hamming-q-above-p": (lambda: api.HammingScheme(4, 28, 100, 1, theta=1), 1),
+    "shortened": (lambda: api.ShortenedScheme(api.SingleErrorScheme(2, 120, 8), 9), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BYTE_SCHEMES))
+def test_byte_int64_and_python_paths_agree(name, monkeypatch):
+    build, tau = BYTE_SCHEMES[name]
+    scheme = build()
+    with monkeypatch.context() as off:
+        off.setattr(core, "KERNEL_MIN_LENGTH", 10**9)
+        python = build()
+    kernel = lambda s: getattr(s, "base", s).vector  # a shortened scheme decodes by its base
+    assert kernel(scheme) and not kernel(python) and scheme.q_out <= core.BYTE_BOUND
+    rng = random.Random(name)
+    rows = [[rng.randrange(scheme.q) for _ in range(scheme.k)] for _ in range(scheme.ell)]
+    encoded = scheme.encode(api.QMatrix.from_lists(scheme.q, rows))
+    clean = [api.compute_clean([rng.randrange(scheme.q) for _ in range(scheme.ell)], encoded)
+             for _ in range(3)]
+    n = len(clean[0])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2), st.integers(0, tau + 1), st.data())
+    def agree(which, t, data):
+        y = list(clean[which])
+        for j in data.draw(st.lists(st.integers(0, n - 1), min_size=t, max_size=t, unique=True)):
+            y[j] += 1 if y[j] < scheme.q_out - 1 else -1
+        read = ReadVector.exact(y)
+        byte = scheme.decode(read)
+        with monkeypatch.context() as wide:
+            wide.setattr(core, "BYTE_BOUND", 0)
+            assert scheme.decode(ReadVector.exact(y)) == byte
+        assert python.decode(ReadVector.exact(y)) == byte
+        if t <= tau:
+            assert byte.prefix == tuple(clean[which][: scheme.k])
+
+    agree()
 
 
 # production sizes: the kernel instances of the read-stream benchmark
