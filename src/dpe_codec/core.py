@@ -1,20 +1,25 @@
 """Shared value types for the coding schemes: matrices over a digit
-alphabet, read vectors with erasure flags, and decode outcomes; and the
-check matrix, which computes a read's syndromes in numpy or on Python ints.
+alphabet, read vectors with erasure flags, and decode outcomes; the check
+matrix, which computes a read's syndromes in numpy or on Python ints; and
+`decode_read`, the one decode pipeline every scheme runs.
 
-Every syndrome is a fixed integer check matrix times the read, reduced by
-a modulus.  Each scheme holds its check rows as one `CheckMatrix`, which
-decides once (`kernel_fits`) whether reads over the scheme's alphabet take
-the numpy kernel: the product must be large enough (rows times read
-length) and exact in int64.  `ReadVector.admit` then hands back the values
-to multiply.  On that path the packing's width follows the read alphabet:
-a read whose bound is at most 256 is packed one byte per entry (a uint8
-array), a wider one into int64 (`ReadVector.int64`); either packing
-refuses entries that are not integers, and one reduction checks the range.
-Otherwise it hands back the tuple of Python ints.  The check matrix
-multiplies any of these forms, so no decoder branches on the path.
-Prefixes, locate steps and corrections always use the Python ints of
-`ReadVector.entries`.
+The pipeline admits the read, computes its syndromes, locates the errors,
+corrects the data prefix and checks its range.  A scheme supplies two
+hooks.  `read_syndromes(y)` admits the read (`ReadVector.admit`), takes
+one product with the scheme's `CheckMatrix`, and returns the syndromes and
+the entries the prefix is taken from.  `locate(syn, y)` holds the clean
+test: it returns () for a prefix that needs no correction, the `(read
+column, signed value)` hits to subtract (`Hits`), or None to give up; only
+a read with hits pays for `corrected`.  The prefix holds the read's own
+entry objects, so numpy integers in a read stay numpy integers.
+
+A `CheckMatrix` decides once (`kernel_fits`) whether reads over the
+scheme's alphabet take the numpy kernel: the product must be large enough
+and exact in int64.  There, `ReadVector.admit` packs the read one byte per
+entry when its bound is at most 256, else into int64; the packing refuses
+non-integers and one reduction checks the range.  Otherwise it hands back
+the tuple of entries.  The check matrix multiplies either form and returns
+Python ints, so no decoder branches on the path.
 """
 
 from __future__ import annotations
@@ -61,15 +66,16 @@ class CheckMatrix:
 
     `vector` is the kernel decision (`kernel_fits` for the row length, the
     bound, the largest modulus and the row count); only then is the int64
-    matrix built.  A call gives the syndrome of each row as Python ints,
-    for a uint8 or int64 array (one product; numpy promotes a uint8 read
-    to int64) or for a sequence of ints."""
+    matrix built.  A call gives each row's syndrome as a Python int, for a
+    uint8 or int64 array (one product; numpy promotes uint8 to int64) or
+    any sequence of integers (numpy ones as Python ints where int64 wraps)."""
 
     def __init__(self, rows: Iterable[Sequence[int]], moduli: Sequence[int], bound: int):
         self.moduli = tuple(moduli)
         self.rows = tuple(tuple(x % m for x in row) for row, m in zip(rows, self.moduli))
         self.n = len(self.rows[0])
         self.vector = kernel_fits(self.n, bound, max(self.moduli), len(self.rows))
+        self._wide = self.n * (bound - 1) * (max(self.moduli) - 1) >= INT64_BOUND
         if self.vector:
             self._matrix = np.array(self.rows, np.int64).T
             self._moduli = np.array(self.moduli, np.int64)
@@ -79,16 +85,19 @@ class CheckMatrix:
             raise ValueError(f"need {self.n} entries, got {len(values)}")
         if isinstance(values, np.ndarray):
             return ((values @ self._matrix) % self._moduli).tolist()
-        return [sum(map(operator.mul, values, row)) % m for row, m in zip(self.rows, self.moduli)]
+        if self._wide:  # numpy integer entries would wrap in int64
+            values = [int(v) for v in values]
+        checks = zip(self.rows, self.moduli)
+        return [int(sum(map(operator.mul, values, row)) % m) for row, m in checks]
 
     def less(self, syn: Sequence[int], errors: Iterable[tuple[int, int]]) -> list[int]:
-        """The syndromes of a read less the `(position, value)` errors,
-        from the read's syndromes `syn`; zero values change nothing."""
+        """The syndromes (Python ints) of a read less the `(position, value)`
+        errors, from the read's syndromes `syn`; zero values change nothing."""
         syn = list(syn)
         for j, e in errors:
             if e:
                 for r, (row, m) in enumerate(zip(self.rows, self.moduli)):
-                    syn[r] = (syn[r] - row[j] * e) % m
+                    syn[r] = (syn[r] - row[j] * int(e)) % m
         return syn
 
 
@@ -361,3 +370,15 @@ def corrected(
                 return DECODE_FAILURE
     del prefix[k:]
     return DecodeOutcome(tuple(prefix))
+
+
+def decode_read(scheme, y: ReadVector) -> DecodeOutcome:
+    """Decode y through the scheme's `read_syndromes` and `locate` hooks:
+    the corrected k-prefix of its entries, or DECODE_FAILURE."""
+    syn, entries = scheme.read_syndromes(y)
+    hits = scheme.locate(syn, y)
+    if hits is None:
+        return DECODE_FAILURE
+    if not hits:
+        return decoded(entries[: scheme.k])
+    return corrected(entries, scheme.k, hits, scheme.q_out)

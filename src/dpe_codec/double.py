@@ -1,5 +1,5 @@
-"""Double-error correction: a three-part redundancy suffix and a decoder
-that dispatches on which parts look damaged.
+"""Double-error correction: a three-part redundancy suffix and a locate
+step that dispatches on which parts look damaged.
 
 The encoder composes three stages per row (all on top of the single-error
 stage run modulo a prime p = 2*n1 + 1):
@@ -8,25 +8,21 @@ stage run modulo a prime p = 2*n1 + 1):
   2. m more digits recording the *cubed*-locator checksum mod p;
   3. one parity symbol over those m digits.
 
-A read vector splits as y = (y1 | y2) with y1 the n1-prefix.  The decoder
-computes s1 (linear checksum of y1), s2 (cubed checksum of y1 minus the
-digit-encoded value in y2), and the parity of y2.  Depending on the
+A read vector splits as y = (y1 | y2) with y1 the n1-prefix.  Its
+syndromes are s1 (linear checksum of y1), s2 (cubed checksum of y1 minus
+the digit-encoded value in y2), and the parity of y2.  Depending on the
 split, either y1 is clean, or the pair (s1, s2) is a weight-2 Lee syndrome
 handled by the quadratic decoder, or a lone error in y1 is located from s1.
-
 The triple-detecting variants either add one more overall parity column
 (mandatory for q = 2) or run both checksums modulo 2p over odd locators,
-where the parities of s1 and s2 replace the parity column (Table-driven
-dispatch; see decode).
+where the parities of s1 and s2 replace the parity column.
 
-Each decoder is that dispatch table and nothing else: `syndromes` admits
-the read (`ReadVector.admit`) and multiplies it by the scheme's check rows
-(one `core.CheckMatrix`: both checksums, and the parity rows mod 2), a
-lone error is corrected by `single.correct_unit` and a pair by
-`correct_pair`, both through `core.corrected`.  `correct_pair` takes the
-pair code's sparse hits (`berlekamp.locate_double_error`: at most two
-`(position, signed value)` pairs) and maps them to read columns; no read
-builds a length-n error vector.
+Each scheme decodes through `core.decode_read`.  Its syndrome hook calls
+`syndromes`: the admitted read times one `core.CheckMatrix`.  Its `locate`
+(picked per variant at construction) is the dispatch table and nothing
+else: a lone error's hit comes from `single.unit_hits`, a pair's from
+`pair_hits`, which maps `berlekamp.locate_double_error`'s sparse hits to
+read columns.
 """
 
 from __future__ import annotations
@@ -36,13 +32,13 @@ from typing import Sequence
 from .basemath import PrimeField, ceil_log, is_prime
 from .berlekamp import BerlekampCode, locate_double_error
 from .core import (
-    DECODE_FAILURE,
     CheckMatrix,
     DecodeOutcome,
+    Hits,
     QMatrix,
     ReadVector,
     check_input,
-    corrected,
+    decode_read,
     decoded,
     output_alphabet,
     parity_extend,
@@ -50,10 +46,10 @@ from .core import (
 from .locators import Locators, build_locators_basic, build_locators_ded
 from .single import (
     VARIANT_PARITY,
-    correct_unit,
     detect_variant,
     encode_row,
     redundancy_digits,
+    unit_hits,
 )
 
 
@@ -108,20 +104,11 @@ def checksum_rows(loc: Locators, n1: int, weights: Sequence[int], n: int) -> lis
     ]
 
 
-def correct_pair(
-    values: Sequence[int],
-    k: int,
-    syn: tuple[int, int],
-    code: BerlekampCode,
-    positions: list[int],
-    bound: int,
-) -> DecodeOutcome:
-    """Correct the Lee-weight-2 error whose mod-p syndromes are `syn`; the
-    pair code's coordinate i is read column positions[i]."""
+def pair_hits(code: BerlekampCode, positions: list[int], syn: tuple[int, int]) -> Hits | None:
+    """The hits of the Lee-weight-2 error whose mod-p syndromes are `syn`,
+    or None; the pair code's coordinate i is read column positions[i]."""
     hits = locate_double_error(code, syn)
-    if hits is None:
-        return DECODE_FAILURE
-    return corrected(values, k, ((positions[i], e) for i, e in hits), bound)
+    return None if hits is None else [(positions[i], e) for i, e in hits]
 
 
 class DoubleErrorScheme:
@@ -159,14 +146,19 @@ class DoubleErrorScheme:
         """Admit the read; its (s1, s2, digit-block parity)."""
         return tuple(self.check(y.admit(self.n, self.q_out, vector=self.vector)))
 
-    def decode(self, y: ReadVector) -> DecodeOutcome:
-        s1, s2, s2_hat = self.syndromes(y)
+    def read_syndromes(self, y: ReadVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return self.syndromes(y), y.entries
+
+    def locate(self, syn: tuple[int, int, int], y: ReadVector) -> Hits | None:
+        s1, s2, s2_hat = syn
         if s1 == 0:
-            return decoded(y.entries[: self.k])  # the n1-prefix is clean
+            return ()  # the n1-prefix is clean
         if s2_hat == 0:
-            syn = (s1, s2)
-            return correct_pair(y.entries, self.k, syn, self.ber, self.ber_positions, self.q_out)
-        return correct_unit(y.entries, self.k, s1, self.loc, self.q_out)
+            return pair_hits(self.ber, self.ber_positions, (s1, s2))
+        return unit_hits(s1, self.loc)
+
+    def decode(self, y: ReadVector) -> DecodeOutcome:
+        return decode_read(self, y)
 
 
 class TripleDetectScheme:
@@ -216,6 +208,7 @@ class TripleDetectScheme:
             rows = checksum_rows(self.loc, self.n1, self.loc.suffix_weights(), self.n)
             self.check = CheckMatrix(rows, (2 * p, 2 * p), self.q_out)
         self.vector = self.check.vector
+        self.locate = self._locate_parity if variant == VARIANT_PARITY else self._locate_mod2p
 
     # -- encoding ---------------------------------------------------------
 
@@ -237,49 +230,37 @@ class TripleDetectScheme:
         the parity variant, else (s1, s2) modulo 2p."""
         return tuple(self.check(y.admit(self.n, self.q_out, vector=self.vector)))
 
-    def _decode_parity(self, y: ReadVector) -> DecodeOutcome:
-        s1, s2, s2_hat, total_parity = self.syndromes(y)
-        prefix = decoded(y.entries[: self.k])
+    def read_syndromes(self, y: ReadVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return self.syndromes(y), y.entries
+
+    def _locate_parity(self, syn: tuple[int, int, int, int], y: ReadVector) -> Hits | None:
+        s1, s2, s2_hat, total_parity = syn
         if s1 == 0:
             # Only an all-prefix triple with a vanishing checksum is unsafe
-            # here; it shows up as odd total parity, even digit-block parity
-            # and a nonzero cubes checksum.
-            if total_parity == 1 and s2_hat == 0 and s2 != 0:
-                return DECODE_FAILURE
-            return prefix
+            # here: odd total parity, even block parity and a nonzero s2.
+            return None if total_parity == 1 and s2_hat == 0 and s2 != 0 else ()
         if s2_hat == 1:
-            if total_parity == 1:
-                return DECODE_FAILURE  # three errors split 2+1 or 1+1+1
-            return correct_unit(y.entries, self.k, s1, self.loc, self.q_out)
+            # an odd total: three errors split 2+1 or 1+1+1
+            return None if total_parity == 1 else unit_hits(s1, self.loc)
         if total_parity == 0:
-            syn = (s1, s2)
-            return correct_pair(y.entries, self.k, syn, self.ber, self.ber_positions, self.q_out)
+            return pair_hits(self.ber, self.ber_positions, (s1, s2))
         # Odd count, clean-looking digit block: only a lone error whose two
         # checksums agree may be corrected; anything else is a triple.
-        if s2 == pow(s1, 3, self.p):
-            return correct_unit(y.entries, self.k, s1, self.loc, self.q_out)
-        return DECODE_FAILURE
+        return unit_hits(s1, self.loc) if s2 == pow(s1, 3, self.p) else None
 
-    def _decode_mod2p(self, y: ReadVector) -> DecodeOutcome:
-        s1, s2 = self.syndromes(y)
+    def _locate_mod2p(self, syn: tuple[int, int], y: ReadVector) -> Hits | None:
+        s1, s2 = syn
         if s1 == 0:
-            return decoded(y.entries[: self.k])
-        odd1, odd2 = s1 % 2 == 1, s2 % 2 == 1
-        if not odd1 and not odd2:
-            syn = (s1 % self.p, s2 % self.p)
-            return correct_pair(y.entries, self.k, syn, self.ber, self.ber_positions, self.q_out)
-        if odd1 and not odd2:
-            return correct_unit(y.entries, self.k, s1, self.loc, self.q_out)
-        if not odd1 and odd2:
-            return DECODE_FAILURE
-        if (s2 - s1**3) % self.p == 0:
-            return correct_unit(y.entries, self.k, s1, self.loc, self.q_out)
-        return DECODE_FAILURE
+            return ()
+        if s2 % 2 == 0:
+            if s1 % 2 == 0:
+                return pair_hits(self.ber, self.ber_positions, (s1 % self.p, s2 % self.p))
+            return unit_hits(s1, self.loc)
+        # An odd s2: only a lone error whose two checksums agree.
+        return unit_hits(s1, self.loc) if s1 % 2 and (s2 - s1**3) % self.p == 0 else None
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        if self.variant == VARIANT_PARITY:
-            return self._decode_parity(y)
-        return self._decode_mod2p(y)
+        return decode_read(self, y)
 
 
 class ShortenedScheme:

@@ -8,36 +8,29 @@ decoder recovers the error symbols, whose signed lifts fix the data prefix.
 Erasures (unreadable columns) erase the single packed symbol they feed and
 are passed to the inner decoder as known-location unknowns.
 
-The inner code here is a Reed-Solomon code in parity-check form (checks at
-consecutive powers of distinct nonzero points, an MDS construction),
-decoded for errors and erasures from its syndromes by Euclid's algorithm
-on the key equation with Forney's error values (Roth, Introduction to
-Coding Theory, ch. 6).  Its locate step reads a linear locator's one
-point off (one error: nearly every faulty read) and otherwise scans the
-points' inverses, kept per code, until one point is left to read off the
-sum of the points.  It returns the errors as sparse hits (`core.Hits`:
-`(position, value mod p)` pairs, each value nonzero, an erased symbol's
-among them); `decode_syndromes` is a one-line wrapper that writes them
-out as the full error vector.  Any linear code over GF(p) with a `check`
-matrix and `locate_syndromes` can stand in, such as
-``oracles.LinearInnerCode``, which decodes by codeword enumeration; the
-support-scan decoder in ``oracles`` is the reference the Reed-Solomon
-decoder is checked against.
+The inner code is a Reed-Solomon code in parity-check form (checks at
+consecutive powers of distinct nonzero points), decoded for errors and
+erasures from its syndromes by Euclid on the key equation with Forney's
+values (Roth, Introduction to Coding Theory, ch. 6).  Its locate step
+reads a linear locator's one point off and otherwise scans the points'
+inverses until one point is left to read off their sum; it returns sparse
+hits (`core.Hits`, values mod p).  Any linear code over GF(p) with a
+`check` matrix and `locate_syndromes` can stand in, such as
+``oracles.LinearInnerCode``; ``oracles`` also holds the support-scan
+decoder the Reed-Solomon decoder is checked against.
 
-The packing map is linear mod p, so the inner checks of the packed symbols
-are one fixed matrix times the read: the scheme's `core.CheckMatrix`, the
-inner check rows folded over the n read columns (a digit column weighs
-its symbol's inner column by q^j mod p).  It is built for entries in
-[0, p), which decides the numpy kernel on the symbols: an admitted array
-read (uint8 for Q <= 256, int64 above) lies in [0, Q), inside [0, p) when
-Q <= p, and is reduced mod p before the product when Q > p, so the
-product stays exact for any read alphabet; a read past int64 stays on
-Python ints.  Every read, with or
-without erasures, is that one product and a zero test; a nonzero syndrome
-goes to the inner code's `locate_syndromes`, whose hits at data
-positions, lifted to signed values, correct the prefix.  Erased entries are never
-read: the decoder sets them to 0 for the product and the correction.
-`pack` stays as the reference the fold is tested against.
+The scheme decodes through `core.decode_read`.  The packing map is linear
+mod p, so its syndrome hook is one product with the scheme's
+`core.CheckMatrix`: the inner check rows folded over the n read columns (a
+digit column weighs its symbol's inner column by q^j mod p), built for
+entries in [0, p).  An admitted array read lies in [0, Q) and is reduced
+mod p first when Q > p, so the product stays exact.  The hook admits
+erasures within the budget and sets erased entries to 0, both for the
+product and in the entries the prefix is taken from.  `locate` reads a
+zero syndrome as clean; otherwise the inner code's `locate_syndromes`,
+told which symbols the erased columns feed, gives hits whose data
+positions, lifted to signed values, correct the prefix.  `pack` stays as
+the reference the fold is tested against.
 """
 
 from __future__ import annotations
@@ -50,7 +43,6 @@ import numpy as np
 # gfp_solve stays bound here: bench/tracing.py traces it under this module.
 from .basemath import PrimeField, base_q_digits, ceil_log, gfp_solve, is_prime, signed_value
 from .core import (
-    DECODE_FAILURE,
     CheckMatrix,
     DecodeOutcome,
     Hits,
@@ -58,8 +50,7 @@ from .core import (
     ReadVector,
     check_input,
     check_locate_input,
-    corrected,
-    decoded,
+    decode_read,
     error_vector,
     output_alphabet,
 )
@@ -400,9 +391,10 @@ class HammingScheme:
             rows.append(tuple(row) + tuple(tail))
         return QMatrix(self.q, tuple(rows))
 
-    def decode(self, y: ReadVector) -> DecodeOutcome:
+    def read_syndromes(self, y: ReadVector) -> tuple[list[int], Sequence[int]]:
+        """Admit the read; its inner syndromes and entries, erased ones as 0."""
         values = y.admit(self.n, self.q_out, erasures=True, vector=self.vector)
-        entries, erased = y.entries, ()
+        entries = y.entries
         if y.has_erasures:  # erased entries are placeholders: count them as 0
             erased = self._erased_symbols(y.erased)
             if len(erased) > self.rho_max:
@@ -410,17 +402,19 @@ class HammingScheme:
             values = entries = [0 if gone else v for v, gone in zip(entries, y.erased)]
         elif self._reduce and isinstance(values, np.ndarray):
             values = values % self.p  # the symbols' range keeps the product in int64
-        syn = self.check(values)
+        return self.check(values), entries
+
+    def locate(self, syn: list[int], y: ReadVector) -> Hits | None:
         if not any(syn):
-            return decoded(entries[: self.k])
+            return ()
+        erased = self._erased_symbols(y.erased) if y.has_erasures else ()
         hits = self.inner.locate_syndromes(syn, erased, self.tau)
         if hits is None:
-            return DECODE_FAILURE
+            return None
         # An erased entry holds 0 and its symbol was solved outright: its
         # error is minus its value c mod p, which is c since p >= Q.
-        errors = (
-            (j, -(-e % self.p) if y.erased[j] else signed_value(e, self.field))
-            for j, e in hits
-            if j < self.k
-        )
-        return corrected(entries, self.k, errors, self.q_out)
+        return [(j, -(-e % self.p) if y.erased[j] else signed_value(e, self.field))
+                for j, e in hits if j < self.k]
+
+    def decode(self, y: ReadVector) -> DecodeOutcome:
+        return decode_read(self, y)

@@ -14,19 +14,15 @@ Large-alphabet scheme: when some prime p with 2*tau < p <= q exists, each
 row reduced mod p is systematically extended to a zero-checksum word, and
 the decoder works directly on the read vector reduced mod p.
 
-Every level but the median vote is a linear check, so each scheme's
-syndromes are one product with its `core.CheckMatrix`, built for the read
-alphabet, on the values `ReadVector.admit` returns.  The large-alphabet
-matrix is its code's checks over the whole read.  The recursive matrix
-spans the whole widened read too, in 2*tau rows: mod p, the head's checks
-less the checksum its digit planes record; mod p~, the planes' checks less
-the checksum the first tail copy records.  A clean read is that product
-and a zero test.  Otherwise the decoder corrects the syndromes sparsely
-on Python ints (`CheckMatrix.less`): the median in place of copy 0 where
-the copies disagree, then the planes' decoded error, before it decodes the
-head.  Each level locates with `berlekamp.locate_bounded`, whose sparse
-`(position, signed value)` hits go straight to `CheckMatrix.less` and
-`core.corrected`; no read builds a length-n error vector.
+Both decode through `core.decode_read`; each syndrome hook is the admitted
+read times one `core.CheckMatrix`.  The large-alphabet matrix is its
+code's checks over the whole read, and `locate` is a zero test, then
+`berlekamp.locate_bounded`.  The recursive matrix spans the whole widened
+read, in 2*tau rows: mod p, the head's checks less the checksum its digit
+planes record; mod p~, the planes' checks less the checksum the first
+tail copy records.  Its `locate` corrects those syndromes sparsely
+(`CheckMatrix.less`): the median in place of copy 0 where the copies
+disagree, then the planes' located error, before it locates in the head.
 """
 
 from __future__ import annotations
@@ -34,14 +30,13 @@ from __future__ import annotations
 from .basemath import PrimeField, base_q_digits, ceil_log, is_prime, next_prime
 from .berlekamp import BerlekampCode, locate_bounded, systematic_encode
 from .core import (
-    DECODE_FAILURE,
     CheckMatrix,
     DecodeOutcome,
+    Hits,
     QMatrix,
     ReadVector,
     check_input,
-    corrected,
-    decoded,
+    decode_read,
     output_alphabet,
 )
 from .locators import build_locators_basic
@@ -169,9 +164,11 @@ class RecursiveScheme:
             rows.append(tuple(row) + tuple(block) + tuple(tail) * self.rep)
         return QMatrix(self.q, tuple(rows))
 
-    def decode(self, y: ReadVector) -> DecodeOutcome:
-        values = y.admit(self.total_length, self.q_out, vector=self.vector)
-        syn = self.check(values)
+    def read_syndromes(self, y: ReadVector) -> tuple[list[int], tuple[int, ...]]:
+        """Admit the widened read; its 2*tau syndromes, and its entries."""
+        return self.check(y.admit(self.total_length, self.q_out, vector=self.vector)), y.entries
+
+    def locate(self, syn: list[int], y: ReadVector) -> Hits | None:
         entries, n, tau = y.entries, self.n, self.tau
         if self.ntilde > 0:
             # Level 3: the median over the repeated copies recovers the
@@ -185,22 +182,20 @@ class RecursiveScheme:
             if tail != copy0 * self.rep:
                 syn = self.check.less(syn, (
                     (start + t, copy0[t] - _median(tail[t::width])) for t in range(width)))
-            # Level 2: the block's syndrome against that checksum.
+            # Level 2: the block's syndrome against that checksum; the
+            # corrected planes must stay in the read alphabet.
             if any(syn[tau:]):
                 hits = locate_bounded(self.tail_checker, syn[tau:])
-                if hits is None:
-                    return DECODE_FAILURE
-                fixed = corrected(entries[n:start], self.ntilde, hits, self.q_out)
-                if fixed.failed:
-                    return fixed
+                if hits is None or not all(0 <= entries[n + j] - e < self.q_out for j, e in hits):
+                    return None
                 syn = self.check.less(syn, ((n + j, e) for j, e in hits))
         # Level 1: the head's syndrome against the checksum in the planes.
         if not any(syn[:tau]):
-            return decoded(entries[:n])
-        hits = locate_bounded(self.checker, syn[:tau])
-        if hits is None:
-            return DECODE_FAILURE
-        return corrected(entries, n, hits, self.q_out)
+            return ()
+        return locate_bounded(self.checker, syn[:tau])
+
+    def decode(self, y: ReadVector) -> DecodeOutcome:
+        return decode_read(self, y)
 
 
 class LargeAlphabetScheme:
@@ -243,11 +238,14 @@ class LargeAlphabetScheme:
             rows.append(tuple(row) + tuple(codeword[self.k :]))
         return QMatrix(self.q, tuple(rows))
 
-    def decode(self, y: ReadVector) -> DecodeOutcome:
-        syn = self.code.syndrome(y.admit(self.n, self.q_out, vector=self.vector))
+    def read_syndromes(self, y: ReadVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Admit the read; its code syndrome, and its entries."""
+        return self.code.syndrome(y.admit(self.n, self.q_out, vector=self.vector)), y.entries
+
+    def locate(self, syn: tuple[int, ...], y: ReadVector) -> Hits | None:
         if not any(syn):
-            return decoded(y.entries[: self.k])  # in range: the alphabet check bounds it
-        hits = locate_bounded(self.code, syn)
-        if hits is None:
-            return DECODE_FAILURE
-        return corrected(y.entries, self.k, hits, self.q_out)
+            return ()  # in range: the alphabet check bounds it
+        return locate_bounded(self.code, syn)
+
+    def decode(self, y: ReadVector) -> DecodeOutcome:
+        return decode_read(self, y)

@@ -11,12 +11,13 @@ syndrome's parity counts the errors (odd q directly; even q > 2 after
 swapping digit weights for the odd mixed-radix sequence).  `detect_variant`
 picks and checks the variant here and for the double-error schemes.
 
-Each decoder admits its read (`ReadVector.admit`), computes the syndrome
-and dispatches on it; a located +-1 error is applied by `correct_unit`,
-which the double-error schemes share, over `core.corrected`.  The syndrome
-is the product of the admitted read with the scheme's `core.CheckMatrix`:
+Each scheme decodes through `core.decode_read`.  Its syndrome hook admits
+the read and multiplies it by the scheme's `core.CheckMatrix` (`checksum`):
 the locator row, and in the parity variant of sec-ded an all-ones row mod
-2 whose value counts the errors mod 2.
+2 whose value counts the errors mod 2.  Its `locate` reads a zero locator
+syndrome as clean, and otherwise the lone +-1 error that `unit_hits`
+finds, which the double-error schemes share.  The parity detector's check
+is the all-ones row mod 2 alone; an odd sum is detected, never located.
 """
 
 from __future__ import annotations
@@ -25,14 +26,13 @@ from typing import Sequence
 
 from .basemath import base_q_digits, ceil_log, mixed_radix_digits
 from .core import (
-    DECODE_FAILURE,
     CheckMatrix,
     DecodeOutcome,
+    Hits,
     QMatrix,
     ReadVector,
     check_input,
-    corrected,
-    decoded,
+    decode_read,
     output_alphabet,
     parity_extend,
 )
@@ -84,14 +84,10 @@ def locate_unit_error(s: int, loc: Locators) -> tuple[int, int] | None:
     return None
 
 
-def correct_unit(
-    values: Sequence[int], k: int, s: int, loc: Locators, bound: int
-) -> DecodeOutcome:
-    """Correct the lone +-1 error that syndrome s locates, or fail."""
+def unit_hits(s: int, loc: Locators) -> Hits | None:
+    """The hit of the lone +-1 error that syndrome s locates, or None."""
     hit = locate_unit_error(s, loc)
-    if hit is None:
-        return DECODE_FAILURE
-    return corrected(values, k, (hit,), bound)
+    return None if hit is None else (hit,)
 
 
 def detect_variant(q: int, variant: str | None) -> str:
@@ -122,16 +118,22 @@ class ParityDetectScheme:
         self.n = k + 1
         self.ell = ell
         self.q_out = output_alphabet(q, ell)
+        self.check = CheckMatrix([(1,) * self.n], [2], self.q_out)
+        self.vector = self.check.vector
 
     def encode(self, aprime: QMatrix) -> QMatrix:
         check_input(aprime, self.q, self.k)
         return QMatrix(self.q, tuple(parity_extend(row) for row in aprime.rows))
 
+    def read_syndromes(self, y: ReadVector) -> tuple[list[int], tuple[int, ...]]:
+        """Admit the read; its entry sum mod 2, and its entries."""
+        return self.check(y.admit(self.n, self.q_out, vector=self.vector)), y.entries
+
+    def locate(self, syn: list[int], y: ReadVector) -> Hits | None:
+        return None if syn[0] else ()  # an odd sum is detected, never located
+
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        y.admit(self.n, self.q_out)
-        if sum(y.entries) % 2:
-            return DECODE_FAILURE
-        return decoded(y.entries[: self.k])
+        return decode_read(self, y)
 
 
 class SingleErrorScheme:
@@ -153,16 +155,20 @@ class SingleErrorScheme:
         check_input(aprime, self.q, self.k)
         return QMatrix(self.q, tuple(encode_row(row, self.loc) for row in aprime.rows))
 
+    def read_syndromes(self, y: ReadVector) -> tuple[list[int], tuple[int, ...]]:
+        """Admit the read; its locator checksum, and its entries."""
+        return checksum(y.admit(self.n, self.q_out, vector=self.vector), self.check), y.entries
+
     def syndrome(self, y: ReadVector) -> int:
         """Admit the read; its locator checksum."""
-        (s,) = checksum(y.admit(self.n, self.q_out, vector=self.vector), self.check)
-        return s
+        return self.read_syndromes(y)[0][0]
+
+    def locate(self, syn: list[int], y: ReadVector) -> Hits | None:
+        (s,) = syn
+        return unit_hits(s, self.loc) if s else ()
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        s = self.syndrome(y)
-        if s == 0:
-            return decoded(y.entries[: self.k])
-        return correct_unit(y.entries, self.k, s, self.loc, self.q_out)
+        return decode_read(self, y)
 
 
 class SecDedScheme:
@@ -184,15 +190,13 @@ class SecDedScheme:
         if variant == VARIANT_PARITY:
             self.loc = build_locators_basic(q, n - 1, allow_suffix_ambiguity)
             self.m = self.loc.m + 1
+            rows, moduli = [self.loc.alpha + (0,), (1,) * n], [self.loc.modulus, 2]
         else:
             self.loc = build_locators_ded(q, n, allow_suffix_ambiguity)
             self.m = self.loc.m
+            rows, moduli = [self.loc.alpha], [self.loc.modulus]
         self.k = self.n - self.m
         self.modulus = self.loc.modulus
-        if variant == VARIANT_PARITY:
-            rows, moduli = [self.loc.alpha + (0,), (1,) * n], [self.modulus, 2]
-        else:
-            rows, moduli = [self.loc.alpha], [self.modulus]
         self.check = CheckMatrix(rows, moduli, self.q_out)
         self.vector = self.check.vector
 
@@ -203,17 +207,18 @@ class SecDedScheme:
             rows = tuple(parity_extend(row) for row in rows)
         return QMatrix(self.q, rows)
 
-    def decode(self, y: ReadVector) -> DecodeOutcome:
-        syn = checksum(y.admit(self.n, self.q_out, vector=self.vector), self.check)
+    def read_syndromes(self, y: ReadVector) -> tuple[list[int], tuple[int, ...]]:
+        """Admit the read; its checksum (and entry sum mod 2), and entries."""
+        return checksum(y.admit(self.n, self.q_out, vector=self.vector), self.check), y.entries
+
+    def locate(self, syn: list[int], y: ReadVector) -> Hits | None:
         s = syn[0]
         if s == 0:
-            return decoded(y.entries[: self.k])  # clean, or (parity) the parity column hit
-        if self.variant == VARIANT_PARITY:
-            # Row sums are even, so the all-ones row counts the errors mod 2.
-            if syn[1]:
-                return correct_unit(y.entries, self.k, s, self.loc, self.q_out)
-            return DECODE_FAILURE  # an even, nonzero pattern: two errors
-        # Odd locators modulo 4n+2: the syndrome parity counts the errors.
-        if s % 2 == 1:
-            return correct_unit(y.entries, self.k, s, self.loc, self.q_out)
-        return DECODE_FAILURE
+            return ()  # clean, or (parity) the parity column hit
+        # The error count mod 2, from the all-ones row (row sums are even)
+        # or the syndrome's parity (odd locators): even here is two errors.
+        odd = syn[1] if self.variant == VARIANT_PARITY else s % 2
+        return unit_hits(s, self.loc) if odd else None
+
+    def decode(self, y: ReadVector) -> DecodeOutcome:
+        return decode_read(self, y)

@@ -2,7 +2,8 @@
 `oracles.py` (where every enumerator and its guard live), `cli.py` (whose
 audit runs them) and the package's `__init__.py` (which re-exports them)
 import from `.oracles` or import `guard_limit`, and no other module words
-a guard refusal of its own."""
+a guard refusal of its own.  The scheme modules keep to the one decode
+pipeline in `core`."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,57 @@ def test_imports_no_oracle_and_no_guard(path):
 @pytest.mark.parametrize("path", PRODUCTION, ids=lambda p: p.name)
 def test_words_no_guard_refusal(path):
     assert "exceeds the guard" not in path.read_text()
+
+
+# The decode pipeline is written once, as core.decode_read.  Each scheme
+# class's own decode is one call into it, and a read is admitted only in
+# the syndrome hook: `read_syndromes`, or the `syndromes` that the
+# double-error schemes' hook calls.
+SCHEME_MODULES = ["single.py", "double.py", "multi.py", "hamming.py"]
+SCHEME_CLASSES = {
+    "ParityDetectScheme", "SingleErrorScheme", "SecDedScheme", "DoubleErrorScheme",
+    "TripleDetectScheme", "RecursiveScheme", "LargeAlphabetScheme", "HammingScheme",
+}
+WRAPPERS = {"ShortenedScheme"}  # widens the read for its base's decode
+SYNDROME_HOOKS = {"read_syndromes", "syndromes"}
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((PACKAGE / name).read_text())
+
+
+def _decoders() -> dict[str, ast.FunctionDef]:
+    found = {}
+    for name in SCHEME_MODULES:
+        for node in _tree(name).body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "decode":
+                        found[node.name] = item
+    return found
+
+
+def test_every_scheme_decode_is_one_pipeline_call():
+    decoders = _decoders()
+    assert set(decoders) == SCHEME_CLASSES | WRAPPERS
+    for cls in SCHEME_CLASSES:
+        (statement,) = decoders[cls].body
+        assert ast.dump(statement) == ast.dump(
+            ast.parse("return decode_read(self, y)").body[0]), cls
+
+
+@pytest.mark.parametrize("name", SCHEME_MODULES)
+def test_reads_are_admitted_only_in_the_syndrome_hook(name):
+    for function in ast.walk(_tree(name)):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        calls = [node for node in ast.walk(function) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute) and node.func.attr == "admit"]
+        if calls:
+            assert function.name in SYNDROME_HOOKS, (name, function.name)
+
+
+@pytest.mark.parametrize("name", SCHEME_MODULES)
+def test_only_the_pipeline_corrects(name):
+    names = {node.id for node in ast.walk(_tree(name)) if isinstance(node, ast.Name)}
+    assert "corrected" not in names
