@@ -175,11 +175,22 @@ class QMatrix:
         if not self.rows:
             raise ValueError("matrix needs at least one row")
         width = len(self.rows[0])
+        # Fast pass per row: the type test first (bytearray takes bools and
+        # numpy integers), then the range as for a read (`check_alphabet`).
+        alphabet = _byte_alphabet(q) if q <= BYTE_BOUND else None
         for i, row in enumerate(self.rows):
             if len(row) != width:
                 raise ValueError(f"row {i} has length {len(row)}, expected {width}")
-            if set(map(type, row)) <= {int} and (not row or 0 <= min(row) and max(row) < q):
-                continue
+            if set(map(type, row)) <= {int}:
+                if alphabet is None:
+                    if not row or 0 <= min(row) and max(row) < q:
+                        continue
+                else:
+                    try:
+                        if not bytearray(row).translate(None, alphabet):
+                            continue
+                    except ValueError:  # an int outside [0, 256)
+                        pass
             for j, v in enumerate(row):
                 if type(v) is not int:
                     raise ValueError(f"entry ({i},{j}) = {v!r} is not an integer")

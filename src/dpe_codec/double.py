@@ -27,6 +27,7 @@ read columns.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from .basemath import PrimeField, ceil_log, is_prime
@@ -87,10 +88,11 @@ def _pair_code(loc: Locators, p: int) -> tuple[BerlekampCode, list[int]]:
     return code, positions
 
 
-def cubes_digits(row: tuple[int, ...], loc: Locators) -> tuple[int, ...]:
-    """Digits of a row's cubed-locator checksum, modulo the locators'."""
-    cubes = sum(v * loc.alpha[j] ** 3 for j, v in enumerate(row)) % loc.modulus
-    return tuple(redundancy_digits(cubes, loc))
+def cubes_digits(row: tuple[int, ...], cubed: Sequence[int], loc: Locators) -> tuple[int, ...]:
+    """Digits of a row's cubed-locator checksum, modulo the locators'.
+    `cubed` is the scheme's cubed checksum row (`checksum_rows`), whose
+    first len(row) entries are the cubed locators."""
+    return tuple(redundancy_digits(sum(map(mul, row, cubed)) % loc.modulus, loc))
 
 
 def checksum_rows(loc: Locators, n1: int, weights: Sequence[int], n: int) -> list[list[int]]:
@@ -137,9 +139,10 @@ class DoubleErrorScheme:
     def encode(self, aprime: QMatrix) -> QMatrix:
         check_input(aprime, self.q, self.k)
         rows = []
+        cubed = self.check.rows[1]
         for row in aprime.rows:
             inner = encode_row(row, self.loc)
-            rows.append(inner + parity_extend(cubes_digits(inner, self.loc)))
+            rows.append(inner + parity_extend(cubes_digits(inner, cubed, self.loc)))
         return QMatrix(self.q, tuple(rows))
 
     def syndromes(self, y: ReadVector) -> tuple[int, int, int]:
@@ -218,9 +221,10 @@ class TripleDetectScheme:
             inner = self.base.encode(aprime)
             return QMatrix(self.q, tuple(parity_extend(row) for row in inner.rows))
         rows = []
+        cubed = self.check.rows[1]
         for row in aprime.rows:
             inner = encode_row(row, self.loc)
-            rows.append(inner + cubes_digits(inner, self.loc))
+            rows.append(inner + cubes_digits(inner, cubed, self.loc))
         return QMatrix(self.q, tuple(rows))
 
     # -- decoding ---------------------------------------------------------

@@ -145,6 +145,13 @@ def ded_redundancy(q: int, n: int) -> int:
 def validate_locators(loc: Locators) -> ValidationReport:
     """Check every locator constraint; report the first violation.
 
+    Range, parity and distinctness are checked entry by entry, then the
+    suffix weights.  Distinct entries give each entry at most one partner
+    summing to the modulus, so the sum test is one pass: entry i looks its
+    partner modulus - alpha[i] up in the locators' value index, and a
+    partner at j >= i (j == i for modulus/2) is the pair (i, j).  Pairs are
+    thus met in the order (i, j) of a scan over all i <= j.
+
     Suffix-confined sum collisions are accepted (and noted) only when the
     vector was built with allow_suffix_ambiguity.
     """
@@ -173,21 +180,19 @@ def validate_locators(loc: Locators) -> ValidationReport:
             )
 
     notes = []
-    for i in range(loc.n):
-        for j in range(i, loc.n):
-            if loc.alpha[i] + loc.alpha[j] != modulus:
-                continue
-            if i >= loc.k and j >= loc.k and loc.allow_suffix_ambiguity:
-                if i == j:
-                    notes.append(f"suffix entry {loc.alpha[i]} equals modulus/2")
-                else:
-                    notes.append(
-                        f"suffix entries {loc.alpha[i]} + {loc.alpha[j]} sum to the modulus"
-                    )
-                continue
-            return ValidationReport(
-                False, f"entries {loc.alpha[i]} + {loc.alpha[j]} sum to the modulus"
-            )
+    index = loc._index
+    for i, v in enumerate(loc.alpha):
+        w = modulus - v
+        j = index.get(w)
+        if j is None or j < i:
+            continue
+        if i >= loc.k and loc.allow_suffix_ambiguity:  # j >= i is in the suffix too
+            if i == j:
+                notes.append(f"suffix entry {v} equals modulus/2")
+            else:
+                notes.append(f"suffix entries {v} + {w} sum to the modulus")
+            continue
+        return ValidationReport(False, f"entries {v} + {w} sum to the modulus")
     return ValidationReport(True, None, tuple(notes))
 
 

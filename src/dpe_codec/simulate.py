@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Sequence
 
 from .core import QMatrix, ReadVector, output_alphabet
@@ -27,17 +28,16 @@ MAX_DRIFT_STEPS = 10_000
 
 
 def compute_clean(u: Sequence[int], matrix: QMatrix) -> list[int]:
-    """Exact integer product of an input vector with the programmed matrix."""
+    """Exact integer product of an input vector with the programmed matrix.
+    Every input entry must be an int (a bool is not) in [0, q)."""
     if len(u) != matrix.ell:
         raise ValueError(f"input length {len(u)} != row count {matrix.ell}")
     for v in u:
+        _require_int("input entry", v)
         if not 0 <= v < matrix.q:
             raise ValueError(f"input entry {v} is outside [0, {matrix.q})")
     bound = output_alphabet(matrix.q, matrix.ell)
-    c = [
-        sum(u[i] * matrix.rows[i][j] for i in range(matrix.ell))
-        for j in range(matrix.ncols)
-    ]
+    c = [sum(map(mul, u, col)) for col in zip(*matrix.rows)]
     assert all(0 <= v < bound for v in c)
     return c
 

@@ -22,6 +22,7 @@ is the all-ones row mod 2 alone; an odd sum is detected, never located.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from .basemath import base_q_digits, ceil_log, mixed_radix_digits
@@ -63,7 +64,7 @@ def encode_row(row: Sequence[int], loc: Locators) -> tuple[int, ...]:
     """Append the digit suffix that zeroes the row's locator checksum."""
     if len(row) != loc.k:
         raise ValueError(f"row length {len(row)} != dimension {loc.k}")
-    residue = (-sum(a * loc.alpha[j] for j, a in enumerate(row))) % loc.modulus
+    residue = -sum(map(mul, row, loc.alpha)) % loc.modulus  # over alpha's k-prefix
     return tuple(row) + tuple(redundancy_digits(residue, loc))
 
 

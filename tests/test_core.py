@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,3 +176,35 @@ class TestQMatrixTypes:
     def test_range_message(self):
         with pytest.raises(ValueError, match=r"^entry \(0,1\) = 4 is outside \[0, 4\)$"):
             QMatrix(4, ((0, 4, 2), (3, 0, 1)))
+
+    # One bad entry in a wide row, on both sides of the byte cut (q <= 256
+    # packs a row as bytes; bytearray would take True and np.int64(1), so
+    # the type test must come first).  256 is refused at q = 2 and 256 by
+    # the range alone, and admitted at q = 257.
+    @pytest.mark.parametrize("q", [2, 256, 257])
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (True, "entry (1,7) = True is not an integer"),
+            (np.int64(1), "entry (1,7) = np.int64(1) is not an integer"),
+            (1.0, "entry (1,7) = 1.0 is not an integer"),
+            (-1, "entry (1,7) = -1 is outside [0, {q})"),
+            ("q", "entry (1,7) = {q} is outside [0, {q})"),
+            (256, "entry (1,7) = 256 is outside [0, {q})"),
+        ],
+    )
+    def test_refusals_either_side_of_the_byte_cut(self, q, bad, message):
+        bad = q if isinstance(bad, str) else bad
+        row = [v % q for v in range(300)]
+        rows = (tuple(row), tuple(row[:7] + [bad] + row[8:]))
+        if q == 257 and bad == 256:
+            assert QMatrix(q, rows).rows == rows
+            return
+        with pytest.raises(ValueError) as err:
+            QMatrix(q, rows)
+        assert str(err.value) == message.format(q=q)
+
+    @pytest.mark.parametrize("q", [2, 256, 257])
+    def test_admits_the_top_symbol(self, q):
+        rows = ((q - 1,) * 300, (0,) * 299 + (q - 1,))
+        assert QMatrix(q, rows).rows == rows

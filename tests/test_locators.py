@@ -5,6 +5,7 @@ from dpe_codec.locators import (
     SUFFIX_FSEQ,
     SUFFIX_POWERS,
     Locators,
+    ValidationReport,
     basic_redundancy,
     build_locators_basic,
     build_locators_ded,
@@ -192,3 +193,107 @@ def test_json_refuses_missing_field(key):
     del data[key]
     with pytest.raises(ValueError, match=f"missing field '{key}'"):
         Locators.from_json(data)
+
+
+def _pairwise_reference(loc):
+    """The quadratic validator that `validate_locators` replaced: every pair
+    i <= j is summed."""
+    modulus = loc.modulus
+    primed = modulus == 4 * loc.n + 2
+    if not primed and modulus != 2 * loc.n + 1:
+        return ValidationReport(False, f"modulus {modulus} matches neither 2n+1 nor 4n+2")
+    seen = set()
+    for j, v in enumerate(loc.alpha):
+        if not 0 < v < modulus:
+            return ValidationReport(False, f"entry {v} at index {j} is outside (0, {modulus})")
+        if v in seen:
+            return ValidationReport(False, f"duplicate entry {v}")
+        if primed and v % 2 == 0:
+            return ValidationReport(False, f"entry {v} at index {j} is even")
+        seen.add(v)
+    weights = loc.suffix_weights()
+    for j in range(loc.m):
+        if loc.alpha[loc.k + j] != weights[j]:
+            return ValidationReport(
+                False,
+                f"suffix entry at index {loc.k + j} is {loc.alpha[loc.k + j]}, "
+                f"expected weight {weights[j]}",
+            )
+    notes = []
+    for i in range(loc.n):
+        for j in range(i, loc.n):
+            if loc.alpha[i] + loc.alpha[j] != modulus:
+                continue
+            if i >= loc.k and j >= loc.k and loc.allow_suffix_ambiguity:
+                if i == j:
+                    notes.append(f"suffix entry {loc.alpha[i]} equals modulus/2")
+                else:
+                    notes.append(
+                        f"suffix entries {loc.alpha[i]} + {loc.alpha[j]} sum to the modulus"
+                    )
+                continue
+            return ValidationReport(
+                False, f"entries {loc.alpha[i]} + {loc.alpha[j]} sum to the modulus"
+            )
+    return ValidationReport(True, None, tuple(notes))
+
+
+def _built_vectors():
+    """Every vector both builders give for q = 2..9 and n = 2..60, with and
+    without the suffix-ambiguity opt-in."""
+    for builder in (build_locators_basic, build_locators_ded):
+        for q in range(2, 10):
+            for n in range(2, 61):
+                for allow in (False, True):
+                    try:
+                        yield builder(q, n, allow)
+                    except ValueError:
+                        continue
+
+
+def _mutants(loc):
+    """`loc` with the opt-in flipped, and vectors one edit away from it."""
+    alpha, k, modulus = list(loc.alpha), loc.k, loc.modulus
+
+    def edited(i, v):
+        return alpha[:i] + [v] + alpha[i + 1 :]
+
+    vectors = [alpha]
+    for i in sorted({0, k - 1}):
+        vectors.append(edited(i, modulus - alpha[i]))  # swapped for its own partner
+        vectors.append(edited(i, modulus - alpha[i + 1]))  # the next entry's partner
+        vectors.append(edited(i, modulus - alpha[i - 1]))  # the previous (or last) one's
+        vectors.append(edited(i, alpha[i + 1]))  # a duplicate
+        vectors.append(edited(i, 0))  # out of range
+        vectors.append(edited(i, modulus))
+        vectors.append(edited(i, modulus // 2))  # its own partner when modulus is even
+        vectors.append(edited(i, alpha[i] + 1))  # even under 4n+2
+    vectors.append(edited(loc.n - 1, alpha[-1] + 1))  # a wrong suffix weight
+    flag = loc.allow_suffix_ambiguity
+    yield Locators(loc.q, loc.n, loc.m, modulus, loc.suffix_kind, loc.alpha, not flag)
+    for vector in vectors:
+        yield Locators(loc.q, loc.n, loc.m, modulus, loc.suffix_kind, tuple(vector), flag)
+
+
+def test_partner_lookup_matches_pairwise_scan():
+    built = list(_built_vectors())
+    assert len(built) > 1000
+    assert any(validate_locators(loc).notes for loc in built)  # suffix collisions met
+    verdicts = set()
+    for loc in built:
+        for mutant in _mutants(loc):
+            report = validate_locators(mutant)
+            assert report == _pairwise_reference(mutant), mutant
+            verdicts.add(report.ok or report.violation.split()[0])
+    assert verdicts == {True, "entry", "entries", "duplicate", "suffix"}
+
+
+def test_suffix_self_collision_is_noted_or_refused():
+    # q = 3, n = 13, modulus 54: the digit weight 27 is its own partner.
+    loc = build_locators_ded(3, 13, allow_suffix_ambiguity=True)
+    assert loc.suffix()[-1] == 27
+    assert validate_locators(loc).notes == ("suffix entry 27 equals modulus/2",)
+    strict = Locators(3, 13, loc.m, 54, SUFFIX_POWERS, loc.alpha)
+    assert validate_locators(strict) == ValidationReport(
+        False, "entries 27 + 27 sum to the modulus"
+    )

@@ -30,9 +30,9 @@ ELL = 8
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 
-def _programmed(scheme, seed):
+def _programmed(scheme, seed, ell=ELL):
     rng = random.Random(seed)
-    rows = [[rng.randrange(scheme.q) for _ in range(scheme.k)] for _ in range(ELL)]
+    rows = [[rng.randrange(scheme.q) for _ in range(scheme.k)] for _ in range(ell)]
     return scheme.encode(QMatrix.from_lists(scheme.q, rows))
 
 
@@ -230,3 +230,24 @@ def test_hamming_kernel_errors_and_erasures(u, flips, erasures):
     # reads without erasures take the kernel; reads with them, Python ints
     assert HAMMING_KERNEL.vector
     _check_hamming(HAMMING_KERNEL, HAMMING_KERNEL_ENCODED, u, flips, erasures)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SingleErrorScheme(2, 50_000, 1),
+        lambda: SecDedScheme(3, 50_000, 1),
+        lambda: DoubleErrorScheme(2, 100_003, 1),
+    ],
+    ids=["sec", "sec-ded", "dec"],
+)
+def test_builds_and_encodes_at_scale(build):
+    # Construction is linear in n: a pairwise locator check here would
+    # take about 1.25e9 sums per scheme.
+    scheme = build()
+    assert scheme.k > 49_000
+    (row,) = _programmed(scheme, 4, ell=1).rows
+    assert scheme.check(row) == [0] * len(scheme.check.rows)
+    y = list(row)
+    y[7] += 1 if y[7] == 0 else -1
+    assert scheme.decode(ReadVector.exact(y)).prefix == row[: scheme.k]

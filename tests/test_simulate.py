@@ -30,6 +30,19 @@ class TestComputeClean:
         with pytest.raises(ValueError):
             compute_clean([1, 2, 1], A_EXAMPLE)  # 2 outside Sigma_2
 
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, "a", None])
+    def test_input_entries_must_be_int(self, bad):
+        # a float used to pass through (0.5 gave a fractional product) and
+        # a string escaped as a raw TypeError
+        with pytest.raises(ValueError, match=rf"^input entry must be an integer, got {bad!r}$"):
+            compute_clean([1, bad, 1], A_EXAMPLE)
+
+    def test_product_of_a_wide_matrix(self):
+        rows = [[(3 * i + j) % 5 for j in range(200)] for i in range(4)]
+        u = [4, 0, 3, 1]
+        expected = [sum(u[i] * rows[i][j] for i in range(4)) for j in range(200)]
+        assert compute_clean(u, QMatrix.from_lists(5, rows)) == expected
+
 
 class TestInject:
     def test_zero_budget_is_identity(self):
