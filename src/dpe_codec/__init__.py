@@ -25,14 +25,10 @@ from .basemath import (
 )
 from .berlekamp import (
     BerlekampCode,
-    decode_bounded,
     decode_double_error,
-    decode_key_equation,
-    decode_single_error,
     locate_bounded,
     locate_double_error,
     locate_key_equation,
-    locate_single_error,
     systematic_encode,
 )
 from .core import (
@@ -93,11 +89,8 @@ __all__ = [
     "base_q_digits",
     "base_q_value",
     "compute_clean",
-    "decode_bounded",
     "decode_double_error",
     "decode_exhaustive",
-    "decode_key_equation",
-    "decode_single_error",
     "digit_split",
     "enumerate_induced_code",
     "gfp_inv",
@@ -114,7 +107,6 @@ __all__ = [
     "locate_bounded",
     "locate_double_error",
     "locate_key_equation",
-    "locate_single_error",
     "mixed_radix_digits",
     "nearest_prefix_decode",
     "output_alphabet",

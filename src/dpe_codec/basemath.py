@@ -79,6 +79,13 @@ def base_q_digits(x: int, q: int, m: int) -> list[int]:
     return digits
 
 
+def digit_planes(values: Sequence[int], q: int, m: int) -> list[int]:
+    """The m-digit base-q expansions of `values`, laid out plane-major:
+    digit j of values[v] at j * len(values) + v."""
+    digits = [base_q_digits(x, q, m) for x in values]
+    return [column[j] for j in range(m) for column in digits]
+
+
 def base_q_value(digits: Sequence[int], q: int) -> int:
     """Inverse of base_q_digits: sum of digits[j] * q**j."""
     value = 0

@@ -3,29 +3,32 @@
 A code instance is the right kernel of the tau x n check matrix whose rows
 are beta_j, beta_j^3, ..., beta_j^(2*tau-1); with nonzero, distinct,
 pairwise non-negating locators beta the minimum Lee distance is at least
-2*tau + 1.  Each decoder's core, a `locate_*` function, returns the error
-it found as sparse hits (`core.Hits`): `(position, signed value)` pairs
-with each value the nonzero Lee-lifted error, each position once, () for
-a zero syndrome, or None for an uncorrectable one.  The `decode_*`
-functions are one-line wrappers that write the hits out as a length-n
-error vector; no scheme's read goes through them.
+2*tau + 1.  Each decoder, a `locate_*` function, returns the error it
+found as sparse hits (`core.Hits`): `(position, signed value)` pairs with
+each value the nonzero Lee-lifted error, each position once, () for a
+zero syndrome, or None for an uncorrectable one.  `decode_double_error`
+alone also writes its hits out as a length-n error vector; no read goes
+through it.
 
-The codes are decoded algebraically at any budget: closed forms
-serve tau = 1 and tau = 2 (the tau = 2 case solves a quadratic built from
-the two syndrome components), and the key-equation decoder serves every
-budget (Roth & Siegel, "Lee-metric BCH codes and their application to
-constrained and partial-response channels", IEEE Trans. IT, 1994).  Its
-locate step scans each pair of points +-beta once, from inverses each
-code keeps, and reads the last point off the sum of the others, so a
-single error (a linear locator) needs no scan.  The exhaustive decoder,
-the ground truth these are checked against, lives in `oracles`.
+The codes are decoded algebraically at any budget by two decoders.  The
+key-equation decoder serves every budget, tau = 1 included (Roth &
+Siegel, "Lee-metric BCH codes and their application to constrained and
+partial-response channels", IEEE Trans. IT, 1994); a closed form serves
+tau = 2 at the full budget, solving a quadratic built from the two
+syndrome components; `locate_bounded` picks between them.  The
+key-equation locate step scans each pair of points +-beta once, from
+inverses each code keeps, and reads the last point off the sum of the
+others, so a single error (a linear locator) needs no scan.  The
+exhaustive decoder, the ground truth these are checked against, lives in
+`oracles`.
 
 A code holds its checks as one `core.CheckMatrix`
 (`BerlekampCode.check`), built for the alphabet of the vectors it checks.
 A scheme passes its read alphabet; the large-alphabet scheme's reads take
 the int64 kernel where that matrix decides so, and the recursive scheme
 folds its codes' checks into one matrix of its own.  `syndrome`
-multiplies either form.
+multiplies either form.  `systematic_encode` fills a codeword's tau
+redundancy symbols from its head's syndromes (`CheckMatrix.tail`).
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
-from .basemath import PrimeField, gfp_inv, gfp_quadratic_roots, gfp_solve
-from .core import CheckMatrix, Hits, error_vector
+from .basemath import PrimeField, gfp_inv, gfp_quadratic_roots
+from .core import CheckMatrix, Hits, error_vector, message_symbols
 from .gfpoly import inverses, poly_roots, poly_trim, solve_key_equation
 # decode_exhaustive stays bound here: bench/tracing.py traces it under this module.
 from .oracles import decode_exhaustive
@@ -85,7 +88,6 @@ class BerlekampCode:
         # Newton's recursion in the key-equation decoder multiplies by
         # -2/m for m = 1 .. 2tau-1.
         self._newton = [-2 * v % p for v in inverses(range(1, 2 * tau), p)]
-        self._encoder_rows: list[list[int]] | None = None
         self.check = CheckMatrix(self.power_cols, (p,) * tau, p if bound is None else bound)
 
     @cached_property
@@ -93,7 +95,7 @@ class BerlekampCode:
         """The key-equation decoder's scan table: each pair of points +-b
         an error can put in the locator once (the smaller of two negating
         locators stands for both), with 1/b^2 and 1/b.  Built on the first
-        scan, so codes that only the closed forms decode never build it."""
+        scan, so codes that only the closed form decodes never build it."""
         p = self.field.p
         pairs = [b for b in self._index if b and not (p - b < b and p - b in self._index)]
         return tuple((b, w * w % p, w) for b, w in zip(pairs, inverses(pairs, p)))
@@ -134,23 +136,6 @@ def _unit_error(code: BerlekampCode, x: int) -> tuple[int, int] | None:
 def _check_components(code: BerlekampCode, syn: Sequence[int]) -> None:
     if len(syn) != code.tau:
         raise ValueError(f"need {code.tau} syndrome components, got {len(syn)}")
-
-
-def locate_single_error(code: BerlekampCode, syn: Sequence[int]) -> Hits | None:
-    """The hit of at most one +-1 error (tau = 1 codes)."""
-    if code.tau != 1:
-        raise ValueError("single-error decoding needs a base-field tau=1 code")
-    _check_components(code, syn)
-    s = syn[0] % code.field.p
-    if s == 0:
-        return ()
-    hit = _unit_error(code, s)
-    return None if hit is None else (hit,)
-
-
-def decode_single_error(code: BerlekampCode, syn: Sequence[int]) -> list[int] | None:
-    """`locate_single_error` as a length-n error vector."""
-    return error_vector(code.n, locate_single_error(code, syn))
 
 
 def locate_double_error(code: BerlekampCode, syn: Sequence[int]) -> Hits | None:
@@ -320,67 +305,25 @@ def locate_key_equation(
         if j is None:
             j, mult = negated, -mult
         hits[j] = mult
-    for v, col in enumerate(code.power_cols):
-        if sum([e * col[j] for j, e in hits.items()]) % p != syn[v]:
-            return None
+    if any(code.check.less(syn, hits.items())):
+        return None
     return tuple(hits.items())
 
 
-def decode_key_equation(
-    code: BerlekampCode, syn: Sequence[int], budget: int | None = None
-) -> list[int] | None:
-    """`locate_key_equation` as a length-n error vector."""
-    return error_vector(code.n, locate_key_equation(code, syn, budget))
-
-
 def locate_bounded(code: BerlekampCode, syn: Sequence[int], budget: int | None = None) -> Hits | None:
-    """Dispatch to the closed forms for budgets 1 and 2, else to the
+    """The closed form for a tau = 2 code at its full budget, else the
     key-equation decoder; each refuses a syndrome without one component
     per check."""
-    budget = code.tau if budget is None else budget
-    if budget == code.tau:
-        if code.tau == 1:
-            return locate_single_error(code, syn)
-        if code.tau == 2:
-            return locate_double_error(code, syn)
+    if code.tau == 2 and budget in (None, 2):
+        return locate_double_error(code, syn)
     return locate_key_equation(code, syn, budget)
 
 
-def decode_bounded(code: BerlekampCode, syn: Sequence[int], budget: int | None = None) -> list[int] | None:
-    """`locate_bounded` as a length-n error vector."""
-    return error_vector(code.n, locate_bounded(code, syn, budget))
-
-
 def systematic_encode(code: BerlekampCode, message: Sequence[int]) -> list[int]:
-    """Extend a length-(n - tau) message to a zero-syndrome codeword.
-
-    The tau redundancy symbols occupy the last positions; the linear system
-    they satisfy is solvable whenever the locators meet the code conditions.
-    """
-    k = code.dimension
-    if len(message) != k:
-        raise ValueError(f"message length {len(message)} != dimension {k}")
-    p = code.field.p
-    if code._encoder_rows is None:
-        matrix = [[code.power_cols[v][k + t] for t in range(code.tau)] for v in range(code.tau)]
-        identity = [[1 if r == c else 0 for c in range(code.tau)] for r in range(code.tau)]
-        inverse = []
-        for col in range(code.tau):
-            sol = gfp_solve(matrix, [identity[r][col] for r in range(code.tau)], p)
-            if sol is None:
-                raise ValueError("redundancy locator submatrix is singular")
-            inverse.append(sol)
-        # inverse[c][r]: column c of M^-1
-        code._encoder_rows = [[inverse[c][r] for c in range(code.tau)] for r in range(code.tau)]
-    rhs = [
-        (-sum(message[j] * code.power_cols[v][j] for j in range(k))) % p
-        for v in range(code.tau)
-    ]
-    redundancy = [
-        sum(code._encoder_rows[r][v] * rhs[v] for v in range(code.tau)) % p
-        for r in range(code.tau)
-    ]
-    codeword = [m % p for m in message] + redundancy
-    return codeword
-
-
+    """Extend a length-(n - tau) message of ints to a zero-syndrome
+    codeword, reduced mod p: the tau redundancy symbols fill the tail
+    (`CheckMatrix.tail`), which raises ValueError where the last tau
+    locators give a singular block."""
+    word = message_symbols(message, code.dimension, code.field.p) + [0] * code.tau
+    word[code.dimension :] = code.check.tail(code.syndrome(word))
+    return word

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .basemath import iter_l1_errors, sphere_volume_l1
-from .core import ReadVector, guard_limit, output_alphabet
+from .core import ReadVector, output_alphabet
 from .double import DoubleErrorScheme, TripleDetectScheme
 from .formats import read_json, read_matrix, read_vector, write_json, write_matrix, write_vector
 from .hamming import HammingScheme
@@ -22,6 +22,7 @@ from .multi import LargeAlphabetScheme, RecursiveScheme
 from .oracles import (
     SWEEP_GUARD,
     enumerate_induced_code,
+    guard_limit,
     induced_min_distance,
     linear_codewords,
     nearest_prefix_decode,

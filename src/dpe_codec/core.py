@@ -19,7 +19,8 @@ and exact in int64.  There, `ReadVector.admit` packs the read one byte per
 entry when its bound is at most 256, else into int64; the packing refuses
 non-integers and one reduction checks the range.  Otherwise it hands back
 the tuple of entries.  The check matrix multiplies either form and returns
-Python ints, so no decoder branches on the path.
+Python ints, so no decoder branches on the path.  Every systematic encoder
+over GF(p) fills its redundancy with `CheckMatrix.tail`.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ from __future__ import annotations
 import operator
 import struct
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .basemath import gfp_solve
 
 # Smallest check-matrix product, rows times read length, that takes the
 # numpy kernel.  Below it numpy's fixed cost per call outweighs the
@@ -67,8 +70,9 @@ class CheckMatrix:
     `vector` is the kernel decision (`kernel_fits` for the row length, the
     bound, the largest modulus and the row count); only then is the int64
     matrix built.  A call gives each row's syndrome as a Python int, for a
-    uint8 or int64 array (one product; numpy promotes uint8 to int64) or
-    any sequence of integers (numpy ones as Python ints where int64 wraps)."""
+    uint8 or int64 array (one product where `vector` holds, else as Python
+    ints) or any sequence of integers (numpy ones as Python ints where
+    int64 wraps)."""
 
     def __init__(self, rows: Iterable[Sequence[int]], moduli: Sequence[int], bound: int):
         self.moduli = tuple(moduli)
@@ -84,8 +88,10 @@ class CheckMatrix:
         if len(values) != self.n:
             raise ValueError(f"need {self.n} entries, got {len(values)}")
         if isinstance(values, np.ndarray):
-            return ((values @ self._matrix) % self._moduli).tolist()
-        if self._wide:  # numpy integer entries would wrap in int64
+            if self.vector:
+                return ((values @ self._matrix) % self._moduli).tolist()
+            values = values.tolist()
+        elif self._wide:  # numpy integer entries would wrap in int64
             values = [int(v) for v in values]
         checks = zip(self.rows, self.moduli)
         return [int(sum(map(operator.mul, values, row)) % m) for row, m in checks]
@@ -96,9 +102,28 @@ class CheckMatrix:
         syn = list(syn)
         for j, e in errors:
             if e:
-                for r, (row, m) in enumerate(zip(self.rows, self.moduli)):
-                    syn[r] = (syn[r] - row[j] * int(e)) % m
-        return syn
+                e = int(e)
+                for r, row in enumerate(self.rows):
+                    syn[r] -= row[j] * e
+        return [s % m for s, m in zip(syn, self.moduli)]
+
+    def tail(self, syn: Sequence[int]) -> list[int]:
+        """For a word whose last r = len(rows) symbols are 0 and whose
+        syndromes are `syn`, the r symbols that cancel them in that place:
+        -T^-1 syn mod p, for the block T of the last r columns, where every
+        row's modulus is the prime p.  Raises ValueError where T is singular."""
+        p = self.moduli[0]
+        return [-sum(map(operator.mul, row, syn)) % p for row in self._tail_inverse]
+
+    @cached_property
+    def _tail_inverse(self) -> list[tuple[int, ...]]:
+        """The rows of T^-1 mod p, from one `gfp_solve` per unit vector."""
+        r, p = len(self.rows), self.moduli[0]
+        block = [row[self.n - r :] for row in self.rows]
+        columns = [gfp_solve(block, [int(i == c) for i in range(r)], p) for c in range(r)]
+        if None in columns:
+            raise ValueError("check matrix tail is singular; reorder columns")
+        return list(zip(*columns))
 
 
 @cache
@@ -120,20 +145,6 @@ def _no_erasures(n: int) -> tuple[bool, ...]:
     """The flags of an n-entry read without erasures, shared by every such
     read."""
     return (False,) * n
-
-
-def guard_limit(default: int) -> int:
-    """Feasibility guard for exhaustive enumeration, raisable (never lowered)
-    via the DPE_CODEC_GUARD_OVERRIDE environment variable."""
-    import os
-
-    raw = os.environ.get("DPE_CODEC_GUARD_OVERRIDE", "")
-    if not raw:
-        return default
-    try:
-        return max(default, int(raw))
-    except ValueError:
-        raise ValueError(f"DPE_CODEC_GUARD_OVERRIDE must be an integer, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -346,6 +357,17 @@ def check_input(matrix: QMatrix, q: int, k: int) -> None:
     """Refuse a matrix to encode unless it has alphabet q and k columns."""
     if matrix.q != q or matrix.ncols != k:
         raise ValueError("matrix does not match the scheme parameters")
+
+
+def message_symbols(message: Sequence[int], k: int, p: int) -> list[int]:
+    """The k symbols of a message to encode systematically, reduced mod p;
+    refuses another length and any symbol that is not an int (a bool too)."""
+    if len(message) != k:
+        raise ValueError(f"message length {len(message)} != {k}")
+    for v in message:
+        if type(v) is not int:
+            raise ValueError(f"message symbol {v!r} is not an integer")
+    return [v % p for v in message]
 
 
 def parity_extend(row: tuple[int, ...]) -> tuple[int, ...]:

@@ -14,10 +14,12 @@ erasures from its syndromes by Euclid on the key equation with Forney's
 values (Roth, Introduction to Coding Theory, ch. 6).  Its locate step
 reads a linear locator's one point off and otherwise scans the points'
 inverses until one point is left to read off their sum; it returns sparse
-hits (`core.Hits`, values mod p).  Any linear code over GF(p) with a
-`check` matrix and `locate_syndromes` can stand in, such as
-``oracles.LinearInnerCode``; ``oracles`` also holds the support-scan
-decoder the Reed-Solomon decoder is checked against.
+hits (`core.Hits`, values mod p).  The code encodes systematically, its
+d - 1 check symbols filled from the head's syndromes (`CheckMatrix.tail`).
+Any linear code over GF(p) with a `check` matrix, `encode` and
+`locate_syndromes` can stand in, such as ``oracles.LinearInnerCode``;
+``oracles`` also holds the support-scan decoder the Reed-Solomon decoder
+is checked against.
 
 The scheme decodes through `core.decode_read`.  The packing map is linear
 mod p, so its syndrome hook is one product with the scheme's
@@ -41,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 # gfp_solve stays bound here: bench/tracing.py traces it under this module.
-from .basemath import PrimeField, base_q_digits, ceil_log, gfp_solve, is_prime, signed_value
+from .basemath import PrimeField, ceil_log, digit_planes, gfp_solve, is_prime, signed_value
 from .core import (
     CheckMatrix,
     DecodeOutcome,
@@ -52,6 +54,7 @@ from .core import (
     check_locate_input,
     decode_read,
     error_vector,
+    message_symbols,
     output_alphabet,
 )
 from .gfpoly import inverses, poly_eval, poly_mul, solve_key_equation
@@ -72,6 +75,8 @@ class ReedSolomonCode:
         self.k = k
         self.d = length - k + 1
         self.gamma = tuple(points) if points is not None else tuple(range(1, length + 1))
+        if not all(type(g) is int for g in self.gamma):
+            raise ValueError("points must be integers")
         if len(self.gamma) != length or len(set(self.gamma)) != length:
             raise ValueError("points must be distinct")
         if any(not 0 < g < field.p for g in self.gamma):
@@ -91,32 +96,26 @@ class ReedSolomonCode:
         return self.check(values)
 
     def encode(self, message: Sequence[int]) -> list[int]:
-        """Systematic: message passes through, redundancy fills the tail.
-
-        The redundancy is recovered as d - 1 erasures of the zero-filled
-        tail."""
-        if len(message) != self.k:
-            raise ValueError(f"message length {len(message)} != {self.k}")
-        p = self.field.p
-        word = [v % p for v in message] + [0] * (self.d - 1)
-        tail = range(self.k, self.length)
-        error = dict(self.locate_syndromes(self.syndromes(word), tail, 0))
-        return word[: self.k] + [-error.get(j, 0) % p for j in tail]
+        """Systematic: the message of ints passes through (mod p) and
+        `check.tail` fills the d - 1 check symbols."""
+        word = message_symbols(message, self.k, self.field.p) + [0] * (self.d - 1)
+        word[self.k :] = self.check.tail(self.syndromes(word))
+        return word
 
     def decode_errors_erasures(
         self, values: Sequence[int], erased: Sequence[int], radius: int
     ) -> list[int] | None:
         """Return the full error vector (values mod p, erased entries counted
-        as errors against the zero-filled input) or None: `decode_syndromes`
-        on the syndromes of the zero-filled input.  `values` may be an int64
-        array of symbols in [0, p), as for `syndromes`; the error vector is
-        Python ints.  An erased index outside [0, length) is refused before
-        any value is read.
+        as errors against the zero-filled input) or None: `locate_syndromes`
+        on the syndromes of the zero-filled input, written out.  `values`
+        may be an int64 array of symbols in [0, p), as for `syndromes`; the
+        error vector is Python ints.  An erased index outside [0, length)
+        is refused before any value is read.
         """
         syn = self.syndromes(values)  # count the erased symbols as 0
         erased = check_locate_input(self.check, syn, erased)
         syn = self.check.less(syn, ((j, int(values[j])) for j in erased))
-        return self.decode_syndromes(syn, erased, radius)
+        return error_vector(self.length, self.locate_syndromes(syn, erased, radius))
 
     def _scan_locators(self, lam: list[int], count: int) -> list[int]:
         """The first `count` positions j with Lambda(1/gamma_j) = 0 (all of
@@ -198,16 +197,9 @@ class ReedSolomonCode:
         if not all(values[len(erased) :]):
             return None
         hits = tuple((j, e) for j, e in zip(support, values) if e)
-        for v, row in enumerate(self._powers):
-            if sum([e * row[j] for j, e in hits]) % p != syn[v]:
-                return None
+        if any(self.check.less(syn, hits)):
+            return None
         return hits
-
-    def decode_syndromes(
-        self, syn: Sequence[int], erased: Sequence[int], radius: int
-    ) -> list[int] | None:
-        """`locate_syndromes` as the full error vector, values mod p."""
-        return error_vector(self.length, self.locate_syndromes(syn, erased, radius))
 
 
 def smallest_inner_prime(theta: int, length: int) -> int:
@@ -382,13 +374,10 @@ class HammingScheme:
 
     def encode(self, aprime: QMatrix) -> QMatrix:
         check_input(aprime, self.q, self.k)
-        block = self.ntilde - self.k
         rows = []
         for row in aprime.rows:
-            cw = self.inner.encode([v % self.p for v in row])
-            digits = [base_q_digits(cw[self.k + v], self.q, self.m) for v in range(block)]
-            tail = [digits[v][j] for j in range(self.m) for v in range(block)]
-            rows.append(tuple(row) + tuple(tail))
+            cw = self.inner.encode(row)
+            rows.append(tuple(row) + tuple(digit_planes(cw[self.k :], self.q, self.m)))
         return QMatrix(self.q, tuple(rows))
 
     def read_syndromes(self, y: ReadVector) -> tuple[list[int], Sequence[int]]:

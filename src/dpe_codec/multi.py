@@ -8,7 +8,8 @@ its tail, so the decoder can reconstruct it, cancel it against the
 checksum of the read prefix, and correct up to tau errors there.  The
 appended planes are protected the same way once more (over a smaller
 prime), and that second tail is protected by plain (2*tau+1)-fold
-repetition, decoded by coordinate-wise median.
+repetition, decoded by coordinate-wise median.  Both checksums are
+written plane-major (`basemath.digit_planes`).
 
 Large-alphabet scheme: when some prime p with 2*tau < p <= q exists, each
 row reduced mod p is systematically extended to a zero-checksum word, and
@@ -27,7 +28,7 @@ disagree, then the planes' located error, before it locates in the head.
 
 from __future__ import annotations
 
-from .basemath import PrimeField, base_q_digits, ceil_log, is_prime, next_prime
+from .basemath import PrimeField, base_q_digits, ceil_log, digit_planes, is_prime, next_prime
 from .berlekamp import BerlekampCode, locate_bounded, systematic_encode
 from .core import (
     CheckMatrix,
@@ -139,12 +140,6 @@ class RecursiveScheme:
             moduli += [self.ptilde] * tau
         return rows, moduli
 
-    def _plane_block(self, syndrome: tuple) -> list[int]:
-        """Digit planes of one row's checksum, laid out plane-major."""
-        start = self.tau - self.plane_cols
-        digits = [base_q_digits(syndrome[v], self.q, self.m) for v in range(start, self.tau)]
-        return [column[j] for j in range(self.m) for column in digits]
-
     def encode(self, matrix: QMatrix) -> QMatrix:
         check_input(matrix, self.q, self.n)
         rows = []
@@ -155,12 +150,10 @@ class RecursiveScheme:
                     "trimmed mode needs rows with a zero linear checksum "
                     "(single-error-encoded input)"
                 )
-            block = self._plane_block(syn)
+            block = digit_planes(syn[self.tau - self.plane_cols :], self.q, self.m)
             tail: list[int] = []
             if self.ntilde > 0:
-                syn2 = self.tail_checker.syndrome(block)
-                digits = [base_q_digits(s, self.q, self.mtilde) for s in syn2]
-                tail = [column[j] for j in range(self.mtilde) for column in digits]
+                tail = digit_planes(self.tail_checker.syndrome(block), self.q, self.mtilde)
             rows.append(tuple(row) + tuple(block) + tuple(tail) * self.rep)
         return QMatrix(self.q, tuple(rows))
 
@@ -234,7 +227,7 @@ class LargeAlphabetScheme:
         check_input(aprime, self.q, self.k)
         rows = []
         for row in aprime.rows:
-            codeword = systematic_encode(self.code, [v % self.p for v in row])
+            codeword = systematic_encode(self.code, row)
             rows.append(tuple(row) + tuple(codeword[self.k :]))
         return QMatrix(self.q, tuple(rows))
 

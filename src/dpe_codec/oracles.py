@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from typing import Callable, Iterable, Sequence
 
 from .basemath import (
@@ -34,7 +35,7 @@ from .core import (
     check_locate_input,
     decoded,
     error_vector,
-    guard_limit,
+    message_symbols,
 )
 from .gfpoly import poly_divmod, poly_eval, poly_mul
 
@@ -48,6 +49,18 @@ SWEEP_GUARD = 5_000_000
 ORACLE_VOLUME_GUARD = 10_000_000
 
 METRICS = {"l1": l1_dist, "hamming": hamming_dist}
+
+
+def guard_limit(default: int) -> int:
+    """Feasibility guard for exhaustive enumeration, raisable (never lowered)
+    via the DPE_CODEC_GUARD_OVERRIDE environment variable."""
+    raw = os.environ.get("DPE_CODEC_GUARD_OVERRIDE", "")
+    if not raw:
+        return default
+    try:
+        return max(default, int(raw))
+    except ValueError:
+        raise ValueError(f"DPE_CODEC_GUARD_OVERRIDE must be an integer, got {raw!r}")
 
 
 def check_guard(count: int, default: int, what: str) -> None:
@@ -208,43 +221,31 @@ class LinearInnerCode:
         self.field = field
         r = len(check_matrix)
         self.check = CheckMatrix(check_matrix, (p,) * r, p)
-        rows = self.check.rows
-        self.length = len(rows[0])
+        self.length = self.check.n
         self.k = self.length - r
         self.d = distance
         if self.k < 1:
             raise ValueError("check matrix leaves no message symbols")
-        self._tail = [[rows[v][self.k + t] for t in range(r)] for v in range(r)]
-        self._encoder_cols = []
-        for j in range(self.k):
-            rhs = [(-rows[v][j]) % p for v in range(r)]
-            col = gfp_solve(self._tail, rhs, p)
-            if col is None:
-                raise ValueError("check matrix tail is singular; reorder columns")
-            self._encoder_cols.append(col)
+        self.check.tail([0] * r)  # refuses a singular tail block now, not at encode
 
     def encode(self, message: Sequence[int]) -> list[int]:
-        if len(message) != self.k:
-            raise ValueError(f"message length {len(message)} != {self.k}")
-        p = self.field.p
-        msg = [v % p for v in message]
-        redundancy = [
-            sum(self._encoder_cols[j][t] * msg[j] for j in range(self.k)) % p
-            for t in range(self.length - self.k)
-        ]
-        return msg + redundancy
+        """Systematic: the message passes through and `check.tail` fills
+        the r check symbols."""
+        word = message_symbols(message, self.k, self.field.p) + [0] * (self.length - self.k)
+        word[self.k :] = self.check.tail(self.check(word))
+        return word
 
     def decode_errors_erasures(
         self, values: Sequence[int], erased: Sequence[int], radius: int
     ) -> list[int] | None:
         """The contract of ReedSolomonCode.decode_errors_erasures:
-        `decode_syndromes` on the syndromes of the zero-filled input
-        (`values` may be an int64 array where `check.vector` holds; the
-        error vector is Python ints)."""
+        `locate_syndromes` on the syndromes of the zero-filled input, as a
+        full error vector (`values` may be an int64 array where
+        `check.vector` holds; the error vector is Python ints)."""
         syn = self.check(values)  # count the erased symbols as 0
         erased = check_locate_input(self.check, syn, erased)
         syn = self.check.less(syn, ((j, int(values[j])) for j in erased))
-        return self.decode_syndromes(syn, erased, radius)
+        return error_vector(self.length, self.locate_syndromes(syn, erased, radius))
 
     def locate_syndromes(
         self, syn: Sequence[int], erased: Sequence[int], radius: int
@@ -259,19 +260,13 @@ class LinearInnerCode:
         if rho >= self.d:
             return None
         t_max = min(radius, (self.d - 1 - rho) // 2)
-        word = [0] * self.k + gfp_solve(self._tail, list(syn), p)
+        word = [0] * self.k + [-t % p for t in self.check.tail(syn)]
         kept = [j for j in range(self.length) if j not in erased]
         for cw in linear_codewords(self):
             if sum(1 for j in kept if word[j] != cw[j]) <= t_max:
                 error = [(w - c) % p for w, c in zip(word, cw)]
                 return tuple((j, e) for j, e in enumerate(error) if e)
         return None
-
-    def decode_syndromes(
-        self, syn: Sequence[int], erased: Sequence[int], radius: int
-    ) -> list[int] | None:
-        """`locate_syndromes` as the full error vector, values mod p."""
-        return error_vector(self.length, self.locate_syndromes(syn, erased, radius))
 
 
 class ExtField:

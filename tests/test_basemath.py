@@ -8,6 +8,7 @@ from dpe_codec.basemath import (
     base_q_value,
     ceil_log,
     compositions,
+    digit_planes,
     gfp_inv,
     gfp_quadratic_roots,
     gfp_solve,
@@ -57,6 +58,13 @@ class TestDigits:
     def test_roundtrip_random(self, q, x):
         m = ceil_log(q, x + 1) + 1
         assert base_q_value(base_q_digits(x, q, m), q) == x
+
+    def test_digit_planes_are_plane_major(self):
+        # 5 = 12 and 7 = 21 in base 3: the low digits first, then the high
+        assert digit_planes([5, 7], 3, 2) == [2, 1, 1, 2]
+        assert digit_planes([], 3, 2) == []
+        with pytest.raises(ValueError):
+            digit_planes([9], 3, 2)
 
 
 class TestMixedRadix:

@@ -12,13 +12,13 @@ from dpe_codec.basemath import (
 )
 from dpe_codec.berlekamp import (
     BerlekampCode,
-    decode_bounded,
     decode_double_error,
     decode_exhaustive,
-    decode_key_equation,
-    decode_single_error,
+    locate_bounded,
+    locate_key_equation,
     systematic_encode,
 )
+from dpe_codec.core import error_vector
 from dpe_codec.oracles import ExtField, ExtLeeCode, SyndromeAmbiguityError
 
 ALPHA15 = (3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 1, 2, 4, 8, 16)
@@ -89,11 +89,13 @@ class TestSyndrome:
 
 
 class TestSingleErrorDecoding:
+    """tau = 1 codes decode through the key-equation decoder."""
+
     def test_zero(self, code31_tau1):
-        assert decode_single_error(code31_tau1, (0,)) == [0] * 15
+        assert locate_bounded(code31_tau1, (0,)) == ()
 
     def test_known_location(self, code31_tau1):
-        e = decode_single_error(code31_tau1, (10,))
+        e = error_vector(15, locate_bounded(code31_tau1, (10,)))
         expected = [0] * 15
         expected[5] = 1
         assert e == expected
@@ -104,13 +106,23 @@ class TestSingleErrorDecoding:
                 e = [0] * 15
                 e[j] = sign
                 syn = code31_tau1.syndrome(e)
-                assert decode_single_error(code31_tau1, syn) == e
+                assert error_vector(15, locate_bounded(code31_tau1, syn)) == e
 
     def test_unmatched(self):
         # shortened code: locators (1..5) mod 13 leave 6 and 7 uncovered
         code = BerlekampCode(PrimeField(13), (1, 2, 3, 4, 5), tau=1)
-        assert decode_single_error(code, (6,)) is None
-        assert decode_single_error(code, (7,)) is None
+        assert locate_bounded(code, (6,)) is None
+        assert locate_bounded(code, (7,)) is None
+
+    def test_ambiguous_syndrome_gives_none(self):
+        # 5 + 8 = 13: +1 at locator 5 and -1 at locator 8 share a syndrome,
+        # so neither is returned; every other syndrome decodes as before
+        code = BerlekampCode(PrimeField(13), (1, 2, 3, 4, 5, 8), tau=1, validate=False)
+        assert locate_bounded(code, (5,)) is None
+        assert locate_bounded(code, (8,)) is None
+        for j, b in enumerate(code.beta[:4]):
+            assert locate_bounded(code, (b,)) == ((j, 1),)
+            assert locate_bounded(code, (13 - b,)) == ((j, -1),)
 
 
 class TestDoubleErrorDecoding:
@@ -190,6 +202,22 @@ class TestSystematicEncode:
         cw = systematic_encode(code31_tau2, [1] * 13)
         assert len(cw) - 13 == code31_tau2.tau
 
+    def test_singular_tail_block(self):
+        # the last two locators 3 and 10 give the block [[3, 10], [1, 12]]
+        # mod 13, whose determinant 36 - 10 = 26 is 0 mod 13
+        code = BerlekampCode(PrimeField(13), (1, 2, 3, 10), 2, validate=False)
+        with pytest.raises(ValueError, match="singular"):
+            systematic_encode(code, [1, 2])
+
+    @pytest.mark.parametrize("bad", [1.5, True, "1", None])
+    def test_refuses_a_symbol_that_is_not_an_int(self, code31_tau2, bad):
+        with pytest.raises(ValueError, match="is not an integer"):
+            systematic_encode(code31_tau2, [bad] + [2] * 12)
+
+    def test_refuses_a_message_of_another_length(self, code31_tau2):
+        with pytest.raises(ValueError, match="message length 12 != 13"):
+            systematic_encode(code31_tau2, [1] * 12)
+
 
 def _min_lee_distance(code: BerlekampCode) -> int:
     """Enumerate the whole code through its systematic encoder."""
@@ -249,15 +277,15 @@ class TestDispatch:
     def test_bounded_dispatch(self, code31_tau1, code31_tau2):
         e = [0] * 15
         e[3] = 1
-        assert decode_bounded(code31_tau1, code31_tau1.syndrome(e)) == e
+        assert error_vector(15, locate_bounded(code31_tau1, code31_tau1.syndrome(e))) == e
         e[7] = -1
-        assert decode_bounded(code31_tau2, code31_tau2.syndrome(e)) == e
+        assert error_vector(15, locate_bounded(code31_tau2, code31_tau2.syndrome(e))) == e
 
     def test_bounded_tau3_uses_key_equation(self):
         code = BerlekampCode(PrimeField(23), tuple(range(1, 9)), tau=3)
         for e in ([0, 1, 0, -1, 0, 0, 1, 0], [0, 0, 3, 0, 0, 0, 0, 0]):
             syn = code.syndrome(e)
-            assert decode_bounded(code, syn) == e
+            assert error_vector(8, locate_bounded(code, syn)) == e
 
 
 class TestKeyEquationDecoder:
@@ -269,7 +297,7 @@ class TestKeyEquationDecoder:
     def test_inverts_every_in_budget_error(self, p, beta, tau):
         code = BerlekampCode(PrimeField(p), tuple(beta), tau=tau)
         for e in iter_l1_errors(code.n, tau, include_zero=True):
-            assert decode_key_equation(code, code.syndrome(e)) == e
+            assert error_vector(code.n, locate_key_equation(code, code.syndrome(e))) == e
 
     @pytest.mark.parametrize("p,n,tau", [(23, 11, 3), (13, 6, 3), (17, 8, 4), (31, 15, 2)])
     def test_random_syndromes_match_oracle(self, p, n, tau):
@@ -278,16 +306,17 @@ class TestKeyEquationDecoder:
         rng = random.Random(p * n + tau)
         for _ in range(60):
             syn = tuple(rng.randrange(p) for _ in range(tau))
-            assert decode_key_equation(code, syn) == decode_exhaustive(code, syn)
+            got = error_vector(n, locate_key_equation(code, syn))
+            assert got == decode_exhaustive(code, syn)
 
     def test_smaller_budget(self):
         code = BerlekampCode(PrimeField(23), tuple(range(1, 12)), tau=3)
         for e in iter_l1_errors(11, 2, include_zero=True):
-            assert decode_key_equation(code, code.syndrome(e), budget=2) == e
+            assert error_vector(11, locate_key_equation(code, code.syndrome(e), budget=2)) == e
         rng = random.Random(4)
         for _ in range(60):
             syn = tuple(rng.randrange(23) for _ in range(3))
-            got = decode_key_equation(code, syn, budget=2)
+            got = error_vector(11, locate_key_equation(code, syn, budget=2))
             assert got == decode_exhaustive(code, syn, budget=2)
 
     def test_negating_locators(self):
@@ -297,7 +326,7 @@ class TestKeyEquationDecoder:
         code = BerlekampCode(PrimeField(13), (1, 2, 3, 4, 5, 8), tau=3, validate=False)
         for e in iter_l1_errors(6, 3):
             syn = code.syndrome(e)
-            got = decode_key_equation(code, syn)
+            got = error_vector(6, locate_key_equation(code, syn))
             try:
                 unique = decode_exhaustive(code, syn)
             except SyndromeAmbiguityError:
@@ -305,13 +334,13 @@ class TestKeyEquationDecoder:
                 continue
             assert got == unique
         # +1 at locator 5 and -1 at locator 8 put the same point in Lambda
-        assert decode_key_equation(code, code.syndrome([0, 0, 0, 0, 1, 0])) is None
+        assert locate_key_equation(code, code.syndrome([0, 0, 0, 0, 1, 0])) is None
 
     def test_rejects_extension_field_and_large_budget(self, code31_tau2):
         with pytest.raises(ValueError, match="locators must be integers"):
             BerlekampCode(PrimeField(3), [(1, 0), (0, 1)], tau=1)
         with pytest.raises(ValueError, match="budget"):
-            decode_key_equation(code31_tau2, (1, 1), budget=3)
+            locate_key_equation(code31_tau2, (1, 1), budget=3)
 
 
 def _l1_table(code):
@@ -323,7 +352,7 @@ def _l1_table(code):
 
 
 class TestEverySyndrome:
-    """decode_key_equation on every syndrome in GF(p)^tau at every budget,
+    """locate_key_equation on every syndrome in GF(p)^tau at every budget,
     against a table of every error within the budget: a unique error is
     returned, no error gives None, and a syndrome that several errors share
     (only where two locators negate) gives None or one of them."""
@@ -340,7 +369,7 @@ class TestEverySyndrome:
             entries = table.get(syn, ())
             for budget in (1, 2, 3):
                 errors = [e for weight, e in entries if weight <= budget]
-                got = decode_key_equation(code, syn, budget)
+                got = error_vector(code.n, locate_key_equation(code, syn, budget))
                 if len(errors) == 1:
                     assert got == errors[0], (syn, budget)
                 elif not errors:
@@ -350,13 +379,13 @@ class TestEverySyndrome:
 
 
 class TestLocateBoundary:
-    @pytest.mark.parametrize("decode", [decode_key_equation, decode_bounded])
+    @pytest.mark.parametrize("decode", [locate_key_equation, locate_bounded])
     def test_refuses_a_short_syndrome(self, decode):
         code = BerlekampCode(PrimeField(23), tuple(range(1, 12)), tau=3)
         with pytest.raises(ValueError, match="need 3 syndrome components, got 1"):
             decode(code, (1,))
 
-    @pytest.mark.parametrize("decode", [decode_key_equation, decode_bounded])
+    @pytest.mark.parametrize("decode", [locate_key_equation, locate_bounded])
     def test_refuses_a_long_syndrome(self, decode):
         # not to be decoded from its first three components
         code = BerlekampCode(PrimeField(23), tuple(range(1, 12)), tau=3)
@@ -365,15 +394,15 @@ class TestLocateBoundary:
 
     def test_closed_form_budgets_refuse_too(self, code31_tau1, code31_tau2):
         with pytest.raises(ValueError, match="need 2 syndrome components, got 1"):
-            decode_bounded(code31_tau2, (1,))
+            locate_bounded(code31_tau2, (1,))
         with pytest.raises(ValueError, match="need 1 syndrome components, got 2"):
-            decode_bounded(code31_tau1, (1, 2))
+            locate_bounded(code31_tau1, (1, 2))
 
     def test_closed_forms_refuse_a_syndrome_of_the_wrong_length(self, code31_tau1, code31_tau2):
         # each once decoded its leading components (or raised IndexError)
         with pytest.raises(ValueError, match="need 2 syndrome components, got 1"):
             decode_double_error(code31_tau2, (1,))
         with pytest.raises(ValueError, match="need 1 syndrome components, got 2"):
-            decode_single_error(code31_tau1, (1, 5))
+            locate_bounded(code31_tau1, (1, 5))
         with pytest.raises(ValueError, match="need 2 syndrome components, got 3"):
             decode_double_error(code31_tau2, (1, 1, 7))

@@ -1,11 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from dpe_codec import core
 from dpe_codec.basemath import PrimeField, hamming_dist
-from dpe_codec.core import QMatrix, ReadVector
+from dpe_codec.core import QMatrix, ReadVector, error_vector
 from dpe_codec.hamming import HammingScheme, ReedSolomonCode, smallest_inner_prime
 from dpe_codec.oracles import LinearInnerCode, scan_errors_erasures
 
@@ -35,6 +36,22 @@ class TestReedSolomon:
     def test_length_bound(self):
         with pytest.raises(ValueError, match="points"):
             ReedSolomonCode(PrimeField(5), length=5, k=1)
+
+    @pytest.mark.parametrize("points", [(1.0, 2, 3), (True, 2, 3), (1, 2, np.int64(3))])
+    def test_points_must_be_integers(self, points):
+        # a bool would be taken as 1, and a float once escaped as a TypeError
+        with pytest.raises(ValueError, match="points must be integers"):
+            ReedSolomonCode(PrimeField(7), length=3, k=1, points=points)
+
+    @pytest.mark.parametrize("bad", [1.5, True, np.int64(1), "1", None])
+    def test_encoders_refuse_a_symbol_that_is_not_an_int(self, bad):
+        rs = ReedSolomonCode(PrimeField(7), length=4, k=2)
+        generic = LinearInnerCode(PrimeField(7), rs.check.rows, distance=rs.d)
+        for code in (rs, generic):
+            with pytest.raises(ValueError, match="is not an integer"):
+                code.encode([2, bad])
+            with pytest.raises(ValueError, match="message length 1 != 2"):
+                code.encode([2])
 
     def test_decode_errors_only(self):
         rs = ReedSolomonCode(PrimeField(11), length=8, k=4)  # d = 5, tau = 2
@@ -123,6 +140,11 @@ class TestLinearInnerCode:
         y[4] = (y[4] + 6) % 7
         assert generic.decode_errors_erasures(y, [], 2) == rs.decode_errors_erasures(y, [], 2)
 
+    def test_refuses_a_singular_tail_at_construction(self):
+        # the last two columns, (1, 2) twice, are dependent mod 7
+        with pytest.raises(ValueError, match="check matrix tail is singular; reorder columns"):
+            LinearInnerCode(PrimeField(7), [[1, 1, 1], [3, 2, 2]], distance=2)
+
     def test_erasures(self):
         rs = ReedSolomonCode(PrimeField(7), length=6, k=1)
         generic = LinearInnerCode(PrimeField(7), rs._powers, distance=rs.d)
@@ -158,8 +180,9 @@ class TestDecodeSyndromes:
                 y[j] = rng.randrange(1, p)
             syn = rs.syndromes([0 if j in erased else v for j, v in enumerate(y)])
             expect = scan_errors_erasures(rs, y, erased, radius)
-            assert rs.decode_syndromes(syn, erased, radius) == expect
-            assert generic.decode_syndromes(syn, erased, radius) == expect
+            for code in (rs, generic):
+                got = code.locate_syndromes(syn, erased, radius)
+                assert error_vector(length, got) == expect
             assert rs.decode_errors_erasures(y, erased, radius) == expect
             assert generic.decode_errors_erasures(y, erased, radius) == expect
 
@@ -167,8 +190,8 @@ class TestDecodeSyndromes:
         rs = ReedSolomonCode(PrimeField(7), length=6, k=2)  # d = 5
         generic = LinearInnerCode(PrimeField(7), rs.check.rows, distance=rs.d)
         for code in (rs, generic):
-            assert code.decode_syndromes([1, 0, 0, 0], [0, 1, 2, 3, 4], 0) is None
-            assert code.decode_syndromes([0] * 4, [0, 1, 2, 3], 0) == [0] * 6
+            assert code.locate_syndromes([1, 0, 0, 0], [0, 1, 2, 3, 4], 0) is None
+            assert code.locate_syndromes([0] * 4, [0, 1, 2, 3], 0) == ()
 
 
 class TestEverySyndrome:
@@ -184,8 +207,10 @@ class TestEverySyndrome:
         for syn in itertools.product(range(p), repeat=rs.d - 1):
             for erased in erasure_sets:
                 for radius in range((rs.d - 1) // 2 + 1):
-                    expect = generic.decode_syndromes(syn, erased, radius)
-                    assert rs.decode_syndromes(syn, erased, radius) == expect, (syn, erased, radius)
+                    expect = generic.locate_syndromes(syn, erased, radius)
+                    got = rs.locate_syndromes(syn, erased, radius)
+                    assert error_vector(length, got) == error_vector(length, expect), (
+                        syn, erased, radius)
 
     @pytest.mark.parametrize("erased", [(), (4,), (0, 3)])
     def test_matches_the_error_table(self, erased):
@@ -209,12 +234,13 @@ class TestEverySyndrome:
             weight, e = table.get(syn, (None, None))
             for radius in range(t_max + 1):
                 expect = e if weight is not None and weight <= radius else None
-                assert rs.decode_syndromes(syn, erased, radius) == expect, (syn, radius)
+                got = error_vector(length, rs.locate_syndromes(syn, erased, radius))
+                assert got == expect, (syn, radius)
 
 
 class TestLocateBoundary:
     """Both inner codes refuse a syndrome of the wrong length and an erased
-    index outside the code, in decode_syndromes and decode_errors_erasures."""
+    index outside the code, in locate_syndromes and decode_errors_erasures."""
 
     RS = ReedSolomonCode(PrimeField(7), length=6, k=2)  # d = 5: 4 syndromes
 
@@ -225,7 +251,7 @@ class TestLocateBoundary:
     def test_refuses_a_syndrome_of_the_wrong_length(self, syn):
         for code in self._codes():
             with pytest.raises(ValueError, match=f"need 4 syndromes, got {len(syn)}"):
-                code.decode_syndromes(syn, [], 2)
+                code.locate_syndromes(syn, [], 2)
 
     @pytest.mark.parametrize(
         "erased,bad",
@@ -241,7 +267,7 @@ class TestLocateBoundary:
         y = self.RS.encode([1, 2])
         for code in self._codes():
             with pytest.raises(ValueError, match=rf"erasure index {bad} is outside \[0, 6\)"):
-                code.decode_syndromes([1, 2, 3, 4], erased, 0)
+                code.locate_syndromes([1, 2, 3, 4], erased, 0)
             with pytest.raises(ValueError, match=rf"erasure index {bad} is outside \[0, 6\)"):
                 code.decode_errors_erasures(y, erased, 0)
 

@@ -132,6 +132,34 @@ class TestCheckMatrix:
         assert CheckMatrix([[1] * half] * 2, (7, 7), 9).vector
         assert not CheckMatrix([[1] * (half - 1)] * 2, (7, 7), 9).vector
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_an_array_on_both_sides_of_the_cut(self, dtype):
+        # below the cut an array takes the Python path as Python ints (a
+        # uint8 entry times a check entry would wrap in uint8)
+        for n in (KERNEL_MIN_LENGTH - 1, KERNEL_MIN_LENGTH):
+            rows = [[(7 * j + 1) % 251 for j in range(n)]]
+            check = CheckMatrix(rows, (251,), 256)
+            assert check.vector == (n == KERNEL_MIN_LENGTH)
+            values = _entries(n, n, 256)
+            got = check(np.array(values, dtype))
+            assert got == check(values)
+            assert all(type(s) is int for s in got)
+
+    @pytest.mark.parametrize("kernel", [False, True], ids=["python", "kernel"])
+    def test_codes_take_an_array_on_both_sides_of_the_cut(self, kernel):
+        # the docstrings of syndromes, syndrome and decode_errors_erasures
+        # accept arrays; below the cut these once raised AttributeError
+        p, n = (211, 100) if kernel else (13, 6)
+        rs = api.ReedSolomonCode(api.PrimeField(p), n, n // 3)
+        lee = api.BerlekampCode(api.PrimeField(p), tuple(range(1, n + 1)), 2)
+        assert rs.check.vector == lee.check.vector == kernel
+        y = list(_entries(p, n, p))
+        assert rs.syndromes(_array(y)) == rs.syndromes(y)
+        assert lee.syndrome(_array(y)) == lee.syndrome(y)
+        for erased in ([], [0]):
+            assert (rs.decode_errors_erasures(_array(y), erased, 2)
+                    == rs.decode_errors_erasures(y, erased, 2))
+
     @pytest.mark.parametrize("bound", [2, 9, 256])
     def test_multiplies_a_byte_read(self, bound):
         n = KERNEL_MIN_LENGTH

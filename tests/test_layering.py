@@ -3,7 +3,7 @@
 audit runs them) and the package's `__init__.py` (which re-exports them)
 import from `.oracles` or import `guard_limit`, and no other module words
 a guard refusal of its own.  The scheme modules keep to the one decode
-pipeline in `core`."""
+pipeline in `core`, and only `core` and the oracles call `gfp_solve`."""
 
 import ast
 from pathlib import Path
@@ -43,6 +43,18 @@ def test_imports_no_oracle_and_no_guard(path):
 @pytest.mark.parametrize("path", PRODUCTION, ids=lambda p: p.name)
 def test_words_no_guard_refusal(path):
     assert "exceeds the guard" not in path.read_text()
+
+
+# A systematic encoder fills its tail through `core.CheckMatrix.tail`, the
+# one linear solve of the production code; the oracles solve for their own.
+SOLVERS = {"core.py", "oracles.py"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_gfp_solve_is_called_only_in_core_and_the_oracles(path):
+    calls = [node for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "gfp_solve"]
+    assert bool(calls) == (path.name in SOLVERS), path.name
 
 
 # The decode pipeline is written once, as core.decode_read.  Each scheme

@@ -47,7 +47,7 @@ class TestEnumeration:
             scan_errors_erasures(rs, [0] * 60, [], 20)
 
     def test_guard_override_env(self, monkeypatch):
-        from dpe_codec.core import guard_limit
+        from dpe_codec.oracles import guard_limit
 
         monkeypatch.delenv("DPE_CODEC_GUARD_OVERRIDE", raising=False)
         assert guard_limit(100) == 100

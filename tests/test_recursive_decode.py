@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from test_kernel import _python
 
 import dpe_codec as api
-from dpe_codec.berlekamp import decode_bounded
+from dpe_codec.berlekamp import locate_bounded
 from dpe_codec.core import (
     DECODE_FAILURE,
     KERNEL_MIN_LENGTH,
@@ -56,11 +56,11 @@ def _level_by_level(scheme, y):
         syn2 = [sum(q**j * medians[j * tau + v] for j in range(scheme.mtilde)) % scheme.ptilde
                 for v in range(tau)]
         block_syn = scheme.tail_checker.syndrome(block)
-        err = decode_bounded(
+        hits = locate_bounded(
             scheme.tail_checker, [(a - b) % scheme.ptilde for a, b in zip(block_syn, syn2)])
-        if err is None:
+        if hits is None:
             return DECODE_FAILURE
-        fixed = corrected(block, scheme.ntilde, enumerate(err), scheme.q_out)
+        fixed = corrected(block, scheme.ntilde, hits, scheme.q_out)
         if fixed.failed:
             return fixed
         block = fixed.prefix
@@ -71,12 +71,12 @@ def _level_by_level(scheme, y):
                       for j in range(scheme.m)) % scheme.p
     head_syn = scheme.checker.syndrome(head)
     err_syn = [(a - b) % scheme.p for a, b in zip(head_syn, syn1)]
-    err = decode_bounded(scheme.checker, err_syn)
-    if err is None:
+    hits = locate_bounded(scheme.checker, err_syn)
+    if hits is None:
         return DECODE_FAILURE
     if not any(err_syn):
         return decoded(head)
-    return corrected(head, n, enumerate(err), scheme.q_out)
+    return corrected(head, n, hits, scheme.q_out)
 
 
 def _clean_read(scheme, inner, seed):
