@@ -28,7 +28,8 @@ A scheme passes its read alphabet; the large-alphabet scheme's reads take
 the int64 kernel where that matrix decides so, and the recursive scheme
 folds its codes' checks into one matrix of its own.  `syndrome`
 multiplies either form.  `systematic_encode` fills a codeword's tau
-redundancy symbols from its head's syndromes (`CheckMatrix.tail`).
+redundancy symbols from its head's syndromes (`CheckMatrix.tail`), for one
+message or for a block of them in one product.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ from functools import cached_property
 from operator import mul
 from typing import Sequence
 
+import numpy as np
+
 from .basemath import PrimeField, gfp_inv, gfp_quadratic_roots
-from .core import CheckMatrix, Hits, error_vector, message_symbols
+from .core import CheckMatrix, Hits, error_vector, systematic_word
 from .gfpoly import inverses, poly_roots, poly_trim, solve_key_equation
 # decode_exhaustive stays bound here: bench/tracing.py traces it under this module.
 from .oracles import decode_exhaustive
@@ -49,7 +52,9 @@ class BerlekampCode:
 
     Locators are ints in [1, p), and `check` holds the checks for vectors
     with entries in [0, bound) (by default field elements, bound p); a
-    scheme passes its read alphabet.
+    scheme passes its read alphabet.  A budget tau above the length n
+    leaves no codeword but 0 and is refused, unless the code serves only
+    for its checks and locate step (`check_only`).
     """
 
     def __init__(
@@ -59,6 +64,7 @@ class BerlekampCode:
         tau: int,
         validate: bool = True,
         bound: int | None = None,
+        check_only: bool = False,
     ):
         if tau < 1:
             raise ValueError(f"error budget must be >= 1, got {tau}")
@@ -69,6 +75,8 @@ class BerlekampCode:
         self.n = len(beta)
         if self.n < 1:
             raise ValueError("code length must be >= 1")
+        if tau > self.n and not check_only:
+            raise ValueError(f"error budget {tau} exceeds the code length {self.n}")
         if not all(type(b) is int for b in beta):
             raise ValueError("locators must be integers")
         p = field.p
@@ -319,11 +327,10 @@ def locate_bounded(code: BerlekampCode, syn: Sequence[int], budget: int | None =
     return locate_key_equation(code, syn, budget)
 
 
-def systematic_encode(code: BerlekampCode, message: Sequence[int]) -> list[int]:
+def systematic_encode(code: BerlekampCode, message: Sequence[int] | np.ndarray):
     """Extend a length-(n - tau) message of ints to a zero-syndrome
     codeword, reduced mod p: the tau redundancy symbols fill the tail
     (`CheckMatrix.tail`), which raises ValueError where the last tau
-    locators give a singular block."""
-    word = message_symbols(message, code.dimension, code.field.p) + [0] * code.tau
-    word[code.dimension :] = code.check.tail(code.syndrome(word))
-    return word
+    locators give a singular block.  An l x (n - tau) integer array of
+    messages gives the l x n array of codewords (`core.systematic_word`)."""
+    return systematic_word(code.check, message, code.dimension)

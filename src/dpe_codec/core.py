@@ -1,7 +1,8 @@
 """Shared value types for the coding schemes: matrices over a digit
 alphabet, read vectors with erasure flags, and decode outcomes; the check
-matrix, which computes a read's syndromes in numpy or on Python ints; and
-`decode_read`, the one decode pipeline every scheme runs.
+matrix, which computes syndromes in numpy or on Python ints; `decode_read`,
+the one decode pipeline every scheme runs; and `encode_matrix`, the one
+programming pipeline.
 
 The pipeline admits the read, computes its syndromes, locates the errors,
 corrects the data prefix and checks its range.  A scheme supplies two
@@ -19,8 +20,17 @@ and exact in int64.  There, `ReadVector.admit` packs the read one byte per
 entry when its bound is at most 256, else into int64; the packing refuses
 non-integers and one reduction checks the range.  Otherwise it hands back
 the tuple of entries.  The check matrix multiplies either form and returns
-Python ints, so no decoder branches on the path.  Every systematic encoder
-over GF(p) fills its redundancy with `CheckMatrix.tail`.
+Python ints, so no decoder branches on the path.
+
+Programming is array-native.  `QMatrix` keeps the packing its validation
+makes (`QMatrix.array`), and a scheme's `encode_array(block)` hook turns
+that l x k block into the l x n encoded block: each checksum level is one
+block product with a `CheckMatrix` (int64 where the products fit, else
+Python ints), and `radix_digits` expands the residues into digit columns.
+`encode_matrix` checks the shape, runs the hook and admits the output,
+every entry's range checked once in one vectorised pass.  Every systematic
+encoder over GF(p) fills its redundancy with `CheckMatrix.tail`
+(`systematic_word`).
 """
 
 from __future__ import annotations
@@ -29,7 +39,8 @@ import operator
 import struct
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -64,15 +75,20 @@ def kernel_fits(n: int, bound: int, modulus: int, rows: int = 1) -> bool:
 
 
 class CheckMatrix:
-    """Check rows, each reduced by its modulus, for reads with entries in
+    """Check rows, each reduced by its modulus, for vectors with entries in
     [0, bound).
 
-    `vector` is the kernel decision (`kernel_fits` for the row length, the
-    bound, the largest modulus and the row count); only then is the int64
-    matrix built.  A call gives each row's syndrome as a Python int, for a
-    uint8 or int64 array (one product where `vector` holds, else as Python
-    ints) or any sequence of integers (numpy ones as Python ints where
-    int64 wraps)."""
+    `vector` is the kernel decision for one read (`kernel_fits` for the row
+    length, the bound, the largest modulus and the row count).  A call
+    gives each row's syndrome as a Python int, for a uint8 or int64 array
+    (one product where `vector` holds, else as Python ints) or any sequence
+    of integers (numpy ones as Python ints where int64 wraps).
+
+    A call on an l x n integer array (a block, such as `QMatrix.array`)
+    gives the l x r array of its rows' syndromes: one int64 product unless
+    n * (bound - 1) * (largest modulus - 1) reaches 2^63, else row by row in
+    Python ints; the result is int64 where the moduli fit, else Python ints
+    (an object array)."""
 
     def __init__(self, rows: Iterable[Sequence[int]], moduli: Sequence[int], bound: int):
         self.moduli = tuple(moduli)
@@ -80,21 +96,32 @@ class CheckMatrix:
         self.n = len(self.rows[0])
         self.vector = kernel_fits(self.n, bound, max(self.moduli), len(self.rows))
         self._wide = self.n * (bound - 1) * (max(self.moduli) - 1) >= INT64_BOUND
-        if self.vector:
+        if not self._wide:
             self._matrix = np.array(self.rows, np.int64).T
             self._moduli = np.array(self.moduli, np.int64)
 
-    def __call__(self, values: Sequence[int]) -> list[int]:
-        if len(values) != self.n:
-            raise ValueError(f"need {self.n} entries, got {len(values)}")
+    def __call__(self, values: Sequence[int] | np.ndarray) -> list[int] | np.ndarray:
         if isinstance(values, np.ndarray):
-            if self.vector:
+            if values.ndim == 2:
+                return self._block(values)
+            if len(values) == self.n and self.vector:
                 return ((values @ self._matrix) % self._moduli).tolist()
             values = values.tolist()
-        elif self._wide:  # numpy integer entries would wrap in int64
+        elif self._wide and len(values) == self.n:  # numpy integers would wrap in int64
             values = [int(v) for v in values]
+        if len(values) != self.n:
+            raise ValueError(f"need {self.n} entries, got {len(values)}")
         checks = zip(self.rows, self.moduli)
         return [int(sum(map(operator.mul, values, row)) % m) for row, m in checks]
+
+    def _block(self, values: np.ndarray) -> np.ndarray:
+        """The syndromes of each row of an l x n array, as an l x r array."""
+        if values.shape[1] != self.n:
+            raise ValueError(f"need {self.n} entries, got {values.shape[1]}")
+        if self._wide:
+            rows = [self(row) for row in values.tolist()]
+            return _int_array(rows, max(self.moduli)).reshape(len(values), len(self.rows))
+        return (values @ self._matrix) % self._moduli
 
     def less(self, syn: Sequence[int], errors: Iterable[tuple[int, int]]) -> list[int]:
         """The syndromes (Python ints) of a read less the `(position, value)`
@@ -107,12 +134,19 @@ class CheckMatrix:
                     syn[r] -= row[j] * e
         return [s % m for s, m in zip(syn, self.moduli)]
 
-    def tail(self, syn: Sequence[int]) -> list[int]:
+    def tail(self, syn: Sequence[int] | np.ndarray) -> list[int] | np.ndarray:
         """For a word whose last r = len(rows) symbols are 0 and whose
         syndromes are `syn`, the r symbols that cancel them in that place:
         -T^-1 syn mod p, for the block T of the last r columns, where every
-        row's modulus is the prime p.  Raises ValueError where T is singular."""
+        row's modulus is the prime p.  An l x r array of syndromes, each
+        reduced mod p, gives the l x r array of their tails: one int64
+        product where r * (p - 1)^2 < 2^63, else row by row in Python ints.
+        Raises ValueError where T is singular."""
         p = self.moduli[0]
+        if isinstance(syn, np.ndarray) and syn.ndim == 2:
+            if len(self.rows) * (p - 1) ** 2 < INT64_BOUND:
+                return -(syn @ self._tail_matrix) % p
+            return _int_array([self.tail(row) for row in syn.tolist()], p).reshape(syn.shape)
         return [-sum(map(operator.mul, row, syn)) % p for row in self._tail_inverse]
 
     @cached_property
@@ -124,6 +158,23 @@ class CheckMatrix:
         if None in columns:
             raise ValueError("check matrix tail is singular; reorder columns")
         return list(zip(*columns))
+
+    @cached_property
+    def _tail_matrix(self) -> np.ndarray:
+        """(T^-1)^T in int64: a block of syndromes times it is the block's
+        T^-1 syn."""
+        return np.array(self._tail_inverse, np.int64).T
+
+
+def _int_array(rows: list, bound: int) -> np.ndarray:
+    """Rows of Python ints in [0, bound) as an array: int64 where bound fits,
+    else an object array that keeps them Python ints."""
+    return np.array(rows, np.int64 if bound <= INT64_BOUND else object)
+
+
+def _storage(q: int):
+    """The dtype that holds the entries [0, q) of a packed matrix."""
+    return np.uint8 if q <= BYTE_BOUND else np.int64 if q <= INT64_BOUND else object
 
 
 @cache
@@ -172,10 +223,22 @@ def decoded(values: Iterable[int]) -> DecodeOutcome:
 
 @dataclass(frozen=True)
 class QMatrix:
-    """Integer matrix with entries in [0, q)."""
+    """Integer matrix with entries in [0, q).
+
+    `rows` holds tuples of Python ints.  The constructor also takes a 2-D
+    integer ndarray (dtype kind i or u; bools and floats are refused) as
+    `rows`: one vectorised pass checks every entry's range, and the rows are
+    stored as tuples.  An object array is read as its rows of Python
+    objects, as a tuple would be.
+
+    `array` keeps the packing that validation makes: the rows as a
+    read-only l x width array, uint8 for q <= BYTE_BOUND, int64 for
+    q <= 2^63, and Python ints (an object array) above.
+    """
 
     q: int
     rows: tuple[tuple[int, ...], ...]
+    array: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         q = self.q
@@ -183,30 +246,24 @@ class QMatrix:
             raise ValueError(f"alphabet size must be an integer, got {q!r}")
         if q < 2:
             raise ValueError(f"alphabet size must be >= 2, got {q}")
-        if not self.rows:
+        rows = self.rows
+        if isinstance(rows, np.ndarray):
+            if rows.ndim != 2:
+                raise ValueError(f"matrix array must have 2 dimensions, got {rows.ndim}")
+            if rows.dtype != object:
+                array = _admit_array(q, rows)
+                object.__setattr__(self, "rows", _tuple_rows(array))
+                object.__setattr__(self, "array", array)
+                return
+            rows = tuple(map(tuple, rows.tolist()))
+            object.__setattr__(self, "rows", rows)
+        if not rows:
             raise ValueError("matrix needs at least one row")
-        width = len(self.rows[0])
-        # Fast pass per row: the type test first (bytearray takes bools and
-        # numpy integers), then the range as for a read (`check_alphabet`).
-        alphabet = _byte_alphabet(q) if q <= BYTE_BOUND else None
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise ValueError(f"row {i} has length {len(row)}, expected {width}")
-            if set(map(type, row)) <= {int}:
-                if alphabet is None:
-                    if not row or 0 <= min(row) and max(row) < q:
-                        continue
-                else:
-                    try:
-                        if not bytearray(row).translate(None, alphabet):
-                            continue
-                    except ValueError:  # an int outside [0, 256)
-                        pass
-            for j, v in enumerate(row):
-                if type(v) is not int:
-                    raise ValueError(f"entry ({i},{j}) = {v!r} is not an integer")
-                if not 0 <= v < q:
-                    raise ValueError(f"entry ({i},{j}) = {v} is outside [0, {q})")
+        array = _pack_rows(q, rows)
+        if array is None:
+            _refuse_entry(q, rows)
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
 
     @classmethod
     def from_lists(cls, q: int, rows: Sequence[Sequence[int]]) -> "QMatrix":
@@ -222,6 +279,78 @@ class QMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows)
+
+
+def _pack_rows(q: int, rows: Sequence[Sequence[int]]) -> np.ndarray | None:
+    """The rows packed as `QMatrix.array`, or None where a row's length, an
+    entry's type or an entry's range is wrong.  The type test comes first
+    (bytearray and struct take bools and numpy integers); a bytearray then
+    also refuses ints outside [0, 256), and deleting the bytes [0, q) must
+    leave nothing; struct refuses ints outside int64, and one reduction
+    checks [0, q) (a negative entry wraps to 2^63 or more as uint64)."""
+    width = len(rows[0])
+    for row in rows:
+        if len(row) != width or operator.countOf(map(type, row), int) != width:
+            return None
+    shape = (len(rows), width)
+    if q <= BYTE_BOUND:
+        try:
+            packed = b"".join(map(bytearray, rows))
+        except ValueError:  # an int outside [0, 256)
+            return None
+        if packed.translate(None, _byte_alphabet(q)):
+            return None
+        return np.frombuffer(packed, np.uint8).reshape(shape)
+    if q <= INT64_BOUND:
+        try:
+            packed = _int64_packer(shape[0] * width)(*chain.from_iterable(rows))
+        except struct.error:  # an int outside int64
+            return None
+        array = np.frombuffer(packed, np.int64).reshape(shape)
+        return array if not array.size or array.view(np.uint64).max() < q else None
+    entries = list(chain.from_iterable(rows))
+    if entries and not (0 <= min(entries) and max(entries) < q):
+        return None
+    return np.array(rows, object).reshape(shape)
+
+
+def _refuse_entry(q: int, rows: Sequence[Sequence[int]]) -> None:
+    """Raise for the first row of another length or entry that is not an
+    int or lies outside [0, q), in row-major order."""
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"row {i} has length {len(row)}, expected {width}")
+        for j, v in enumerate(row):
+            if type(v) is not int:
+                raise ValueError(f"entry ({i},{j}) = {v!r} is not an integer")
+            if not 0 <= v < q:
+                raise ValueError(f"entry ({i},{j}) = {v} is outside [0, {q})")
+    raise AssertionError("no entry to refuse")
+
+
+def _tuple_rows(array: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The rows of a 2-D array as tuples of Python ints (a byte array's
+    straight from its bytes)."""
+    if array.dtype != np.uint8:
+        return tuple(map(tuple, array.tolist()))
+    packed, width = array.tobytes(), array.shape[1]
+    return tuple(tuple(packed[i * width : (i + 1) * width]) for i in range(len(array)))
+
+
+def _admit_array(q: int, array: np.ndarray) -> np.ndarray:
+    """A 2-D integer array checked against [0, q) in one pass, as a
+    read-only copy in the dtype of `QMatrix.array`."""
+    if array.dtype.kind not in "iu":
+        raise ValueError(f"matrix entries must be integers, got dtype {array.dtype}")
+    if not len(array):
+        raise ValueError("matrix needs at least one row")
+    if array.size and (array.min() < 0 or array.max() >= q):
+        i, j = np.argwhere((array < 0) | (array >= q))[0]
+        raise ValueError(f"entry ({i},{j}) = {array[i, j]} is outside [0, {q})")
+    array = array.astype(_storage(q))
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -339,6 +468,16 @@ class ReadVector:
         return entries
 
 
+def erasure_indices(erased: Iterable[int], n: int) -> list[int]:
+    """The erased indices of an n-symbol word, sorted and distinct; refuses
+    one that is not an int in [0, n)."""
+    erased = set(erased)
+    for j in erased:
+        if not (type(j) is int and 0 <= j < n):
+            raise ValueError(f"erasure index {j!r} is outside [0, {n})")
+    return sorted(erased)
+
+
 def check_locate_input(check: CheckMatrix, syn: Sequence[int], erased: Iterable[int]) -> list[int]:
     """The boundary of an inner code's locate step: refuse a syndrome
     without one entry per row of its `check`, and an erased index that is
@@ -346,33 +485,108 @@ def check_locate_input(check: CheckMatrix, syn: Sequence[int], erased: Iterable[
     distinct."""
     if len(syn) != len(check.rows):
         raise ValueError(f"need {len(check.rows)} syndromes, got {len(syn)}")
-    erased = set(erased)
-    for j in erased:
-        if not (type(j) is int and 0 <= j < check.n):
-            raise ValueError(f"erasure index {j!r} is outside [0, {check.n})")
-    return sorted(erased)
+    return erasure_indices(erased, check.n)
 
 
-def check_input(matrix: QMatrix, q: int, k: int) -> None:
-    """Refuse a matrix to encode unless it has alphabet q and k columns."""
-    if matrix.q != q or matrix.ncols != k:
+def field_symbols(
+    values: Sequence[int] | np.ndarray, n: int, p: int, what: str = "message"
+) -> list[int] | np.ndarray:
+    """The n symbols of a `what` (a message to encode, a word to check)
+    reduced mod p; refuses another length and any symbol that is not an
+    int (a bool too).  An integer array, one word or one word per row, is
+    reduced as an array (int64 where p fits, else Python ints); its dtype
+    stands for the type test, and an object array is tested entry by
+    entry."""
+    array = isinstance(values, np.ndarray)
+    length = values.shape[-1] if array else len(values)
+    if length != n:
+        raise ValueError(f"{what} length {length} != {n}")
+    if array and values.dtype.kind not in "iuO":
+        raise ValueError(f"{what} symbols must be integers, got dtype {values.dtype}")
+    if not array or values.dtype == object:
+        for v in values.flat if array else values:
+            if type(v) is not int:
+                raise ValueError(f"{what} symbol {v!r} is not an integer")
+    if not array:
+        return [v % p for v in values]
+    if p > INT64_BOUND or values.dtype == np.uint64:
+        values = values.astype(object)
+    if values.dtype == object:
+        values = values % p
+        return values if p > INT64_BOUND else values.astype(np.int64)
+    return values.astype(np.int64) % p
+
+
+def systematic_word(
+    check: CheckMatrix,
+    message: Sequence[int] | np.ndarray,
+    k: int,
+    syndromes: Callable | None = None,
+) -> list[int] | np.ndarray:
+    """The systematic codeword over GF(p), p = check.moduli[0], of a
+    message of k ints: the message reduced mod p (`field_symbols`), then
+    the n - k symbols that `check.tail` solves from the `syndromes` (by
+    default `check`) of the word with those symbols at 0.  An l x k integer
+    array of messages gives the l x n array of their codewords."""
+    syndromes = check if syndromes is None else syndromes
+    word = field_symbols(message, k, check.moduli[0])
+    if isinstance(word, np.ndarray):
+        zeros = np.zeros(word.shape[:-1] + (check.n - k,), word.dtype)
+        word = np.concatenate((word, zeros), axis=-1)
+        word[..., k:] = check.tail(syndromes(word))
+    else:
+        word += [0] * (check.n - k)
+        word[k:] = check.tail(syndromes(word))
+    return word
+
+
+def radix_digits(values: np.ndarray, weights: Sequence[int], q: int) -> np.ndarray:
+    """The digits in [0, q) whose sum weighted by `weights` is each entry of
+    an array of non-negative integers, one row of digits per row of
+    `values`: for c entries per row, digit j of entry v at j * c + v
+    (plane-major, as `basemath.digit_planes`; a 1-D array has one entry per
+    row).  Powers of q give the base-q expansion (`basemath.base_q_digits`),
+    all digits at once; other weights, such as the odd mixed-radix ones,
+    are taken greedily from the largest (`basemath.mixed_radix_digits`).
+    Raises ValueError for an entry those digits cannot represent."""
+    m = len(weights)
+    dtype = object if q > INT64_BOUND or values.dtype == object else np.int64
+    values = values.astype(dtype)
+    powers = [q**j for j in range(m)]
+    if list(weights) == powers:
+        digits = values[..., None] // np.array(powers, dtype) % q
+        bad = (values < 0) | (values >= q**m)
+    else:
+        rest, digits = values, []
+        for w in reversed(weights):
+            digit = np.minimum(rest // w, q - 1)
+            rest = rest - digit * w
+            digits.append(digit)
+        digits = np.stack(digits[::-1], axis=-1)
+        bad = (rest != 0) | (values < 0)
+    if bad.any():
+        value = values.flat[np.flatnonzero(bad)[0]]
+        raise ValueError(f"{value} is not representable with weights {list(weights)} base {q}")
+    width = m * (values.shape[1] if values.ndim == 2 else 1)
+    return np.moveaxis(digits, -1, 1).reshape(len(values), width)
+
+
+def encode_matrix(scheme, matrix: QMatrix) -> QMatrix:
+    """Program `matrix` through the scheme's `encode_array` hook: refuse a
+    matrix without the scheme's alphabet q and k columns, encode its packed
+    rows (`QMatrix.array`) as one block, and admit the encoded block."""
+    if matrix.q != scheme.q or matrix.ncols != scheme.k:
         raise ValueError("matrix does not match the scheme parameters")
+    return QMatrix(scheme.q, scheme.encode_array(matrix.array))
 
 
-def message_symbols(message: Sequence[int], k: int, p: int) -> list[int]:
-    """The k symbols of a message to encode systematically, reduced mod p;
-    refuses another length and any symbol that is not an int (a bool too)."""
-    if len(message) != k:
-        raise ValueError(f"message length {len(message)} != {k}")
-    for v in message:
-        if type(v) is not int:
-            raise ValueError(f"message symbol {v!r} is not an integer")
-    return [v % p for v in message]
-
-
-def parity_extend(row: tuple[int, ...]) -> tuple[int, ...]:
-    """Append one entry making the row's entry sum even."""
-    return row + (sum(row) % 2,)
+def parity_extend(rows: tuple[int, ...] | np.ndarray) -> tuple[int, ...] | np.ndarray:
+    """Append one entry making the row's entry sum even; to each row of an
+    l x n array, as one more column."""
+    if isinstance(rows, np.ndarray):
+        parity = rows.sum(axis=1, keepdims=True) % 2
+        return np.hstack((rows, parity.astype(rows.dtype)))
+    return rows + (sum(rows) % 2,)
 
 
 def error_vector(n: int, hits: Hits | None) -> list[int] | None:

@@ -17,6 +17,11 @@ The triple-detecting variants either add one more overall parity column
 (mandatory for q = 2) or run both checksums modulo 2p over odd locators,
 where the parities of s1 and s2 replace the parity column.
 
+Each scheme programs a matrix through `core.encode_matrix`, in block
+products: `single.encode_row` on the packed block, then one product with
+the scheme's own check matrix for every row's cubed checksum
+(`cubes_digits`).
+
 Each scheme decodes through `core.decode_read`.  Its syndrome hook calls
 `syndromes`: the admitted read times one `core.CheckMatrix`.  Its `locate`
 (picked per variant at construction) is the dispatch table and nothing
@@ -27,8 +32,9 @@ read columns.
 
 from __future__ import annotations
 
-from operator import mul
 from typing import Sequence
+
+import numpy as np
 
 from .basemath import PrimeField, ceil_log, is_prime
 from .berlekamp import BerlekampCode, locate_double_error
@@ -38,9 +44,9 @@ from .core import (
     Hits,
     QMatrix,
     ReadVector,
-    check_input,
     decode_read,
     decoded,
+    encode_matrix,
     output_alphabet,
     parity_extend,
 )
@@ -88,11 +94,14 @@ def _pair_code(loc: Locators, p: int) -> tuple[BerlekampCode, list[int]]:
     return code, positions
 
 
-def cubes_digits(row: tuple[int, ...], cubed: Sequence[int], loc: Locators) -> tuple[int, ...]:
-    """Digits of a row's cubed-locator checksum, modulo the locators'.
-    `cubed` is the scheme's cubed checksum row (`checksum_rows`), whose
-    first len(row) entries are the cubed locators."""
-    return tuple(redundancy_digits(sum(map(mul, row, cubed)) % loc.modulus, loc))
+def cubes_digits(inner: np.ndarray, check: CheckMatrix, loc: Locators) -> np.ndarray:
+    """The digits of each row's cubed-locator checksum, modulo the
+    locators', for an l x n1 block of single-error codewords: the second
+    syndrome of the scheme's `check` (`checksum_rows`) on each row with the
+    columns after n1 at 0."""
+    word = np.zeros((len(inner), check.n), inner.dtype)
+    word[:, : inner.shape[1]] = inner
+    return redundancy_digits(check(word)[:, 1], loc)
 
 
 def checksum_rows(loc: Locators, n1: int, weights: Sequence[int], n: int) -> list[list[int]]:
@@ -137,13 +146,11 @@ class DoubleErrorScheme:
         self.vector = self.check.vector
 
     def encode(self, aprime: QMatrix) -> QMatrix:
-        check_input(aprime, self.q, self.k)
-        rows = []
-        cubed = self.check.rows[1]
-        for row in aprime.rows:
-            inner = encode_row(row, self.loc)
-            rows.append(inner + parity_extend(cubes_digits(inner, cubed, self.loc)))
-        return QMatrix(self.q, tuple(rows))
+        return encode_matrix(self, aprime)
+
+    def encode_array(self, block: np.ndarray) -> np.ndarray:
+        inner = encode_row(block, self.loc)
+        return np.hstack((inner, parity_extend(cubes_digits(inner, self.check, self.loc))))
 
     def syndromes(self, y: ReadVector) -> tuple[int, int, int]:
         """Admit the read; its (s1, s2, digit-block parity)."""
@@ -216,16 +223,13 @@ class TripleDetectScheme:
     # -- encoding ---------------------------------------------------------
 
     def encode(self, aprime: QMatrix) -> QMatrix:
-        check_input(aprime, self.q, self.k)
+        return encode_matrix(self, aprime)
+
+    def encode_array(self, block: np.ndarray) -> np.ndarray:
         if self.variant == VARIANT_PARITY:
-            inner = self.base.encode(aprime)
-            return QMatrix(self.q, tuple(parity_extend(row) for row in inner.rows))
-        rows = []
-        cubed = self.check.rows[1]
-        for row in aprime.rows:
-            inner = encode_row(row, self.loc)
-            rows.append(inner + cubes_digits(inner, cubed, self.loc))
-        return QMatrix(self.q, tuple(rows))
+            return parity_extend(self.base.encode_array(block))
+        inner = encode_row(block, self.loc)
+        return np.hstack((inner, cubes_digits(inner, self.check, self.loc)))
 
     # -- decoding ---------------------------------------------------------
 
@@ -283,10 +287,13 @@ class ShortenedScheme:
         self.n = base.n - drop
 
     def encode(self, aprime: QMatrix) -> QMatrix:
-        check_input(aprime, self.q, self.k)
-        padded = QMatrix(self.q, tuple((0,) * self.drop + row for row in aprime.rows))
-        full = self.base.encode(padded)
-        return QMatrix(self.q, tuple(row[self.drop :] for row in full.rows))
+        return encode_matrix(self, aprime)
+
+    def encode_array(self, block: np.ndarray) -> np.ndarray:
+        """The base scheme's rows for the block behind `drop` zero columns,
+        without those columns."""
+        zeros = np.zeros((len(block), self.drop), block.dtype)
+        return self.base.encode_array(np.hstack((zeros, block)))[:, self.drop :]
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
         # A read without erasures keeps the shared all-False flags.

@@ -15,11 +15,17 @@ values (Roth, Introduction to Coding Theory, ch. 6).  Its locate step
 reads a linear locator's one point off and otherwise scans the points'
 inverses until one point is left to read off their sum; it returns sparse
 hits (`core.Hits`, values mod p).  The code encodes systematically, its
-d - 1 check symbols filled from the head's syndromes (`CheckMatrix.tail`).
-Any linear code over GF(p) with a `check` matrix, `encode` and
-`locate_syndromes` can stand in, such as ``oracles.LinearInnerCode``;
+d - 1 check symbols filled from the head's syndromes (`CheckMatrix.tail`),
+one message or a block of them in one product.  `syndromes` admits its
+symbols (`core.field_symbols`): ints only, reduced mod p.
+Any linear code over GF(p) with a `check` matrix, an `encode` that also
+takes an l x k block of messages, and `locate_syndromes` can stand in, such as ``oracles.LinearInnerCode``;
 ``oracles`` also holds the support-scan decoder the Reed-Solomon decoder
 is checked against.
+
+The scheme programs a matrix through `core.encode_matrix`: the inner code
+encodes the whole packed block, and the check symbols become base-q digit
+planes (`core.radix_digits`).
 
 The scheme decodes through `core.decode_read`.  The packing map is linear
 mod p, so its syndrome hook is one product with the scheme's
@@ -43,19 +49,22 @@ from typing import Sequence
 import numpy as np
 
 # gfp_solve stays bound here: bench/tracing.py traces it under this module.
-from .basemath import PrimeField, ceil_log, digit_planes, gfp_solve, is_prime, signed_value
+from .basemath import PrimeField, ceil_log, gfp_solve, is_prime, signed_value
 from .core import (
     CheckMatrix,
     DecodeOutcome,
     Hits,
     QMatrix,
     ReadVector,
-    check_input,
     check_locate_input,
     decode_read,
+    encode_matrix,
+    erasure_indices,
     error_vector,
-    message_symbols,
+    field_symbols,
     output_alphabet,
+    radix_digits,
+    systematic_word,
 )
 from .gfpoly import inverses, poly_eval, poly_mul, solve_key_equation
 
@@ -90,17 +99,17 @@ class ReedSolomonCode:
         # 1/gamma_j: the scan's points and Forney's
         self._inverse_points = inverses(self.gamma, p)
 
-    def syndromes(self, values: Sequence[int]) -> list[int]:
-        """S_v = sum_j values_j gamma_j^(v+1) mod p; `values` may be an
-        int64 array of symbols in [0, p) where `check.vector` holds."""
-        return self.check(values)
+    def syndromes(self, values: Sequence[int] | np.ndarray) -> list[int] | np.ndarray:
+        """S_v = sum_j values_j gamma_j^(v+1) mod p, for a word of `length`
+        ints (a bool is not one) or an integer array; an l x length array
+        gives one row of syndromes per word (`core.field_symbols`)."""
+        return self.check(field_symbols(values, self.length, self.field.p, "word"))
 
-    def encode(self, message: Sequence[int]) -> list[int]:
+    def encode(self, message: Sequence[int] | np.ndarray) -> list[int] | np.ndarray:
         """Systematic: the message of ints passes through (mod p) and
-        `check.tail` fills the d - 1 check symbols."""
-        word = message_symbols(message, self.k, self.field.p) + [0] * (self.d - 1)
-        word[self.k :] = self.check.tail(self.syndromes(word))
-        return word
+        `check.tail` fills the d - 1 check symbols; an l x k integer array
+        of messages gives the l x length array of codewords."""
+        return systematic_word(self.check, message, self.k, self.syndromes)
 
     def decode_errors_erasures(
         self, values: Sequence[int], erased: Sequence[int], radius: int
@@ -108,13 +117,12 @@ class ReedSolomonCode:
         """Return the full error vector (values mod p, erased entries counted
         as errors against the zero-filled input) or None: `locate_syndromes`
         on the syndromes of the zero-filled input, written out.  `values`
-        may be an int64 array of symbols in [0, p), as for `syndromes`; the
-        error vector is Python ints.  An erased index outside [0, length)
-        is refused before any value is read.
+        may be an integer array, as for `syndromes`; the error vector is
+        Python ints.  An erased index outside [0, length) is refused before
+        any value is read.
         """
-        syn = self.syndromes(values)  # count the erased symbols as 0
-        erased = check_locate_input(self.check, syn, erased)
-        syn = self.check.less(syn, ((j, int(values[j])) for j in erased))
+        erased = erasure_indices(erased, self.length)
+        syn = self.check.less(self.syndromes(values), ((j, values[j]) for j in erased))
         return error_vector(self.length, self.locate_syndromes(syn, erased, radius))
 
     def _scan_locators(self, lam: list[int], count: int) -> list[int]:
@@ -373,12 +381,13 @@ class HammingScheme:
     # -- encode / decode -----------------------------------------------------
 
     def encode(self, aprime: QMatrix) -> QMatrix:
-        check_input(aprime, self.q, self.k)
-        rows = []
-        for row in aprime.rows:
-            cw = self.inner.encode(row)
-            rows.append(tuple(row) + tuple(digit_planes(cw[self.k :], self.q, self.m)))
-        return QMatrix(self.q, tuple(rows))
+        return encode_matrix(self, aprime)
+
+    def encode_array(self, block: np.ndarray) -> np.ndarray:
+        """Each row, then the digit planes of its inner check symbols."""
+        checks = self.inner.encode(block)[:, self.k :]
+        planes = radix_digits(checks, [self.q**j for j in range(self.m)], self.q)
+        return np.hstack((block, planes))
 
     def read_syndromes(self, y: ReadVector) -> tuple[list[int], Sequence[int]]:
         """Admit the read; its inner syndromes and entries, erased ones as 0."""

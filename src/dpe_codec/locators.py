@@ -21,9 +21,11 @@ suffix, never the data prefix, so builders accept them behind the explicit
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .basemath import ceil_log, jacobsthal_weight, jacobsthal_weights
+from .core import CheckMatrix
 
 SUFFIX_POWERS = "powers_of_q"
 SUFFIX_FSEQ = "f_sequence"
@@ -54,6 +56,12 @@ class Locators:
     def index_of(self, value: int) -> int | None:
         """Column index carrying this locator value (None if absent)."""
         return self._index.get(value)
+
+    @cached_property
+    def prefix_check(self) -> CheckMatrix:
+        """The locator checksum over alpha's k-prefix, for rows with entries
+        in [0, q): what the suffix digits cancel."""
+        return CheckMatrix([self.alpha[: self.k]], [self.modulus], self.q)
 
     def suffix(self) -> tuple[int, ...]:
         return self.alpha[self.k :]

@@ -15,6 +15,12 @@ Large-alphabet scheme: when some prime p with 2*tau < p <= q exists, each
 row reduced mod p is systematically extended to a zero-checksum word, and
 the decoder works directly on the read vector reduced mod p.
 
+Both program a matrix through `core.encode_matrix` in block products.
+The recursive encoder takes every row's checksums in one product with
+its code's checks, expands them into digit planes (`core.radix_digits`),
+and takes the planes' checksums in one more product; the large-alphabet
+encoder hands the whole block to `berlekamp.systematic_encode`.
+
 Both decode through `core.decode_read`; each syndrome hook is the admitted
 read times one `core.CheckMatrix`.  The large-alphabet matrix is its
 code's checks over the whole read, and `locate` is a zero test, then
@@ -28,7 +34,9 @@ disagree, then the planes' located error, before it locates in the head.
 
 from __future__ import annotations
 
-from .basemath import PrimeField, base_q_digits, ceil_log, digit_planes, is_prime, next_prime
+import numpy as np
+
+from .basemath import PrimeField, base_q_digits, ceil_log, is_prime, next_prime
 from .berlekamp import BerlekampCode, locate_bounded, systematic_encode
 from .core import (
     CheckMatrix,
@@ -36,9 +44,10 @@ from .core import (
     Hits,
     QMatrix,
     ReadVector,
-    check_input,
     decode_read,
+    encode_matrix,
     output_alphabet,
+    radix_digits,
 )
 from .locators import build_locators_basic
 
@@ -95,8 +104,10 @@ class RecursiveScheme:
         if self.ntilde > 0:
             self.ptilde = next_prime(max(2 * self.ntilde + 1, 2 * tau + 1))
             self.mtilde = ceil_log(q, self.ptilde)
+            # fewer plane columns than tau (trimmed, m = 1) leave a code
+            # with no codeword but 0, used only for its checks and locate
             self.tail_checker = BerlekampCode(
-                PrimeField(self.ptilde), tuple(range(1, self.ntilde + 1)), tau
+                PrimeField(self.ptilde), tuple(range(1, self.ntilde + 1)), tau, check_only=True
             )
         else:
             self.ptilde = None
@@ -141,21 +152,25 @@ class RecursiveScheme:
         return rows, moduli
 
     def encode(self, matrix: QMatrix) -> QMatrix:
-        check_input(matrix, self.q, self.n)
-        rows = []
-        for row in matrix.rows:
-            syn = self.checker.syndrome(row)
-            if self.trimmed and syn[0] != 0:
-                raise ValueError(
-                    "trimmed mode needs rows with a zero linear checksum "
-                    "(single-error-encoded input)"
-                )
-            block = digit_planes(syn[self.tau - self.plane_cols :], self.q, self.m)
-            tail: list[int] = []
-            if self.ntilde > 0:
-                tail = digit_planes(self.tail_checker.syndrome(block), self.q, self.mtilde)
-            rows.append(tuple(row) + tuple(block) + tuple(tail) * self.rep)
-        return QMatrix(self.q, tuple(rows))
+        return encode_matrix(self, matrix)
+
+    def encode_array(self, block: np.ndarray) -> np.ndarray:
+        """Each row, its checksums' digit planes, and the planes' own
+        checksum digits repeated: one product per checksum level."""
+        syn = self.checker.check(block)
+        if self.trimmed and syn[:, 0].any():
+            raise ValueError(
+                "trimmed mode needs rows with a zero linear checksum "
+                "(single-error-encoded input)"
+            )
+        q = self.q
+        planes = radix_digits(syn[:, self.tau - self.plane_cols :], [q**j for j in range(self.m)], q)
+        parts = [block, planes]
+        if self.ntilde > 0:
+            # digits may reach q > p~: reduced, they stay inside the check's bound
+            tail_syn = self.tail_checker.check(planes % self.ptilde)
+            parts += [radix_digits(tail_syn, [q**j for j in range(self.mtilde)], q)] * self.rep
+        return np.hstack(parts)
 
     def read_syndromes(self, y: ReadVector) -> tuple[list[int], tuple[int, ...]]:
         """Admit the widened read; its 2*tau syndromes, and its entries."""
@@ -224,12 +239,11 @@ class LargeAlphabetScheme:
         return self.tau
 
     def encode(self, aprime: QMatrix) -> QMatrix:
-        check_input(aprime, self.q, self.k)
-        rows = []
-        for row in aprime.rows:
-            codeword = systematic_encode(self.code, row)
-            rows.append(tuple(row) + tuple(codeword[self.k :]))
-        return QMatrix(self.q, tuple(rows))
+        return encode_matrix(self, aprime)
+
+    def encode_array(self, block: np.ndarray) -> np.ndarray:
+        """Each row, then the tau symbols of its systematic codeword."""
+        return np.hstack((block, systematic_encode(self.code, block)[:, self.k :]))
 
     def read_syndromes(self, y: ReadVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Admit the read; its code syndrome, and its entries."""

@@ -34,8 +34,10 @@ from .core import (
     QMatrix,
     check_locate_input,
     decoded,
+    erasure_indices,
     error_vector,
-    message_symbols,
+    field_symbols,
+    systematic_word,
 )
 from .gfpoly import poly_divmod, poly_eval, poly_mul
 
@@ -228,23 +230,25 @@ class LinearInnerCode:
             raise ValueError("check matrix leaves no message symbols")
         self.check.tail([0] * r)  # refuses a singular tail block now, not at encode
 
-    def encode(self, message: Sequence[int]) -> list[int]:
+    def syndromes(self, values):
+        """The word's syndromes mod p, as `ReedSolomonCode.syndromes`."""
+        return self.check(field_symbols(values, self.length, self.field.p, "word"))
+
+    def encode(self, message):
         """Systematic: the message passes through and `check.tail` fills
-        the r check symbols."""
-        word = message_symbols(message, self.k, self.field.p) + [0] * (self.length - self.k)
-        word[self.k :] = self.check.tail(self.check(word))
-        return word
+        the r check symbols; a block of messages as for the Reed-Solomon
+        code."""
+        return systematic_word(self.check, message, self.k, self.syndromes)
 
     def decode_errors_erasures(
         self, values: Sequence[int], erased: Sequence[int], radius: int
     ) -> list[int] | None:
         """The contract of ReedSolomonCode.decode_errors_erasures:
         `locate_syndromes` on the syndromes of the zero-filled input, as a
-        full error vector (`values` may be an int64 array where
-        `check.vector` holds; the error vector is Python ints)."""
-        syn = self.check(values)  # count the erased symbols as 0
-        erased = check_locate_input(self.check, syn, erased)
-        syn = self.check.less(syn, ((j, int(values[j])) for j in erased))
+        full error vector (`values` may be an integer array; the error
+        vector is Python ints)."""
+        erased = erasure_indices(erased, self.length)
+        syn = self.check.less(self.syndromes(values), ((j, values[j]) for j in erased))
         return error_vector(self.length, self.locate_syndromes(syn, erased, radius))
 
     def locate_syndromes(

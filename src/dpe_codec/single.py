@@ -11,6 +11,11 @@ syndrome's parity counts the errors (odd q directly; even q > 2 after
 swapping digit weights for the odd mixed-radix sequence).  `detect_variant`
 picks and checks the variant here and for the double-error schemes.
 
+Each scheme programs a matrix through `core.encode_matrix`: its
+`encode_array` hook runs `encode_row` on the whole packed block, one
+product for the locator checksums of all rows, and the parity variants
+append their column to the block (`core.parity_extend`).
+
 Each scheme decodes through `core.decode_read`.  Its syndrome hook admits
 the read and multiplies it by the scheme's `core.CheckMatrix` (`checksum`):
 the locator row, and in the parity variant of sec-ded an all-ones row mod
@@ -22,27 +27,24 @@ is the all-ones row mod 2 alone; an odd sum is detected, never located.
 
 from __future__ import annotations
 
-from operator import mul
 from typing import Sequence
 
-from .basemath import base_q_digits, ceil_log, mixed_radix_digits
+import numpy as np
+
+from .basemath import ceil_log
 from .core import (
     CheckMatrix,
     DecodeOutcome,
     Hits,
     QMatrix,
     ReadVector,
-    check_input,
     decode_read,
+    encode_matrix,
     output_alphabet,
     parity_extend,
+    radix_digits,
 )
-from .locators import (
-    SUFFIX_FSEQ,
-    Locators,
-    build_locators_basic,
-    build_locators_ded,
-)
+from .locators import Locators, build_locators_basic, build_locators_ded
 
 VARIANT_PARITY = "parity"
 VARIANT_ODD_Q = "odd_q"
@@ -54,18 +56,26 @@ def redundancy_lower_bound(q: int, n: int) -> int:
     return ceil_log(q, n + 1)
 
 
-def redundancy_digits(residue: int, loc: Locators) -> list[int]:
-    if loc.suffix_kind == SUFFIX_FSEQ:
-        return mixed_radix_digits(residue, loc.suffix_weights(), loc.q)
-    return base_q_digits(residue, loc.q, loc.m)
+def redundancy_digits(residues: np.ndarray, loc: Locators) -> np.ndarray:
+    """One row of the m suffix digits per residue, weighted as the suffix
+    locators: powers of q, or the odd mixed-radix weights."""
+    return radix_digits(residues, loc.suffix_weights(), loc.q)
 
 
-def encode_row(row: Sequence[int], loc: Locators) -> tuple[int, ...]:
-    """Append the digit suffix that zeroes the row's locator checksum."""
-    if len(row) != loc.k:
-        raise ValueError(f"row length {len(row)} != dimension {loc.k}")
-    residue = -sum(map(mul, row, loc.alpha)) % loc.modulus  # over alpha's k-prefix
-    return tuple(row) + tuple(redundancy_digits(residue, loc))
+def encode_row(row: Sequence[int] | np.ndarray, loc: Locators) -> tuple[int, ...] | np.ndarray:
+    """Append the digit suffix that zeroes the row's locator checksum (over
+    alpha's k-prefix, `Locators.prefix_check`).  An l x k integer array of
+    rows (`QMatrix.array`) takes one product for all of them and gives the
+    l x n array; a row of k ints is packed and checked as a one-row
+    `QMatrix` first."""
+    if not isinstance(row, np.ndarray):
+        if len(row) != loc.k:
+            raise ValueError(f"row length {len(row)} != dimension {loc.k}")
+        return tuple(encode_row(QMatrix(loc.q, (tuple(row),)).array, loc)[0].tolist())
+    if row.shape[1] != loc.k:
+        raise ValueError(f"row length {row.shape[1]} != dimension {loc.k}")
+    residues = -loc.prefix_check(row)[:, 0] % loc.modulus
+    return np.hstack((row, redundancy_digits(residues, loc)))
 
 
 def checksum(values: Sequence[int], check: CheckMatrix) -> list[int]:
@@ -123,8 +133,10 @@ class ParityDetectScheme:
         self.vector = self.check.vector
 
     def encode(self, aprime: QMatrix) -> QMatrix:
-        check_input(aprime, self.q, self.k)
-        return QMatrix(self.q, tuple(parity_extend(row) for row in aprime.rows))
+        return encode_matrix(self, aprime)
+
+    def encode_array(self, block: np.ndarray) -> np.ndarray:
+        return parity_extend(block)
 
     def read_syndromes(self, y: ReadVector) -> tuple[list[int], tuple[int, ...]]:
         """Admit the read; its entry sum mod 2, and its entries."""
@@ -153,8 +165,10 @@ class SingleErrorScheme:
         self.vector = self.check.vector
 
     def encode(self, aprime: QMatrix) -> QMatrix:
-        check_input(aprime, self.q, self.k)
-        return QMatrix(self.q, tuple(encode_row(row, self.loc) for row in aprime.rows))
+        return encode_matrix(self, aprime)
+
+    def encode_array(self, block: np.ndarray) -> np.ndarray:
+        return encode_row(block, self.loc)
 
     def read_syndromes(self, y: ReadVector) -> tuple[list[int], tuple[int, ...]]:
         """Admit the read; its locator checksum, and its entries."""
@@ -202,11 +216,11 @@ class SecDedScheme:
         self.vector = self.check.vector
 
     def encode(self, aprime: QMatrix) -> QMatrix:
-        check_input(aprime, self.q, self.k)
-        rows = tuple(encode_row(row, self.loc) for row in aprime.rows)
-        if self.variant == VARIANT_PARITY:
-            rows = tuple(parity_extend(row) for row in rows)
-        return QMatrix(self.q, rows)
+        return encode_matrix(self, aprime)
+
+    def encode_array(self, block: np.ndarray) -> np.ndarray:
+        rows = encode_row(block, self.loc)
+        return parity_extend(rows) if self.variant == VARIANT_PARITY else rows
 
     def read_syndromes(self, y: ReadVector) -> tuple[list[int], tuple[int, ...]]:
         """Admit the read; its checksum (and entry sum mod 2), and entries."""
