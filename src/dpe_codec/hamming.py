@@ -19,9 +19,9 @@ d - 1 check symbols filled from the head's syndromes (`CheckMatrix.tail`),
 one message or a block of them in one product.  `syndromes` admits its
 symbols (`core.field_symbols`): ints only, reduced mod p.
 Any linear code over GF(p) with a `check` matrix, an `encode` that also
-takes an l x k block of messages, and `locate_syndromes` can stand in, such as ``oracles.LinearInnerCode``;
-``oracles`` also holds the support-scan decoder the Reed-Solomon decoder
-is checked against.
+takes an l x k block of messages, and `locate_syndromes` can stand in,
+such as ``oracles.LinearInnerCode``; ``oracles`` also holds the
+support-scan decoder the Reed-Solomon decoder is checked against.
 
 The scheme programs a matrix through `core.encode_matrix`: the inner code
 encodes the whole packed block, and the check symbols become base-q digit

@@ -230,11 +230,11 @@ class LinearInnerCode:
             raise ValueError("check matrix leaves no message symbols")
         self.check.tail([0] * r)  # refuses a singular tail block now, not at encode
 
-    def syndromes(self, values):
+    def syndromes(self, values: Sequence[int]) -> list[int]:
         """The word's syndromes mod p, as `ReedSolomonCode.syndromes`."""
         return self.check(field_symbols(values, self.length, self.field.p, "word"))
 
-    def encode(self, message):
+    def encode(self, message: Sequence[int]) -> list[int]:
         """Systematic: the message passes through and `check.tail` fills
         the r check symbols; a block of messages as for the Reed-Solomon
         code."""

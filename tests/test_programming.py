@@ -244,6 +244,26 @@ class TestEncodersAgreeWithTheirRows:
         assert scheme.decode(api.ReadVector.exact(clean)).prefix == tuple(clean[: scheme.k])
 
 
+    @pytest.mark.parametrize("build", [
+        lambda: api.SingleErrorScheme(HUGE_PRIME, 20, 2),
+        lambda: api.SecDedScheme(HUGE_PRIME + 1, 20, 2),  # even q: mixed radix
+        lambda: api.TripleDetectScheme(HUGE_PRIME + 1, 31, 2),
+        lambda: api.RecursiveScheme(HUGE_PRIME, 2, 2, 31),
+        lambda: api.HammingScheme(HUGE_PRIME, 2, 6, 1, theta=3),
+        lambda: api.ParityDetectScheme(HUGE_PRIME, 5, 2),
+    ])
+    def test_every_level_past_int64(self, build):
+        # digits, checksums and output all stay Python ints; a clean product
+        # decodes to its prefix
+        scheme = build()
+        rows = _rows(random.Random(8), scheme.q, 2, scheme.k)
+        encoded = scheme.encode(QMatrix(scheme.q, rows))
+        assert encoded.array.dtype == object
+        assert tuple(row[: scheme.k] for row in encoded.rows) == rows
+        clean = api.compute_clean([1, 1], encoded)
+        assert scheme.decode(api.ReadVector.exact(clean)).prefix == tuple(clean[: scheme.k])
+
+
 class TestInnerCodeSymbols:
     RS = api.ReedSolomonCode(api.PrimeField(7), 6, 2)
 
