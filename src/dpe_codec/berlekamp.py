@@ -22,26 +22,40 @@ others, so a single error (a linear locator) needs no scan.  The
 exhaustive decoder, the ground truth these are checked against, lives in
 `oracles`.
 
-A code holds its checks as one `core.CheckMatrix`
-(`BerlekampCode.check`), built for the alphabet of the vectors it checks.
-A scheme passes its read alphabet; the large-alphabet scheme's reads take
-the int64 kernel where that matrix decides so, and the recursive scheme
-folds its codes' checks into one matrix of its own.  `syndrome`
-multiplies either form.  `systematic_encode` fills a codeword's tau
-redundancy symbols from its head's syndromes (`CheckMatrix.tail`), for one
-message or for a block of them in one product.
+A code is built as whole arrays: its locators reduced mod p at once and
+tested on a sorted copy, its power columns one running product (beta,
+then times beta^2 mod p), int64 while p^2 < 2^63, else Python ints.  What
+the decoders touch (`beta`, the value index, `power_cols`) is Python ints.
+The checks form one `core.CheckMatrix` (`BerlekampCode.check`), built on
+first use for the alphabet of the vectors it checks: the double-error
+schemes' pair code, which only the closed form decodes, never builds it.
+The large-alphabet scheme's reads multiply it directly, in the int64
+kernel where it decides so, and the recursive scheme folds its codes'
+checks into one matrix of its own.  `syndrome` admits a word of ints or
+an integer array (`core.field_symbols`) and multiplies it.
+`systematic_encode` fills a codeword's tau redundancy symbols from its
+head's syndromes (`CheckMatrix.tail`), for one message or for a block of
+them in one product.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import mul
+from operator import countOf, mul
 from typing import Sequence
 
 import numpy as np
 
 from .basemath import PrimeField, gfp_inv, gfp_quadratic_roots
-from .core import CheckMatrix, Hits, error_vector, systematic_word
+from .core import (
+    INT64_BOUND,
+    CheckMatrix,
+    Hits,
+    error_vector,
+    field_symbols,
+    int_dtype,
+    systematic_word,
+)
 from .gfpoly import inverses, poly_roots, poly_trim, solve_key_equation
 # decode_exhaustive stays bound here: bench/tracing.py traces it under this module.
 from .oracles import decode_exhaustive
@@ -50,17 +64,20 @@ from .oracles import decode_exhaustive
 class BerlekampCode:
     """Check-matrix data for one code instance.
 
-    Locators are ints in [1, p), and `check` holds the checks for vectors
-    with entries in [0, bound) (by default field elements, bound p); a
-    scheme passes its read alphabet.  A budget tau above the length n
-    leaves no codeword but 0 and is refused, unless the code serves only
-    for its checks and locate step (`check_only`).
+    Locators are ints, a sequence or an integer array, taken mod p; with
+    `validate` they must be nonzero, distinct and pairwise non-negating,
+    and a refusal names the first locator, in order, whose negation is
+    another.  `check` holds the checks for vectors with entries in
+    [0, bound) (by default field elements, bound p; a scheme passes its
+    read alphabet).  A budget tau above the length n leaves no codeword but
+    0 and is refused, unless the code serves only for its checks and locate
+    step (`check_only`).
     """
 
     def __init__(
         self,
         field: PrimeField,
-        beta: Sequence[int],
+        beta: Sequence[int] | np.ndarray,
         tau: int,
         validate: bool = True,
         bound: int | None = None,
@@ -77,26 +94,48 @@ class BerlekampCode:
             raise ValueError("code length must be >= 1")
         if tau > self.n and not check_only:
             raise ValueError(f"error budget {tau} exceeds the code length {self.n}")
-        if not all(type(b) is int for b in beta):
+        if isinstance(beta, np.ndarray) and beta.dtype != object:
+            integers = beta.dtype.kind in "iu"  # the dtype stands for the type test
+            fits = beta.dtype != np.uint64
+        else:
+            integers = countOf(map(type, beta), int) == self.n
+            fits = integers and -INT64_BOUND <= min(beta) and max(beta) < INT64_BOUND
+        if not integers:
             raise ValueError("locators must be integers")
         p = field.p
-        self.beta = tuple(b % p for b in beta)
+        self._bound = p if bound is None else bound
+        # the residues in int64 while a product of two fits (p^2 < 2^63)
+        self._dtype = int_dtype(p * p)
+        beta = np.asarray(beta, self._dtype if fits else object) % p
+        self._beta = beta.astype(self._dtype, copy=False)
         if validate:
-            if len(set(self.beta)) != self.n or 0 in self.beta:
-                raise ValueError("locators must be nonzero and distinct")
-            values = set(self.beta)
-            for b in self.beta:
-                if (p - b) % p in values:
-                    raise ValueError(f"locators {b} and {p - b} negate each other")
-        # power_cols[v][j] = beta_j ** (2v+1) mod p
-        self.power_cols = [
-            tuple(pow(b, 2 * v + 1, p) for b in self.beta) for v in range(tau)
-        ]
-        self._index = {b: j for j, b in enumerate(self.beta)}
+            refusal = _locator_refusal(self._beta, p)
+            if refusal:
+                raise ValueError(refusal)
+        self.beta = tuple(self._beta.tolist())
+        self._index = dict(zip(self.beta, range(self.n)))
         # Newton's recursion in the key-equation decoder multiplies by
         # -2/m for m = 1 .. 2tau-1.
         self._newton = [-2 * v % p for v in inverses(range(1, 2 * tau), p)]
-        self.check = CheckMatrix(self.power_cols, (p,) * tau, p if bound is None else bound)
+
+    @cached_property
+    def check(self) -> CheckMatrix:
+        """The tau odd-power checks for vectors with entries in [0, bound):
+        row v holds beta_j^(2v+1) mod p, one running product over the
+        locators (beta, then times beta^2).  Built on first use, so a code
+        that only the closed form decodes never builds it."""
+        p = self.field.p
+        powers = np.empty((self.tau, self.n), self._dtype)
+        powers[0] = self._beta
+        square = self._beta * self._beta % p
+        for v in range(1, self.tau):
+            powers[v] = powers[v - 1] * square % p
+        return CheckMatrix(powers, (p,) * self.tau, self._bound)
+
+    @cached_property
+    def power_cols(self) -> list[tuple[int, ...]]:
+        """power_cols[v][j] = beta_j^(2v+1) mod p, Python ints."""
+        return list(self.check.rows)
 
     @cached_property
     def _scan(self) -> tuple[tuple[int, int, int], ...]:
@@ -119,15 +158,32 @@ class BerlekampCode:
     def locator_index(self, value: int) -> int | None:
         return self._index.get(value % self.field.p)
 
-    def syndrome(self, y: Sequence[int]) -> tuple:
-        """Components (s_1, s_2, ..) of y against the odd-power checks; y
-        may be an int64 array where `check.vector` holds."""
-        if len(y) != self.n:
-            raise ValueError(f"vector length {len(y)} != code length {self.n}")
-        return tuple(self.check(y))
+    def syndrome(self, y: Sequence[int] | np.ndarray) -> tuple | np.ndarray:
+        """Components (s_1, s_2, ..) of a word of n ints (a bool is not one)
+        or an integer array against the odd-power checks; an l x n array
+        gives the l x tau array of its words' components.  The word is
+        admitted and reduced mod p by `core.field_symbols`."""
+        syn = self.check(field_symbols(y, self.n, self.field.p, "word"))
+        return syn if isinstance(syn, np.ndarray) else tuple(syn)
 
     def zero_syndrome(self) -> tuple:
         return (0,) * self.tau
+
+
+def _locator_refusal(beta: np.ndarray, p: int) -> str | None:
+    """Why locators reduced mod p fail to be nonzero, distinct and pairwise
+    non-negating, from sorted copies; None if they pass.  A negating pair
+    is named by the first locator, in order, whose negation is another."""
+    ordered = np.sort(beta)
+    if ordered[0] == 0 or (ordered[1:] == ordered[:-1]).any():
+        return "locators must be nonzero and distinct"
+    negated = p - beta
+    at = np.minimum(np.searchsorted(ordered, negated), len(beta) - 1)
+    hit = np.flatnonzero(ordered[at] == negated)
+    if len(hit):
+        b = int(beta[hit[0]])
+        return f"locators {b} and {p - b} negate each other"
+    return None
 
 
 def _unit_error(code: BerlekampCode, x: int) -> tuple[int, int] | None:
@@ -332,5 +388,6 @@ def systematic_encode(code: BerlekampCode, message: Sequence[int] | np.ndarray):
     codeword, reduced mod p: the tau redundancy symbols fill the tail
     (`CheckMatrix.tail`), which raises ValueError where the last tau
     locators give a singular block.  An l x (n - tau) integer array of
-    messages gives the l x n array of codewords (`core.systematic_word`)."""
-    return systematic_word(code.check, message, code.dimension)
+    messages gives the l x n array of codewords (`core.systematic_word`,
+    with the head's components from `BerlekampCode.syndrome`)."""
+    return systematic_word(code.check, message, code.dimension, code.syndrome)

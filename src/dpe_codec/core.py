@@ -78,6 +78,13 @@ class CheckMatrix:
     """Check rows, each reduced by its modulus, for vectors with entries in
     [0, bound).
 
+    `rows` is a 2-D integer array, int64 or an object array of Python ints
+    (any other sequence of rows is read as an object array); it is reduced
+    once by the moduli into `array`, read-only: int64 where every modulus
+    fits, else Python ints.  The attribute `rows` holds the same residues
+    as tuples of Python ints, from one `tolist` on first use: a check whose
+    reads all take the kernel never needs them.
+
     `vector` is the kernel decision for one read (`kernel_fits` for the row
     length, the bound, the largest modulus and the row count).  A call
     gives each row's syndrome as a Python int, for a uint8 or int64 array
@@ -90,15 +97,27 @@ class CheckMatrix:
     Python ints; the result is int64 where the moduli fit, else Python ints
     (an object array)."""
 
-    def __init__(self, rows: Iterable[Sequence[int]], moduli: Sequence[int], bound: int):
+    def __init__(
+        self, rows: np.ndarray | Sequence[Sequence[int]], moduli: Sequence[int], bound: int
+    ):
         self.moduli = tuple(moduli)
-        self.rows = tuple(tuple(x % m for x in row) for row, m in zip(rows, self.moduli))
-        self.n = len(self.rows[0])
-        self.vector = kernel_fits(self.n, bound, max(self.moduli), len(self.rows))
-        self._wide = self.n * (bound - 1) * (max(self.moduli) - 1) >= INT64_BOUND
+        top = max(self.moduli)
+        array = rows if isinstance(rows, np.ndarray) else np.array(rows, object)
+        array = array % np.array(self.moduli, int_dtype(top + 1))[:, None]
+        if array.dtype == object and top <= INT64_BOUND:
+            array = array.astype(np.int64)
+        array.flags.writeable = False
+        self.array = array
+        self.n = array.shape[1]
+        self.vector = kernel_fits(self.n, bound, top, len(self.moduli))
+        self._wide = self.n * (bound - 1) * (top - 1) >= INT64_BOUND
         if not self._wide:
-            self._matrix = np.array(self.rows, np.int64).T
+            self._matrix = array.T
             self._moduli = np.array(self.moduli, np.int64)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.array.tolist()))
 
     def __call__(self, values: Sequence[int] | np.ndarray) -> list[int] | np.ndarray:
         if isinstance(values, np.ndarray):
@@ -120,7 +139,7 @@ class CheckMatrix:
             raise ValueError(f"need {self.n} entries, got {values.shape[1]}")
         if self._wide:
             rows = [self(row) for row in values.tolist()]
-            return _int_array(rows, max(self.moduli)).reshape(len(values), len(self.rows))
+            return _int_array(rows, max(self.moduli)).reshape(len(values), len(self.moduli))
         return (values @ self._matrix) % self._moduli
 
     def less(self, syn: Sequence[int], errors: Iterable[tuple[int, int]]) -> list[int]:
@@ -144,7 +163,7 @@ class CheckMatrix:
         Raises ValueError where T is singular."""
         p = self.moduli[0]
         if isinstance(syn, np.ndarray) and syn.ndim == 2:
-            if len(self.rows) * (p - 1) ** 2 < INT64_BOUND:
+            if len(self.moduli) * (p - 1) ** 2 < INT64_BOUND:
                 return -(syn @ self._tail_matrix) % p
             return _int_array([self.tail(row) for row in syn.tolist()], p).reshape(syn.shape)
         return [-sum(map(operator.mul, row, syn)) % p for row in self._tail_inverse]
@@ -152,8 +171,8 @@ class CheckMatrix:
     @cached_property
     def _tail_inverse(self) -> list[tuple[int, ...]]:
         """The rows of T^-1 mod p, from one `gfp_solve` per unit vector."""
-        r, p = len(self.rows), self.moduli[0]
-        block = [row[self.n - r :] for row in self.rows]
+        r, p = len(self.moduli), self.moduli[0]
+        block = self.array[:, self.n - r :].tolist()
         columns = [gfp_solve(block, [int(i == c) for i in range(r)], p) for c in range(r)]
         if None in columns:
             raise ValueError("check matrix tail is singular; reorder columns")
@@ -166,10 +185,17 @@ class CheckMatrix:
         return np.array(self._tail_inverse, np.int64).T
 
 
+def int_dtype(bound: int):
+    """The dtype of an array whose entries, and every intermediate taken
+    from them, lie in (-bound, bound): int64 where bound <= 2^63, else
+    object, which keeps them Python ints."""
+    return np.int64 if bound <= INT64_BOUND else object
+
+
 def _int_array(rows: list, bound: int) -> np.ndarray:
     """Rows of Python ints in [0, bound) as an array: int64 where bound fits,
     else an object array that keeps them Python ints."""
-    return np.array(rows, np.int64 if bound <= INT64_BOUND else object)
+    return np.array(rows, int_dtype(bound))
 
 
 def _storage(q: int):
@@ -483,8 +509,8 @@ def check_locate_input(check: CheckMatrix, syn: Sequence[int], erased: Iterable[
     without one entry per row of its `check`, and an erased index that is
     not an int in [0, check.n).  Returns the erased indices, sorted and
     distinct."""
-    if len(syn) != len(check.rows):
-        raise ValueError(f"need {len(check.rows)} syndromes, got {len(syn)}")
+    if len(syn) != len(check.moduli):
+        raise ValueError(f"need {len(check.moduli)} syndromes, got {len(syn)}")
     return erasure_indices(erased, check.n)
 
 

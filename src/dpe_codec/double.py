@@ -47,6 +47,7 @@ from .core import (
     decode_read,
     decoded,
     encode_matrix,
+    int_dtype,
     output_alphabet,
     parity_extend,
 )
@@ -86,12 +87,12 @@ def _pair_code(loc: Locators, p: int) -> tuple[BerlekampCode, list[int]]:
     suffix-ambiguity opt-in) are excluded: their errors are invisible to
     the mod-p syndrome and sit in redundancy columns.
     """
-    positions = [j for j in range(loc.n) if loc.alpha[j] % p != 0]
-    beta = [loc.alpha[j] % p for j in positions]
+    residues = loc.array % p
+    positions = np.flatnonzero(residues)
     code = BerlekampCode(
-        PrimeField(p), beta, tau=2, validate=not loc.allow_suffix_ambiguity
+        PrimeField(p), residues[positions], tau=2, validate=not loc.allow_suffix_ambiguity
     )
-    return code, positions
+    return code, positions.tolist()
 
 
 def cubes_digits(inner: np.ndarray, check: CheckMatrix, loc: Locators) -> np.ndarray:
@@ -104,15 +105,18 @@ def cubes_digits(inner: np.ndarray, check: CheckMatrix, loc: Locators) -> np.nda
     return redundancy_digits(check(word)[:, 1], loc)
 
 
-def checksum_rows(loc: Locators, n1: int, weights: Sequence[int], n: int) -> list[list[int]]:
-    """The linear and cubed checksum rows over a read of length n: locators
-    on the n1-prefix, and the cubed row's digit weights negated after it."""
-    alpha = loc.alpha[:n1]
-    pad = [0] * (n - n1 - len(weights))
-    return [
-        list(alpha) + [0] * (n - n1),
-        [a**3 for a in alpha] + [-w for w in weights] + pad,
-    ]
+def checksum_rows(loc: Locators, n1: int, weights: Sequence[int], n: int) -> np.ndarray:
+    """The linear and cubed checksum rows over a read of length n, as a
+    2 x n array: locators on the n1-prefix, and their cubes modulo the
+    locators' modulus M (a * a mod M * a mod M, int64 while M^2 fits) with
+    the cubed row's digit weights negated after them."""
+    modulus = loc.modulus
+    alpha = loc.array[:n1].astype(int_dtype(modulus * modulus))
+    rows = np.zeros((2, n), alpha.dtype)
+    rows[0, :n1] = alpha
+    rows[1, :n1] = alpha * alpha % modulus * alpha % modulus
+    rows[1, n1 : n1 + len(weights)] = [-w for w in weights]
+    return rows
 
 
 def pair_hits(code: BerlekampCode, positions: list[int], syn: tuple[int, int]) -> Hits | None:
@@ -140,9 +144,10 @@ class DoubleErrorScheme:
         self.q_out = output_alphabet(q, ell)
         self.ber, self.ber_positions = _pair_code(self.loc, p)
         digits = [self.q**j for j in range(self.m)]
-        parity = [0] * self.n1 + [1] * (self.m + 1)
-        rows = checksum_rows(self.loc, self.n1, digits, self.n) + [parity]
-        self.check = CheckMatrix(rows, (p, p, 2), self.q_out)
+        rows = checksum_rows(self.loc, self.n1, digits, self.n)
+        parity = np.zeros((1, self.n), rows.dtype)  # over the digit block and its parity
+        parity[0, self.n1 :] = 1
+        self.check = CheckMatrix(np.vstack((rows, parity)), (p, p, 2), self.q_out)
         self.vector = self.check.vector
 
     def encode(self, aprime: QMatrix) -> QMatrix:
@@ -199,7 +204,8 @@ class TripleDetectScheme:
             # the base scheme's rows widened by the parity column, and the
             # total parity as an all-ones row
             base = self.base.check
-            rows = [row + (0,) for row in base.rows] + [(1,) * self.n]
+            rows = np.pad(base.array, ((0, 1), (0, 1)))
+            rows[-1] = 1
             self.check = CheckMatrix(rows, base.moduli + (2,), self.q_out)
         else:
             _check_prime(q, p)

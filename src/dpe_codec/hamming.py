@@ -17,7 +17,10 @@ inverses until one point is left to read off their sum; it returns sparse
 hits (`core.Hits`, values mod p).  The code encodes systematically, its
 d - 1 check symbols filled from the head's syndromes (`CheckMatrix.tail`),
 one message or a block of them in one product.  `syndromes` admits its
-symbols (`core.field_symbols`): ints only, reduced mod p.
+symbols (`core.field_symbols`): ints only, reduced mod p.  The code is
+built as whole arrays: its points tested distinct and in range on a sorted
+copy, and its check rows as one running product of the points (int64
+while p^2 < 2^63, else Python ints).
 Any linear code over GF(p) with a `check` matrix, an `encode` that also
 takes an l x k block of messages, and `locate_syndromes` can stand in,
 such as ``oracles.LinearInnerCode``; ``oracles`` also holds the
@@ -30,7 +33,8 @@ planes (`core.radix_digits`).
 The scheme decodes through `core.decode_read`.  The packing map is linear
 mod p, so its syndrome hook is one product with the scheme's
 `core.CheckMatrix`: the inner check rows folded over the n read columns (a
-digit column weighs its symbol's inner column by q^j mod p), built for
+digit column weighs its symbol's inner column by q^j mod p), in one array
+product of the digit weights and the inner check array, built for
 entries in [0, p).  An admitted array read lies in [0, Q) and is reduced
 mod p first when Q > p, so the product stays exact.  The hook admits
 erasures within the budget and sets erased entries to 0, both for the
@@ -43,6 +47,7 @@ the reference the fold is tested against.
 
 from __future__ import annotations
 
+import operator
 from itertools import compress
 from typing import Sequence
 
@@ -51,6 +56,7 @@ import numpy as np
 # gfp_solve stays bound here: bench/tracing.py traces it under this module.
 from .basemath import PrimeField, ceil_log, gfp_solve, is_prime, signed_value
 from .core import (
+    INT64_BOUND,
     CheckMatrix,
     DecodeOutcome,
     Hits,
@@ -62,6 +68,7 @@ from .core import (
     erasure_indices,
     error_vector,
     field_symbols,
+    int_dtype,
     output_alphabet,
     radix_digits,
     systematic_word,
@@ -84,18 +91,24 @@ class ReedSolomonCode:
         self.k = k
         self.d = length - k + 1
         self.gamma = tuple(points) if points is not None else tuple(range(1, length + 1))
-        if not all(type(g) is int for g in self.gamma):
+        if operator.countOf(map(type, self.gamma), int) != len(self.gamma):
             raise ValueError("points must be integers")
-        if len(self.gamma) != length or len(set(self.gamma)) != length:
-            raise ValueError("points must be distinct")
-        if any(not 0 < g < field.p for g in self.gamma):
-            raise ValueError("points must be nonzero field elements")
         p = field.p
-        self._powers = [
-            tuple(pow(g, v + 1, p) for g in self.gamma) for v in range(self.d - 1)
-        ]
-        self._position = {g: j for j, g in enumerate(self.gamma)}
-        self.check = CheckMatrix(self._powers, (p,) * (self.d - 1), p)
+        dtype = int_dtype(p * p)  # a product of two residues
+        low, high = min(self.gamma, default=0), max(self.gamma, default=0)
+        gamma = np.array(self.gamma, dtype if -INT64_BOUND <= low <= high < INT64_BOUND else object)
+        ordered = np.sort(gamma)
+        if len(gamma) != length or (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("points must be distinct")
+        if not (0 < ordered[0] and ordered[-1] < p):
+            raise ValueError("points must be nonzero field elements")
+        # row v holds gamma_j^(v+1) mod p: one running product
+        powers = np.empty((self.d - 1, length), dtype)
+        powers[0] = gamma
+        for v in range(1, self.d - 1):
+            powers[v] = powers[v - 1] * gamma % p
+        self._position = dict(zip(self.gamma, range(length)))
+        self.check = CheckMatrix(powers, (p,) * (self.d - 1), p)
         # 1/gamma_j: the scan's points and Forney's
         self._inverse_points = inverses(self.gamma, p)
 
@@ -331,16 +344,16 @@ class HammingScheme:
 
     # -- the packing map ----------------------------------------------------
 
-    def _check_rows(self) -> list[tuple[int, ...]]:
+    def _check_rows(self) -> np.ndarray:
         """The inner checks folded through the packing map, one row over the
         n read columns per inner check row: data column j keeps inner column
         j, and digit column k + b + j*block weighs inner column k + b by
         q^j mod p."""
-        k, block = self.k, self.ntilde - self.k
-        return [
-            row[:k] + tuple(w * row[k + b] for w in self._digit_weights for b in range(block))
-            for row in self.inner.check.rows
-        ]
+        k, checks = self.k, self.inner.check.array
+        dtype = int_dtype(self.p * self.p)  # a weight times a residue
+        weights = np.array(self._digit_weights, dtype)[:, None]
+        digits = weights * checks[:, None, k:].astype(dtype)  # check row x plane x block
+        return np.hstack((checks[:, :k].astype(dtype), digits.reshape(len(checks), -1)))
 
     def _erased_symbols(self, erased: Sequence[bool]) -> set[int]:
         """The packed symbols that the flagged columns feed: a data column

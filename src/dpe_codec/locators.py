@@ -16,16 +16,25 @@ Some (q, n) combinations force a sum-to-M collision *inside the suffix*
 Such collisions only ever confuse error locations within the redundancy
 suffix, never the data prefix, so builders accept them behind the explicit
 ``allow_suffix_ambiguity`` opt-in and validation records them as notes.
+
+Construction is array-native: each builder picks its prefix with one mask
+over the candidate values, and validation tests every entry in one
+vectorised pass over a value table of size M, walking the entries one by
+one only to name the first violation.  `Locators.alpha` and the value
+index stay Python ints.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 from .basemath import ceil_log, jacobsthal_weight, jacobsthal_weights
-from .core import CheckMatrix
+from .core import CheckMatrix, int_dtype
 
 SUFFIX_POWERS = "powers_of_q"
 SUFFIX_FSEQ = "f_sequence"
@@ -47,7 +56,7 @@ class Locators:
             raise ValueError(f"alpha has length {len(self.alpha)}, expected {self.n}")
         if not 1 <= self.m < self.n:
             raise ValueError(f"need 1 <= m < n, got m={self.m}, n={self.n}")
-        object.__setattr__(self, "_index", {v: j for j, v in enumerate(self.alpha)})
+        object.__setattr__(self, "_index", dict(zip(self.alpha, range(self.n))))
 
     @property
     def k(self) -> int:
@@ -58,10 +67,18 @@ class Locators:
         return self._index.get(value)
 
     @cached_property
+    def array(self) -> np.ndarray:
+        """alpha as a read-only array: int64 where the modulus fits, else
+        Python ints.  Raises OverflowError for an entry outside int64."""
+        array = np.fromiter(self.alpha, int_dtype(self.modulus), self.n)
+        array.flags.writeable = False
+        return array
+
+    @cached_property
     def prefix_check(self) -> CheckMatrix:
         """The locator checksum over alpha's k-prefix, for rows with entries
         in [0, q): what the suffix digits cancel."""
-        return CheckMatrix([self.alpha[: self.k]], [self.modulus], self.q)
+        return CheckMatrix(self.array[None, : self.k], [self.modulus], self.q)
 
     def suffix(self) -> tuple[int, ...]:
         return self.alpha[self.k :]
@@ -153,12 +170,15 @@ def ded_redundancy(q: int, n: int) -> int:
 def validate_locators(loc: Locators) -> ValidationReport:
     """Check every locator constraint; report the first violation.
 
-    Range, parity and distinctness are checked entry by entry, then the
-    suffix weights.  Distinct entries give each entry at most one partner
-    summing to the modulus, so the sum test is one pass: entry i looks its
-    partner modulus - alpha[i] up in the locators' value index, and a
-    partner at j >= i (j == i for modulus/2) is the pair (i, j).  Pairs are
-    thus met in the order (i, j) of a scan over all i <= j.
+    One vectorised pass tests the entries: ints (a bool is not one), in
+    (0, modulus), odd under 4n+2, and distinct, from a table of size modulus
+    that maps each value to an index holding it.  Only a vector that
+    fails it is walked entry by entry, for the first violation in index
+    order.  The suffix weights come next.  Distinct entries give each entry
+    at most one partner summing to the modulus, so the sum test is one
+    lookup of modulus - alpha in the same table: a partner at j >= i
+    (j == i for modulus/2) is the pair (i, j), and the pairs are read in
+    the order (i, j) of a scan over all i <= j.
 
     Suffix-confined sum collisions are accepted (and noted) only when the
     vector was built with allow_suffix_ambiguity.
@@ -168,34 +188,27 @@ def validate_locators(loc: Locators) -> ValidationReport:
     if not primed and modulus != 2 * loc.n + 1:
         return ValidationReport(False, f"modulus {modulus} matches neither 2n+1 nor 4n+2")
 
-    seen: set[int] = set()
-    for j, v in enumerate(loc.alpha):
-        if not 0 < v < modulus:
-            return ValidationReport(False, f"entry {v} at index {j} is outside (0, {modulus})")
-        if v in seen:
-            return ValidationReport(False, f"duplicate entry {v}")
-        if primed and v % 2 == 0:
-            return ValidationReport(False, f"entry {v} at index {j} is even")
-        seen.add(v)
+    alpha = loc.alpha
+    index = _value_index(loc, primed)
+    if index is None:
+        return ValidationReport(False, _first_entry_violation(alpha, modulus, primed))
 
     weights = loc.suffix_weights()
     for j in range(loc.m):
-        if loc.alpha[loc.k + j] != weights[j]:
+        if alpha[loc.k + j] != weights[j]:
             return ValidationReport(
                 False,
-                f"suffix entry at index {loc.k + j} is {loc.alpha[loc.k + j]}, "
+                f"suffix entry at index {loc.k + j} is {alpha[loc.k + j]}, "
                 f"expected weight {weights[j]}",
             )
 
     notes = []
-    index = loc._index
-    for i, v in enumerate(loc.alpha):
+    partners = index[modulus - loc.array]
+    for i in np.flatnonzero(partners >= np.arange(loc.n)).tolist():
+        v = alpha[i]
         w = modulus - v
-        j = index.get(w)
-        if j is None or j < i:
-            continue
         if i >= loc.k and loc.allow_suffix_ambiguity:  # j >= i is in the suffix too
-            if i == j:
+            if partners[i] == i:
                 notes.append(f"suffix entry {v} equals modulus/2")
             else:
                 notes.append(f"suffix entries {v} + {w} sum to the modulus")
@@ -204,13 +217,52 @@ def validate_locators(loc: Locators) -> ValidationReport:
     return ValidationReport(True, None, tuple(notes))
 
 
+def _value_index(loc: Locators, primed: bool) -> np.ndarray | None:
+    """The table over [0, modulus) of the index holding each value (-1 for
+    none), or None unless every entry is an int in (0, modulus), distinct,
+    and odd when `primed`."""
+    modulus = loc.modulus
+    if operator.countOf(map(type, loc.alpha), int) != loc.n:
+        return None
+    try:
+        values = loc.array
+    except OverflowError:  # an entry outside int64, so outside (0, modulus)
+        return None
+    if values.min() <= 0 or values.max() >= modulus:
+        return None
+    positions = np.arange(loc.n)
+    index = np.full(modulus, -1, np.int64)
+    index[values] = positions  # a repeated value keeps one index: the others miss it
+    if not (index[values] == positions).all() or primed and (values % 2 == 0).any():
+        return None
+    return index
+
+
+def _first_entry_violation(alpha: Sequence[int], modulus: int, primed: bool) -> str:
+    """The first entry, in index order, that is not an int, lies outside
+    (0, modulus), repeats an earlier one or (under 4n+2) is even."""
+    seen: set[int] = set()
+    for j, v in enumerate(alpha):
+        if type(v) is not int:
+            return f"entry {v!r} at index {j} is not an integer"
+        if not 0 < v < modulus:
+            return f"entry {v} at index {j} is outside (0, {modulus})"
+        if v in seen:
+            return f"duplicate entry {v}"
+        if primed and v % 2 == 0:
+            return f"entry {v} at index {j} is even"
+        seen.add(v)
+    raise AssertionError("no entry to refuse")
+
+
 def build_locators_basic(q: int, n: int, allow_suffix_ambiguity: bool = False) -> Locators:
     """Locators for the single-error scheme: modulus 2n+1, suffix (1, q, ...).
 
     Uses {1..n} when q^(m-1) <= n; otherwise swaps q^(m-1) in for the one
     value whose sum with it would hit 2n+1.  When that value is itself a
     suffix weight the swap is impossible; the largest non-suffix value is
-    dropped instead, leaving a suffix-confined collision (opt-in).
+    dropped instead, leaving a suffix-confined collision (opt-in).  The
+    prefix is one mask over 1..n.
     """
     if q < 2:
         raise ValueError(f"alphabet size must be >= 2, got {q}")
@@ -220,23 +272,20 @@ def build_locators_basic(q: int, n: int, allow_suffix_ambiguity: bool = False) -
     modulus = 2 * n + 1
     suffix = [q**j for j in range(m)]
     top = suffix[-1]
-    if top <= n:
-        entries = set(range(1, n + 1))
-    else:
-        partner = modulus - top
-        entries = set(range(1, n + 1))
-        if partner in suffix:
+    # one mask over 1..n: the prefix is every value that is not a weight
+    keep = np.ones(n, bool)
+    keep[[s - 1 for s in suffix if s <= n]] = False
+    if top > n:
+        drop = modulus - top  # top's partner
+        if drop in suffix:
             if not allow_suffix_ambiguity:
                 raise ValueError(
-                    f"digit weights {partner} and {top} sum to {modulus}; no strictly "
+                    f"digit weights {drop} and {top} sum to {modulus}; no strictly "
                     "valid locators exist (retry with allow_suffix_ambiguity=True)"
                 )
-            drop = max(v for v in entries if v not in suffix)
-            entries.discard(drop)
-        else:
-            entries.discard(partner)
-        entries.add(top)
-    prefix = sorted(entries - set(suffix))
+            drop = np.flatnonzero(keep)[-1] + 1  # the largest value that is not a weight
+        keep[drop - 1] = False
+    prefix = (np.flatnonzero(keep) + 1).tolist()
     loc = Locators(
         q=q,
         n=n,
@@ -257,8 +306,11 @@ def build_locators_ded(q: int, n: int, allow_suffix_ambiguity: bool = False) -> 
 
     The suffix is (1, q, ..) for odd q and the odd mixed-radix weights for
     even q > 2; the prefix takes the smallest admissible odd values in
-    ascending order.  For q = 2 there is no odd-locator trick and the basic
-    construction (plus a scheme-level parity column) is returned instead.
+    ascending order, by one mask over the odd values below 2n+1: all of
+    them but the digit weights and their partners.  No admissible value
+    lies above 2n+1, since its partner below is taken or excluded.  For
+    q = 2 there is no odd-locator trick and the basic construction (plus a
+    scheme-level parity column) is returned instead.
     """
     if q < 2:
         raise ValueError(f"alphabet size must be >= 2, got {q}")
@@ -274,7 +326,7 @@ def build_locators_ded(q: int, n: int, allow_suffix_ambiguity: bool = False) -> 
         suffix = jacobsthal_weights(q, m)
 
     half = modulus // 2  # = 2n+1, its own sum partner
-    banned = {modulus - s for s in suffix}
+    banned = [modulus - s for s in suffix]
     suffix_self_collisions = [s for s in suffix if s == half]
     suffix_pair_collisions = [s for s in suffix if modulus - s in suffix and s != half]
     if (suffix_self_collisions or suffix_pair_collisions) and not allow_suffix_ambiguity:
@@ -284,19 +336,17 @@ def build_locators_ded(q: int, n: int, allow_suffix_ambiguity: bool = False) -> 
             "valid locators exist (retry with allow_suffix_ambiguity=True)"
         )
 
-    prefix: list[int] = []
-    used = set(suffix)
-    candidate = 1
-    while len(prefix) < n - m and candidate < modulus:
-        if candidate not in used and candidate not in banned and candidate != half:
-            prefix.append(candidate)
-            used.add(candidate)
-            banned.add(modulus - candidate)
-        candidate += 2
-    if len(prefix) < n - m:
+    # Below half, an odd value is admissible unless it is a suffix weight or
+    # a weight's partner; picking it bans only its partner, above half.
+    # Nothing above half is ever admissible: its partner below was picked,
+    # or is a weight (banning it) or a weight's partner (making it a weight).
+    odd = np.arange(1, half, 2)
+    admissible = odd[~np.isin(odd, suffix + banned)]
+    if len(admissible) < n - m:
         raise ValueError(
-            f"only {len(prefix)} admissible odd locators below {modulus}, need {n - m}"
+            f"only {len(admissible)} admissible odd locators below {modulus}, need {n - m}"
         )
+    prefix = admissible[: n - m].tolist()
     loc = Locators(
         q=q,
         n=n,

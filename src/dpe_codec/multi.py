@@ -46,6 +46,7 @@ from .core import (
     ReadVector,
     decode_read,
     encode_matrix,
+    int_dtype,
     output_alphabet,
     radix_digits,
 )
@@ -97,7 +98,7 @@ class RecursiveScheme:
         assert self.loc.modulus == p
         self.m = self.loc.m
         self.q_out = output_alphabet(q, ell)
-        self.checker = BerlekampCode(PrimeField(p), self.loc.alpha, tau, bound=self.q_out)
+        self.checker = BerlekampCode(PrimeField(p), self.loc.array, tau, bound=self.q_out)
         self.plane_cols = tau - 1 if trimmed else tau
         self.ntilde = self.plane_cols * self.m
         self.rep = 2 * tau + 1
@@ -107,7 +108,7 @@ class RecursiveScheme:
             # fewer plane columns than tau (trimmed, m = 1) leave a code
             # with no codeword but 0, used only for its checks and locate
             self.tail_checker = BerlekampCode(
-                PrimeField(self.ptilde), tuple(range(1, self.ntilde + 1)), tau, check_only=True
+                PrimeField(self.ptilde), np.arange(1, self.ntilde + 1), tau, check_only=True
             )
         else:
             self.ptilde = None
@@ -125,30 +126,26 @@ class RecursiveScheme:
     def total_length(self) -> int:
         return self.n + self.redundancy
 
-    def _check_rows(self) -> tuple[list[list[int]], list[int]]:
-        """The 2*tau check rows over the whole widened read.  Level 1, mod p:
-        the head's odd-power checks, less the checksum that the digit planes
-        record.  Level 2, mod p~: the block's checks, less the checksum that
-        the first tail copy records; the other copies weigh nothing."""
+    def _check_rows(self) -> tuple[np.ndarray, list[int]]:
+        """The 2*tau check rows over the whole widened read, in one array.
+        Level 1, mod p: the head's odd-power checks, less the checksum that
+        the digit planes record.  Level 2, mod p~: the block's checks, less
+        the checksum that the first tail copy records; the other copies
+        weigh nothing."""
         n, tau, q = self.n, self.tau, self.q
-        zeros = [0] * self.total_length
-        start = tau - self.plane_cols
-        rows = []
-        for v in range(tau):
-            row = list(self.checker.power_cols[v]) + zeros[n:]
-            if v >= start:
-                for j in range(self.m):
-                    row[n + j * self.plane_cols + v - start] = -(q**j)
-            rows.append(row)
-        moduli = [self.p] * tau
+        moduli = [self.p] * tau + ([self.ptilde] * tau if self.ntilde > 0 else [])
+        rows = np.zeros((len(moduli), self.total_length), int_dtype(max(moduli)))
+        rows[:tau, :n] = self.checker.check.array
+        start, width = tau - self.plane_cols, self.plane_cols
+        levels = np.arange(start, tau)
+        for j in range(self.m):  # plane j of check v at n + j * width + v - start
+            rows[levels, n + j * width + levels - start] = -(q**j)
         if self.ntilde > 0:
             tail = n + self.ntilde
-            for v in range(tau):
-                row = zeros[:n] + list(self.tail_checker.power_cols[v]) + zeros[tail:]
-                for j in range(self.mtilde):
-                    row[tail + j * tau + v] = -(q**j)
-                rows.append(row)
-            moduli += [self.ptilde] * tau
+            rows[tau:, n:tail] = self.tail_checker.check.array
+            levels = np.arange(tau)
+            for j in range(self.mtilde):  # digit j of check v at tail + j * tau + v
+                rows[tau + levels, tail + j * tau + levels] = -(q**j)
         return rows, moduli
 
     def encode(self, matrix: QMatrix) -> QMatrix:
@@ -231,7 +228,7 @@ class LargeAlphabetScheme:
         self.ell = ell
         self.k = n - tau
         self.q_out = output_alphabet(q, ell)
-        self.code = BerlekampCode(PrimeField(p), tuple(range(1, n + 1)), tau, bound=self.q_out)
+        self.code = BerlekampCode(PrimeField(p), np.arange(1, n + 1), tau, bound=self.q_out)
         self.vector = self.code.check.vector
 
     @property
@@ -247,7 +244,8 @@ class LargeAlphabetScheme:
 
     def read_syndromes(self, y: ReadVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Admit the read; its code syndrome, and its entries."""
-        return self.code.syndrome(y.admit(self.n, self.q_out, vector=self.vector)), y.entries
+        values = y.admit(self.n, self.q_out, vector=self.vector)
+        return tuple(self.code.check(values)), y.entries
 
     def locate(self, syn: tuple[int, ...], y: ReadVector) -> Hits | None:
         if not any(syn):

@@ -184,7 +184,7 @@ def scan_errors_erasures(code, values: Sequence[int], erased: Sequence[int], rad
     free = [j for j in range(code.length) if j not in erased]
     count = sum(math.comb(len(free), t) for t in range(t_max + 1))
     check_guard(count, SUPPORT_SCAN_GUARD, "scanning {} error supports")
-    powers = code._powers
+    powers = code.check.rows
     filled = [0 if j in erased else values[j] % p for j in range(code.length)]
     syn = code.syndromes(filled)
     for t in range(t_max + 1):

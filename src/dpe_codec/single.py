@@ -161,7 +161,7 @@ class SingleErrorScheme:
         self.k = self.loc.k
         self.modulus = self.loc.modulus
         self.q_out = output_alphabet(q, ell)
-        self.check = CheckMatrix([self.loc.alpha], [self.modulus], self.q_out)
+        self.check = CheckMatrix(self.loc.array[None], [self.modulus], self.q_out)
         self.vector = self.check.vector
 
     def encode(self, aprime: QMatrix) -> QMatrix:
@@ -205,11 +205,14 @@ class SecDedScheme:
         if variant == VARIANT_PARITY:
             self.loc = build_locators_basic(q, n - 1, allow_suffix_ambiguity)
             self.m = self.loc.m + 1
-            rows, moduli = [self.loc.alpha + (0,), (1,) * n], [self.loc.modulus, 2]
+            # the locators and a 0 for the parity column, then all ones
+            rows = np.ones((2, n), self.loc.array.dtype)
+            rows[0] = np.append(self.loc.array, 0)
+            moduli = [self.loc.modulus, 2]
         else:
             self.loc = build_locators_ded(q, n, allow_suffix_ambiguity)
             self.m = self.loc.m
-            rows, moduli = [self.loc.alpha], [self.loc.modulus]
+            rows, moduli = self.loc.array[None], [self.loc.modulus]
         self.k = self.n - self.m
         self.modulus = self.loc.modulus
         self.check = CheckMatrix(rows, moduli, self.q_out)

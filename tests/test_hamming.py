@@ -131,7 +131,7 @@ class TestReedSolomon:
 class TestLinearInnerCode:
     def test_matches_rs_on_same_checks(self):
         rs = ReedSolomonCode(PrimeField(7), length=6, k=1)
-        generic = LinearInnerCode(PrimeField(7), rs._powers, distance=rs.d)
+        generic = LinearInnerCode(PrimeField(7), rs.check.rows, distance=rs.d)
         for msg in range(7):
             assert generic.encode([msg]) == rs.encode([msg])
         cw = rs.encode([3])
@@ -147,7 +147,7 @@ class TestLinearInnerCode:
 
     def test_erasures(self):
         rs = ReedSolomonCode(PrimeField(7), length=6, k=1)
-        generic = LinearInnerCode(PrimeField(7), rs._powers, distance=rs.d)
+        generic = LinearInnerCode(PrimeField(7), rs.check.rows, distance=rs.d)
         cw = rs.encode([5])
         y = list(cw)
         y[1] = 0
@@ -374,7 +374,7 @@ class TestOracleInnerCode:
         # same parameters, inner decoding by codeword enumeration
         field = PrimeField(7)
         rs = ReedSolomonCode(field, length=6, k=1)
-        oracle_inner = LinearInnerCode(field, rs._powers, distance=rs.d)
+        oracle_inner = LinearInnerCode(field, rs.check.rows, distance=rs.d)
         scheme = HammingScheme(
             q=2, ell=2, k=1, tau=2, theta=2, rho_max=1, p=7, inner=oracle_inner
         )

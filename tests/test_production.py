@@ -238,8 +238,12 @@ def test_hamming_kernel_errors_and_erasures(u, flips, erasures):
         lambda: SingleErrorScheme(2, 50_000, 1),
         lambda: SecDedScheme(3, 50_000, 1),
         lambda: DoubleErrorScheme(2, 100_003, 1),
+        lambda: TripleDetectScheme(4, 100_003, 1),
+        lambda: RecursiveScheme(2, 1, 3, 100_003),
+        lambda: LargeAlphabetScheme(100_003, 50_000, 3, 1),
+        lambda: HammingScheme(2, 1, 50_000, 3),
     ],
-    ids=["sec", "sec-ded", "dec"],
+    ids=["sec", "sec-ded", "dec", "dec-ted", "recursive", "large-alphabet", "hamming"],
 )
 def test_builds_and_encodes_at_scale(build):
     # Construction is linear in n: a pairwise locator check here would
@@ -247,7 +251,9 @@ def test_builds_and_encodes_at_scale(build):
     scheme = build()
     assert scheme.k > 49_000
     (row,) = _programmed(scheme, 4, ell=1).rows
-    assert scheme.check(row) == [0] * len(scheme.check.rows)
+    # the large-alphabet scheme reads with its code's checks
+    check = scheme.code.check if isinstance(scheme, LargeAlphabetScheme) else scheme.check
+    assert check(row) == [0] * len(check.rows)
     y = list(row)
     y[7] += 1 if y[7] == 0 else -1
     assert scheme.decode(ReadVector.exact(y)).prefix == row[: scheme.k]

@@ -295,6 +295,42 @@ class TestInnerCodeSymbols:
                 code.syndromes([1, 2, 3, 4, 5])
 
 
+class TestLeeSymbols:
+    """`BerlekampCode.syndrome` admits its word as the inner codes'
+    `syndromes` do (`core.field_symbols`): ints only, reduced mod p."""
+
+    CODE = api.BerlekampCode(api.PrimeField(7), (1, 2, 3), 1)
+
+    @pytest.mark.parametrize("bad", [1.5, True, np.float64(1.0)])
+    def test_refuses_a_symbol_that_is_not_an_int(self, bad):
+        # 1.5 once truncated to (1,), which locate_bounded then "corrected"
+        message = f"^word symbol {re.escape(repr(bad))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            self.CODE.syndrome([bad, 0, 0])
+
+    def test_refuses_a_float_array(self):
+        with pytest.raises(ValueError, match="^word symbols must be integers, got dtype float64$"):
+            self.CODE.syndrome(np.array([1.5, 0, 0]))
+
+    def test_word_length(self):
+        with pytest.raises(ValueError, match="^word length 2 != 3$"):
+            self.CODE.syndrome([1, 0])
+
+    def test_ints_and_integer_arrays(self):
+        assert self.CODE.syndrome([1, 0, 0]) == (1,) == self.CODE.syndrome(np.array([8, 0, 0]))
+        assert self.CODE.syndrome([-1, 7, 2**70]) == ((-1 + 2 * 7 + 3 * 2**70) % 7,)
+        block = self.CODE.syndrome(np.array([[1, 0, 0], [0, 1, 1]]))
+        assert block.tolist() == [[1], [5]]
+
+    def test_large_alphabet_reads_are_admitted_once(self):
+        scheme = api.LargeAlphabetScheme(257, 24, 3, 2)
+        encoded = scheme.encode(QMatrix(257, _rows(random.Random(9), 257, 2, scheme.k)))
+        clean = api.compute_clean([2, 3], encoded)
+        assert scheme.decode(api.ReadVector.exact(clean)).prefix == tuple(clean[: scheme.k])
+        with pytest.raises(ValueError, match="^entry 0 = 1.5 is not an integer$"):
+            scheme.decode(api.ReadVector.exact([1.5] + list(clean[1:])))
+
+
 class TestLeeBudget:
     def test_budget_above_the_length_is_refused(self):
         with pytest.raises(ValueError, match="^error budget 2 exceeds the code length 1$"):
