@@ -16,11 +16,12 @@ Siegel, "Lee-metric BCH codes and their application to constrained and
 partial-response channels", IEEE Trans. IT, 1994); a closed form serves
 tau = 2 at the full budget, solving a quadratic built from the two
 syndrome components; `locate_bounded` picks between them.  The
-key-equation locate step scans each pair of points +-beta once, from
-inverses each code keeps, and reads the last point off the sum of the
-others, so a single error (a linear locator) needs no scan.  The
-exhaustive decoder, the ground truth these are checked against, lives in
-`oracles`.
+key-equation locate step scans each pair of points +-beta once
+(`gfpoly.scan_pairs`, over the table `gfpoly.pair_table` builds on the
+code's first scan), and reads the last point off the sum of the others,
+so a single error (a linear locator) needs no scan.  A lone +-1 error is
+looked up by `core.unit_error`.  The exhaustive decoder, the ground truth
+these are checked against, lives in `oracles`.
 
 A code is built as whole arrays: its locators reduced mod p at once and
 tested on a sorted copy, its power columns one running product (beta,
@@ -55,8 +56,9 @@ from .core import (
     field_symbols,
     int_dtype,
     systematic_word,
+    unit_error,
 )
-from .gfpoly import inverses, poly_roots, poly_trim, solve_key_equation
+from .gfpoly import inverses, pair_table, poly_roots, poly_trim, scan_pairs, solve_key_equation
 # decode_exhaustive stays bound here: bench/tracing.py traces it under this module.
 from .oracles import decode_exhaustive
 
@@ -138,14 +140,12 @@ class BerlekampCode:
         return list(self.check.rows)
 
     @cached_property
-    def _scan(self) -> tuple[tuple[int, int, int], ...]:
-        """The key-equation decoder's scan table: each pair of points +-b
-        an error can put in the locator once (the smaller of two negating
-        locators stands for both), with 1/b^2 and 1/b.  Built on the first
-        scan, so codes that only the closed form decodes never build it."""
-        p = self.field.p
-        pairs = [b for b in self._index if b and not (p - b < b and p - b in self._index)]
-        return tuple((b, w * w % p, w) for b, w in zip(pairs, inverses(pairs, p)))
+    def _pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """The key-equation decoder's scan table (`gfpoly.pair_table`) over
+        the locators: an error puts b or -b in the locator.  Built on the
+        first scan, so codes that only the closed form decodes never build
+        it."""
+        return pair_table(self._index, self.field.p)
 
     @property
     def redundancy(self) -> int:
@@ -186,17 +186,6 @@ def _locator_refusal(beta: np.ndarray, p: int) -> str | None:
     return None
 
 
-def _unit_error(code: BerlekampCode, x: int) -> tuple[int, int] | None:
-    """(position, +-1) of the locator x or -x, if either is one."""
-    j = code.locator_index(x)
-    if j is not None:
-        return j, 1
-    j = code.locator_index(code.field.p - x)
-    if j is not None:
-        return j, -1
-    return None
-
-
 def _check_components(code: BerlekampCode, syn: Sequence[int]) -> None:
     if len(syn) != code.tau:
         raise ValueError(f"need {code.tau} syndrome components, got {len(syn)}")
@@ -223,7 +212,7 @@ def locate_double_error(code: BerlekampCode, syn: Sequence[int]) -> Hits | None:
         return None
 
     if s2 == pow(s1, 3, p):
-        hit = _unit_error(code, s1)
+        hit = unit_error(code._index, p, s1)
         if hit is not None:
             return (hit,)
 
@@ -254,7 +243,7 @@ def locate_double_error(code: BerlekampCode, syn: Sequence[int]) -> Hits | None:
         return ((i, 1), (j, -1))
 
     r1, r2 = sorted(roots)
-    hit1, hit2 = _unit_error(code, r1), _unit_error(code, r2)
+    hit1, hit2 = unit_error(code._index, p, r1), unit_error(code._index, p, r2)
     if hit1 is None or hit2 is None or hit1[0] == hit2[0]:
         return None
     return hit1, hit2
@@ -263,34 +252,6 @@ def locate_double_error(code: BerlekampCode, syn: Sequence[int]) -> Hits | None:
 def decode_double_error(code: BerlekampCode, syn: Sequence[int]) -> list[int] | None:
     """`locate_double_error` as a length-n error vector."""
     return error_vector(code.n, locate_double_error(code, syn))
-
-
-def _scan_points(code: BerlekampCode, a: list[int], b: list[int], count: int) -> list[int] | None:
-    """The first `count` points of Lambda = A(x^2) + x B(x^2) over the
-    code's pairs +-beta (all of them, if fewer), or None where both signs
-    of a pair are points: no error puts both in Lambda."""
-    p = code.field.p
-    a, b = a[::-1], b[::-1]  # Horner's order
-    points = []
-    for beta, u, w in code._scan:
-        x = y = 0
-        for c in a:
-            x = x * u + c
-        for c in b:
-            y = y * u + c
-        x %= p
-        y = y * w % p
-        if x == y:  # Lambda(-1/beta) = 0
-            if not x:
-                return None
-            points.append(p - beta)
-        elif x + y == p:  # Lambda(1/beta) = 0
-            points.append(beta)
-        else:
-            continue
-        if len(points) == count:
-            break
-    return points
 
 
 def locate_key_equation(
@@ -307,15 +268,16 @@ def locate_key_equation(
     B = A * H mod z^budget, solved by Euclid.
 
     The points are the reciprocals of Lambda's roots, and they sum to
-    -B(0)/A(0) with multiplicity.  The scan takes each pair +-beta once:
-    with u = 1/beta^2 and w = 1/beta from the code's table,
-    Lambda(+-1/beta) = A(u) +- w B(u), so two short Horner evaluations test
-    both signs.  It stops at deg Lambda - 1 points, and the last is read off
-    from the sum; a linear Lambda's one point is read off with no scan.
-    Only when the scan falls short are multiplicities found by deflating
-    at the points it found.  The error is checked against every syndrome
-    component.  A point shared by two negating locators (codes built
-    without validation) leaves the error undetermined: None.
+    -B(0)/A(0) with multiplicity.  The scan (`gfpoly.scan_pairs`) takes
+    each pair +-beta of the code's table once, testing both signs from one
+    evaluation of A and B.  It stops at deg Lambda - 1 points, and the last
+    is read off from the sum; a linear Lambda's one point is read off with
+    no scan.  Only when the scan falls short are multiplicities found by
+    deflating at the points it found.  The error is checked against every
+    syndrome component.  A point shared by two negating locators (codes
+    built without validation) leaves the error undetermined: None.  Euclid's
+    A and B share no factor but a power of z, so Lambda never has both
+    1/beta and -1/beta as roots.
     """
     _check_components(code, syn)
     t = code.tau if budget is None else budget
@@ -344,9 +306,7 @@ def locate_key_equation(
     degree = max(2 * len(a) - 2, 2 * len(b) - 1)
     if degree == 0:
         return None  # no point, but a nonzero syndrome
-    points = _scan_points(code, a, b, degree - 1) if degree > 1 else []
-    if points is None:
-        return None
+    points = scan_pairs(a, b, code._pairs, degree - 1, p) if degree > 1 else []
     if len(points) == degree - 1:
         # The points sum to -b0/a0 with multiplicity: read the last one off.
         roots = dict.fromkeys(points, 1)

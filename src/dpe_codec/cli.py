@@ -54,9 +54,9 @@ class SchemeSpec:
     Fields are named as in the sidecar.  `args` lists the constructor's
     positional parameters, `needs` those a build cannot do without, and
     `params` the sidecar fields written after the common ones; the
-    sidecar's `n` is the scheme's attribute `length`.  The scheme corrects
-    `correct` L1 errors (None: its own `tau`) and detects `extra_detect`
-    more.
+    sidecar's `n` is the length of the scheme's reads, `check.n`.  The
+    scheme corrects `correct` L1 errors (None: its own `tau`) and detects
+    `extra_detect` more.
     """
 
     cls: type
@@ -65,7 +65,6 @@ class SchemeSpec:
     params: tuple[str, ...]
     correct: int | None = None
     extra_detect: int = 0
-    length: str = "n"
 
 
 _FLAG = "allow_suffix_ambiguity"
@@ -80,8 +79,7 @@ SCHEMES = {
                           ("q", "p", "ell"), ("locators", "variant", "p"),
                           correct=2, extra_detect=1),
     "recursive": SchemeSpec(RecursiveScheme, ("q", "ell", "tau", "p", "trimmed"),
-                            ("q", "p", "ell", "tau"), ("locators", "p", "tau", "trimmed"),
-                            length="total_length"),
+                            ("q", "p", "ell", "tau"), ("locators", "p", "tau", "trimmed")),
     "large-alphabet": SchemeSpec(LargeAlphabetScheme, ("q", "n", "tau", "ell"),
                                  ("q", "n", "ell", "tau"), ("p", "tau")),
     "hamming": SchemeSpec(HammingScheme, ("q", "ell", "k", "tau", "theta", "sigma", "rho", "p"),
@@ -155,7 +153,7 @@ def scheme_sidecar(scheme, name: str) -> dict:
         "scheme": name,
         "q": scheme.q,
         "ell": scheme.ell,
-        "n": getattr(scheme, spec.length),
+        "n": scheme.check.n,
         "k": scheme.k,
         "q_out": scheme.q_out,
     }

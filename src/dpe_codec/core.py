@@ -1,18 +1,26 @@
 """Shared value types for the coding schemes: matrices over a digit
 alphabet, read vectors with erasure flags, and decode outcomes; the check
-matrix, which computes syndromes in numpy or on Python ints; `decode_read`,
-the one decode pipeline every scheme runs; and `encode_matrix`, the one
-programming pipeline.
+matrix, which computes syndromes in numpy or on Python ints; `Scheme`, the
+contract every scheme class inherits; `decode_read`, the one decode
+pipeline every scheme runs; and `encode_matrix`, the one programming
+pipeline.
+
+A `Scheme` checks its alphabet q and row count ell once, holds the output
+alphabet `q_out`, reads `vector` off its `check` and programs a matrix
+through `encode_matrix`.  A scheme class supplies its `check` (a
+`CheckMatrix` over the whole read), `encode_array` and `locate`.
 
 The pipeline admits the read, computes its syndromes, locates the errors,
-corrects the data prefix and checks its range.  A scheme supplies two
-hooks.  `read_syndromes(y)` admits the read (`ReadVector.admit`), takes
-one product with the scheme's `CheckMatrix`, and returns the syndromes and
-the entries the prefix is taken from.  `locate(syn, y)` holds the clean
-test: it returns () for a prefix that needs no correction, the `(read
-column, signed value)` hits to subtract (`Hits`), or None to give up; only
-a read with hits pays for `corrected`.  The prefix holds the read's own
-entry objects, so numpy integers in a read stay numpy integers.
+corrects the data prefix and checks its range.  `read_syndromes(y)` admits
+the read (`ReadVector.admit`) at `check.n` over `q_out`, takes one product
+with `check`, and returns the syndromes and the entries the prefix is
+taken from; `Scheme` supplies it, and a scheme writes its own only where
+its read differs (the Hamming read admits erasures).  `locate(syn, y)`
+holds the clean test: it returns () for a prefix that needs no correction,
+the `(read column, signed value)` hits to subtract (`Hits`), or None to
+give up; only a read with hits pays for `corrected`.  The prefix holds the
+read's own entry objects, so numpy integers in a read stay numpy integers.
+`unit_error` is the one lookup of a lone +-1 error by its point.
 
 A `CheckMatrix` decides once (`kernel_fits`) whether reads over the
 scheme's alphabet take the numpy kernel: the product must be large enough
@@ -65,6 +73,25 @@ Hits = Sequence[tuple[int, int]]
 def output_alphabet(q: int, ell: int) -> int:
     """Size Q of the output alphabet: an ell-row product entry is < Q."""
     return ell * (q - 1) ** 2 + 1
+
+
+def _require_alphabet(q: int) -> None:
+    """Refuse an alphabet size q that is not an int (a bool is not) >= 2."""
+    if type(q) is not int:
+        raise ValueError(f"alphabet size must be an integer, got {q!r}")
+    if q < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {q}")
+
+
+def read_alphabet(q: int, ell: int) -> int:
+    """The output alphabet Q of ell rows over [0, q), for q an int >= 2
+    and ell an int >= 1; refuses any other."""
+    _require_alphabet(q)
+    if type(ell) is not int:
+        raise ValueError(f"row count ell must be an integer, got {ell!r}")
+    if ell < 1:
+        raise ValueError(f"row count ell must be >= 1, got {ell}")
+    return output_alphabet(q, ell)
 
 
 def kernel_fits(n: int, bound: int, modulus: int, rows: int = 1) -> bool:
@@ -268,10 +295,7 @@ class QMatrix:
 
     def __post_init__(self) -> None:
         q = self.q
-        if type(q) is not int:
-            raise ValueError(f"alphabet size must be an integer, got {q!r}")
-        if q < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {q}")
+        _require_alphabet(q)
         rows = self.rows
         if isinstance(rows, np.ndarray):
             if rows.ndim != 2:
@@ -406,12 +430,9 @@ class ReadVector:
 
     @classmethod
     def with_erasures(cls, values: Sequence[int], erased_at: Iterable[int]) -> "ReadVector":
-        erased_at = set(erased_at)
+        erased_at = set(erasure_indices(erased_at, len(values)))
         if not erased_at:
             return cls(tuple(values))
-        for j in erased_at:
-            if not (type(j) is int and 0 <= j < len(values)):
-                raise ValueError(f"erasure index {j!r} is outside [0, {len(values)})")
         vals = tuple(0 if j in erased_at else v for j, v in enumerate(values))
         flags = tuple(j in erased_at for j in range(len(values)))
         return cls(vals, flags)
@@ -502,6 +523,19 @@ def erasure_indices(erased: Iterable[int], n: int) -> list[int]:
         if not (type(j) is int and 0 <= j < n):
             raise ValueError(f"erasure index {j!r} is outside [0, {n})")
     return sorted(erased)
+
+
+def unit_error(index: dict, modulus: int, x: int) -> tuple[int, int] | None:
+    """The lone +-1 error whose syndrome is x, from a point-to-position
+    `index`: (position, +1) where x is a point, else (position, -1) where
+    modulus - x is one, else None."""
+    j = index.get(x)
+    if j is not None:
+        return j, 1
+    j = index.get(modulus - x)
+    if j is not None:
+        return j, -1
+    return None
 
 
 def check_locate_input(check: CheckMatrix, syn: Sequence[int], erased: Iterable[int]) -> list[int]:
@@ -643,6 +677,36 @@ def corrected(
                 return DECODE_FAILURE
     del prefix[k:]
     return DecodeOutcome(tuple(prefix))
+
+
+class Scheme:
+    """The contract every scheme class inherits: ell rows over the
+    alphabet [0, q) give reads over [0, q_out).  A subclass calls
+    `__init__` first, then sets `check`, its `CheckMatrix` over the whole
+    read, and `k`; it supplies `encode_array(block)` and
+    `locate(syn, y)`."""
+
+    check: CheckMatrix
+    k: int
+
+    def __init__(self, q: int, ell: int):
+        self.q_out = read_alphabet(q, ell)
+        self.q = q
+        self.ell = ell
+
+    @property
+    def vector(self) -> bool:
+        """Whether reads take the numpy kernel (`CheckMatrix.vector`)."""
+        return self.check.vector
+
+    def encode(self, matrix: QMatrix) -> QMatrix:
+        return encode_matrix(self, matrix)
+
+    def read_syndromes(self, y: ReadVector) -> tuple[list[int], Sequence[int]]:
+        """Admit the read at check.n over [0, q_out); its syndromes, and
+        its entries."""
+        check = self.check
+        return check(y.admit(check.n, self.q_out, vector=check.vector)), y.entries
 
 
 def decode_read(scheme, y: ReadVector) -> DecodeOutcome:

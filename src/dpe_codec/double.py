@@ -17,17 +17,14 @@ The triple-detecting variants either add one more overall parity column
 (mandatory for q = 2) or run both checksums modulo 2p over odd locators,
 where the parities of s1 and s2 replace the parity column.
 
-Each scheme programs a matrix through `core.encode_matrix`, in block
+Each scheme is a `core.Scheme`.  Its `encode_array` works in block
 products: `single.encode_row` on the packed block, then one product with
 the scheme's own check matrix for every row's cubed checksum
-(`cubes_digits`).
-
-Each scheme decodes through `core.decode_read`.  Its syndrome hook calls
-`syndromes`: the admitted read times one `core.CheckMatrix`.  Its `locate`
-(picked per variant at construction) is the dispatch table and nothing
-else: a lone error's hit comes from `single.unit_hits`, a pair's from
-`pair_hits`, which maps `berlekamp.locate_double_error`'s sparse hits to
-read columns.
+(`cubes_digits`).  Its read takes its product through `syndromes`.  Its
+`locate` (picked per variant at construction) is the dispatch table and
+nothing else: a lone error's hit comes from `single.unit_hits`, a pair's
+from `pair_hits`, which maps `berlekamp.locate_double_error`'s sparse hits
+to read columns.
 """
 
 from __future__ import annotations
@@ -44,11 +41,11 @@ from .core import (
     Hits,
     QMatrix,
     ReadVector,
+    Scheme,
     decode_read,
     decoded,
     encode_matrix,
     int_dtype,
-    output_alphabet,
     parity_extend,
 )
 from .locators import Locators, build_locators_basic, build_locators_ded
@@ -126,14 +123,13 @@ def pair_hits(code: BerlekampCode, positions: list[int], syn: tuple[int, int]) -
     return None if hits is None else [(positions[i], e) for i, e in hits]
 
 
-class DoubleErrorScheme:
+class DoubleErrorScheme(Scheme):
     """Correct any two L1 errors (induced distance >= 5)."""
 
     def __init__(self, q: int, p: int, ell: int, allow_suffix_ambiguity: bool = False):
+        super().__init__(q, ell)
         _check_prime(q, p)
-        self.q = q
         self.p = p
-        self.ell = ell
         self.n1 = (p - 1) // 2
         self.loc = build_locators_basic(q, self.n1, allow_suffix_ambiguity)
         assert self.loc.modulus == p
@@ -141,25 +137,23 @@ class DoubleErrorScheme:
         self.k = self.n1 - self.m
         self.n2 = self.n1 + self.m
         self.n = self.n2 + 1
-        self.q_out = output_alphabet(q, ell)
         self.ber, self.ber_positions = _pair_code(self.loc, p)
         digits = [self.q**j for j in range(self.m)]
         rows = checksum_rows(self.loc, self.n1, digits, self.n)
         parity = np.zeros((1, self.n), rows.dtype)  # over the digit block and its parity
         parity[0, self.n1 :] = 1
         self.check = CheckMatrix(np.vstack((rows, parity)), (p, p, 2), self.q_out)
-        self.vector = self.check.vector
-
-    def encode(self, aprime: QMatrix) -> QMatrix:
-        return encode_matrix(self, aprime)
 
     def encode_array(self, block: np.ndarray) -> np.ndarray:
         inner = encode_row(block, self.loc)
         return np.hstack((inner, parity_extend(cubes_digits(inner, self.check, self.loc))))
 
-    def syndromes(self, y: ReadVector) -> tuple[int, int, int]:
-        """Admit the read; its (s1, s2, digit-block parity)."""
-        return tuple(self.check(y.admit(self.n, self.q_out, vector=self.vector)))
+    def syndromes(self, y: ReadVector) -> tuple[int, ...]:
+        """Admit the read; its (s1, s2, digit-block parity), with the total
+        parity after them in the parity variant of dec-ted, else (s1, s2)
+        modulo 2p there."""
+        check = self.check
+        return tuple(check(y.admit(check.n, self.q_out, vector=check.vector)))
 
     def read_syndromes(self, y: ReadVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return self.syndromes(y), y.entries
@@ -176,7 +170,7 @@ class DoubleErrorScheme:
         return decode_read(self, y)
 
 
-class TripleDetectScheme:
+class TripleDetectScheme(Scheme):
     """Correct two L1 errors and detect three (induced distance >= 6)."""
 
     def __init__(
@@ -187,11 +181,9 @@ class TripleDetectScheme:
         variant: str | None = None,
         allow_suffix_ambiguity: bool = False,
     ):
+        super().__init__(q, ell)
         self.variant = variant = detect_variant(q, variant)
-        self.q = q
         self.p = p
-        self.ell = ell
-        self.q_out = output_alphabet(q, ell)
         if variant == VARIANT_PARITY:
             self.base = DoubleErrorScheme(q, p, ell, allow_suffix_ambiguity)
             self.loc = self.base.loc
@@ -223,13 +215,9 @@ class TripleDetectScheme:
             self.ber, self.ber_positions = _pair_code(self.loc, p)
             rows = checksum_rows(self.loc, self.n1, self.loc.suffix_weights(), self.n)
             self.check = CheckMatrix(rows, (2 * p, 2 * p), self.q_out)
-        self.vector = self.check.vector
         self.locate = self._locate_parity if variant == VARIANT_PARITY else self._locate_mod2p
 
     # -- encoding ---------------------------------------------------------
-
-    def encode(self, aprime: QMatrix) -> QMatrix:
-        return encode_matrix(self, aprime)
 
     def encode_array(self, block: np.ndarray) -> np.ndarray:
         if self.variant == VARIANT_PARITY:
@@ -239,13 +227,8 @@ class TripleDetectScheme:
 
     # -- decoding ---------------------------------------------------------
 
-    def syndromes(self, y: ReadVector) -> tuple[int, int] | tuple[int, int, int, int]:
-        """Admit the read; its (s1, s2, digit-block parity, total parity) in
-        the parity variant, else (s1, s2) modulo 2p."""
-        return tuple(self.check(y.admit(self.n, self.q_out, vector=self.vector)))
-
-    def read_syndromes(self, y: ReadVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return self.syndromes(y), y.entries
+    syndromes = DoubleErrorScheme.syndromes
+    read_syndromes = DoubleErrorScheme.read_syndromes
 
     def _locate_parity(self, syn: tuple[int, int, int, int], y: ReadVector) -> Hits | None:
         s1, s2, s2_hat, total_parity = syn

@@ -9,14 +9,16 @@ extension-field arithmetic in ``oracles`` share these helpers.
 
 The two decoders' locate steps run on small polynomials (degree at most
 the error budget) read by read, so they stay in pure Python: Euclid on
-the key equation divides in place, and each decoder scans its points by
-Horner's rule at the inverses it keeps per code (`inverses`: one `pow`
-per code), reading the last point off the sum of the others;
+the key equation divides in place, and both decoders find the points of a
+locator Lambda with one scan, `scan_pairs`, over a table each code builds
+on its first scan (`pair_table`: one entry per pair of points +-v, with
+one `pow` per code), then read the last point off the sum of the others;
 `poly_roots` is left for a Lee scan that falls short of the degree.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 
@@ -134,3 +136,43 @@ def poly_roots(a: list[int], candidates: Iterable[int], p: int) -> dict[int, int
     elif len(a) > 2:
         return None
     return roots
+
+
+def pair_table(points: dict | set, p: int) -> tuple[tuple[int, int, int], ...]:
+    """The scan table of nonzero points mod p (a set, or a dict keyed by
+    them): one entry (v, 1/v^2, 1/v) per pair +-v that holds a point, in
+    the points' order, the smaller of two negating points standing for
+    both."""
+    pairs = [v for v in points if v and not (p - v < v and p - v in points)]
+    return tuple((v, w * w % p, w) for v, w in zip(pairs, inverses(pairs, p)))
+
+
+def scan_pairs(
+    a: Sequence[int], b: Sequence[int], table: Sequence[tuple[int, int, int]], count: int, p: int
+) -> list[int]:
+    """The first `count` points x = +-v over the entries of a `pair_table`
+    (all of them, if fewer; v before p - v) with Lambda(1/x) = 0, for
+    Lambda = A(x^2) + x B(x^2).
+
+    With u = 1/v^2 and w = 1/v, Lambda(+-1/v) = A(u) +- w B(u): one Horner
+    loop over the paired coefficients (A_i, B_i) tests both signs."""
+    terms = list(zip_longest(a, b, fillvalue=0))[::-1]
+    points: list[int] = []
+    for v, u, w in table:
+        x = y = 0
+        for c, d in terms:
+            x = x * u + c
+            y = y * u + d
+        x %= p
+        y = y * w % p
+        if x == y:  # Lambda(-1/v) = 0
+            if not x:  # and Lambda(1/v) = 0
+                points.append(v)
+            points.append(p - v)
+        elif x + y == p:  # Lambda(1/v) = 0
+            points.append(v)
+        else:
+            continue
+        if len(points) >= count:
+            return points[:count]
+    return points

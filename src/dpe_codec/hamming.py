@@ -12,42 +12,44 @@ The inner code is a Reed-Solomon code in parity-check form (checks at
 consecutive powers of distinct nonzero points), decoded for errors and
 erasures from its syndromes by Euclid on the key equation with Forney's
 values (Roth, Introduction to Coding Theory, ch. 6).  Its locate step
-reads a linear locator's one point off and otherwise scans the points'
-inverses until one point is left to read off their sum; it returns sparse
-hits (`core.Hits`, values mod p).  The code encodes systematically, its
-d - 1 check symbols filled from the head's syndromes (`CheckMatrix.tail`),
-one message or a block of them in one product.  `syndromes` admits its
-symbols (`core.field_symbols`): ints only, reduced mod p.  The code is
-built as whole arrays: its points tested distinct and in range on a sorted
-copy, and its check rows as one running product of the points (int64
-while p^2 < 2^63, else Python ints).
+reads a linear locator's one point off and otherwise scans the pairs of
+points +-v (`gfpoly.scan_pairs`, the Lee decoder's scan, over the table
+`gfpoly.pair_table` builds on the code's first scan) until one point is
+left to read off their sum; it returns sparse hits (`core.Hits`, values
+mod p).  The code encodes systematically, its d - 1 check symbols filled
+from the head's syndromes (`CheckMatrix.tail`), one message or a block of
+them in one product.  `syndromes` admits its symbols
+(`core.field_symbols`): ints only, reduced mod p.  The code is built as
+whole arrays: its points tested distinct and in range on a sorted copy,
+and its check rows as one running product of the points (int64 while
+p^2 < 2^63, else Python ints); it takes no inverse until it decodes.
 Any linear code over GF(p) with a `check` matrix, an `encode` that also
 takes an l x k block of messages, and `locate_syndromes` can stand in,
 such as ``oracles.LinearInnerCode``; ``oracles`` also holds the
 support-scan decoder the Reed-Solomon decoder is checked against.
 
-The scheme programs a matrix through `core.encode_matrix`: the inner code
-encodes the whole packed block, and the check symbols become base-q digit
+The scheme is a `core.Scheme`.  Its `encode_array` has the inner code
+encode the whole packed block, and the check symbols become base-q digit
 planes (`core.radix_digits`).
 
-The scheme decodes through `core.decode_read`.  The packing map is linear
-mod p, so its syndrome hook is one product with the scheme's
-`core.CheckMatrix`: the inner check rows folded over the n read columns (a
-digit column weighs its symbol's inner column by q^j mod p), in one array
-product of the digit weights and the inner check array, built for
-entries in [0, p).  An admitted array read lies in [0, Q) and is reduced
-mod p first when Q > p, so the product stays exact.  The hook admits
-erasures within the budget and sets erased entries to 0, both for the
-product and in the entries the prefix is taken from.  `locate` reads a
-zero syndrome as clean; otherwise the inner code's `locate_syndromes`,
-told which symbols the erased columns feed, gives hits whose data
-positions, lifted to signed values, correct the prefix.  `pack` stays as
-the reference the fold is tested against.
+The packing map is linear mod p, so the read's syndromes are one product
+with the scheme's `check`: the inner check rows folded over the n read
+columns (a digit column weighs its symbol's inner column by q^j mod p), in
+one array product of the digit weights and the inner check array, built
+for entries in [0, p).  An admitted array read lies in [0, Q) and is
+reduced mod p first when Q > p, so the product stays exact.  Its own
+`read_syndromes` admits erasures within the budget and sets erased
+entries to 0, both for the product and in the entries the prefix is taken
+from.  `locate` reads a zero syndrome as clean; otherwise the inner
+code's `locate_syndromes`, told which symbols the erased columns feed,
+gives hits whose data positions, lifted to signed values, correct the
+prefix.  `pack` stays as the reference the fold is tested against.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import cached_property
 from itertools import compress
 from typing import Sequence
 
@@ -60,20 +62,19 @@ from .core import (
     CheckMatrix,
     DecodeOutcome,
     Hits,
-    QMatrix,
     ReadVector,
+    Scheme,
     check_locate_input,
     decode_read,
-    encode_matrix,
     erasure_indices,
     error_vector,
     field_symbols,
     int_dtype,
-    output_alphabet,
     radix_digits,
+    read_alphabet,
     systematic_word,
 )
-from .gfpoly import inverses, poly_eval, poly_mul, solve_key_equation
+from .gfpoly import inverses, pair_table, poly_eval, poly_mul, scan_pairs, solve_key_equation
 
 
 class ReedSolomonCode:
@@ -109,8 +110,17 @@ class ReedSolomonCode:
             powers[v] = powers[v - 1] * gamma % p
         self._position = dict(zip(self.gamma, range(length)))
         self.check = CheckMatrix(powers, (p,) * (self.d - 1), p)
-        # 1/gamma_j: the scan's points and Forney's
-        self._inverse_points = inverses(self.gamma, p)
+
+    @cached_property
+    def _pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """The scan table (`gfpoly.pair_table`) over the points, built on
+        the first scan."""
+        return pair_table(self._position, self.field.p)
+
+    @cached_property
+    def _inverses(self) -> list[int]:
+        """1/gamma_j, Forney's point for position j, built on first use."""
+        return inverses(self.gamma, self.field.p)
 
     def syndromes(self, values: Sequence[int] | np.ndarray) -> list[int] | np.ndarray:
         """S_v = sum_j values_j gamma_j^(v+1) mod p, for a word of `length`
@@ -138,22 +148,6 @@ class ReedSolomonCode:
         syn = self.check.less(self.syndromes(values), ((j, values[j]) for j in erased))
         return error_vector(self.length, self.locate_syndromes(syn, erased, radius))
 
-    def _scan_locators(self, lam: list[int], count: int) -> list[int]:
-        """The first `count` positions j with Lambda(1/gamma_j) = 0 (all of
-        them, if fewer), by Horner's rule at each inverse point."""
-        p = self.field.p
-        lam = lam[::-1]
-        positions = []
-        for j, x in enumerate(self._inverse_points):
-            value = 0
-            for c in lam:
-                value = value * x + c
-            if not value % p:
-                positions.append(j)
-                if len(positions) == count:
-                    break
-        return positions
-
     def locate_syndromes(
         self, syn: Sequence[int], erased: Sequence[int], radius: int
     ) -> Hits | None:
@@ -170,12 +164,13 @@ class ReedSolomonCode:
         With locators X_j = gamma_j and values e_j * gamma_j, Euclid on the
         erasure-modified syndrome Gamma * S mod x^(d-1) gives the error
         locator Lambda and the evaluator Omega (with no erasures, Gamma = 1
-        and S itself).  The scan evaluates Lambda at each 1/X_j from the
-        code's table of inverses until deg Lambda - 1 roots are found; the
-        locators sum to -Lambda_1/Lambda_0, which gives the last (a linear
-        Lambda's one, with no scan).  Each error value is
-        e_j = -Omega(1/X_j) / Psi'(1/X_j) for the full locator
-        Psi = Lambda * Gamma, with 1/X_j from the same table.
+        and S itself).  The scan (`gfpoly.scan_pairs`) evaluates Lambda at
+        +-1/v for each pair of points +-v of the code's table until
+        deg Lambda - 1 roots are found (both signs can be roots: errors at
+        gamma and p - gamma); the locators sum to -Lambda_1/Lambda_0, which
+        gives the last (a linear Lambda's one, with no scan).  Each error
+        value is e_j = -Omega(1/X_j) / Psi'(1/X_j) for the full locator
+        Psi = Lambda * Gamma, with 1/X_j from the code's table of inverses.
         """
         erased = check_locate_input(self.check, syn, erased)
         if len(erased) >= self.d:
@@ -198,14 +193,14 @@ class ReedSolomonCode:
         # the values.  The locators are the reciprocals of Lambda's roots,
         # and they sum to -lam[1]/lam[0]: the scan stops one short of
         # deg Lambda and the last is read off (a linear Lambda's, unscanned).
-        positions = self._scan_locators(lam, degree - 1) if degree > 1 else []
+        points = scan_pairs(lam[0::2], lam[1::2], self._pairs, degree - 1, p) if degree > 1 else []
         if degree:
-            if len(positions) < degree - 1:
+            if len(points) < degree - 1:
                 return None
-            last = -lam[1] * pow(lam[0], -1, p) - sum(self.gamma[j] for j in positions)
-            positions.append(self._position.get(last % p))
-            if positions[-1] in positions[:-1]:
+            points.append((-lam[1] * pow(lam[0], -1, p) - sum(points)) % p)
+            if points[-1] in points[:-1]:
                 return None  # a repeated root
+        positions = [self._position.get(x) for x in points]
         if None in positions or not set(erased).isdisjoint(positions):
             return None
         psi = lam if erasure_locator is None else poly_mul(lam, erasure_locator, p)
@@ -213,7 +208,7 @@ class ReedSolomonCode:
         support = erased + positions
         values = []
         for j in support:
-            x = self._inverse_points[j]
+            x = self._inverses[j]
             values.append(-poly_eval(omega, x, p) * pow(poly_eval(slope, x, p), -1, p) % p)
         if not all(values[len(erased) :]):
             return None
@@ -232,7 +227,7 @@ def smallest_inner_prime(theta: int, length: int) -> int:
     return p
 
 
-class HammingScheme:
+class HammingScheme(Scheme):
     """Correct tau position errors of magnitude <= theta; optional extra
     detection (sigma) and erasure budget (rho_max) widen the inner code."""
 
@@ -248,9 +243,8 @@ class HammingScheme:
         p: int | None = None,
         inner=None,
     ):
-        self.q_out, self.theta, self.d = self._budget(q, ell, tau, theta, sigma, rho_max)
-        self.q = q
-        self.ell = ell
+        super().__init__(q, ell)
+        self.theta, self.d = self._budget(q, ell, tau, theta, sigma, rho_max)
         self.k = k
         self.tau = tau
         self.sigma = sigma
@@ -289,25 +283,25 @@ class HammingScheme:
             assert self.n - self.k <= self.redundancy_bound()
         self._digit_weights = [q**j % p for j in range(self.m)]
         self.check = CheckMatrix(self._check_rows(), self.inner.check.moduli, p)
-        self.vector = self.check.vector
         # An admitted array read already lies in [0, Q); only Q > p needs
         # the reduction that keeps the product in int64.  A uint8 read
         # stays exact under it, since p < Q <= 256 fits a byte.
-        self._reduce = self.vector and self.q_out > p
+        self._reduce = self.check.vector and self.q_out > p
 
     @staticmethod
-    def _budget(q, ell, tau, theta, sigma, rho_max) -> tuple[int, int, int]:
-        """Output alphabet Q, theta (by default Q - 1) and inner distance
-        d = 2*tau + sigma + rho_max + 1, checked; none of them depends on k."""
+    def _budget(q, ell, tau, theta, sigma, rho_max) -> tuple[int, int]:
+        """theta (by default Q - 1) and inner distance
+        d = 2*tau + sigma + rho_max + 1, with q and ell, checked; none of
+        them depends on k."""
+        q_out = read_alphabet(q, ell)
         if tau < 1:
             raise ValueError(f"error budget must be >= 1, got {tau}")
         if min(sigma, rho_max) < 0:
             raise ValueError("sigma and rho_max must be >= 0")
-        q_out = output_alphabet(q, ell)
         theta = q_out - 1 if theta is None else theta
         if not 1 <= theta <= q_out - 1:
             raise ValueError(f"theta must be in [1, {q_out - 1}], got {theta}")
-        return q_out, theta, 2 * tau + sigma + rho_max + 1
+        return theta, 2 * tau + sigma + rho_max + 1
 
     @staticmethod
     def _length(q: int, k: int, d: int, p: int) -> int:
@@ -322,7 +316,7 @@ class HammingScheme:
         the inner length k + d - 1) never falls as k grows, so the length
         strictly increases with k and bisection finds that k.  Whether a
         scheme builds there is for the constructor to say."""
-        _, theta, d = cls._budget(q, ell, tau, theta, sigma, rho_max)
+        theta, d = cls._budget(q, ell, tau, theta, sigma, rho_max)
 
         def length(k: int) -> int:
             return cls._length(q, k, d, smallest_inner_prime(theta, k + d - 1) if p is None else p)
@@ -393,9 +387,6 @@ class HammingScheme:
 
     # -- encode / decode -----------------------------------------------------
 
-    def encode(self, aprime: QMatrix) -> QMatrix:
-        return encode_matrix(self, aprime)
-
     def encode_array(self, block: np.ndarray) -> np.ndarray:
         """Each row, then the digit planes of its inner check symbols."""
         checks = self.inner.encode(block)[:, self.k :]
@@ -403,8 +394,10 @@ class HammingScheme:
         return np.hstack((block, planes))
 
     def read_syndromes(self, y: ReadVector) -> tuple[list[int], Sequence[int]]:
-        """Admit the read; its inner syndromes and entries, erased ones as 0."""
-        values = y.admit(self.n, self.q_out, erasures=True, vector=self.vector)
+        """Admit the read, erasures within the budget; its inner syndromes
+        and entries, erased ones as 0."""
+        check = self.check
+        values = y.admit(check.n, self.q_out, erasures=True, vector=check.vector)
         entries = y.entries
         if y.has_erasures:  # erased entries are placeholders: count them as 0
             erased = self._erased_symbols(y.erased)
@@ -413,7 +406,7 @@ class HammingScheme:
             values = entries = [0 if gone else v for v, gone in zip(entries, y.erased)]
         elif self._reduce and isinstance(values, np.ndarray):
             values = values % self.p  # the symbols' range keeps the product in int64
-        return self.check(values), entries
+        return check(values), entries
 
     def locate(self, syn: list[int], y: ReadVector) -> Hits | None:
         if not any(syn):

@@ -62,10 +62,6 @@ class Locators:
     def k(self) -> int:
         return self.n - self.m
 
-    def index_of(self, value: int) -> int | None:
-        """Column index carrying this locator value (None if absent)."""
-        return self._index.get(value)
-
     @cached_property
     def array(self) -> np.ndarray:
         """alpha as a read-only array: int64 where the modulus fits, else

@@ -15,19 +15,18 @@ Large-alphabet scheme: when some prime p with 2*tau < p <= q exists, each
 row reduced mod p is systematically extended to a zero-checksum word, and
 the decoder works directly on the read vector reduced mod p.
 
-Both program a matrix through `core.encode_matrix` in block products.
-The recursive encoder takes every row's checksums in one product with
-its code's checks, expands them into digit planes (`core.radix_digits`),
-and takes the planes' checksums in one more product; the large-alphabet
-encoder hands the whole block to `berlekamp.systematic_encode`.
+Both are `core.Scheme`s and encode in block products.  The recursive
+encoder takes every row's checksums in one product with its code's checks,
+expands them into digit planes (`core.radix_digits`), and takes the
+planes' checksums in one more product; the large-alphabet encoder hands
+the whole block to `berlekamp.systematic_encode`.
 
-Both decode through `core.decode_read`; each syndrome hook is the admitted
-read times one `core.CheckMatrix`.  The large-alphabet matrix is its
-code's checks over the whole read, and `locate` is a zero test, then
-`berlekamp.locate_bounded`.  The recursive matrix spans the whole widened
-read, in 2*tau rows: mod p, the head's checks less the checksum its digit
-planes record; mod p~, the planes' checks less the checksum the first
-tail copy records.  Its `locate` corrects those syndromes sparsely
+Both read through the `core.Scheme` default.  The large-alphabet `check`
+is its code's checks over the whole read, and `locate` is a zero test,
+then `berlekamp.locate_bounded`.  The recursive `check` spans the whole
+widened read, in 2*tau rows: mod p, the head's checks less the checksum
+its digit planes record; mod p~, the planes' checks less the checksum the
+first tail copy records.  Its `locate` corrects those syndromes sparsely
 (`CheckMatrix.less`): the median in place of copy 0 where the copies
 disagree, then the planes' located error, before it locates in the head.
 """
@@ -44,10 +43,9 @@ from .core import (
     Hits,
     QMatrix,
     ReadVector,
+    Scheme,
     decode_read,
-    encode_matrix,
     int_dtype,
-    output_alphabet,
     radix_digits,
 )
 from .locators import build_locators_basic
@@ -73,7 +71,7 @@ def _median(values: list[int]) -> int:
     return ordered[len(ordered) // 2]
 
 
-class RecursiveScheme:
+class RecursiveScheme(Scheme):
     """Correct tau L1 errors anywhere in the widened product vector.
 
     Protects a full l x n matrix (every column is information).  With
@@ -84,12 +82,11 @@ class RecursiveScheme:
     """
 
     def __init__(self, q: int, ell: int, tau: int, p: int, trimmed: bool = False):
+        super().__init__(q, ell)
         if tau < 1:
             raise ValueError(f"error budget must be >= 1, got {tau}")
         if not is_prime(p) or p <= 2 * tau:
             raise ValueError(f"need a prime p > 2*tau, got p={p}, tau={tau}")
-        self.q = q
-        self.ell = ell
         self.tau = tau
         self.p = p
         self.trimmed = trimmed
@@ -97,7 +94,6 @@ class RecursiveScheme:
         self.loc = build_locators_basic(q, self.n)
         assert self.loc.modulus == p
         self.m = self.loc.m
-        self.q_out = output_alphabet(q, ell)
         self.checker = BerlekampCode(PrimeField(p), self.loc.array, tau, bound=self.q_out)
         self.plane_cols = tau - 1 if trimmed else tau
         self.ntilde = self.plane_cols * self.m
@@ -116,7 +112,6 @@ class RecursiveScheme:
             self.tail_checker = None
         self.k = self.n  # every input column is information
         self.check = CheckMatrix(*self._check_rows(), self.q_out)
-        self.vector = self.check.vector
 
     @property
     def redundancy(self) -> int:
@@ -148,9 +143,6 @@ class RecursiveScheme:
                 rows[tau + levels, tail + j * tau + levels] = -(q**j)
         return rows, moduli
 
-    def encode(self, matrix: QMatrix) -> QMatrix:
-        return encode_matrix(self, matrix)
-
     def encode_array(self, block: np.ndarray) -> np.ndarray:
         """Each row, its checksums' digit planes, and the planes' own
         checksum digits repeated: one product per checksum level."""
@@ -168,10 +160,6 @@ class RecursiveScheme:
             tail_syn = self.tail_checker.check(planes % self.ptilde)
             parts += [radix_digits(tail_syn, [q**j for j in range(self.mtilde)], q)] * self.rep
         return np.hstack(parts)
-
-    def read_syndromes(self, y: ReadVector) -> tuple[list[int], tuple[int, ...]]:
-        """Admit the widened read; its 2*tau syndromes, and its entries."""
-        return self.check(y.admit(self.total_length, self.q_out, vector=self.vector)), y.entries
 
     def locate(self, syn: list[int], y: ReadVector) -> Hits | None:
         entries, n, tau = y.entries, self.n, self.tau
@@ -203,10 +191,11 @@ class RecursiveScheme:
         return decode_read(self, y)
 
 
-class LargeAlphabetScheme:
+class LargeAlphabetScheme(Scheme):
     """Correct tau L1 errors using a prime p with 2*tau < p <= q."""
 
     def __init__(self, q: int, n: int, tau: int, ell: int):
+        super().__init__(q, ell)
         if tau < 1:
             raise ValueError(f"error budget must be >= 1, got {tau}")
         p = q
@@ -222,32 +211,21 @@ class LargeAlphabetScheme:
             )
         if n <= tau:
             raise ValueError(f"length {n} leaves no information columns")
-        self.q = q
         self.n = n
         self.tau = tau
-        self.ell = ell
         self.k = n - tau
-        self.q_out = output_alphabet(q, ell)
         self.code = BerlekampCode(PrimeField(p), np.arange(1, n + 1), tau, bound=self.q_out)
-        self.vector = self.code.check.vector
+        self.check = self.code.check
 
     @property
     def redundancy(self) -> int:
         return self.tau
 
-    def encode(self, aprime: QMatrix) -> QMatrix:
-        return encode_matrix(self, aprime)
-
     def encode_array(self, block: np.ndarray) -> np.ndarray:
         """Each row, then the tau symbols of its systematic codeword."""
         return np.hstack((block, systematic_encode(self.code, block)[:, self.k :]))
 
-    def read_syndromes(self, y: ReadVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Admit the read; its code syndrome, and its entries."""
-        values = y.admit(self.n, self.q_out, vector=self.vector)
-        return tuple(self.code.check(values)), y.entries
-
-    def locate(self, syn: tuple[int, ...], y: ReadVector) -> Hits | None:
+    def locate(self, syn: list[int], y: ReadVector) -> Hits | None:
         if not any(syn):
             return ()  # in range: the alphabet check bounds it
         return locate_bounded(self.code, syn)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from operator import mul
+from operator import countOf, mul
 from typing import Sequence
 
 from .core import QMatrix, ReadVector, output_alphabet
@@ -59,8 +59,12 @@ class FaultModel:
     deltas: tuple[tuple[int, int], ...] = field(default=())
     erase: tuple[int, ...] = field(default=())
 
+    # Every count, budget, magnitude and seed is an int (a bool is not).
+
     @classmethod
     def l1_drift(cls, budget: int, seed: int = 0) -> "FaultModel":
+        _require_int("budget", budget)
+        _require_int("seed", seed)
         if budget < 0:
             raise ValueError("budget must be >= 0")
         if budget > MAX_DRIFT_STEPS:
@@ -69,12 +73,17 @@ class FaultModel:
 
     @classmethod
     def symbol_flip(cls, count: int, magnitude: int, seed: int = 0) -> "FaultModel":
+        _require_int("count", count)
+        _require_int("magnitude", magnitude)
+        _require_int("seed", seed)
         if count < 0 or magnitude < 1:
             raise ValueError("need count >= 0 and magnitude >= 1")
         return cls(KIND_FLIP, seed=seed, count=count, magnitude=magnitude)
 
     @classmethod
     def short_column(cls, count: int, seed: int = 0) -> "FaultModel":
+        _require_int("count", count)
+        _require_int("seed", seed)
         if count < 0:
             raise ValueError("count must be >= 0")
         return cls(KIND_SHORT, seed=seed, count=count)
@@ -147,8 +156,12 @@ class SimReport:
 
 
 def inject(c: Sequence[int], model: FaultModel, alphabet: int) -> SimReport:
-    """Apply a fault model to a clean output vector in Sigma_alphabet^n."""
+    """Apply a fault model to a clean output vector in Sigma_alphabet^n:
+    ints (a bool is not one), as is the alphabet size."""
     n = len(c)
+    _require_int("alphabet", alphabet)
+    if countOf(map(type, c), int) != n:  # refuse the first entry that is not an int
+        _require_int("clean entry", next(v for v in c if type(v) is not int))
     if any(not 0 <= v < alphabet for v in c):
         raise ValueError("clean vector is outside the output alphabet")
     y = list(c)

@@ -11,18 +11,16 @@ syndrome's parity counts the errors (odd q directly; even q > 2 after
 swapping digit weights for the odd mixed-radix sequence).  `detect_variant`
 picks and checks the variant here and for the double-error schemes.
 
-Each scheme programs a matrix through `core.encode_matrix`: its
-`encode_array` hook runs `encode_row` on the whole packed block, one
-product for the locator checksums of all rows, and the parity variants
-append their column to the block (`core.parity_extend`).
-
-Each scheme decodes through `core.decode_read`.  Its syndrome hook admits
-the read and multiplies it by the scheme's `core.CheckMatrix` (`checksum`):
-the locator row, and in the parity variant of sec-ded an all-ones row mod
-2 whose value counts the errors mod 2.  Its `locate` reads a zero locator
-syndrome as clean, and otherwise the lone +-1 error that `unit_hits`
-finds, which the double-error schemes share.  The parity detector's check
-is the all-ones row mod 2 alone; an odd sum is detected, never located.
+Each scheme is a `core.Scheme`.  Its `encode_array` runs `encode_row` on
+the whole packed block, one product for the locator checksums of all rows,
+and the parity variants append their column to the block
+(`core.parity_extend`).  Its `check` is the locator row, and in the parity
+variant of sec-ded an all-ones row mod 2 whose value counts the errors mod
+2; the sec and sec-ded reads take their product through `checksum`.  Its
+`locate` reads a zero locator syndrome as clean, and otherwise the lone
++-1 error that `unit_hits` finds (`core.unit_error`), which the
+double-error schemes share.  The parity detector's check is the all-ones
+row mod 2 alone; an odd sum is detected, never located.
 """
 
 from __future__ import annotations
@@ -38,11 +36,11 @@ from .core import (
     Hits,
     QMatrix,
     ReadVector,
+    Scheme,
     decode_read,
-    encode_matrix,
-    output_alphabet,
     parity_extend,
     radix_digits,
+    unit_error,
 )
 from .locators import Locators, build_locators_basic, build_locators_ded
 
@@ -86,13 +84,7 @@ def checksum(values: Sequence[int], check: CheckMatrix) -> list[int]:
 
 def locate_unit_error(s: int, loc: Locators) -> tuple[int, int] | None:
     """Map a nonzero syndrome to (position, error value +-1), if possible."""
-    j = loc.index_of(s)
-    if j is not None:
-        return j, 1
-    j = loc.index_of(loc.modulus - s)
-    if j is not None:
-        return j, -1
-    return None
+    return unit_error(loc._index, loc.modulus, s)
 
 
 def unit_hits(s: int, loc: Locators) -> Hits | None:
@@ -118,29 +110,19 @@ def detect_variant(q: int, variant: str | None) -> str:
     return variant
 
 
-class ParityDetectScheme:
+class ParityDetectScheme(Scheme):
     """Minimal scheme: one parity column, detects a single L1 error."""
 
     def __init__(self, q: int, k: int, ell: int):
+        super().__init__(q, ell)
         if k < 1:
             raise ValueError("dimension must be >= 1")
-        self.q = q
         self.k = k
         self.n = k + 1
-        self.ell = ell
-        self.q_out = output_alphabet(q, ell)
         self.check = CheckMatrix([(1,) * self.n], [2], self.q_out)
-        self.vector = self.check.vector
-
-    def encode(self, aprime: QMatrix) -> QMatrix:
-        return encode_matrix(self, aprime)
 
     def encode_array(self, block: np.ndarray) -> np.ndarray:
         return parity_extend(block)
-
-    def read_syndromes(self, y: ReadVector) -> tuple[list[int], tuple[int, ...]]:
-        """Admit the read; its entry sum mod 2, and its entries."""
-        return self.check(y.admit(self.n, self.q_out, vector=self.vector)), y.entries
 
     def locate(self, syn: list[int], y: ReadVector) -> Hits | None:
         return None if syn[0] else ()  # an odd sum is detected, never located
@@ -149,30 +131,25 @@ class ParityDetectScheme:
         return decode_read(self, y)
 
 
-class SingleErrorScheme:
+class SingleErrorScheme(Scheme):
     """Correct one L1 error (no extra detection): redundancy ceil(log_q(2n+1))."""
 
     def __init__(self, q: int, n: int, ell: int, allow_suffix_ambiguity: bool = False):
+        super().__init__(q, ell)
         self.loc = build_locators_basic(q, n, allow_suffix_ambiguity)
-        self.q = q
         self.n = n
-        self.ell = ell
         self.m = self.loc.m
         self.k = self.loc.k
         self.modulus = self.loc.modulus
-        self.q_out = output_alphabet(q, ell)
         self.check = CheckMatrix(self.loc.array[None], [self.modulus], self.q_out)
-        self.vector = self.check.vector
-
-    def encode(self, aprime: QMatrix) -> QMatrix:
-        return encode_matrix(self, aprime)
 
     def encode_array(self, block: np.ndarray) -> np.ndarray:
         return encode_row(block, self.loc)
 
     def read_syndromes(self, y: ReadVector) -> tuple[list[int], tuple[int, ...]]:
-        """Admit the read; its locator checksum, and its entries."""
-        return checksum(y.admit(self.n, self.q_out, vector=self.vector), self.check), y.entries
+        """Admit the read; its checksum (`checksum`), and its entries."""
+        check = self.check
+        return checksum(y.admit(check.n, self.q_out, vector=check.vector), check), y.entries
 
     def syndrome(self, y: ReadVector) -> int:
         """Admit the read; its locator checksum."""
@@ -186,7 +163,7 @@ class SingleErrorScheme:
         return decode_read(self, y)
 
 
-class SecDedScheme:
+class SecDedScheme(Scheme):
     """Correct one L1 error and detect two (induced distance >= 4)."""
 
     def __init__(
@@ -197,11 +174,9 @@ class SecDedScheme:
         variant: str | None = None,
         allow_suffix_ambiguity: bool = False,
     ):
+        super().__init__(q, ell)
         self.variant = variant = detect_variant(q, variant)
-        self.q = q
         self.n = n
-        self.ell = ell
-        self.q_out = output_alphabet(q, ell)
         if variant == VARIANT_PARITY:
             self.loc = build_locators_basic(q, n - 1, allow_suffix_ambiguity)
             self.m = self.loc.m + 1
@@ -216,18 +191,12 @@ class SecDedScheme:
         self.k = self.n - self.m
         self.modulus = self.loc.modulus
         self.check = CheckMatrix(rows, moduli, self.q_out)
-        self.vector = self.check.vector
-
-    def encode(self, aprime: QMatrix) -> QMatrix:
-        return encode_matrix(self, aprime)
 
     def encode_array(self, block: np.ndarray) -> np.ndarray:
         rows = encode_row(block, self.loc)
         return parity_extend(rows) if self.variant == VARIANT_PARITY else rows
 
-    def read_syndromes(self, y: ReadVector) -> tuple[list[int], tuple[int, ...]]:
-        """Admit the read; its checksum (and entry sum mod 2), and entries."""
-        return checksum(y.admit(self.n, self.q_out, vector=self.vector), self.check), y.entries
+    read_syndromes = SingleErrorScheme.read_syndromes
 
     def locate(self, syn: list[int], y: ReadVector) -> Hits | None:
         s = syn[0]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpe_codec as api
-from dpe_codec.core import DECODE_FAILURE, QMatrix, ReadVector, corrected, decoded
+from dpe_codec.core import DECODE_FAILURE, QMatrix, ReadVector, corrected, decoded, unit_error
 
 
 class TestReadVector:
@@ -17,6 +17,10 @@ class TestReadVector:
     def test_erasure_index_out_of_range(self, index):
         with pytest.raises(ValueError, match="erasure index"):
             ReadVector.with_erasures([4, 5, 6], [index])
+
+    def test_erasure_index_message_is_erasure_indices(self):
+        with pytest.raises(ValueError, match=r"^erasure index 3 is outside \[0, 3\)$"):
+            ReadVector.with_erasures([4, 5, 6], [0, 3])
 
     def test_alphabet_accepts_in_range(self):
         ReadVector.exact([0, 3, 1]).check_alphabet(4)
@@ -208,3 +212,10 @@ class TestQMatrixTypes:
     def test_admits_the_top_symbol(self, q):
         rows = ((q - 1,) * 300, (0,) * 299 + (q - 1,))
         assert QMatrix(q, rows).rows == rows
+
+
+def test_unit_error_looks_up_both_signs():
+    index = {1: 0, 3: 1, 9: 2}
+    assert unit_error(index, 11, 3) == (1, 1)
+    assert unit_error(index, 11, 2) == (2, -1)  # 11 - 2 = 9
+    assert unit_error(index, 11, 5) is None

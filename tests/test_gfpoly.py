@@ -2,11 +2,13 @@ import random
 
 from dpe_codec.gfpoly import (
     inverses,
+    pair_table,
     poly_divmod,
     poly_eval,
     poly_mul,
     poly_roots,
     poly_trim,
+    scan_pairs,
     solve_key_equation,
 )
 
@@ -85,3 +87,35 @@ def test_inverses():
     assert inverses(range(1, P), P) == [pow(x, -1, P) for x in range(1, P)]
     assert inverses([5, 5, 12], P) == [8, 8, 12]
     assert inverses([], P) == []
+
+
+def test_pair_table_has_one_entry_per_pair():
+    # 1 and 12 negate mod 13, so 1 stands for both; 11 stands for 2
+    table = pair_table({3: 0, 12: 1, 1: 2, 11: 3}, P)
+    assert [v for v, _, _ in table] == [3, 1, 11]
+    for v, u, w in table:
+        assert v * w % P == 1 and u == w * w % P
+
+
+def _split(lam):
+    return lam[0::2], lam[1::2]
+
+
+def test_scan_pairs_finds_the_roots_of_the_reciprocals():
+    rng = random.Random(5)
+    table = pair_table(dict.fromkeys(range(1, P)), P)
+    for _ in range(200):
+        points = rng.sample(range(1, P), rng.randrange(1, 5))
+        lam = [1]  # prod (1 - x_i z): roots 1/x_i
+        for x in points:
+            lam = poly_mul(lam, [1, -x % P], P)
+        found = scan_pairs(*_split(lam), table, P, P)
+        assert sorted(found) == sorted(points)
+        # both signs of a pair are reported, v before p - v
+        count = rng.randrange(len(points) + 1)
+        assert scan_pairs(*_split(lam), table, count, P) == found[:count]
+
+
+def test_scan_pairs_reports_both_signs_of_a_pair():
+    lam = poly_mul([1, P - 4], [1, 4], P)  # points 4 and 9 = 13 - 4
+    assert scan_pairs(*_split(lam), pair_table({4, 9}, P), 2, P) == [4, 9]

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from dpe_codec import core
+from dpe_codec import core, hamming
 from dpe_codec.basemath import PrimeField, hamming_dist
 from dpe_codec.core import QMatrix, ReadVector, error_vector
 from dpe_codec.hamming import HammingScheme, ReedSolomonCode, smallest_inner_prime
@@ -126,6 +126,19 @@ class TestReedSolomon:
         err = rs.decode_errors_erasures(y, erased, 2)
         assert [(v - e) % 11 for v, e in zip(y, err)] == cw
         assert rs.decode_errors_erasures(y, erased + [1], 2) is None
+
+    @pytest.mark.parametrize("g", range(1, 7))
+    def test_errors_at_a_point_and_its_negation(self, g):
+        # gamma and 13 - gamma are both roots of one entry of the scan's pair
+        # table: the scan reports both signs
+        rs = ReedSolomonCode(PrimeField(13), 12, 6)
+        cw = rs.encode([3, 1, 4, 1, 5, 9])
+        error = [0] * 12
+        error[g - 1], error[12 - g] = 5, 11  # points g and 13 - g
+        y = [(v + e) % 13 for v, e in zip(cw, error)]
+        assert rs.decode_errors_erasures(y, [], 3) == error
+        hits = rs.locate_syndromes(rs.syndromes(y), [], 3)
+        assert sorted(hits) == [(g - 1, 5), (12 - g, 11)]
 
 
 class TestLinearInnerCode:
@@ -273,6 +286,17 @@ class TestLocateBoundary:
 
 
 class TestSchemeConstruction:
+    def test_builds_and_encodes_without_an_inverse(self, monkeypatch):
+        # the scan table and Forney's inverses are built on the first decode
+        def refuse(*args):
+            raise AssertionError("construction took an inverse")
+
+        monkeypatch.setattr(hamming, "inverses", refuse)
+        monkeypatch.setattr(hamming, "pair_table", refuse)
+        scheme = HammingScheme(2, 1, 2000, 3)
+        encoded = scheme.encode(QMatrix.from_lists(2, [[1, 0] * 1000]))
+        assert not any(scheme.read_syndromes(ReadVector.exact(encoded.rows[0]))[0])
+
     def test_prime_selection_rejects_small(self):
         with pytest.raises(ValueError, match="next usable prime is 7"):
             HammingScheme(q=2, ell=2, k=1, tau=2, theta=2, rho_max=1, p=5)

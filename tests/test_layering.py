@@ -109,3 +109,27 @@ def test_reads_are_admitted_only_in_the_syndrome_hook(name):
 def test_only_the_pipeline_corrects(name):
     names = {node.id for node in ast.walk(_tree(name)) if isinstance(node, ast.Name)}
     assert "corrected" not in names
+
+
+# Every name a module imports is used in it.  `__init__.py` re-exports, and
+# two bindings stay for bench/tracing.py, which traces them by name.
+UNUSED_ALLOWED = {("berlekamp.py", "decode_exhaustive"), ("hamming.py", "gfp_solve")}
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "annotations":  # from __future__ import annotations
+                    imported.append(alias.asname or alias.name.split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    unused = {(path.name, name) for name in _unused_imports(ast.parse(path.read_text()))}
+    assert unused <= UNUSED_ALLOWED, sorted(unused - UNUSED_ALLOWED)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpe_codec import berlekamp
+from dpe_codec import hamming as hamming_module
 from dpe_codec import (
     DoubleErrorScheme,
     HammingScheme,
@@ -19,7 +20,6 @@ from dpe_codec import (
     QMatrix,
     ReadVector,
     RecursiveScheme,
-    ReedSolomonCode,
     SecDedScheme,
     SingleErrorScheme,
     TripleDetectScheme,
@@ -147,9 +147,9 @@ def test_single_errors_decode_without_a_scan(monkeypatch):
     def refuse(*args):
         raise AssertionError("the locate step scanned a linear locator")
 
-    monkeypatch.setattr(berlekamp, "_scan_points", refuse)
+    monkeypatch.setattr(berlekamp, "scan_pairs", refuse)
     monkeypatch.setattr(berlekamp, "poly_roots", refuse)
-    monkeypatch.setattr(ReedSolomonCode, "_scan_locators", refuse)
+    monkeypatch.setattr(hamming_module, "scan_pairs", refuse)
     large = LargeAlphabetScheme(1031, 250, 3, ELL)
     hamming = HammingScheme(2, ELL, 256, 2)
     rng = random.Random(6)

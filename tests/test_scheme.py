@@ -1,0 +1,128 @@
+"""The `core.Scheme` contract: every scheme class inherits it, it alone
+checks q and ell, sets `q_out` and `vector` and programs a matrix, and the
+CLI's sidecar records the length of the scheme's reads, `check.n`."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import dpe_codec as api
+from dpe_codec import cli
+from dpe_codec.core import Scheme, output_alphabet
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dpe_codec"
+
+# each class built from (q, ell) and parameters it accepts
+BUILDERS = {
+    api.ParityDetectScheme: (3, lambda q, ell: api.ParityDetectScheme(q, 20, ell)),
+    api.SingleErrorScheme: (2, lambda q, ell: api.SingleErrorScheme(q, 15, ell)),
+    api.SecDedScheme: (3, lambda q, ell: api.SecDedScheme(q, 8, ell)),
+    api.DoubleErrorScheme: (2, lambda q, ell: api.DoubleErrorScheme(q, 31, ell)),
+    api.TripleDetectScheme: (3, lambda q, ell: api.TripleDetectScheme(q, 13, ell)),
+    api.RecursiveScheme: (2, lambda q, ell: api.RecursiveScheme(q, ell, 1, 13)),
+    api.LargeAlphabetScheme: (8, lambda q, ell: api.LargeAlphabetScheme(q, 3, 1, ell)),
+    api.HammingScheme: (2, lambda q, ell: api.HammingScheme(q, ell, 4, 1)),
+}
+CONTRACT = {"encode", "vector", "q_out", "q", "ell"}
+
+
+def test_every_scheme_class_is_a_scheme():
+    classes = {spec.cls for spec in cli.SCHEMES.values()} | {api.ParityDetectScheme}
+    assert classes == set(BUILDERS)
+    for cls in classes:
+        assert issubclass(cls, Scheme), cls.__name__
+        assert not CONTRACT & set(cls.__dict__), cls.__name__
+
+
+def _scheme_classes():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", None) == "Scheme" for base in node.bases
+            ):
+                yield node
+
+
+def _targets(node: ast.AST) -> list[ast.expr]:
+    if isinstance(node, ast.Assign):
+        return node.targets
+    return [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else []
+
+
+def test_no_scheme_class_restates_the_contract():
+    """No method named encode, no class attribute of a contract name, and
+    no assignment to self.vector, self.q_out, self.q or self.ell."""
+    found = set()
+    for cls in _scheme_classes():
+        found.add(cls.name)
+        for node in cls.body:
+            assert getattr(node, "name", None) != "encode", cls.name
+            for target in _targets(node):
+                assert getattr(target, "id", None) not in CONTRACT, cls.name
+        for node in ast.walk(cls):
+            for target in _targets(node):
+                if isinstance(target, ast.Attribute) and getattr(target.value, "id", "") == "self":
+                    assert target.attr not in CONTRACT, (cls.name, target.attr)
+    assert found == {cls.__name__ for cls in BUILDERS}
+
+
+@pytest.mark.parametrize("cls", BUILDERS, ids=lambda c: c.__name__)
+def test_holds_q_ell_and_the_output_alphabet(cls):
+    q, build = BUILDERS[cls]
+    scheme = build(q, 2)
+    assert (scheme.q, scheme.ell, scheme.q_out) == (q, 2, output_alphabet(q, 2))
+    assert scheme.vector == scheme.check.vector
+
+
+REFUSALS = [
+    ("float q", lambda q: (float(q), 2), "alphabet size must be an integer, got {q}.0"),
+    ("q = 1", lambda q: (1, 2), "alphabet size must be >= 2, got 1"),
+    ("ell = 0", lambda q: (q, 0), "row count ell must be >= 1, got 0"),
+    ("ell = -2", lambda q: (q, -2), "row count ell must be >= 1, got -2"),
+    ("ell = 1.5", lambda q: (q, 1.5), "row count ell must be an integer, got 1.5"),
+    ("ell = True", lambda q: (q, True), "row count ell must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize("cls", BUILDERS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("case", REFUSALS, ids=lambda c: c[0])
+def test_refuses_q_and_ell_with_one_message(cls, case):
+    q, build = BUILDERS[cls]
+    _, args, message = case
+    with pytest.raises(ValueError) as info:
+        build(*args(q))
+    assert str(info.value) == message.format(q=q)
+
+
+def test_cli_refuses_ell_0(capsys):
+    assert cli.main(["params", "--scheme", "sec", "--q", "2", "--n", "15", "--ell", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "row count ell must be >= 1, got 0" in captured.err
+
+
+# every CLI scheme in each of its variants, as sidecar fields
+CLI_INSTANCES = [
+    ("sec", {"q": 2, "n": 15, "ell": 2}),
+    ("sec", {"q": 2, "n": 14, "ell": 1, "allow_suffix_ambiguity": True}),
+    ("sec-ded", {"q": 2, "n": 20, "ell": 2, "variant": "parity"}),
+    ("sec-ded", {"q": 3, "n": 8, "ell": 2, "variant": "odd_q"}),
+    ("sec-ded", {"q": 4, "n": 20, "ell": 2, "variant": "even_q"}),
+    ("dec", {"q": 2, "p": 31, "ell": 2}),
+    ("dec-ted", {"q": 2, "p": 31, "ell": 2, "variant": "parity"}),
+    ("dec-ted", {"q": 3, "p": 13, "ell": 2, "variant": "odd_q"}),
+    ("dec-ted", {"q": 4, "p": 61, "ell": 2, "variant": "even_q"}),
+    ("recursive", {"q": 2, "p": 31, "ell": 2, "tau": 2, "trimmed": False}),
+    ("recursive", {"q": 2, "p": 31, "ell": 2, "tau": 2, "trimmed": True}),
+    ("large-alphabet", {"q": 257, "n": 24, "ell": 8, "tau": 3}),
+    ("hamming", {"q": 2, "ell": 2, "k": 4, "tau": 1, "sigma": 0, "rho": 0}),
+    ("hamming", {"q": 2, "ell": 3, "k": 8, "tau": 2, "sigma": 1, "rho": 2}),
+]
+
+
+@pytest.mark.parametrize("name,fields", CLI_INSTANCES, ids=lambda v: v if isinstance(v, str) else "")
+def test_sidecar_n_is_the_read_length(name, fields):
+    scheme = cli.build(name, fields)
+    read_length = scheme.total_length if name == "recursive" else scheme.n
+    assert cli.scheme_sidecar(scheme, name)["n"] == scheme.check.n == read_length

@@ -107,6 +107,43 @@ class TestInject:
             inject(C_EXAMPLE, FaultModel.manual(deltas=[(15, 1)]), 4)
 
 
+class TestIntegerInputs:
+    """Counts, budgets, magnitudes, seeds, the clean vector and the
+    alphabet are ints; each repro below used to pass or escape as a
+    TypeError."""
+
+    def test_float_clean_entries(self):
+        # returned entries (2.5, 2.0, 0.0)
+        with pytest.raises(ValueError, match=r"^clean entry must be an integer, got 1\.5$"):
+            inject([1.5, 2.0, 0.0], FaultModel.l1_drift(1, seed=1), 4)
+
+    @pytest.mark.parametrize("budget", [1.5, True])
+    def test_drift_budget(self, budget):
+        # True built a model whose to_json wrote "t": true
+        with pytest.raises(ValueError, match=rf"^budget must be an integer, got {budget!r}$"):
+            FaultModel.l1_drift(budget)
+
+    def test_flip_count(self):
+        # escaped as a TypeError from random.sample
+        with pytest.raises(ValueError, match=r"^count must be an integer, got 1\.0$"):
+            FaultModel.symbol_flip(1.0, 1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: FaultModel.symbol_flip(1, 2.0), lambda: FaultModel.short_column(True),
+        lambda: FaultModel.l1_drift(1, seed=1.5)])
+    def test_every_count_magnitude_and_seed(self, build):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+
+    def test_alphabet(self):
+        with pytest.raises(ValueError, match=r"^alphabet must be an integer, got 4\.0$"):
+            inject(C_EXAMPLE, FaultModel.l1_drift(1), 4.0)
+
+    def test_range_message_is_kept(self):
+        with pytest.raises(ValueError, match="^clean vector is outside the output alphabet$"):
+            inject(C_EXAMPLE[:-1] + [4], FaultModel.l1_drift(1), 4)
+
+
 class TestFaultModelJson:
     def test_roundtrip(self):
         models = [
