@@ -155,12 +155,14 @@ def scan_pairs(
     Lambda = A(x^2) + x B(x^2).
 
     With u = 1/v^2 and w = 1/v, Lambda(+-1/v) = A(u) +- w B(u): one Horner
-    loop over the paired coefficients (A_i, B_i) tests both signs."""
+    loop over the paired coefficients (A_i, B_i), from the top pair, tests
+    both signs."""
     terms = list(zip_longest(a, b, fillvalue=0))[::-1]
+    top, rest = terms[0], terms[1:]
     points: list[int] = []
     for v, u, w in table:
-        x = y = 0
-        for c, d in terms:
+        x, y = top
+        for c, d in rest:
             x = x * u + c
             y = y * u + d
         x %= p
