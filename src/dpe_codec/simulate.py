@@ -59,8 +59,6 @@ class FaultModel:
     deltas: tuple[tuple[int, int], ...] = field(default=())
     erase: tuple[int, ...] = field(default=())
 
-    # Every count, budget, magnitude and seed is an int (a bool is not).
-
     @classmethod
     def l1_drift(cls, budget: int, seed: int = 0) -> "FaultModel":
         _require_int("budget", budget)
