@@ -8,8 +8,6 @@ crossbar fault simulator and brute-force verification oracles.
 
 from .basemath import (
     PrimeField,
-    base_q_digits,
-    base_q_value,
     gfp_inv,
     gfp_quadratic_roots,
     gfp_sqrt,
@@ -19,7 +17,6 @@ from .basemath import (
     jacobsthal_weights,
     l1_dist,
     l1_norm,
-    mixed_radix_digits,
     signed_value,
     sphere_volume_l1,
 )
@@ -46,15 +43,20 @@ from .locators import (
     build_locators_ded,
     validate_locators,
 )
-from .multi import LargeAlphabetScheme, RecursiveScheme, digit_split, syndrome_matrix
+from .multi import LargeAlphabetScheme, RecursiveScheme
 from .oracles import (
     ExtField,
     LinearInnerCode,
+    base_q_digits,
+    base_q_value,
     decode_exhaustive,
+    digit_split,
     enumerate_induced_code,
     induced_min_distance,
+    mixed_radix_digits,
     nearest_prefix_decode,
     scan_errors_erasures,
+    syndrome_matrix,
 )
 from .simulate import FaultModel, SimReport, compute_clean, inject
 from .single import (

@@ -1,9 +1,11 @@
-"""Exact integer arithmetic helpers: base-q digits, mixed-radix digits,
-L1/Hamming metrics, Manhattan sphere volume, and prime-field GF(p)
-arithmetic (inverse, square root, quadratic roots, signed lifting).
+"""Exact integer arithmetic helpers: primes, exact logarithms, the odd
+mixed-radix weights, L1/Hamming metrics, Manhattan sphere volume, and
+prime-field GF(p) arithmetic (inverse, solve, square root, quadratic
+roots, signed lifting).
 
 Everything works on plain Python ints, so there is no overflow to guard
-against; values are exact at any size.
+against; values are exact at any size.  The scalar digit references and
+the L1-sphere enumerator live in `oracles`.
 """
 
 from __future__ import annotations
@@ -64,38 +66,6 @@ def ceil_log(base: int, x: int) -> int:
     return m
 
 
-def base_q_digits(x: int, q: int, m: int) -> list[int]:
-    """Base-q expansion of x with exactly m digits, least significant first."""
-    if q < 2:
-        raise ValueError(f"base must be >= 2, got {q}")
-    if m < 0:
-        raise ValueError(f"digit count must be >= 0, got {m}")
-    if not 0 <= x < q**m:
-        raise ValueError(f"{x} is not representable with {m} base-{q} digits")
-    digits = []
-    for _ in range(m):
-        digits.append(x % q)
-        x //= q
-    return digits
-
-
-def digit_planes(values: Sequence[int], q: int, m: int) -> list[int]:
-    """The m-digit base-q expansions of `values`, laid out plane-major:
-    digit j of values[v] at j * len(values) + v."""
-    digits = [base_q_digits(x, q, m) for x in values]
-    return [column[j] for j in range(m) for column in digits]
-
-
-def base_q_value(digits: Sequence[int], q: int) -> int:
-    """Inverse of base_q_digits: sum of digits[j] * q**j."""
-    value = 0
-    for d in reversed(digits):
-        if not 0 <= d < q:
-            raise ValueError(f"digit {d} out of range for base {q}")
-        value = value * q + d
-    return value
-
-
 def jacobsthal_weight(q: int, j: int) -> int:
     """j-th mixed-radix weight (q^(j+1) + (-1)^j) / (q+1) for even q > 2.
 
@@ -115,24 +85,6 @@ def jacobsthal_weight(q: int, j: int) -> int:
 def jacobsthal_weights(q: int, m: int) -> list[int]:
     """First m mixed-radix weights for even base q."""
     return [jacobsthal_weight(q, j) for j in range(m)]
-
-
-def mixed_radix_digits(x: int, weights: Sequence[int], q: int) -> list[int]:
-    """Digits (b_0..b_{m-1}) with b_j in [0,q) and sum b_j*weights[j] == x.
-
-    Greedy most-significant-first extraction; weights must be increasing
-    positive ints (as produced by jacobsthal_weights).
-    """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    digits = [0] * len(weights)
-    rest = x
-    for j in range(len(weights) - 1, -1, -1):
-        digits[j] = min(q - 1, rest // weights[j])
-        rest -= digits[j] * weights[j]
-    if rest != 0:
-        raise ValueError(f"{x} is not representable with weights {list(weights)} base {q}")
-    return digits
 
 
 def l1_norm(e: Iterable[int]) -> int:
@@ -177,37 +129,6 @@ def gfp_solve(matrix: Sequence[Sequence[int]], rhs: Sequence[int], p: int) -> li
                 factor = aug[r][col]
                 aug[r] = [(v - factor * w) % p for v, w in zip(aug[r], aug[col])]
     return [aug[r][size] for r in range(size)]
-
-
-def compositions(total: int, parts: int):
-    """All tuples of `parts` positive ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def iter_l1_errors(n: int, max_weight: int, include_zero: bool = False):
-    """All integer vectors of length n with L1 norm in [1, max_weight].
-
-    Enumerates supports, positive magnitude splits, and signs; the count
-    equals sphere_volume_l1(n, max_weight) - 1.
-    """
-    import itertools
-
-    if include_zero:
-        yield [0] * n
-    for weight in range(1, max_weight + 1):
-        for r in range(1, min(weight, n) + 1):
-            for positions in itertools.combinations(range(n), r):
-                for magnitudes in compositions(weight, r):
-                    for signs in itertools.product((1, -1), repeat=r):
-                        e = [0] * n
-                        for pos, mag, sign in zip(positions, magnitudes, signs):
-                            e[pos] = sign * mag
-                        yield e
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ these are checked against, lives in `oracles`.
 A code is built as whole arrays: its locators reduced mod p at once and
 tested on a sorted copy, its power columns one running product (beta,
 then times beta^2 mod p), int64 while p^2 < 2^63, else Python ints.  What
-the decoders touch (`beta`, the value index, `power_cols`) is Python ints.
+the decoders touch (`beta` and the value index) is Python ints.
 The checks form one `core.CheckMatrix` (`BerlekampCode.check`), built on
 first use for the alphabet of the vectors it checks: the double-error
 schemes' pair code, which only the closed form decodes, never builds it.
@@ -133,11 +133,6 @@ class BerlekampCode:
         for v in range(1, self.tau):
             powers[v] = powers[v - 1] * square % p
         return CheckMatrix(powers, (p,) * self.tau, self._bound)
-
-    @cached_property
-    def power_cols(self) -> list[tuple[int, ...]]:
-        """power_cols[v][j] = beta_j^(2v+1) mod p, Python ints."""
-        return list(self.check.rows)
 
     @cached_property
     def _pairs(self) -> tuple[tuple[int, int, int], ...]:

@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .basemath import iter_l1_errors, sphere_volume_l1
+from .basemath import sphere_volume_l1
 from .core import ReadVector, output_alphabet
 from .double import DoubleErrorScheme, TripleDetectScheme
 from .formats import read_json, read_matrix, read_vector, write_json, write_matrix, write_vector
@@ -24,6 +24,7 @@ from .oracles import (
     enumerate_induced_code,
     guard_limit,
     induced_min_distance,
+    iter_l1_errors,
     linear_codewords,
     nearest_prefix_decode,
 )

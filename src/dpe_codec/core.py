@@ -413,7 +413,6 @@ class ReadVector:
     entries: tuple[int, ...]
     erased: tuple[bool, ...] = field(default=())
     has_erasures: bool = field(init=False, repr=False, compare=False)
-    _int64: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.erased:
@@ -441,16 +440,6 @@ class ReadVector:
     def n(self) -> int:
         return len(self.entries)
 
-    @property
-    def int64(self) -> np.ndarray:
-        """The entries as a read-only int64 array, packed on first use and
-        kept; raises struct.error for an entry that is not an integer or
-        lies outside int64."""
-        if self._int64 is None:
-            array = np.frombuffer(_int64_packer(len(self.entries))(*self.entries), np.int64)
-            object.__setattr__(self, "_int64", array)
-        return self._int64
-
     def erased_positions(self) -> list[int]:
         return [j for j, f in enumerate(self.erased) if f]
 
@@ -473,7 +462,7 @@ class ReadVector:
         [0, bound); erased entries are placeholders and are not read.
         Where `vector` holds and the read has no erasures, returns the
         entries as a read-only numpy array: uint8 for a bound of at most
-        BYTE_BOUND, `int64` otherwise.  Returns `entries` in every other
+        BYTE_BOUND, int64 otherwise.  Returns `entries` in every other
         case.
 
         The fast pass packs the entries, and the packing refuses floats,
@@ -493,13 +482,13 @@ class ReadVector:
                         if vector and packed:
                             return np.frombuffer(bytes(packed), np.uint8)
                         return entries
-                elif vector and entries:
-                    array = self.int64
-                    if array.view(np.uint64).max() < min(bound, INT64_BOUND):
-                        return array
                 else:
-                    _int64_packer(len(entries))(*entries)
-                    if not entries or 0 <= min(entries) and max(entries) < bound:
+                    packed = _int64_packer(len(entries))(*entries)
+                    if vector and entries:
+                        array = np.frombuffer(packed, np.int64)
+                        if array.view(np.uint64).max() < min(bound, INT64_BOUND):
+                            return array
+                    elif not entries or 0 <= min(entries) and max(entries) < bound:
                         return entries
             except (TypeError, ValueError, struct.error):
                 pass
@@ -578,17 +567,13 @@ def field_symbols(
 
 
 def systematic_word(
-    check: CheckMatrix,
-    message: Sequence[int] | np.ndarray,
-    k: int,
-    syndromes: Callable | None = None,
+    check: CheckMatrix, message: Sequence[int] | np.ndarray, k: int, syndromes: Callable
 ) -> list[int] | np.ndarray:
     """The systematic codeword over GF(p), p = check.moduli[0], of a
     message of k ints: the message reduced mod p (`field_symbols`), then
-    the n - k symbols that `check.tail` solves from the `syndromes` (by
-    default `check`) of the word with those symbols at 0.  An l x k integer
-    array of messages gives the l x n array of their codewords."""
-    syndromes = check if syndromes is None else syndromes
+    the n - k symbols that `check.tail` solves from the `syndromes` of the
+    word with those symbols at 0.  An l x k integer array of messages gives
+    the l x n array of their codewords."""
     word = field_symbols(message, k, check.moduli[0])
     if isinstance(word, np.ndarray):
         zeros = np.zeros(word.shape[:-1] + (check.n - k,), word.dtype)
@@ -604,10 +589,10 @@ def radix_digits(values: np.ndarray, weights: Sequence[int], q: int) -> np.ndarr
     """The digits in [0, q) whose sum weighted by `weights` is each entry of
     an array of non-negative integers, one row of digits per row of
     `values`: for c entries per row, digit j of entry v at j * c + v
-    (plane-major, as `basemath.digit_planes`; a 1-D array has one entry per
-    row).  Powers of q give the base-q expansion (`basemath.base_q_digits`),
+    (plane-major, as `oracles.digit_planes`; a 1-D array has one entry per
+    row).  Powers of q give the base-q expansion (`oracles.base_q_digits`),
     all digits at once; other weights, such as the odd mixed-radix ones,
-    are taken greedily from the largest (`basemath.mixed_radix_digits`).
+    are taken greedily from the largest (`oracles.mixed_radix_digits`).
     Raises ValueError for an entry those digits cannot represent."""
     m = len(weights)
     dtype = object if q > INT64_BOUND or values.dtype == object else np.int64

@@ -166,8 +166,7 @@ class DoubleErrorScheme(Scheme):
             return pair_hits(self.ber, self.ber_positions, (s1, s2))
         return unit_hits(s1, self.loc)
 
-    def decode(self, y: ReadVector) -> DecodeOutcome:
-        return decode_read(self, y)
+    decode = decode_read
 
 
 class TripleDetectScheme(Scheme):
@@ -256,8 +255,7 @@ class TripleDetectScheme(Scheme):
         # An odd s2: only a lone error whose two checksums agree.
         return unit_hits(s1, self.loc) if s1 % 2 and (s2 - s1**3) % self.p == 0 else None
 
-    def decode(self, y: ReadVector) -> DecodeOutcome:
-        return decode_read(self, y)
+    decode = decode_read
 
 
 class ShortenedScheme:

@@ -60,7 +60,6 @@ from .basemath import PrimeField, ceil_log, gfp_solve, is_prime, signed_value
 from .core import (
     INT64_BOUND,
     CheckMatrix,
-    DecodeOutcome,
     Hits,
     ReadVector,
     Scheme,
@@ -420,5 +419,4 @@ class HammingScheme(Scheme):
         return [(j, -(-e % self.p) if y.erased[j] else signed_value(e, self.field))
                 for j, e in hits if j < self.k]
 
-    def decode(self, y: ReadVector) -> DecodeOutcome:
-        return decode_read(self, y)
+    decode = decode_read

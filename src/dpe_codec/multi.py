@@ -9,7 +9,7 @@ checksum of the read prefix, and correct up to tau errors there.  The
 appended planes are protected the same way once more (over a smaller
 prime), and that second tail is protected by plain (2*tau+1)-fold
 repetition, decoded by coordinate-wise median.  Both checksums are
-written plane-major (`basemath.digit_planes`).
+written plane-major: digit j of checksum v at j * width + v.
 
 Large-alphabet scheme: when some prime p with 2*tau < p <= q exists, each
 row reduced mod p is systematically extended to a zero-checksum word, and
@@ -35,13 +35,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basemath import PrimeField, base_q_digits, ceil_log, is_prime, next_prime
+from .basemath import PrimeField, ceil_log, is_prime, next_prime
 from .berlekamp import BerlekampCode, locate_bounded, systematic_encode
 from .core import (
     CheckMatrix,
-    DecodeOutcome,
     Hits,
-    QMatrix,
     ReadVector,
     Scheme,
     decode_read,
@@ -49,21 +47,6 @@ from .core import (
     radix_digits,
 )
 from .locators import build_locators_basic
-
-
-def syndrome_matrix(matrix: QMatrix, code: BerlekampCode) -> list[list[int]]:
-    """Row-wise odd-power checksums of a matrix, entries in [0, p)."""
-    return [list(code.syndrome(row)) for row in matrix.rows]
-
-
-def digit_split(S: list[list[int]], q: int, m: int) -> list[list[list[int]]]:
-    """Entry-wise base-q expansion of a matrix into m digit planes."""
-    planes = [[[0] * len(S[0]) for _ in S] for _ in range(m)]
-    for i, row in enumerate(S):
-        for v, value in enumerate(row):
-            for j, digit in enumerate(base_q_digits(value, q, m)):
-                planes[j][i][v] = digit
-    return planes
 
 
 def _median(values: list[int]) -> int:
@@ -187,8 +170,7 @@ class RecursiveScheme(Scheme):
             return ()
         return locate_bounded(self.checker, syn[:tau])
 
-    def decode(self, y: ReadVector) -> DecodeOutcome:
-        return decode_read(self, y)
+    decode = decode_read
 
 
 class LargeAlphabetScheme(Scheme):
@@ -230,5 +212,4 @@ class LargeAlphabetScheme(Scheme):
             return ()  # in range: the alphabet check bounds it
         return locate_bounded(self.code, syn)
 
-    def decode(self, y: ReadVector) -> DecodeOutcome:
-        return decode_read(self, y)
+    decode = decode_read

@@ -1,14 +1,21 @@
 """Brute-force ground truth: enumerate every product vector a scheme can
 emit, audit the minimum distance over distinct data prefixes, decode by
 nearest-codeword search, decode a Lee-metric code by enumerating its L1
-sphere (`decode_exhaustive`, also for extension-field locators through
-`ExtField` and `ExtLeeCode`), decode Reed-Solomon errors and erasures by
-a scan over error supports, and decode any linear inner code by
-enumerating its codewords (`LinearInnerCode`).  These are the reference
-answers the production decoders are checked against.  Every enumeration
-is refused above a guard (raisable through DPE_CODEC_GUARD_OVERRIDE;
-`check_guard` words most refusals), so they stay at desk scale, and they
-never sample.
+sphere (`iter_l1_errors`, `decode_exhaustive`, also for extension-field
+locators through `ExtField` and `ExtLeeCode`), decode Reed-Solomon errors
+and erasures by a scan over error supports, and decode any linear inner
+code by enumerating its codewords (`LinearInnerCode`).  These are the
+reference answers the production decoders are checked against.  Every
+enumeration is refused above a guard (raisable through
+DPE_CODEC_GUARD_OVERRIDE; `check_guard` words most refusals), so they stay
+at desk scale, and they never sample.
+
+The scalar references the array code is checked against live here too:
+base-q and mixed-radix digits one value at a time (`base_q_digits`,
+`base_q_value`, `digit_planes`, `mixed_radix_digits`, against
+`core.radix_digits`), and a matrix's checksums and their digit planes row
+by row (`syndrome_matrix`, `digit_split`, against the recursive scheme's
+block encoder).
 """
 
 from __future__ import annotations
@@ -18,14 +25,7 @@ import math
 import os
 from typing import Callable, Iterable, Sequence
 
-from .basemath import (
-    PrimeField,
-    gfp_solve,
-    hamming_dist,
-    iter_l1_errors,
-    l1_dist,
-    sphere_volume_l1,
-)
+from .basemath import PrimeField, gfp_solve, hamming_dist, l1_dist, sphere_volume_l1
 from .core import (
     DECODE_FAILURE,
     CheckMatrix,
@@ -51,6 +51,101 @@ SWEEP_GUARD = 5_000_000
 ORACLE_VOLUME_GUARD = 10_000_000
 
 METRICS = {"l1": l1_dist, "hamming": hamming_dist}
+
+
+def base_q_digits(x: int, q: int, m: int) -> list[int]:
+    """Base-q expansion of x with exactly m digits, least significant first."""
+    if q < 2:
+        raise ValueError(f"base must be >= 2, got {q}")
+    if m < 0:
+        raise ValueError(f"digit count must be >= 0, got {m}")
+    if not 0 <= x < q**m:
+        raise ValueError(f"{x} is not representable with {m} base-{q} digits")
+    digits = []
+    for _ in range(m):
+        digits.append(x % q)
+        x //= q
+    return digits
+
+
+def digit_planes(values: Sequence[int], q: int, m: int) -> list[int]:
+    """The m-digit base-q expansions of `values`, laid out plane-major:
+    digit j of values[v] at j * len(values) + v."""
+    digits = [base_q_digits(x, q, m) for x in values]
+    return [column[j] for j in range(m) for column in digits]
+
+
+def base_q_value(digits: Sequence[int], q: int) -> int:
+    """Inverse of base_q_digits: sum of digits[j] * q**j."""
+    value = 0
+    for d in reversed(digits):
+        if not 0 <= d < q:
+            raise ValueError(f"digit {d} out of range for base {q}")
+        value = value * q + d
+    return value
+
+
+def mixed_radix_digits(x: int, weights: Sequence[int], q: int) -> list[int]:
+    """Digits (b_0..b_{m-1}) with b_j in [0,q) and sum b_j*weights[j] == x.
+
+    Greedy most-significant-first extraction; weights must be increasing
+    positive ints (as produced by basemath.jacobsthal_weights).
+    """
+    if x < 0:
+        raise ValueError(f"x must be >= 0, got {x}")
+    digits = [0] * len(weights)
+    rest = x
+    for j in range(len(weights) - 1, -1, -1):
+        digits[j] = min(q - 1, rest // weights[j])
+        rest -= digits[j] * weights[j]
+    if rest != 0:
+        raise ValueError(f"{x} is not representable with weights {list(weights)} base {q}")
+    return digits
+
+
+def syndrome_matrix(matrix: QMatrix, code) -> list[list[int]]:
+    """Row-wise odd-power checksums of a matrix against a
+    `berlekamp.BerlekampCode`, entries in [0, p)."""
+    return [list(code.syndrome(row)) for row in matrix.rows]
+
+
+def digit_split(S: list[list[int]], q: int, m: int) -> list[list[list[int]]]:
+    """Entry-wise base-q expansion of a matrix into m digit planes."""
+    planes = [[[0] * len(S[0]) for _ in S] for _ in range(m)]
+    for i, row in enumerate(S):
+        for v, value in enumerate(row):
+            for j, digit in enumerate(base_q_digits(value, q, m)):
+                planes[j][i][v] = digit
+    return planes
+
+
+def compositions(total: int, parts: int):
+    """All tuples of `parts` positive ints summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def iter_l1_errors(n: int, max_weight: int, include_zero: bool = False):
+    """All integer vectors of length n with L1 norm in [1, max_weight].
+
+    Enumerates supports, positive magnitude splits, and signs; the count
+    equals sphere_volume_l1(n, max_weight) - 1.
+    """
+    if include_zero:
+        yield [0] * n
+    for weight in range(1, max_weight + 1):
+        for r in range(1, min(weight, n) + 1):
+            for positions in itertools.combinations(range(n), r):
+                for magnitudes in compositions(weight, r):
+                    for signs in itertools.product((1, -1), repeat=r):
+                        e = [0] * n
+                        for pos, mag, sign in zip(positions, magnitudes, signs):
+                            e[pos] = sign * mag
+                        yield e
 
 
 def guard_limit(default: int) -> int:

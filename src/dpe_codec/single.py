@@ -32,7 +32,6 @@ import numpy as np
 from .basemath import ceil_log
 from .core import (
     CheckMatrix,
-    DecodeOutcome,
     Hits,
     QMatrix,
     ReadVector,
@@ -127,8 +126,7 @@ class ParityDetectScheme(Scheme):
     def locate(self, syn: list[int], y: ReadVector) -> Hits | None:
         return None if syn[0] else ()  # an odd sum is detected, never located
 
-    def decode(self, y: ReadVector) -> DecodeOutcome:
-        return decode_read(self, y)
+    decode = decode_read
 
 
 class SingleErrorScheme(Scheme):
@@ -159,8 +157,7 @@ class SingleErrorScheme(Scheme):
         (s,) = syn
         return unit_hits(s, self.loc) if s else ()
 
-    def decode(self, y: ReadVector) -> DecodeOutcome:
-        return decode_read(self, y)
+    decode = decode_read
 
 
 class SecDedScheme(Scheme):
@@ -207,5 +204,4 @@ class SecDedScheme(Scheme):
         odd = syn[1] if self.variant == VARIANT_PARITY else s % 2
         return unit_hits(s, self.loc) if odd else None
 
-    def decode(self, y: ReadVector) -> DecodeOutcome:
-        return decode_read(self, y)
+    decode = decode_read

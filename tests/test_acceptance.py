@@ -15,7 +15,6 @@ from dpe_codec.basemath import (
     PrimeField,
     ceil_log,
     gfp_quadratic_roots,
-    iter_l1_errors,
     jacobsthal_weights,
     sphere_volume_l1,
 )
@@ -25,7 +24,7 @@ from dpe_codec.double import DoubleErrorScheme, TripleDetectScheme
 from dpe_codec.hamming import HammingScheme
 from dpe_codec.locators import build_locators_ded, validate_locators
 from dpe_codec.multi import LargeAlphabetScheme, RecursiveScheme
-from dpe_codec.oracles import enumerate_induced_code, induced_min_distance
+from dpe_codec.oracles import enumerate_induced_code, induced_min_distance, iter_l1_errors
 from dpe_codec.simulate import FaultModel, compute_clean, inject
 from dpe_codec.single import SecDedScheme, SingleErrorScheme
 

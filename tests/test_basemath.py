@@ -4,28 +4,30 @@ from hypothesis import strategies as st
 
 from dpe_codec.basemath import (
     PrimeField,
-    base_q_digits,
-    base_q_value,
     ceil_log,
-    compositions,
-    digit_planes,
     gfp_inv,
     gfp_quadratic_roots,
     gfp_solve,
     gfp_sqrt,
     hamming_dist,
     is_prime,
-    iter_l1_errors,
     jacobsthal_weight,
     jacobsthal_weights,
     l1_norm,
-    mixed_radix_digits,
     next_prime,
     signed_value,
     sphere_volume_l1,
     _tonelli_shanks,
 )
-from dpe_codec.oracles import ExtField
+from dpe_codec.oracles import (
+    ExtField,
+    base_q_digits,
+    base_q_value,
+    compositions,
+    digit_planes,
+    iter_l1_errors,
+    mixed_radix_digits,
+)
 
 
 def mixed_radix_value(digits, weights):

@@ -4,12 +4,7 @@ from collections import defaultdict
 
 import pytest
 
-from dpe_codec.basemath import (
-    PrimeField,
-    iter_l1_errors,
-    l1_norm,
-    signed_value,
-)
+from dpe_codec.basemath import PrimeField, l1_norm, signed_value
 from dpe_codec.berlekamp import (
     BerlekampCode,
     decode_double_error,
@@ -19,7 +14,7 @@ from dpe_codec.berlekamp import (
     systematic_encode,
 )
 from dpe_codec.core import error_vector
-from dpe_codec.oracles import ExtField, ExtLeeCode, SyndromeAmbiguityError
+from dpe_codec.oracles import ExtField, ExtLeeCode, SyndromeAmbiguityError, iter_l1_errors
 
 ALPHA15 = (3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 1, 2, 4, 8, 16)
 

@@ -394,10 +394,10 @@ def _assert_check(check, expected):
 
 def _assert_lee(code, expected):
     assert code.beta == expected["beta"]
-    assert code.power_cols == expected["power_cols"]
+    assert list(code.check.rows) == expected["power_cols"]
     assert code._index == expected["_index"]
     _assert_check(code.check, expected["check"])
-    assert _python_ints(code.beta) and _python_ints(code.power_cols) and _python_ints(code._index)
+    assert _python_ints(code.beta) and _python_ints(list(code.check.rows)) and _python_ints(code._index)
 
 
 def _assert_locators(loc, expected):

@@ -85,20 +85,6 @@ class TestFlags:
         assert full.entries == (0,) * 5 + tuple(clean)
 
 
-class TestInt64:
-    def test_packed_once_and_read_only(self):
-        read = ReadVector.exact([0, 3, 1])
-        array = read.int64
-        assert read.int64 is array
-        assert array.tolist() == [0, 3, 1] and not array.flags.writeable
-
-    def test_cache_is_not_part_of_the_value(self):
-        packed, fresh = ReadVector.exact([0, 3, 1]), ReadVector.exact([0, 3, 1])
-        packed.int64
-        assert packed == fresh and hash(packed) == hash(fresh)
-        assert repr(packed) == repr(fresh)
-
-
 class TestAdmit:
     def test_accepts(self):
         ReadVector.exact([0, 3, 1]).admit(3, 4)

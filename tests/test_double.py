@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from dpe_codec.basemath import iter_l1_errors
 from dpe_codec.core import QMatrix, ReadVector
 from dpe_codec.double import DoubleErrorScheme, ShortenedScheme, TripleDetectScheme
+from dpe_codec.oracles import iter_l1_errors
 
 A_PRIME_3x10 = QMatrix.from_lists(
     2,

@@ -216,9 +216,10 @@ class TestBytePacking:
         assert array.tolist() == list(entries)
 
     def test_int64_read_past_a_byte(self):
-        read = ReadVector.exact(_entries(257, 100, 257))
-        array = read.admit(100, 257, vector=True)
-        assert array.dtype == np.int64 and array is read.int64
+        entries = _entries(257, 100, 257)
+        array = ReadVector.exact(entries).admit(100, 257, vector=True)
+        assert array.dtype == np.int64 and not array.flags.writeable
+        assert array.tolist() == list(entries)
 
     def test_python_path_returns_the_entries(self):
         for bound in (9, 257):

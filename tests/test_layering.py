@@ -1,16 +1,23 @@
 """The production modules keep clear of the brute-force oracles: only
-`oracles.py` (where every enumerator and its guard live), `cli.py` (whose
-audit runs them) and the package's `__init__.py` (which re-exports them)
-import from `.oracles` or import `guard_limit`, and no other module words
-a guard refusal of its own.  The scheme modules keep to the one decode
-pipeline in `core`, and only `core` and the oracles call `gfp_solve`."""
+`oracles.py` (where every enumerator, reference and guard lives), `cli.py`
+(whose audit runs them) and the package's `__init__.py` (which re-exports
+them) import from `.oracles` or import `guard_limit`, and no other module
+words a guard refusal of its own.  The production modules hold only what
+the schemes run: every member they define is used.  The scheme modules
+keep to the one decode pipeline in `core`, and only `core` and the oracles
+call `gfp_solve`."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dpe_codec"
+import dpe_codec as api
+from dpe_codec import core
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "dpe_codec"
 EXEMPT = {"oracles.py", "cli.py", "__init__.py"}
 PRODUCTION = sorted(p for p in PACKAGE.glob("*.py") if p.name not in EXEMPT)
 # bench/tracing.py traces decode_exhaustive under berlekamp, so it stays bound there
@@ -58,9 +65,10 @@ def test_gfp_solve_is_called_only_in_core_and_the_oracles(path):
 
 
 # The decode pipeline is written once, as core.decode_read.  Each scheme
-# class's own decode is one call into it, and a read is admitted only in
-# the syndrome hook: `read_syndromes`, or the `syndromes` that the
-# double-error schemes' hook calls.
+# class binds it as its own decode (bench/tracing.py wraps each class's
+# binding), and a read is admitted only in the syndrome hook:
+# `read_syndromes`, or the `syndromes` that the double-error schemes' hook
+# calls.
 SCHEME_MODULES = ["single.py", "double.py", "multi.py", "hamming.py"]
 SCHEME_CLASSES = {
     "ParityDetectScheme", "SingleErrorScheme", "SecDedScheme", "DoubleErrorScheme",
@@ -74,24 +82,19 @@ def _tree(name: str) -> ast.Module:
     return ast.parse((PACKAGE / name).read_text())
 
 
-def _decoders() -> dict[str, ast.FunctionDef]:
-    found = {}
+def test_every_scheme_decode_is_the_pipeline():
+    bound = {}
     for name in SCHEME_MODULES:
-        for node in _tree(name).body:
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and item.name == "decode":
-                        found[node.name] = item
-    return found
-
-
-def test_every_scheme_decode_is_one_pipeline_call():
-    decoders = _decoders()
-    assert set(decoders) == SCHEME_CLASSES | WRAPPERS
+        module = importlib.import_module(f"dpe_codec.{name.removesuffix('.py')}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                if "decode" in cls.__dict__:
+                    bound[cls.__name__] = cls.__dict__["decode"]
+    assert set(bound) == SCHEME_CLASSES | WRAPPERS
     for cls in SCHEME_CLASSES:
-        (statement,) = decoders[cls].body
-        assert ast.dump(statement) == ast.dump(
-            ast.parse("return decode_read(self, y)").body[0]), cls
+        assert bound[cls] is core.decode_read, cls
+    for cls in WRAPPERS:
+        assert bound[cls] is not core.decode_read, cls
 
 
 @pytest.mark.parametrize("name", SCHEME_MODULES)
@@ -133,3 +136,64 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_every_import_is_used(path):
     unused = {(path.name, name) for name in _unused_imports(ast.parse(path.read_text()))}
     assert unused <= UNUSED_ALLOWED, sorted(unused - UNUSED_ALLOWED)
+
+
+# References and enumerators that no scheme runs live in the oracles; the
+# package still exports the five it always has.
+MOVED = {"iter_l1_errors", "compositions", "base_q_digits", "digit_planes", "base_q_value",
+         "mixed_radix_digits", "syndrome_matrix", "digit_split"}
+REEXPORTED = {"base_q_digits", "base_q_value", "mixed_radix_digits", "syndrome_matrix",
+              "digit_split"}
+
+
+def _members(tree: ast.Module):
+    """Every function and class a module defines at its top level, and
+    every method (properties included) of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (item for item in node.body if isinstance(item, ast.FunctionDef))
+
+
+def test_references_live_in_the_oracles():
+    assert MOVED <= {node.name for node in _members(_tree("oracles.py"))}
+    for path in PRODUCTION:
+        assert not MOVED & {node.name for node in _members(ast.parse(path.read_text()))}, path.name
+    for name in REEXPORTED:
+        assert getattr(api, name) is getattr(api.oracles, name) and name in api.__all__
+
+
+def _identifiers(tree: ast.AST, strings: bool = False):
+    """(name, line) of every name, attribute and imported name in a tree,
+    and with `strings` every string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def test_every_production_member_is_used():
+    """A member is used where it is named in the package outside its own
+    definition, named in bench/ (tracing.py names methods in strings), or
+    exported; dunder methods are called by Python itself."""
+    package = {path.name: list(_identifiers(ast.parse(path.read_text())))
+               for path in PACKAGE.glob("*.py")}
+    bench = {name for path in (ROOT / "bench").glob("*.py")
+             for name, _ in _identifiers(ast.parse(path.read_text()), strings=True)}
+    unused = []
+    for path in PRODUCTION:
+        for node in _members(ast.parse(path.read_text())):
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or name in bench or name in api.__all__:
+                continue
+            if not any(used == name and (module != path.name or
+                                         not node.lineno <= line <= node.end_lineno)
+                       for module, names in package.items() for used, line in names):
+                unused.append(f"{path.name}:{name}")
+    assert unused == []

@@ -2,17 +2,13 @@ import random
 
 import pytest
 
-from dpe_codec.basemath import PrimeField, iter_l1_errors
+from dpe_codec.basemath import PrimeField
 from dpe_codec.berlekamp import BerlekampCode
 from dpe_codec.cli import main
 from dpe_codec.core import QMatrix, ReadVector
 from dpe_codec.locators import build_locators_basic
-from dpe_codec.multi import (
-    LargeAlphabetScheme,
-    RecursiveScheme,
-    digit_split,
-    syndrome_matrix,
-)
+from dpe_codec.multi import LargeAlphabetScheme, RecursiveScheme
+from dpe_codec.oracles import digit_split, iter_l1_errors, syndrome_matrix
 from dpe_codec.single import SingleErrorScheme, encode_row
 
 

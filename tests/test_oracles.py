@@ -2,13 +2,13 @@ import itertools
 
 import pytest
 
-from dpe_codec.basemath import iter_l1_errors
 from dpe_codec.core import QMatrix, ReadVector
 from dpe_codec.double import DoubleErrorScheme
 from dpe_codec.oracles import (
     PrefixDisagreementError,
     enumerate_induced_code,
     induced_min_distance,
+    iter_l1_errors,
     nearest_prefix_decode,
     puncture,
     scan_errors_erasures,

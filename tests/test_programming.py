@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpe_codec as api
-from dpe_codec.basemath import base_q_digits, is_prime, jacobsthal_weights, mixed_radix_digits
+from dpe_codec.basemath import is_prime, jacobsthal_weights
 from dpe_codec.core import INT64_BOUND, CheckMatrix, QMatrix, radix_digits
-from dpe_codec.oracles import LinearInnerCode
+from dpe_codec.oracles import LinearInnerCode, base_q_digits, mixed_radix_digits
 from dpe_codec.single import encode_row
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -180,7 +180,7 @@ class TestRadixDigits:
     def test_plane_major_per_row(self):
         digits = radix_digits(np.array([[5, 7], [1, 8]]), [1, 3], 3)
         assert digits.tolist() == [[2, 1, 1, 2], [1, 2, 0, 2]]
-        assert api.basemath.digit_planes([5, 7], 3, 2) == [2, 1, 1, 2]
+        assert api.oracles.digit_planes([5, 7], 3, 2) == [2, 1, 1, 2]
 
     @pytest.mark.parametrize(
         "weights,bad", [([1, 3], 9), ([1, 3], -1), ([1, 5], 13), ([1, 5], -1)])

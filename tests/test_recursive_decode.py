@@ -164,7 +164,7 @@ def test_tail_rows_weigh_copy_zero():
     for v, (row, modulus) in enumerate(zip(scheme.check.rows[tau:], scheme.check.moduli[tau:])):
         assert modulus == scheme.ptilde
         assert not any(row[: scheme.n]) and not any(row[start + width :])
-        assert row[scheme.n : start] == scheme.tail_checker.power_cols[v]
+        assert row[scheme.n : start] == list(scheme.tail_checker.check.rows)[v]
         digits = [-x % scheme.ptilde for x in row[start : start + width]]
         assert digits == [scheme.q ** (t // tau) % scheme.ptilde if t % tau == v else 0
                           for t in range(width)]
