@@ -55,6 +55,7 @@ from .core import (
     error_vector,
     field_symbols,
     int_dtype,
+    require_int,
     systematic_word,
     unit_error,
 )
@@ -85,7 +86,7 @@ class BerlekampCode:
         bound: int | None = None,
         check_only: bool = False,
     ):
-        if tau < 1:
+        if require_int("tau", tau) < 1:
             raise ValueError(f"error budget must be >= 1, got {tau}")
         if 2 * tau >= field.p:
             raise ValueError(f"need 2*tau < p, got tau={tau}, p={field.p}")

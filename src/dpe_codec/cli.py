@@ -115,18 +115,20 @@ def build(name: str, fields: dict):
 def _build_at_length(name: str, fields: dict):
     """The Hamming scheme of total length --n: built once, at the only k
     whose length is n (`HammingScheme.dimension`); the constructor accepts
-    or refuses that k."""
+    or refuses that k.  A refusal of the parameters themselves passes
+    through as it is; a refusal of that k is given with it."""
     n = fields.get("n")
     if n is None:
         raise UsageError(f"{name} needs --n (or an input matrix fixing the dimension)")
+    k = HammingScheme.dimension(n, *(fields.get(key) for key in
+                                     ("q", "ell", "tau", "theta", "sigma", "rho", "p")))
+    no_fit = f"no dimension fits total length {n} for these parameters"
+    if k is None:
+        raise UsageError(no_fit)
     try:
-        k = HammingScheme.dimension(n, *(fields.get(key) for key in
-                                         ("q", "ell", "tau", "theta", "sigma", "rho", "p")))
-        if k is not None:
-            return build(name, {**fields, "k": k})
-    except ValueError:
-        pass
-    raise UsageError(f"no dimension fits total length {n} for these parameters")
+        return build(name, {**fields, "k": k})
+    except ValueError as err:
+        raise UsageError(f"{no_fit}: at k = {k}, {err}") from None
 
 
 def build_scheme(args, k_hint: int | None = None):

@@ -75,10 +75,17 @@ def output_alphabet(q: int, ell: int) -> int:
     return ell * (q - 1) ** 2 + 1
 
 
+def require_int(what: str, value) -> int:
+    """`value` itself, if it is an int (a bool is not); else refuse it,
+    named `what`.  The one exact-int check of the library boundary."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _require_alphabet(q: int) -> None:
     """Refuse an alphabet size q that is not an int (a bool is not) >= 2."""
-    if type(q) is not int:
-        raise ValueError(f"alphabet size must be an integer, got {q!r}")
+    require_int("alphabet size", q)
     if q < 2:
         raise ValueError(f"alphabet size must be >= 2, got {q}")
 
@@ -87,8 +94,7 @@ def read_alphabet(q: int, ell: int) -> int:
     """The output alphabet Q of ell rows over [0, q), for q an int >= 2
     and ell an int >= 1; refuses any other."""
     _require_alphabet(q)
-    if type(ell) is not int:
-        raise ValueError(f"row count ell must be an integer, got {ell!r}")
+    require_int("row count ell", ell)
     if ell < 1:
         raise ValueError(f"row count ell must be >= 1, got {ell}")
     return output_alphabet(q, ell)

@@ -47,6 +47,7 @@ from .core import (
     encode_matrix,
     int_dtype,
     parity_extend,
+    require_int,
 )
 from .locators import Locators, build_locators_basic, build_locators_ded
 from .single import (
@@ -67,7 +68,7 @@ def _suggest_prime(q: int, p: int) -> int:
 
 
 def _check_prime(q: int, p: int) -> None:
-    if p <= 3 or not is_prime(p):
+    if require_int("p", p) <= 3 or not is_prime(p):
         raise ValueError(f"need a prime p > 3, got {p}")
     n1 = (p - 1) // 2
     if n1 - ceil_log(q, p) < 1:
@@ -263,7 +264,7 @@ class ShortenedScheme:
     them, freeing the choice of dimension from the base's parameter grid."""
 
     def __init__(self, base, drop: int):
-        if not 0 < drop < base.k:
+        if not 0 < require_int("drop", drop) < base.k:
             raise ValueError(f"drop must be in (0, {base.k}), got {drop}")
         self.base = base
         self.drop = drop

@@ -71,6 +71,7 @@ from .core import (
     int_dtype,
     radix_digits,
     read_alphabet,
+    require_int,
     systematic_word,
 )
 from .gfpoly import inverses, pair_table, poly_eval, poly_mul, scan_pairs, solve_key_equation
@@ -80,7 +81,7 @@ class ReedSolomonCode:
     """[n, k, n-k+1] code over GF(p) with checks at gamma^1 .. gamma^(d-1)."""
 
     def __init__(self, field: PrimeField, length: int, k: int, points: Sequence[int] | None = None):
-        if not 1 <= k < length:
+        if not 1 <= require_int("k", k) < require_int("length", length):
             raise ValueError(f"need 1 <= k < length, got k={k}, length={length}")
         if length > field.p - 1:
             raise ValueError(
@@ -243,8 +244,8 @@ class HammingScheme(Scheme):
         inner=None,
     ):
         super().__init__(q, ell)
-        self.theta, self.d = self._budget(q, ell, tau, theta, sigma, rho_max)
-        self.k = k
+        self.theta, self.d = self._budget(q, ell, tau, theta, sigma, rho_max, p)
+        self.k = require_int("k", k)
         self.tau = tau
         self.sigma = sigma
         self.rho_max = rho_max
@@ -252,8 +253,6 @@ class HammingScheme(Scheme):
         if p is None:
             p = smallest_inner_prime(self.theta, self.ntilde)
         else:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
             if p <= 2 * self.theta:
                 raise ValueError(f"need p > 2*theta = {2 * self.theta}, got {p}")
             if inner is None and p - 1 < self.ntilde:
@@ -288,18 +287,20 @@ class HammingScheme(Scheme):
         self._reduce = self.check.vector and self.q_out > p
 
     @staticmethod
-    def _budget(q, ell, tau, theta, sigma, rho_max) -> tuple[int, int]:
+    def _budget(q, ell, tau, theta, sigma, rho_max, p) -> tuple[int, int]:
         """theta (by default Q - 1) and inner distance
-        d = 2*tau + sigma + rho_max + 1, with q and ell, checked; none of
-        them depends on k."""
+        d = 2*tau + sigma + rho_max + 1, with q, ell and whether a given p
+        is a prime, checked; none of them depends on k."""
         q_out = read_alphabet(q, ell)
-        if tau < 1:
+        if require_int("tau", tau) < 1:
             raise ValueError(f"error budget must be >= 1, got {tau}")
-        if min(sigma, rho_max) < 0:
+        if min(require_int("sigma", sigma), require_int("rho_max", rho_max)) < 0:
             raise ValueError("sigma and rho_max must be >= 0")
-        theta = q_out - 1 if theta is None else theta
+        theta = q_out - 1 if theta is None else require_int("theta", theta)
         if not 1 <= theta <= q_out - 1:
             raise ValueError(f"theta must be in [1, {q_out - 1}], got {theta}")
+        if p is not None and not is_prime(require_int("p", p)):
+            raise ValueError(f"{p} is not prime")
         return theta, 2 * tau + sigma + rho_max + 1
 
     @staticmethod
@@ -315,7 +316,8 @@ class HammingScheme(Scheme):
         the inner length k + d - 1) never falls as k grows, so the length
         strictly increases with k and bisection finds that k.  Whether a
         scheme builds there is for the constructor to say."""
-        theta, d = cls._budget(q, ell, tau, theta, sigma, rho_max)
+        require_int("n", n)
+        theta, d = cls._budget(q, ell, tau, theta, sigma, rho_max, p)
 
         def length(k: int) -> int:
             return cls._length(q, k, d, smallest_inner_prime(theta, k + d - 1) if p is None else p)

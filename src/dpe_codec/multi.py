@@ -45,6 +45,7 @@ from .core import (
     decode_read,
     int_dtype,
     radix_digits,
+    require_int,
 )
 from .locators import build_locators_basic
 
@@ -66,9 +67,9 @@ class RecursiveScheme(Scheme):
 
     def __init__(self, q: int, ell: int, tau: int, p: int, trimmed: bool = False):
         super().__init__(q, ell)
-        if tau < 1:
+        if require_int("tau", tau) < 1:
             raise ValueError(f"error budget must be >= 1, got {tau}")
-        if not is_prime(p) or p <= 2 * tau:
+        if not is_prime(require_int("p", p)) or p <= 2 * tau:
             raise ValueError(f"need a prime p > 2*tau, got p={p}, tau={tau}")
         self.tau = tau
         self.p = p
@@ -178,7 +179,8 @@ class LargeAlphabetScheme(Scheme):
 
     def __init__(self, q: int, n: int, tau: int, ell: int):
         super().__init__(q, ell)
-        if tau < 1:
+        require_int("n", n)
+        if require_int("tau", tau) < 1:
             raise ValueError(f"error budget must be >= 1, got {tau}")
         p = q
         while p > 2 * tau and not is_prime(p):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from operator import countOf, mul
 from typing import Sequence
 
-from .core import QMatrix, ReadVector, output_alphabet
+from .core import QMatrix, ReadVector, output_alphabet, require_int
 
 KIND_DRIFT = "l1_drift"
 KIND_FLIP = "symbol_flip"
@@ -33,20 +33,13 @@ def compute_clean(u: Sequence[int], matrix: QMatrix) -> list[int]:
     if len(u) != matrix.ell:
         raise ValueError(f"input length {len(u)} != row count {matrix.ell}")
     for v in u:
-        _require_int("input entry", v)
+        require_int("input entry", v)
         if not 0 <= v < matrix.q:
             raise ValueError(f"input entry {v} is outside [0, {matrix.q})")
     bound = output_alphabet(matrix.q, matrix.ell)
     c = [sum(map(mul, u, col)) for col in zip(*matrix.rows)]
     assert all(0 <= v < bound for v in c)
     return c
-
-
-def _require_int(what: str, value) -> int:
-    """`value` itself, if it is an int (a bool is not)."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -61,8 +54,8 @@ class FaultModel:
 
     @classmethod
     def l1_drift(cls, budget: int, seed: int = 0) -> "FaultModel":
-        _require_int("budget", budget)
-        _require_int("seed", seed)
+        require_int("budget", budget)
+        require_int("seed", seed)
         if budget < 0:
             raise ValueError("budget must be >= 0")
         if budget > MAX_DRIFT_STEPS:
@@ -71,17 +64,17 @@ class FaultModel:
 
     @classmethod
     def symbol_flip(cls, count: int, magnitude: int, seed: int = 0) -> "FaultModel":
-        _require_int("count", count)
-        _require_int("magnitude", magnitude)
-        _require_int("seed", seed)
+        require_int("count", count)
+        require_int("magnitude", magnitude)
+        require_int("seed", seed)
         if count < 0 or magnitude < 1:
             raise ValueError("need count >= 0 and magnitude >= 1")
         return cls(KIND_FLIP, seed=seed, count=count, magnitude=magnitude)
 
     @classmethod
     def short_column(cls, count: int, seed: int = 0) -> "FaultModel":
-        _require_int("count", count)
-        _require_int("seed", seed)
+        require_int("count", count)
+        require_int("seed", seed)
         if count < 0:
             raise ValueError("count must be >= 0")
         return cls(KIND_SHORT, seed=seed, count=count)
@@ -97,10 +90,10 @@ class FaultModel:
         if not isinstance(erase, (list, tuple)):
             raise ValueError(f"erase must be a list of positions, got {erase!r}")
         for pos, delta in deltas:
-            _require_int("fault position", pos)
-            _require_int("fault delta", delta)
+            require_int("fault position", pos)
+            require_int("fault delta", delta)
         for pos in erase:
-            _require_int("erasure position", pos)
+            require_int("erasure position", pos)
         return cls(KIND_MANUAL, deltas=tuple(map(tuple, deltas)), erase=tuple(erase))
 
     def to_json(self) -> dict:
@@ -128,7 +121,7 @@ class FaultModel:
 
         def number(key: str, default: int | None = None) -> int:
             if key in data:
-                return _require_int(f"fault spec: {key}", data[key])
+                return require_int(f"fault spec: {key}", data[key])
             if default is None:
                 raise ValueError(f"fault spec: missing field {key!r}")
             return default
@@ -157,9 +150,9 @@ def inject(c: Sequence[int], model: FaultModel, alphabet: int) -> SimReport:
     """Apply a fault model to a clean output vector in Sigma_alphabet^n:
     ints (a bool is not one), as is the alphabet size."""
     n = len(c)
-    _require_int("alphabet", alphabet)
+    require_int("alphabet", alphabet)
     if countOf(map(type, c), int) != n:  # refuse the first entry that is not an int
-        _require_int("clean entry", next(v for v in c if type(v) is not int))
+        require_int("clean entry", next(v for v in c if type(v) is not int))
     if any(not 0 <= v < alphabet for v in c):
         raise ValueError("clean vector is outside the output alphabet")
     y = list(c)

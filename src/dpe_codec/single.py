@@ -39,6 +39,7 @@ from .core import (
     decode_read,
     parity_extend,
     radix_digits,
+    require_int,
     unit_error,
 )
 from .locators import Locators, build_locators_basic, build_locators_ded
@@ -114,7 +115,7 @@ class ParityDetectScheme(Scheme):
 
     def __init__(self, q: int, k: int, ell: int):
         super().__init__(q, ell)
-        if k < 1:
+        if require_int("k", k) < 1:
             raise ValueError("dimension must be >= 1")
         self.k = k
         self.n = k + 1
@@ -134,7 +135,7 @@ class SingleErrorScheme(Scheme):
 
     def __init__(self, q: int, n: int, ell: int, allow_suffix_ambiguity: bool = False):
         super().__init__(q, ell)
-        self.loc = build_locators_basic(q, n, allow_suffix_ambiguity)
+        self.loc = build_locators_basic(q, require_int("n", n), allow_suffix_ambiguity)
         self.n = n
         self.m = self.loc.m
         self.k = self.loc.k
@@ -173,7 +174,7 @@ class SecDedScheme(Scheme):
     ):
         super().__init__(q, ell)
         self.variant = variant = detect_variant(q, variant)
-        self.n = n
+        self.n = require_int("n", n)
         if variant == VARIANT_PARITY:
             self.loc = build_locators_basic(q, n - 1, allow_suffix_ambiguity)
             self.m = self.loc.m + 1

@@ -175,6 +175,24 @@ class TestHammingDimension:
                      "--p", "3", "--n", "10"]) == 1
         assert "no dimension fits total length 10 for these parameters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        ("--ell 0 --tau 1", "row count ell must be >= 1, got 0"),
+        ("--ell 2 --tau 1 --theta 99", "theta must be in [1, 2], got 99"),
+        ("--ell 2 --tau 0", "error budget must be >= 1, got 0"),
+        ("--ell 2 --tau 1 --p 4", "4 is not prime"),
+        ("--ell 2 --tau 1 --rho -1", "sigma and rho_max must be >= 0"),
+        # the one k of length 20 has p - 1 < 16 points
+        ("--ell 2 --tau 1 --p 5", "no dimension fits total length 20 for these parameters: "
+                                  "at k = 14, p = 5 offers only 4 evaluation points"),
+        # every k has length k + 10 or more
+        ("--ell 2 --tau 5", "no dimension fits total length 20 for these parameters"),
+    ])
+    def test_refusal_gives_its_reason(self, capsys, flags, message):
+        argv = ["params", "--scheme", "hamming", "--q", "2", "--n", "20", *flags.split()]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+
 
 class TestEncode:
     def test_golden(self, tmp_path):

@@ -126,3 +126,43 @@ def test_sidecar_n_is_the_read_length(name, fields):
     scheme = cli.build(name, fields)
     read_length = scheme.total_length if name == "recursive" else scheme.n
     assert cli.scheme_sidecar(scheme, name)["n"] == scheme.check.n == read_length
+
+
+def _base_sec():
+    return api.SingleErrorScheme(2, 15, 2)
+
+
+# each builder with the integer parameters it takes, by name
+INTEGER_PARAMETERS = [
+    (api.ParityDetectScheme, {"q": 3, "k": 20, "ell": 2}, ["k"]),
+    (api.SingleErrorScheme, {"q": 2, "n": 15, "ell": 2}, ["n"]),
+    (api.SecDedScheme, {"q": 3, "n": 8, "ell": 2}, ["n"]),
+    (api.DoubleErrorScheme, {"q": 2, "p": 31, "ell": 2}, ["p"]),
+    (api.TripleDetectScheme, {"q": 3, "p": 13, "ell": 2}, ["p"]),
+    (api.TripleDetectScheme, {"q": 2, "p": 31, "ell": 2}, ["p"]),
+    (api.RecursiveScheme, {"q": 2, "ell": 2, "tau": 1, "p": 13}, ["tau", "p"]),
+    (api.LargeAlphabetScheme, {"q": 8, "n": 3, "tau": 1, "ell": 2}, ["n", "tau"]),
+    (api.HammingScheme,
+     {"q": 2, "ell": 2, "k": 4, "tau": 1, "theta": 2, "sigma": 1, "rho_max": 1, "p": 11},
+     ["k", "tau", "theta", "sigma", "rho_max", "p"]),
+    (api.HammingScheme.dimension,
+     {"n": 20, "q": 2, "ell": 2, "tau": 1, "theta": 2, "sigma": 1, "rho_max": 1, "p": 11},
+     ["n", "tau", "theta", "sigma", "rho_max", "p"]),
+    (lambda drop: api.ShortenedScheme(_base_sec(), drop), {"drop": 2}, ["drop"]),
+    (lambda tau: api.BerlekampCode(api.PrimeField(13), [1, 2, 3, 4], tau), {"tau": 2}, ["tau"]),
+    (lambda length, k: api.ReedSolomonCode(api.PrimeField(13), length, k),
+     {"length": 6, "k": 2}, ["length", "k"]),
+]
+INTEGER_CASES = [
+    pytest.param(build, fields, name, id=f"{i}-{name}")
+    for i, (build, fields, names) in enumerate(INTEGER_PARAMETERS) for name in names
+]
+
+
+@pytest.mark.parametrize("build,fields,name", INTEGER_CASES)
+@pytest.mark.parametrize("bad", [1.5, True], ids=["float", "bool"])
+def test_integer_parameters_refuse_what_is_not_an_int(build, fields, name, bad):
+    assert build(**fields) is not None
+    with pytest.raises(ValueError) as info:
+        build(**{**fields, name: bad})
+    assert str(info.value) == f"{name} must be an integer, got {bad!r}"
