@@ -17,6 +17,14 @@ from typing import Iterable, Sequence
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def require_int(what: str, value) -> int:
+    """`value` itself, if it is an int (a bool is not); else refuse it,
+    named `what`.  The one exact-int check of the library boundary."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin, exact for n < 3.3e24)."""
     if n < 2:
@@ -73,9 +81,9 @@ def jacobsthal_weight(q: int, j: int) -> int:
     sequence; m of them represent every integer in [0, (q-1)*sum(weights)]
     with digits in [0, q).
     """
-    if q <= 2 or q % 2 != 0:
+    if require_int("q", q) <= 2 or q % 2 != 0:
         raise ValueError(f"weights are defined for even bases > 2, got {q}")
-    if j < 0:
+    if require_int("j", j) < 0:
         raise ValueError(f"index must be >= 0, got {j}")
     num = q ** (j + 1) + (-1) ** j
     assert num % (q + 1) == 0
@@ -106,9 +114,9 @@ def hamming_dist(x: Sequence[int], y: Sequence[int]) -> int:
 
 def sphere_volume_l1(n: int, t: int) -> int:
     """Number of integer vectors of length n with L1 norm <= t."""
-    if n < 1:
+    if require_int("n", n) < 1:
         raise ValueError(f"length must be >= 1, got {n}")
-    if t < 0:
+    if require_int("t", t) < 0:
         raise ValueError(f"radius must be >= 0, got {t}")
     return sum(2**i * math.comb(n, i) * math.comb(t, i) for i in range(min(t, n) + 1))
 
@@ -138,7 +146,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
-        if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
+        if require_int("p", self.p) < 3 or self.p % 2 == 0 or not is_prime(self.p):
             raise ValueError(f"modulus must be an odd prime >= 3, got {self.p}")
 
 

@@ -269,7 +269,7 @@ def _parse_faults(spec: str) -> FaultModel:
 
 def cmd_inject(args) -> int:
     vector, bound = read_vector(args.infile)
-    if vector.has_erasures:
+    if vector.erased:
         raise UsageError("input vector already carries erasures")
     model = _parse_faults(args.faults)
     if args.seed is not None and model.kind != "manual":

@@ -1,5 +1,5 @@
 """Shared value types for the coding schemes: matrices over a digit
-alphabet, read vectors with erasure flags, and decode outcomes; the check
+alphabet, read vectors with erased positions, and decode outcomes; the check
 matrix, which computes syndromes in numpy or on Python ints; `Scheme`, the
 contract every scheme class inherits; `decode_read`, the one decode
 pipeline every scheme runs; and `encode_matrix`, the one programming
@@ -10,17 +10,21 @@ alphabet `q_out`, reads `vector` off its `check` and programs a matrix
 through `encode_matrix`.  A scheme class supplies its `check` (a
 `CheckMatrix` over the whole read), `encode_array` and `locate`.
 
+A read's erasures are positions (`ReadVector.erased`), and its
+constructor sets each erased entry to 0, once; no decoder fills or skips
+a placeholder after that.
+
 The pipeline admits the read, computes its syndromes, locates the errors,
 corrects the data prefix and checks its range.  `read_syndromes(y)` admits
 the read (`ReadVector.admit`) at `check.n` over `q_out`, takes one product
-with `check`, and returns the syndromes and the entries the prefix is
-taken from; `Scheme` supplies it, and a scheme writes its own only where
-its read differs (the Hamming read admits erasures).  `locate(syn, y)`
-holds the clean test: it returns () for a prefix that needs no correction,
-the `(read column, signed value)` hits to subtract (`Hits`), or None to
-give up; only a read with hits pays for `corrected`.  The prefix holds the
-read's own entry objects, so numpy integers in a read stay numpy integers.
-`unit_error` is the one lookup of a lone +-1 error by its point.
+with `check`, and returns the syndromes; `Scheme` supplies it, and a
+scheme writes its own only where its read differs (the Hamming read
+admits erasures).  `locate(syn, y)` holds the clean test: it returns ()
+for a prefix that needs no correction, the `(read column, signed value)`
+hits to subtract (`Hits`), or None to give up; only a read with hits pays
+for `corrected`.  The prefix is taken from the read's entries, so numpy
+integers in a read stay numpy integers.  `unit_error` is the one lookup of
+a lone +-1 error by its point.
 
 A `CheckMatrix` decides once (`kernel_fits`) whether reads over the
 scheme's alphabet take the numpy kernel: the product must be large enough
@@ -52,7 +56,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .basemath import gfp_solve
+from .basemath import gfp_solve, require_int
 
 # Smallest check-matrix product, rows times read length, that takes the
 # numpy kernel.  Below it numpy's fixed cost per call outweighs the
@@ -73,14 +77,6 @@ Hits = Sequence[tuple[int, int]]
 def output_alphabet(q: int, ell: int) -> int:
     """Size Q of the output alphabet: an ell-row product entry is < Q."""
     return ell * (q - 1) ** 2 + 1
-
-
-def require_int(what: str, value) -> int:
-    """`value` itself, if it is an int (a bool is not); else refuse it,
-    named `what`.  The one exact-int check of the library boundary."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def _require_alphabet(q: int) -> None:
@@ -250,13 +246,6 @@ def _byte_alphabet(bound: int) -> bytes:
     return bytes(range(bound))
 
 
-@cache
-def _no_erasures(n: int) -> tuple[bool, ...]:
-    """The flags of an n-entry read without erasures, shared by every such
-    read."""
-    return (False,) * n
-
-
 @dataclass(frozen=True)
 class DecodeOutcome:
     """Either a recovered prefix or the failure mark ``"e"``."""
@@ -411,23 +400,25 @@ def _admit_array(q: int, array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReadVector:
-    """A (possibly faulty) DPE output row: values plus per-entry erasure flags.
+    """A (possibly faulty) DPE output row: its entries, and the positions of
+    its erased (unreadable) entries.
 
-    Erased entries hold a 0 placeholder and must not be read as data.
+    `erased` is stored sorted and distinct (`erasure_indices` refuses an
+    index that is not an int in [0, n)), and each erased entry is set to
+    0, whatever it held: its value is unknown, and 0 is its placeholder.
     """
 
     entries: tuple[int, ...]
-    erased: tuple[bool, ...] = field(default=())
-    has_erasures: bool = field(init=False, repr=False, compare=False)
+    erased: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.erased:
-            object.__setattr__(self, "erased", _no_erasures(len(self.entries)))
-            object.__setattr__(self, "has_erasures", False)  # known: no scan needed
-            return
-        if len(self.erased) != len(self.entries):
-            raise ValueError("erasure flags must match entry count")
-        object.__setattr__(self, "has_erasures", any(self.erased))
+        if self.erased:
+            erased = erasure_indices(self.erased, len(self.entries))
+            entries = list(self.entries)
+            for j in erased:
+                entries[j] = 0
+            object.__setattr__(self, "entries", tuple(entries))
+            object.__setattr__(self, "erased", tuple(erased))
 
     @classmethod
     def exact(cls, values: Sequence[int]) -> "ReadVector":
@@ -435,19 +426,11 @@ class ReadVector:
 
     @classmethod
     def with_erasures(cls, values: Sequence[int], erased_at: Iterable[int]) -> "ReadVector":
-        erased_at = set(erasure_indices(erased_at, len(values)))
-        if not erased_at:
-            return cls(tuple(values))
-        vals = tuple(0 if j in erased_at else v for j, v in enumerate(values))
-        flags = tuple(j in erased_at for j in range(len(values)))
-        return cls(vals, flags)
+        return cls(tuple(values), tuple(erased_at))
 
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def erased_positions(self) -> list[int]:
-        return [j for j, f in enumerate(self.erased) if f]
 
     def admit(
         self, n: int, bound: int, erasures: bool = False, vector: bool = False
@@ -457,7 +440,7 @@ class ReadVector:
         not an integer or lies outside the read alphabet [0, bound).
         Returns the values the decoder multiplies (`check_alphabet`); pass
         `vector` from the scheme's `CheckMatrix`."""
-        if not erasures and self.has_erasures:
+        if not erasures and self.erased:
             raise ValueError("erasures are outside this decoder's contract")
         if self.n != n:
             raise ValueError(f"read vector length {self.n} != {n}")
@@ -465,11 +448,9 @@ class ReadVector:
 
     def check_alphabet(self, bound: int, vector: bool = False) -> Sequence[int]:
         """Refuse the first entry that is not an integer or lies outside
-        [0, bound); erased entries are placeholders and are not read.
-        Where `vector` holds and the read has no erasures, returns the
-        entries as a read-only numpy array: uint8 for a bound of at most
-        BYTE_BOUND, int64 otherwise.  Returns `entries` in every other
-        case.
+        [0, bound).  Where `vector` holds, returns the entries as a
+        read-only numpy array: uint8 for a bound of at most BYTE_BOUND,
+        int64 otherwise.  Returns `entries` in every other case.
 
         The fast pass packs the entries, and the packing refuses floats,
         strings and None.  A bound of at most BYTE_BOUND packs them into a
@@ -478,29 +459,26 @@ class ReadVector:
         bound packs them into int64.  On the kernel path one reduction
         checks the range (a negative entry wraps to 2^63 or more as uint64);
         otherwise min and max bound the tuple.  A read that fails the fast
-        pass (or has erasures) is checked entry by entry, for the message."""
+        pass is checked entry by entry, for the message."""
         entries = self.entries
-        if not self.has_erasures:
-            try:
-                if bound <= BYTE_BOUND:
-                    packed = bytearray(entries)
-                    if not packed.translate(None, _byte_alphabet(bound)):
-                        if vector and packed:
-                            return np.frombuffer(bytes(packed), np.uint8)
-                        return entries
-                else:
-                    packed = _int64_packer(len(entries))(*entries)
-                    if vector and entries:
-                        array = np.frombuffer(packed, np.int64)
-                        if array.view(np.uint64).max() < min(bound, INT64_BOUND):
-                            return array
-                    elif not entries or 0 <= min(entries) and max(entries) < bound:
-                        return entries
-            except (TypeError, ValueError, struct.error):
-                pass
-        for j, (v, gone) in enumerate(zip(entries, self.erased)):
-            if gone:
-                continue
+        try:
+            if bound <= BYTE_BOUND:
+                packed = bytearray(entries)
+                if not packed.translate(None, _byte_alphabet(bound)):
+                    if vector and packed:
+                        return np.frombuffer(bytes(packed), np.uint8)
+                    return entries
+            else:
+                packed = _int64_packer(len(entries))(*entries)
+                if vector and entries:
+                    array = np.frombuffer(packed, np.int64)
+                    if array.view(np.uint64).max() < min(bound, INT64_BOUND):
+                        return array
+                elif not entries or 0 <= min(entries) and max(entries) < bound:
+                    return entries
+        except (TypeError, ValueError, struct.error):
+            pass
+        for j, v in enumerate(entries):
             try:
                 operator.index(v)
             except TypeError:
@@ -512,12 +490,13 @@ class ReadVector:
 
 def erasure_indices(erased: Iterable[int], n: int) -> list[int]:
     """The erased indices of an n-symbol word, sorted and distinct; refuses
-    one that is not an int in [0, n)."""
-    erased = set(erased)
+    one that is not an int in [0, n), before a set could merge a bool or a
+    float into the int it equals."""
+    erased = tuple(erased)
     for j in erased:
         if not (type(j) is int and 0 <= j < n):
             raise ValueError(f"erasure index {j!r} is outside [0, {n})")
-    return sorted(erased)
+    return sorted(set(erased))
 
 
 def unit_error(index: dict, modulus: int, x: int) -> tuple[int, int] | None:
@@ -693,20 +672,18 @@ class Scheme:
     def encode(self, matrix: QMatrix) -> QMatrix:
         return encode_matrix(self, matrix)
 
-    def read_syndromes(self, y: ReadVector) -> tuple[list[int], Sequence[int]]:
-        """Admit the read at check.n over [0, q_out); its syndromes, and
-        its entries."""
+    def read_syndromes(self, y: ReadVector) -> list[int]:
+        """Admit the read at check.n over [0, q_out); its syndromes."""
         check = self.check
-        return check(y.admit(check.n, self.q_out, vector=check.vector)), y.entries
+        return check(y.admit(check.n, self.q_out, vector=check.vector))
 
 
 def decode_read(scheme, y: ReadVector) -> DecodeOutcome:
     """Decode y through the scheme's `read_syndromes` and `locate` hooks:
     the corrected k-prefix of its entries, or DECODE_FAILURE."""
-    syn, entries = scheme.read_syndromes(y)
-    hits = scheme.locate(syn, y)
+    hits = scheme.locate(scheme.read_syndromes(y), y)
     if hits is None:
         return DECODE_FAILURE
     if not hits:
-        return decoded(entries[: scheme.k])
-    return corrected(entries, scheme.k, hits, scheme.q_out)
+        return decoded(y.entries[: scheme.k])
+    return corrected(y.entries, scheme.k, hits, scheme.q_out)

@@ -156,8 +156,8 @@ class DoubleErrorScheme(Scheme):
         check = self.check
         return tuple(check(y.admit(check.n, self.q_out, vector=check.vector)))
 
-    def read_syndromes(self, y: ReadVector) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return self.syndromes(y), y.entries
+    def read_syndromes(self, y: ReadVector) -> tuple[int, ...]:
+        return self.syndromes(y)
 
     def locate(self, syn: tuple[int, int, int], y: ReadVector) -> Hits | None:
         s1, s2, s2_hat = syn
@@ -284,8 +284,7 @@ class ShortenedScheme:
         return self.base.encode_array(np.hstack((zeros, block)))[:, self.drop :]
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
-        # A read without erasures keeps the shared all-False flags.
-        erased = (False,) * self.drop + y.erased if y.has_erasures else ()
+        erased = tuple(j + self.drop for j in y.erased)
         full = ReadVector((0,) * self.drop + y.entries, erased)
         outcome = self.base.decode(full)
         if outcome.failed:

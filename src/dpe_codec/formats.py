@@ -58,12 +58,14 @@ def read_matrix(path: str | Path) -> QMatrix:
     if len(flat) != rows * cols:
         raise ValueError(f"{path}: data length {len(flat)} != rows*cols = {rows * cols}")
     return QMatrix(
-        data["q"], tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows))
+        data.get("q"), tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows))
     )
 
 
 def write_vector(path: str | Path, vector: ReadVector, bound: int) -> None:
-    data = [None if gone else v for v, gone in zip(vector.entries, vector.erased)]
+    data = list(vector.entries)
+    for j in vector.erased:
+        data[j] = None
     write_json(
         path,
         {
@@ -71,7 +73,7 @@ def write_vector(path: str | Path, vector: ReadVector, bound: int) -> None:
             "rows": 1,
             "cols": vector.n,
             "data": data,
-            "erasures": vector.erased_positions(),
+            "erasures": list(vector.erased),
         },
     )
 
@@ -86,5 +88,4 @@ def read_vector(path: str | Path) -> tuple[ReadVector, int]:
         raise ValueError(f"{path}: erasures must be a list of column indices")
     erased = set(listed)
     erased.update(j for j, v in enumerate(values) if v is None)
-    filled = [0 if j in erased else v for j, v in enumerate(values)]
-    return ReadVector.with_erasures(filled, erased), data["q"]
+    return ReadVector.with_erasures(values, erased), data["q"]

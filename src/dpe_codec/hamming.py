@@ -38,20 +38,20 @@ columns (a digit column weighs its symbol's inner column by q^j mod p), in
 one array product of the digit weights and the inner check array, built
 for entries in [0, p).  An admitted array read lies in [0, Q) and is
 reduced mod p first when Q > p, so the product stays exact.  Its own
-`read_syndromes` admits erasures within the budget and sets erased
-entries to 0, both for the product and in the entries the prefix is taken
-from.  `locate` reads a zero syndrome as clean; otherwise the inner
-code's `locate_syndromes`, told which symbols the erased columns feed,
-gives hits whose data positions, lifted to signed values, correct the
-prefix.  `pack` stays as the reference the fold is tested against.
+`read_syndromes` admits erasures within the budget; the read holds 0 at
+each erased entry (`core.ReadVector`), so the product and the prefix read
+it as any other read.  `locate` reads a zero syndrome as clean; otherwise
+the inner code's `locate_syndromes`, told which symbols the erased
+columns feed, gives hits whose data positions, lifted to signed values,
+correct the prefix.  `pack` stays as the reference the fold is tested
+against.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import cached_property
-from itertools import compress
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -350,19 +350,17 @@ class HammingScheme(Scheme):
         digits = weights * checks[:, None, k:].astype(dtype)  # check row x plane x block
         return np.hstack((checks[:, :k].astype(dtype), digits.reshape(len(checks), -1)))
 
-    def _erased_symbols(self, erased: Sequence[bool]) -> set[int]:
-        """The packed symbols that the flagged columns feed: a data column
+    def _erased_symbols(self, erased: Iterable[int]) -> set[int]:
+        """The packed symbols that the erased columns feed: a data column
         its own symbol, a digit column the check symbol of its plane
         position."""
-        block = self.ntilde - self.k
-        return {
-            col if col < self.k else self.k + (col - self.k) % block
-            for col in compress(range(self.n), erased)
-        }
+        k, block = self.k, self.ntilde - self.k
+        return {c if c < k else k + (c - k) % block for c in erased}
 
-    def pack(self, values: Sequence[int], erased: Sequence[bool] | None = None):
+    def pack(self, values: Sequence[int], erased: Iterable[int] = ()):
         """Map n output columns to ntilde field symbols (the row-level
-        homomorphism); returns (symbols, erased symbol indices).
+        homomorphism); returns (symbols, the indices of the symbols that
+        the `erased` columns feed).
 
         An int64 array packs into an int64 array of symbols: the redundancy
         columns, as an m x block matrix of digit planes reduced mod p, times
@@ -384,7 +382,7 @@ class HammingScheme(Scheme):
                 symbols.append(
                     sum(values[self.k + v + j * block] * self.q**j for j in range(self.m)) % p
                 )
-        return symbols, self._erased_symbols(erased) if erased is not None else set()
+        return symbols, self._erased_symbols(erasure_indices(erased, self.n))
 
     # -- encode / decode -----------------------------------------------------
 
@@ -394,31 +392,27 @@ class HammingScheme(Scheme):
         planes = radix_digits(checks, [self.q**j for j in range(self.m)], self.q)
         return np.hstack((block, planes))
 
-    def read_syndromes(self, y: ReadVector) -> tuple[list[int], Sequence[int]]:
-        """Admit the read, erasures within the budget; its inner syndromes
-        and entries, erased ones as 0."""
+    def read_syndromes(self, y: ReadVector) -> list[int]:
+        """Admit the read, erasures within the budget; its inner syndromes."""
         check = self.check
         values = y.admit(check.n, self.q_out, erasures=True, vector=check.vector)
-        entries = y.entries
-        if y.has_erasures:  # erased entries are placeholders: count them as 0
-            erased = self._erased_symbols(y.erased)
-            if len(erased) > self.rho_max:
-                raise ValueError(f"{len(erased)} erased symbols exceed the budget {self.rho_max}")
-            values = entries = [0 if gone else v for v, gone in zip(entries, y.erased)]
-        elif self._reduce and isinstance(values, np.ndarray):
+        if y.erased:
+            count = len(self._erased_symbols(y.erased))
+            if count > self.rho_max:
+                raise ValueError(f"{count} erased symbols exceed the budget {self.rho_max}")
+        if self._reduce and isinstance(values, np.ndarray):
             values = values % self.p  # the symbols' range keeps the product in int64
-        return check(values), entries
+        return check(values)
 
     def locate(self, syn: list[int], y: ReadVector) -> Hits | None:
         if not any(syn):
             return ()
-        erased = self._erased_symbols(y.erased) if y.has_erasures else ()
-        hits = self.inner.locate_syndromes(syn, erased, self.tau)
+        hits = self.inner.locate_syndromes(syn, self._erased_symbols(y.erased), self.tau)
         if hits is None:
             return None
         # An erased entry holds 0 and its symbol was solved outright: its
         # error is minus its value c mod p, which is c since p >= Q.
-        return [(j, -(-e % self.p) if y.erased[j] else signed_value(e, self.field))
+        return [(j, -(-e % self.p) if j in y.erased else signed_value(e, self.field))
                 for j, e in hits if j < self.k]
 
     decode = decode_read

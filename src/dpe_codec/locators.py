@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basemath import ceil_log, jacobsthal_weight, jacobsthal_weights
+from .basemath import ceil_log, jacobsthal_weight, jacobsthal_weights, require_int
 from .core import CheckMatrix, int_dtype
 
 SUFFIX_POWERS = "powers_of_q"
@@ -260,9 +260,9 @@ def build_locators_basic(q: int, n: int, allow_suffix_ambiguity: bool = False) -
     dropped instead, leaving a suffix-confined collision (opt-in).  The
     prefix is one mask over 1..n.
     """
-    if q < 2:
+    if require_int("q", q) < 2:
         raise ValueError(f"alphabet size must be >= 2, got {q}")
-    m = basic_redundancy(q, n)
+    m = basic_redundancy(q, require_int("n", n))
     if n <= m:
         raise ValueError(f"length {n} leaves no information columns (redundancy {m})")
     modulus = 2 * n + 1
@@ -308,8 +308,9 @@ def build_locators_ded(q: int, n: int, allow_suffix_ambiguity: bool = False) -> 
     q = 2 there is no odd-locator trick and the basic construction (plus a
     scheme-level parity column) is returned instead.
     """
-    if q < 2:
+    if require_int("q", q) < 2:
         raise ValueError(f"alphabet size must be >= 2, got {q}")
+    require_int("n", n)
     if q == 2:
         return build_locators_basic(q, n, allow_suffix_ambiguity)
     modulus = 4 * n + 2

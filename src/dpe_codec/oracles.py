@@ -25,7 +25,7 @@ import math
 import os
 from typing import Callable, Iterable, Sequence
 
-from .basemath import PrimeField, gfp_solve, hamming_dist, l1_dist, sphere_volume_l1
+from .basemath import PrimeField, gfp_solve, hamming_dist, l1_dist, require_int, sphere_volume_l1
 from .core import (
     DECODE_FAILURE,
     CheckMatrix,
@@ -377,7 +377,7 @@ class ExtField:
     """
 
     def __init__(self, p: int, h: int, modulus_poly: Sequence[int] | None = None):
-        if h < 2:
+        if require_int("h", h) < 2:
             raise ValueError("extension degree must be >= 2")
         self.base = PrimeField(p)
         self.p = p

@@ -145,14 +145,14 @@ class SingleErrorScheme(Scheme):
     def encode_array(self, block: np.ndarray) -> np.ndarray:
         return encode_row(block, self.loc)
 
-    def read_syndromes(self, y: ReadVector) -> tuple[list[int], tuple[int, ...]]:
-        """Admit the read; its checksum (`checksum`), and its entries."""
+    def read_syndromes(self, y: ReadVector) -> list[int]:
+        """Admit the read; its checksum (`checksum`)."""
         check = self.check
-        return checksum(y.admit(check.n, self.q_out, vector=check.vector), check), y.entries
+        return checksum(y.admit(check.n, self.q_out, vector=check.vector), check)
 
     def syndrome(self, y: ReadVector) -> int:
         """Admit the read; its locator checksum."""
-        return self.read_syndromes(y)[0][0]
+        return self.read_syndromes(y)[0]
 
     def locate(self, syn: list[int], y: ReadVector) -> Hits | None:
         (s,) = syn

@@ -303,6 +303,8 @@ class TestMalformedFiles:
              "data entry 0 = '1' is not an integer"),
             ({"q": 2.0, "rows": 1, "cols": 10, "data": GOOD},
              "alphabet size must be an integer"),
+            ({"rows": 1, "cols": 10, "data": GOOD},
+             "alphabet size must be an integer, got None"),
             ({"q": 2, "rows": "1", "cols": 10, "data": GOOD}, "rows must be an integer"),
             ({"q": 2, "rows": 1, "cols": 10, "data": 5}, "data must be a list"),
             ([GOOD], "expected a JSON object, got list"),

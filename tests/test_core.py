@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +8,14 @@ from hypothesis import strategies as st
 
 import dpe_codec as api
 from dpe_codec.core import DECODE_FAILURE, QMatrix, ReadVector, corrected, decoded, unit_error
+from dpe_codec.formats import read_vector, write_vector
 
 
 class TestReadVector:
     def test_with_erasures(self):
         rv = ReadVector.with_erasures([4, 5, 6], [1])
         assert rv.entries == (4, 0, 6)
-        assert rv.erased_positions() == [1]
+        assert rv.erased == (1,)
 
     @pytest.mark.parametrize("index", [3, -1, 99, "1", True])
     def test_erasure_index_out_of_range(self, index):
@@ -25,79 +29,93 @@ class TestReadVector:
     def test_alphabet_accepts_in_range(self):
         ReadVector.exact([0, 3, 1]).check_alphabet(4)
         ReadVector.exact([]).check_alphabet(4)
-        # an erased entry holds a placeholder that is never checked
-        ReadVector((0, 9, 1), (False, True, False)).check_alphabet(4)
+        # an erased entry holds 0, whatever it was given
+        ReadVector((0, 9, 1), (1,)).check_alphabet(4)
 
     @pytest.mark.parametrize(
         "entries,erased,bad",
         [((0, 4, 1), (), "entry 1 = 4"), ((0, 1, -1), (), "entry 2 = -1"),
-         ((9, 5, 1), (True, False, False), "entry 1 = 5")],
+         ((9, 5, 1), (0,), "entry 1 = 5")],
     )
     def test_alphabet_names_first_bad_entry(self, entries, erased, bad):
         with pytest.raises(ValueError, match=f"^{bad} is outside the read alphabet \\[0, 4\\)$"):
             ReadVector(entries, erased).check_alphabet(4)
 
 
-class TestFlags:
-    def test_reads_without_erasures_share_one_flags_tuple(self):
-        a, b = ReadVector.exact([0, 3, 1]), ReadVector((4, 5, 6))
-        assert a.erased is b.erased == (False, False, False)
-        assert ReadVector.exact([]).erased == ()
+class TestErasedPositions:
+    def test_a_read_without_erasures(self):
+        read = ReadVector.exact([0, 3, 1])
+        assert read.erased == () and ReadVector.exact([]).erased == ()
+        assert read == ReadVector((0, 3, 1), ()) == ReadVector.with_erasures([0, 3, 1], [])
+        assert repr(read) == "ReadVector(entries=(0, 3, 1), erased=())"
 
-    def test_shared_flags_are_not_part_of_the_value(self):
-        shared, explicit = ReadVector((0, 3, 1)), ReadVector((0, 3, 1), (False,) * 3)
-        assert shared.erased is not explicit.erased
-        assert shared == explicit and hash(shared) == hash(explicit)
-        assert repr(shared) == repr(explicit) == (
-            "ReadVector(entries=(0, 3, 1), erased=(False, False, False))")
+    def test_positions_are_sorted_distinct_and_hold_0(self):
+        read = ReadVector((4, 5, None, 7), (3, 2, 3))
+        assert read.entries == (4, 5, 0, 0) and read.erased == (2, 3)
+        assert read == ReadVector((4, 5, 0, 0), (2, 3))
+        assert hash(read) == hash(ReadVector.with_erasures([4, 5, 6, 7], {3, 2}))
+        assert repr(read) == "ReadVector(entries=(4, 5, 0, 0), erased=(2, 3))"
 
     @pytest.mark.parametrize(
-        "read,expect",
-        [(ReadVector((0, 3, 1)), False), (ReadVector((0, 3, 1), (False,) * 3), False),
-         (ReadVector((0, 3, 1), (False, True, False)), True),
-         (ReadVector.with_erasures([4, 5, 6], [2]), True),
-         (ReadVector.with_erasures([4, 5, 6], []), False)],
-    )
-    def test_has_erasures_is_set_once(self, read, expect):
-        # a plain attribute set at construction, not a cached property
-        assert vars(read)["has_erasures"] is expect
-        assert not isinstance(vars(ReadVector).get("has_erasures"), property)
+        "erased", [(3,), (-1,), (1.0,), (True,), ("1",), (False, True), (True, False, False)])
+    def test_refusals(self, erased):
+        # a flags tuple is refused, never read as positions
+        with pytest.raises(ValueError, match=r"^erasure index .+ is outside \[0, 3\)$"):
+            ReadVector((0, 3, 1), erased)
 
-    def test_has_erasures_is_not_part_of_the_value(self):
-        read = ReadVector((0, 3, 1), (False, True, False))
-        assert "has_erasures" not in repr(read)
-        assert read == ReadVector((0, 3, 1), (False, True, False))
-
-    def test_flags_must_match_the_entries(self):
-        with pytest.raises(ValueError, match="erasure flags must match entry count"):
-            ReadVector((0, 3, 1), (False, True))
-
-    def test_shortened_scheme_keeps_the_shared_flags(self, monkeypatch):
-        scheme = api.ShortenedScheme(api.SingleErrorScheme(2, 24, 2), 5)
+    def test_shortened_scheme_shifts_the_positions(self, monkeypatch):
+        scheme = api.ShortenedScheme(api.HammingScheme(2, 2, 6, 1, rho_max=1), 2)
         seen = []
         decode = scheme.base.decode
         monkeypatch.setattr(scheme.base, "decode", lambda y: seen.append(y) or decode(y))
-        rows = [[1, 0] * (scheme.k // 2) + [1] * (scheme.k % 2), [1] * scheme.k]
+        rows = [[1, 0, 1, 1], [0, 1, 1, 0]]
         clean = api.compute_clean([1, 1], scheme.encode(QMatrix.from_lists(2, rows)))
         assert scheme.decode(ReadVector.exact(clean)).prefix == tuple(clean[: scheme.k])
-        (full,) = seen
-        assert full.erased is ReadVector.exact([0] * scheme.base.n).erased
-        assert full.entries == (0,) * 5 + tuple(clean)
+        assert scheme.decode(ReadVector.with_erasures(clean, [1])).prefix == tuple(clean[:4])
+        plain, erased = seen
+        assert plain.erased == () and plain.entries == (0,) * 2 + tuple(clean)
+        assert erased.erased == (3,) and erased.entries[3] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_read_holds_0_at_its_erased_positions(data):
+    clean = data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=20))
+    n = len(clean)
+    erased = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    placeholders = st.one_of(st.integers(), st.none(), st.floats(), st.integers(max_value=-1))
+    entries = list(clean)
+    for j in erased:
+        entries[j] = data.draw(placeholders)
+    read = ReadVector(tuple(entries), tuple(erased))
+    expect = [0 if j in erased else v for j, v in enumerate(clean)]
+    assert read == ReadVector(tuple(expect), tuple(sorted(set(erased))))
+    assert read.entries == tuple(expect) and read.erased == tuple(sorted(set(erased)))
+    packed = read.check_alphabet(9, True)
+    assert packed.dtype == np.uint8 and packed.tolist() == expect
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "y.json"
+        write_vector(path, read, 9)
+        assert read_vector(path) == (read, 9)
+    bad = data.draw(st.one_of(
+        st.integers(max_value=-1), st.integers(min_value=n), st.booleans(), st.floats()))
+    with pytest.raises(ValueError, match="erasure index"):
+        ReadVector(tuple(entries), tuple(erased) + (bad,))
 
 
 class TestAdmit:
     def test_accepts(self):
         ReadVector.exact([0, 3, 1]).admit(3, 4)
-        ReadVector((0, 9, 1), (False, True, False)).admit(3, 4, erasures=True)
+        ReadVector((0, 9, 1), (1,)).admit(3, 4, erasures=True)
 
     @pytest.mark.parametrize(
         "read,n,erasures,message",
         [
             # erasures are refused before the length is looked at
-            (ReadVector((0, 1), (True, False)), 3, False,
+            (ReadVector((0, 1), (0,)), 3, False,
              "erasures are outside this decoder's contract"),
             (ReadVector.exact([0, 1]), 3, False, "read vector length 2 != 3"),
-            (ReadVector((0, 1), (True, False)), 3, True, "read vector length 2 != 3"),
+            (ReadVector((0, 1), (0,)), 3, True, "read vector length 2 != 3"),
             (ReadVector.exact([0, 1, 4]), 3, False,
              "entry 2 = 4 is outside the read alphabet [0, 4)"),
         ],

@@ -295,7 +295,7 @@ class TestSchemeConstruction:
         monkeypatch.setattr(hamming, "pair_table", refuse)
         scheme = HammingScheme(2, 1, 2000, 3)
         encoded = scheme.encode(QMatrix.from_lists(2, [[1, 0] * 1000]))
-        assert not any(scheme.read_syndromes(ReadVector.exact(encoded.rows[0]))[0])
+        assert not any(scheme.read_syndromes(ReadVector.exact(encoded.rows[0])))
 
     def test_prime_selection_rejects_small(self):
         with pytest.raises(ValueError, match="next usable prime is 7"):
@@ -383,13 +383,10 @@ class TestPackingMap:
         scheme = HammingScheme(q=2, ell=2, k=1, tau=2, theta=2, rho_max=1)
         block = scheme.ntilde - scheme.k
         # data column 0 erases symbol 0
-        _, erased = scheme.pack([0] * scheme.n, [True] + [False] * (scheme.n - 1))
+        _, erased = scheme.pack([0] * scheme.n, [0])
         assert erased == {0}
         # two digits of the same packed symbol cost one erasure
-        flags = [False] * scheme.n
-        flags[scheme.k + 2] = True
-        flags[scheme.k + 2 + block] = True
-        _, erased = scheme.pack([0] * scheme.n, flags)
+        _, erased = scheme.pack([0] * scheme.n, [scheme.k + 2, scheme.k + 2 + block])
         assert erased == {scheme.k + 2}
 
 
@@ -494,11 +491,11 @@ class TestDecode:
         assert c[:4] == [1, 1, 2, 1]
         entries = list(c)
         entries[column] = placeholder
-        flags = tuple(j == column for j in range(scheme.n))
-        assert scheme.decode(ReadVector(tuple(entries), flags)).prefix == (1, 1, 2, 1)
+        erased = (column,)
+        assert scheme.decode(ReadVector(tuple(entries), erased)).prefix == (1, 1, 2, 1)
         # and with one error besides: 2*tau + 1 erasure < d = 4
         entries[1] = 2
-        assert scheme.decode(ReadVector(tuple(entries), flags)).prefix == (1, 1, 2, 1)
+        assert scheme.decode(ReadVector(tuple(entries), erased)).prefix == (1, 1, 2, 1)
 
     @pytest.mark.parametrize("kernel", [False, True], ids=["python", "kernel"])
     def test_erased_data_entry_above_half_p(self, monkeypatch, kernel):

@@ -185,7 +185,7 @@ class TestEntryTypes:
         assert str(info.value) == message
 
     def test_erased_placeholder_is_not_read(self):
-        ReadVector((0, None, 1), (False, True, False)).check_alphabet(4)
+        ReadVector((0, None, 1), (1,)).check_alphabet(4)
 
     @pytest.mark.parametrize("table", [SMALL, LARGE], ids=["python", "kernel"])
     @pytest.mark.parametrize("name", sorted(SMALL))
@@ -256,9 +256,10 @@ class TestBytePacking:
         else:
             assert byte is read.entries and list(wide) == list(entries)
 
-    def test_erasures_keep_the_per_entry_check(self):
-        read = ReadVector((0, None, 1, -1), (False, True, False, True))
-        assert read.check_alphabet(9, True) is read.entries
+    def test_an_erasure_read_packs_with_0_at_its_erased_entries(self):
+        read = ReadVector((0, None, 1, -1), (1, 3))
+        packed = read.check_alphabet(9, True)
+        assert packed.dtype == np.uint8 and packed.tolist() == [0, 0, 1, 0]
 
 
 # every scheme whose read alphabet fits a byte, above the kernel cut; the

@@ -112,9 +112,8 @@ def _reads(rng: random.Random, label: str, scheme, budget: int):
                     # placeholders that are not 0, nor even integers
                     for placeholder in (7, None):
                         entries = [placeholder if j in erased else v for j, v in enumerate(y)]
-                        flags = tuple(j in erased for j in range(n))
                         yield (f"placeholder {p} {rho} {t} {placeholder!r}",
-                               ReadVector(tuple(entries), flags))
+                               ReadVector(tuple(entries), tuple(erased)))
 
 
 def _outcome(scheme, read: ReadVector) -> str:

@@ -152,6 +152,13 @@ INTEGER_PARAMETERS = [
     (lambda tau: api.BerlekampCode(api.PrimeField(13), [1, 2, 3, 4], tau), {"tau": 2}, ["tau"]),
     (lambda length, k: api.ReedSolomonCode(api.PrimeField(13), length, k),
      {"length": 6, "k": 2}, ["length", "k"]),
+    (api.PrimeField, {"p": 7}, ["p"]),
+    (api.ExtField, {"p": 3, "h": 2}, ["p", "h"]),
+    (api.sphere_volume_l1, {"n": 5, "t": 2}, ["n", "t"]),
+    (api.jacobsthal_weight, {"q": 4, "j": 1}, ["q", "j"]),
+    (api.build_locators_basic, {"q": 2, "n": 15}, ["q", "n"]),
+    (api.build_locators_ded, {"q": 3, "n": 8}, ["q", "n"]),
+    (api.build_locators_ded, {"q": 2, "n": 15}, ["n"]),
 ]
 INTEGER_CASES = [
     pytest.param(build, fields, name, id=f"{i}-{name}")
