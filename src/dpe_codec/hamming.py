@@ -407,7 +407,8 @@ class HammingScheme(Scheme):
     def locate(self, syn: list[int], y: ReadVector) -> Hits | None:
         if not any(syn):
             return ()
-        hits = self.inner.locate_syndromes(syn, self._erased_symbols(y.erased), self.tau)
+        erased = self._erased_symbols(y.erased) if y.erased else ()
+        hits = self.inner.locate_syndromes(syn, erased, self.tau)
         if hits is None:
             return None
         # An erased entry holds 0 and its symbol was solved outright: its
