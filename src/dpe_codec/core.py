@@ -23,16 +23,17 @@ admits erasures).  `locate(syn, y)` holds the clean test: it returns ()
 for a prefix that needs no correction, the `(read column, signed value)`
 hits to subtract (`Hits`), or None to give up; only a read with hits pays
 for `corrected`.  The prefix is taken from the read's entries, so numpy
-integers in a read stay numpy integers.  `unit_error` is the one lookup of
-a lone +-1 error by its point.
+integers and bools in a read stay as they are.  `unit_error` is the one
+lookup of a lone +-1 error by its point.
 
-A `CheckMatrix` decides once (`kernel_fits`) whether reads over the
+`pack_block` is the one packer of matrices and reads.  It takes what
+`operator.index` takes: a matrix given as rows refuses bools and numpy
+integers before it packs, and a read takes them as their ints.  A
+`CheckMatrix` decides once (`kernel_fits`) whether reads over the
 scheme's alphabet take the numpy kernel: the product must be large enough
-and exact in int64.  There, `ReadVector.admit` packs the read one byte per
-entry when its bound is at most 256, else into int64; the packing refuses
-non-integers and one reduction checks the range.  Otherwise it hands back
-the tuple of entries.  The check matrix multiplies either form and returns
-Python ints, so no decoder branches on the path.
+and exact in int64.  There `ReadVector.admit` returns the packed read,
+else the checked tuple of entries; the check matrix multiplies either
+form and returns Python ints, so no decoder branches on the path.
 
 Programming is array-native.  `QMatrix` keeps the packing its validation
 makes (`QMatrix.array`), and a scheme's `encode_array(block)` hook turns
@@ -51,7 +52,6 @@ import operator
 import struct
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -61,7 +61,9 @@ from .basemath import gfp_solve, require_int
 # Smallest check-matrix product, rows times read length, that takes the
 # numpy kernel.  Below it numpy's fixed cost per call outweighs the
 # multiplications it saves (measured crossover: see CHANGES.md and the
-# README).
+# README).  `pack_block` takes the same cut for its int64 range check: a
+# shorter sequence is checked by Python's max, a longer one by one numpy
+# reduction (measured crossover about 100 entries).
 KERNEL_MIN_LENGTH = 96
 
 # Largest read alphabet packed one byte per entry.
@@ -227,23 +229,68 @@ def _int_array(rows: list, bound: int) -> np.ndarray:
     return np.array(rows, int_dtype(bound))
 
 
-def _storage(q: int):
-    """The dtype that holds the entries [0, q) of a packed matrix."""
-    return np.uint8 if q <= BYTE_BOUND else np.int64 if q <= INT64_BOUND else object
-
-
 @cache
-def _int64_packer(n: int):
-    """Packs n integers as int64 bytes (one packer per read length); raises
-    struct.error for an entry that is not an integer or lies outside int64."""
-    return struct.Struct(f"{n}q").pack
+def _uint64_packer(n: int):
+    """Packs n integers as unsigned 64-bit bytes (one packer per length);
+    raises struct.error for an entry that is not an integer or lies outside
+    [0, 2^64)."""
+    return struct.Struct(f"{n}Q").pack
 
 
 @cache
 def _byte_alphabet(bound: int) -> bytes:
-    """The bytes [0, bound): deleting them from a packed read leaves the
+    """The bytes [0, bound): deleting them from packed bytes leaves the
     entries outside the alphabet."""
     return bytes(range(bound))
+
+
+def pack_block(bound: int, values: Sequence[int] | np.ndarray) -> np.ndarray | None:
+    """`values`, a flat sequence or an integer ndarray of any shape (dtype
+    kind b, i or u), as a read-only array: uint8 for bound <= BYTE_BOUND,
+    int64 for bound <= 2^63, Python ints (an object array) above; None
+    where an entry is not an integer or lies outside [0, bound).
+
+    A sequence takes what `operator.index` takes (numpy integers, and bools
+    as 0 and 1).  A bytearray refuses non-integers and ints outside
+    [0, 256), and deleting the bytes [0, bound) must leave nothing; struct
+    refuses non-integers and ints outside [0, 2^64), and the largest entry
+    must lie below the bound (Python's max below KERNEL_MIN_LENGTH
+    entries, else one numpy reduction).  An ndarray is checked in one pass
+    and cast to a copy."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "biu" or (
+            values.size and not 0 <= int(values.min()) <= int(values.max()) < bound
+        ):
+            return None
+        array = values.astype(np.uint8 if bound <= BYTE_BOUND else int_dtype(bound))
+    elif bound <= BYTE_BOUND:
+        try:
+            packed = bytearray(values)
+        except (TypeError, ValueError):  # a non-integer, or an int outside [0, 256)
+            return None
+        if packed.translate(None, _byte_alphabet(bound)):
+            return None
+        return np.frombuffer(bytes(packed), np.uint8)
+    elif bound <= INT64_BOUND:
+        try:
+            array = np.frombuffer(_uint64_packer(len(values))(*values), np.int64)
+        except struct.error:
+            return None
+        if len(values) < KERNEL_MIN_LENGTH:
+            top = max(values, default=0)
+        else:
+            top = array.view(np.uint64).max()
+        return array if top < bound else None
+    else:
+        try:
+            entries = list(map(operator.index, values))
+        except TypeError:
+            return None
+        if entries and not (0 <= min(entries) and max(entries) < bound):
+            return None
+        array = np.array(entries, object)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -273,15 +320,14 @@ def decoded(values: Iterable[int]) -> DecodeOutcome:
 class QMatrix:
     """Integer matrix with entries in [0, q).
 
-    `rows` holds tuples of Python ints.  The constructor also takes a 2-D
-    integer ndarray (dtype kind i or u; bools and floats are refused) as
-    `rows`: one vectorised pass checks every entry's range, and the rows are
-    stored as tuples.  An object array is read as its rows of Python
-    objects, as a tuple would be.
+    `rows` holds tuples of Python ints, each an `int` (a bool or a numpy
+    integer is not) and each row as long as the first; `pack_block` packs
+    each row.  The constructor also takes a 2-D integer ndarray (dtype kind
+    i or u; bools and floats are refused) as `rows`, packed in one pass; an
+    object array is read as its rows of Python objects, as a tuple would be.
 
-    `array` keeps the packing that validation makes: the rows as a
-    read-only l x width array, uint8 for q <= BYTE_BOUND, int64 for
-    q <= 2^63, and Python ints (an object array) above.
+    `array` keeps the packing: the rows as a read-only l x width array in
+    `pack_block`'s storage for q.
     """
 
     q: int
@@ -295,19 +341,31 @@ class QMatrix:
         if isinstance(rows, np.ndarray):
             if rows.ndim != 2:
                 raise ValueError(f"matrix array must have 2 dimensions, got {rows.ndim}")
-            if rows.dtype != object:
-                array = _admit_array(q, rows)
-                object.__setattr__(self, "rows", _tuple_rows(array))
-                object.__setattr__(self, "array", array)
-                return
-            rows = tuple(map(tuple, rows.tolist()))
-            object.__setattr__(self, "rows", rows)
-        if not rows:
+            if rows.dtype.kind not in "iuO":
+                raise ValueError(f"matrix entries must be integers, got dtype {rows.dtype}")
+            if rows.dtype == object:
+                rows = rows.tolist()
+        if not len(rows):
             raise ValueError("matrix needs at least one row")
-        array = _pack_rows(q, rows)
-        if array is None:
-            _refuse_entry(q, rows)
-        array.flags.writeable = False
+        if isinstance(rows, np.ndarray):
+            array = pack_block(q, rows)
+            if array is None:
+                _refuse_entry(q, rows.tolist())
+            rows = _tuple_rows(array)
+        else:
+            rows = tuple(map(tuple, rows))
+            width = len(rows[0])
+            packed = [
+                pack_block(q, row)
+                if len(row) == width and operator.countOf(map(type, row), int) == width
+                else None
+                for row in rows
+            ]
+            if any(block is None for block in packed):
+                _refuse_entry(q, rows)
+            array = np.concatenate(packed).reshape(len(rows), width)
+            array.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "array", array)
 
     @classmethod
@@ -324,39 +382,6 @@ class QMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows)
-
-
-def _pack_rows(q: int, rows: Sequence[Sequence[int]]) -> np.ndarray | None:
-    """The rows packed as `QMatrix.array`, or None where a row's length, an
-    entry's type or an entry's range is wrong.  The type test comes first
-    (bytearray and struct take bools and numpy integers); a bytearray then
-    also refuses ints outside [0, 256), and deleting the bytes [0, q) must
-    leave nothing; struct refuses ints outside int64, and one reduction
-    checks [0, q) (a negative entry wraps to 2^63 or more as uint64)."""
-    width = len(rows[0])
-    for row in rows:
-        if len(row) != width or operator.countOf(map(type, row), int) != width:
-            return None
-    shape = (len(rows), width)
-    if q <= BYTE_BOUND:
-        try:
-            packed = b"".join(map(bytearray, rows))
-        except ValueError:  # an int outside [0, 256)
-            return None
-        if packed.translate(None, _byte_alphabet(q)):
-            return None
-        return np.frombuffer(packed, np.uint8).reshape(shape)
-    if q <= INT64_BOUND:
-        try:
-            packed = _int64_packer(shape[0] * width)(*chain.from_iterable(rows))
-        except struct.error:  # an int outside int64
-            return None
-        array = np.frombuffer(packed, np.int64).reshape(shape)
-        return array if not array.size or array.view(np.uint64).max() < q else None
-    entries = list(chain.from_iterable(rows))
-    if entries and not (0 <= min(entries) and max(entries) < q):
-        return None
-    return np.array(rows, object).reshape(shape)
 
 
 def _refuse_entry(q: int, rows: Sequence[Sequence[int]]) -> None:
@@ -383,42 +408,33 @@ def _tuple_rows(array: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(packed[i * width : (i + 1) * width]) for i in range(len(array)))
 
 
-def _admit_array(q: int, array: np.ndarray) -> np.ndarray:
-    """A 2-D integer array checked against [0, q) in one pass, as a
-    read-only copy in the dtype of `QMatrix.array`."""
-    if array.dtype.kind not in "iu":
-        raise ValueError(f"matrix entries must be integers, got dtype {array.dtype}")
-    if not len(array):
-        raise ValueError("matrix needs at least one row")
-    if array.size and (array.min() < 0 or array.max() >= q):
-        i, j = np.argwhere((array < 0) | (array >= q))[0]
-        raise ValueError(f"entry ({i},{j}) = {array[i, j]} is outside [0, {q})")
-    array = array.astype(_storage(q))
-    array.flags.writeable = False
-    return array
-
-
 @dataclass(frozen=True)
 class ReadVector:
     """A (possibly faulty) DPE output row: its entries, and the positions of
     its erased (unreadable) entries.
 
-    `erased` is stored sorted and distinct (`erasure_indices` refuses an
-    index that is not an int in [0, n)), and each erased entry is set to
-    0, whatever it held: its value is unknown, and 0 is its placeholder.
+    Both are stored as tuples.  `erased` is sorted and distinct
+    (`erasure_indices` refuses an index that is not an int in [0, n)), and
+    each erased entry is set to 0: its value is unknown.  An entry may be
+    any integer `operator.index` takes, a numpy integer or a bool (as 0 or
+    1; refusing bools would cost a type pass over every clean read).  A
+    decoded prefix holds the read's own entry objects, each equal to its
+    int.
     """
 
     entries: tuple[int, ...]
     erased: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.erased:
-            erased = erasure_indices(self.erased, len(self.entries))
-            entries = list(self.entries)
+        entries, erased = tuple(self.entries), tuple(self.erased)
+        if erased:
+            erased = tuple(erasure_indices(erased, len(entries)))
+            entries = list(entries)
             for j in erased:
                 entries[j] = 0
-            object.__setattr__(self, "entries", tuple(entries))
-            object.__setattr__(self, "erased", tuple(erased))
+            entries = tuple(entries)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "erased", erased)
 
     @classmethod
     def exact(cls, values: Sequence[int]) -> "ReadVector":
@@ -448,36 +464,13 @@ class ReadVector:
 
     def check_alphabet(self, bound: int, vector: bool = False) -> Sequence[int]:
         """Refuse the first entry that is not an integer or lies outside
-        [0, bound).  Where `vector` holds, returns the entries as a
-        read-only numpy array: uint8 for a bound of at most BYTE_BOUND,
-        int64 otherwise.  Returns `entries` in every other case.
-
-        The fast pass packs the entries, and the packing refuses floats,
-        strings and None.  A bound of at most BYTE_BOUND packs them into a
-        bytearray, which also refuses negative ints and ints of 256 or more;
-        deleting the bytes [0, bound) must then leave nothing.  A wider
-        bound packs them into int64.  On the kernel path one reduction
-        checks the range (a negative entry wraps to 2^63 or more as uint64);
-        otherwise min and max bound the tuple.  A read that fails the fast
-        pass is checked entry by entry, for the message."""
+        [0, bound).  Returns the entries as `pack_block` packs them where
+        `vector` holds, else `entries`.  A read that the packer refuses is
+        checked entry by entry, for the message."""
         entries = self.entries
-        try:
-            if bound <= BYTE_BOUND:
-                packed = bytearray(entries)
-                if not packed.translate(None, _byte_alphabet(bound)):
-                    if vector and packed:
-                        return np.frombuffer(bytes(packed), np.uint8)
-                    return entries
-            else:
-                packed = _int64_packer(len(entries))(*entries)
-                if vector and entries:
-                    array = np.frombuffer(packed, np.int64)
-                    if array.view(np.uint64).max() < min(bound, INT64_BOUND):
-                        return array
-                elif not entries or 0 <= min(entries) and max(entries) < bound:
-                    return entries
-        except (TypeError, ValueError, struct.error):
-            pass
+        packed = pack_block(bound, entries)
+        if packed is not None:
+            return packed if vector else entries
         for j, v in enumerate(entries):
             try:
                 operator.index(v)

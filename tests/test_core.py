@@ -1,3 +1,4 @@
+import operator
 import tempfile
 from pathlib import Path
 
@@ -7,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpe_codec as api
-from dpe_codec.core import DECODE_FAILURE, QMatrix, ReadVector, corrected, decoded, unit_error
+from dpe_codec.core import (
+    DECODE_FAILURE,
+    QMatrix,
+    ReadVector,
+    corrected,
+    decoded,
+    pack_block,
+    unit_error,
+)
 from dpe_codec.formats import read_vector, write_vector
 
 
@@ -40,6 +49,25 @@ class TestReadVector:
     def test_alphabet_names_first_bad_entry(self, entries, erased, bad):
         with pytest.raises(ValueError, match=f"^{bad} is outside the read alphabet \\[0, 4\\)$"):
             ReadVector(entries, erased).check_alphabet(4)
+
+
+class TestConstructorsStoreTuples:
+    def test_a_read_given_lists(self):
+        read = ReadVector([1, 2, 3], [])
+        assert read.entries == (1, 2, 3) and read.erased == ()
+        assert read == ReadVector((1, 2, 3)) and hash(read) == hash(ReadVector((1, 2, 3)))
+        assert ReadVector([4, 5], [1]) == ReadVector((4, 0), (1,))
+
+    def test_a_read_keeps_the_tuple_it_is_given(self):
+        values = (0, 3, 1)
+        read = ReadVector.exact(values)
+        assert read.entries is values and read.admit(3, 4) is values
+
+    def test_a_matrix_given_lists(self):
+        matrix = QMatrix(2, [[0, 1], [1, 0]])
+        assert matrix.rows == ((0, 1), (1, 0))
+        assert matrix == QMatrix(2, ((0, 1), (1, 0)))
+        assert hash(matrix) == hash(QMatrix(2, ((0, 1), (1, 0))))
 
 
 class TestErasedPositions:
@@ -215,6 +243,71 @@ class TestQMatrixTypes:
     def test_admits_the_top_symbol(self, q):
         rows = ((q - 1,) * 300, (0,) * 299 + (q - 1,))
         assert QMatrix(q, rows).rows == rows
+
+
+# the storage cuts of pack_block: uint8 up to 256, int64 up to 2^63, then
+# Python ints
+PACK_BOUNDS = [2, 256, 257, 2**63, 2**63 + 1]
+
+
+def _packed_by_hand(bound, values):
+    """pack_block's contract written plainly: None unless every entry is an
+    integer to `operator.index` in [0, bound), else the entries as ints in
+    the storage dtype of `bound`."""
+    try:
+        entries = [operator.index(v) for v in values]
+    except TypeError:
+        return None
+    if not all(0 <= v < bound for v in entries):
+        return None
+    return np.array(entries, np.uint8 if bound <= 256 else np.int64 if bound <= 2**63 else object)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_pack_block_matches_a_plain_reference(data):
+    bound = data.draw(st.sampled_from(PACK_BOUNDS))
+    good = st.one_of(
+        st.integers(0, bound - 1), st.booleans(), st.integers(0, min(bound, 2**63) - 1).map(np.int64))
+    values = data.draw(st.lists(good, max_size=12))
+    if data.draw(st.booleans()):  # one bad entry: just past the bound, negative, past int64...
+        bad = data.draw(st.one_of(
+            st.integers(bound, bound + 300), st.integers(max_value=-1),
+            st.integers(min_value=2**63), st.integers(max_value=-(2**63) - 1), st.floats(),
+            st.none()))
+        values.insert(data.draw(st.integers(0, len(values))), bad)
+    expect = _packed_by_hand(bound, values)
+    for given_values in (values, tuple(values)):
+        packed = pack_block(bound, given_values)
+        if expect is None:
+            assert packed is None
+            continue
+        assert packed.dtype == expect.dtype and packed.shape == (len(values),)
+        assert packed.tolist() == expect.tolist() and not packed.flags.writeable
+    # an integer ndarray, in any shape, packs as its entries do
+    if any(type(v) not in (int, bool, np.int64) for v in values):
+        return
+    ints = [int(v) for v in values]
+    arrays = [np.array(ints, dtype) for dtype in (np.int64, np.uint64)
+              if all(np.iinfo(dtype).min <= v <= np.iinfo(dtype).max for v in ints)]
+    if all(type(v) is bool for v in values):
+        arrays.append(np.array(values, bool))
+    for array in arrays:
+        if len(values) % 2 == 0:
+            array = array.reshape(2, -1)
+        packed = pack_block(bound, array)
+        flat = pack_block(bound, array.ravel().tolist())
+        if flat is None:
+            assert packed is None
+            continue
+        assert packed.dtype == flat.dtype and packed.shape == array.shape
+        assert packed.tolist() == flat.reshape(array.shape).tolist()
+        assert not packed.flags.writeable and not np.shares_memory(packed, array)
+
+
+def test_pack_block_refuses_a_non_integer_array():
+    assert pack_block(9, np.array([1.0, 2.0])) is None
+    assert pack_block(9, np.array([1, 2], object)) is None
 
 
 def test_unit_error_looks_up_both_signs():

@@ -1,16 +1,18 @@
-"""Reads whose entries are numpy integers decode as their plain-int twins.
+"""Reads whose entries are numpy integers or bools decode as their
+plain-int twins.
 
 `check_alphabet` accepts numpy integers, and on the Python-int path the
 check matrix multiplies them as they are; its syndromes must still be
 Python ints, or the locate step's `pow` refuses them.  The prefix holds
 the read's own entry objects, so it compares equal to the twin's prefix.
+A bool is read as 0 or 1, as `operator.index` reads it.
 """
 
 import numpy as np
 import pytest
 
 import dpe_codec as api
-from dpe_codec.core import CheckMatrix, ReadVector
+from dpe_codec.core import KERNEL_MIN_LENGTH, CheckMatrix, ReadVector
 
 
 # name -> (scheme, drifted positions, erased positions)
@@ -52,6 +54,27 @@ def test_numpy_read_decodes_as_its_plain_twin(case):
     assert expect.prefix == tuple(clean[: scheme.k])
     # the prefix holds the read's numpy entries, equal to the plain ones
     assert scheme.decode(numpy_read) == expect
+
+
+# Q = 2 on both sides of the kernel cut: a read of bools is a read of 0s and 1s
+@pytest.mark.parametrize("n", [15, 127], ids=["python", "kernel"])
+def test_bool_read_decodes_as_its_int_twin(n):
+    scheme = api.SingleErrorScheme(2, n, 1)
+    assert scheme.q_out == 2 and scheme.vector == (n >= KERNEL_MIN_LENGTH)
+    rng = np.random.default_rng(n)
+    row = rng.integers(0, 2, (1, scheme.k)).tolist()
+    clean = api.compute_clean([1], scheme.encode(api.QMatrix.from_lists(2, row)))
+    drifted = list(clean)
+    drifted[3] = 1 - drifted[3]
+    for y in (clean, drifted):
+        plain = ReadVector.exact(y)
+        bools = ReadVector.exact([bool(v) for v in y])
+        assert scheme.read_syndromes(bools) == scheme.read_syndromes(plain)
+        outcome = scheme.decode(bools)
+        assert outcome == scheme.decode(plain)
+        assert outcome.prefix == tuple(clean[: scheme.k])
+    # a clean read's prefix is the read's own entries
+    assert all(type(v) is bool for v in scheme.decode(ReadVector.exact(map(bool, clean))).prefix)
 
 
 def test_check_matrix_returns_python_ints():
