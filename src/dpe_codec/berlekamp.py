@@ -19,9 +19,12 @@ syndrome components; `locate_bounded` picks between them.  The
 key-equation locate step scans each pair of points +-beta once
 (`gfpoly.scan_pairs`, over the table `gfpoly.pair_table` builds on the
 code's first scan), and reads the last point off the sum of the others,
-so a single error (a linear locator) needs no scan.  A lone +-1 error is
-looked up by `core.unit_error`.  The exhaustive decoder, the ground truth
-these are checked against, lives in `oracles`.
+so a linear locator needs no scan.  A lone +-1 error needs no key
+equation either: both decoders gate on S_3 = S_1^3, look S_1 up by
+`core.unit_error` and check the hit against every component, so a
+one-error read skips Newton's recursion and Euclid as well as the scan.
+The exhaustive decoder, the ground truth these are checked against,
+lives in `oracles`.
 
 A code is built as whole arrays: its locators reduced mod p at once and
 tested on a sorted copy, its power columns one running product (beta,
@@ -263,6 +266,14 @@ def locate_key_equation(
     Splitting Lambda = A(x^2) + x B(x^2) turns this into the Pade problem
     B = A * H mod z^budget, solved by Euclid.
 
+    A lone +-1 error at beta is read off before any of that: its
+    components are S_(2v+1) = +-beta^(2v+1), so where S_3 = S_1^3 (an O(1)
+    gate) S_1 is looked up (`core.unit_error`) and the hit is returned if it
+    reproduces every component, skipping Newton's recursion, Euclid and the
+    scan.  The lookup is skipped where -S_1 is a locator too (codes built
+    without validation), which leaves the error undetermined; any syndrome
+    the probe does not explain goes on to the key equation.
+
     The points are the reciprocals of Lambda's roots, and they sum to
     -B(0)/A(0) with multiplicity.  The scan (`gfpoly.scan_pairs`) takes
     each pair +-beta of the code's table once, testing both signs from one
@@ -283,6 +294,13 @@ def locate_key_equation(
     syn = [s % p for s in syn]
     if not any(syn):
         return ()
+    if len(syn) == 1 or syn[1] == pow(syn[0], 3, p):
+        # A lone +-1 error at beta has S_(2v+1) = +-beta^(2v+1): read it off,
+        # unless -beta is a locator too (the error is then undetermined).
+        hit = unit_error(code._index, p, syn[0])
+        if (hit is not None and (hit[1] < 0 or p - syn[0] not in code._index)
+                and not any(code.check.less(syn, (hit,)))):
+            return (hit,)
     # Psi = Lambda(x) / Lambda(-x) through x^(2t-1): Psi' = f' Psi gives
     # m psi_m = -2 * sum_{k odd <= m} S_k psi_(m-k).
     psi = [1]

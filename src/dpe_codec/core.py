@@ -353,17 +353,26 @@ class QMatrix:
                 _refuse_entry(q, rows.tolist())
             rows = _tuple_rows(array)
         else:
-            rows = tuple(map(tuple, rows))
+            try:
+                rows = tuple(map(tuple, rows))
+            except TypeError:
+                _refuse_row(rows)
+                raise
             width = len(rows[0])
-            packed = [
-                pack_block(q, row)
-                if len(row) == width and operator.countOf(map(type, row), int) == width
-                else None
-                for row in rows
-            ]
-            if any(block is None for block in packed):
+            if not all(len(row) == width and operator.countOf(map(type, row), int) == width
+                       for row in rows):
                 _refuse_entry(q, rows)
-            array = np.concatenate(packed).reshape(len(rows), width)
+            if q <= BYTE_BOUND:
+                try:  # the rows' joined bytes, in one pack
+                    array = pack_block(q, b"".join(map(bytearray, rows)))
+                except ValueError:  # an int outside [0, 256)
+                    array = None
+            else:
+                packed = [pack_block(q, row) for row in rows]
+                array = None if any(block is None for block in packed) else np.concatenate(packed)
+            if array is None:
+                _refuse_entry(q, rows)
+            array = array.reshape(len(rows), width)
             array.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "array", array)
@@ -382,6 +391,13 @@ class QMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows)
+
+
+def _refuse_row(rows: Iterable) -> None:
+    """Raise for the first row that is not a sequence."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, Iterable):
+            raise ValueError(f"row {i} = {row!r} is not a sequence")
 
 
 def _refuse_entry(q: int, rows: Sequence[Sequence[int]]) -> None:

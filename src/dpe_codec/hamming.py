@@ -11,8 +11,11 @@ are passed to the inner decoder as known-location unknowns.
 The inner code is a Reed-Solomon code in parity-check form (checks at
 consecutive powers of distinct nonzero points), decoded for errors and
 erasures from its syndromes by Euclid on the key equation with Forney's
-values (Roth, Introduction to Coding Theory, ch. 6).  Its locate step
-reads a linear locator's one point off and otherwise scans the pairs of
+values (Roth, Introduction to Coding Theory, ch. 6).  A syndrome with no
+erasures that is geometric (S_1^2 = S_0 S_2, an O(1) gate) is first read
+as one error, its point S_1/S_0 looked up and checked against every
+syndrome, so a one-error read skips Euclid and the scan.  Otherwise the
+locate step reads a linear locator's one point off and scans the pairs of
 points +-v (`gfpoly.scan_pairs`, the Lee decoder's scan, over the table
 `gfpoly.pair_table` builds on the code's first scan) until one point is
 left to read off their sum; it returns sparse hits (`core.Hits`, values
@@ -155,6 +158,13 @@ class ReedSolomonCode:
         syndromes S_v = sum_j e_j gamma_j^(v+1), or None: its nonzero
         error symbols mod p, an erased symbol's among them.
 
+        With no erasures and radius >= 1, one error e at gamma is read off
+        first: its syndromes S_v = e gamma^(v+1) pass the gate
+        S_1^2 = S_0 S_2, gamma = S_1/S_0 is looked up among the points, and
+        e = S_0/gamma is returned if it reproduces all d - 1 syndromes;
+        this skips Euclid and the scan.  Any syndrome it does not explain
+        takes the path below.
+
         Corrects up to `radius` errors alongside the given erasures whenever
         2*radius + len(erased) < d, and returns None when the closest
         codeword needs more than `radius` errors.  Refuses (ValueError) a
@@ -178,6 +188,16 @@ class ReedSolomonCode:
         p = self.field.p
         if not any(syn):
             return ()
+        if not erased and radius >= 1 and len(syn) > 1 and syn[0] % p:
+            # One error e at gamma has S_v = e gamma^(v+1): S_1^2 = S_0 S_2,
+            # gamma = S_1/S_0 and e = S_0/gamma.
+            s0, s1 = syn[0] % p, syn[1] % p
+            if len(syn) == 2 or s1 * s1 % p == s0 * syn[2] % p:
+                j = self._position.get(s1 * pow(s0, -1, p) % p)
+                if j is not None:
+                    hit = (j, s0 * self._inverses[j] % p)
+                    if not any(self.check.less(syn, (hit,))):
+                        return (hit,)
         modified, erasure_locator = syn, None
         if erased:
             erasure_locator = [1]
