@@ -294,9 +294,7 @@ def locate_key_equation(
     syn = [s % p for s in syn]
     if not any(syn):
         return ()
-    if len(syn) == 1 or syn[1] == pow(syn[0], 3, p):
-        # A lone +-1 error at beta has S_(2v+1) = +-beta^(2v+1): read it off,
-        # unless -beta is a locator too (the error is then undetermined).
+    if len(syn) == 1 or syn[1] == pow(syn[0], 3, p):  # a lone +-1 error?
         hit = unit_error(code._index, p, syn[0])
         if (hit is not None and (hit[1] < 0 or p - syn[0] not in code._index)
                 and not any(code.check.less(syn, (hit,)))):

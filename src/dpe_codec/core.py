@@ -320,11 +320,13 @@ def decoded(values: Iterable[int]) -> DecodeOutcome:
 class QMatrix:
     """Integer matrix with entries in [0, q).
 
-    `rows` holds tuples of Python ints, each an `int` (a bool or a numpy
-    integer is not) and each row as long as the first; `pack_block` packs
-    each row.  The constructor also takes a 2-D integer ndarray (dtype kind
-    i or u; bools and floats are refused) as `rows`, packed in one pass; an
-    object array is read as its rows of Python objects, as a tuple would be.
+    `rows` holds tuples of Python ints, each row a sequence as long as the
+    first and each entry an `int` (a bool or a numpy integer is not);
+    `pack_block` packs them, for q <= BYTE_BOUND in one call over the rows'
+    joined bytes, above it row by row.  The constructor also takes a 2-D
+    integer ndarray (dtype kind i or u; bools and floats are refused) as
+    `rows`, packed in one pass; an object array is read as its rows of
+    Python objects, as a tuple would be.
 
     `array` keeps the packing: the rows as a read-only l x width array in
     `pack_block`'s storage for q.

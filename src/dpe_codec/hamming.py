@@ -189,8 +189,6 @@ class ReedSolomonCode:
         if not any(syn):
             return ()
         if not erased and radius >= 1 and len(syn) > 1 and syn[0] % p:
-            # One error e at gamma has S_v = e gamma^(v+1): S_1^2 = S_0 S_2,
-            # gamma = S_1/S_0 and e = S_0/gamma.
             s0, s1 = syn[0] % p, syn[1] % p
             if len(syn) == 2 or s1 * s1 % p == s0 * syn[2] % p:
                 j = self._position.get(s1 * pow(s0, -1, p) % p)

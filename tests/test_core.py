@@ -208,6 +208,18 @@ class TestQMatrixTypes:
         with pytest.raises(ValueError, match=r"^entry \(1,2\) = .* is not an integer$"):
             QMatrix(4, ((0, 1, 2), (3, 0, bad)))
 
+    @pytest.mark.parametrize("q", [2, 257])
+    @pytest.mark.parametrize("rows,message", [
+        ((1, 2), "row 0 = 1 is not a sequence"),
+        (((0, 1), 5), "row 1 = 5 is not a sequence"),
+        (((0, 1), None), "row 1 = None is not a sequence"),
+    ])
+    def test_rows_must_be_sequences(self, q, rows, message):
+        # once a bare TypeError: 'int' object is not iterable
+        with pytest.raises(ValueError) as err:
+            QMatrix(q, rows)
+        assert str(err.value) == message
+
     def test_range_message(self):
         with pytest.raises(ValueError, match=r"^entry \(0,1\) = 4 is outside \[0, 4\)$"):
             QMatrix(4, ((0, 4, 2), (3, 0, 1)))

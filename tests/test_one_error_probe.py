@@ -1,0 +1,152 @@
+"""The one-error probe: a syndrome that is exactly one error's is read off
+before the key equation, in `berlekamp.locate_key_equation` (a lone +-1
+error) and in `ReedSolomonCode.locate_syndromes` (one error of any value,
+no erasures).  At production sizes every one-error syndrome returns exactly
+that hit; a near miss (a later component changed) returns None or hits
+that reproduce it within the budget; and no one-error read of a scheme
+that decodes through either function solves a key equation."""
+
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dpe_codec as api
+from dpe_codec import berlekamp, hamming
+from dpe_codec.basemath import PrimeField
+from dpe_codec.berlekamp import BerlekampCode, locate_bounded, locate_key_equation
+from dpe_codec.core import QMatrix, ReadVector
+
+P = 1031
+LEE_CODES = {tau: BerlekampCode(PrimeField(P), tuple(range(1, 516)), tau) for tau in (1, 2, 3, 6)}
+# the inner code of HammingScheme(2, 8, 256, 3), and of the same scheme
+# with an erasure budget
+INNER = {rho: api.HammingScheme(2, 8, 256, 3, rho_max=rho).inner for rho in (0, 2)}
+
+
+def _lee_unit(code, j, sign):
+    beta = code.beta[j]
+    return [sign * pow(beta, 2 * v + 1, P) % P for v in range(code.tau)]
+
+
+def _rs_one(rs, j, e):
+    p, gamma = rs.field.p, rs.gamma[j]
+    return [e * pow(gamma, v + 1, p) % p for v in range(rs.d - 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(LEE_CODES)), st.integers(0, 514), st.sampled_from((1, -1)))
+def test_lee_unit_error_is_read_off_exactly(tau, j, sign):
+    code = LEE_CODES[tau]
+    syn = _lee_unit(code, j, sign)
+    for budget in range(1, tau + 1):
+        assert locate_key_equation(code, syn, budget) == ((j, sign),)
+    assert locate_bounded(code, syn) == ((j, sign),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((3, 6)), st.integers(0, 514), st.sampled_from((1, -1)), st.data())
+def test_lee_near_miss_is_refused_or_reproduced(tau, j, sign, data):
+    # S_1 and S_3 of a unit error, a later component changed
+    code = LEE_CODES[tau]
+    syn = _lee_unit(code, j, sign)
+    v = data.draw(st.integers(2, tau - 1))
+    syn[v] = (syn[v] + data.draw(st.integers(1, P - 1))) % P
+    for budget in range(1, tau + 1):
+        hits = locate_key_equation(code, syn, budget)
+        assert hits != ((j, sign),)
+        if hits is not None:
+            assert sum(abs(e) for _, e in hits) <= budget and not any(code.check.less(syn, hits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(INNER)), st.integers(0, 260), st.integers(1, 262), st.data())
+def test_rs_one_error_is_read_off_exactly(rho, j, e, data):
+    rs = INNER[rho]
+    syn = _rs_one(rs, j, e)
+    for radius in (1, 2, 3):
+        assert rs.locate_syndromes(syn, (), radius) == ((j, e),)
+    if rho:  # the erasures take the key-equation path, to the same hit
+        erased = data.draw(st.lists(st.integers(0, rs.length - 1), max_size=rho, unique=True))
+        assert rs.locate_syndromes(syn, erased, 3) == ((j, e),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(INNER)), st.integers(0, 260), st.integers(1, 262), st.data())
+def test_rs_near_miss_is_refused_or_reproduced(rho, j, e, data):
+    # S_0, S_1, S_2 geometric, a later syndrome changed
+    rs = INNER[rho]
+    p = rs.field.p
+    syn = _rs_one(rs, j, e)
+    v = data.draw(st.integers(3, rs.d - 2))
+    syn[v] = (syn[v] + data.draw(st.integers(1, p - 1))) % p
+    for radius in (1, 2, 3):
+        hits = rs.locate_syndromes(syn, (), radius)
+        assert hits != ((j, e),)
+        if hits is not None:
+            assert len(hits) <= radius and not any(rs.check.less(syn, hits))
+
+
+def test_syndromes_are_the_ones_the_codes_compute():
+    # the hand-made syndromes above are the codes' own
+    code = LEE_CODES[6]
+    error = [0] * code.n
+    error[7] = -1
+    assert list(code.syndrome([x % P for x in error])) == _lee_unit(code, 7, -1)
+    rs = INNER[2]
+    word = [0] * rs.length
+    word[200] = 5
+    assert list(rs.syndromes(word)) == _rs_one(rs, 200, 5)
+
+
+# -- no one-error read solves a key equation ---------------------------------
+
+
+def refuse_key_equation(monkeypatch):
+    """Make `solve_key_equation` raise in every module that binds it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-error read solved a key equation")
+
+    bound = [m for key, m in sys.modules.items()
+             if key.startswith("dpe_codec.") and "solve_key_equation" in m.__dict__]
+    assert {berlekamp, hamming} <= set(bound)
+    for module in bound:
+        monkeypatch.setattr(module, "solve_key_equation", refuse)
+
+
+def _one_error_reads(scheme, columns, theta, seed, count=30):
+    """(read, clean prefix) pairs, each read with one error of magnitude
+    <= theta at a column drawn from `columns`, kept inside the alphabet."""
+    rng = random.Random(seed)
+    rows = [[rng.randrange(scheme.q) for _ in range(scheme.k)] for _ in range(scheme.ell)]
+    encoded = scheme.encode(QMatrix.from_lists(scheme.q, rows))
+    for _ in range(count):
+        clean = api.compute_clean([rng.randrange(scheme.q) for _ in range(scheme.ell)], encoded)
+        y = list(clean)
+        j = rng.choice(columns)
+        up, down = scheme.q_out - 1 - y[j], y[j]
+        sign = rng.choice([s for s, room in ((1, up), (-1, down)) if room])
+        y[j] += sign * rng.randint(1, min(theta, up if sign > 0 else down))
+        yield ReadVector.exact(y), tuple(clean[: scheme.k])
+
+
+def _recursive():
+    return api.RecursiveScheme(2, 8, 3, P)
+
+
+CASES = [
+    ("large-alphabet", lambda: api.LargeAlphabetScheme(P, 250, 3, 8), lambda s: range(s.n), 1),
+    ("recursive-head", _recursive, lambda s: range(s.n), 1),
+    ("recursive-plane", _recursive, lambda s: range(s.n, s.n + s.ntilde), 1),
+    ("hamming", lambda: api.HammingScheme(2, 8, 256, 2), lambda s: range(s.n), 8),
+]
+
+
+@pytest.mark.parametrize("name,build,columns,theta", CASES, ids=[c[0] for c in CASES])
+def test_one_error_reads_skip_the_key_equation(monkeypatch, name, build, columns, theta):
+    scheme = build()
+    refuse_key_equation(monkeypatch)
+    for read, prefix in _one_error_reads(scheme, list(columns(scheme)), theta, name):
+        assert scheme.decode(read).prefix == prefix
