@@ -23,8 +23,6 @@ from .basemath import (
 from .berlekamp import (
     BerlekampCode,
     decode_double_error,
-    locate_bounded,
-    locate_double_error,
     locate_key_equation,
     systematic_encode,
 )
@@ -106,8 +104,6 @@ __all__ = [
     "jacobsthal_weights",
     "l1_dist",
     "l1_norm",
-    "locate_bounded",
-    "locate_double_error",
     "locate_key_equation",
     "mixed_radix_digits",
     "nearest_prefix_decode",

@@ -3,28 +3,27 @@
 A code instance is the right kernel of the tau x n check matrix whose rows
 are beta_j, beta_j^3, ..., beta_j^(2*tau-1); with nonzero, distinct,
 pairwise non-negating locators beta the minimum Lee distance is at least
-2*tau + 1.  Each decoder, a `locate_*` function, returns the error it
+2*tau + 1.  The decoder, `locate_key_equation`, returns the error it
 found as sparse hits (`core.Hits`): `(position, signed value)` pairs with
 each value the nonzero Lee-lifted error, each position once, () for a
 zero syndrome, or None for an uncorrectable one.  `decode_double_error`
 alone also writes its hits out as a length-n error vector; no read goes
 through it.
 
-The codes are decoded algebraically at any budget by two decoders.  The
-key-equation decoder serves every budget, tau = 1 included (Roth &
-Siegel, "Lee-metric BCH codes and their application to constrained and
-partial-response channels", IEEE Trans. IT, 1994); a closed form serves
-tau = 2 at the full budget, solving a quadratic built from the two
-syndrome components; `locate_bounded` picks between them.  The
-key-equation locate step scans each pair of points +-beta once
-(`gfpoly.scan_pairs`, over the table `gfpoly.pair_table` builds on the
-code's first scan), and reads the last point off the sum of the others,
-so a linear locator needs no scan.  A lone +-1 error needs no key
-equation either: both decoders gate on S_3 = S_1^3, look S_1 up by
-`core.unit_error` and check the hit against every component, so a
-one-error read skips Newton's recursion and Euclid as well as the scan.
-The exhaustive decoder, the ground truth these are checked against,
-lives in `oracles`.
+Every budget of every code is decoded algebraically by one decoder,
+`locate_key_equation` (Roth & Siegel, "Lee-metric BCH codes and their
+application to constrained and partial-response channels", IEEE Trans.
+IT, 1994).  An error of Lee weight <= 2 needs no key equation: it is read
+off the first two components, one point where S_3 = S_1^3, else the two
+roots of z^2 - S_1 z + e_2 (`gfp_quadratic_roots`), so a read with one or
+two errors skips Newton's recursion, Euclid and the scan.  Anything else
+goes to the key equation, whose locate step scans each pair of points
++-beta once (`gfpoly.scan_pairs`, over the table `gfpoly.pair_table`
+builds on the code's first scan), and reads the last point off the sum of
+the others, so a linear locator needs no scan.  Both map their points to
+hits in one helper, which checks every component the points do not meet
+by construction.  The exhaustive decoder, the ground truth it is checked
+against, lives in `oracles`.
 
 A code is built as whole arrays: its locators reduced mod p at once and
 tested on a sorted copy, its power columns one running product (beta,
@@ -32,7 +31,8 @@ then times beta^2 mod p), int64 while p^2 < 2^63, else Python ints.  What
 the decoders touch (`beta` and the value index) is Python ints.
 The checks form one `core.CheckMatrix` (`BerlekampCode.check`), built on
 first use for the alphabet of the vectors it checks: the double-error
-schemes' pair code, which only the closed form decodes, never builds it.
+schemes' pair code, whose two components meet any point read off them,
+never builds it.
 The large-alphabet scheme's reads multiply it directly, in the int64
 kernel where it decides so, and the recursive scheme folds its codes'
 checks into one matrix of its own.  `syndrome` admits a word of ints or
@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basemath import PrimeField, gfp_inv, gfp_quadratic_roots
+from .basemath import PrimeField, gfp_quadratic_roots
 from .core import (
     INT64_BOUND,
     CheckMatrix,
@@ -60,7 +60,6 @@ from .core import (
     int_dtype,
     require_int,
     systematic_word,
-    unit_error,
 )
 from .gfpoly import inverses, pair_table, poly_roots, poly_trim, scan_pairs, solve_key_equation
 # decode_exhaustive stays bound here: bench/tracing.py traces it under this module.
@@ -128,8 +127,9 @@ class BerlekampCode:
     def check(self) -> CheckMatrix:
         """The tau odd-power checks for vectors with entries in [0, bound):
         row v holds beta_j^(2v+1) mod p, one running product over the
-        locators (beta, then times beta^2).  Built on first use, so a code
-        that only the closed form decodes never builds it."""
+        locators (beta, then times beta^2).  Built on first use, so a tau <= 2
+        code, whose errors of weight <= 2 are read off S_1 and S_3 with no
+        check, never builds it."""
         p = self.field.p
         powers = np.empty((self.tau, self.n), self._dtype)
         powers[0] = self._beta
@@ -142,8 +142,7 @@ class BerlekampCode:
     def _pairs(self) -> tuple[tuple[int, int, int], ...]:
         """The key-equation decoder's scan table (`gfpoly.pair_table`) over
         the locators: an error puts b or -b in the locator.  Built on the
-        first scan, so codes that only the closed form decodes never build
-        it."""
+        first scan, so a code whose budget is at most 2 never builds it."""
         return pair_table(self._index, self.field.p)
 
     @property
@@ -153,9 +152,6 @@ class BerlekampCode:
     @property
     def dimension(self) -> int:
         return self.n - self.tau
-
-    def locator_index(self, value: int) -> int | None:
-        return self._index.get(value % self.field.p)
 
     def syndrome(self, y: Sequence[int] | np.ndarray) -> tuple | np.ndarray:
         """Components (s_1, s_2, ..) of a word of n ints (a bool is not one)
@@ -190,67 +186,11 @@ def _check_components(code: BerlekampCode, syn: Sequence[int]) -> None:
         raise ValueError(f"need {code.tau} syndrome components, got {len(syn)}")
 
 
-def locate_double_error(code: BerlekampCode, syn: Sequence[int]) -> Hits | None:
-    """The hits of an error of Lee weight <= 2 (tau = 2 codes).
-
-    Hypotheses tried in turn: no error; one +-1 error (s2 == s1^3); a +-2
-    error at one position; +-1 errors at two positions via the quadratic
-    whose roots are the signed locator contributions.  The weight classes
-    have disjoint syndrome sets, so the order does not matter.
-    """
+def decode_double_error(code: BerlekampCode, syn: Sequence[int]) -> list[int] | None:
+    """`locate_key_equation` on a tau = 2 code, as a length-n error vector."""
     if code.tau != 2:
         raise ValueError("double-error decoding needs a base-field tau=2 code")
-    _check_components(code, syn)
-    p = code.field.p
-    field = code.field
-    s1, s2 = syn[0] % p, syn[1] % p
-    if s1 == 0 and s2 == 0:
-        return ()
-    if s1 == 0:
-        # A weight <= 2 error always leaves a nonzero first component.
-        return None
-
-    if s2 == pow(s1, 3, p):
-        hit = unit_error(code._index, p, s1)
-        if hit is not None:
-            return (hit,)
-
-    half = gfp_inv(2, field)
-    g = s1 * half % p
-    j = code.locator_index(g)
-    if j is not None and s2 == 2 * pow(g, 3, p) % p:
-        return ((j, 2),)
-    j = code.locator_index(p - g)
-    if j is not None and s2 == (-2) * pow(p - g, 3, p) % p:
-        return ((j, -2),)
-
-    # Two distinct positions: x^2 - s1*x + (s1^2 - s2/s1)/3 has roots
-    # e_i*beta_i and e_j*beta_j.
-    c0 = (s1 * s1 - s2 * gfp_inv(s1, field)) % p * gfp_inv(3, field) % p
-    roots = gfp_quadratic_roots(-s1, c0, field)
-    if not roots:
-        return None
-
-    if len(roots) == 1:
-        # Double root: only consistent with a pair of locators negating
-        # each other (possible only in suffix-ambiguous embeddings).
-        (r,) = roots
-        i = code.locator_index(r)
-        j = code.locator_index(p - r)
-        if i is None or j is None or i == j:
-            return None
-        return ((i, 1), (j, -1))
-
-    r1, r2 = sorted(roots)
-    hit1, hit2 = unit_error(code._index, p, r1), unit_error(code._index, p, r2)
-    if hit1 is None or hit2 is None or hit1[0] == hit2[0]:
-        return None
-    return hit1, hit2
-
-
-def decode_double_error(code: BerlekampCode, syn: Sequence[int]) -> list[int] | None:
-    """`locate_double_error` as a length-n error vector."""
-    return error_vector(code.n, locate_double_error(code, syn))
+    return error_vector(code.n, locate_key_equation(code, syn))
 
 
 def locate_key_equation(
@@ -261,18 +201,13 @@ def locate_key_equation(
 
     The error puts beta_j into a locator polynomial Lambda e_j times when
     e_j > 0, and -beta_j |e_j| times when e_j < 0, so the odd syndromes are
-    the odd power sums of Lambda's points and fix
-    Lambda(x) / Lambda(-x) = exp(-2 * sum_{k odd} S_k x^k / k) mod x^(2*budget).
-    Splitting Lambda = A(x^2) + x B(x^2) turns this into the Pade problem
-    B = A * H mod z^budget, solved by Euclid.
-
-    A lone +-1 error at beta is read off before any of that: its
-    components are S_(2v+1) = +-beta^(2v+1), so where S_3 = S_1^3 (an O(1)
-    gate) S_1 is looked up (`core.unit_error`) and the hit is returned if it
-    reproduces every component, skipping Newton's recursion, Euclid and the
-    scan.  The lookup is skipped where -S_1 is a locator too (codes built
-    without validation), which leaves the error undetermined; any syndrome
-    the probe does not explain goes on to the key equation.
+    the odd power sums of Lambda's points.  An error of weight <= min(budget,
+    2) is read off S_1 and S_3 first (`_read_off`); where that finds none,
+    a budget of at most 2 leaves None, and a larger one solves the key
+    equation: the power sums fix
+    Lambda(x) / Lambda(-x) = exp(-2 * sum_{k odd} S_k x^k / k) mod x^(2*budget),
+    and splitting Lambda = A(x^2) + x B(x^2) turns this into the Pade
+    problem B = A * H mod z^budget, solved by Euclid.
 
     The points are the reciprocals of Lambda's roots, and they sum to
     -B(0)/A(0) with multiplicity.  The scan (`gfpoly.scan_pairs`) takes
@@ -281,10 +216,8 @@ def locate_key_equation(
     is read off from the sum; a linear Lambda's one point is read off with
     no scan.  Only when the scan falls short are multiplicities found by
     deflating at the points it found.  The error is checked against every
-    syndrome component.  A point shared by two negating locators (codes
-    built without validation) leaves the error undetermined: None.  Euclid's
-    A and B share no factor but a power of z, so Lambda never has both
-    1/beta and -1/beta as roots.
+    syndrome component (`_hits`).  Euclid's A and B share no factor but a
+    power of z, so Lambda never has both 1/beta and -1/beta as roots.
     """
     _check_components(code, syn)
     t = code.tau if budget is None else budget
@@ -294,11 +227,9 @@ def locate_key_equation(
     syn = [s % p for s in syn]
     if not any(syn):
         return ()
-    if len(syn) == 1 or syn[1] == pow(syn[0], 3, p):  # a lone +-1 error?
-        hit = unit_error(code._index, p, syn[0])
-        if (hit is not None and (hit[1] < 0 or p - syn[0] not in code._index)
-                and not any(code.check.less(syn, (hit,)))):
-            return (hit,)
+    hits = _read_off(code, syn, t)
+    if hits is not None or t <= 2:
+        return hits
     # Psi = Lambda(x) / Lambda(-x) through x^(2t-1): Psi' = f' Psi gives
     # m psi_m = -2 * sum_{k odd <= m} S_k psi_(m-k).
     psi = [1]
@@ -333,26 +264,57 @@ def locate_key_equation(
         roots = poly_roots(poly_trim(lam)[::-1], points, p)
         if roots is None:
             return None
+    return _hits(code, syn, roots, 0)
+
+
+def _read_off(code: BerlekampCode, syn: list[int], t: int) -> Hits | None:
+    """The hits of an error of Lee weight <= min(t, 2) read off the reduced,
+    nonzero syndrome's S_1 and S_3, or None.
+
+    A lone +-1 error at beta puts one point, +-beta, in Lambda, so S_1 is
+    that point and S_3 = S_1^3.  Otherwise two points x, y (equal for a +-2
+    error) have S_1 = x + y and D = S_1^3 - S_3 = 3 S_1 xy, so they are the
+    roots of z^2 - S_1 z + D / (3 S_1); a weight-2 error never leaves S_1 =
+    0, as that makes x = -y and the syndrome zero.  Their S_5 is
+    S_1^5 - 5 S_1^3 xy + 5 S_1 (xy)^2, which a code with more components
+    tests first, free of inverses: 9 S_1 (S_5 - S_1^5) + (15 S_1^3 - 5 D) D
+    = 0.  The points meet S_1 and S_3 by construction, so only the
+    components past them are checked (`_hits`).
+    """
+    p = code.field.p
+    s1 = syn[0]
+    cube = s1 * s1 % p * s1 % p
+    if len(syn) == 1 or syn[1] == cube:
+        return _hits(code, syn, {s1: 1}, 2)
+    if t == 1 or s1 == 0:
+        return None
+    d = (cube - syn[1]) % p
+    if len(syn) > 2 and (9 * s1 * (syn[2] - pow(s1, 5, p)) + (15 * cube - 5 * d) * d) % p:
+        return None
+    roots = gfp_quadratic_roots(-s1, d * pow(3 * s1, -1, p), code.field)
+    if len(roots) == 1:  # a double root: a +-2 error
+        return _hits(code, syn, {roots.pop(): 2}, 2)
+    return _hits(code, syn, dict.fromkeys(roots, 1), 2) if roots else None
+
+
+def _hits(code: BerlekampCode, syn: list[int], roots: dict[int, int], known: int) -> Hits | None:
+    """The hits that put the points `roots` ({point: multiplicity}) in
+    Lambda, or None where a point is no locator's, or one that two negating
+    locators share (codes built without validation, where the error is
+    undetermined), or where the hits leave a syndrome component past the
+    first `known`, which the points meet by construction."""
+    p = code.field.p
     hits: dict[int, int] = {}
     for x, mult in roots.items():
         j, negated = code._index.get(x), code._index.get(p - x)
         if (j is None) == (negated is None):
-            return None  # not a point, or one that two negating locators share
+            return None
         if j is None:
             j, mult = negated, -mult
         hits[j] = mult
-    if any(code.check.less(syn, hits.items())):
+    if len(syn) > known and any(code.check.less(syn, hits.items())[known:]):
         return None
     return tuple(hits.items())
-
-
-def locate_bounded(code: BerlekampCode, syn: Sequence[int], budget: int | None = None) -> Hits | None:
-    """The closed form for a tau = 2 code at its full budget, else the
-    key-equation decoder; each refuses a syndrome without one component
-    per check."""
-    if code.tau == 2 and budget in (None, 2):
-        return locate_double_error(code, syn)
-    return locate_key_equation(code, syn, budget)
 
 
 def systematic_encode(code: BerlekampCode, message: Sequence[int] | np.ndarray):

@@ -52,7 +52,7 @@ import operator
 import struct
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, Iterable, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -321,9 +321,10 @@ class QMatrix:
     """Integer matrix with entries in [0, q).
 
     `rows` holds tuples of Python ints, each row a sequence as long as the
-    first and each entry an `int` (a bool or a numpy integer is not);
-    `pack_block` packs them, for q <= BYTE_BOUND in one call over the rows'
-    joined bytes, above it row by row.  The constructor also takes a 2-D
+    first and each entry an `int` (a bool or a numpy integer is not); a
+    set or a mapping, as the matrix or as a row, is refused, as it has no
+    order.  `pack_block` packs them, for q <= BYTE_BOUND in one call over
+    the rows' joined bytes, above it row by row.  The constructor also takes a 2-D
     integer ndarray (dtype kind i or u; bools and floats are refused) as
     `rows`, packed in one pass; an object array is read as its rows of
     Python objects, as a tuple would be.
@@ -347,6 +348,8 @@ class QMatrix:
                 raise ValueError(f"matrix entries must be integers, got dtype {rows.dtype}")
             if rows.dtype == object:
                 rows = rows.tolist()
+        elif not isinstance(rows, Sequence):  # a set or a mapping has no order
+            raise ValueError(f"matrix = {rows!r} is not a sequence")
         if not len(rows):
             raise ValueError("matrix needs at least one row")
         if isinstance(rows, np.ndarray):
@@ -355,6 +358,8 @@ class QMatrix:
                 _refuse_entry(q, rows.tolist())
             rows = _tuple_rows(array)
         else:
+            if any(isinstance(row, _UNORDERED) for row in rows):
+                _refuse_row(rows)
             try:
                 rows = tuple(map(tuple, rows))
             except TypeError:
@@ -395,10 +400,15 @@ class QMatrix:
         return tuple(row[j] for row in self.rows)
 
 
+# A set or a mapping iterates in no order a row's entries may take.
+_UNORDERED = (AbstractSet, Mapping)
+
+
 def _refuse_row(rows: Iterable) -> None:
-    """Raise for the first row that is not a sequence."""
+    """Raise for the first row that is not a sequence: not iterable, or
+    unordered."""
     for i, row in enumerate(rows):
-        if not isinstance(row, Iterable):
+        if not isinstance(row, Iterable) or isinstance(row, _UNORDERED):
             raise ValueError(f"row {i} = {row!r} is not a sequence")
 
 

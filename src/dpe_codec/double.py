@@ -12,7 +12,8 @@ A read vector splits as y = (y1 | y2) with y1 the n1-prefix.  Its
 syndromes are s1 (linear checksum of y1), s2 (cubed checksum of y1 minus
 the digit-encoded value in y2), and the parity of y2.  Depending on the
 split, either y1 is clean, or the pair (s1, s2) is a weight-2 Lee syndrome
-handled by the quadratic decoder, or a lone error in y1 is located from s1.
+of a tau = 2 code, whose points its decoder reads off a quadratic, or a lone
+error in y1 is located from s1.
 The triple-detecting variants either add one more overall parity column
 (mandatory for q = 2) or run both checksums modulo 2p over odd locators,
 where the parities of s1 and s2 replace the parity column.
@@ -23,7 +24,7 @@ the scheme's own check matrix for every row's cubed checksum
 (`cubes_digits`).  Its read takes its product through `syndromes`.  Its
 `locate` (picked per variant at construction) is the dispatch table and
 nothing else: a lone error's hit comes from `single.unit_hits`, a pair's
-from `pair_hits`, which maps `berlekamp.locate_double_error`'s sparse hits
+from `pair_hits`, which maps `berlekamp.locate_key_equation`'s sparse hits
 to read columns.
 """
 
@@ -34,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .basemath import PrimeField, ceil_log, is_prime
-from .berlekamp import BerlekampCode, locate_double_error
+from .berlekamp import BerlekampCode, locate_key_equation
 from .core import (
     CheckMatrix,
     DecodeOutcome,
@@ -120,7 +121,7 @@ def checksum_rows(loc: Locators, n1: int, weights: Sequence[int], n: int) -> np.
 def pair_hits(code: BerlekampCode, positions: list[int], syn: tuple[int, int]) -> Hits | None:
     """The hits of the Lee-weight-2 error whose mod-p syndromes are `syn`,
     or None; the pair code's coordinate i is read column positions[i]."""
-    hits = locate_double_error(code, syn)
+    hits = locate_key_equation(code, syn)
     return None if hits is None else [(positions[i], e) for i, e in hits]
 
 

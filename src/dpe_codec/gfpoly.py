@@ -3,8 +3,8 @@
 A polynomial is a list of ints in [0, p), lowest degree first, trimmed so
 that its last coefficient is nonzero; the zero polynomial is the empty
 list, of degree -1.  The Lee-metric key-equation decoder in
-``berlekamp`` (every budget but a tau = 2 code's full one, which a closed
-form serves), the Reed-Solomon decoder in ``hamming`` and the
+``berlekamp`` (every code's one locate, past the errors of weight <= 2 it
+reads off two components), the Reed-Solomon decoder in ``hamming`` and the
 extension-field arithmetic in ``oracles`` share these helpers.
 
 The two decoders' locate steps run on small polynomials (degree at most

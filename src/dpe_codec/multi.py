@@ -23,7 +23,7 @@ the whole block to `berlekamp.systematic_encode`.
 
 Both read through the `core.Scheme` default.  The large-alphabet `check`
 is its code's checks over the whole read, and `locate` is a zero test,
-then `berlekamp.locate_bounded`.  The recursive `check` spans the whole
+then `berlekamp.locate_key_equation`.  The recursive `check` spans the whole
 widened read, in 2*tau rows: mod p, the head's checks less the checksum
 its digit planes record; mod p~, the planes' checks less the checksum the
 first tail copy records.  Its `locate` corrects those syndromes sparsely
@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basemath import PrimeField, ceil_log, is_prime, next_prime
-from .berlekamp import BerlekampCode, locate_bounded, systematic_encode
+from .berlekamp import BerlekampCode, locate_key_equation, systematic_encode
 from .core import (
     CheckMatrix,
     Hits,
@@ -162,14 +162,14 @@ class RecursiveScheme(Scheme):
             # Level 2: the block's syndrome against that checksum; the
             # corrected planes must stay in the read alphabet.
             if any(syn[tau:]):
-                hits = locate_bounded(self.tail_checker, syn[tau:])
+                hits = locate_key_equation(self.tail_checker, syn[tau:])
                 if hits is None or not all(0 <= entries[n + j] - e < self.q_out for j, e in hits):
                     return None
                 syn = self.check.less(syn, ((n + j, e) for j, e in hits))
         # Level 1: the head's syndrome against the checksum in the planes.
         if not any(syn[:tau]):
             return ()
-        return locate_bounded(self.checker, syn[:tau])
+        return locate_key_equation(self.checker, syn[:tau])
 
     decode = decode_read
 
@@ -212,6 +212,6 @@ class LargeAlphabetScheme(Scheme):
     def locate(self, syn: list[int], y: ReadVector) -> Hits | None:
         if not any(syn):
             return ()  # in range: the alphabet check bounds it
-        return locate_bounded(self.code, syn)
+        return locate_key_equation(self.code, syn)
 
     decode = decode_read

@@ -9,7 +9,6 @@ from dpe_codec.berlekamp import (
     BerlekampCode,
     decode_double_error,
     decode_exhaustive,
-    locate_bounded,
     locate_key_equation,
     systematic_encode,
 )
@@ -87,10 +86,10 @@ class TestSingleErrorDecoding:
     """tau = 1 codes decode through the key-equation decoder."""
 
     def test_zero(self, code31_tau1):
-        assert locate_bounded(code31_tau1, (0,)) == ()
+        assert locate_key_equation(code31_tau1, (0,)) == ()
 
     def test_known_location(self, code31_tau1):
-        e = error_vector(15, locate_bounded(code31_tau1, (10,)))
+        e = error_vector(15, locate_key_equation(code31_tau1, (10,)))
         expected = [0] * 15
         expected[5] = 1
         assert e == expected
@@ -101,23 +100,23 @@ class TestSingleErrorDecoding:
                 e = [0] * 15
                 e[j] = sign
                 syn = code31_tau1.syndrome(e)
-                assert error_vector(15, locate_bounded(code31_tau1, syn)) == e
+                assert error_vector(15, locate_key_equation(code31_tau1, syn)) == e
 
     def test_unmatched(self):
         # shortened code: locators (1..5) mod 13 leave 6 and 7 uncovered
         code = BerlekampCode(PrimeField(13), (1, 2, 3, 4, 5), tau=1)
-        assert locate_bounded(code, (6,)) is None
-        assert locate_bounded(code, (7,)) is None
+        assert locate_key_equation(code, (6,)) is None
+        assert locate_key_equation(code, (7,)) is None
 
     def test_ambiguous_syndrome_gives_none(self):
         # 5 + 8 = 13: +1 at locator 5 and -1 at locator 8 share a syndrome,
         # so neither is returned; every other syndrome decodes as before
         code = BerlekampCode(PrimeField(13), (1, 2, 3, 4, 5, 8), tau=1, validate=False)
-        assert locate_bounded(code, (5,)) is None
-        assert locate_bounded(code, (8,)) is None
+        assert locate_key_equation(code, (5,)) is None
+        assert locate_key_equation(code, (8,)) is None
         for j, b in enumerate(code.beta[:4]):
-            assert locate_bounded(code, (b,)) == ((j, 1),)
-            assert locate_bounded(code, (13 - b,)) == ((j, -1),)
+            assert locate_key_equation(code, (b,)) == ((j, 1),)
+            assert locate_key_equation(code, (13 - b,)) == ((j, -1),)
 
 
 class TestDoubleErrorDecoding:
@@ -272,15 +271,15 @@ class TestDispatch:
     def test_bounded_dispatch(self, code31_tau1, code31_tau2):
         e = [0] * 15
         e[3] = 1
-        assert error_vector(15, locate_bounded(code31_tau1, code31_tau1.syndrome(e))) == e
+        assert error_vector(15, locate_key_equation(code31_tau1, code31_tau1.syndrome(e))) == e
         e[7] = -1
-        assert error_vector(15, locate_bounded(code31_tau2, code31_tau2.syndrome(e))) == e
+        assert error_vector(15, locate_key_equation(code31_tau2, code31_tau2.syndrome(e))) == e
 
     def test_bounded_tau3_uses_key_equation(self):
         code = BerlekampCode(PrimeField(23), tuple(range(1, 9)), tau=3)
         for e in ([0, 1, 0, -1, 0, 0, 1, 0], [0, 0, 3, 0, 0, 0, 0, 0]):
             syn = code.syndrome(e)
-            assert error_vector(8, locate_bounded(code, syn)) == e
+            assert error_vector(8, locate_key_equation(code, syn)) == e
 
 
 class TestKeyEquationDecoder:
@@ -373,31 +372,53 @@ class TestEverySyndrome:
                     assert validate is False and (got is None or got in errors), (syn, budget)
 
 
+    @pytest.mark.parametrize(
+        "p,beta,validate",
+        [(13, range(1, 7), True), (13, (1, 2, 3, 4, 5, 8), False),
+         (23, range(1, 12), True), (31, range(1, 16), True)],
+    )
+    def test_tau2_matches_the_l1_table(self, p, beta, validate):
+        # errors of weight <= 2 are read off S_1 and S_3 with no key
+        # equation; a nonzero syndrome that several errors share gives None
+        code = BerlekampCode(PrimeField(p), tuple(beta), tau=2, validate=validate)
+        table = _l1_table(code)
+        for syn in itertools.product(range(p), repeat=2):
+            entries = table.get(syn, ())
+            for budget in (1, 2):
+                errors = [e for weight, e in entries if weight <= budget]
+                got = error_vector(code.n, locate_key_equation(code, syn, budget))
+                if len(errors) == 1:
+                    assert got == errors[0], (syn, budget)
+                elif not errors:
+                    assert got is None, (syn, budget)
+                else:
+                    shared = None if any(syn) else [0] * code.n
+                    assert validate is False and got == shared, (syn, budget)
+
+
 class TestLocateBoundary:
-    @pytest.mark.parametrize("decode", [locate_key_equation, locate_bounded])
-    def test_refuses_a_short_syndrome(self, decode):
+    def test_refuses_a_short_syndrome(self):
         code = BerlekampCode(PrimeField(23), tuple(range(1, 12)), tau=3)
         with pytest.raises(ValueError, match="need 3 syndrome components, got 1"):
-            decode(code, (1,))
+            locate_key_equation(code, (1,))
 
-    @pytest.mark.parametrize("decode", [locate_key_equation, locate_bounded])
-    def test_refuses_a_long_syndrome(self, decode):
+    def test_refuses_a_long_syndrome(self):
         # not to be decoded from its first three components
         code = BerlekampCode(PrimeField(23), tuple(range(1, 12)), tau=3)
         with pytest.raises(ValueError, match="need 3 syndrome components, got 4"):
-            decode(code, (1, 2, 3, 4))
+            locate_key_equation(code, (1, 2, 3, 4))
 
     def test_closed_form_budgets_refuse_too(self, code31_tau1, code31_tau2):
         with pytest.raises(ValueError, match="need 2 syndrome components, got 1"):
-            locate_bounded(code31_tau2, (1,))
+            locate_key_equation(code31_tau2, (1,))
         with pytest.raises(ValueError, match="need 1 syndrome components, got 2"):
-            locate_bounded(code31_tau1, (1, 2))
+            locate_key_equation(code31_tau1, (1, 2))
 
     def test_closed_forms_refuse_a_syndrome_of_the_wrong_length(self, code31_tau1, code31_tau2):
         # each once decoded its leading components (or raised IndexError)
         with pytest.raises(ValueError, match="need 2 syndrome components, got 1"):
             decode_double_error(code31_tau2, (1,))
         with pytest.raises(ValueError, match="need 1 syndrome components, got 2"):
-            locate_bounded(code31_tau1, (1, 5))
+            locate_key_equation(code31_tau1, (1, 5))
         with pytest.raises(ValueError, match="need 2 syndrome components, got 3"):
             decode_double_error(code31_tau2, (1, 1, 7))

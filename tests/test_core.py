@@ -213,12 +213,34 @@ class TestQMatrixTypes:
         ((1, 2), "row 0 = 1 is not a sequence"),
         (((0, 1), 5), "row 1 = 5 is not a sequence"),
         (((0, 1), None), "row 1 = None is not a sequence"),
+        (5, "matrix = 5 is not a sequence"),
+        (None, "matrix = None is not a sequence"),
     ])
     def test_rows_must_be_sequences(self, q, rows, message):
-        # once a bare TypeError: 'int' object is not iterable
+        # once a bare TypeError: 'int' object is not iterable, or for the
+        # matrix, object of type 'int' has no len()
         with pytest.raises(ValueError) as err:
             QMatrix(q, rows)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("q", [2, 257])
+    @pytest.mark.parametrize("rows,message", [
+        ([[0, 1], {1, 0}], "row 1 = {0, 1} is not a sequence"),
+        ([[0, 1], frozenset({0, 1})], "row 1 = frozenset({0, 1}) is not a sequence"),
+        ([{0: 1, 1: 0}, [1, 0]], "row 0 = {0: 1, 1: 0} is not a sequence"),
+        ({(0, 1)}, "matrix = {(0, 1)} is not a sequence"),
+        (frozenset({(0, 1)}), "matrix = frozenset({(0, 1)}) is not a sequence"),
+        ({0: (0, 1), 1: (1, 0)}, "matrix = {0: (0, 1), 1: (1, 0)} is not a sequence"),
+    ])
+    def test_unordered_rows_are_refused(self, q, rows, message):
+        # once programmed in the set's or the mapping's iteration order
+        with pytest.raises(ValueError) as err:
+            QMatrix(q, rows)
+        assert str(err.value) == message
+
+    def test_rows_given_as_arrays_keep_the_entry_message(self):
+        with pytest.raises(ValueError, match=r"^entry \(0,0\) = np.int64\(0\) is not an integer$"):
+            QMatrix(2, [np.array([0, 1]), (1, 0)])
 
     def test_range_message(self):
         with pytest.raises(ValueError, match=r"^entry \(0,1\) = 4 is outside \[0, 4\)$"):

@@ -1,10 +1,11 @@
-"""The one-error probe: a syndrome that is exactly one error's is read off
-before the key equation, in `berlekamp.locate_key_equation` (a lone +-1
-error) and in `ReedSolomonCode.locate_syndromes` (one error of any value,
-no erasures).  At production sizes every one-error syndrome returns exactly
-that hit; a near miss (a later component changed) returns None or hits
-that reproduce it within the budget; and no one-error read of a scheme
-that decodes through either function solves a key equation."""
+"""The few-error probes: a syndrome that is exactly a few errors' is read
+off before the key equation, in `berlekamp.locate_key_equation` (an error
+of Lee weight <= 2) and in `ReedSolomonCode.locate_syndromes` (one error of
+any value, no erasures).  At production sizes every one-error syndrome
+returns exactly that hit; a near miss (a later component changed) returns
+None or hits that reproduce it within the budget; and no read with one
+error, or with two on a Lee code, of a scheme that decodes through either
+function solves a key equation or scans for roots."""
 
 import random
 import sys
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import dpe_codec as api
 from dpe_codec import berlekamp, hamming
 from dpe_codec.basemath import PrimeField
-from dpe_codec.berlekamp import BerlekampCode, locate_bounded, locate_key_equation
+from dpe_codec.berlekamp import BerlekampCode, locate_key_equation
 from dpe_codec.core import QMatrix, ReadVector
 
 P = 1031
@@ -43,7 +44,7 @@ def test_lee_unit_error_is_read_off_exactly(tau, j, sign):
     syn = _lee_unit(code, j, sign)
     for budget in range(1, tau + 1):
         assert locate_key_equation(code, syn, budget) == ((j, sign),)
-    assert locate_bounded(code, syn) == ((j, sign),)
+    assert locate_key_equation(code, syn) == ((j, sign),)
 
 
 @settings(max_examples=300, deadline=None)
@@ -101,34 +102,37 @@ def test_syndromes_are_the_ones_the_codes_compute():
     assert list(rs.syndromes(word)) == _rs_one(rs, 200, 5)
 
 
-# -- no one-error read solves a key equation ---------------------------------
+# -- no read with few errors solves a key equation -------------------------
 
 
 def refuse_key_equation(monkeypatch):
-    """Make `solve_key_equation` raise in every module that binds it."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a one-error read solved a key equation")
+    """Make `solve_key_equation` and the root scan `scan_pairs` raise in
+    every module that binds them."""
+    for name in ("solve_key_equation", "scan_pairs"):
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"a read with few errors called {name}")
 
-    bound = [m for key, m in sys.modules.items()
-             if key.startswith("dpe_codec.") and "solve_key_equation" in m.__dict__]
-    assert {berlekamp, hamming} <= set(bound)
-    for module in bound:
-        monkeypatch.setattr(module, "solve_key_equation", refuse)
+        bound = [m for key, m in sys.modules.items()
+                 if key.startswith("dpe_codec.") and name in m.__dict__]
+        assert {berlekamp, hamming} <= set(bound)
+        for module in bound:
+            monkeypatch.setattr(module, name, refuse)
 
 
-def _one_error_reads(scheme, columns, theta, seed, count=30):
-    """(read, clean prefix) pairs, each read with one error of magnitude
-    <= theta at a column drawn from `columns`, kept inside the alphabet."""
+def _few_error_reads(scheme, columns, theta, errors, seed, count=30):
+    """(read, clean prefix) pairs, each read with `errors` errors of
+    magnitude <= theta at distinct columns drawn from `columns`, kept inside
+    the alphabet."""
     rng = random.Random(seed)
     rows = [[rng.randrange(scheme.q) for _ in range(scheme.k)] for _ in range(scheme.ell)]
     encoded = scheme.encode(QMatrix.from_lists(scheme.q, rows))
     for _ in range(count):
         clean = api.compute_clean([rng.randrange(scheme.q) for _ in range(scheme.ell)], encoded)
         y = list(clean)
-        j = rng.choice(columns)
-        up, down = scheme.q_out - 1 - y[j], y[j]
-        sign = rng.choice([s for s, room in ((1, up), (-1, down)) if room])
-        y[j] += sign * rng.randint(1, min(theta, up if sign > 0 else down))
+        for j in rng.sample(columns, errors):
+            up, down = scheme.q_out - 1 - y[j], y[j]
+            sign = rng.choice([s for s, room in ((1, up), (-1, down)) if room])
+            y[j] += sign * rng.randint(1, min(theta, up if sign > 0 else down))
         yield ReadVector.exact(y), tuple(clean[: scheme.k])
 
 
@@ -136,17 +140,30 @@ def _recursive():
     return api.RecursiveScheme(2, 8, 3, P)
 
 
+# (name, scheme, columns, theta, error counts).  The Lee codes read an
+# error of weight <= 2 off S_1 and S_3; two Reed-Solomon errors in the
+# hamming inner code solve a key equation.
 CASES = [
-    ("large-alphabet", lambda: api.LargeAlphabetScheme(P, 250, 3, 8), lambda s: range(s.n), 1),
-    ("recursive-head", _recursive, lambda s: range(s.n), 1),
-    ("recursive-plane", _recursive, lambda s: range(s.n, s.n + s.ntilde), 1),
-    ("hamming", lambda: api.HammingScheme(2, 8, 256, 2), lambda s: range(s.n), 8),
+    ("large-alphabet", lambda: api.LargeAlphabetScheme(P, 250, 3, 8), lambda s: range(s.n), 1,
+     (1, 2)),
+    ("recursive-head", _recursive, lambda s: range(s.n), 1, (1, 2)),
+    ("recursive-plane", _recursive, lambda s: range(s.n, s.n + s.ntilde), 1, (1, 2)),
+    ("recursive-tau2", lambda: api.RecursiveScheme(2, 8, 2, P), lambda s: range(s.n + s.ntilde),
+     1, (1, 2)),
+    ("dec", lambda: api.DoubleErrorScheme(2, P, 8), lambda s: range(s.n), 1, (1, 2)),
+    ("dec-ted", lambda: api.TripleDetectScheme(4, P, 8), lambda s: range(s.n), 1, (1, 2)),
+    ("hamming", lambda: api.HammingScheme(2, 8, 256, 2), lambda s: range(s.n), 8, (1,)),
 ]
+READS = [(*case[:4], errors) for case in CASES for errors in case[4]]
 
 
-@pytest.mark.parametrize("name,build,columns,theta", CASES, ids=[c[0] for c in CASES])
-def test_one_error_reads_skip_the_key_equation(monkeypatch, name, build, columns, theta):
+@pytest.mark.parametrize("name,build,columns,theta,errors", READS,
+                         ids=[f"{r[0]}-{r[4]}" for r in READS])
+def test_one_error_reads_skip_the_key_equation(monkeypatch, name, build, columns, theta, errors):
     scheme = build()
     refuse_key_equation(monkeypatch)
-    for read, prefix in _one_error_reads(scheme, list(columns(scheme)), theta, name):
+    reads = _few_error_reads(scheme, list(columns(scheme)), theta, errors, f"{name}-{errors}")
+    for read, prefix in reads:
         assert scheme.decode(read).prefix == prefix
+    if name.startswith("dec"):  # the pair code reads its errors off with no check
+        assert "check" not in scheme.ber.__dict__

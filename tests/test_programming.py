@@ -303,7 +303,7 @@ class TestLeeSymbols:
 
     @pytest.mark.parametrize("bad", [1.5, True, np.float64(1.0)])
     def test_refuses_a_symbol_that_is_not_an_int(self, bad):
-        # 1.5 once truncated to (1,), which locate_bounded then "corrected"
+        # 1.5 once truncated to (1,), which the locate step then "corrected"
         message = f"^word symbol {re.escape(repr(bad))} is not an integer$"
         with pytest.raises(ValueError, match=message):
             self.CODE.syndrome([bad, 0, 0])
@@ -339,7 +339,7 @@ class TestLeeBudget:
 
     def test_a_check_only_code_may_be_shorter(self):
         code = api.BerlekampCode(api.PrimeField(11), (1,), tau=2, check_only=True)
-        assert api.berlekamp.locate_bounded(code, code.syndrome([2])) == ((0, 2),)
+        assert api.berlekamp.locate_key_equation(code, code.syndrome([2])) == ((0, 2),)
 
     def test_trimmed_recursive_with_one_plane_column(self):
         # q >= p gives m = 1 and one plane column for tau = 2: its tail code

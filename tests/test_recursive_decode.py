@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from test_kernel import _python
 
 import dpe_codec as api
-from dpe_codec.berlekamp import locate_bounded
+from dpe_codec.berlekamp import locate_key_equation
 from dpe_codec.core import (
     DECODE_FAILURE,
     KERNEL_MIN_LENGTH,
@@ -56,7 +56,7 @@ def _level_by_level(scheme, y):
         syn2 = [sum(q**j * medians[j * tau + v] for j in range(scheme.mtilde)) % scheme.ptilde
                 for v in range(tau)]
         block_syn = scheme.tail_checker.syndrome(block)
-        hits = locate_bounded(
+        hits = locate_key_equation(
             scheme.tail_checker, [(a - b) % scheme.ptilde for a, b in zip(block_syn, syn2)])
         if hits is None:
             return DECODE_FAILURE
@@ -71,7 +71,7 @@ def _level_by_level(scheme, y):
                       for j in range(scheme.m)) % scheme.p
     head_syn = scheme.checker.syndrome(head)
     err_syn = [(a - b) % scheme.p for a, b in zip(head_syn, syn1)]
-    hits = locate_bounded(scheme.checker, err_syn)
+    hits = locate_key_equation(scheme.checker, err_syn)
     if hits is None:
         return DECODE_FAILURE
     if not any(err_syn):
