@@ -127,9 +127,9 @@ class BerlekampCode:
     def check(self) -> CheckMatrix:
         """The tau odd-power checks for vectors with entries in [0, bound):
         row v holds beta_j^(2v+1) mod p, one running product over the
-        locators (beta, then times beta^2).  Built on first use, so a tau <= 2
-        code, whose errors of weight <= 2 are read off S_1 and S_3 with no
-        check, never builds it."""
+        locators (beta, then times beta^2).  Built on first use, so the
+        locate step of a tau <= 2 code, which reads its errors off S_1 and
+        S_3, never builds it."""
         p = self.field.p
         powers = np.empty((self.tau, self.n), self._dtype)
         powers[0] = self._beta
@@ -181,11 +181,6 @@ def _locator_refusal(beta: np.ndarray, p: int) -> str | None:
     return None
 
 
-def _check_components(code: BerlekampCode, syn: Sequence[int]) -> None:
-    if len(syn) != code.tau:
-        raise ValueError(f"need {code.tau} syndrome components, got {len(syn)}")
-
-
 def decode_double_error(code: BerlekampCode, syn: Sequence[int]) -> list[int] | None:
     """`locate_key_equation` on a tau = 2 code, as a length-n error vector."""
     if code.tau != 2:
@@ -219,7 +214,8 @@ def locate_key_equation(
     syndrome component (`_hits`).  Euclid's A and B share no factor but a
     power of z, so Lambda never has both 1/beta and -1/beta as roots.
     """
-    _check_components(code, syn)
+    if len(syn) != code.tau:
+        raise ValueError(f"need {code.tau} syndrome components, got {len(syn)}")
     t = code.tau if budget is None else budget
     if not 1 <= t <= code.tau:
         raise ValueError(f"budget must be in [1, {code.tau}], got {t}")
@@ -303,18 +299,20 @@ def _hits(code: BerlekampCode, syn: list[int], roots: dict[int, int], known: int
     locators share (codes built without validation, where the error is
     undetermined), or where the hits leave a syndrome component past the
     first `known`, which the points meet by construction."""
-    p = code.field.p
-    hits: dict[int, int] = {}
+    index, p = code._index, code.field.p
+    hits = []
     for x, mult in roots.items():
-        j, negated = code._index.get(x), code._index.get(p - x)
-        if (j is None) == (negated is None):
-            return None
+        j = index.get(x)
         if j is None:
-            j, mult = negated, -mult
-        hits[j] = mult
-    if len(syn) > known and any(code.check.less(syn, hits.items())[known:]):
+            j, mult = index.get(p - x), -mult
+            if j is None:
+                return None
+        elif p - x in index:
+            return None
+        hits.append((j, mult))
+    if len(syn) > known and any(code.check.less(syn, hits)[known:]):
         return None
-    return tuple(hits.items())
+    return tuple(hits)
 
 
 def systematic_encode(code: BerlekampCode, message: Sequence[int] | np.ndarray):

@@ -50,9 +50,10 @@ from __future__ import annotations
 
 import operator
 import struct
+from collections import abc
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -324,10 +325,10 @@ class QMatrix:
     first and each entry an `int` (a bool or a numpy integer is not); a
     set or a mapping, as the matrix or as a row, is refused, as it has no
     order.  `pack_block` packs them, for q <= BYTE_BOUND in one call over
-    the rows' joined bytes, above it row by row.  The constructor also takes a 2-D
-    integer ndarray (dtype kind i or u; bools and floats are refused) as
-    `rows`, packed in one pass; an object array is read as its rows of
-    Python objects, as a tuple would be.
+    the rows' joined bytes, above it row by row.  The constructor also
+    takes a 2-D integer ndarray (dtype kind i or u; bools and floats are
+    refused) as `rows`, packed in one pass; an object array is read as its
+    rows of Python objects, as a tuple would be.
 
     `array` keeps the packing: the rows as a read-only l x width array in
     `pack_block`'s storage for q.
@@ -348,7 +349,7 @@ class QMatrix:
                 raise ValueError(f"matrix entries must be integers, got dtype {rows.dtype}")
             if rows.dtype == object:
                 rows = rows.tolist()
-        elif not isinstance(rows, Sequence):  # a set or a mapping has no order
+        elif not isinstance(rows, abc.Sequence):
             raise ValueError(f"matrix = {rows!r} is not a sequence")
         if not len(rows):
             raise ValueError("matrix needs at least one row")
@@ -401,7 +402,7 @@ class QMatrix:
 
 
 # A set or a mapping iterates in no order a row's entries may take.
-_UNORDERED = (AbstractSet, Mapping)
+_UNORDERED = (abc.Set, abc.Mapping)
 
 
 def _refuse_row(rows: Iterable) -> None:

@@ -371,7 +371,6 @@ class TestEverySyndrome:
                 else:
                     assert validate is False and (got is None or got in errors), (syn, budget)
 
-
     @pytest.mark.parametrize(
         "p,beta,validate",
         [(13, range(1, 7), True), (13, (1, 2, 3, 4, 5, 8), False),
