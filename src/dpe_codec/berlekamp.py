@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import countOf, mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -211,8 +211,11 @@ def locate_key_equation(
     is read off from the sum; a linear Lambda's one point is read off with
     no scan.  Only when the scan falls short are multiplicities found by
     deflating at the points it found.  The error is checked against every
-    syndrome component (`_hits`).  Euclid's A and B share no factor but a
-    power of z, so Lambda never has both 1/beta and -1/beta as roots.
+    syndrome component (`_hits`).  A point that two negating locators share
+    (codes built without validation) leaves the error undetermined: None,
+    but for the pair code's probe (`_read_off`).  Euclid's A and B share no
+    factor but a power of z, so Lambda never has both 1/beta and -1/beta as
+    roots.
     """
     if len(syn) != code.tau:
         raise ValueError(f"need {code.tau} syndrome components, got {len(syn)}")
@@ -260,7 +263,7 @@ def locate_key_equation(
         roots = poly_roots(poly_trim(lam)[::-1], points, p)
         if roots is None:
             return None
-    return _hits(code, syn, roots, 0)
+    return _hits(code, syn, roots.items(), 0)
 
 
 def _read_off(code: BerlekampCode, syn: list[int], t: int) -> Hits | None:
@@ -276,12 +279,18 @@ def _read_off(code: BerlekampCode, syn: list[int], t: int) -> Hits | None:
     tests first, free of inverses: 9 S_1 (S_5 - S_1^5) + (15 S_1^3 - 5 D) D
     = 0.  The points meet S_1 and S_3 by construction, so only the
     components past them are checked (`_hits`).
+
+    A tau = 2 code at its full budget is the double-error schemes' pair
+    code, whose negating locators (built without validation) are suffix
+    columns; there a point two of them share is taken at the locator equal
+    to it, which leaves the data prefix the same either way (`_hits`).
     """
     p = code.field.p
+    shared = t == code.tau == 2
     s1 = syn[0]
     cube = s1 * s1 % p * s1 % p
     if len(syn) == 1 or syn[1] == cube:
-        return _hits(code, syn, {s1: 1}, 2)
+        return _hits(code, syn, ((s1, 1),), 2, shared)
     if t == 1 or s1 == 0:
         return None
     d = (cube - syn[1]) % p
@@ -289,25 +298,32 @@ def _read_off(code: BerlekampCode, syn: list[int], t: int) -> Hits | None:
         return None
     roots = gfp_quadratic_roots(-s1, d * pow(3 * s1, -1, p), code.field)
     if len(roots) == 1:  # a double root: a +-2 error
-        return _hits(code, syn, {roots.pop(): 2}, 2)
-    return _hits(code, syn, dict.fromkeys(roots, 1), 2) if roots else None
+        return _hits(code, syn, ((roots.pop(), 2),), 2, shared)
+    return _hits(code, syn, [(x, 1) for x in roots], 2, shared) if roots else None
 
 
-def _hits(code: BerlekampCode, syn: list[int], roots: dict[int, int], known: int) -> Hits | None:
-    """The hits that put the points `roots` ({point: multiplicity}) in
-    Lambda, or None where a point is no locator's, or one that two negating
-    locators share (codes built without validation, where the error is
-    undetermined), or where the hits leave a syndrome component past the
-    first `known`, which the points meet by construction."""
+def _hits(
+    code: BerlekampCode,
+    syn: list[int],
+    points: Iterable[tuple[int, int]],
+    known: int,
+    shared: bool = False,
+) -> Hits | None:
+    """The hits that put `points` ((point, multiplicity) pairs) in Lambda,
+    or None where a point is no locator's, or where the hits leave a
+    syndrome component past the first `known`, which the points meet by
+    construction.  A point that two negating locators share (codes built
+    without validation) leaves the error undetermined: None, unless
+    `shared`, which takes the hit at the locator equal to the point."""
     index, p = code._index, code.field.p
     hits = []
-    for x, mult in roots.items():
+    for x, mult in points:
         j = index.get(x)
         if j is None:
             j, mult = index.get(p - x), -mult
             if j is None:
                 return None
-        elif p - x in index:
+        elif not shared and p - x in index:
             return None
         hits.append((j, mult))
     if len(syn) > known and any(code.check.less(syn, hits)[known:]):

@@ -184,6 +184,31 @@ class TestTripleDetectParity:
             assert sum(row) % 2 == 0
 
 
+class TestSuffixAmbiguity:
+    # Built with the suffix-ambiguity opt-in, the pair code has two suffix
+    # columns whose locators negate mod p (1 and 16 mod 17; 1 and 40 mod
+    # 41), so a +-1 error at either leaves a syndrome both errors share.
+    # Either explains it within the budget, so the prefix still decodes.
+    @pytest.mark.parametrize("build", [
+        lambda: DoubleErrorScheme(2, 17, 1, allow_suffix_ambiguity=True),
+        lambda: TripleDetectScheme(3, 41, 1, allow_suffix_ambiguity=True),
+    ], ids=["dec", "dec-ted"])
+    def test_every_weight_two_error_decodes_the_prefix(self, build):
+        scheme = build()
+        beta = set(scheme.ber.beta)
+        assert any(scheme.p - b in beta for b in beta)
+        rng = random.Random(scheme.p)
+        a = QMatrix.from_lists(
+            scheme.q, [[rng.randrange(scheme.q) for _ in range(scheme.k)] for _ in range(scheme.ell)]
+        )
+        c = _product([rng.randrange(scheme.q) for _ in range(scheme.ell)], scheme.encode(a))
+        prefix = tuple(c[: scheme.k])
+        for e in iter_l1_errors(scheme.n, 2, include_zero=True):
+            y = [v + d for v, d in zip(c, e)]
+            if all(0 <= v < scheme.q_out for v in y):
+                assert scheme.decode(ReadVector.exact(y)).prefix == prefix, e
+
+
 class TestShortened:
     def test_roundtrip_and_correction(self):
         base = DoubleErrorScheme(q=2, p=31, ell=2)
