@@ -279,13 +279,11 @@ def _read_off(code: BerlekampCode, syn: list[int], t: int) -> Hits | None:
     tests first, free of inverses: 9 S_1 (S_5 - S_1^5) + (15 S_1^3 - 5 D) D
     = 0.  The points meet S_1 and S_3 by construction, so only the
     components past them are checked (`_hits`).
-
-    A tau = 2 code at its full budget is the double-error schemes' pair
-    code, whose negating locators (built without validation) are suffix
-    columns; there a point two of them share is taken at the locator equal
-    to it, which leaves the data prefix the same either way (`_hits`).
     """
     p = code.field.p
+    # A tau = 2 code at its full budget is the double-error schemes' pair
+    # code, whose negating locators are suffix columns: the data prefix is
+    # the same whichever of two takes a point they share.
     shared = t == code.tau == 2
     s1 = syn[0]
     cube = s1 * s1 % p * s1 % p
@@ -303,11 +301,7 @@ def _read_off(code: BerlekampCode, syn: list[int], t: int) -> Hits | None:
 
 
 def _hits(
-    code: BerlekampCode,
-    syn: list[int],
-    points: Iterable[tuple[int, int]],
-    known: int,
-    shared: bool = False,
+    code: BerlekampCode, syn: list[int], points: Iterable[tuple[int, int]], known: int, shared=False
 ) -> Hits | None:
     """The hits that put `points` ((point, multiplicity) pairs) in Lambda,
     or None where a point is no locator's, or where the hits leave a
