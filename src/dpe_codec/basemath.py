@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -158,10 +159,11 @@ def gfp_inv(a: int, field: PrimeField) -> int:
     return pow(a, field.p - 2, field.p)
 
 
-def _tonelli_shanks(a: int, p: int) -> int:
-    # Assumes a is a nonzero quadratic residue mod p.
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
+@cache
+def _tonelli_shanks_setup(p: int) -> tuple[int, int, int]:
+    """(q, s, z^q mod p) for p - 1 = q 2^s with q odd and the least
+    quadratic non-residue z: what Tonelli-Shanks needs of p alone, found
+    once per p."""
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
@@ -169,7 +171,15 @@ def _tonelli_shanks(a: int, p: int) -> int:
     z = 2
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    return q, s, pow(z, q, p)
+
+
+def _tonelli_shanks(a: int, p: int) -> int:
+    # Assumes a is a nonzero quadratic residue mod p.
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s, c = _tonelli_shanks_setup(p)
+    m, t, r = s, pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         t2, i = t, 0
         while t2 != 1:

@@ -1,16 +1,16 @@
 """Lee-metric linear codes over GF(p) checked at odd locator powers.
 
 A code instance is the right kernel of the tau x n check matrix whose rows
-are beta_j, beta_j^3, ..., beta_j^(2*tau-1); with nonzero, distinct,
-pairwise non-negating locators beta the minimum Lee distance is at least
-2*tau + 1.  The decoder, `locate_key_equation`, returns the error it
-found as sparse hits (`core.Hits`): `(position, signed value)` pairs with
-each value the nonzero Lee-lifted error, each position once, () for a
-zero syndrome, or None for an uncorrectable one.  `decode_double_error`
-alone also writes its hits out as a length-n error vector; no read goes
-through it.
+are beta_j, beta_j^3, ..., beta_j^(2*tau-1).  Its locators beta must be
+nonzero, distinct and pairwise non-negating, so the minimum Lee distance
+is at least 2*tau + 1.  The decoder, `locate_key_equation`, returns the
+error it found as sparse hits (`core.Hits`): `(position, signed value)`
+pairs with each value the nonzero Lee-lifted error, each position once,
+() for a zero syndrome, or None for an uncorrectable one.
+`decode_double_error` alone also writes its hits out as a length-n error
+vector; no read goes through it.
 
-Every budget of every code is decoded algebraically by one decoder,
+Every code is decoded algebraically at its full budget by one decoder,
 `locate_key_equation` (Roth & Siegel, "Lee-metric BCH codes and their
 application to constrained and partial-response channels", IEEE Trans.
 IT, 1994).  An error of Lee weight <= 2 needs no key equation: it is read
@@ -21,9 +21,9 @@ goes to the key equation, whose locate step scans each pair of points
 +-beta once (`gfpoly.scan_pairs`, over the table `gfpoly.pair_table`
 builds on the code's first scan), and reads the last point off the sum of
 the others, so a linear locator needs no scan.  Both map their points to
-hits in one helper, which checks every component the points do not meet
-by construction.  The exhaustive decoder, the ground truth it is checked
-against, lives in `oracles`.
+hits through `core.unit_error` in one helper, which checks every
+component the points do not meet by construction.  The exhaustive
+decoder, the ground truth it is checked against, lives in `oracles`.
 
 A code is built as whole arrays: its locators reduced mod p at once and
 tested on a sorted copy, its power columns one running product (beta,
@@ -60,6 +60,7 @@ from .core import (
     int_dtype,
     require_int,
     systematic_word,
+    unit_error,
 )
 from .gfpoly import inverses, pair_table, poly_roots, poly_trim, scan_pairs, solve_key_equation
 # decode_exhaustive stays bound here: bench/tracing.py traces it under this module.
@@ -69,14 +70,13 @@ from .oracles import decode_exhaustive
 class BerlekampCode:
     """Check-matrix data for one code instance.
 
-    Locators are ints, a sequence or an integer array, taken mod p; with
-    `validate` they must be nonzero, distinct and pairwise non-negating,
-    and a refusal names the first locator, in order, whose negation is
-    another.  `check` holds the checks for vectors with entries in
-    [0, bound) (by default field elements, bound p; a scheme passes its
-    read alphabet).  A budget tau above the length n leaves no codeword but
-    0 and is refused, unless the code serves only for its checks and locate
-    step (`check_only`).
+    Locators are ints, a sequence or an integer array, taken mod p; they
+    must be nonzero, distinct and pairwise non-negating, and a refusal
+    names the first locator, in order, whose negation is another.  `check`
+    holds the checks for vectors with entries in [0, bound) (by default
+    field elements, bound p; a scheme passes its read alphabet).  A budget
+    tau above the length n leaves no codeword but 0 and is refused, unless
+    the code serves only for its checks and locate step (`check_only`).
     """
 
     def __init__(
@@ -84,7 +84,6 @@ class BerlekampCode:
         field: PrimeField,
         beta: Sequence[int] | np.ndarray,
         tau: int,
-        validate: bool = True,
         bound: int | None = None,
         check_only: bool = False,
     ):
@@ -113,10 +112,9 @@ class BerlekampCode:
         self._dtype = int_dtype(p * p)
         beta = np.asarray(beta, self._dtype if fits else object) % p
         self._beta = beta.astype(self._dtype, copy=False)
-        if validate:
-            refusal = _locator_refusal(self._beta, p)
-            if refusal:
-                raise ValueError(refusal)
+        refusal = _locator_refusal(self._beta, p)
+        if refusal:
+            raise ValueError(refusal)
         self.beta = tuple(self._beta.tolist())
         self._index = dict(zip(self.beta, range(self.n)))
         # Newton's recursion in the key-equation decoder multiplies by
@@ -142,12 +140,8 @@ class BerlekampCode:
     def _pairs(self) -> tuple[tuple[int, int, int], ...]:
         """The key-equation decoder's scan table (`gfpoly.pair_table`) over
         the locators: an error puts b or -b in the locator.  Built on the
-        first scan, so a code whose budget is at most 2 never builds it."""
+        first scan, so a code with tau <= 2 never builds it."""
         return pair_table(self._index, self.field.p)
-
-    @property
-    def redundancy(self) -> int:
-        return self.tau  # the check matrix has full rank tau
 
     @property
     def dimension(self) -> int:
@@ -188,21 +182,19 @@ def decode_double_error(code: BerlekampCode, syn: Sequence[int]) -> list[int] | 
     return error_vector(code.n, locate_key_equation(code, syn))
 
 
-def locate_key_equation(
-    code: BerlekampCode, syn: Sequence[int], budget: int | None = None
-) -> Hits | None:
-    """The hits of the unique error of L1 weight <= budget with syndrome
-    `syn`, or None.
+def locate_key_equation(code: BerlekampCode, syn: Sequence[int]) -> Hits | None:
+    """The hits of the unique error of L1 weight <= tau with syndrome `syn`,
+    or None.
 
     The error puts beta_j into a locator polynomial Lambda e_j times when
     e_j > 0, and -beta_j |e_j| times when e_j < 0, so the odd syndromes are
-    the odd power sums of Lambda's points.  An error of weight <= min(budget,
+    the odd power sums of Lambda's points.  An error of weight <= min(tau,
     2) is read off S_1 and S_3 first (`_read_off`); where that finds none,
-    a budget of at most 2 leaves None, and a larger one solves the key
+    a code with tau <= 2 gives None, and a larger one solves the key
     equation: the power sums fix
-    Lambda(x) / Lambda(-x) = exp(-2 * sum_{k odd} S_k x^k / k) mod x^(2*budget),
+    Lambda(x) / Lambda(-x) = exp(-2 * sum_{k odd} S_k x^k / k) mod x^(2*tau),
     and splitting Lambda = A(x^2) + x B(x^2) turns this into the Pade
-    problem B = A * H mod z^budget, solved by Euclid.
+    problem B = A * H mod z^tau, solved by Euclid.
 
     The points are the reciprocals of Lambda's roots, and they sum to
     -B(0)/A(0) with multiplicity.  The scan (`gfpoly.scan_pairs`) takes
@@ -211,28 +203,22 @@ def locate_key_equation(
     is read off from the sum; a linear Lambda's one point is read off with
     no scan.  Only when the scan falls short are multiplicities found by
     deflating at the points it found.  The error is checked against every
-    syndrome component (`_hits`).  A point that two negating locators share
-    (codes built without validation) leaves the error undetermined: None,
-    but for the pair code's probe (`_read_off`).  Euclid's A and B share no
-    factor but a power of z, so Lambda never has both 1/beta and -1/beta as
-    roots.
+    syndrome component (`_hits`).  Euclid's A and B share no factor but a
+    power of z, so Lambda never has both 1/beta and -1/beta as roots.
     """
     if len(syn) != code.tau:
         raise ValueError(f"need {code.tau} syndrome components, got {len(syn)}")
-    t = code.tau if budget is None else budget
-    if not 1 <= t <= code.tau:
-        raise ValueError(f"budget must be in [1, {code.tau}], got {t}")
-    p = code.field.p
+    t, p = code.tau, code.field.p
     syn = [s % p for s in syn]
     if not any(syn):
         return ()
-    hits = _read_off(code, syn, t)
+    hits = _read_off(code, syn)
     if hits is not None or t <= 2:
         return hits
     # Psi = Lambda(x) / Lambda(-x) through x^(2t-1): Psi' = f' Psi gives
     # m psi_m = -2 * sum_{k odd <= m} S_k psi_(m-k).
     psi = [1]
-    for m, factor in enumerate(code._newton[: 2 * t - 1], 1):
+    for m, factor in enumerate(code._newton, 1):
         psi.append(sum(map(mul, syn, psi[m - 1 :: -2])) * factor % p)
     # The odd part of Lambda(x) = Psi(x) Lambda(-x) reads B (1 + Psi_even)
     # = A Psi_odd, so H = Psi_odd / (1 + Psi_even), whose constant term is 2.
@@ -246,8 +232,6 @@ def locate_key_equation(
     if not a or a[0] == 0:
         return None
     degree = max(2 * len(a) - 2, 2 * len(b) - 1)
-    if degree == 0:
-        return None  # no point, but a nonzero syndrome
     points = scan_pairs(a, b, code._pairs, degree - 1, p) if degree > 1 else []
     if len(points) == degree - 1:
         # The points sum to -b0/a0 with multiplicity: read the last one off.
@@ -266,60 +250,51 @@ def locate_key_equation(
     return _hits(code, syn, roots.items(), 0)
 
 
-def _read_off(code: BerlekampCode, syn: list[int], t: int) -> Hits | None:
-    """The hits of an error of Lee weight <= min(t, 2) read off the reduced,
-    nonzero syndrome's S_1 and S_3, or None.
+def _read_off(code: BerlekampCode, syn: list[int]) -> Hits | None:
+    """The hits of an error of Lee weight <= min(tau, 2) read off the
+    reduced, nonzero syndrome's S_1 and S_3, or None.
 
     A lone +-1 error at beta puts one point, +-beta, in Lambda, so S_1 is
-    that point and S_3 = S_1^3.  Otherwise two points x, y (equal for a +-2
-    error) have S_1 = x + y and D = S_1^3 - S_3 = 3 S_1 xy, so they are the
-    roots of z^2 - S_1 z + D / (3 S_1); a weight-2 error never leaves S_1 =
-    0, as that makes x = -y and the syndrome zero.  Their S_5 is
+    that point and S_3 = S_1^3; a tau = 1 code has no S_3 and takes this
+    branch.  Otherwise two points x, y (equal for a +-2 error) have S_1 =
+    x + y and D = S_1^3 - S_3 = 3 S_1 xy, so they are the roots of
+    z^2 - S_1 z + D / (3 S_1); a weight-2 error never leaves S_1 = 0, as
+    that makes x = -y and the syndrome zero.  Their S_5 is
     S_1^5 - 5 S_1^3 xy + 5 S_1 (xy)^2, which a code with more components
     tests first, free of inverses: 9 S_1 (S_5 - S_1^5) + (15 S_1^3 - 5 D) D
     = 0.  The points meet S_1 and S_3 by construction, so only the
     components past them are checked (`_hits`).
     """
     p = code.field.p
-    # A tau = 2 code at its full budget is the double-error schemes' pair
-    # code, whose negating locators are suffix columns: the data prefix is
-    # the same whichever of two takes a point they share.
-    shared = t == code.tau == 2
     s1 = syn[0]
     cube = s1 * s1 % p * s1 % p
     if len(syn) == 1 or syn[1] == cube:
-        return _hits(code, syn, ((s1, 1),), 2, shared)
-    if t == 1 or s1 == 0:
+        return _hits(code, syn, ((s1, 1),), 2)
+    if s1 == 0:
         return None
     d = (cube - syn[1]) % p
     if len(syn) > 2 and (9 * s1 * (syn[2] - pow(s1, 5, p)) + (15 * cube - 5 * d) * d) % p:
         return None
     roots = gfp_quadratic_roots(-s1, d * pow(3 * s1, -1, p), code.field)
     if len(roots) == 1:  # a double root: a +-2 error
-        return _hits(code, syn, ((roots.pop(), 2),), 2, shared)
-    return _hits(code, syn, [(x, 1) for x in roots], 2, shared) if roots else None
+        return _hits(code, syn, ((roots.pop(), 2),), 2)
+    return _hits(code, syn, [(x, 1) for x in roots], 2) if roots else None
 
 
 def _hits(
-    code: BerlekampCode, syn: list[int], points: Iterable[tuple[int, int]], known: int, shared=False
+    code: BerlekampCode, syn: list[int], points: Iterable[tuple[int, int]], known: int
 ) -> Hits | None:
     """The hits that put `points` ((point, multiplicity) pairs) in Lambda,
-    or None where a point is no locator's, or where the hits leave a
-    syndrome component past the first `known`, which the points meet by
-    construction.  A point that two negating locators share (codes built
-    without validation) leaves the error undetermined: None, unless
-    `shared`, which takes the hit at the locator equal to the point."""
+    each point's through `core.unit_error`, or None where a point is no
+    locator's, or where the hits leave a syndrome component past the first
+    `known`, which the points meet by construction."""
     index, p = code._index, code.field.p
     hits = []
     for x, mult in points:
-        j = index.get(x)
-        if j is None:
-            j, mult = index.get(p - x), -mult
-            if j is None:
-                return None
-        elif not shared and p - x in index:
+        hit = unit_error(index, p, x)
+        if hit is None:
             return None
-        hits.append((j, mult))
+        hits.append((hit[0], hit[1] * mult))
     if len(syn) > known and any(code.check.less(syn, hits)[known:]):
         return None
     return tuple(hits)
@@ -328,8 +303,9 @@ def _hits(
 def systematic_encode(code: BerlekampCode, message: Sequence[int] | np.ndarray):
     """Extend a length-(n - tau) message of ints to a zero-syndrome
     codeword, reduced mod p: the tau redundancy symbols fill the tail
-    (`CheckMatrix.tail`), which raises ValueError where the last tau
-    locators give a singular block.  An l x (n - tau) integer array of
-    messages gives the l x n array of codewords (`core.systematic_word`,
-    with the head's components from `BerlekampCode.syndrome`)."""
+    (`CheckMatrix.tail`), whose block of the last tau locators' powers is
+    never singular, as no two of those locators are equal or negate.  An
+    l x (n - tau) integer array of messages gives the l x n array of
+    codewords (`core.systematic_word`, with the head's components from
+    `BerlekampCode.syndrome`)."""
     return systematic_word(code.check, message, code.dimension, code.syndrome)

@@ -397,9 +397,6 @@ class QMatrix:
     def ncols(self) -> int:
         return len(self.rows[0])
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
-
 
 # A set or a mapping iterates in no order a row's entries may take.
 _UNORDERED = (abc.Set, abc.Mapping)

@@ -80,18 +80,20 @@ def _check_prime(q: int, p: int) -> None:
 
 
 def _pair_code(loc: Locators, p: int) -> tuple[BerlekampCode, list[int]]:
-    """Embed locators into GF(p) for the weight-2 decoder.
+    """Embed locators into GF(p) for the weight-2 decoder: the positions
+    whose residue is nonzero, keeping the first of each two whose residues
+    negate.
 
-    Positions whose locator vanishes mod p (possible only under the
-    suffix-ambiguity opt-in) are excluded: their errors are invisible to
-    the mod-p syndrome and sit in redundancy columns.
+    Both kinds of dropped position occur only under the suffix-ambiguity
+    opt-in, and only in the redundancy suffix.  An error at a vanishing
+    locator is invisible to the mod-p syndrome; one at the later of two
+    negating locators reads as the opposite error at the first, also a
+    suffix column, so the data prefix decodes the same.
     """
     residues = loc.array % p
-    positions = np.flatnonzero(residues)
-    code = BerlekampCode(
-        PrimeField(p), residues[positions], tau=2, validate=not loc.allow_suffix_ambiguity
-    )
-    return code, positions.tolist()
+    _, first = np.unique(np.minimum(residues, p - residues), return_index=True)
+    positions = np.sort(first[residues[first] != 0])
+    return BerlekampCode(PrimeField(p), residues[positions], tau=2), positions.tolist()
 
 
 def cubes_digits(inner: np.ndarray, check: CheckMatrix, loc: Locators) -> np.ndarray:
@@ -207,11 +209,6 @@ class TripleDetectScheme(Scheme):
             assert self.loc.modulus == 2 * p
             self.m = self.loc.m
             self.k = self.n1 - self.m
-            if self.k < 1:
-                raise ValueError(
-                    f"p = {p} leaves no information columns for q = {q} "
-                    "in the modulus-2p variant"
-                )
             self.n = self.n1 + self.m
             self.ber, self.ber_positions = _pair_code(self.loc, p)
             rows = checksum_rows(self.loc, self.n1, self.loc.suffix_weights(), self.n)

@@ -1,10 +1,11 @@
 import itertools
 import random
 from collections import defaultdict
+from types import SimpleNamespace
 
 import pytest
 
-from dpe_codec.basemath import PrimeField, l1_norm, signed_value
+from dpe_codec.basemath import PrimeField, signed_value
 from dpe_codec.berlekamp import (
     BerlekampCode,
     decode_double_error,
@@ -12,7 +13,7 @@ from dpe_codec.berlekamp import (
     locate_key_equation,
     systematic_encode,
 )
-from dpe_codec.core import error_vector
+from dpe_codec.core import CheckMatrix, error_vector
 from dpe_codec.oracles import ExtField, ExtLeeCode, SyndromeAmbiguityError, iter_l1_errors
 
 ALPHA15 = (3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 1, 2, 4, 8, 16)
@@ -47,9 +48,17 @@ class TestConstruction:
             with pytest.raises(ValueError, match="locators must be integers"):
                 BerlekampCode(f, beta, tau=1)
 
-    def test_relaxed_validation_allows_negating_pair(self):
-        code = BerlekampCode(PrimeField(11), (2, 9, 1), tau=1, validate=False)
-        assert code.n == 3
+    @pytest.mark.parametrize("tau", [1, 2, 3])
+    def test_refuses_a_negating_pair_at_every_budget(self, tau):
+        for p, beta, pair in ((11, (2, 9, 1), "2 and 9"), (13, (1, 2, 3, 4, 5, 8), "5 and 8")):
+            with pytest.raises(ValueError, match=f"^locators {pair} negate each other$"):
+                BerlekampCode(PrimeField(p), beta, tau)
+
+    def test_takes_no_validate_and_no_budget(self, code31_tau2):
+        with pytest.raises(TypeError):
+            BerlekampCode(PrimeField(11), (1, 2, 3), 1, validate=False)
+        with pytest.raises(TypeError):
+            locate_key_equation(code31_tau2, (1, 1), 2)
 
 
 class TestSyndrome:
@@ -108,16 +117,6 @@ class TestSingleErrorDecoding:
         assert locate_key_equation(code, (6,)) is None
         assert locate_key_equation(code, (7,)) is None
 
-    def test_ambiguous_syndrome_gives_none(self):
-        # 5 + 8 = 13: +1 at locator 5 and -1 at locator 8 share a syndrome,
-        # so neither is returned; every other syndrome decodes as before
-        code = BerlekampCode(PrimeField(13), (1, 2, 3, 4, 5, 8), tau=1, validate=False)
-        assert locate_key_equation(code, (5,)) is None
-        assert locate_key_equation(code, (8,)) is None
-        for j, b in enumerate(code.beta[:4]):
-            assert locate_key_equation(code, (b,)) == ((j, 1),)
-            assert locate_key_equation(code, (13 - b,)) == ((j, -1),)
-
 
 class TestDoubleErrorDecoding:
     def test_worked_pair(self, code31_tau2):
@@ -161,7 +160,11 @@ class TestExhaustiveDecoder:
         assert got != e
 
     def test_ambiguity_detection(self):
-        code = BerlekampCode(PrimeField(11), (2, 9, 1), tau=1, validate=False)
+        # a stand-in for a Lee code over GF(11) whose locators 2 and 9
+        # negate, which BerlekampCode refuses: +1 at 2 and -1 at 9 share a
+        # syndrome
+        code = SimpleNamespace(tau=1, n=3, zero_syndrome=lambda: (0,),
+                               syndrome=lambda e: ((2 * e[0] + 9 * e[1] + e[2]) % 11,))
         with pytest.raises(SyndromeAmbiguityError):
             decode_exhaustive(code, (2,))
 
@@ -197,11 +200,12 @@ class TestSystematicEncode:
         assert len(cw) - 13 == code31_tau2.tau
 
     def test_singular_tail_block(self):
-        # the last two locators 3 and 10 give the block [[3, 10], [1, 12]]
-        # mod 13, whose determinant 36 - 10 = 26 is 0 mod 13
-        code = BerlekampCode(PrimeField(13), (1, 2, 3, 10), 2, validate=False)
+        # valid locators never give a singular tail; the check of the
+        # negating locators 3 and 10 mod 13 does: its last two columns are
+        # the block [[3, 10], [1, 12]], whose determinant 36 - 10 = 26 is 0
+        check = CheckMatrix([[1, 2, 3, 10], [1, 8, 1, 12]], (13, 13), 13)
         with pytest.raises(ValueError, match="singular"):
-            systematic_encode(code, [1, 2])
+            check.tail([1, 2])
 
     @pytest.mark.parametrize("bad", [1.5, True, "1", None])
     def test_refuses_a_symbol_that_is_not_an_int(self, code31_tau2, bad):
@@ -303,100 +307,47 @@ class TestKeyEquationDecoder:
             got = error_vector(n, locate_key_equation(code, syn))
             assert got == decode_exhaustive(code, syn)
 
-    def test_smaller_budget(self):
-        code = BerlekampCode(PrimeField(23), tuple(range(1, 12)), tau=3)
-        for e in iter_l1_errors(11, 2, include_zero=True):
-            assert error_vector(11, locate_key_equation(code, code.syndrome(e), budget=2)) == e
-        rng = random.Random(4)
-        for _ in range(60):
-            syn = tuple(rng.randrange(23) for _ in range(3))
-            got = error_vector(11, locate_key_equation(code, syn, budget=2))
-            assert got == decode_exhaustive(code, syn, budget=2)
-
-    def test_negating_locators(self):
-        # 5 + 8 = 13: where the syndrome no longer fixes the error, the
-        # decoder gives up; any error it does return meets the syndrome
-        # within the budget, and equals the oracle's unique one
-        code = BerlekampCode(PrimeField(13), (1, 2, 3, 4, 5, 8), tau=3, validate=False)
-        for e in iter_l1_errors(6, 3):
-            syn = code.syndrome(e)
-            got = error_vector(6, locate_key_equation(code, syn))
-            try:
-                unique = decode_exhaustive(code, syn)
-            except SyndromeAmbiguityError:
-                assert got is None or (code.syndrome(got) == syn and l1_norm(got) <= 3)
-                continue
-            assert got == unique
-        # +1 at locator 5 and -1 at locator 8 put the same point in Lambda
-        assert locate_key_equation(code, code.syndrome([0, 0, 0, 0, 1, 0])) is None
-
-    def test_rejects_extension_field_and_large_budget(self, code31_tau2):
-        with pytest.raises(ValueError, match="locators must be integers"):
-            BerlekampCode(PrimeField(3), [(1, 0), (0, 1)], tau=1)
-        with pytest.raises(ValueError, match="budget"):
-            locate_key_equation(code31_tau2, (1, 1), budget=3)
-
 
 def _l1_table(code):
-    """Every error of L1 weight <= tau, with its weight, by its syndrome."""
+    """Every error of L1 weight <= tau by its syndrome."""
     table = defaultdict(list)
     for e in iter_l1_errors(code.n, code.tau, include_zero=True):
-        table[code.syndrome(e)].append((l1_norm(e), e))
+        table[code.syndrome(e)].append(e)
     return table
 
 
 class TestEverySyndrome:
-    """locate_key_equation on every syndrome in GF(p)^tau at every budget,
-    against a table of every error within the budget: a unique error is
-    returned, no error gives None, and a syndrome that several errors share
-    (only where two locators negate) gives None or one of them."""
+    """locate_key_equation on every syndrome in GF(p)^tau, against a table
+    of every error within the budget tau: the error a syndrome has is
+    returned, no error gives None, and no two errors share a syndrome."""
 
-    @pytest.mark.parametrize(
-        "p,beta,validate",
-        [(13, range(1, 7), True), (13, (1, 2, 3, 4, 5, 8), False),
-         (23, range(1, 12), True), (31, range(1, 16), True)],
-    )
-    def test_matches_the_l1_table(self, p, beta, validate):
-        code = BerlekampCode(PrimeField(p), tuple(beta), tau=3, validate=validate)
+    CODES = [(13, range(1, 7)), (23, range(1, 12)), (31, range(1, 16))]
+
+    @pytest.mark.parametrize("p,beta", CODES)
+    def test_matches_the_l1_table(self, p, beta):
+        code = BerlekampCode(PrimeField(p), tuple(beta), tau=3)
         table = _l1_table(code)
         for syn in itertools.product(range(p), repeat=3):
-            entries = table.get(syn, ())
-            for budget in (1, 2, 3):
-                errors = [e for weight, e in entries if weight <= budget]
-                got = error_vector(code.n, locate_key_equation(code, syn, budget))
-                if len(errors) == 1:
-                    assert got == errors[0], (syn, budget)
-                elif not errors:
-                    assert got is None, (syn, budget)
-                else:
-                    assert validate is False and (got is None or got in errors), (syn, budget)
+            errors = table.get(syn, [])
+            got = error_vector(code.n, locate_key_equation(code, syn))
+            if len(errors) == 1:
+                assert got == errors[0], syn
+            else:
+                assert not errors and got is None, syn
 
-    @pytest.mark.parametrize(
-        "p,beta,validate",
-        [(13, range(1, 7), True), (13, (1, 2, 3, 4, 5, 8), False),
-         (23, range(1, 12), True), (31, range(1, 16), True)],
-    )
-    def test_tau2_matches_the_l1_table(self, p, beta, validate):
+    @pytest.mark.parametrize("p,beta", CODES)
+    def test_tau2_matches_the_l1_table(self, p, beta):
         # errors of weight <= 2 are read off S_1 and S_3 with no key
         # equation
-        code = BerlekampCode(PrimeField(p), tuple(beta), tau=2, validate=validate)
+        code = BerlekampCode(PrimeField(p), tuple(beta), tau=2)
         table = _l1_table(code)
         for syn in itertools.product(range(p), repeat=2):
-            entries = table.get(syn, ())
-            for budget in (1, 2):
-                errors = [e for weight, e in entries if weight <= budget]
-                got = error_vector(code.n, locate_key_equation(code, syn, budget))
-                if len(errors) == 1:
-                    assert got == errors[0], (syn, budget)
-                elif not errors:
-                    assert got is None, (syn, budget)
-                elif budget == 2 or not any(syn):
-                    # the full budget takes one of the errors that share a
-                    # point of two negating locators, as the pair code of
-                    # the double-error schemes needs
-                    assert validate is False and got in errors, (syn, budget)
-                else:
-                    assert validate is False and got is None, (syn, budget)
+            errors = table.get(syn, [])
+            got = error_vector(code.n, locate_key_equation(code, syn))
+            if len(errors) == 1:
+                assert got == errors[0], syn
+            else:
+                assert not errors and got is None, syn
 
 
 class TestLocateBoundary:

@@ -255,6 +255,27 @@ class TestPipeline:
         assert rc == 2
         assert capsys.readouterr().out.strip() == "e"
 
+    def test_refuses_a_u_that_is_not_integers(self, tmp_path, capsys):
+        out, _ = _encode_example(tmp_path, SEC_ARGS)
+        c_path = tmp_path / "c.json"
+        capsys.readouterr()
+        assert main(["compute", "--in", str(out), "--u", "1,x", "--out", str(c_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--u must be a comma-separated integer list, got '1,x'" in captured.err
+        assert not c_path.exists()
+
+    def test_inject_refuses_a_read_with_erasures(self, tmp_path, capsys):
+        y_path = tmp_path / "y.json"
+        y_path.write_text(json.dumps({"q": 4, "cols": 15, "data": [1] * 15, "erasures": [2]}))
+        out = tmp_path / "z.json"
+        faults = json.dumps({"kind": "manual", "deltas": [[1, 1]]})
+        assert main(["inject", "--in", str(y_path), "--faults", faults, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input vector already carries erasures" in captured.err
+        assert not out.exists()
+
     def test_erasure_input_rejected_by_l1_decoder(self, tmp_path, capsys):
         out, sidecar = _encode_example(tmp_path, SEC_ARGS)
         c_path = tmp_path / "c.json"
@@ -308,6 +329,8 @@ class TestMalformedFiles:
             ({"q": 2, "rows": "1", "cols": 10, "data": GOOD}, "rows must be an integer"),
             ({"q": 2, "rows": 1, "cols": 10, "data": 5}, "data must be a list"),
             ([GOOD], "expected a JSON object, got list"),
+            ({"q": 2, "rows": 2, "cols": 9, "data": GOOD[:9] * 2},
+             "input matrix has 2 rows but --ell is 1"),
         ],
     )
     def test_matrix(self, tmp_path, capsys, payload, message):
@@ -335,6 +358,7 @@ class TestMalformedFiles:
             ("y", "expected a JSON object, got str"),
             ({"q": 4, "cols": 15, "data": [0] * 15, "erasures": [True]},
              "erasures must be a list of column indices"),
+            ({"q": 4, "cols": 4, "data": [0, 1, 2]}, "data length 3 != cols = 4"),
         ],
     )
     def test_read_vector(self, tmp_path, capsys, payload, message):
@@ -365,6 +389,8 @@ class TestMalformedFiles:
             (lambda d: {**d, "locators": {**d["locators"], "allow_suffix_ambiguity": "no"}},
              "sidecar locators are malformed: locators: allow_suffix_ambiguity must be "
              "true or false, got 'no'"),
+            (lambda d: {**d, "variant": 3}, "sidecar: variant must be a string, got 3"),
+            (lambda d: {**d, "trimmed": "yes"}, "sidecar: trimmed must be true or false, got 'yes'"),
         ],
     )
     def test_sidecar(self, tmp_path, capsys, change, message):

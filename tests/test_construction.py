@@ -141,19 +141,18 @@ def ref_ded(q, n, allow):
     return f"construction failed: {violation}" if violation else (alpha, m, modulus)
 
 
-def ref_lee(p, beta, tau, validate=True, bound=None):
+def ref_lee(p, beta, tau, bound=None):
     """A Lee code's locators reduced mod p, power columns by `pow`, value
     index and check, or the refusal."""
     if not all(type(b) is int for b in beta):
         return "locators must be integers"
     beta = tuple(b % p for b in beta)
-    if validate:
-        if len(set(beta)) != len(beta) or 0 in beta:
-            return "locators must be nonzero and distinct"
-        values = set(beta)
-        for b in beta:
-            if (p - b) % p in values:
-                return f"locators {b} and {p - b} negate each other"
+    if len(set(beta)) != len(beta) or 0 in beta:
+        return "locators must be nonzero and distinct"
+    values = set(beta)
+    for b in beta:
+        if (p - b) % p in values:
+            return f"locators {b} and {p - b} negate each other"
     power_cols = [tuple(pow(b, 2 * v + 1, p) for b in beta) for v in range(tau)]
     return {
         "beta": beta,
@@ -196,9 +195,15 @@ def _suffix_weights(q, m, modulus, n):
     return [q**j for j in range(m)]
 
 
-def ref_pair_code(alpha, p, allow):
-    positions = [j for j in range(len(alpha)) if alpha[j] % p != 0]
-    return ref_lee(p, [alpha[j] % p for j in positions], 2, validate=not allow), positions
+def ref_pair_code(alpha, p):
+    """The pair code over the positions whose locator is nonzero mod p,
+    dropping the later locator of each two that negate mod p."""
+    positions, taken = [], {0}
+    for j, a in enumerate(alpha):
+        if a % p not in taken:
+            positions.append(j)
+            taken.update((a % p, -a % p))
+    return ref_lee(p, [alpha[j] % p for j in positions], 2), positions
 
 
 # -- the reference per scheme ---------------------------------------------------
@@ -234,12 +239,12 @@ def _dec_rows(s):
     alpha, m, _ = loc
     rows = ref_checksum_rows(alpha, s.n1, [s.q**j for j in range(m)], s.n1 + m + 1)
     rows.append([0] * s.n1 + [1] * (m + 1))
-    return loc, rows, allow
+    return loc, rows
 
 
 def ref_dec(s):
-    loc, rows, allow = _dec_rows(s)
-    ber, positions = ref_pair_code(loc[0], s.p, allow)
+    loc, rows = _dec_rows(s)
+    ber, positions = ref_pair_code(loc[0], s.p)
     return {"loc": loc, "check": ref_check(rows, (s.p, s.p, 2), s.q_out), "ber": ber,
             "ber_positions": positions}
 
@@ -247,7 +252,7 @@ def ref_dec(s):
 def ref_dec_ted(s):
     allow = s.loc.allow_suffix_ambiguity
     if s.variant == "parity":
-        loc, rows, _ = _dec_rows(s)
+        loc, rows = _dec_rows(s)
         rows = [row + [0] for row in rows] + [[1] * s.n]
         check = ref_check(rows, (s.p, s.p, 2, 2), s.q_out)
     else:
@@ -255,7 +260,7 @@ def ref_dec_ted(s):
         alpha, m, modulus = loc
         weights = _suffix_weights(s.q, m, modulus, s.n1)
         check = ref_check(ref_checksum_rows(alpha, s.n1, weights, s.n), (2 * s.p, 2 * s.p), s.q_out)
-    ber, positions = ref_pair_code(loc[0], s.p, allow)
+    ber, positions = ref_pair_code(loc[0], s.p)
     return {"loc": loc, "check": check, "ber": ber, "ber_positions": positions}
 
 
@@ -512,12 +517,6 @@ def test_negating_pairs_are_named_in_order(p, values):
         assert str(err) == expected
         return
     _assert_lee(code, expected)
-
-
-def test_unvalidated_lee_code_matches_the_reference():
-    beta = (1, 2, 3, 5, 6, 3)  # 1 and 6 negate mod 7, 3 repeats
-    code = api.BerlekampCode(api.PrimeField(7), beta, 2, validate=False)
-    _assert_lee(code, ref_lee(7, beta, 2, validate=False))
 
 
 def test_lee_code_refuses_non_integers():

@@ -185,18 +185,21 @@ class TestTripleDetectParity:
 
 
 class TestSuffixAmbiguity:
-    # Built with the suffix-ambiguity opt-in, the pair code has two suffix
+    # Built with the suffix-ambiguity opt-in, the schemes have two suffix
     # columns whose locators negate mod p (1 and 16 mod 17; 1 and 40 mod
-    # 41), so a +-1 error at either leaves a syndrome both errors share.
-    # Either explains it within the budget, so the prefix still decodes.
+    # 41).  The pair code keeps only the first, so a +-1 error at the other
+    # reads as the opposite error at the first, and the prefix still
+    # decodes.
     @pytest.mark.parametrize("build", [
         lambda: DoubleErrorScheme(2, 17, 1, allow_suffix_ambiguity=True),
         lambda: TripleDetectScheme(3, 41, 1, allow_suffix_ambiguity=True),
     ], ids=["dec", "dec-ted"])
     def test_every_weight_two_error_decodes_the_prefix(self, build):
         scheme = build()
+        residues = {a % scheme.p for a in scheme.loc.alpha}
+        assert any(scheme.p - r in residues for r in residues)
         beta = set(scheme.ber.beta)
-        assert any(scheme.p - b in beta for b in beta)
+        assert not any(scheme.p - b in beta for b in beta)
         rng = random.Random(scheme.p)
         a = QMatrix.from_lists(
             scheme.q, [[rng.randrange(scheme.q) for _ in range(scheme.k)] for _ in range(scheme.ell)]

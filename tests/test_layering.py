@@ -165,35 +165,41 @@ def test_references_live_in_the_oracles():
 
 
 def _identifiers(tree: ast.AST, strings: bool = False):
-    """(name, line) of every name, attribute and imported name in a tree,
-    and with `strings` every string constant."""
+    """(name, line, attribute) of every name, attribute and imported name
+    in a tree, and with `strings` every string constant, with `attribute`
+    true for an attribute or a string (tracing.py names methods in
+    strings)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.alias):
-            yield node.name, node.lineno
+            yield node.name, node.lineno, False
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value, node.lineno
+            yield node.value, node.lineno, True
 
 
 def test_every_production_member_is_used():
     """A member is used where it is named in the package outside its own
-    definition, named in bench/ (tracing.py names methods in strings), or
-    exported; dunder methods are called by Python itself."""
+    definition, named in bench/, or exported; a method only where it is
+    named as an attribute or a string, as a local variable of the same name
+    is no use of it.  Dunder methods are called by Python itself."""
     package = {path.name: list(_identifiers(ast.parse(path.read_text())))
                for path in PACKAGE.glob("*.py")}
-    bench = {name for path in (ROOT / "bench").glob("*.py")
-             for name, _ in _identifiers(ast.parse(path.read_text()), strings=True)}
+    package["bench/"] = [ident for path in (ROOT / "bench").glob("*.py")
+                         for ident in _identifiers(ast.parse(path.read_text()), strings=True)]
     unused = []
     for path in PRODUCTION:
-        for node in _members(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        methods = {item for cls in tree.body if isinstance(cls, ast.ClassDef) for item in cls.body}
+        for node in _members(tree):
             name = node.name
-            if name.startswith("__") and name.endswith("__") or name in bench or name in api.__all__:
+            if name.startswith("__") and name.endswith("__") or name in api.__all__:
                 continue
-            if not any(used == name and (module != path.name or
-                                         not node.lineno <= line <= node.end_lineno)
-                       for module, names in package.items() for used, line in names):
+            if not any(used == name and (attribute or node not in methods) and
+                       (module != path.name or not node.lineno <= line <= node.end_lineno)
+                       for module, names in package.items()
+                       for used, line, attribute in names):
                 unused.append(f"{path.name}:{name}")
     assert unused == []

@@ -9,7 +9,7 @@ import pytest
 
 import dpe_codec as api
 from dpe_codec import cli
-from dpe_codec.core import Scheme, output_alphabet
+from dpe_codec.core import CheckMatrix, Scheme, output_alphabet
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dpe_codec"
 
@@ -173,3 +173,31 @@ def test_integer_parameters_refuse_what_is_not_an_int(build, fields, name, bad):
     with pytest.raises(ValueError) as info:
         build(**{**fields, name: bad})
     assert str(info.value) == f"{name} must be an integer, got {bad!r}"
+
+
+# inputs one past what each builder or check accepts, with the refusal they get
+PARAMETER_REFUSALS = [
+    ("rs-k-at-length", lambda: api.ReedSolomonCode(api.PrimeField(13), 6, 6),
+     "need 1 <= k < length, got k=6, length=6"),
+    # p = 7 passes the prime check for q = 3, but the modulus-2p locators
+    # need 3 redundancy digits of its 3 columns
+    ("dec-ted-mod2p-no-information", lambda: api.TripleDetectScheme(3, 7, 1),
+     "length 3 leaves no information columns (redundancy 3)"),
+    ("large-alphabet-n-at-tau", lambda: api.LargeAlphabetScheme(31, 3, 3, 1),
+     "length 3 leaves no information columns"),
+    ("recursive-tau-0", lambda: api.RecursiveScheme(2, 1, 0, 31),
+     "error budget must be >= 1, got 0"),
+    ("large-alphabet-tau-0", lambda: api.LargeAlphabetScheme(31, 12, 0, 1),
+     "error budget must be >= 1, got 0"),
+    ("check-short-word", lambda: CheckMatrix([[1, 2, 3]], (7,), 7)([1, 2]), "need 3 entries, got 2"),
+    ("check-long-word", lambda: CheckMatrix([[1, 2, 3]], (7,), 7)([1, 2, 3, 4]),
+     "need 3 entries, got 4"),
+]
+
+
+@pytest.mark.parametrize("build,message", [case[1:] for case in PARAMETER_REFUSALS],
+                         ids=[case[0] for case in PARAMETER_REFUSALS])
+def test_refuses_parameters_past_the_boundary(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

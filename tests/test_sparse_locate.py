@@ -18,8 +18,7 @@ from dpe_codec.hamming import HammingScheme, ReedSolomonCode
 from dpe_codec.oracles import LinearInnerCode
 
 # the codes of test_berlekamp.py's TestEverySyndrome
-SMALL_CODES = [(13, range(1, 7), True), (13, (1, 2, 3, 4, 5, 8), False),
-               (23, range(1, 12), True), (31, range(1, 16), True)]
+SMALL_CODES = [(13, range(1, 7)), (23, range(1, 12)), (31, range(1, 16))]
 
 
 def assert_hits(hits):
@@ -33,20 +32,16 @@ def assert_hits(hits):
 
 
 class TestLeeCores:
-    @pytest.mark.parametrize("p,beta,validate", SMALL_CODES)
-    def test_every_syndrome_of_the_small_codes(self, p, beta, validate):
+    @pytest.mark.parametrize("p,beta", SMALL_CODES)
+    def test_every_syndrome_of_the_small_codes(self, p, beta):
         field = PrimeField(p)
-        code = BerlekampCode(field, tuple(beta), tau=3, validate=validate)
+        code = BerlekampCode(field, tuple(beta), tau=3)
         for syn in itertools.product(range(p), repeat=3):
-            for budget in (1, 2, 3):
-                assert_hits(locate_key_equation(code, syn, budget))
             assert_hits(locate_key_equation(code, syn))
-        pair = BerlekampCode(field, tuple(beta), tau=2, validate=validate)
+        pair = BerlekampCode(field, tuple(beta), tau=2)
         for syn in itertools.product(range(p), repeat=2):
-            for budget in (1, 2):
-                assert_hits(locate_key_equation(pair, syn, budget))
             assert_hits(locate_key_equation(pair, syn))
-        single = BerlekampCode(field, tuple(beta), tau=1, validate=validate)
+        single = BerlekampCode(field, tuple(beta), tau=1)
         for s in range(p):
             assert_hits(locate_key_equation(single, (s,)))
 
@@ -66,8 +61,6 @@ class TestLeeCores:
                 syn = code.syndrome([e % 1031 for e in error])
             hits = locate_key_equation(code, syn)
             assert_hits(hits)
-            for budget in range(1, tau + 1):
-                assert_hits(locate_key_equation(code, syn, budget))
             found += hits is not None
         assert found >= 300
 
