@@ -14,27 +14,29 @@ the digit-encoded value in y2), and the parity of y2.  Depending on the
 split, either y1 is clean, or the pair (s1, s2) is a weight-2 Lee syndrome
 of a tau = 2 code, whose points its decoder reads off a quadratic, or a lone
 error in y1 is located from s1.
-The triple-detecting variants either add one more overall parity column
-(mandatory for q = 2) or run both checksums modulo 2p over odd locators,
-where the parities of s1 and s2 replace the parity column.
+The triple-detecting code is built from this one in either of two ways:
+the same layout plus one overall parity column (mandatory for q = 2), or
+both checksums modulo 2p over odd locators, where the parities of s1 and
+s2 replace the parity columns.
 
-Each scheme is a `core.Scheme`.  Its `encode_array` works in block
-products: `single.encode_row` on the packed block, then one product with
-the scheme's own check matrix for every row's cubed checksum
-(`cubes_digits`).  Its read takes its product through `syndromes`.  Its
-`locate` (picked per variant at construction) is the dispatch table and
-nothing else: a lone error's hit comes from `single.unit_hits`, a pair's
-from `pair_hits`, which maps `berlekamp.locate_key_equation`'s sparse hits
-to read columns.
+Each scheme is a `core.Scheme`, laid out by `_lay_out`: its prime check,
+locators, lengths, pair code and check rows, for all three layouts.  Its
+`encode_array` works in block products: `single.encode_row` on the packed
+block, then one product with the scheme's own check matrix for every
+row's cubed checksum (`cubes_digits`).  Its read takes its product through
+`syndromes`.  Its `locate` (picked per variant at construction) is the
+dispatch table and nothing else: a lone error's hit comes from
+`single.unit_hits`, a pair's from `pair_hits`, which maps
+`berlekamp.locate_key_equation`'s sparse hits to read columns.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
-from .basemath import PrimeField, ceil_log, is_prime
+from .basemath import PrimeField, is_prime, next_prime
 from .berlekamp import BerlekampCode, locate_key_equation
 from .core import (
     CheckMatrix,
@@ -50,7 +52,13 @@ from .core import (
     parity_extend,
     require_int,
 )
-from .locators import Locators, build_locators_basic, build_locators_ded
+from .locators import (
+    Locators,
+    basic_redundancy,
+    build_locators_basic,
+    build_locators_ded,
+    ded_redundancy,
+)
 from .single import (
     VARIANT_PARITY,
     detect_variant,
@@ -60,22 +68,24 @@ from .single import (
 )
 
 
-def _suggest_prime(q: int, p: int) -> int:
-    candidate = p + 1
-    while True:
-        if is_prime(candidate) and (candidate - 1) // 2 - ceil_log(q, candidate) >= 1:
-            return candidate
-        candidate += 1
-
-
-def _check_prime(q: int, p: int) -> None:
+def _check_prime(q: int, p: int, redundancy: Callable[[int, int], int]) -> None:
+    """Refuse p unless it is a prime > 3 whose n1 = (p - 1)/2 columns keep
+    an information column beside the `redundancy(q, n1)` digits of its
+    locators; name the smallest prime above p that does."""
     if require_int("p", p) <= 3 or not is_prime(p):
         raise ValueError(f"need a prime p > 3, got {p}")
-    n1 = (p - 1) // 2
-    if n1 - ceil_log(q, p) < 1:
+
+    def workable(prime: int) -> bool:
+        n1 = (prime - 1) // 2
+        return n1 > redundancy(q, n1)
+
+    if not workable(p):
+        suggestion = next_prime(p + 1)
+        while not workable(suggestion):
+            suggestion = next_prime(suggestion + 1)
         raise ValueError(
             f"p = {p} leaves no information columns for q = {q}; "
-            f"smallest workable prime is {_suggest_prime(q, p)}"
+            f"smallest workable prime is {suggestion}"
         )
 
 
@@ -96,28 +106,46 @@ def _pair_code(loc: Locators, p: int) -> tuple[BerlekampCode, list[int]]:
     return BerlekampCode(PrimeField(p), residues[positions], tau=2), positions.tolist()
 
 
+def _lay_out(scheme: Scheme, p: int, parities: int, allow_suffix_ambiguity: bool) -> None:
+    """Lay out a double-error code of prime p on `scheme`: n1 = (p - 1)/2
+    locator columns, the m digits of the cubed checksum, then `parities`
+    parity columns: 1 for dec (the digit block's), 2 for the parity variant
+    of dec-ted (and the total), 0 for its odd locators modulo 2p.
+
+    Sets p, n1, loc, m, k, n, the pair code (`ber`, `ber_positions`) and
+    `check`, whose rows are filled in one array: the linear and cubed
+    checksums modulo the locators' modulus M (a * a mod M * a mod M, int64
+    while M^2 fits, with the digit weights negated after them), then the
+    digit block's parity row and the all-ones row, each mod 2."""
+    odd = parities == 0
+    _check_prime(scheme.q, p, ded_redundancy if odd else basic_redundancy)
+    n1 = (p - 1) // 2
+    build = build_locators_ded if odd else build_locators_basic
+    loc = build(scheme.q, n1, allow_suffix_ambiguity)
+    m = loc.m
+    scheme.p, scheme.n1, scheme.loc, scheme.m = p, n1, loc, m
+    scheme.k = n1 - m
+    scheme.n = n = n1 + m + parities
+    scheme.ber, scheme.ber_positions = _pair_code(loc, p)
+    modulus = loc.modulus
+    alpha = loc.array[:n1].astype(int_dtype(modulus * modulus))
+    rows = np.zeros((2 + parities, n), alpha.dtype)
+    rows[0, :n1] = alpha
+    rows[1, :n1] = alpha * alpha % modulus * alpha % modulus
+    rows[1, n1 : n1 + m] = [-w for w in loc.suffix_weights()]
+    rows[2:, n1 : n1 + m + 1] = 1  # the digit block and its parity column
+    rows[3:] = 1
+    scheme.check = CheckMatrix(rows, (modulus, modulus) + (2,) * parities, scheme.q_out)
+
+
 def cubes_digits(inner: np.ndarray, check: CheckMatrix, loc: Locators) -> np.ndarray:
     """The digits of each row's cubed-locator checksum, modulo the
     locators', for an l x n1 block of single-error codewords: the second
-    syndrome of the scheme's `check` (`checksum_rows`) on each row with the
+    syndrome of the scheme's `check` (`_lay_out`) on each row with the
     columns after n1 at 0."""
     word = np.zeros((len(inner), check.n), inner.dtype)
     word[:, : inner.shape[1]] = inner
     return redundancy_digits(check(word)[:, 1], loc)
-
-
-def checksum_rows(loc: Locators, n1: int, weights: Sequence[int], n: int) -> np.ndarray:
-    """The linear and cubed checksum rows over a read of length n, as a
-    2 x n array: locators on the n1-prefix, and their cubes modulo the
-    locators' modulus M (a * a mod M * a mod M, int64 while M^2 fits) with
-    the cubed row's digit weights negated after them."""
-    modulus = loc.modulus
-    alpha = loc.array[:n1].astype(int_dtype(modulus * modulus))
-    rows = np.zeros((2, n), alpha.dtype)
-    rows[0, :n1] = alpha
-    rows[1, :n1] = alpha * alpha % modulus * alpha % modulus
-    rows[1, n1 : n1 + len(weights)] = [-w for w in weights]
-    return rows
 
 
 def pair_hits(code: BerlekampCode, positions: list[int], syn: tuple[int, int]) -> Hits | None:
@@ -132,21 +160,7 @@ class DoubleErrorScheme(Scheme):
 
     def __init__(self, q: int, p: int, ell: int, allow_suffix_ambiguity: bool = False):
         super().__init__(q, ell)
-        _check_prime(q, p)
-        self.p = p
-        self.n1 = (p - 1) // 2
-        self.loc = build_locators_basic(q, self.n1, allow_suffix_ambiguity)
-        assert self.loc.modulus == p
-        self.m = self.loc.m
-        self.k = self.n1 - self.m
-        self.n2 = self.n1 + self.m
-        self.n = self.n2 + 1
-        self.ber, self.ber_positions = _pair_code(self.loc, p)
-        digits = [self.q**j for j in range(self.m)]
-        rows = checksum_rows(self.loc, self.n1, digits, self.n)
-        parity = np.zeros((1, self.n), rows.dtype)  # over the digit block and its parity
-        parity[0, self.n1 :] = 1
-        self.check = CheckMatrix(np.vstack((rows, parity)), (p, p, 2), self.q_out)
+        _lay_out(self, p, 1, allow_suffix_ambiguity)
 
     def encode_array(self, block: np.ndarray) -> np.ndarray:
         inner = encode_row(block, self.loc)
@@ -174,7 +188,10 @@ class DoubleErrorScheme(Scheme):
 
 
 class TripleDetectScheme(Scheme):
-    """Correct two L1 errors and detect three (induced distance >= 6)."""
+    """Correct two L1 errors and detect three (induced distance >= 6).
+
+    The parity variant is the dec layout plus a total-parity column (an
+    all-ones check row mod 2); the others are odd locators modulo 2p."""
 
     def __init__(
         self,
@@ -186,40 +203,15 @@ class TripleDetectScheme(Scheme):
     ):
         super().__init__(q, ell)
         self.variant = variant = detect_variant(q, variant)
-        self.p = p
-        if variant == VARIANT_PARITY:
-            self.base = DoubleErrorScheme(q, p, ell, allow_suffix_ambiguity)
-            self.loc = self.base.loc
-            self.n1 = self.base.n1
-            self.m = self.base.m
-            self.k = self.base.k
-            self.n = self.base.n + 1
-            self.ber = self.base.ber
-            self.ber_positions = self.base.ber_positions
-            # the base scheme's rows widened by the parity column, and the
-            # total parity as an all-ones row
-            base = self.base.check
-            rows = np.pad(base.array, ((0, 1), (0, 1)))
-            rows[-1] = 1
-            self.check = CheckMatrix(rows, base.moduli + (2,), self.q_out)
-        else:
-            _check_prime(q, p)
-            self.n1 = (p - 1) // 2
-            self.loc = build_locators_ded(q, self.n1, allow_suffix_ambiguity)
-            assert self.loc.modulus == 2 * p
-            self.m = self.loc.m
-            self.k = self.n1 - self.m
-            self.n = self.n1 + self.m
-            self.ber, self.ber_positions = _pair_code(self.loc, p)
-            rows = checksum_rows(self.loc, self.n1, self.loc.suffix_weights(), self.n)
-            self.check = CheckMatrix(rows, (2 * p, 2 * p), self.q_out)
-        self.locate = self._locate_parity if variant == VARIANT_PARITY else self._locate_mod2p
+        parity = variant == VARIANT_PARITY
+        _lay_out(self, p, 2 if parity else 0, allow_suffix_ambiguity)
+        self.locate = self._locate_parity if parity else self._locate_mod2p
 
     # -- encoding ---------------------------------------------------------
 
     def encode_array(self, block: np.ndarray) -> np.ndarray:
         if self.variant == VARIANT_PARITY:
-            return parity_extend(self.base.encode_array(block))
+            return parity_extend(DoubleErrorScheme.encode_array(self, block))
         inner = encode_row(block, self.loc)
         return np.hstack((inner, cubes_digits(inner, self.check, self.loc)))
 
@@ -282,6 +274,8 @@ class ShortenedScheme:
         return self.base.encode_array(np.hstack((zeros, block)))[:, self.drop :]
 
     def decode(self, y: ReadVector) -> DecodeOutcome:
+        if y.n != self.n:
+            raise ValueError(f"read vector length {y.n} != {self.n}")
         erased = tuple(j + self.drop for j in y.erased)
         full = ReadVector((0,) * self.drop + y.entries, erased)
         outcome = self.base.decode(full)

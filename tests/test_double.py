@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from dpe_codec.core import QMatrix, ReadVector
+from dpe_codec.core import QMatrix, ReadVector, Scheme
 from dpe_codec.double import DoubleErrorScheme, ShortenedScheme, TripleDetectScheme
 from dpe_codec.oracles import iter_l1_errors
 
@@ -110,6 +111,41 @@ class TestDoubleDecode:
             DoubleErrorScheme(q=2, p=7, ell=2)
 
 
+PRIMES_BELOW_400 = [p for p in range(5, 400) if all(p % d for d in range(2, p))]
+DOUBLE_BUILDERS = {
+    "dec": lambda q, p, allow: DoubleErrorScheme(q, p, 1, allow_suffix_ambiguity=allow),
+    "dec-ted-parity": lambda q, p, allow: TripleDetectScheme(q, p, 1, "parity", allow),
+    "dec-ted-mod2p": lambda q, p, allow: TripleDetectScheme(q, p, 1, None, allow),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOUBLE_BUILDERS))
+def test_every_suggested_prime_builds(name):
+    """Every prime below 400 that the prime check refuses names a prime
+    that builds, or is refused only for a digit-weight collision (and
+    builds with the opt-in); no prime it passes is refused for want of
+    information columns."""
+    build = DOUBLE_BUILDERS[name]
+    suggested = set()
+    for q in range(3 if name == "dec-ted-mod2p" else 2, 17):
+        for p in PRIMES_BELOW_400:
+            try:
+                build(q, p, False)
+            except ValueError as refusal:
+                message = str(refusal)
+                if "smallest workable prime is " in message:
+                    suggested.add((q, int(message.rsplit(" ", 1)[1])))
+                else:  # a digit-weight collision, never a length too short
+                    assert "allow_suffix_ambiguity=True" in message, (q, p, message)
+    assert suggested
+    for q, p in sorted(suggested):
+        try:
+            build(q, p, False)
+        except ValueError as refusal:
+            assert "allow_suffix_ambiguity=True" in str(refusal), (q, p, str(refusal))
+            build(q, p, True)
+
+
 class TestTripleDetectModulus2p:
     def test_even_q_golden_matrix(self):
         scheme = TripleDetectScheme(q=4, p=101, ell=3)
@@ -153,7 +189,16 @@ class TestTripleDetectParity:
     def test_geometry(self):
         scheme = TripleDetectScheme(q=2, p=11, ell=2)
         assert scheme.variant == "parity"
-        assert scheme.n == scheme.base.n + 1
+        assert scheme.n == DoubleErrorScheme(q=2, p=11, ell=2).n + 1
+
+    def test_is_the_dec_layout_plus_a_total_parity(self):
+        scheme = TripleDetectScheme(q=2, p=11, ell=2)
+        dec = DoubleErrorScheme(q=2, p=11, ell=2)
+        assert not any(isinstance(v, Scheme) for v in vars(scheme).values())
+        # the dec rows padded by one zero column, plus an all-ones row
+        rows = np.pad(dec.check.array, ((0, 0), (0, 1))).tolist() + [[1] * scheme.n]
+        assert scheme.check.array.tolist() == rows
+        assert scheme.check.moduli == dec.check.moduli + (2,)
 
     def test_sweeps(self):
         scheme = TripleDetectScheme(q=2, p=11, ell=2)

@@ -355,7 +355,8 @@ def _double_reference(scheme, v):
     block, then the parities."""
     triple = isinstance(scheme, api.TripleDetectScheme)
     if triple and scheme.variant == "parity":
-        return _double_reference(scheme.base, v[: scheme.base.n]) + (sum(v) % 2,)
+        dec = api.DoubleErrorScheme(scheme.q, scheme.p, scheme.ell, scheme.loc.allow_suffix_ambiguity)
+        return _double_reference(dec, v[: dec.n]) + (sum(v) % 2,)
     alpha, n1, m = scheme.loc.alpha, scheme.n1, scheme.m
     if triple:  # odd locators modulo 2p
         modulus, weights = 2 * scheme.p, scheme.loc.suffix_weights()

@@ -57,7 +57,7 @@ PRODUCTS = 4  # programmed inputs u per scheme
 DRIFT_SEEDS = 8  # drift reads per input and per number of drifts
 RANDOM_READS = 40
 
-DIGEST = "5c9915e958692b0a7af92846a40f1f77743be120ec5a86e6a9de4d00354d6e9d"
+DIGEST = "a33e6db687767e1a70fd2a7a4621bf0eeeef0e8b2f3bcbbedd06a07c285cbd2b"
 
 
 def _length(scheme) -> int:

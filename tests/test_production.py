@@ -2,8 +2,8 @@
 faults inside the design budget must decode to the clean product's exact
 data prefix, of Python ints.  These sizes are far beyond what the
 enumeration oracles reach; the reference is the clean product itself.
-The closed-form instances, LARGE and HAMMING_KERNEL take the int64 read
-kernel; PAST_BOUND lies past its int64 bound and runs on Python ints."""
+The read-stream-size L1 instances, LARGE and HAMMING_KERNEL take the int64
+read kernel; PAST_BOUND lies past its int64 bound and runs on Python ints."""
 
 import random
 
@@ -54,9 +54,9 @@ HAMMING_KERNEL = HammingScheme(q=2, ell=ELL, k=128, tau=2, sigma=1, rho_max=2)
 HAMMING_KERNEL_ENCODED = _programmed(HAMMING_KERNEL, 5)
 
 
-# the closed-form schemes at the read-stream benchmark's sizes, each with
-# its error budget
-CLOSED_FORM = {
+# the L1 schemes at the read-stream benchmark's sizes, each with its error
+# budget
+READ_STREAM_L1 = {
     "sec": (SingleErrorScheme(2, 1023, ELL), 1),
     "sec-ded": (SecDedScheme(3, 1023, ELL), 1),
     "sec-ded-parity": (SecDedScheme(2, 1023, ELL), 1),
@@ -64,9 +64,9 @@ CLOSED_FORM = {
     "dec-ted": (TripleDetectScheme(4, 1031, ELL), 2),
     "dec-ted-parity": (TripleDetectScheme(2, 1031, ELL), 2),
 }
-CLOSED_FORM_ENCODED = {
+READ_STREAM_L1_ENCODED = {
     name: _programmed(scheme, seed)
-    for seed, (name, (scheme, _)) in enumerate(sorted(CLOSED_FORM.items()), 10)
+    for seed, (name, (scheme, _)) in enumerate(sorted(READ_STREAM_L1.items()), 10)
 }
 # n * (Q - 1) * (p - 1) far above 2^63: decoded on Python ints
 PAST_BOUND = LargeAlphabetScheme(2**21, 10, 2, ELL)
@@ -166,16 +166,16 @@ def test_single_errors_decode_without_a_scan(monkeypatch):
             _assert_exact(scheme, y, clean)
 
 
-@pytest.mark.parametrize("name", sorted(CLOSED_FORM))
-def test_closed_form_schemes(name):
-    scheme, tau = CLOSED_FORM[name]
+@pytest.mark.parametrize("name", sorted(READ_STREAM_L1))
+def test_read_stream_l1_schemes(name):
+    scheme, tau = READ_STREAM_L1[name]
     assert scheme.vector
 
     @SETTINGS
     @given(_l1_case(scheme, scheme.n, tau))
     def exact(case):
         u, drifts = case
-        clean = compute_clean(u, CLOSED_FORM_ENCODED[name])
+        clean = compute_clean(u, READ_STREAM_L1_ENCODED[name])
         _assert_exact(scheme, _apply_drifts(list(clean), drifts, scheme.q_out), clean)
 
     exact()

@@ -179,10 +179,14 @@ def test_integer_parameters_refuse_what_is_not_an_int(build, fields, name, bad):
 PARAMETER_REFUSALS = [
     ("rs-k-at-length", lambda: api.ReedSolomonCode(api.PrimeField(13), 6, 6),
      "need 1 <= k < length, got k=6, length=6"),
-    # p = 7 passes the prime check for q = 3, but the modulus-2p locators
-    # need 3 redundancy digits of its 3 columns
+    # the modulus-2p locators need 3 redundancy digits of p = 7's 3 columns,
+    # and of p = 5's 2; p = 11 leaves 2 information columns for q = 3 and 4
     ("dec-ted-mod2p-no-information", lambda: api.TripleDetectScheme(3, 7, 1),
-     "length 3 leaves no information columns (redundancy 3)"),
+     "p = 7 leaves no information columns for q = 3; smallest workable prime is 11"),
+    ("dec-ted-mod2p-p5-odd-q", lambda: api.TripleDetectScheme(3, 5, 1),
+     "p = 5 leaves no information columns for q = 3; smallest workable prime is 11"),
+    ("dec-ted-mod2p-p5-even-q", lambda: api.TripleDetectScheme(4, 5, 1),
+     "p = 5 leaves no information columns for q = 4; smallest workable prime is 11"),
     ("large-alphabet-n-at-tau", lambda: api.LargeAlphabetScheme(31, 3, 3, 1),
      "length 3 leaves no information columns"),
     ("recursive-tau-0", lambda: api.RecursiveScheme(2, 1, 0, 31),
@@ -192,6 +196,11 @@ PARAMETER_REFUSALS = [
     ("check-short-word", lambda: CheckMatrix([[1, 2, 3]], (7,), 7)([1, 2]), "need 3 entries, got 2"),
     ("check-long-word", lambda: CheckMatrix([[1, 2, 3]], (7,), 7)([1, 2, 3, 4]),
      "need 3 entries, got 4"),
+    # a shortened scheme (n = 13) names its own lengths, not its base's (n = 15)
+    ("shortened-short-read",
+     lambda: api.ShortenedScheme(api.SingleErrorScheme(2, 15, 1), 2).decode(
+         api.ReadVector.exact((0,) * 5)),
+     "read vector length 5 != 13"),
 ]
 
 
