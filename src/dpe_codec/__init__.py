@@ -43,7 +43,6 @@ from .locators import (
 )
 from .multi import LargeAlphabetScheme, RecursiveScheme
 from .oracles import (
-    ExtField,
     LinearInnerCode,
     base_q_digits,
     base_q_value,
@@ -69,7 +68,6 @@ __all__ = [
     "DECODE_FAILURE",
     "DecodeOutcome",
     "DoubleErrorScheme",
-    "ExtField",
     "FaultModel",
     "HammingScheme",
     "LargeAlphabetScheme",

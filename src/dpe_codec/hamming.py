@@ -26,10 +26,6 @@ them in one product.  `syndromes` admits its symbols
 whole arrays: its points tested distinct and in range on a sorted copy,
 and its check rows as one running product of the points (int64 while
 p^2 < 2^63, else Python ints); it takes no inverse until it decodes.
-Any linear code over GF(p) with a `check` matrix, an `encode` that also
-takes an l x k block of messages, and `locate_syndromes` can stand in,
-such as ``oracles.LinearInnerCode``; ``oracles`` also holds the
-support-scan decoder the Reed-Solomon decoder is checked against.
 
 The scheme is a `core.Scheme`.  Its `encode_array` has the inner code
 encode the whole packed block, and the check symbols become base-q digit
@@ -259,7 +255,6 @@ class HammingScheme(Scheme):
         sigma: int = 0,
         rho_max: int = 0,
         p: int | None = None,
-        inner=None,
     ):
         super().__init__(q, ell)
         self.theta, self.d = self._budget(q, ell, tau, theta, sigma, rho_max, p)
@@ -273,7 +268,7 @@ class HammingScheme(Scheme):
         else:
             if p <= 2 * self.theta:
                 raise ValueError(f"need p > 2*theta = {2 * self.theta}, got {p}")
-            if inner is None and p - 1 < self.ntilde:
+            if p - 1 < self.ntilde:
                 raise ValueError(
                     f"p = {p} offers only {p - 1} evaluation points but the inner "
                     f"code needs length {self.ntilde}; next usable prime is "
@@ -287,14 +282,7 @@ class HammingScheme(Scheme):
         self.field = PrimeField(p)
         self.m = ceil_log(q, p)
         self.n = self._length(q, k, self.d, p)
-        self.inner = inner if inner is not None else ReedSolomonCode(self.field, self.ntilde, k)
-        if self.inner.field.p != p:
-            raise ValueError(
-                f"inner code is over GF({self.inner.field.p}), but the scheme's "
-                f"symbols are mod p = {p}"
-            )
-        if self.inner.length != self.ntilde or self.inner.k != k or self.inner.d < self.d:
-            raise ValueError("inner code does not match the scheme parameters")
+        self.inner = ReedSolomonCode(self.field, self.ntilde, k)
         if sigma == 0 and rho_max == 0:
             assert self.n - self.k <= self.redundancy_bound()
         self._digit_weights = [q**j % p for j in range(self.m)]

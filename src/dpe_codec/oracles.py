@@ -1,10 +1,10 @@
 """Brute-force ground truth: enumerate every product vector a scheme can
 emit, audit the minimum distance over distinct data prefixes, decode by
 nearest-codeword search, decode a Lee-metric code by enumerating its L1
-sphere (`iter_l1_errors`, `decode_exhaustive`, also for extension-field
-locators through `ExtField` and `ExtLeeCode`), decode Reed-Solomon errors
-and erasures by a scan over error supports, and decode any linear inner
-code by enumerating its codewords (`LinearInnerCode`).  These are the
+sphere (`iter_l1_errors`, `decode_exhaustive`), decode Reed-Solomon errors
+and erasures by a scan over error supports, and decode a linear code given
+by its check matrix by enumerating its codewords (`LinearInnerCode`, the
+Reed-Solomon decoder's reference).  These are the
 reference answers the production decoders are checked against.  Every
 enumeration is refused above a guard (raisable through
 DPE_CODEC_GUARD_OVERRIDE; `check_guard` words most refusals), so they stay
@@ -25,7 +25,7 @@ import math
 import os
 from typing import Callable, Iterable, Sequence
 
-from .basemath import PrimeField, gfp_solve, hamming_dist, l1_dist, require_int, sphere_volume_l1
+from .basemath import PrimeField, gfp_solve, hamming_dist, l1_dist, sphere_volume_l1
 from .core import (
     DECODE_FAILURE,
     CheckMatrix,
@@ -39,7 +39,6 @@ from .core import (
     field_symbols,
     systematic_word,
 )
-from .gfpoly import poly_divmod, poly_eval, poly_mul
 
 # Hard feasibility constants (raisable via DPE_CODEC_GUARD_OVERRIDE).
 ENUMERATION_GUARD = 1_000_000
@@ -310,8 +309,9 @@ def scan_errors_erasures(code, values: Sequence[int], erased: Sequence[int], rad
 
 class LinearInnerCode:
     """Any linear code from an explicit parity-check matrix over GF(p),
-    systematic on its tail, decoded by enumerating all codewords; it can
-    stand in for the Reed-Solomon inner code of a HammingScheme."""
+    systematic on its tail, decoded by enumerating all codewords: the
+    reference that `hamming.ReedSolomonCode`, built from the same check
+    rows, is checked against."""
 
     def __init__(self, field: PrimeField, check_matrix: Sequence[Sequence[int]], distance: int):
         p = field.p
@@ -368,134 +368,15 @@ class LinearInnerCode:
         return None
 
 
-class ExtField:
-    """GF(p^h) as polynomials over GF(p) modulo a monic irreducible of degree h.
-
-    Elements are tuples of h coefficients, lowest degree first.  Only the
-    operations needed for syndrome evaluation and exhaustive decoding are
-    provided; h == 1 instances are rejected (use PrimeField directly).
-    """
-
-    def __init__(self, p: int, h: int, modulus_poly: Sequence[int] | None = None):
-        if require_int("h", h) < 2:
-            raise ValueError("extension degree must be >= 2")
-        self.base = PrimeField(p)
-        self.p = p
-        self.h = h
-        if modulus_poly is None:
-            modulus_poly = self._find_irreducible(p, h)
-        if len(modulus_poly) != h + 1 or modulus_poly[-1] != 1:
-            raise ValueError("modulus polynomial must be monic of degree h")
-        if not self._is_irreducible(tuple(modulus_poly), p):
-            raise ValueError("modulus polynomial is reducible")
-        self.modulus_poly = tuple(v % p for v in modulus_poly)
-        self.zero = (0,) * h
-        self.one = (1,) + (0,) * (h - 1)
-
-    @classmethod
-    def _is_irreducible(cls, mod: tuple[int, ...], p: int) -> bool:
-        # Degree <= 3 suffices for our use: irreducible iff no roots in GF(p)
-        # (plus squarefree-by-roots argument does not extend past 3, so guard).
-        deg = len(mod) - 1
-        if deg > 3:
-            raise ValueError("irreducibility check supports degree <= 3")
-        return all(poly_eval(mod, x, p) for x in range(p))
-
-    @classmethod
-    def _find_irreducible(cls, p: int, h: int) -> tuple[int, ...]:
-        if h > 3:
-            raise ValueError("automatic modulus search supports degree <= 3")
-        for tail in itertools.product(range(p), repeat=h):
-            cand = tuple(tail) + (1,)
-            if cls._is_irreducible(cand, p):
-                return cand
-        raise AssertionError("no irreducible polynomial found")  # unreachable
-
-    def element(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        if len(coeffs) > self.h:
-            raise ValueError("too many coefficients")
-        vals = [v % self.p for v in coeffs] + [0] * (self.h - len(coeffs))
-        return tuple(vals)
-
-    def from_int(self, n: int) -> tuple[int, ...]:
-        """Embed a base-field integer as a constant polynomial."""
-        return (n % self.p,) + (0,) * (self.h - 1)
-
-    def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((-x) % self.p for x in a)
-
-    def scale(self, c: int, a: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(c * x % self.p for x in a)
-
-    def mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        _, rem = poly_divmod(poly_mul(a, b, self.p), self.modulus_poly, self.p)
-        return tuple(rem + [0] * (self.h - len(rem)))
-
-    def power(self, a: tuple[int, ...], e: int) -> tuple[int, ...]:
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def all_elements(self):
-        for coeffs in itertools.product(range(self.p), repeat=self.h):
-            yield tuple(coeffs)
-
-
-class ExtLeeCode:
-    """The odd-power Lee checks of `berlekamp.BerlekampCode` with locators
-    in GF(p^h) (coefficient tuples of `ext`): syndromes only, for
-    `decode_exhaustive`."""
-
-    def __init__(self, ext: ExtField, beta: Sequence, tau: int):
-        if tau < 1:
-            raise ValueError(f"error budget must be >= 1, got {tau}")
-        if 2 * tau >= ext.p:
-            raise ValueError(f"need 2*tau < p, got tau={tau}, p={ext.p}")
-        self._ext = ext
-        self.tau = tau
-        self.n = len(beta)
-        if self.n < 1:
-            raise ValueError("code length must be >= 1")
-        beta = tuple(ext.element(b) for b in beta)
-        if len(set(beta)) != self.n or ext.zero in beta:
-            raise ValueError("locators must be nonzero and distinct")
-        if any(ext.neg(b) in beta for b in beta):
-            raise ValueError("two locators negate each other")
-        self._power_cols = [tuple(ext.power(b, 2 * v + 1) for b in beta) for v in range(tau)]
-
-    def syndrome(self, y: Sequence[int]) -> tuple:
-        if len(y) != self.n:
-            raise ValueError(f"vector length {len(y)} != code length {self.n}")
-        ext = self._ext
-        out = []
-        for col in self._power_cols:
-            acc = ext.zero
-            for v, b in zip(y, col):
-                acc = ext.add(acc, ext.scale(v, b))
-            out.append(acc)
-        return tuple(out)
-
-    def zero_syndrome(self) -> tuple:
-        return (self._ext.zero,) * self.tau
-
-
 class SyndromeAmbiguityError(RuntimeError):
     """Two distinct in-budget errors share a syndrome (contradicts the
     designed minimum distance); raised by the exhaustive decoder."""
 
 
 def decode_exhaustive(code, syn: Sequence, budget: int | None = None) -> list[int] | None:
-    """Ground-truth decoder for a Lee-metric code (a `BerlekampCode` or an
-    `ExtLeeCode`): enumerate every error with L1 weight <= budget and
-    return the unique one matching the syndrome.
+    """Ground-truth decoder for a `BerlekampCode`: enumerate every error
+    with L1 weight <= budget and return the unique one matching the
+    syndrome.
 
     Raises SyndromeAmbiguityError if two in-budget errors match, which
     would contradict the code's designed minimum distance.

@@ -20,7 +20,6 @@ from dpe_codec.basemath import (
     _tonelli_shanks,
 )
 from dpe_codec.oracles import (
-    ExtField,
     base_q_digits,
     base_q_value,
     compositions,
@@ -300,30 +299,6 @@ class TestLinearSolve:
         if sol is not None:
             back = [sum(matrix[i][j] * sol[j] for j in range(size)) % p for i in range(size)]
             assert back == rhs
-
-
-class TestExtField:
-    def test_basic_axioms(self):
-        f9 = ExtField(3, 2)
-        elements = list(f9.all_elements())
-        assert len(elements) == 9
-        one = f9.one
-        for a in elements:
-            assert f9.add(a, f9.neg(a)) == f9.zero
-            assert f9.mul(a, one) == a
-        # nonzero elements form a group of order 8
-        for a in elements:
-            if a != f9.zero:
-                assert f9.power(a, 8) == one
-
-    def test_from_int(self):
-        f25 = ExtField(5, 2)
-        assert f25.from_int(7) == (2, 0)
-        assert f25.mul(f25.from_int(2), f25.from_int(3)) == f25.from_int(6)
-
-    def test_rejects_h1(self):
-        with pytest.raises(ValueError):
-            ExtField(5, 1)
 
 
 class TestIterL1Errors:

@@ -14,7 +14,7 @@ from dpe_codec.berlekamp import (
     systematic_encode,
 )
 from dpe_codec.core import CheckMatrix, error_vector
-from dpe_codec.oracles import ExtField, ExtLeeCode, SyndromeAmbiguityError, iter_l1_errors
+from dpe_codec.oracles import SyndromeAmbiguityError, iter_l1_errors
 
 ALPHA15 = (3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 1, 2, 4, 8, 16)
 
@@ -53,6 +53,10 @@ class TestConstruction:
         for p, beta, pair in ((11, (2, 9, 1), "2 and 9"), (13, (1, 2, 3, 4, 5, 8), "5 and 8")):
             with pytest.raises(ValueError, match=f"^locators {pair} negate each other$"):
                 BerlekampCode(PrimeField(p), beta, tau)
+
+    def test_encode_rejected(self):
+        with pytest.raises(ValueError, match="locators must be integers"):
+            BerlekampCode(PrimeField(3), [(1, 0), (0, 1)], tau=1)
 
     def test_takes_no_validate_and_no_budget(self, code31_tau2):
         with pytest.raises(TypeError):
@@ -240,35 +244,6 @@ class TestMinimumDistance:
     def test_designed_distance(self, p, n, tau):
         code = BerlekampCode(PrimeField(p), tuple(range(1, n + 1)), tau=tau)
         assert _min_lee_distance(code) >= 2 * tau + 1
-
-
-class TestExtensionField:
-    def test_syndrome_and_oracle(self):
-        ext = ExtField(3, 2)
-        # distinct nonzero non-negating locators over GF(9)
-        beta = [(1, 0), (0, 1), (1, 1), (2, 1)]
-        code = ExtLeeCode(ext, beta, tau=1)
-        for e in iter_l1_errors(4, 1):
-            syn = code.syndrome(e)
-            assert decode_exhaustive(code, syn) == e
-
-    def test_min_distance_by_enumeration(self):
-        import itertools
-
-        ext = ExtField(3, 2)
-        beta = [(1, 0), (0, 1), (1, 1), (2, 1)]
-        code = ExtLeeCode(ext, beta, tau=1)
-        field = PrimeField(3)
-        best = None
-        for vec in itertools.product(range(3), repeat=4):
-            if any(vec) and code.syndrome(vec) == code.zero_syndrome():
-                w = lee_weight(vec, field)
-                best = w if best is None else min(best, w)
-        assert best is not None and best >= 3
-
-    def test_encode_rejected(self):
-        with pytest.raises(ValueError, match="locators must be integers"):
-            BerlekampCode(PrimeField(3), [(1, 0), (0, 1)], tau=1)
 
 
 class TestDispatch:

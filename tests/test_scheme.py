@@ -153,7 +153,6 @@ INTEGER_PARAMETERS = [
     (lambda length, k: api.ReedSolomonCode(api.PrimeField(13), length, k),
      {"length": 6, "k": 2}, ["length", "k"]),
     (api.PrimeField, {"p": 7}, ["p"]),
-    (api.ExtField, {"p": 3, "h": 2}, ["p", "h"]),
     (api.sphere_volume_l1, {"n": 5, "t": 2}, ["n", "t"]),
     (api.jacobsthal_weight, {"q": 4, "j": 1}, ["q", "j"]),
     (api.build_locators_basic, {"q": 2, "n": 15}, ["q", "n"]),
