@@ -47,10 +47,11 @@ class TestParams:
         assert data["k"] == 10 and data["n"] == 15
         assert data["locators"]["alpha"][10:] == [1, 2, 4, 8, 16]
 
-    def test_every_constructor_parameter_is_a_cli_argument(self):
+    @pytest.mark.parametrize("name", cli.SCHEMES)
+    def test_every_constructor_parameter_is_a_cli_argument(self, name):
         # a parameter past `args` would be an option only a library caller sets
-        for name, spec in cli.SCHEMES.items():
-            assert len(inspect.signature(spec.cls).parameters) == len(spec.args), name
+        spec = cli.SCHEMES[name]
+        assert len(inspect.signature(spec.cls).parameters) == len(spec.args)
 
     def test_missing_flag(self, capsys):
         assert main(["params", "--scheme", "sec", "--q", "2"]) == 1

@@ -318,6 +318,19 @@ class TestSchemeConstruction:
                     y[j] = value
                     assert scheme.decode(ReadVector.exact(y)).prefix == prefix, (j, value)
 
+    @pytest.mark.parametrize("args,kwargs", [
+        ((2, 2, 8, 2), {}),
+        ((2, 2, 20, 1), {"p": 23}),
+        ((2, 2, 1, 2), {"theta": 2, "rho_max": 1}),
+    ], ids=["default-p", "p23", "erasures"])
+    def test_inner_code_is_the_reed_solomon_code_over_gf_p(self, args, kwargs):
+        scheme = HammingScheme(*args, **kwargs)
+        inner = scheme.inner
+        assert type(inner) is ReedSolomonCode
+        assert inner.field.p == scheme.p
+        assert (inner.length, inner.k, inner.d) == (scheme.ntilde, scheme.k, scheme.d)
+        assert set(inner.check.moduli) == {scheme.p}
+
     def test_prime_selection_rejects_small(self):
         with pytest.raises(ValueError, match="next usable prime is 7"):
             HammingScheme(q=2, ell=2, k=1, tau=2, theta=2, rho_max=1, p=5)
@@ -403,6 +416,38 @@ class TestPackingMap:
         # two digits of the same packed symbol cost one erasure
         _, erased = scheme.pack([0] * scheme.n, [scheme.k + 2, scheme.k + 2 + block])
         assert erased == {scheme.k + 2}
+
+
+class TestOracleInnerCode:
+    def test_scheme_locates_as_the_enumeration_decoder(self):
+        # the scheme's inner code against the enumeration reference built
+        # from the same check rows, on the syndromes of the scheme's reads
+        scheme = HammingScheme(q=2, ell=2, k=1, tau=2, theta=2, rho_max=1)
+        assert scheme.p == 7
+        rs = scheme.inner
+        oracle = LinearInnerCode(scheme.field, rs.check.rows, distance=rs.d)
+        for msg in range(scheme.p):
+            assert oracle.encode([msg]) == rs.encode([msg])
+        a = QMatrix.from_lists(2, [[1], [0]])
+        c = _product([1, 1], scheme.encode(a))
+        prefix = tuple(c[:1])
+        reads = []
+        for j1, j2 in itertools.combinations(range(scheme.n), 2):
+            for d1, d2 in itertools.product((-2, -1, 1, 2), repeat=2):
+                y = list(c)
+                y[j1] += d1
+                y[j2] += d2
+                if 0 <= y[j1] < scheme.q_out and 0 <= y[j2] < scheme.q_out:
+                    reads.append(ReadVector.exact(y))
+                    reads.append(ReadVector.with_erasures(y, [j1]))
+        assert len(reads) > 100
+        for read in reads:
+            syn = scheme.read_syndromes(read)
+            erased = sorted(scheme._erased_symbols(read.erased))
+            expected = oracle.locate_syndromes(syn, erased, scheme.tau)
+            assert expected is not None
+            assert sorted(rs.locate_syndromes(syn, erased, scheme.tau)) == sorted(expected)
+            assert scheme.decode(read).prefix == prefix
 
 
 class TestMagnitudeLifting:

@@ -119,6 +119,7 @@ SCHEMES = [
     ("recursive-tau3", lambda: api.RecursiveScheme(2, 2, 3, 31), 3, 1, 0),
     ("hamming", lambda: api.HammingScheme(2, 2, 8, 2), 2, 2, 0),
     ("hamming-erasures", lambda: api.HammingScheme(2, 2, 6, 1, theta=2, rho_max=1), 1, 2, 1),
+    ("hamming-k1-p7", lambda: api.HammingScheme(2, 2, 1, 1, theta=1, p=7), 1, 1, 0),
     ("large-alphabet", lambda: api.LargeAlphabetScheme(8, 3, 1, 2), 1, 1, 0),
     ("large-alphabet-tau2", lambda: api.LargeAlphabetScheme(31, 12, 2, 2), 2, 1, 0),
     ("large-alphabet-tau3", lambda: api.LargeAlphabetScheme(31, 12, 3, 2), 3, 1, 0),
