@@ -16,14 +16,19 @@ application to constrained and partial-response channels", IEEE Trans.
 IT, 1994).  An error of Lee weight <= 2 needs no key equation: it is read
 off the first two components, one point where S_3 = S_1^3, else the two
 roots of z^2 - S_1 z + e_2 (`gfp_quadratic_roots`), so a read with one or
-two errors skips Newton's recursion, Euclid and the scan.  Anything else
-goes to the key equation, whose locate step scans each pair of points
-+-beta once (`gfpoly.scan_pairs`, over the table `gfpoly.pair_table`
-builds on the code's first scan), and reads the last point off the sum of
-the others, so a linear locator needs no scan.  Both map their points to
-hits through `core.unit_error` in one helper, which checks every
-component the points do not meet by construction.  The exhaustive
-decoder, the ground truth it is checked against, lives in `oracles`.
+two errors skips Newton's recursion, Euclid and the scan.  On a tau = 3
+code, three points are read off S_1, S_3 and S_5 in closed form
+(Peterson, IRE Trans. IT, 1960): Newton's identities give their
+elementary symmetric functions with one inverse, so no read of a code
+with tau <= 3 solves a key equation.  A larger code goes to the key
+equation.  Either locator's points are found by one helper (`_locate`),
+which scans each pair of points +-beta once (`gfpoly.scan_pairs`, over
+the table `gfpoly.pair_table` builds on the code's first scan), and reads
+the last point off the sum of the others, so a linear locator needs no
+scan.  Every point maps to a hit through `core.unit_error`; one helper
+(`_hits`) checks every component the points do not meet by
+construction.  The exhaustive decoder, the ground truth it is checked
+against, lives in `oracles`.
 
 A code is built as whole arrays: its locators reduced mod p at once and
 tested on a sorted copy, its power columns one running product (beta,
@@ -117,8 +122,10 @@ class BerlekampCode:
             raise ValueError(refusal)
         self.beta = tuple(self._beta.tolist())
         self._index = dict(zip(self.beta, range(self.n)))
-        # Newton's recursion in the key-equation decoder multiplies by
-        # -2/m for m = 1 .. 2tau-1.
+        # The weight-3 read-off divides by 3 (p >= 7 at tau = 3); Newton's
+        # recursion in the key-equation decoder multiplies by -2/m for
+        # m = 1 .. 2tau-1.
+        self._third = pow(3, -1, p) if tau == 3 else 0
         self._newton = [-2 * v % p for v in inverses(range(1, 2 * tau), p)]
 
     @cached_property
@@ -190,21 +197,20 @@ def locate_key_equation(code: BerlekampCode, syn: Sequence[int]) -> Hits | None:
     e_j > 0, and -beta_j |e_j| times when e_j < 0, so the odd syndromes are
     the odd power sums of Lambda's points.  An error of weight <= min(tau,
     2) is read off S_1 and S_3 first (`_read_off`); where that finds none,
-    a code with tau <= 2 gives None, and a larger one solves the key
-    equation: the power sums fix
+    a code with tau <= 2 gives None.  Splitting Lambda = A(x^2) + x B(x^2),
+    a tau = 3 code reads its three points' locator
+    Lambda = 1 - e_1 x + e_2 x^2 - e_3 x^3 off S_1, S_3 and S_5 by Newton's
+    identities: e_1 = S_1, c = e_3 - e_1 e_2 = (S_3 - S_1^3)/3, and
+    S_5 = S_1^5 + 5 S_1^2 c - 5 c e_2, where the e_2^2 terms cancel, so e_2
+    is linear in S_5 and A = [1, e_2], B = [-e_1, -e_3].  A zero c gives
+    None: three points with S_3 = S_1^3 hold a negating pair, which no
+    error puts in Lambda.  A larger code solves the key equation: the
+    power sums fix
     Lambda(x) / Lambda(-x) = exp(-2 * sum_{k odd} S_k x^k / k) mod x^(2*tau),
-    and splitting Lambda = A(x^2) + x B(x^2) turns this into the Pade
-    problem B = A * H mod z^tau, solved by Euclid.
-
-    The points are the reciprocals of Lambda's roots, and they sum to
-    -B(0)/A(0) with multiplicity.  The scan (`gfpoly.scan_pairs`) takes
-    each pair +-beta of the code's table once, testing both signs from one
-    evaluation of A and B.  It stops at deg Lambda - 1 points, and the last
-    is read off from the sum; a linear Lambda's one point is read off with
-    no scan.  Only when the scan falls short are multiplicities found by
-    deflating at the points it found.  The error is checked against every
-    syndrome component (`_hits`).  Euclid's A and B share no factor but a
-    power of z, so Lambda never has both 1/beta and -1/beta as roots.
+    which turns into the Pade problem B = A * H mod z^tau, solved by
+    Euclid.  Euclid's A and B share no factor but a power of z, and a
+    nonzero c rules out a negating pair, so Lambda never has both 1/beta
+    and -1/beta as roots.  Both locators' points are found by `_locate`.
     """
     if len(syn) != code.tau:
         raise ValueError(f"need {code.tau} syndrome components, got {len(syn)}")
@@ -215,6 +221,16 @@ def locate_key_equation(code: BerlekampCode, syn: Sequence[int]) -> Hits | None:
     hits = _read_off(code, syn)
     if hits is not None or t <= 2:
         return hits
+    if t == 3:
+        # Three points have e_1 = S_1, e_3 - e_1 e_2 = c = (S_3 - S_1^3)/3
+        # and S_5 = S_1^5 + 5 S_1^2 c - 5 c e_2 (Newton's identities).
+        s1, s3, s5 = syn
+        c = (s3 - s1 * s1 % p * s1) * code._third % p
+        if not c:  # a negating pair: its weight-1 rest was read off above
+            return None
+        e2 = (s1 * s1 % p * (s3 + 2 * c) - s5) * pow(5 * c, -1, p) % p
+        e3 = (c + s1 * e2) % p
+        return _locate(code, syn, poly_trim([1, e2]), poly_trim([-s1 % p, -e3 % p]))
     # Psi = Lambda(x) / Lambda(-x) through x^(2t-1): Psi' = f' Psi gives
     # m psi_m = -2 * sum_{k odd <= m} S_k psi_(m-k).
     psi = [1]
@@ -231,6 +247,22 @@ def locate_key_equation(code: BerlekampCode, syn: Sequence[int]) -> Hits | None:
     a, b = solve_key_equation([0] * t + [1], h, (t + 1) // 2, p)
     if not a or a[0] == 0:
         return None
+    return _locate(code, syn, a, b)
+
+
+def _locate(code: BerlekampCode, syn: list[int], a: list[int], b: list[int]) -> Hits | None:
+    """The hits whose points are the reciprocals of the roots of
+    Lambda = A(x^2) + x B(x^2) (A and B trimmed, A(0) nonzero), checked
+    against every syndrome component (`_hits`), or None.
+
+    The points sum to -B(0)/A(0) with multiplicity.  The scan
+    (`gfpoly.scan_pairs`) takes each pair +-beta of the code's table once,
+    testing both signs from one evaluation of A and B.  It stops at
+    deg Lambda - 1 points, and the last is read off from the sum; a linear
+    Lambda's one point is read off with no scan.  Only when the scan falls
+    short are multiplicities found by deflating at the points it found
+    (`gfpoly.poly_roots`)."""
+    p = code.field.p
     degree = max(2 * len(a) - 2, 2 * len(b) - 1)
     points = scan_pairs(a, b, code._pairs, degree - 1, p) if degree > 1 else []
     if len(points) == degree - 1:
@@ -269,6 +301,9 @@ def _read_off(code: BerlekampCode, syn: list[int]) -> Hits | None:
     s1 = syn[0]
     cube = s1 * s1 % p * s1 % p
     if len(syn) == 1 or syn[1] == cube:
+        if len(syn) <= 2:  # nothing past S_3 to check
+            hit = unit_error(code._index, p, s1)
+            return None if hit is None else (hit,)
         return _hits(code, syn, ((s1, 1),), 2)
     if s1 == 0:
         return None

@@ -2,10 +2,12 @@
 
 A polynomial is a list of ints in [0, p), lowest degree first, trimmed so
 that its last coefficient is nonzero; the zero polynomial is the empty
-list, of degree -1.  The Lee-metric key-equation decoder in
-``berlekamp`` (every code's one locate, past the errors of weight <= 2 it
-reads off two components), the Reed-Solomon decoder in ``hamming`` and the
-extension-field arithmetic in ``oracles`` share these helpers.
+list, of degree -1.  The Lee-metric decoder in ``berlekamp`` and the
+Reed-Solomon decoder in ``hamming`` share these helpers.  A Lee code
+with tau <= 3, and a Reed-Solomon read with no erasures and radius <= 3,
+find their locator in closed form, so Euclid (`solve_key_equation`)
+serves only Lee codes with tau >= 4 (past the errors of weight <= 2 they
+read off) and Reed-Solomon reads with erasures or a radius past 3.
 
 The two decoders' locate steps run on small polynomials (degree at most
 the error budget) read by read, so they stay in pure Python: Euclid on

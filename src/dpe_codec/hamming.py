@@ -14,7 +14,10 @@ erasures from its syndromes by Euclid on the key equation with Forney's
 values (Roth, Introduction to Coding Theory, ch. 6).  A syndrome with no
 erasures that is geometric (S_1^2 = S_0 S_2, an O(1) gate) is first read
 as one error, its point S_1/S_0 looked up and checked against every
-syndrome, so a one-error read skips Euclid and the scan.  Otherwise the
+syndrome, so a one-error read skips Euclid and the scan.  With no
+erasures and radius <= 3, the locator of three or two errors is solved
+from its Hankel system by Cramer's rule (Peterson, IRE Trans. IT, 1960),
+so only erasure reads and radii past 3 go to Euclid.  Then the
 locate step reads a linear locator's one point off and scans the pairs of
 points +-v (`gfpoly.scan_pairs`, the Lee decoder's scan, over the table
 `gfpoly.pair_table` builds on the code's first scan) until one point is
@@ -73,7 +76,15 @@ from .core import (
     require_int,
     systematic_word,
 )
-from .gfpoly import inverses, pair_table, poly_eval, poly_mul, scan_pairs, solve_key_equation
+from .gfpoly import (
+    inverses,
+    pair_table,
+    poly_eval,
+    poly_mul,
+    poly_trim,
+    scan_pairs,
+    solve_key_equation,
+)
 
 
 class ReedSolomonCode:
@@ -158,8 +169,8 @@ class ReedSolomonCode:
         first: its syndromes S_v = e gamma^(v+1) pass the gate
         S_1^2 = S_0 S_2, gamma = S_1/S_0 is looked up among the points, and
         e = S_0/gamma is returned if it reproduces all d - 1 syndromes;
-        this skips Euclid and the scan.  Any syndrome it does not explain
-        takes the path below.
+        this skips the locator and the scan.  Any syndrome it does not
+        explain takes the path below.
 
         Corrects up to `radius` errors alongside the given erasures whenever
         2*radius + len(erased) < d, and returns None when the closest
@@ -167,23 +178,25 @@ class ReedSolomonCode:
         syndrome without d - 1 entries and an erased index outside
         [0, length).
 
-        With locators X_j = gamma_j and values e_j * gamma_j, Euclid on the
-        erasure-modified syndrome Gamma * S mod x^(d-1) gives the error
-        locator Lambda and the evaluator Omega (with no erasures, Gamma = 1
-        and S itself).  The scan (`gfpoly.scan_pairs`) evaluates Lambda at
-        +-1/v for each pair of points +-v of the code's table until
-        deg Lambda - 1 roots are found (both signs can be roots: errors at
-        gamma and p - gamma); the locators sum to -Lambda_1/Lambda_0, which
-        gives the last (a linear Lambda's one, with no scan).  Each error
-        value is e_j = -Omega(1/X_j) / Psi'(1/X_j) for the full locator
+        With locators X_j = gamma_j and values e_j * gamma_j, the syndromes
+        are S_v = sum_j (e_j gamma_j) X_j^v.  With no erasures and
+        radius <= 3, the error locator Lambda of three or two errors solves
+        its Hankel system by Cramer's rule (`_hankel_locator`, no Euclid),
+        and the evaluator is Omega = Lambda S mod x^deg Lambda.  Otherwise
+        Euclid on the erasure-modified syndrome Gamma * S mod x^(d-1) gives
+        Lambda and Omega (with no erasures, Gamma = 1 and S itself).  The
+        scan (`gfpoly.scan_pairs`) evaluates Lambda at +-1/v for each pair
+        of points +-v of the code's table until deg Lambda - 1 roots are
+        found (both signs can be roots: errors at gamma and p - gamma); the
+        locators sum to -Lambda_1/Lambda_0, which gives the last (a linear
+        Lambda's one, with no scan).  Each error value is
+        e_j = -Omega(1/X_j) / Psi'(1/X_j) for the full locator
         Psi = Lambda * Gamma, with 1/X_j from the code's table of inverses.
         """
         erased = check_locate_input(self.check, syn, erased)
         if len(erased) >= self.d:
             return None
         p = self.field.p
-        if not any(syn):
-            return ()
         if not erased and radius >= 1 and len(syn) > 1 and syn[0] % p:
             s0, s1 = syn[0] % p, syn[1] % p
             if len(syn) == 2 or s1 * s1 % p == s0 * syn[2] % p:
@@ -192,19 +205,31 @@ class ReedSolomonCode:
                     hit = (j, s0 * self._inverses[j] % p)
                     if not any(self.check.less(syn, (hit,))):
                         return (hit,)
-        modified, erasure_locator = syn, None
-        if erased:
-            erasure_locator = [1]
-            for j in erased:
-                erasure_locator = poly_mul(erasure_locator, [1, -self.gamma[j] % p], p)
-            modified = poly_mul(erasure_locator, syn, p)[: self.d - 1]
-        stop = (self.d + len(erased)) // 2  # deg Omega < (d - 1 + rho) / 2
-        lam, omega = solve_key_equation([0] * (self.d - 1) + [1], modified, stop, p)
+        syn = [s % p for s in syn]
+        if not any(syn):
+            return ()
+        erasure_locator = None
+        if not erased and radius <= 3:
+            lam = _hankel_locator(syn, min(radius, (self.d - 1) // 2), p)
+            if lam is None:
+                return None
+            # Omega = Lambda S mod x^deg Lambda
+            omega = [sum(map(operator.mul, lam[: k + 1], syn[k::-1])) % p
+                     for k in range(len(lam) - 1)]
+        else:
+            modified = syn
+            if erased:
+                erasure_locator = [1]
+                for j in erased:
+                    erasure_locator = poly_mul(erasure_locator, [1, -self.gamma[j] % p], p)
+                modified = poly_mul(erasure_locator, syn, p)[: self.d - 1]
+            stop = (self.d + len(erased)) // 2  # deg Omega < (d - 1 + rho) / 2
+            lam, omega = solve_key_equation([0] * (self.d - 1) + [1], modified, stop, p)
+            if not lam or lam[0] == 0 or len(lam) - 1 > radius:
+                return None
         degree = len(lam) - 1
-        if not lam or lam[0] == 0 or degree > radius:
-            return None
-        # Both come from Euclid up to one common factor, which cancels in
-        # the values.  The locators are the reciprocals of Lambda's roots,
+        # Euclid's pair shares one common factor, which cancels in the
+        # values.  The locators are the reciprocals of Lambda's roots,
         # and they sum to -lam[1]/lam[0]: the scan stops one short of
         # deg Lambda and the last is read off (a linear Lambda's, unscanned).
         points = scan_pairs(lam[0::2], lam[1::2], self._pairs, degree - 1, p) if degree > 1 else []
@@ -230,6 +255,35 @@ class ReedSolomonCode:
         if any(self.check.less(syn, hits)):
             return None
         return hits
+
+
+def _hankel_locator(syn: list[int], t: int, p: int) -> list[int] | None:
+    """The locator Lambda = 1 + Lambda_1 x + .. (trimmed) of w = 3 or 2 <= t
+    errors from the reduced syndromes, by Cramer's rule on the Hankel
+    system S_v + Lambda_1 S_(v-1) + .. + Lambda_w S_(v-w) = 0,
+    v = w .. 2w - 1: w = 3 where t >= 3 and its determinant is nonzero,
+    else w = 2 where t >= 2 and its determinant is, else None.  The
+    system's matrix is V D V^T for the Vandermonde matrix V of w locators,
+    so it is singular for fewer than w errors and never for w."""
+    if t < 2:
+        return None
+    s0, s1, s2, s3 = syn[:4]
+    minor = s0 * s2 - s1 * s1  # the 2 x 2 determinant
+    if t >= 3:
+        s4, s5 = syn[4], syn[5]
+        # the adjugate of the symmetric [[S0, S1, S2], [S1, S2, S3], [S2, S3, S4]]
+        a00, a01, a02 = s2 * s4 - s3 * s3, s2 * s3 - s1 * s4, s1 * s3 - s2 * s2
+        a11, a12 = s0 * s4 - s2 * s2, s1 * s2 - s0 * s3
+        det = (s0 * a00 + s1 * a01 + s2 * a02) % p
+        if det:
+            inv = -pow(det, -1, p)
+            return poly_trim([1, (a02 * s3 + a12 * s4 + minor * s5) * inv % p,
+                              (a01 * s3 + a11 * s4 + a12 * s5) * inv % p,
+                              (a00 * s3 + a01 * s4 + a02 * s5) * inv % p])
+    if minor % p:
+        inv = pow(minor, -1, p)
+        return poly_trim([1, (s1 * s2 - s0 * s3) * inv % p, (s1 * s3 - s2 * s2) * inv % p])
+    return None
 
 
 def smallest_inner_prime(theta: int, length: int) -> int:

@@ -251,6 +251,52 @@ class TestEverySyndrome:
                 assert got == expect, (syn, radius)
 
 
+def _error_table(rs, weight):
+    """{syndrome: hits} for every error of Hamming weight 1 .. `weight`,
+    each error's (position, value) hits sorted."""
+    p = rs.field.p
+    columns = rs.check.array.T.astype(np.int64)
+    table = {}
+    for t in range(1, weight + 1):
+        values = np.array(list(itertools.product(range(1, p), repeat=t)), np.int64)
+        for support in itertools.combinations(range(rs.length), t):
+            for v, syn in zip(values.tolist(), (values @ columns[list(support)] % p).tolist()):
+                table[tuple(syn)] = tuple(zip(support, v))
+    return table
+
+
+class TestWeightThreeReadOff:
+    """d = 7, where an erasure-free read of up to three errors is read off
+    its Hankel system (`hamming._hankel_locator`): TestEverySyndrome stops
+    at d = 5, where no locator has degree 3."""
+
+    RS = ReedSolomonCode(PrimeField(11), length=10, k=4)
+
+    def test_every_error_within_three_is_located_exactly(self):
+        rs = self.RS
+        assert rs.d == 7
+        table = _error_table(rs, 3)
+        assert len(table) == 10 * 10 + 45 * 10**2 + 120 * 10**3  # no two share a syndrome
+        for syn, hits in table.items():
+            for radius in (2, 3):
+                got = rs.locate_syndromes(syn, (), radius)
+                expect = hits if len(hits) <= radius else None
+                assert (got if got is None else tuple(sorted(got))) == expect, (syn, radius)
+
+    def test_random_syndromes_outside_the_table_give_none(self):
+        rs = self.RS
+        table = _error_table(rs, 3)
+        rng = random.Random(7)
+        tried = 0
+        while tried < 20_000:
+            syn = tuple(rng.randrange(11) for _ in range(6))
+            if syn in table or not any(syn):
+                continue
+            tried += 1
+            for radius in (2, 3):
+                assert rs.locate_syndromes(syn, (), radius) is None, (syn, radius)
+
+
 class TestLocateBoundary:
     """Both inner codes refuse a syndrome of the wrong length and an erased
     index outside the code, in locate_syndromes and decode_errors_erasures."""

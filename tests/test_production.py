@@ -2,6 +2,8 @@
 faults inside the design budget must decode to the clean product's exact
 data prefix, of Python ints.  These sizes are far beyond what the
 enumeration oracles reach; the reference is the clean product itself.
+Reads with exactly tau errors, the multi-error path, are drawn at the
+production sizes of large-alphabet, recursive and hamming.
 The read-stream-size L1 instances, LARGE and HAMMING_KERNEL take the int64
 read kernel; PAST_BOUND lies past its int64 bound and runs on Python ints."""
 
@@ -53,6 +55,14 @@ HAMMING_ENCODED = _programmed(HAMMING, 3)
 HAMMING_KERNEL = HammingScheme(q=2, ell=ELL, k=128, tau=2, sigma=1, rho_max=2)
 HAMMING_KERNEL_ENCODED = _programmed(HAMMING_KERNEL, 5)
 
+
+# reads with exactly tau errors, the multi-error path, at production size;
+# LARGE is the third such scheme
+RECURSIVE_1031 = RecursiveScheme(2, ELL, 3, 1031)
+RECURSIVE_1031_ENCODED = _programmed(RECURSIVE_1031, 8)
+HAMMING_256 = HammingScheme(2, ELL, 256, 3)
+HAMMING_256_ENCODED = _programmed(HAMMING_256, 9)
+EXACT_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
 # the L1 schemes at the read-stream benchmark's sizes, each with its error
 # budget
@@ -135,6 +145,39 @@ def test_recursive_tau3_magnitudes(case):
     clean = compute_clean(u, RECURSIVE_ENCODED)
     y = _apply_drifts(list(clean), [big] + drifts, RECURSIVE.q_out)
     _assert_exact(RECURSIVE, y, clean)
+
+
+def _exact_lee_case(scheme, width):
+    """u, and Lee weight exactly 3 split over distinct columns as (1, 1, 1),
+    (2, 1) or (3,), each part a drift of either sign."""
+    return st.sampled_from(((1, 1, 1), (2, 1), (3,))).flatmap(lambda parts: st.tuples(
+        st.lists(st.integers(0, scheme.q - 1), min_size=ELL, max_size=ELL),
+        st.lists(st.integers(0, width - 1), min_size=len(parts), max_size=len(parts),
+                 unique=True),
+        st.tuples(*(st.sampled_from((m, -m)) for m in parts)),
+    ))
+
+
+@EXACT_SETTINGS
+@given(st.data())
+def test_exactly_tau_errors_decode_at_production_size(data):
+    for scheme, encoded in ((LARGE, LARGE_ENCODED), (RECURSIVE_1031, RECURSIVE_1031_ENCODED)):
+        assert scheme.tau == 3
+        width = getattr(scheme, "total_length", scheme.n)
+        u, columns, drifts = data.draw(_exact_lee_case(scheme, width))
+        clean = compute_clean(u, encoded)
+        y = _apply_drifts(list(clean), list(zip(columns, drifts)), scheme.q_out)
+        assert all(0 <= v < scheme.q_out for v in y)
+        _assert_exact(scheme, y, clean)
+    # hamming: three distinct columns, each moved to another symbol
+    u = data.draw(st.lists(st.integers(0, 1), min_size=ELL, max_size=ELL))
+    columns = data.draw(st.lists(st.integers(0, HAMMING_256.n - 1), min_size=3, max_size=3,
+                                 unique=True))
+    clean = compute_clean(u, HAMMING_256_ENCODED)
+    y = list(clean)
+    for j in columns:
+        y[j] = (y[j] + data.draw(st.integers(1, HAMMING_256.q_out - 1))) % HAMMING_256.q_out
+    _assert_exact(HAMMING_256, y, clean)
 
 
 def test_single_errors_decode_without_a_scan(monkeypatch):
