@@ -222,8 +222,6 @@ def locate_key_equation(code: BerlekampCode, syn: Sequence[int]) -> Hits | None:
     if hits is not None or t <= 2:
         return hits
     if t == 3:
-        # Three points have e_1 = S_1, e_3 - e_1 e_2 = c = (S_3 - S_1^3)/3
-        # and S_5 = S_1^5 + 5 S_1^2 c - 5 c e_2 (Newton's identities).
         s1, s3, s5 = syn
         c = (s3 - s1 * s1 % p * s1) * code._third % p
         if not c:  # a negating pair: its weight-1 rest was read off above
@@ -295,7 +293,8 @@ def _read_off(code: BerlekampCode, syn: list[int]) -> Hits | None:
     S_1^5 - 5 S_1^3 xy + 5 S_1 (xy)^2, which a code with more components
     tests first, free of inverses: 9 S_1 (S_5 - S_1^5) + (15 S_1^3 - 5 D) D
     = 0.  The points meet S_1 and S_3 by construction, so only the
-    components past them are checked (`_hits`).
+    components past them are checked (`_hits`); a code with tau <= 2 has
+    none, so its one point is `core.unit_error`'s hit as it stands.
     """
     p = code.field.p
     s1 = syn[0]
