@@ -211,7 +211,7 @@ def gfp_quadratic_roots(b: int, c: int, field: PrimeField) -> set[int]:
     root = gfp_sqrt(disc, field)
     if root is None:
         return set()
-    half = gfp_inv(2, field)
+    half = (p + 1) // 2  # 1/2 mod the odd p
     return {(-b + root) * half % p, (-b - root) * half % p}
 
 

@@ -13,22 +13,16 @@ vector; no read goes through it.
 Every code is decoded algebraically at its full budget by one decoder,
 `locate_key_equation` (Roth & Siegel, "Lee-metric BCH codes and their
 application to constrained and partial-response channels", IEEE Trans.
-IT, 1994).  An error of Lee weight <= 2 needs no key equation: it is read
-off the first two components, one point where S_3 = S_1^3, else the two
-roots of z^2 - S_1 z + e_2 (`gfp_quadratic_roots`), so a read with one or
-two errors skips Newton's recursion, Euclid and the scan.  On a tau = 3
-code, three points are read off S_1, S_3 and S_5 in closed form
-(Peterson, IRE Trans. IT, 1960): Newton's identities give their
-elementary symmetric functions with one inverse, so no read of a code
-with tau <= 3 solves a key equation.  A larger code goes to the key
-equation.  Either locator's points are found by one helper (`_locate`),
-which scans each pair of points +-beta once (`gfpoly.scan_pairs`, over
-the table `gfpoly.pair_table` builds on the code's first scan), and reads
-the last point off the sum of the others, so a linear locator needs no
-scan.  Every point maps to a hit through `core.unit_error`; one helper
-(`_hits`) checks every component the points do not meet by
-construction.  The exhaustive decoder, the ground truth it is checked
-against, lives in `oracles`.
+IT, 1994).  An error of Lee weight <= 2, or <= 3 on a tau = 3 code, needs
+no key equation: its locator is read off S_1, S_3 and S_5 in closed form
+by Newton's identities (`_read_off`; Peterson, IRE Trans. IT, 1960), so
+no read of a code with tau <= 3 solves a key equation, and a read with
+one or two errors never scans.  A larger code goes to the key equation.
+Either locator's points come from `gfpoly.locator_points`.  Every point
+maps to a hit through `core.unit_error`, and one helper (`_hits`) checks
+only the components the points do not meet by construction: none, on a
+code with tau <= 3.  The exhaustive decoder, the ground truth it is
+checked against, lives in `oracles`.
 
 A code is built as whole arrays: its locators reduced mod p at once and
 tested on a sorted copy, its power columns one running product (beta,
@@ -51,11 +45,11 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import countOf, mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .basemath import PrimeField, gfp_quadratic_roots
+from .basemath import PrimeField
 from .core import (
     INT64_BOUND,
     CheckMatrix,
@@ -67,7 +61,7 @@ from .core import (
     systematic_word,
     unit_error,
 )
-from .gfpoly import inverses, pair_table, poly_roots, poly_trim, scan_pairs, solve_key_equation
+from .gfpoly import inverses, locator_points, pair_table, poly_trim, solve_key_equation
 # decode_exhaustive stays bound here: bench/tracing.py traces it under this module.
 from .oracles import decode_exhaustive
 
@@ -133,8 +127,8 @@ class BerlekampCode:
         """The tau odd-power checks for vectors with entries in [0, bound):
         row v holds beta_j^(2v+1) mod p, one running product over the
         locators (beta, then times beta^2).  Built on first use, so the
-        locate step of a tau <= 2 code, which reads its errors off S_1 and
-        S_3, never builds it."""
+        locate step of a code with tau <= 3, whose read-offs meet every
+        component, never builds it."""
         p = self.field.p
         powers = np.empty((self.tau, self.n), self._dtype)
         powers[0] = self._beta
@@ -145,9 +139,10 @@ class BerlekampCode:
 
     @cached_property
     def _pairs(self) -> tuple[tuple[int, int, int], ...]:
-        """The key-equation decoder's scan table (`gfpoly.pair_table`) over
-        the locators: an error puts b or -b in the locator.  Built on the
-        first scan, so a code with tau <= 2 never builds it."""
+        """The scan table (`gfpoly.pair_table`) over the locators: an error
+        puts b or -b in the locator.  Built on the first locator of degree
+        >= 3 (`gfpoly.locator_points`), so a code with tau <= 2 never
+        builds it."""
         return pair_table(self._index, self.field.p)
 
     @property
@@ -195,22 +190,16 @@ def locate_key_equation(code: BerlekampCode, syn: Sequence[int]) -> Hits | None:
 
     The error puts beta_j into a locator polynomial Lambda e_j times when
     e_j > 0, and -beta_j |e_j| times when e_j < 0, so the odd syndromes are
-    the odd power sums of Lambda's points.  An error of weight <= min(tau,
-    2) is read off S_1 and S_3 first (`_read_off`); where that finds none,
-    a code with tau <= 2 gives None.  Splitting Lambda = A(x^2) + x B(x^2),
-    a tau = 3 code reads its three points' locator
-    Lambda = 1 - e_1 x + e_2 x^2 - e_3 x^3 off S_1, S_3 and S_5 by Newton's
-    identities: e_1 = S_1, c = e_3 - e_1 e_2 = (S_3 - S_1^3)/3, and
-    S_5 = S_1^5 + 5 S_1^2 c - 5 c e_2, where the e_2^2 terms cancel, so e_2
-    is linear in S_5 and A = [1, e_2], B = [-e_1, -e_3].  A zero c gives
-    None: three points with S_3 = S_1^3 hold a negating pair, which no
-    error puts in Lambda.  A larger code solves the key equation: the
-    power sums fix
+    the odd power sums of Lambda's points.  An error of weight <= 2, or
+    <= 3 on a tau = 3 code, is read off S_1, S_3 and S_5 first
+    (`_read_off`); where that finds none, a code with tau <= 3 gives None.
+    A larger code solves the key equation: the power sums fix
     Lambda(x) / Lambda(-x) = exp(-2 * sum_{k odd} S_k x^k / k) mod x^(2*tau),
-    which turns into the Pade problem B = A * H mod z^tau, solved by
-    Euclid.  Euclid's A and B share no factor but a power of z, and a
-    nonzero c rules out a negating pair, so Lambda never has both 1/beta
-    and -1/beta as roots.  Both locators' points are found by `_locate`.
+    which, splitting Lambda = A(x^2) + x B(x^2), turns into the Pade
+    problem B = A * H mod z^tau, solved by Euclid.  Euclid's A and B share
+    no factor but a power of z, so Lambda never has both 1/beta and -1/beta
+    as roots.  Scaled to Lambda(0) = 1, it goes to `_hits`, which checks
+    every component.
     """
     if len(syn) != code.tau:
         raise ValueError(f"need {code.tau} syndrome components, got {len(syn)}")
@@ -219,16 +208,8 @@ def locate_key_equation(code: BerlekampCode, syn: Sequence[int]) -> Hits | None:
     if not any(syn):
         return ()
     hits = _read_off(code, syn)
-    if hits is not None or t <= 2:
+    if hits is not None or t <= 3:
         return hits
-    if t == 3:
-        s1, s3, s5 = syn
-        c = (s3 - s1 * s1 % p * s1) * code._third % p
-        if not c:  # a negating pair: its weight-1 rest was read off above
-            return None
-        e2 = (s1 * s1 % p * (s3 + 2 * c) - s5) * pow(5 * c, -1, p) % p
-        e3 = (c + s1 * e2) % p
-        return _locate(code, syn, poly_trim([1, e2]), poly_trim([-s1 % p, -e3 % p]))
     # Psi = Lambda(x) / Lambda(-x) through x^(2t-1): Psi' = f' Psi gives
     # m psi_m = -2 * sum_{k odd <= m} S_k psi_(m-k).
     psi = [1]
@@ -245,86 +226,80 @@ def locate_key_equation(code: BerlekampCode, syn: Sequence[int]) -> Hits | None:
     a, b = solve_key_equation([0] * t + [1], h, (t + 1) // 2, p)
     if not a or a[0] == 0:
         return None
-    return _locate(code, syn, a, b)
-
-
-def _locate(code: BerlekampCode, syn: list[int], a: list[int], b: list[int]) -> Hits | None:
-    """The hits whose points are the reciprocals of the roots of
-    Lambda = A(x^2) + x B(x^2) (A and B trimmed, A(0) nonzero), checked
-    against every syndrome component (`_hits`), or None.
-
-    The points sum to -B(0)/A(0) with multiplicity.  The scan
-    (`gfpoly.scan_pairs`) takes each pair +-beta of the code's table once,
-    testing both signs from one evaluation of A and B.  It stops at
-    deg Lambda - 1 points, and the last is read off from the sum; a linear
-    Lambda's one point is read off with no scan.  Only when the scan falls
-    short are multiplicities found by deflating at the points it found
-    (`gfpoly.poly_roots`)."""
-    p = code.field.p
-    degree = max(2 * len(a) - 2, 2 * len(b) - 1)
-    points = scan_pairs(a, b, code._pairs, degree - 1, p) if degree > 1 else []
-    if len(points) == degree - 1:
-        # The points sum to -b0/a0 with multiplicity: read the last one off.
-        roots = dict.fromkeys(points, 1)
-        last = (-(b[0] if b else 0) * pow(a[0], -1, p) - sum(points)) % p
-        roots[last] = roots.get(last, 0) + 1
-    else:
-        # Lambda up to a constant factor; the points are the roots of the
-        # reversed polynomial.
-        lam = [0] * (2 * max(len(a), len(b)))
-        lam[0 : 2 * len(a) : 2] = a
-        lam[1 : 2 * len(b) : 2] = b
-        roots = poly_roots(poly_trim(lam)[::-1], points, p)
-        if roots is None:
-            return None
-    return _hits(code, syn, roots.items(), 0)
+    lam = [0] * (2 * max(len(a), len(b)))
+    lam[0 : 2 * len(a) : 2] = a
+    lam[1 : 2 * len(b) : 2] = b
+    scale = pow(a[0], -1, p)
+    return _hits(code, syn, poly_trim([c * scale % p for c in lam]), 0)
 
 
 def _read_off(code: BerlekampCode, syn: list[int]) -> Hits | None:
-    """The hits of an error of Lee weight <= min(tau, 2) read off the
-    reduced, nonzero syndrome's S_1 and S_3, or None.
+    """The hits of an error of Lee weight <= 2, or <= 3 on a tau = 3 code,
+    whose locator is read off the reduced, nonzero syndrome's S_1, S_3 and
+    S_5 in closed form (Peterson, IRE Trans. IT, 1960), or None.
 
-    A lone +-1 error at beta puts one point, +-beta, in Lambda, so S_1 is
-    that point and S_3 = S_1^3; a tau = 1 code has no S_3 and takes this
-    branch.  Otherwise two points x, y (equal for a +-2 error) have S_1 =
-    x + y and D = S_1^3 - S_3 = 3 S_1 xy, so they are the roots of
-    z^2 - S_1 z + D / (3 S_1); a weight-2 error never leaves S_1 = 0, as
-    that makes x = -y and the syndrome zero.  Their S_5 is
-    S_1^5 - 5 S_1^3 xy + 5 S_1 (xy)^2, which a code with more components
-    tests first, free of inverses: 9 S_1 (S_5 - S_1^5) + (15 S_1^3 - 5 D) D
-    = 0.  The points meet S_1 and S_3 by construction, so only the
-    components past them are checked (`_hits`); a code with tau <= 2 has
-    none, so its one point is `core.unit_error`'s hit as it stands.
+    Points with elementary symmetric functions e_1, e_2, e_3 have, by
+    Newton's identities, S_1 = e_1, S_3 = S_1^3 + 3c for c = e_3 - e_1 e_2,
+    and S_5 = S_1^5 + 5 S_1^2 c - 5 c e_2, where the e_2^2 terms cancel.
+    - c = 0 (S_3 = S_1^3) leaves one point, S_1: two points with c = 0
+      negate each other, and so do two of three, which no error puts in
+      Lambda.  A code with S_5 tests S_5 = S_1^5 in O(1); a tau = 1 code
+      has no S_3 and takes this branch.
+    - On a tau = 3 code, e_2 = (S_1^2 (S_3 + 2c) - S_5) / (5c) and
+      e_3 = c + S_1 e_2 (zero for two points) give
+      Lambda = 1 - e_1 x + e_2 x^2 - e_3 x^3.  As 2 tau < p, p >= 7, so 3
+      and 5 are invertible, and 1/3 is cached per code.
+    - Otherwise two points x, y (equal for a +-2 error) have S_1 = x + y
+      and D = S_1^3 - S_3 = 3 S_1 xy, so Lambda = 1 - S_1 x + D/(3 S_1) x^2;
+      S_1 = 0 would make x = -y.  A code past tau = 3 first tests their
+      S_5 = S_1^5 - 5 S_1^3 xy + 5 S_1 (xy)^2 free of inverses:
+      9 S_1 (S_5 - S_1^5) + (15 S_1^3 - 5 D) D = 0.
+
+    The hits need no check of S_1, S_3 or S_5: `gfpoly.locator_points`
+    returns points only where they account for Lambda's degree D with
+    multiplicity (D - 1 distinct roots found force the last, read off
+    their sum), so their elementary symmetric functions are Lambda's
+    coefficients, and by Newton's identities their power sums are the S_1,
+    S_3 and S_5 that Lambda was read off or tested against.  A hit +-1 at
+    +-x adds x^(2v+1) to S_(2v+1) either way, so the hits meet those
+    components.  `_hits` checks only the components past S_5: none where
+    tau <= 3, and there one point is `core.unit_error`'s hit as it stands.
     """
     p = code.field.p
     s1 = syn[0]
     cube = s1 * s1 % p * s1 % p
-    if len(syn) == 1 or syn[1] == cube:
-        if len(syn) <= 2:  # nothing past S_3 to check
-            hit = unit_error(code._index, p, s1)
+    if len(syn) == 1 or syn[1] == cube:  # c = 0: one point, S_1
+        if len(syn) < 3 or len(syn) == 3 and syn[2] == pow(s1, 5, p):
+            hit = unit_error(code._index, p, s1)  # nothing past S_5 to check
             return None if hit is None else (hit,)
-        return _hits(code, syn, ((s1, 1),), 2)
-    if s1 == 0:
-        return None
-    d = (cube - syn[1]) % p
-    if len(syn) > 2 and (9 * s1 * (syn[2] - pow(s1, 5, p)) + (15 * cube - 5 * d) * d) % p:
-        return None
-    roots = gfp_quadratic_roots(-s1, d * pow(3 * s1, -1, p), code.field)
-    if len(roots) == 1:  # a double root: a +-2 error
-        return _hits(code, syn, ((roots.pop(), 2),), 2)
-    return _hits(code, syn, [(x, 1) for x in roots], 2) if roots else None
+        if len(syn) == 3 or syn[2] != pow(s1, 5, p):
+            return None
+        lam = [1, -s1 % p]
+    elif len(syn) == 3:
+        c = (syn[1] - cube) * code._third % p
+        e2 = (s1 * s1 % p * (syn[1] + 2 * c) - syn[2]) * pow(5 * c, -1, p) % p
+        lam = poly_trim([1, -s1 % p, e2, -(c + s1 * e2) % p])
+    else:
+        d = cube - syn[1]
+        gate = len(syn) > 3 and (9 * s1 * (syn[2] - pow(s1, 5, p)) + (15 * cube - 5 * d) * d) % p
+        if not s1 or gate:
+            return None
+        lam = [1, -s1 % p, d * pow(3 * s1, -1, p) % p]
+    return _hits(code, syn, lam, 3)
 
 
-def _hits(
-    code: BerlekampCode, syn: list[int], points: Iterable[tuple[int, int]], known: int
-) -> Hits | None:
-    """The hits that put `points` ((point, multiplicity) pairs) in Lambda,
-    each point's through `core.unit_error`, or None where a point is no
-    locator's, or where the hits leave a syndrome component past the first
-    `known`, which the points meet by construction."""
+def _hits(code: BerlekampCode, syn: list[int], lam: list[int], known: int) -> Hits | None:
+    """The hits that put the points of the locator `lam` (trimmed,
+    Lambda(0) = 1; `gfpoly.locator_points`) in Lambda, each point's through
+    `core.unit_error`, or None where the points fall short of its degree, a
+    point is no locator's, or the hits leave a syndrome component past the
+    first `known`, which the points meet by construction."""
     index, p = code._index, code.field.p
+    points = locator_points(lam, lambda: code._pairs, code.field)
+    if points is None:
+        return None
     hits = []
-    for x, mult in points:
+    for x, mult in points.items():
         hit = unit_error(index, p, x)
         if hit is None:
             return None

@@ -11,17 +11,19 @@ read off) and Reed-Solomon reads with erasures or a radius past 3.
 
 The two decoders' locate steps run on small polynomials (degree at most
 the error budget) read by read, so they stay in pure Python: Euclid on
-the key equation divides in place, and both decoders find the points of a
-locator Lambda with one scan, `scan_pairs`, over a table each code builds
-on its first scan (`pair_table`: one entry per pair of points +-v, with
-one `pow` per code), then read the last point off the sum of the others;
-`poly_roots` is left for a Lee scan that falls short of the degree.
+the key equation divides in place, and both decoders find a locator's
+points with one function, `locator_points`, chosen by degree: read off,
+the roots of a quadratic, or a scan (`scan_pairs`, over the `pair_table`
+a code builds on its first scan) that reads the last point off the sum
+of the others.
 """
 
 from __future__ import annotations
 
 from itertools import zip_longest
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+from .basemath import PrimeField, gfp_quadratic_roots
 
 
 def poly_trim(a: list[int]) -> list[int]:
@@ -119,7 +121,7 @@ def poly_roots(a: list[int], candidates: Iterable[int], p: int) -> dict[int, int
     """Roots of the nonzero polynomial a with their multiplicities.
 
     Scans `candidates` and divides out each root found, so it suits a short
-    candidate list: the Lee decoder passes only the points its scan found
+    candidate list: `locator_points` passes only the points its scan found
     to be roots, when they fall short of the degree.  Once a single linear
     factor is left, its root is read off without scanning, so the caller
     must check that root belongs to its candidate set.  Returns None when
@@ -180,3 +182,32 @@ def scan_pairs(
         if len(points) >= count:
             return points[:count]
     return points
+
+
+def locator_points(
+    lam: list[int], table: Callable[[], Sequence[tuple[int, int, int]]], field: PrimeField
+) -> dict[int, int] | None:
+    """The points of the locator Lambda (trimmed, Lambda(0) = 1), the
+    reciprocals of its roots, with their multiplicities, or None where they
+    fall short of its degree D.  They are the roots of the monic
+    z^D Lambda(1/z): a linear Lambda's is -Lambda_1, a quadratic's are those
+    of z^2 + Lambda_1 z + Lambda_2 (a double root counted twice).  Past
+    that, `scan_pairs` over the code's pair table (`table()`, called only
+    here) finds D - 1, and the last is read off their sum, -Lambda_1; where
+    the scan falls short, `poly_roots` deflates at the points it found.  A
+    point not scanned need not be a locator: the caller looks each one up."""
+    p, degree = field.p, len(lam) - 1
+    if degree < 2:
+        return {-lam[1] % p: 1} if degree else {}
+    if degree == 2:
+        roots = gfp_quadratic_roots(lam[1], lam[2], field)
+        if len(roots) == 1:
+            return {roots.pop(): 2}
+        return dict.fromkeys(roots, 1) if roots else None
+    points = scan_pairs(lam[0::2], lam[1::2], table(), degree - 1, p)
+    if len(points) < degree - 1:
+        return poly_roots(lam[::-1], points, p)
+    roots = dict.fromkeys(points, 1)
+    last = (-lam[1] - sum(points)) % p
+    roots[last] = roots.get(last, 0) + 1
+    return roots

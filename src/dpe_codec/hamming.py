@@ -17,18 +17,17 @@ as one error, its point S_1/S_0 looked up and checked against every
 syndrome, so a one-error read skips Euclid and the scan.  With no
 erasures and radius <= 3, the locator of three or two errors is solved
 from its Hankel system by Cramer's rule (Peterson, IRE Trans. IT, 1960),
-so only erasure reads and radii past 3 go to Euclid.  Then the
-locate step reads a linear locator's one point off and scans the pairs of
-points +-v (`gfpoly.scan_pairs`, the Lee decoder's scan, over the table
-`gfpoly.pair_table` builds on the code's first scan) until one point is
-left to read off their sum; it returns sparse hits (`core.Hits`, values
-mod p).  The code encodes systematically, its d - 1 check symbols filled
-from the head's syndromes (`CheckMatrix.tail`), one message or a block of
-them in one product.  `syndromes` admits its symbols
-(`core.field_symbols`): ints only, reduced mod p.  The code is built as
-whole arrays: its points tested distinct and in range on a sorted copy,
-and its check rows as one running product of the points (int64 while
-p^2 < 2^63, else Python ints); it takes no inverse until it decodes.
+so only erasure reads and radii past 3 go to Euclid.  Either locator's
+points come from `gfpoly.locator_points`, the Lee decoder's root finder
+(two errors' are a quadratic's roots), and the locate step returns sparse
+hits (`core.Hits`, values mod p).  The code encodes systematically, its
+d - 1 check symbols filled from the head's syndromes (`CheckMatrix.tail`),
+one message or a block of them in one product.  `syndromes` admits its
+symbols (`core.field_symbols`): ints only, reduced mod p.  The code is
+built as whole arrays: its points tested distinct and in range on a
+sorted copy, and its check rows as one running product of the points
+(int64 while p^2 < 2^63, else Python ints); it takes no inverse until it
+decodes.
 
 The scheme is a `core.Scheme`.  Its `encode_array` has the inner code
 encode the whole packed block, and the check symbols become base-q digit
@@ -78,11 +77,11 @@ from .core import (
 )
 from .gfpoly import (
     inverses,
+    locator_points,
     pair_table,
     poly_eval,
     poly_mul,
     poly_trim,
-    scan_pairs,
     solve_key_equation,
 )
 
@@ -124,7 +123,7 @@ class ReedSolomonCode:
     @cached_property
     def _pairs(self) -> tuple[tuple[int, int, int], ...]:
         """The scan table (`gfpoly.pair_table`) over the points, built on
-        the first scan."""
+        the first scan (`gfpoly.locator_points`)."""
         return pair_table(self._position, self.field.p)
 
     @cached_property
@@ -184,12 +183,12 @@ class ReedSolomonCode:
         its Hankel system by Cramer's rule (`_hankel_locator`, no Euclid),
         and the evaluator is Omega = Lambda S mod x^deg Lambda.  Otherwise
         Euclid on the erasure-modified syndrome Gamma * S mod x^(d-1) gives
-        Lambda and Omega (with no erasures, Gamma = 1 and S itself).  The
-        scan (`gfpoly.scan_pairs`) evaluates Lambda at +-1/v for each pair
-        of points +-v of the code's table until deg Lambda - 1 roots are
-        found (both signs can be roots: errors at gamma and p - gamma); the
-        locators sum to -Lambda_1/Lambda_0, which gives the last (a linear
-        Lambda's one, with no scan).  Each error value is
+        Lambda and Omega (with no erasures, Gamma = 1 and S itself), scaled
+        together to Lambda(0) = 1.  The locators X_j, the reciprocals of
+        Lambda's roots, come from `gfpoly.locator_points`: read off for one
+        error, the roots of a quadratic for two, a scan past that (both
+        signs can be roots: errors at gamma and p - gamma).  A repeated
+        locator is refused.  Each error value is
         e_j = -Omega(1/X_j) / Psi'(1/X_j) for the full locator
         Psi = Lambda * Gamma, with 1/X_j from the code's table of inverses.
         """
@@ -227,18 +226,11 @@ class ReedSolomonCode:
             lam, omega = solve_key_equation([0] * (self.d - 1) + [1], modified, stop, p)
             if not lam or lam[0] == 0 or len(lam) - 1 > radius:
                 return None
-        degree = len(lam) - 1
-        # Euclid's pair shares one common factor, which cancels in the
-        # values.  The locators are the reciprocals of Lambda's roots,
-        # and they sum to -lam[1]/lam[0]: the scan stops one short of
-        # deg Lambda and the last is read off (a linear Lambda's, unscanned).
-        points = scan_pairs(lam[0::2], lam[1::2], self._pairs, degree - 1, p) if degree > 1 else []
-        if degree:
-            if len(points) < degree - 1:
-                return None
-            points.append((-lam[1] * pow(lam[0], -1, p) - sum(points)) % p)
-            if points[-1] in points[:-1]:
-                return None  # a repeated root
+            scale = pow(lam[0], -1, p)  # Euclid's pair shares a constant factor
+            lam, omega = [c * scale % p for c in lam], [c * scale % p for c in omega]
+        points = locator_points(lam, lambda: self._pairs, self.field)
+        if points is None or len(points) < len(lam) - 1:
+            return None  # Lambda does not split into distinct points
         positions = [self._position.get(x) for x in points]
         if None in positions or not set(erased).isdisjoint(positions):
             return None

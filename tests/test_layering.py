@@ -4,8 +4,9 @@
 them) import from `.oracles` or import `guard_limit`, and no other module
 words a guard refusal of its own.  The production modules hold only what
 the schemes run: every member they define is used.  The scheme modules
-keep to the one decode pipeline in `core`, and only `core` and the oracles
-call `gfp_solve`."""
+keep to the one decode pipeline in `core`, only `core` and the oracles
+call `gfp_solve`, and only `gfpoly` calls the root finders `scan_pairs`
+and `poly_roots`."""
 
 import ast
 import importlib
@@ -62,6 +63,16 @@ def test_gfp_solve_is_called_only_in_core_and_the_oracles(path):
     calls = [node for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "gfp_solve"]
     assert bool(calls) == (path.name in SOLVERS), path.name
+
+
+# A locator's points come from gfpoly.locator_points, which alone scans
+# and deflates.
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_root_finders_are_called_only_in_gfpoly(path):
+    calls = [node for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             in {"scan_pairs", "poly_roots"}]
+    assert bool(calls) == (path.name == "gfpoly.py"), path.name
 
 
 # The decode pipeline is written once, as core.decode_read.  Each scheme

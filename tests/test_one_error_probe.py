@@ -4,8 +4,8 @@ of Lee weight <= 2) and in `ReedSolomonCode.locate_syndromes` (one error of
 any value, no erasures).  At production sizes every one-error syndrome
 returns exactly that hit; a near miss (a later component changed) returns
 None or hits that reproduce it within the budget; and no read with one
-error, or with two on a Lee code, of a scheme that decodes through either
-function solves a key equation or scans for roots."""
+or two errors of a scheme that decodes through either function solves a
+key equation or scans for roots."""
 
 import random
 import sys
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dpe_codec as api
-from dpe_codec import berlekamp, hamming
+from dpe_codec import berlekamp, gfpoly, hamming
 from dpe_codec.basemath import PrimeField
 from dpe_codec.berlekamp import BerlekampCode, locate_key_equation
 from dpe_codec.core import QMatrix, ReadVector
@@ -102,15 +102,16 @@ def test_syndromes_are_the_ones_the_codes_compute():
 
 
 def refuse_key_equation(monkeypatch):
-    """Make `solve_key_equation` and the root scan `scan_pairs` raise in
-    every module that binds them."""
-    for name in ("solve_key_equation", "scan_pairs"):
+    """Make `solve_key_equation` raise in every module that binds it, and
+    the root scan `scan_pairs` in `gfpoly`, whose `locator_points` is the
+    one caller."""
+    for name, owners in (("solve_key_equation", {berlekamp, hamming}), ("scan_pairs", {gfpoly})):
         def refuse(*args, name=name, **kwargs):
             raise AssertionError(f"a read with few errors called {name}")
 
         bound = [m for key, m in sys.modules.items()
                  if key.startswith("dpe_codec.") and name in m.__dict__]
-        assert {berlekamp, hamming} <= set(bound)
+        assert owners <= set(bound)
         for module in bound:
             monkeypatch.setattr(module, name, refuse)
 
@@ -138,7 +139,8 @@ def _recursive():
 
 # (name, scheme, columns, theta, error counts).  The Lee codes read an
 # error of weight <= 2 off S_1 and S_3; two Reed-Solomon errors in the
-# hamming inner code solve a key equation.
+# hamming inner code solve their Hankel system for a quadratic locator,
+# whose points are its roots.
 CASES = [
     ("large-alphabet", lambda: api.LargeAlphabetScheme(P, 250, 3, 8), lambda s: range(s.n), 1,
      (1, 2)),
@@ -148,7 +150,7 @@ CASES = [
      1, (1, 2)),
     ("dec", lambda: api.DoubleErrorScheme(2, P, 8), lambda s: range(s.n), 1, (1, 2)),
     ("dec-ted", lambda: api.TripleDetectScheme(4, P, 8), lambda s: range(s.n), 1, (1, 2)),
-    ("hamming", lambda: api.HammingScheme(2, 8, 256, 2), lambda s: range(s.n), 8, (1,)),
+    ("hamming", lambda: api.HammingScheme(2, 8, 256, 2), lambda s: range(s.n), 8, (1, 2)),
 ]
 READS = [(*case[:4], errors) for case in CASES for errors in case[4]]
 
@@ -161,5 +163,6 @@ def test_one_error_reads_skip_the_key_equation(monkeypatch, name, build, columns
     reads = _few_error_reads(scheme, list(columns(scheme)), theta, errors, f"{name}-{errors}")
     for read, prefix in reads:
         assert scheme.decode(read).prefix == prefix
-    if name.startswith("dec"):  # the pair code reads its errors off with no check
+    if name.startswith("dec"):  # the pair code reads its errors off with no check or scan
         assert "check" not in scheme.ber.__dict__
+        assert "_pairs" not in scheme.ber.__dict__

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpe_codec import berlekamp
-from dpe_codec import hamming as hamming_module
+from dpe_codec import gfpoly
 from dpe_codec import (
     DoubleErrorScheme,
     HammingScheme,
@@ -190,9 +189,8 @@ def test_single_errors_decode_without_a_scan(monkeypatch):
     def refuse(*args):
         raise AssertionError("the locate step scanned a linear locator")
 
-    monkeypatch.setattr(berlekamp, "scan_pairs", refuse)
-    monkeypatch.setattr(berlekamp, "poly_roots", refuse)
-    monkeypatch.setattr(hamming_module, "scan_pairs", refuse)
+    monkeypatch.setattr(gfpoly, "scan_pairs", refuse)
+    monkeypatch.setattr(gfpoly, "poly_roots", refuse)
     large = LargeAlphabetScheme(1031, 250, 3, ELL)
     hamming = HammingScheme(2, ELL, 256, 2)
     rng = random.Random(6)

@@ -132,36 +132,39 @@ def _base_sec():
     return api.SingleErrorScheme(2, 15, 2)
 
 
-# each builder with the integer parameters it takes, by name
+# each builder with the integer parameters it takes, by name, under an id
+# of its own, so that a row added or removed renames no other case
 INTEGER_PARAMETERS = [
-    (api.ParityDetectScheme, {"q": 3, "k": 20, "ell": 2}, ["k"]),
-    (api.SingleErrorScheme, {"q": 2, "n": 15, "ell": 2}, ["n"]),
-    (api.SecDedScheme, {"q": 3, "n": 8, "ell": 2}, ["n"]),
-    (api.DoubleErrorScheme, {"q": 2, "p": 31, "ell": 2}, ["p"]),
-    (api.TripleDetectScheme, {"q": 3, "p": 13, "ell": 2}, ["p"]),
-    (api.TripleDetectScheme, {"q": 2, "p": 31, "ell": 2}, ["p"]),
-    (api.RecursiveScheme, {"q": 2, "ell": 2, "tau": 1, "p": 13}, ["tau", "p"]),
-    (api.LargeAlphabetScheme, {"q": 8, "n": 3, "tau": 1, "ell": 2}, ["n", "tau"]),
-    (api.HammingScheme,
+    ("parity", api.ParityDetectScheme, {"q": 3, "k": 20, "ell": 2}, ["k"]),
+    ("sec", api.SingleErrorScheme, {"q": 2, "n": 15, "ell": 2}, ["n"]),
+    ("sec-ded", api.SecDedScheme, {"q": 3, "n": 8, "ell": 2}, ["n"]),
+    ("dec", api.DoubleErrorScheme, {"q": 2, "p": 31, "ell": 2}, ["p"]),
+    ("dec-ted-odd-q", api.TripleDetectScheme, {"q": 3, "p": 13, "ell": 2}, ["p"]),
+    ("dec-ted-parity", api.TripleDetectScheme, {"q": 2, "p": 31, "ell": 2}, ["p"]),
+    ("recursive", api.RecursiveScheme, {"q": 2, "ell": 2, "tau": 1, "p": 13}, ["tau", "p"]),
+    ("large-alphabet", api.LargeAlphabetScheme, {"q": 8, "n": 3, "tau": 1, "ell": 2},
+     ["n", "tau"]),
+    ("hamming", api.HammingScheme,
      {"q": 2, "ell": 2, "k": 4, "tau": 1, "theta": 2, "sigma": 1, "rho_max": 1, "p": 11},
      ["k", "tau", "theta", "sigma", "rho_max", "p"]),
-    (api.HammingScheme.dimension,
+    ("hamming-dimension", api.HammingScheme.dimension,
      {"n": 20, "q": 2, "ell": 2, "tau": 1, "theta": 2, "sigma": 1, "rho_max": 1, "p": 11},
      ["n", "tau", "theta", "sigma", "rho_max", "p"]),
-    (lambda drop: api.ShortenedScheme(_base_sec(), drop), {"drop": 2}, ["drop"]),
-    (lambda tau: api.BerlekampCode(api.PrimeField(13), [1, 2, 3, 4], tau), {"tau": 2}, ["tau"]),
-    (lambda length, k: api.ReedSolomonCode(api.PrimeField(13), length, k),
+    ("shortened", lambda drop: api.ShortenedScheme(_base_sec(), drop), {"drop": 2}, ["drop"]),
+    ("lee-code", lambda tau: api.BerlekampCode(api.PrimeField(13), [1, 2, 3, 4], tau),
+     {"tau": 2}, ["tau"]),
+    ("rs-code", lambda length, k: api.ReedSolomonCode(api.PrimeField(13), length, k),
      {"length": 6, "k": 2}, ["length", "k"]),
-    (api.PrimeField, {"p": 7}, ["p"]),
-    (api.sphere_volume_l1, {"n": 5, "t": 2}, ["n", "t"]),
-    (api.jacobsthal_weight, {"q": 4, "j": 1}, ["q", "j"]),
-    (api.build_locators_basic, {"q": 2, "n": 15}, ["q", "n"]),
-    (api.build_locators_ded, {"q": 3, "n": 8}, ["q", "n"]),
-    (api.build_locators_ded, {"q": 2, "n": 15}, ["n"]),
+    ("prime-field", api.PrimeField, {"p": 7}, ["p"]),
+    ("sphere-volume", api.sphere_volume_l1, {"n": 5, "t": 2}, ["n", "t"]),
+    ("jacobsthal-weight", api.jacobsthal_weight, {"q": 4, "j": 1}, ["q", "j"]),
+    ("locators-basic", api.build_locators_basic, {"q": 2, "n": 15}, ["q", "n"]),
+    ("locators-ded-q3", api.build_locators_ded, {"q": 3, "n": 8}, ["q", "n"]),
+    ("locators-ded-q2", api.build_locators_ded, {"q": 2, "n": 15}, ["n"]),
 ]
 INTEGER_CASES = [
-    pytest.param(build, fields, name, id=f"{i}-{name}")
-    for i, (build, fields, names) in enumerate(INTEGER_PARAMETERS) for name in names
+    pytest.param(build, fields, name, id=f"{row}-{name}")
+    for row, build, fields, names in INTEGER_PARAMETERS for name in names
 ]
 
 

@@ -7,7 +7,10 @@ error of Hamming weight <= 3 of the d = 7 Reed-Solomon code over GF(11),
 is located exactly, and reads with exactly tau errors of the production
 schemes that decode through either code still decode.  The same patch
 trips on a weight-4 error of a tau = 4 Lee code and on a Reed-Solomon read
-with one erasure: those reads still solve the key equation."""
+with one erasure: those reads still solve the key equation.  The Lee
+read-offs check no syndrome component: with `CheckMatrix.less` made to
+raise, every error of Lee weight <= 3 of the tau = 3 code still locates
+exactly, while the weight-4 error of the tau = 4 code still reaches it."""
 
 import itertools
 import random
@@ -19,7 +22,7 @@ import dpe_codec as api
 from dpe_codec import berlekamp, hamming
 from dpe_codec.basemath import PrimeField
 from dpe_codec.berlekamp import BerlekampCode, locate_key_equation
-from dpe_codec.core import QMatrix, ReadVector
+from dpe_codec.core import CheckMatrix, QMatrix, ReadVector
 from dpe_codec.hamming import ReedSolomonCode
 
 LEE = BerlekampCode(PrimeField(31), tuple(range(1, 16)), 3)
@@ -70,6 +73,29 @@ def test_every_lee_error_within_three_is_read_off(refused):
         assert tuple(sorted(locate_key_equation(LEE, _lee_syndrome(LEE, hits)))) == hits
         count += 1
     assert count == 30 + (105 * 4 + 15 * 2) + (455 * 8 + 210 * 4 + 15 * 2)
+
+
+@pytest.fixture
+def unchecked(monkeypatch):
+    """Make `CheckMatrix.less`, the check of syndrome components against
+    hits, raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the locate step checked a syndrome component")
+
+    monkeypatch.setattr(CheckMatrix, "less", refuse)
+
+
+def test_lee_read_offs_check_no_component(unchecked):
+    # a read-off locator's points meet S_1, S_3 and S_5 by construction
+    for hits in _lee_errors(LEE.n, 3):
+        assert tuple(sorted(locate_key_equation(LEE, _lee_syndrome(LEE, hits)))) == hits
+
+
+def test_a_weight_four_lee_error_still_checks_its_components(unchecked):
+    code = BerlekampCode(PrimeField(31), tuple(range(1, 16)), 4)
+    with pytest.raises(AssertionError, match="checked a syndrome component"):
+        locate_key_equation(code, _lee_syndrome(code, ((0, 1), (3, -1), (7, 1), (12, 1))))
 
 
 def test_every_rs_error_within_three_is_read_off(refused):
