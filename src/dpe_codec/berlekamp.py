@@ -43,7 +43,7 @@ them in one product.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property, partial
 from operator import countOf, mul
 from typing import Sequence
 
@@ -116,6 +116,10 @@ class BerlekampCode:
             raise ValueError(refusal)
         self.beta = tuple(self._beta.tolist())
         self._index = dict(zip(self.beta, range(self.n)))
+        # The scan table over the locators (an error puts b or -b in the
+        # locator), built on the first call: `gfpoly.locator_points` calls it
+        # only for a locator of degree >= 3, so a tau <= 2 code never builds it.
+        self._pairs = cache(partial(pair_table, self._index, p))
         # The weight-3 read-off divides by 3 (p >= 7 at tau = 3); Newton's
         # recursion in the key-equation decoder multiplies by -2/m for
         # m = 1 .. 2tau-1.
@@ -136,14 +140,6 @@ class BerlekampCode:
         for v in range(1, self.tau):
             powers[v] = powers[v - 1] * square % p
         return CheckMatrix(powers, (p,) * self.tau, self._bound)
-
-    @cached_property
-    def _pairs(self) -> tuple[tuple[int, int, int], ...]:
-        """The scan table (`gfpoly.pair_table`) over the locators: an error
-        puts b or -b in the locator.  Built on the first locator of degree
-        >= 3 (`gfpoly.locator_points`), so a code with tau <= 2 never
-        builds it."""
-        return pair_table(self._index, self.field.p)
 
     @property
     def dimension(self) -> int:
@@ -295,7 +291,7 @@ def _hits(code: BerlekampCode, syn: list[int], lam: list[int], known: int) -> Hi
     point is no locator's, or the hits leave a syndrome component past the
     first `known`, which the points meet by construction."""
     index, p = code._index, code.field.p
-    points = locator_points(lam, lambda: code._pairs, code.field)
+    points = locator_points(lam, code._pairs, code.field)
     if points is None:
         return None
     hits = []

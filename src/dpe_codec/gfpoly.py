@@ -207,7 +207,8 @@ def locator_points(
     points = scan_pairs(lam[0::2], lam[1::2], table(), degree - 1, p)
     if len(points) < degree - 1:
         return poly_roots(lam[::-1], points, p)
+    points.append((-lam[1] - sum(points)) % p)
     roots = dict.fromkeys(points, 1)
-    last = (-lam[1] - sum(points)) % p
-    roots[last] = roots.get(last, 0) + 1
+    if len(roots) < degree:  # the last point repeats a scanned one
+        roots[points[-1]] = 2
     return roots

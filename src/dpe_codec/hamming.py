@@ -51,7 +51,7 @@ against.
 from __future__ import annotations
 
 import operator
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -118,13 +118,9 @@ class ReedSolomonCode:
         for v in range(1, self.d - 1):
             powers[v] = powers[v - 1] * gamma % p
         self._position = dict(zip(self.gamma, range(length)))
+        # the scan table over the points, built on the first scan
+        self._pairs = cache(partial(pair_table, self._position, p))
         self.check = CheckMatrix(powers, (p,) * (self.d - 1), p)
-
-    @cached_property
-    def _pairs(self) -> tuple[tuple[int, int, int], ...]:
-        """The scan table (`gfpoly.pair_table`) over the points, built on
-        the first scan (`gfpoly.locator_points`)."""
-        return pair_table(self._position, self.field.p)
 
     @cached_property
     def _inverses(self) -> list[int]:
@@ -228,7 +224,7 @@ class ReedSolomonCode:
                 return None
             scale = pow(lam[0], -1, p)  # Euclid's pair shares a constant factor
             lam, omega = [c * scale % p for c in lam], [c * scale % p for c in omega]
-        points = locator_points(lam, lambda: self._pairs, self.field)
+        points = locator_points(lam, self._pairs, self.field)
         if points is None or len(points) < len(lam) - 1:
             return None  # Lambda does not split into distinct points
         positions = [self._position.get(x) for x in points]
