@@ -176,8 +176,6 @@ def _tonelli_shanks_setup(p: int) -> tuple[int, int, int]:
 
 def _tonelli_shanks(a: int, p: int) -> int:
     # Assumes a is a nonzero quadratic residue mod p.
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
     q, s, c = _tonelli_shanks_setup(p)
     m, t, r = s, pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
@@ -192,11 +190,16 @@ def _tonelli_shanks(a: int, p: int) -> int:
 
 
 def gfp_sqrt(a: int, field: PrimeField) -> int | None:
-    """A square root of a modulo p, or None if a is a non-residue."""
+    """A square root of a modulo p, or None if a is a non-residue.  For
+    p = 3 mod 4 the one candidate a^((p+1)/4) decides: its square is a
+    exactly when a is a residue, and -a otherwise."""
     p = field.p
     a %= p
     if a == 0:
         return 0
+    if p % 4 == 3:
+        root = pow(a, (p + 1) // 4, p)
+        return root if root * root % p == a else None
     if pow(a, (p - 1) // 2, p) != 1:
         return None
     return _tonelli_shanks(a, p)

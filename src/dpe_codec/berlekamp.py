@@ -253,13 +253,13 @@ def _read_off(code: BerlekampCode, syn: list[int]) -> Hits | None:
 
     The hits need no check of S_1, S_3 or S_5: `gfpoly.locator_points`
     returns points only where they account for Lambda's degree D with
-    multiplicity (D - 1 distinct roots found force the last, read off
-    their sum), so their elementary symmetric functions are Lambda's
-    coefficients, and by Newton's identities their power sums are the S_1,
-    S_3 and S_5 that Lambda was read off or tested against.  A hit +-1 at
-    +-x adds x^(2v+1) to S_(2v+1) either way, so the hits meet those
-    components.  `_hits` checks only the components past S_5: none where
-    tau <= 3, and there one point is `core.unit_error`'s hit as it stands.
+    multiplicity (every point divided out, the rest read off), so their
+    elementary symmetric functions are Lambda's coefficients, and by
+    Newton's identities their power sums are the S_1, S_3 and S_5 that
+    Lambda was read off or tested against.  A hit +-1 at +-x adds
+    x^(2v+1) to S_(2v+1) either way, so the hits meet those components.
+    `_hits` checks only the components past S_5: none where tau <= 3, and
+    there one point is `core.unit_error`'s hit as it stands.
     """
     p = code.field.p
     s1 = syn[0]

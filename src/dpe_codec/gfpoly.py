@@ -13,9 +13,9 @@ The two decoders' locate steps run on small polynomials (degree at most
 the error budget) read by read, so they stay in pure Python: Euclid on
 the key equation divides in place, and both decoders find a locator's
 points with one function, `locator_points`, chosen by degree: read off,
-the roots of a quadratic, or a scan (`scan_pairs`, over the `pair_table`
-a code builds on its first scan) that reads the last point off the sum
-of the others.
+the roots of a quadratic, or past that a scan (`scan_pairs`, over the
+`pair_table` a code builds on its first scan) whose points are divided
+out, the rest of the locator found the same way by its degree.
 """
 
 from __future__ import annotations
@@ -42,23 +42,6 @@ def poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return poly_trim([v % p for v in out])
-
-
-def poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by a nonzero trimmed b."""
-    lead = pow(b[-1], -1, p)
-    rem = [v % p for v in a]
-    shift = len(rem) - len(b)
-    if shift < 0:
-        return [], poly_trim(rem)
-    quot = [0] * (shift + 1)
-    for i in range(shift, -1, -1):
-        coef = rem[i + len(b) - 1] * lead % p
-        if coef:
-            quot[i] = coef
-            for j, y in enumerate(b):
-                rem[i + j] = (rem[i + j] - coef * y) % p
-    return poly_trim(quot), poly_trim(rem[: len(b) - 1])
 
 
 def poly_eval(a: Sequence[int], x: int, p: int) -> int:
@@ -117,31 +100,6 @@ def inverses(xs: Iterable[int], p: int) -> list[int]:
     return out
 
 
-def poly_roots(a: list[int], candidates: Iterable[int], p: int) -> dict[int, int] | None:
-    """Roots of the nonzero polynomial a with their multiplicities.
-
-    Scans `candidates` and divides out each root found, so it suits a short
-    candidate list: `locator_points` passes only the points its scan found
-    to be roots, when they fall short of the degree.  Once a single linear
-    factor is left, its root is read off without scanning, so the caller
-    must check that root belongs to its candidate set.  Returns None when
-    the roots found do not account for the whole degree of a.
-    """
-    roots: dict[int, int] = {}
-    for x in candidates:
-        if len(a) <= 2:
-            break
-        while len(a) > 1 and poly_eval(a, x, p) == 0:
-            a, _ = poly_divmod(a, [-x % p, 1], p)
-            roots[x] = roots.get(x, 0) + 1
-    if len(a) == 2:
-        x = -a[0] * pow(a[1], -1, p) % p
-        roots[x] = roots.get(x, 0) + 1
-    elif len(a) > 2:
-        return None
-    return roots
-
-
 def pair_table(points: dict | set, p: int) -> tuple[tuple[int, int, int], ...]:
     """The scan table of nonzero points mod p (a set, or a dict keyed by
     them): one entry (v, 1/v^2, 1/v) per pair +-v that holds a point, in
@@ -161,12 +119,13 @@ def scan_pairs(
     With u = 1/v^2 and w = 1/v, Lambda(+-1/v) = A(u) +- w B(u): one Horner
     loop over the paired coefficients (A_i, B_i), from the top pair, tests
     both signs."""
-    terms = list(zip_longest(a, b, fillvalue=0))[::-1]
-    top, rest = terms[0], terms[1:]
+    terms = list(zip_longest(a, b, fillvalue=0))
+    top_a, top_b = terms.pop()
+    terms.reverse()
     points: list[int] = []
     for v, u, w in table:
-        x, y = top
-        for c, d in rest:
+        x, y = top_a, top_b
+        for c, d in terms:
             x = x * u + c
             y = y * u + d
         x %= p
@@ -193,8 +152,9 @@ def locator_points(
     z^D Lambda(1/z): a linear Lambda's is -Lambda_1, a quadratic's are those
     of z^2 + Lambda_1 z + Lambda_2 (a double root counted twice).  Past
     that, `scan_pairs` over the code's pair table (`table()`, called only
-    here) finds D - 1, and the last is read off their sum, -Lambda_1; where
-    the scan falls short, `poly_roots` deflates at the points it found.  A
+    here) finds up to D - 1 distinct points, Lambda is divided by
+    (1 - x z) once for each, and they are added to the quotient's points,
+    found the same way by its degree; None where the scan finds none.  A
     point not scanned need not be a locator: the caller looks each one up."""
     p, degree = field.p, len(lam) - 1
     if degree < 2:
@@ -204,11 +164,19 @@ def locator_points(
         if len(roots) == 1:
             return {roots.pop(): 2}
         return dict.fromkeys(roots, 1) if roots else None
-    points = scan_pairs(lam[0::2], lam[1::2], table(), degree - 1, p)
-    if len(points) < degree - 1:
-        return poly_roots(lam[::-1], points, p)
-    points.append((-lam[1] - sum(points)) % p)
-    roots = dict.fromkeys(points, 1)
-    if len(roots) < degree:  # the last point repeats a scanned one
-        roots[points[-1]] = 2
-    return roots
+    found = scan_pairs(lam[0::2], lam[1::2], table(), degree - 1, p)
+    if not found:
+        return None
+    # Lambda / prod (1 - x z) over the distinct roots found is exact, so
+    # only the quotient's own coefficients are needed: for each x in turn,
+    # q_0 = 1 and q_i = Lambda_i + x q_(i-1), in place.
+    quot = lam[: len(lam) - len(found)]
+    steps = range(1, len(quot))
+    for x in found:
+        for i in steps:
+            quot[i] = (quot[i] + x * quot[i - 1]) % p
+    points = locator_points(quot, table, field)
+    if points is not None:
+        for x in found:
+            points[x] = points.get(x, 0) + 1
+    return points

@@ -19,10 +19,14 @@ erasures and radius <= 3, the locator of three or two errors is solved
 from its Hankel system by Cramer's rule (Peterson, IRE Trans. IT, 1960),
 so only erasure reads and radii past 3 go to Euclid.  Either locator's
 points come from `gfpoly.locator_points`, the Lee decoder's root finder
-(two errors' are a quadratic's roots), and the locate step returns sparse
-hits (`core.Hits`, values mod p).  The code encodes systematically, its
-d - 1 check symbols filled from the head's syndromes (`CheckMatrix.tail`),
-one message or a block of them in one product.  `syndromes` admits its
+(two errors' are a quadratic's roots; three errors' are a scan for two,
+divided out, and the last read off), and the locate step returns sparse
+hits (`core.Hits`, values mod p).  A Hankel locator's w points with
+Forney's values meet S_0 .. S_(2w-1) by construction, so only the
+syndromes past those are checked; Euclid's are all checked.  The code
+encodes systematically, its d - 1 check symbols filled from the head's
+syndromes (`CheckMatrix.tail`), one message or a block of them in one
+product.  `syndromes` admits its
 symbols (`core.field_symbols`): ints only, reduced mod p.  The code is
 built as whole arrays: its points tested distinct and in range on a
 sorted copy, and its check rows as one running product of the points
@@ -81,7 +85,6 @@ from .gfpoly import (
     pair_table,
     poly_eval,
     poly_mul,
-    poly_trim,
     solve_key_equation,
 )
 
@@ -187,6 +190,15 @@ class ReedSolomonCode:
         locator is refused.  Each error value is
         e_j = -Omega(1/X_j) / Psi'(1/X_j) for the full locator
         Psi = Lambda * Gamma, with 1/X_j from the code's table of inverses.
+
+        The hits are checked against every syndrome, except that after a
+        Hankel locator of degree w only the syndromes past S_(2w-1) are.
+        Its system makes Lambda S = Omega mod x^(2w) with deg Omega < w, and
+        Omega / Lambda, for w distinct points X_j, has one partial-fraction
+        decomposition, sum_j Y_j / (1 - X_j x) with
+        Y_j = -X_j Omega(1/X_j) / Lambda'(1/X_j) = e_j gamma_j.  So
+        S_v = sum_j (e_j gamma_j) X_j^v for v < 2w: the hits meet those
+        syndromes by construction.  Euclid's locator keeps the full check.
         """
         erased = check_locate_input(self.check, syn, erased)
         if len(erased) >= self.d:
@@ -203,11 +215,12 @@ class ReedSolomonCode:
         syn = [s % p for s in syn]
         if not any(syn):
             return ()
-        erasure_locator = None
+        erasure_locator, known = None, 0
         if not erased and radius <= 3:
             lam = _hankel_locator(syn, min(radius, (self.d - 1) // 2), p)
             if lam is None:
                 return None
+            known = 2 * (len(lam) - 1)  # the hits meet S_0 .. S_(2w-1)
             # Omega = Lambda S mod x^deg Lambda
             omega = [sum(map(operator.mul, lam[: k + 1], syn[k::-1])) % p
                      for k in range(len(lam) - 1)]
@@ -240,19 +253,21 @@ class ReedSolomonCode:
         if not all(values[len(erased) :]):
             return None
         hits = tuple((j, e) for j, e in zip(support, values) if e)
-        if any(self.check.less(syn, hits)):
+        if len(syn) > known and any(self.check.less(syn, hits)[known:]):
             return None
         return hits
 
 
 def _hankel_locator(syn: list[int], t: int, p: int) -> list[int] | None:
-    """The locator Lambda = 1 + Lambda_1 x + .. (trimmed) of w = 3 or 2 <= t
-    errors from the reduced syndromes, by Cramer's rule on the Hankel
-    system S_v + Lambda_1 S_(v-1) + .. + Lambda_w S_(v-w) = 0,
+    """The locator Lambda = 1 + Lambda_1 x + .. + Lambda_w x^w of w = 3 or
+    2 <= t errors from the reduced syndromes, by Cramer's rule on the
+    Hankel system S_v + Lambda_1 S_(v-1) + .. + Lambda_w S_(v-w) = 0,
     v = w .. 2w - 1: w = 3 where t >= 3 and its determinant is nonzero,
     else w = 2 where t >= 2 and its determinant is, else None.  The
     system's matrix is V D V^T for the Vandermonde matrix V of w locators,
-    so it is singular for fewer than w errors and never for w."""
+    so it is singular for fewer than w errors and never for w.  So a
+    nonzero determinant rules out fewer than w errors, and a Lambda_w = 0
+    gives None: a locator of lower degree could not meet the syndromes."""
     if t < 2:
         return None
     s0, s1, s2, s3 = syn[:4]
@@ -265,12 +280,14 @@ def _hankel_locator(syn: list[int], t: int, p: int) -> list[int] | None:
         det = (s0 * a00 + s1 * a01 + s2 * a02) % p
         if det:
             inv = -pow(det, -1, p)
-            return poly_trim([1, (a02 * s3 + a12 * s4 + minor * s5) * inv % p,
-                              (a01 * s3 + a11 * s4 + a12 * s5) * inv % p,
-                              (a00 * s3 + a01 * s4 + a02 * s5) * inv % p])
+            lam = [1, (a02 * s3 + a12 * s4 + minor * s5) * inv % p,
+                   (a01 * s3 + a11 * s4 + a12 * s5) * inv % p,
+                   (a00 * s3 + a01 * s4 + a02 * s5) * inv % p]
+            return lam if lam[3] else None
     if minor % p:
         inv = pow(minor, -1, p)
-        return poly_trim([1, (s1 * s2 - s0 * s3) * inv % p, (s1 * s3 - s2 * s2) * inv % p])
+        lam = [1, (s1 * s2 - s0 * s3) * inv % p, (s1 * s3 - s2 * s2) * inv % p]
+        return lam if lam[2] else None
     return None
 
 

@@ -13,9 +13,10 @@ at desk scale, and they never sample.
 The scalar references the array code is checked against live here too:
 base-q and mixed-radix digits one value at a time (`base_q_digits`,
 `base_q_value`, `digit_planes`, `mixed_radix_digits`, against
-`core.radix_digits`), and a matrix's checksums and their digit planes row
+`core.radix_digits`), a matrix's checksums and their digit planes row
 by row (`syndrome_matrix`, `digit_split`, against the recursive scheme's
-block encoder).
+block encoder), and polynomial long division over GF(p) (`poly_divmod`,
+against the in-place Euclid of `gfpoly.solve_key_equation`).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .core import (
     field_symbols,
     systematic_word,
 )
+from .gfpoly import poly_trim
 
 # Hard feasibility constants (raisable via DPE_CODEC_GUARD_OVERRIDE).
 ENUMERATION_GUARD = 1_000_000
@@ -116,6 +118,23 @@ def digit_split(S: list[list[int]], q: int, m: int) -> list[list[list[int]]]:
             for j, digit in enumerate(base_q_digits(value, q, m)):
                 planes[j][i][v] = digit
     return planes
+
+
+def poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a nonzero trimmed b."""
+    lead = pow(b[-1], -1, p)
+    rem = [v % p for v in a]
+    shift = len(rem) - len(b)
+    if shift < 0:
+        return [], poly_trim(rem)
+    quot = [0] * (shift + 1)
+    for i in range(shift, -1, -1):
+        coef = rem[i + len(b) - 1] * lead % p
+        if coef:
+            quot[i] = coef
+            for j, y in enumerate(b):
+                rem[i + j] = (rem[i + j] - coef * y) % p
+    return poly_trim(quot), poly_trim(rem[: len(b) - 1])
 
 
 def compositions(total: int, parts: int):

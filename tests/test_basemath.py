@@ -235,7 +235,7 @@ class TestPrimeField:
                     brute = {x for x in range(p) if (x * x + b * x + c) % p == 0}
                     assert gfp_quadratic_roots(b, c, field) == brute
 
-    @pytest.mark.parametrize("p", [13, 101, 9973])
+    @pytest.mark.parametrize("p", [13, 101, 9973, 31, 1031])
     def test_sqrt_paths_agree(self, p):
         field = PrimeField(p)
         for a in range(1, p, max(1, p // 60)):

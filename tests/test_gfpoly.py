@@ -1,16 +1,18 @@
+import itertools
 import random
 
+from dpe_codec.basemath import PrimeField
 from dpe_codec.gfpoly import (
     inverses,
+    locator_points,
     pair_table,
-    poly_divmod,
     poly_eval,
     poly_mul,
-    poly_roots,
     poly_trim,
     scan_pairs,
     solve_key_equation,
 )
+from dpe_codec.oracles import poly_divmod
 
 P = 13
 
@@ -29,17 +31,39 @@ def test_divmod_inverts_mul():
         assert poly_divmod(dividend, b, P) == (a, poly_trim(r))
 
 
+def _locator(points):
+    """prod (1 - x z) over the points, a multiset: the roots are 1/x."""
+    lam = [1]
+    for x in points:
+        lam = poly_mul(lam, [1, -x % P], P)
+    return lam
+
+
+FIELD = PrimeField(P)
+TABLE = pair_table(dict.fromkeys(range(1, P)), P)
+
+
+def _full_table():
+    return TABLE
+
+
 def test_roots_with_multiplicity():
-    # (x - 2)^3 (x - 5) (x - 11)
-    a = [1]
-    for root in (2, 2, 2, 5, 11):
-        a = poly_mul(a, [-root % P, 1], P)
-    assert poly_roots(a, range(P), P) == {2: 3, 5: 1, 11: 1}
-    assert all(poly_eval(a, x, P) == 0 for x in (2, 5, 11))
-    # 5 and 11 outside the candidates: only 11, the last linear factor, is read off
-    assert poly_roots(a, [2, 3], P) is None
-    assert poly_roots(poly_mul([-5 % P, 1], [-11 % P, 1], P), [5], P) == {5: 1, 11: 1}
-    assert poly_roots([3], range(P), P) == {}
+    # (1 - 2z)^3 (1 - 5z) (1 - 11z): the scan finds 2, 5 and 11, each is
+    # divided out once, and the quotient (1 - 2z)^2 is a double root
+    lam = _locator((2, 2, 2, 5, 11))
+    assert locator_points(lam, _full_table, FIELD) == {2: 3, 5: 1, 11: 1}
+    assert all(poly_eval(lam[::-1], x, P) == 0 for x in (2, 5, 11))
+    # 5 and 7 outside the table (its pairs are +-2 and +-3): each scan
+    # finds only 2, once, until the quotient (1 - 5z) (1 - 7z) is a
+    # quadratic, solved outright; the caller looks 5 and 7 up
+    table = pair_table({2, 3}, P)
+    assert locator_points(_locator((2, 2, 2, 5, 7)), lambda: table, FIELD) == {2: 3, 5: 1, 7: 1}
+    # a cubic with one point in the table: the quotient's two are its roots
+    assert locator_points(_locator((5, 7, 2)), lambda: pair_table({5}, P), FIELD) == {
+        5: 1, 7: 1, 2: 1}
+    # no point in the table
+    assert locator_points(_locator((5, 7, 2)), lambda: pair_table({4}, P), FIELD) is None
+    assert locator_points([1], _full_table, FIELD) == {}
 
 
 def test_key_equation_congruence_and_stop():
@@ -119,3 +143,26 @@ def test_scan_pairs_finds_the_roots_of_the_reciprocals():
 def test_scan_pairs_reports_both_signs_of_a_pair():
     lam = poly_mul([1, P - 4], [1, 4], P)  # points 4 and 9 = 13 - 4
     assert scan_pairs(*_split(lam), pair_table({4, 9}, P), 2, P) == [4, 9]
+
+
+def test_locator_points_finds_every_multiset_of_points():
+    """Every multiset of up to five nonzero points mod 13 (a point may
+    repeat up to five times, and both signs of a pair may appear) comes
+    back exactly, over the full pair table."""
+    for size in range(1, 6):
+        for points in itertools.combinations_with_replacement(range(1, P), size):
+            want = {}
+            for x in points:
+                want[x] = want.get(x, 0) + 1
+            assert locator_points(_locator(points), _full_table, FIELD) == want, points
+
+
+def test_locator_points_refuses_an_irreducible_quadratic_factor():
+    # z^2 - 2 has no root mod 13 (2 is a non-residue), so neither does its
+    # reciprocal 1 - 2 z^2, whatever it is multiplied by
+    irreducible = [1, 0, P - 2]
+    assert locator_points(irreducible, _full_table, FIELD) is None
+    for size in range(1, 4):
+        for points in itertools.combinations_with_replacement(range(1, P), size):
+            lam = poly_mul(irreducible, _locator(points), P)
+            assert locator_points(lam, _full_table, FIELD) is None, points

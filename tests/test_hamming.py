@@ -297,6 +297,52 @@ class TestWeightThreeReadOff:
                 assert rs.locate_syndromes(syn, (), radius) is None, (syn, radius)
 
 
+class TestHankelCheck:
+    """After a Hankel locator of w errors, `locate_syndromes` checks only
+    the syndromes past S_(2w-1), which its points and Forney's values do
+    not meet by construction.  At the k = 32, tau = 3 inner code
+    (d - 1 = 6), a three-error read checks none, and a two-error read
+    still checks S_4 and S_5.  The one-error probe, which checks a single
+    hit before the locator is built, runs unpatched."""
+
+    RS = HammingScheme(2, 8, 32, 3).inner
+
+    def _reads(self, weight, count):
+        rs, rng = self.RS, random.Random(weight)
+        for _ in range(count):
+            support = sorted(rng.sample(range(rs.length), weight))
+            hits = tuple((j, rng.randrange(1, rs.field.p)) for j in support)
+            yield hits, rs.syndromes(error_vector(rs.length, hits))
+
+    def _patch(self, monkeypatch):
+        """Patch `CheckMatrix.less` to record how many hits each call gets."""
+        less, calls = core.CheckMatrix.less, []
+
+        def counted(check, syn, errors):
+            errors = tuple(errors)
+            calls.append(len(errors))
+            return less(check, syn, errors)
+
+        monkeypatch.setattr(core.CheckMatrix, "less", counted)
+        return calls
+
+    def test_three_errors_locate_without_a_check(self, monkeypatch):
+        assert self.RS.d - 1 == 6
+        calls = self._patch(monkeypatch)
+        for hits, syn in self._reads(3, 1000):
+            got = self.RS.locate_syndromes(syn, (), 3)
+            assert tuple(sorted(got)) == hits, syn
+        assert set(calls) <= {1}
+
+    def test_two_errors_reach_the_check(self, monkeypatch):
+        calls = self._patch(monkeypatch)
+        for hits, syn in self._reads(2, 200):
+            calls.clear()
+            got = self.RS.locate_syndromes(syn, (), 3)
+            assert tuple(sorted(got)) == hits, syn
+            assert calls[-1] == 2, syn
+
+
 class TestLocateBoundary:
     """Both inner codes refuse a syndrome of the wrong length and an erased
     index outside the code, in locate_syndromes and decode_errors_erasures."""

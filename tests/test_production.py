@@ -181,7 +181,7 @@ def test_exactly_tau_errors_decode_at_production_size(data):
 
 def test_single_errors_decode_without_a_scan(monkeypatch):
     """A read with one error has a linear locator, which is read off: with
-    the scans and the deflation patched to raise, one-error reads of
+    the scans patched to raise, one-error reads of
     large-alphabet 1031/250/3 and hamming k=256 tau=2 still decode.  The
     read-stream benchmark's faulty reads are of this kind, so a scan there
     would run on each of them."""
@@ -190,7 +190,6 @@ def test_single_errors_decode_without_a_scan(monkeypatch):
         raise AssertionError("the locate step scanned a linear locator")
 
     monkeypatch.setattr(gfpoly, "scan_pairs", refuse)
-    monkeypatch.setattr(gfpoly, "poly_roots", refuse)
     large = LargeAlphabetScheme(1031, 250, 3, ELL)
     hamming = HammingScheme(2, ELL, 256, 2)
     rng = random.Random(6)
