@@ -10,19 +10,21 @@ are passed to the inner decoder as known-location unknowns.
 
 The inner code is a Reed-Solomon code in parity-check form (checks at
 consecutive powers of distinct nonzero points), decoded for errors and
-erasures from its syndromes by Euclid on the key equation with Forney's
-values (Roth, Introduction to Coding Theory, ch. 6).  A syndrome with no
-erasures that is geometric (S_1^2 = S_0 S_2, an O(1) gate) is first read
-as one error, its point S_1/S_0 looked up and checked against every
-syndrome, so a one-error read skips Euclid and the scan.  With no
-erasures and radius <= 3, the locator of three or two errors is solved
-from its Hankel system by Cramer's rule (Peterson, IRE Trans. IT, 1960),
-so only erasure reads and radii past 3 go to Euclid.  Either locator's
+erasures from its syndromes (Roth, Introduction to Coding Theory, ch. 6).
+A syndrome with no erasures that is geometric (S_1^2 = S_0 S_2, an O(1)
+gate) is first read as one error, its point S_1/S_0 looked up and
+checked against every syndrome, so a one-error read skips the locator
+and the scan.  With no erasures and radius <= 3, the locator of three or
+two errors is solved from its Hankel system by Cramer's rule, and the
+error values are read off S_0 .. S_(w-1) in closed form, the Vandermonde
+solve on the w points (Peterson, IRE Trans. IT, 1960; Gorenstein and
+Zierler, J. SIAM, 1961).  Only erasure reads and radii past 3 go to
+Euclid on the key equation, with Forney's values.  Either locator's
 points come from `gfpoly.locator_points`, the Lee decoder's root finder
 (two errors' are a quadratic's roots; three errors' are a scan for two,
 divided out, and the last read off), and the locate step returns sparse
 hits (`core.Hits`, values mod p).  A Hankel locator's w points with
-Forney's values meet S_0 .. S_(2w-1) by construction, so only the
+their values meet S_0 .. S_(2w-1) by construction, so only the
 syndromes past those are checked; Euclid's are all checked.  The code
 encodes systematically, its d - 1 check symbols filled from the head's
 syndromes (`CheckMatrix.tail`), one message or a block of them in one
@@ -61,7 +63,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # gfp_solve stays bound here: bench/tracing.py traces it under this module.
-from .basemath import PrimeField, ceil_log, gfp_solve, is_prime, signed_value
+from .basemath import PrimeField, ceil_log, gfp_solve, is_prime
 from .core import (
     INT64_BOUND,
     CheckMatrix,
@@ -127,7 +129,8 @@ class ReedSolomonCode:
 
     @cached_property
     def _inverses(self) -> list[int]:
-        """1/gamma_j, Forney's point for position j, built on first use."""
+        """1/gamma_j for position j, built on first use: the one-error
+        probe's divisor, and Forney's point in Euclid's branch."""
         return inverses(self.gamma, self.field.p)
 
     def syndromes(self, values: Sequence[int] | np.ndarray) -> list[int] | np.ndarray:
@@ -176,29 +179,45 @@ class ReedSolomonCode:
         syndrome without d - 1 entries and an erased index outside
         [0, length).
 
-        With locators X_j = gamma_j and values e_j * gamma_j, the syndromes
-        are S_v = sum_j (e_j gamma_j) X_j^v.  With no erasures and
+        With locators X_j = gamma_j and values Y_j = e_j gamma_j, the
+        syndromes are S_v = sum_j Y_j X_j^v.  With no erasures and
         radius <= 3, the error locator Lambda of three or two errors solves
-        its Hankel system by Cramer's rule (`_hankel_locator`, no Euclid),
-        and the evaluator is Omega = Lambda S mod x^deg Lambda.  Otherwise
-        Euclid on the erasure-modified syndrome Gamma * S mod x^(d-1) gives
-        Lambda and Omega (with no erasures, Gamma = 1 and S itself), scaled
-        together to Lambda(0) = 1.  The locators X_j, the reciprocals of
-        Lambda's roots, come from `gfpoly.locator_points`: read off for one
-        error, the roots of a quadratic for two, a scan past that (both
-        signs can be roots: errors at gamma and p - gamma).  A repeated
-        locator is refused.  Each error value is
-        e_j = -Omega(1/X_j) / Psi'(1/X_j) for the full locator
-        Psi = Lambda * Gamma, with 1/X_j from the code's table of inverses.
+        its Hankel system by Cramer's rule (`_hankel_locator`, no Euclid).
+        Otherwise Euclid on the erasure-modified syndrome Gamma * S
+        mod x^(d-1) gives Lambda and the evaluator Omega (with no erasures,
+        Gamma = 1 and S itself), scaled together to Lambda(0) = 1.  The
+        locators X_j, the reciprocals of Lambda's roots, come from
+        `gfpoly.locator_points`: read off for one error, the roots of a
+        quadratic for two, a scan past that (both signs can be roots:
+        errors at gamma and p - gamma).  A repeated locator is refused.
+
+        A Hankel locator's w distinct points a account for its whole
+        degree, so Lambda = prod_a (1 - a x), and e_1 = -Lambda_1 and
+        e_2 = Lambda_2 are their first two symmetric sums.  Their values
+        solve the Vandermonde system sum_j Y_j X_j^v = S_v, v < w, which
+        has one solution: P_a(z) = prod_(b != a) (z - b) vanishes at the
+        other points, so its coefficients applied to S_0 .. S_(w-1) leave
+        Y_a P_a(a).  That is, for two and for three points,
+            Y_a = (S_1 - (e_1 - a) S_0) / (2a - e_1),
+            Y_a = (S_2 - (e_1 - a) S_1 + (e_2 - a e_1 + a^2) S_0)
+                  / (3a^2 - 2 e_1 a + e_2),
+        each denominator being P_a(a), nonzero for distinct points.  The w
+        products a P_a(a) are inverted together (`gfpoly.inverses`), so
+        e_a = Y_a / a comes out directly, with no evaluator.  Euclid's
+        values are Forney's, e_j = -Omega(1/X_j) / Psi'(1/X_j) for the full
+        locator Psi = Lambda * Gamma, with 1/X_j from the code's table of
+        inverses.
 
         The hits are checked against every syndrome, except that after a
         Hankel locator of degree w only the syndromes past S_(2w-1) are.
-        Its system makes Lambda S = Omega mod x^(2w) with deg Omega < w, and
-        Omega / Lambda, for w distinct points X_j, has one partial-fraction
-        decomposition, sum_j Y_j / (1 - X_j x) with
-        Y_j = -X_j Omega(1/X_j) / Lambda'(1/X_j) = e_j gamma_j.  So
-        S_v = sum_j (e_j gamma_j) X_j^v for v < 2w: the hits meet those
-        syndromes by construction.  Euclid's locator keeps the full check.
+        Its system says S_v = -(Lambda_1 S_(v-1) + .. + Lambda_w S_(v-w))
+        for w <= v < 2w, a recurrence that sum_j Y_j X_j^v obeys too, each
+        X_j being a root of z^w Lambda(1/z).  The two sequences agree for
+        v < w, so they agree for v < 2w: the hits meet S_0 .. S_(2w-1) by
+        construction.  (These Y_j are also Forney's on
+        Omega = Lambda S mod x^w, whose partial fractions meet
+        S_0 .. S_(w-1), where the solution is unique.)  Euclid's locator
+        keeps the full check.
         """
         erased = check_locate_input(self.check, syn, erased)
         if len(erased) >= self.d:
@@ -221,9 +240,6 @@ class ReedSolomonCode:
             if lam is None:
                 return None
             known = 2 * (len(lam) - 1)  # the hits meet S_0 .. S_(2w-1)
-            # Omega = Lambda S mod x^deg Lambda
-            omega = [sum(map(operator.mul, lam[: k + 1], syn[k::-1])) % p
-                     for k in range(len(lam) - 1)]
         else:
             modified = syn
             if erased:
@@ -243,13 +259,26 @@ class ReedSolomonCode:
         positions = [self._position.get(x) for x in points]
         if None in positions or not set(erased).isdisjoint(positions):
             return None
-        psi = lam if erasure_locator is None else poly_mul(lam, erasure_locator, p)
-        slope = [i * c % p for i, c in enumerate(psi)][1:]
         support = erased + positions
-        values = []
-        for j in support:
-            x = self._inverses[j]
-            values.append(-poly_eval(omega, x, p) * pow(poly_eval(slope, x, p), -1, p) % p)
+        if known:
+            # Y_a = e_a gamma_a solves the Vandermonde system on S_0 .. S_(w-1);
+            # e_1 = -Lambda_1 and e_2 = Lambda_2 are the points' symmetric sums
+            e1, e2, s0, s1 = -lam[1], lam[2], syn[0], syn[1]
+            if len(lam) == 4:  # three points
+                s2 = syn[2]
+                tops = [s2 - (e1 - a) * s1 + (e2 - a * e1 + a * a) * s0 for a in points]
+                bottoms = [((3 * a - 2 * e1) * a + e2) * a for a in points]
+            else:
+                tops = [s1 - (e1 - a) * s0 for a in points]
+                bottoms = [(2 * a - e1) * a for a in points]
+            values = [t * b % p for t, b in zip(tops, inverses(bottoms, p))]
+        else:
+            psi = lam if erasure_locator is None else poly_mul(lam, erasure_locator, p)
+            slope = [i * c % p for i, c in enumerate(psi)][1:]
+            values = []
+            for j in support:
+                x = self._inverses[j]
+                values.append(-poly_eval(omega, x, p) * pow(poly_eval(slope, x, p), -1, p) % p)
         if not all(values[len(erased) :]):
             return None
         hits = tuple((j, e) for j, e in zip(support, values) if e)
@@ -476,9 +505,11 @@ class HammingScheme(Scheme):
         hits = self.inner.locate_syndromes(syn, erased, self.tau)
         if hits is None:
             return None
+        # A hit's value lies in [1, p) and lifts to its signed representative.
         # An erased entry holds 0 and its symbol was solved outright: its
         # error is minus its value c mod p, which is c since p >= Q.
-        return [(j, -(-e % self.p) if j in y.erased else signed_value(e, self.field))
+        p = self.p
+        return [(j, -(-e % p) if j in y.erased else e - p if e > p // 2 else e)
                 for j, e in hits if j < self.k]
 
     decode = decode_read

@@ -299,8 +299,8 @@ class TestWeightThreeReadOff:
 
 class TestHankelCheck:
     """After a Hankel locator of w errors, `locate_syndromes` checks only
-    the syndromes past S_(2w-1), which its points and Forney's values do
-    not meet by construction.  At the k = 32, tau = 3 inner code
+    the syndromes past S_(2w-1), which its points and the values read off
+    S_0 .. S_(w-1) do not meet by construction.  At the k = 32, tau = 3 inner code
     (d - 1 = 6), a three-error read checks none, and a two-error read
     still checks S_4 and S_5.  The one-error probe, which checks a single
     hit before the locator is built, runs unpatched."""
@@ -341,6 +341,76 @@ class TestHankelCheck:
             got = self.RS.locate_syndromes(syn, (), 3)
             assert tuple(sorted(got)) == hits, syn
             assert calls[-1] == 2, syn
+
+
+class TestHankelValues:
+    """A Hankel locator's values are read off S_0 .. S_(w-1) in closed
+    form, with no evaluator: at production sizes every read within the
+    budget decodes exactly, and only Euclid's branch evaluates Forney's
+    formula (`poly_eval`)."""
+
+    @staticmethod
+    def _flipped_reads(scheme, flips, count, seed):
+        """(read, exact prefix) pairs of an l = 8 product with `flips` flips
+        of magnitude <= theta on distinct packed symbols, a check symbol's
+        flip on one of its digit columns."""
+        rng = random.Random(seed)
+        block = scheme.ntilde - scheme.k
+        a = QMatrix.from_lists(2, [[rng.randrange(2) for _ in range(scheme.k)] for _ in range(8)])
+        encoded = scheme.encode(a)
+        for _ in range(count):
+            c = _product([rng.randrange(2) for _ in range(8)], encoded)
+            y = list(c)
+            for s in rng.sample(range(scheme.ntilde), flips):
+                j = s if s < scheme.k else s + block * rng.randrange(scheme.m)
+                y[j] = rng.choice([v for v in range(scheme.q_out)
+                                   if v != y[j] and abs(v - y[j]) <= scheme.theta])
+            yield ReadVector.exact(y), tuple(c[: scheme.k])
+
+    @pytest.mark.parametrize("k", [32, 256])
+    @pytest.mark.parametrize("flips", [1, 2, 3])
+    def test_flips_within_the_budget_decode_exactly(self, k, flips):
+        scheme = HammingScheme(2, 8, k, 3)
+        assert (scheme.theta, scheme.q_out) == (8, 9)
+        for y, prefix in self._flipped_reads(scheme, flips, 150, 31 * k + flips):
+            assert scheme.decode(y).prefix == prefix, y.entries
+
+    @pytest.mark.parametrize("weight", [2, 3])
+    def test_errors_of_a_p_1031_code_locate_exactly(self, weight):
+        rs = ReedSolomonCode(PrimeField(1031), length=300, k=290)  # d - 1 = 10
+        rng = random.Random(weight)
+        for _ in range(400):
+            support = sorted(rng.sample(range(rs.length), weight))
+            hits = tuple((j, rng.randrange(1, 1031)) for j in support)
+            syn = rs.syndromes(error_vector(rs.length, hits))
+            for radius in range(weight, 4):
+                assert tuple(sorted(rs.locate_syndromes(syn, (), radius))) == hits, syn
+
+    def test_only_euclid_evaluates_forney(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("poly_eval reached")
+
+        rs = HammingScheme(2, 8, 32, 3).inner
+        rng = random.Random(5)
+        reads = []
+        for weight in (1, 2, 3, 4):
+            for _ in range(100):
+                e = [0] * rs.length
+                for j in rng.sample(range(rs.length), weight):
+                    e[j] = rng.randrange(1, rs.field.p)
+                reads.append((e, rs.syndromes(e)))
+        reads += [(None, [rng.randrange(rs.field.p) for _ in range(6)]) for _ in range(400)]
+        monkeypatch.setattr(hamming, "poly_eval", refuse)
+        for e, syn in reads:
+            for radius in (1, 2, 3):
+                got = rs.locate_syndromes(syn, (), radius)
+                weight = None if e is None else sum(map(bool, e))
+                if weight is not None and weight <= radius:
+                    assert error_vector(rs.length, got) == e
+        e = [0] * rs.length
+        e[3], e[20] = 7, 11
+        with pytest.raises(AssertionError, match="poly_eval reached"):
+            rs.locate_syndromes(rs.syndromes(e), (20,), 2)
 
 
 class TestLocateBoundary:
