@@ -260,9 +260,7 @@ class ReedSolomonCode:
         if None in positions or not set(erased).isdisjoint(positions):
             return None
         support = erased + positions
-        if known:
-            # Y_a = e_a gamma_a solves the Vandermonde system on S_0 .. S_(w-1);
-            # e_1 = -Lambda_1 and e_2 = Lambda_2 are the points' symmetric sums
+        if known:  # a Hankel locator: Y_a = e_a a off S_0 .. S_(w-1), as above
             e1, e2, s0, s1 = -lam[1], lam[2], syn[0], syn[1]
             if len(lam) == 4:  # three points
                 s2 = syn[2]
